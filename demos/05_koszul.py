@@ -14,7 +14,6 @@ import gradmod as gm
 from gradmod import linalg
 from gradmod.koszul import (betti_numbers, betti_table, build_koszul,
                             dirac_square_residual, solve_syzygy)
-from gradmod.linearize import RowOperator
 
 for d, r in ((2, 1), (2, 3), (3, 1)):
     mod = gm.StandardModule(gm.make_weights("dshift", 8), d=d, multiplicity=r)
@@ -56,8 +55,7 @@ print(f"  xi = (z2, -z1): eta_12 = {eta[(1, 2)][0].real:+.0f} "
       f"(reconstruction residual {resid:.2e})")
 
 rng = np.random.default_rng(11)
-row = RowOperator(mod)
-null = linalg.nullspace(row.block(4))
+null = linalg.nullspace(mod.row_block(4))
 coef = rng.normal(size=null.shape[1]) + 1j * rng.normal(size=null.shape[1])
 vec = null @ coef
 vec /= np.linalg.norm(vec)

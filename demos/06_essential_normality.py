@@ -14,7 +14,6 @@ import numpy as np
 
 import gradmod as gm
 from gradmod import linalg
-from gradmod.linearize import RowOperator
 from gradmod.normality import (alternating_block_sequence,
                                similarity_counterexample,
                                spectral_projection_oracle)
@@ -33,9 +32,8 @@ print("eigendecomposition oracle:")
 small = gm.StandardModule(gm.make_weights("dshift", 6), d=2)
 g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((0, 2), 0, 1.0)))
 sub = gm.GradedSubmodule.generate(small, [g])
-row = RowOperator(small)
 level = 2
-lmat = row.block(level)
+lmat = small.row_block(level)
 target = sub.basis(level + 1)
 pre = linalg.nullspace(lmat - target @ (target.conj().T @ lmat),
                        floor=1e-10 * linalg.opnorm(lmat))

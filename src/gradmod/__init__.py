@@ -28,7 +28,6 @@ from .koszul import (
 )
 from .linearize import (
     LinearizationResult,
-    RowOperator,
     SubspaceV,
     WindowExhausted,
     ev_quotient,

@@ -17,6 +17,7 @@ override file keys.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,8 +29,7 @@ from .completion import (StandardModule, make_weights, number_trace_report,
                          oscillation_report, row_sum_residual,
                          commutator_decomposition_residual, summability_report)
 from .koszul import betti_numbers, betti_table, build_koszul, dirac_square_residual
-from .linearize import (RowOperator, ev_quotient, ev_space, linearize_full,
-                        parse_subspace, recover_subspace)
+from .linearize import ev_space, linearize_full, parse_subspace, recover_subspace
 from .normality import (alternating_block_sequence,
                         compression_identity_residuals, quotient_en_report,
                         resolvent_projection, similarity_counterexample,
@@ -210,6 +210,8 @@ def cmd_weights(args, outdir):
     d = resolve(args, "d", cast=int)
     if d is None:
         raise ParseFailure("weights needs --d (the summability weight k^(d-1))")
+    if d < 1:
+        raise ParseFailure("weights needs --d >= 1")
     n_weights = resolve(args, "N", cast=int)
     if n_weights is None or n_weights < 3:
         raise ParseFailure("weights needs --N >= 3")
@@ -222,6 +224,8 @@ def cmd_weights(args, outdir):
         raise ParseFailure(str(exc)) from exc
     p_list = resolve_p_list(args)
     tail = resolve(args, "tail", max(2, n_weights // 2), int)
+    if not 1 <= tail <= n_weights:
+        raise ParseFailure("weights needs 1 <= --tail <= N")
 
     osc = oscillation_report(weights, tail)
     reports = {p: summability_report(weights, d, p) for p in p_list}
@@ -297,10 +301,12 @@ def cmd_submodule(args, outdir):
     reducing, v_basis = sub.is_reducing()
     quotient = QuotientModule(sub)
 
+    orthonormality = sub.orthonormality_residual()
+    invariance = sub.invariance_residual()
     failures = []
     hard_check(failures, "level_basis_orthonormality",
-               sub.orthonormality_residual(), max(tol, cfg.EXACT_TOL))
-    hard_check(failures, "coordinate_invariance", sub.invariance_residual(), tol)
+               orthonormality, max(tol, cfg.EXACT_TOL))
+    hard_check(failures, "coordinate_invariance", invariance, tol)
 
     report = {
         "schema": 1,
@@ -314,8 +320,8 @@ def cmd_submodule(args, outdir):
         "reducing": {"is_reducing": reducing,
                      "V_dim": None if v_basis is None else v_basis.shape[1]},
         "residuals": {
-            "orthonormality": sub.orthonormality_residual(),
-            "invariance": sub.invariance_residual(),
+            "orthonormality": orthonormality,
+            "invariance": invariance,
         },
         "hard_failures": failures,
     }
@@ -380,8 +386,7 @@ def cmd_ev(args, outdir):
     deg = sub.degree_report()
     recovered = recover_subspace(module, sub.basis(1))
     roundtrip = linalg.subspace_distance(v.basis, recovered.basis)
-    quotient = ev_quotient(module, v)
-    en = quotient_en_report(quotient, p_list)
+    en = quotient_en_report(QuotientModule(sub, coquotient_bases=ev), p_list)
 
     failures = []
     hard_check(failures, "roundtrip_V_distance", roundtrip, tol)
@@ -436,9 +441,9 @@ def cmd_koszul(args, outdir):
     dirac = {n: dirac_square_residual(complex_, ops, n)
              for n in interior_levels}
 
+    bsquared = complex_.bsquared_residual()
     failures = []
-    hard_check(failures, "boundary_squared", complex_.bsquared_residual(),
-               max(tol, cfg.EXACT_TOL))
+    hard_check(failures, "boundary_squared", bsquared, max(tol, cfg.EXACT_TOL))
     for n, resid in dirac.items():
         hard_check(failures, f"dirac_square_level_{n}", resid, tol)
 
@@ -447,7 +452,7 @@ def cmd_koszul(args, outdir):
         "command": "koszul",
         "config": config_echo(args, module, extra={"gens": gens_path}),
         "subject": subject,
-        "bsquared_residual": complex_.bsquared_residual(),
+        "bsquared_residual": bsquared,
         "betti_numbers": list(betti_numbers(complex_)),
         "betti_table": {f"{k},{n}": int(dim) for (k, n), dim in sorted(table.items())},
         "dirac_residuals": {str(n): resid for n, resid in dirac.items()},
@@ -461,6 +466,8 @@ def cmd_identity(args, outdir):
     sub, _ = load_generators(args, module)
     tol = resolve(args, "tol", cfg.IDENTITY_TOL, float)
     nodes = resolve(args, "nodes", cfg.QUAD_DEFAULT_NODES, int)
+    if nodes <= 0:
+        raise ParseFailure("identity needs --nodes >= 1")
     failures = []
 
     # compression identities on all interior levels
@@ -489,9 +496,8 @@ def cmd_identity(args, outdir):
 
     # resolvent projection at a mid level
     level = min(2, module.top_level - 2)
-    row = RowOperator(module)
     target = sub.basis(level + 1)
-    lmat = row.block(level)
+    lmat = module.row_block(level)
     proj_out = lmat - target @ (target.conj().T @ lmat)
     pre = linalg.nullspace(proj_out)
     b = lmat @ linalg.projector(pre) @ lmat.conj().T
@@ -545,11 +551,14 @@ def cmd_counterexample(args, outdir):
     if u_path is None:
         u = alternating_block_sequence(n_levels + 1)
     else:
+        tokens = read_text_file(u_path, "u sequence").split()
         try:
-            u = np.array([float(tok) for tok in
-                          read_text_file(u_path, "u sequence").split()])
+            u = np.array([float(tok) for tok in tokens])
         except ValueError as exc:
             raise ParseFailure(f"bad u file: {exc}") from exc
+        for tok, x in zip(tokens, u):
+            if not math.isfinite(x):
+                raise ParseFailure(f"bad u file: non-finite value {tok!r}")
     try:
         rep = similarity_counterexample(u, n_levels)
     except ValueError as exc:

@@ -15,6 +15,7 @@ only a cross-check in the test suite).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from . import monomials
 from .config import TREND_BURN_IN
 from .operators import GradedOperator
 from .trends import TrendReport, classify_trend, loglog_slope
-
-WEIGHT_FAMILIES = ("dshift", "hardy", "bergman", "sinsqrt", "custom")
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,12 @@ def fock_level_weights(d, top_level):
     return levels
 
 
+def _unit_row(i, d):
+    row = np.zeros((1, d))
+    row[0, i - 1] = 1.0
+    return row
+
+
 class StandardModule:
     """Truncated standard Hilbert module S = G (x) C^r with exact level blocks.
 
@@ -159,6 +164,7 @@ class StandardModule:
             ([1.0], np.cumprod(self.rho**2)))
         self._fock_blocks = {}
         self._blocks = {}
+        self._row_blocks = {}
 
     # -- level geometry -------------------------------------------------
 
@@ -241,6 +247,29 @@ class StandardModule:
         if n < 1:
             raise ValueError("defined on levels >= 1")
         return float(self.rho[n - 1] ** 2) / float(n)
+
+    @cached_property
+    def row_domain(self):
+        """d.S: the standard module of multiplicity d*r over the same completion.
+
+        Its d.E coordinates are ordered copy-major ((zeta_1, ..., zeta_d) with
+        zeta_i in E).
+        """
+        return StandardModule(self.weights, self.d, self.multiplicity * self.d,
+                              levels=self.top_level)
+
+    def row_block(self, n):
+        """Block L_n: (d.S)_n -> S_{n+1} of the row operator L(xi) = sum_k Z_k xi_k."""
+        cached = self._row_blocks.get(n)
+        if cached is None:
+            if not 0 <= n <= self.top_level - 1:
+                raise ValueError(f"no row block at level {n}")
+            cached = sum(
+                np.kron(self.scalar_block(i, n),
+                        np.kron(_unit_row(i, self.d), np.eye(self.multiplicity)))
+                for i in range(1, self.d + 1)).astype(complex)
+            self._row_blocks[n] = cached
+        return cached
 
     def coordinate_tuple(self):
         """The d coordinate operators as degree-1 graded block operators."""

@@ -11,7 +11,7 @@ Every reported quantity is restricted to interior (level, form-degree) pairs
 with n + k <= N - 1, so no block ever touches truncated data.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -50,9 +50,17 @@ class KoszulComplex:
     level_dims: dict
     boundary: dict       # (form degree k, level n) -> block of B
     top_level: int
+    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def boundary_block(self, k, n):
         return self.boundary[(k, n)]
+
+    def boundary_rank(self, k, n):
+        """Numerical rank of B_k(n), computed once; 0 where no block is stored."""
+        if (k, n) not in self._ranks:
+            block = self.boundary.get((k, n))
+            self._ranks[(k, n)] = 0 if block is None else linalg.numerical_rank(block)
+        return self._ranks[(k, n)]
 
     def form_dim(self, k, n):
         return self.level_dims[n] * comb(self.d, k)
@@ -126,14 +134,12 @@ def betti_table(complex_, levels=None):
                 continue
             dim_kn = complex_.form_dim(k, n)
             if k < complex_.d and (k, n) in complex_.boundary:
-                nullity = dim_kn - linalg.numerical_rank(complex_.boundary[(k, n)])
+                nullity = dim_kn - complex_.boundary_rank(k, n)
             elif k == complex_.d:
                 nullity = dim_kn
             else:
                 continue
-            below = complex_.boundary.get((k - 1, n - 1))
-            rank_below = linalg.numerical_rank(below) if below is not None else 0
-            table[(k, n)] = int(nullity - rank_below)
+            table[(k, n)] = int(nullity - complex_.boundary_rank(k - 1, n - 1))
     return table
 
 

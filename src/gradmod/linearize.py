@@ -1,6 +1,7 @@
 """Row operator, pullbacks, iterated linearization, and degree-1 structure.
 
-The row operator L sends (xi_1, ..., xi_d) in d.S to Z_1 xi_1 + ... + Z_d xi_d.
+The row operator L sends (xi_1, ..., xi_d) in d.S to Z_1 xi_1 + ... + Z_d xi_d
+(blocks ``StandardModule.row_block``, domain ``StandardModule.row_domain``).
 Its kernel is a degree-1 submodule; pulling a degree-n submodule M back
 through L drops the degree by one, and iterating reduces any determinable
 degree >= 2 to a degree-1 submodule in a higher-multiplicity ambient module.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .completion import StandardModule
+from .completion import _unit_row
 from .submodules import GradedSubmodule, QuotientModule, parse_complex
 
 
@@ -24,53 +25,14 @@ class WindowExhausted(RuntimeError):
     """Raised when a degree is not determinable within the stored truncation."""
 
 
-def _unit_row(i, d):
-    row = np.zeros((1, d))
-    row[0, i - 1] = 1.0
-    return row
-
-
-class RowOperator:
-    """L: d.S -> S, with exact blocks L_n: (d.S)_n -> S_{n+1}.
-
-    The domain d.S is realized as the standard module of multiplicity d*r
-    over the same completion, with d.E coordinates ordered copy-major
-    ((zeta_1, ..., zeta_d) with zeta_i in E).
-    """
-
-    def __init__(self, module):
-        self.module = module
-        self.domain = StandardModule(module.weights, module.d,
-                                     module.multiplicity * module.d,
-                                     levels=module.top_level)
-        self._blocks = {}
-
-    def block(self, n):
-        if n not in self._blocks:
-            if not 0 <= n <= self.module.top_level - 1:
-                raise ValueError(f"no row block at level {n}")
-            r = self.module.multiplicity
-            d = self.module.d
-            self._blocks[n] = sum(
-                np.kron(self.module.scalar_block(i, n),
-                        np.kron(_unit_row(i, d), np.eye(r)))
-                for i in range(1, d + 1)).astype(complex)
-        return self._blocks[n]
-
-    def surjectivity_defect(self, n):
-        """dim S_{n+1} - rank L_n; zero because S_{n+1} = sum_k Z_k S_n."""
-        return self.module.level_dim(n + 1) - linalg.numerical_rank(self.block(n))
-
-
 def kernel_levels(module, window=None):
     """The kernel K = ker L as a graded submodule of d.S (degree 1, K_0 = 0)."""
-    row = RowOperator(module)
     if window is None:
         window = module.top_level - 1
     if window > module.top_level - 1 or window < 1:
         raise ValueError("kernel window must lie in 1..N-1")
-    bases = {n: linalg.nullspace(row.block(n)) for n in range(window + 1)}
-    return GradedSubmodule(row.domain, bases, window=window)
+    bases = {n: linalg.nullspace(module.row_block(n)) for n in range(window + 1)}
+    return GradedSubmodule(module.row_domain, bases, window=window)
 
 
 def pullback(submodule):
@@ -86,24 +48,22 @@ def pullback(submodule):
     if report.degree < 2:
         raise ValueError("pullback reduction applies to submodules of degree >= 2")
     module = submodule.module
-    row = RowOperator(module)
     window = min(submodule.window - 1, module.top_level - 1)
     bases = {}
     for k in range(window + 1):
         target = submodule.basis(k + 1)
-        block = row.block(k)
+        block = module.row_block(k)
         proj_out = block - target @ (target.conj().T @ block)
         # floor: when M_{k+1} contains ran L_k the composition is a true zero
         bases[k] = linalg.nullspace(proj_out, floor=1e-10 * linalg.opnorm(block))
-    return GradedSubmodule(row.domain, bases, window=window)
+    return GradedSubmodule(module.row_domain, bases, window=window)
 
 
 def pullback_span_residual(submodule, pulled):
     """max_k principal-angle distance between L(M'_k) and M_{k+1} (should be 0)."""
-    row = RowOperator(submodule.module)
     worst = 0.0
     for k in range(pulled.window + 1):
-        block = row.block(k)
+        block = submodule.module.row_block(k)
         # absolute floor: kernel directions map to roundoff junk, not rank
         image = linalg.orthonormal_columns(block @ pulled.basis(k),
                                            floor=1e-10 * linalg.opnorm(block))
@@ -133,12 +93,12 @@ def shift_quotient(quotient):
 
 def induced_map_report(quotient, shifted):
     """Condition numbers of the level maps induced by L between the two quotients."""
-    row = RowOperator(quotient.submodule.module)
+    row_block = quotient.module.row_block
     out = {}
     for n in range(shifted.window + 1):
         if n + 1 > quotient.window:
             break
-        mat = quotient.basis(n + 1).conj().T @ row.block(n) @ shifted.basis(n)
+        mat = quotient.basis(n + 1).conj().T @ row_block(n) @ shifted.basis(n)
         if mat.size == 0:
             out[n] = (0.0, True)
             continue
@@ -262,7 +222,6 @@ def ev_space(module, v, window=None, use_gradient=False):
     """
     if window is None:
         window = module.top_level
-    row = RowOperator(module)
     q = v.complement_projector()
     ev = {0: np.eye(module.level_dim(0), dtype=complex)}
     for n in range(1, window + 1):
@@ -274,7 +233,7 @@ def ev_space(module, v, window=None, use_gradient=False):
                                 np.eye(module.multiplicity))) @ blk
                 for i, blk in enumerate(d_blocks))
         else:
-            stacked = row.block(n - 1).conj().T
+            stacked = module.row_block(n - 1).conj().T
         qfull = np.kron(np.eye(module.scalar_dim(n - 1)), q)
         # floor: for V = d.E the composition is a true zero map
         ev[n] = linalg.nullspace(qfull @ stacked,
@@ -296,8 +255,7 @@ def recover_subspace(module, m1_basis):
     The level-0 row block is injective on d.E, so W and hence V are uniquely
     determined.
     """
-    row = RowOperator(module)
-    l0 = row.block(0)
+    l0 = module.row_block(0)
     m1 = np.asarray(m1_basis, dtype=complex)
     proj_out = l0 - m1 @ (m1.conj().T @ l0)
     w = linalg.nullspace(proj_out, floor=1e-10 * linalg.opnorm(l0))

@@ -107,11 +107,12 @@ def compression_identity_residuals(module, submodule, j, k, level):
     window = min(submodule.window, module.top_level)
     if not 1 <= n <= window - 1:
         raise ValueError(f"level {n} is not interior (1..{window - 1})")
-    ts = module.coordinate_tuple()
-    tj, tk = ts[j - 1], ts[k - 1]
-    p = submodule.projection_operator()
-    dims = {m: module.level_dim(m) for m in range(window + 1)}
-    pperp = GradedOperator.identity(dims) - p
+    # block n of every product below reads only levels n-1..n+1
+    levels = (n - 1, n, n + 1)
+    tj = GradedOperator(1, {m: module.coordinate_block(j, m) for m in (n - 1, n)})
+    tk = GradedOperator(1, {m: module.coordinate_block(k, m) for m in (n - 1, n)})
+    p = GradedOperator(0, {m: submodule.projection_block(m) for m in levels})
+    pperp = GradedOperator.identity({m: module.level_dim(m) for m in levels}) - p
 
     amb_comm = commutator(tj, tk.adjoint())  # [T_j, T_k*]
 

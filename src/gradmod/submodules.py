@@ -12,6 +12,7 @@ candidate and the largest generator degree, and ``determined`` is False
 otherwise.  Truncations are not extrapolated.
 """
 
+import cmath
 import re
 from dataclasses import dataclass, field
 
@@ -58,9 +59,12 @@ def parse_complex(text):
     if "i" in s and any(c not in "0123456789+-.ei" for c in s):
         raise ValueError(f"bad complex literal {text!r}")
     try:
-        return complex(s.replace("i", "j"))
+        z = complex(s.replace("i", "j"))
     except ValueError:
         raise ValueError(f"bad complex literal {text!r}") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite complex literal {text!r}")
+    return z
 
 
 def format_complex(z):
@@ -260,10 +264,6 @@ class GradedSubmodule:
     def projection_block(self, n):
         """Orthogonal projection onto M_n inside level n (Hermitian idempotent)."""
         return linalg.projector(self.basis(n))
-
-    def projection_operator(self):
-        return GradedOperator(0, {n: self.projection_block(n)
-                                  for n in range(self.window + 1)})
 
     def orthonormality_residual(self):
         return max(linalg.orthonormality_residual(self.basis(n))

@@ -10,7 +10,6 @@ import numpy as np
 import gradmod as gm
 from gradmod import cli, linalg
 from gradmod.koszul import betti_numbers, build_koszul, dirac_square_residual, solve_syzygy
-from gradmod.linearize import RowOperator
 from gradmod.normality import (alternating_block_sequence, resolvent_quadrature,
                                similarity_counterexample, spectral_projection_oracle)
 
@@ -37,7 +36,7 @@ def test_criterion_1_kernel_degree_one():
             mod = h2(d, r, 10)
             kernel = gm.kernel_levels(mod)
             assert kernel.dim(0) == 0
-            dom = RowOperator(mod).domain
+            dom = mod.row_domain
             for n in range(1, kernel.window):
                 image = linalg.orthonormal_columns(np.hstack([
                     dom.coordinate_block(k, n) @ kernel.basis(n)
@@ -218,7 +217,7 @@ def test_criterion_6_koszul():
                             (3, 2, 9), (3, 3, 8), (3, 4, 8)):
         mod = h2(d, 1, 8)
         ops = mod.coordinate_tuple()
-        null = linalg.nullspace(RowOperator(mod).block(level))
+        null = linalg.nullspace(mod.row_block(level))
         h = mod.level_dim(level)
         for _ in range(count):
             coef = rng.normal(size=null.shape[1]) \
@@ -269,8 +268,7 @@ def test_criterion_7_identities_and_resolvent():
                   for alpha in basis.monomials)
     sub = gm.GradedSubmodule.generate(mod, [gm.VectorPolynomial(2, terms)])
     level = 2
-    row = RowOperator(mod)
-    lmat = row.block(level)
+    lmat = mod.row_block(level)
     target = sub.basis(level + 1)
     proj_out = lmat - target @ (target.conj().T @ lmat)
     pre = linalg.nullspace(proj_out)

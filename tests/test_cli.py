@@ -50,7 +50,7 @@ def test_submodule_report_deterministic(tmp_path):
 # -- exit codes -------------------------------------------------------------------
 
 
-def test_parse_error_exit_codes(tmp_path):
+def test_parse_error_exit_codes(tmp_path, capsys):
     assert run_cli(["weights", "--family", "sinsqrt", "--r1", "4", "--r2", "1",
                     "--N", "50", "--out", str(tmp_path)]) == cli.EXIT_PARSE
     assert run_cli(["submodule", "--d", "2", "--N", "8",
@@ -62,6 +62,30 @@ def test_parse_error_exit_codes(tmp_path):
                     "--out", str(tmp_path)]) == cli.EXIT_PARSE
     assert run_cli(["submodule", "--d", "2",
                     "--gens", str(bad), "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    assert run_cli(["weights", "--d", "-1", "--N", "50",
+                    "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    assert run_cli(["weights", "--d", "2", "--N", "50", "--tail", "0",
+                    "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    assert run_cli(["identity", "--d", "2", "--N", "6",
+                    "--gens", str(write_quadric(tmp_path)), "--nodes", "0",
+                    "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    capsys.readouterr()
+    # non-finite tokens are rejected when parsed, and the message names them
+    for token in ("nan", "1e999"):
+        bad.write_text(f"2 {token} (2 0)@e1 + 1+0i (0 2)@e1\n")
+        assert run_cli(["submodule", "--d", "2", "--N", "8", "--gens", str(bad),
+                        "--out", str(tmp_path)]) == cli.EXIT_PARSE
+        assert repr(token) in capsys.readouterr().err
+    vfile = tmp_path / "V.txt"
+    vfile.write_text("nan\n0+0i\n")
+    assert run_cli(["ev", "--d", "2", "--N", "8", "--V", str(vfile),
+                    "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    assert "'nan'" in capsys.readouterr().err
+    ufile = tmp_path / "u.txt"
+    ufile.write_text("0.5 inf " + "0.25 " * 10 + "\n")
+    assert run_cli(["counterexample", "--N", "8", "--u", str(ufile),
+                    "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    assert "'inf'" in capsys.readouterr().err
 
 
 def test_window_exhaustion_exit_code(tmp_path):

@@ -1,0 +1,25 @@
+"""Smoke test: the narrative demos run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# 06_essential_normality is left out: it spends about 19 s in the contour
+# quadrature, the adaptive trapezoid rule that never reaches its floor.
+DEMOS = ["01_weight_families", "02_standard_modules",
+         "03_submodules_and_quotients", "04_linearization", "05_koszul"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_zero(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gradmod as gm
+from gradmod import linalg
 from gradmod.koszul import (betti_numbers, betti_table, build_koszul,
                             creation_matrix, dirac_square_residual, form_subsets,
                             solve_syzygy)
@@ -91,6 +92,25 @@ def test_betti_window_too_small():
         betti_table(kz)        # no interior level at form degree d
 
 
+def test_betti_ranks_computed_once(monkeypatch):
+    kz = build_koszul(h2_module(3).coordinate_tuple())
+    interior = [(k, n) for k in range(kz.d + 1) for n in range(kz.top_level)
+                if kz.interior(k, n)]
+    read = {pair for k, n in interior for pair in ((k, n), (k - 1, n - 1))
+            if pair in kz.boundary}
+    calls = []
+    rank = linalg.numerical_rank
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "numerical_rank", counted)
+    assert sorted(betti_table(kz)) == interior
+    assert betti_numbers(kz) == (0, 0, 0, 1)
+    assert 0 < len(calls) <= len(read)      # one SVD per boundary block read
+
+
 def test_quotient_by_z1_has_middle_cohomology():
     mod = h2_module(2)
     sub = gm.GradedSubmodule.generate(mod, [gm.monomial_generator((1, 0))])
@@ -167,11 +187,9 @@ def test_syzygy_rejects_non_kernel_input():
 
 @pytest.mark.parametrize("d,level", [(2, 3), (3, 2), (3, 3)])
 def test_syzygy_random_kernel_elements(rng, d, level):
-    from gradmod import linalg
     mod = h2_module(d)
     ops = mod.coordinate_tuple()
-    row = gm.RowOperator(mod)
-    null = linalg.nullspace(row.block(level))
+    null = linalg.nullspace(mod.row_block(level))
     h = mod.level_dim(level)
     for trial in range(5):
         coef = rng.normal(size=null.shape[1]) + 1j * rng.normal(size=null.shape[1])

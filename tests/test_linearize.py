@@ -10,7 +10,7 @@ import pytest
 
 import gradmod as gm
 from gradmod import linalg
-from gradmod.linearize import RowOperator, WindowExhausted
+from gradmod.linearize import WindowExhausted
 from conftest import random_subspace
 
 
@@ -23,10 +23,16 @@ def h2():
 
 
 def test_row_operator_surjective(h2):
-    row = RowOperator(h2)
     for n in range(9):
-        assert row.surjectivity_defect(n) == 0
-        assert row.block(n).shape == (h2.level_dim(n + 1), 2 * h2.level_dim(n))
+        # S_{n+1} = sum_k Z_k S_n, so L_n has full row rank
+        assert linalg.numerical_rank(h2.row_block(n)) == h2.level_dim(n + 1)
+        assert h2.row_block(n).shape == (h2.level_dim(n + 1), 2 * h2.level_dim(n))
+
+
+def test_row_blocks_cached_on_module(h2):
+    assert h2.row_block(3) is h2.row_block(3)
+    assert h2.row_domain is h2.row_domain
+    assert h2.row_domain.multiplicity == 2 * h2.multiplicity
 
 
 def test_kernel_level_one_explicit(h2):
@@ -56,7 +62,7 @@ def test_kernel_degree_one(h2):
     rep = K.degree_report()
     assert rep.degree == 1 and rep.determined
     # span equality K_{n+1} = sum Z_k K_n, checked directly
-    dom = RowOperator(h2).domain
+    dom = h2.row_domain
     for n in range(1, K.window):
         image = linalg.orthonormal_columns(np.hstack([
             dom.coordinate_block(k, n) @ K.basis(n) for k in (1, 2)]))
@@ -80,10 +86,9 @@ def test_pullback_matches_bruteforce_preimage(h2):
     g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((0, 2), 0, 1.0)))
     sub = gm.GradedSubmodule.generate(h2, [g])
     pulled = gm.pullback(sub)
-    row = RowOperator(h2)
     assert pulled.dim(1) == 2    # nullity 1 + preimage dim 1
     for k in range(pulled.window + 1):
-        oracle = bruteforce_preimage(row.block(k), sub.basis(k + 1))
+        oracle = bruteforce_preimage(h2.row_block(k), sub.basis(k + 1))
         assert linalg.subspace_distance(pulled.basis(k), oracle) <= 1e-10
 
 
