@@ -27,8 +27,8 @@ for p in (2.0, 3.0):
           f"trend {t.trend:12s} (ratio {t.ratio:.3f})   [threshold: p > d]")
 
 print("\nResolvent-integral projection: B = L P L* at one level, rectangle")
-print("contour around the positive spectrum, trapezoid quadrature vs the")
-print("eigendecomposition oracle:")
+print("contour around the positive spectrum, Gauss-Legendre panel quadrature")
+print("vs the eigendecomposition oracle:")
 small = gm.StandardModule(gm.make_weights("dshift", 6), d=2)
 g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((0, 2), 0, 1.0)))
 sub = gm.GradedSubmodule.generate(small, [g])

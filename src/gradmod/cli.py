@@ -102,6 +102,14 @@ def read_config_file(path):
     return entries
 
 
+def finite_float(text):
+    """float() for flags and config keys; nan and infinities are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def resolve(args, key, default=None, cast=str):
     """Command line wins; otherwise the last config-file occurrence; else default."""
     flag = getattr(args, key, None)
@@ -125,7 +133,7 @@ def resolve_p_list(args, default=(2.0, 3.0)):
     if raw is None:
         return list(default)
     try:
-        values = [float(tok) for tok in raw.replace(",", " ").split()]
+        values = [finite_float(tok) for tok in raw.replace(",", " ").split()]
     except ValueError as exc:
         raise ParseFailure(f"bad p list: {exc}") from exc
     if not values or any(p < 1 for p in values):
@@ -144,8 +152,8 @@ def build_module(args, need_d=True):
     if n_levels < 2:
         raise ParseFailure("need N >= 2")
     family = resolve(args, "family", "dshift")
-    r1 = resolve(args, "r1", cast=float)
-    r2 = resolve(args, "r2", cast=float)
+    r1 = resolve(args, "r1", cast=finite_float)
+    r2 = resolve(args, "r2", cast=finite_float)
     try:
         weights = make_weights(family, n_levels, d=d, r1=r1, r2=r2)
         module = StandardModule(weights, d=d, multiplicity=r)
@@ -160,14 +168,14 @@ def config_echo(args, module=None, extra=None):
         "d": resolve(args, "d", cast=int),
         "r": resolve(args, "r", 1, int),
         "N": resolve(args, "N", cast=int),
-        "tol": resolve(args, "tol", cast=float),
+        "tol": resolve(args, "tol", cast=finite_float),
     }
     if module is not None:
         echo["d"] = module.d
         echo["r"] = module.multiplicity
         echo["N"] = module.top_level
-    r1 = resolve(args, "r1", cast=float)
-    r2 = resolve(args, "r2", cast=float)
+    r1 = resolve(args, "r1", cast=finite_float)
+    r2 = resolve(args, "r2", cast=finite_float)
     if r1 is not None:
         echo["r1"] = r1
     if r2 is not None:
@@ -218,8 +226,8 @@ def cmd_weights(args, outdir):
     family = resolve(args, "family", "dshift")
     try:
         weights = make_weights(family, n_weights, d=d,
-                               r1=resolve(args, "r1", cast=float),
-                               r2=resolve(args, "r2", cast=float))
+                               r1=resolve(args, "r1", cast=finite_float),
+                               r2=resolve(args, "r2", cast=finite_float))
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
     p_list = resolve_p_list(args)
@@ -296,7 +304,7 @@ def _degree_payload(report):
 def cmd_submodule(args, outdir):
     module = build_module(args)
     sub, gens = load_generators(args, module)
-    tol = resolve(args, "tol", cfg.SPAN_TOL, float)
+    tol = resolve(args, "tol", cfg.SPAN_TOL, finite_float)
     report_deg = sub.degree_report()
     reducing, v_basis = sub.is_reducing()
     quotient = QuotientModule(sub)
@@ -335,7 +343,7 @@ def cmd_submodule(args, outdir):
 def cmd_linearize(args, outdir):
     module = build_module(args)
     sub, _ = load_generators(args, module)
-    tol = resolve(args, "tol", cfg.SPAN_TOL, float)
+    tol = resolve(args, "tol", cfg.SPAN_TOL, finite_float)
     result = linearize_full(sub)
 
     failures = []
@@ -377,7 +385,7 @@ def cmd_ev(args, outdir):
         v = parse_subspace(read_text_file(v_path, "subspace"), module)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
-    tol = resolve(args, "tol", cfg.ROUNDTRIP_TOL, float)
+    tol = resolve(args, "tol", cfg.ROUNDTRIP_TOL, finite_float)
     p_list = resolve_p_list(args)
 
     ev, sub = ev_space(module, v)
@@ -422,7 +430,7 @@ def cmd_ev(args, outdir):
 
 def cmd_koszul(args, outdir):
     module = build_module(args)
-    tol = resolve(args, "tol", cfg.IDENTITY_TOL, float)
+    tol = resolve(args, "tol", cfg.IDENTITY_TOL, finite_float)
     gens_path = resolve(args, "gens")
     if gens_path is None:
         ops = module.coordinate_tuple()
@@ -464,7 +472,7 @@ def cmd_koszul(args, outdir):
 def cmd_identity(args, outdir):
     module = build_module(args)
     sub, _ = load_generators(args, module)
-    tol = resolve(args, "tol", cfg.IDENTITY_TOL, float)
+    tol = resolve(args, "tol", cfg.IDENTITY_TOL, finite_float)
     nodes = resolve(args, "nodes", cfg.QUAD_DEFAULT_NODES, int)
     if nodes <= 0:
         raise ParseFailure("identity needs --nodes >= 1")
@@ -509,10 +517,17 @@ def cmd_identity(args, outdir):
         y_ops = [module.coordinate_block(k, level + 1).conj().T
                  @ module.coordinate_block(k, level + 1)
                  for k in range(1, module.d + 1)]
-        rep = resolvent_projection(b, gap, nodes=nodes, transforms=y_ops,
-                                   p_values=[1.0])
+        try:
+            rep = resolvent_projection(b, gap, nodes=nodes, transforms=y_ops,
+                                       p_values=[1.0])
+        except ValueError as exc:
+            raise ParseFailure(f"identity: {exc}") from exc
         oracle = spectral_projection_oracle(b, gap)
         distance = float(np.linalg.norm(rep.projection - oracle, 2))
+        if not rep.converged:
+            failures.append({"check": "resolvent_converged",
+                             "value": rep.successive_difference,
+                             "tolerance": cfg.QUAD_REFINE_FLOOR})
         hard_check(failures, "resolvent_vs_eigendecomposition", distance, 1e-8)
         for i, check in enumerate(rep.bound_checks):
             hard_check(failures, f"commutator_bound_{i}", -check.slack, 0.0)
@@ -625,8 +640,8 @@ def build_parser():
         p.add_argument("--family",
                        choices=["dshift", "hardy", "bergman", "sinsqrt"],
                        help="weight family (default dshift)")
-        p.add_argument("--r1", type=float, help="sinsqrt lower bound")
-        p.add_argument("--r2", type=float, help="sinsqrt upper bound")
+        p.add_argument("--r1", type=finite_float, help="sinsqrt lower bound")
+        p.add_argument("--r2", type=finite_float, help="sinsqrt upper bound")
         p.add_argument("--p", help="comma list of Schatten exponents")
         p.add_argument("--gens", help="generators file (one per line: "
                        "'deg c (a_1 .. a_d)@e_i + ...', c in a+bi form)")
@@ -634,7 +649,8 @@ def build_parser():
                        "columns span V in d.E")
         p.add_argument("--u", help="file of u_n values for the counterexample")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, help="override hard-check tolerance")
+        p.add_argument("--tol", type=finite_float,
+                       help="override hard-check tolerance")
         p.add_argument("--nodes", type=int, help="contour quadrature nodes")
         p.add_argument("--tail", type=int, help="tail window for oscillation")
         p.add_argument("--json", action="store_true",

@@ -9,8 +9,10 @@ reported with a trend classification, never with a convergence verdict.
 Also here: the compression identities relating ambient, submodule and
 quotient commutators; the rectangular-contour resolvent integral for the
 range projection of a gapped positive matrix, with its commutator transform
-and norm bound; and the weighted-shift similarity pair showing that graded
-isomorphism does not preserve essential normality.
+and norm bound, evaluated by composite Gauss-Legendre panels (geometric
+convergence, since the integrand is analytic along each side); and the
+weighted-shift similarity pair showing that graded isomorphism does not
+preserve essential normality.
 """
 
 from dataclasses import dataclass, field
@@ -21,6 +23,9 @@ from . import linalg
 from .config import QUAD_DEFAULT_NODES, QUAD_MAX_NODES, QUAD_REFINE_FLOOR
 from .operators import GradedOperator, commutator
 from .trends import classify_trend
+
+# Points per Gauss-Legendre panel of the contour rule.
+GL_ORDER = 16
 
 
 def self_commutator(ops, j, k):
@@ -154,40 +159,53 @@ class ResolventReport:
     bound_checks: list
 
 
-def _contour_nodes(b_norm, gap, total_nodes):
-    """Trapezoid nodes and weights on the rectangle enclosing sigma(B) \\ {0}.
+def _side_panels(b_norm, gap, nodes):
+    """Gauss-Legendre panels per side of the contour for about ``nodes`` points.
+
+    Bottom, right, top, left; counts proportional to the side lengths
+    ||B||, gap, ||B||, gap, with at least one panel per side.
+    """
+    lengths = (b_norm, gap, b_norm, gap)
+    perimeter = sum(lengths)
+    return [max(1, round(nodes / GL_ORDER * length / perimeter))
+            for length in lengths]
+
+
+def _contour_nodes(b_norm, gap, nodes, doublings=0):
+    """Composite Gauss-Legendre rule on the rectangle around sigma(B) \\ {0}.
 
     Corners (gap/2, +-gap/2) and (||B|| + gap/2, +-gap/2), counter-clockwise.
-    Node counts are allocated per side proportionally to length.
+    Each side is cut into equal panels of GL_ORDER points, as many as
+    ``_side_panels`` gives, times ``2**doublings``: every refinement doubles
+    every side's panel count, so successive rules never coincide.  The
+    integrand is analytic along each side, so the error decays geometrically
+    in the panel count.
     """
     a, b, h = gap / 2.0, b_norm + gap / 2.0, gap / 2.0
     corners = [a - 1j * h, b - 1j * h, b + 1j * h, a + 1j * h]
-    lengths = [abs(corners[(i + 1) % 4] - corners[i]) for i in range(4)]
-    perimeter = sum(lengths)
-    nodes, weights = [], []
-    for i in range(4):
+    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
+    nodes_out, weights_out = [], []
+    for i, panels in enumerate(_side_panels(b_norm, gap, nodes)):
         start, end = corners[i], corners[(i + 1) % 4]
-        m = max(2, int(round(total_nodes * lengths[i] / perimeter)))
-        ts = np.linspace(0.0, 1.0, m + 1)
-        pts = start + (end - start) * ts
+        m = panels << doublings
         dz = (end - start) / m
-        w = np.full(m + 1, dz, dtype=complex)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        nodes.append(pts)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+        mids = start + dz * (np.arange(m) + 0.5)
+        nodes_out.append((mids[:, None] + 0.5 * dz * x).ravel())
+        weights_out.append(np.tile(0.5 * dz * w, m))
+    return np.concatenate(nodes_out), np.concatenate(weights_out)
 
 
-def resolvent_quadrature(b, gap, nodes, transforms=()):
-    """One fixed-node contour evaluation of P = (2 pi i)^{-1} int R_lambda dlambda.
+def resolvent_quadrature(b, gap, nodes, transforms=(), doublings=0):
+    """One fixed-rule contour evaluation of P = (2 pi i)^{-1} int R_lambda dlambda.
 
+    The rule is ``_contour_nodes(||B||, gap, nodes, doublings)``.
     ``transforms`` are matrices Y; for each one the same quadrature is applied
     to R_lambda [Y, B] R_lambda, the contour-integral form of [Y, P].
     """
     b = np.asarray(b, dtype=complex)
     dim = b.shape[0]
-    pts, weights = _contour_nodes(float(np.linalg.norm(b, 2)), gap, nodes)
+    pts, weights = _contour_nodes(float(np.linalg.norm(b, 2)), gap, nodes,
+                                  doublings)
     eye = np.eye(dim, dtype=complex)
     proj = np.zeros_like(b)
     comms = [y @ b - b @ y for y in transforms]
@@ -203,19 +221,25 @@ def resolvent_quadrature(b, gap, nodes, transforms=()):
 
 def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
                          p_values=(1.0,), refine_floor=QUAD_REFINE_FLOOR):
-    """Range projection of a gapped psd matrix by adaptive contour quadrature.
+    """Range projection of a gapped psd matrix by refined contour quadrature.
 
     The spectrum must split as {0-cluster} union [gap, inf): eigenvalues in
-    between raise ValueError.  Node counts double until successive estimates
-    agree to ``refine_floor``.  For each transform Y the report carries the
-    quadrature value of [Y, P] and the Schatten-norm bound check
+    between raise ValueError.  The first rule has about ``nodes`` points;
+    each refinement doubles every side's panel count, until successive
+    estimates agree to ``refine_floor`` or the next rule would exceed
+    QUAD_MAX_NODES.  A ``nodes`` value that leaves no doubling under the cap
+    raises ValueError, since no convergence check is possible.  The last
+    rule evaluated is the answer, and ``nodes`` in the report is its size.
+    For each transform Y the report carries the quadrature value of [Y, P]
+    and the Schatten-norm bound check
     ||[Y, P]||_{2p} <= (4||B|| + 4 eps)/(pi eps^2) ||[Y, B]||_{2p}.
     """
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("B must be square")
     herm = float(np.linalg.norm(b - b.conj().T, 2))
-    scale = max(float(np.linalg.norm(b, 2)), 1.0)
+    b_norm = float(np.linalg.norm(b, 2))
+    scale = max(b_norm, 1.0)
     if herm > 1e-12 * scale:
         raise ValueError("B must be Hermitian")
     if gap <= 0:
@@ -226,20 +250,24 @@ def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
     if inside:
         raise ValueError(
             f"no spectral gap (0, {gap:g}): eigenvalues {inside[:4]} inside")
+    first = GL_ORDER * sum(_side_panels(b_norm, gap, nodes))
+    if 2 * first > QUAD_MAX_NODES:
+        raise ValueError(
+            f"nodes = {nodes} gives a {first}-node rule, which leaves no "
+            f"doubling under QUAD_MAX_NODES = {QUAD_MAX_NODES}")
 
-    prev, _ = resolvent_quadrature(b, gap, nodes)
-    n_used = nodes
+    proj, transformed = resolvent_quadrature(b, gap, nodes, transforms)
+    doublings = 0
     diff = float("inf")
-    while n_used * 2 <= QUAD_MAX_NODES:
-        n_used *= 2
-        cur, _ = resolvent_quadrature(b, gap, n_used)
-        diff = float(np.linalg.norm(cur - prev, 2))
-        prev = cur
+    while first << (doublings + 1) <= QUAD_MAX_NODES:
+        doublings += 1
+        prev = proj
+        proj, transformed = resolvent_quadrature(b, gap, nodes, transforms,
+                                                 doublings)
+        diff = float(np.linalg.norm(proj - prev, 2))
         if diff < refine_floor:
             break
-    proj, transformed = resolvent_quadrature(b, gap, n_used, transforms)
 
-    b_norm = float(np.linalg.norm(b, 2))
     const = (4.0 * b_norm + 4.0 * gap) / (np.pi * gap**2)
     checks = []
     for y, ty in zip(transforms, transformed):
@@ -252,7 +280,7 @@ def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
                                      bound - measured))
     gap_pair = (float(eigs[eigs <= zero_cut].max(initial=0.0)),
                 float(eigs[eigs > zero_cut].min(initial=np.inf)))
-    return ResolventReport(proj, n_used, diff < refine_floor, diff,
+    return ResolventReport(proj, first << doublings, diff < refine_floor, diff,
                            gap_pair, transformed, checks)
 
 

@@ -1,12 +1,13 @@
 """Command-line front end: determinism, exit codes, config handling."""
 
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from gradmod import cli
+from gradmod import cli, normality
 
 
 def run_cli(argv):
@@ -86,6 +87,30 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     assert run_cli(["counterexample", "--N", "8", "--u", str(ufile),
                     "--out", str(tmp_path)]) == cli.EXIT_PARSE
     assert "'inf'" in capsys.readouterr().err
+    # non-finite float flags and config keys: --tol nan would disable every
+    # hard check, since no value compares greater than nan
+    quadric = str(write_quadric(tmp_path))
+    for flag, token in (("--tol", "nan"), ("--r1", "inf"), ("--r2", "-inf")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["submodule", "--d", "2", "--N", "8", "--gens", quadric,
+                     f"{flag}={token}", "--out", str(tmp_path)])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert repr(token) in capsys.readouterr().err
+    conf = tmp_path / "nan.conf"
+    for key in ("tol", "r1", "r2"):
+        conf.write_text(f"r1 = 1\nr2 = 4\n{key} = nan\n")   # the last value wins
+        assert run_cli(["submodule", "--config", str(conf), "--family", "sinsqrt",
+                        "--d", "2", "--N", "8", "--gens", quadric,
+                        "--out", str(tmp_path)]) == cli.EXIT_PARSE
+        assert "'nan'" in capsys.readouterr().err
+    assert run_cli(["weights", "--d", "2", "--N", "50", "--p", "2,nan",
+                    "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    assert "'nan'" in capsys.readouterr().err
+    # a first rule with no doubling left under QUAD_MAX_NODES allows no
+    # convergence check
+    assert run_cli(["identity", "--d", "2", "--N", "6", "--gens", quadric,
+                    "--nodes", "100000", "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    assert "QUAD_MAX_NODES" in capsys.readouterr().err
 
 
 def test_window_exhaustion_exit_code(tmp_path):
@@ -180,8 +205,23 @@ def test_identity_report(tmp_path):
     assert run_cli(["identity", "--d", "2", "--N", "6", "--gens", str(gens),
                     "--nodes", "128", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "identity.json").read_text())
+    assert report["resolvent"]["converged"] is True
     assert report["resolvent"]["distance_to_oracle"] <= 1e-8
     assert all(c["slack"] >= 0 for c in report["resolvent"]["bound_checks"])
+
+
+def test_identity_unconverged_quadrature_fails(tmp_path, monkeypatch):
+    # a zero refinement floor is never reached; the cap allows one doubling
+    monkeypatch.setattr(cli, "resolvent_projection", functools.partial(
+        normality.resolvent_projection, refine_floor=0.0))
+    monkeypatch.setattr(normality, "QUAD_MAX_NODES", 128)
+    gens = write_quadric(tmp_path)
+    assert run_cli(["identity", "--d", "2", "--N", "6", "--gens", str(gens),
+                    "--nodes", "1", "--out", str(tmp_path)]) == cli.EXIT_TOLERANCE
+    report = json.loads((tmp_path / "identity.json").read_text())
+    assert report["resolvent"]["converged"] is False
+    assert report["resolvent"]["nodes"] == 128
+    assert [f["check"] for f in report["hard_failures"]] == ["resolvent_converged"]
 
 
 def test_console_entry_point(tmp_path):

@@ -9,10 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# 06_essential_normality is left out: it spends about 19 s in the contour
-# quadrature, the adaptive trapezoid rule that never reaches its floor.
 DEMOS = ["01_weight_families", "02_standard_modules",
-         "03_submodules_and_quotients", "04_linearization", "05_koszul"]
+         "03_submodules_and_quotients", "04_linearization", "05_koszul",
+         "06_essential_normality"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -190,19 +190,47 @@ def test_resolvent_requires_gap_and_hermitian():
         gm.resolvent_projection(bad, 1.0)
 
 
-def test_resolvent_error_halves_per_doubling():
+def _rotated_diagonal(diagonal):
     rng = np.random.default_rng(3)
-    q = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
-    b = q @ np.diag([0.0, 0.0, 1.0, 1.5, 2.0, 4.0]) @ q.conj().T
-    b = (b + b.conj().T) / 2
+    dim = len(diagonal)
+    q = np.linalg.qr(rng.normal(size=(dim, dim))
+                     + 1j * rng.normal(size=(dim, dim)))[0]
+    b = q @ np.diag(diagonal) @ q.conj().T
+    return (b + b.conj().T) / 2
+
+
+def test_resolvent_error_decays_geometrically():
+    b = _rotated_diagonal([0.0, 0.0, 1.0, 1.5, 2.0, 4.0])
     oracle = spectral_projection_oracle(b, 1.0)
     errors = []
-    for nodes in (128, 256, 512, 1024):
+    for nodes in (64, 128, 256, 512):
         proj, _ = resolvent_quadrature(b, 1.0, nodes)
         errors.append(np.linalg.norm(proj - oracle, 2))
     for e_coarse, e_fine in zip(errors, errors[1:]):
-        if e_coarse > 1e-10:
-            assert e_fine <= 0.55 * e_coarse
+        if e_coarse > 1e-12:
+            assert e_fine <= e_coarse / 100
+    assert errors[2] <= 1e-12       # 256 nodes
+
+
+def test_resolvent_refinement_doubles_panels_from_one_node():
+    # a one-node request still yields distinct successive rules, so
+    # convergence is never claimed by comparing a rule with itself
+    b = _rotated_diagonal([0.0, 0.0, 1.0, 1.5, 2.0, 4.0])
+    rep = gm.resolvent_projection(b, 1.0, nodes=1)
+    distance = np.linalg.norm(rep.projection - spectral_projection_oracle(b, 1.0), 2)
+    assert distance <= 1e-8 or not rep.converged
+    assert rep.successive_difference > 0.0
+
+
+def test_resolvent_converges_at_small_relative_gap():
+    # ||B|| / gap = 40: a rule whose error is O(h^2) at the corners stays
+    # above the 1e-10 floor all the way to QUAD_MAX_NODES here
+    b = _rotated_diagonal([0.0, 0.0, 0.1, 1.5, 2.0, 4.0])
+    rep = gm.resolvent_projection(b, 0.1)
+    assert rep.converged
+    assert rep.nodes <= 4096
+    assert np.linalg.norm(rep.projection - spectral_projection_oracle(b, 0.1), 2) \
+        <= 1e-12
 
 
 def test_resolvent_commutator_transform_and_bound(rng):
