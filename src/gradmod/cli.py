@@ -1,18 +1,23 @@
 """Batch command-line front end.
 
-Each invocation runs one experiment and writes a deterministic JSON report
-(plus a CSV table for ``weights``) into the output directory: identical
-configurations produce byte-identical files.  Floats are rounded to 15
-significant digits, keys are sorted, and no timestamps or machine data are
-embedded.
+Each invocation runs one experiment.  ``main`` writes its deterministic JSON
+report ``<command>.json`` into the output directory (``weights`` also writes
+the table ``weights.csv``): identical configurations produce byte-identical
+files.  Floats are rounded to 15 significant digits, keys are sorted, and no
+timestamps or machine data are embedded.
 
 Exit codes: 0 all hard identity residuals within tolerance; 1 a tolerance
-failed; 2 configuration or input-file parse error; 3 truncation window
-exhausted (partial report written).
+failed; 2 configuration or input-file parse error, including a flag or
+config key the command does not read; 3 truncation window exhausted
+(partial report written).
 
-Config files are flat ``key = value`` text, one experiment per file;
-repeated keys build arrays, ``#`` starts a comment, and command-line flags
-override file keys.
+Each flag is declared once in ``FLAGS``, and ``COMMAND_FLAGS`` lists the
+flags each command reads; a command accepts only those, plus ``--config``
+and ``--out``.  Config files are flat ``key = value`` text, one experiment
+per file, ``#`` starting a comment, and each key must be a flag of the
+command.  Their lines become ``--key=value`` tokens placed before the
+command-line flags and go through the same parse, so flags override file
+keys; repeated ``p`` keys join into one list.
 """
 
 import argparse
@@ -76,30 +81,20 @@ def _canonical(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dump_report(report, path):
-    text = json.dumps(_canonical(report), indent=2, sort_keys=True) + "\n"
+def report_json(report):
+    return json.dumps(_canonical(report), indent=2, sort_keys=True) + "\n"
+
+
+def write_output(path, text):
     path.write_text(text)
-    return path
+    print(f"wrote {path}")
 
 
 def _fmt(x):
     return f"{float(x):.15g}"
 
 
-# -- config handling --------------------------------------------------------
-
-
-def read_config_file(path):
-    entries = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ParseFailure(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        entries.setdefault(key.strip(), []).append(value.strip())
-    return entries
+# -- flags, config files and parsing -------------------------------------------
 
 
 def finite_float(text):
@@ -110,78 +105,149 @@ def finite_float(text):
     return value
 
 
-def resolve(args, key, default=None, cast=str):
-    """Command line wins; otherwise the last config-file occurrence; else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    file_vals = args._file_config.get(key)
-    if file_vals:
-        try:
-            return cast(file_vals[-1])
-        except ValueError as exc:
-            raise ParseFailure(f"config key {key!r}: {exc}") from exc
-    return default
-
-
-def resolve_p_list(args, default=(2.0, 3.0)):
-    raw = None
-    if args.p is not None:
-        raw = args.p
-    elif "p" in args._file_config:
-        raw = ",".join(args._file_config["p"])
-    if raw is None:
-        return list(default)
+def schatten_list(text):
+    """The ``--p`` value: a comma list of finite Schatten exponents >= 1."""
     try:
-        values = [finite_float(tok) for tok in raw.replace(",", " ").split()]
+        values = [finite_float(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise ParseFailure(f"bad p list: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad p list: {exc}") from exc
     if not values or any(p < 1 for p in values):
-        raise ParseFailure("p values must be >= 1")
+        raise argparse.ArgumentTypeError(f"p values must be >= 1, got {text!r}")
     return values
 
 
-def build_module(args, need_d=True):
-    d = resolve(args, "d", cast=int)
-    if d is None and need_d:
+# Every flag a command may read, declared once; a command's parser takes only
+# the flags ``COMMAND_FLAGS`` lists for it, plus --config and --out.
+FLAGS = {
+    "d": dict(type=int, help="number of variables"),
+    "r": dict(type=int, default=1, help="multiplicity dim E (default 1)"),
+    "N": dict(type=int, help="truncation degree"),
+    "family": dict(choices=["dshift", "hardy", "bergman", "sinsqrt"],
+                   default="dshift", help="weight family (default dshift)"),
+    "r1": dict(type=finite_float, help="sinsqrt lower bound"),
+    "r2": dict(type=finite_float, help="sinsqrt upper bound"),
+    "p": dict(type=schatten_list, default=(2.0, 3.0),
+              help="comma list of Schatten exponents (default 2,3)"),
+    "gens": dict(help="generators file (one per line: "
+                      "'deg c (a_1 .. a_d)@e_i + ...', c in a+bi form)"),
+    "V": dict(help="subspace file: rows of complex entries, columns span V in d.E"),
+    "u": dict(help="file of u_n values (default: an alternating block sequence)"),
+    "tol": dict(type=finite_float, help="override hard-check tolerance"),
+    "nodes": dict(type=int, default=cfg.QUAD_DEFAULT_NODES,
+                  help="contour quadrature nodes"),
+    "tail": dict(type=int, help="tail window for oscillation (default max(2, N // 2))"),
+}
+
+MODULE_FLAGS = ("d", "r", "N", "family", "r1", "r2")
+COMMAND_FLAGS = {
+    "weights": ("d", "N", "family", "r1", "r2", "p", "tail"),
+    "submodule": MODULE_FLAGS + ("gens", "tol"),
+    "linearize": MODULE_FLAGS + ("gens", "tol"),
+    "ev": MODULE_FLAGS + ("V", "p", "tol"),
+    "koszul": MODULE_FLAGS + ("gens", "tol"),
+    "identity": MODULE_FLAGS + ("gens", "tol", "nodes"),
+    "counterexample": ("N", "u"),
+}
+
+COMMAND_HELP = {
+    "weights": "weight table, slow-oscillation and summability diagnostics "
+               "(CSV columns: k, rho, diff = rho_{k+1}-rho_k, cumulative "
+               "psum_p<P> = sum k^{d-1}|diff|^p from k=1)",
+    "submodule": "generate a graded submodule, report dimensions/degree/reducing",
+    "linearize": "iterate the row-operator pullback down to degree 1",
+    "ev": "E_V spaces of a subspace V of d.E and the quotient commutator trends",
+    "koszul": "Koszul boundary, Betti table and Dirac-square residuals",
+    "identity": "compression identities, row sums, resolvent projection bound",
+    "counterexample": "similar pair LA = BL with only one side essentially normal",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports every parse error as a ParseFailure instead of exiting."""
+
+    def error(self, message):
+        raise ParseFailure(f"{self.prog}: {message}")
+
+
+def build_parser():
+    parser = _Parser(
+        prog="gradmod",
+        description="Graded Hilbert module experiments with deterministic reports.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in COMMAND_HELP.items():
+        p = sub.add_parser(name, help=help_text, description=help_text,
+                           allow_abbrev=False)
+        p.add_argument("--config", help="flat key = value file of this command's flags")
+        p.add_argument("--out", default=".", help="output directory")
+        for flag in COMMAND_FLAGS[name]:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+    return parser
+
+
+def config_tokens(path, command):
+    """A flat ``key = value`` file as ``--key=value`` tokens for ``command``.
+
+    Each key must be a flag of the command (or ``out``).  Repeated ``p`` keys
+    join into one comma list; any other repeated key keeps every token, so
+    the last one wins.
+    """
+    allowed = COMMAND_FLAGS[command] + ("out",)
+    entries = {}
+    text = read_text_file(path, "config")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in stripped.partition("="))
+        if not eq:
+            raise ParseFailure(f"{path}:{lineno}: expected 'key = value'")
+        if key not in allowed:
+            raise ParseFailure(f"{path}:{lineno}: unknown key {key!r}; "
+                               f"{command} takes {', '.join(allowed)}")
+        entries.setdefault(key, []).append(value)
+    if "p" in entries:
+        entries["p"] = [",".join(entries["p"])]
+    return [f"--{key}={value}" for key, values in entries.items() for value in values]
+
+
+def parse_args(argv):
+    """Parse the command line; a --config file's keys go in before its flags.
+
+    The top-level parser takes no options, so ``argv[0]`` is the command.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    return parser.parse_args([argv[0], *config_tokens(args.config, args.command),
+                              *argv[1:]])
+
+
+def build_module(args):
+    if args.d is None:
         raise ParseFailure("missing dimension --d")
-    r = resolve(args, "r", 1, int)
-    n_levels = resolve(args, "N", cast=int)
-    if n_levels is None:
+    if args.N is None:
         raise ParseFailure("missing truncation --N")
-    if n_levels < 2:
+    if args.N < 2:
         raise ParseFailure("need N >= 2")
-    family = resolve(args, "family", "dshift")
-    r1 = resolve(args, "r1", cast=finite_float)
-    r2 = resolve(args, "r2", cast=finite_float)
     try:
-        weights = make_weights(family, n_levels, d=d, r1=r1, r2=r2)
-        module = StandardModule(weights, d=d, multiplicity=r)
+        weights = make_weights(args.family, args.N, d=args.d, r1=args.r1, r2=args.r2)
+        return StandardModule(weights, d=args.d, multiplicity=args.r)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
-    return module
 
 
-def config_echo(args, module=None, extra=None):
-    echo = {
-        "family": resolve(args, "family", "dshift"),
-        "d": resolve(args, "d", cast=int),
-        "r": resolve(args, "r", 1, int),
-        "N": resolve(args, "N", cast=int),
-        "tol": resolve(args, "tol", cast=finite_float),
-    }
-    if module is not None:
-        echo["d"] = module.d
-        echo["r"] = module.multiplicity
-        echo["N"] = module.top_level
-    r1 = resolve(args, "r1", cast=finite_float)
-    r2 = resolve(args, "r2", cast=finite_float)
-    if r1 is not None:
-        echo["r1"] = r1
-    if r2 is not None:
-        echo["r2"] = r2
-    if extra:
-        echo.update(extra)
+def config_echo(args, **extra):
+    """The report's ``config`` block.
+
+    ``weights`` reads neither ``r`` nor ``tol``; it echoes r = 1 and tol = null.
+    """
+    echo = {"family": args.family, "d": args.d, "r": getattr(args, "r", 1),
+            "N": args.N, "tol": getattr(args, "tol", None)}
+    for key in ("r1", "r2"):
+        if getattr(args, key) is not None:
+            echo[key] = getattr(args, key)
+    echo.update(extra)
     return echo
 
 
@@ -198,10 +264,9 @@ def read_text_file(path, what):
 
 
 def load_generators(args, module):
-    gens_path = resolve(args, "gens")
-    if gens_path is None:
+    if args.gens is None:
         raise ParseFailure("this command needs --gens FILE")
-    text = read_text_file(gens_path, "generators")
+    text = read_text_file(args.gens, "generators")
     try:
         gens = parse_generators(text, module.d)
         if not gens:
@@ -215,23 +280,19 @@ def load_generators(args, module):
 
 
 def cmd_weights(args, outdir):
-    d = resolve(args, "d", cast=int)
+    d, n_weights = args.d, args.N
     if d is None:
         raise ParseFailure("weights needs --d (the summability weight k^(d-1))")
     if d < 1:
         raise ParseFailure("weights needs --d >= 1")
-    n_weights = resolve(args, "N", cast=int)
     if n_weights is None or n_weights < 3:
         raise ParseFailure("weights needs --N >= 3")
-    family = resolve(args, "family", "dshift")
     try:
-        weights = make_weights(family, n_weights, d=d,
-                               r1=resolve(args, "r1", cast=finite_float),
-                               r2=resolve(args, "r2", cast=finite_float))
+        weights = make_weights(args.family, n_weights, d=d, r1=args.r1, r2=args.r2)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
-    p_list = resolve_p_list(args)
-    tail = resolve(args, "tail", max(2, n_weights // 2), int)
+    p_list = args.p
+    tail = max(2, n_weights // 2) if args.tail is None else args.tail
     if not 1 <= tail <= n_weights:
         raise ParseFailure("weights needs 1 <= --tail <= N")
 
@@ -242,7 +303,7 @@ def cmd_weights(args, outdir):
     report = {
         "schema": 1,
         "command": "weights",
-        "config": config_echo(args, extra={"p": p_list, "tail": tail}),
+        "config": config_echo(args, p=p_list, tail=tail),
         "bounds": {"min": weights.bounds[0], "max": weights.bounds[1]},
         "rho_head": weights.values[:8],
         "oscillation": {
@@ -267,26 +328,18 @@ def cmd_weights(args, outdir):
         "hard_failures": [],
     }
 
-    want_json = args.json or not args.csv
-    want_csv = args.csv or not args.json
-    written = []
-    if want_csv:
-        csv_path = outdir / "weights.csv"
-        rows = ["k,rho,diff," + ",".join(f"psum_p{_fmt(p)}" for p in p_list)]
-        sums = {p: reports[p].partial_sums for p in p_list}
-        for k in range(n_weights):
-            diff = weights.values[k + 1] - weights.values[k] if k <= n_weights - 2 else None
-            cells = [str(k), _fmt(weights.values[k]),
-                     _fmt(diff) if diff is not None else ""]
-            for p in p_list:
-                in_range = 1 <= k <= n_weights - 2
-                cells.append(_fmt(sums[p][k - 1]) if in_range else "")
-            rows.append(",".join(cells))
-        csv_path.write_text("\n".join(rows) + "\n")
-        written.append(csv_path)
-    if want_json:
-        written.append(dump_report(report, outdir / "weights.json"))
-    return report, written
+    rows = ["k,rho,diff," + ",".join(f"psum_p{_fmt(p)}" for p in p_list)]
+    sums = {p: reports[p].partial_sums for p in p_list}
+    for k in range(n_weights):
+        diff = weights.values[k + 1] - weights.values[k] if k <= n_weights - 2 else None
+        cells = [str(k), _fmt(weights.values[k]),
+                 _fmt(diff) if diff is not None else ""]
+        for p in p_list:
+            in_range = 1 <= k <= n_weights - 2
+            cells.append(_fmt(sums[p][k - 1]) if in_range else "")
+        rows.append(",".join(cells))
+    write_output(outdir / "weights.csv", "\n".join(rows) + "\n")
+    return report
 
 
 def _degree_payload(report):
@@ -304,10 +357,9 @@ def _degree_payload(report):
 def cmd_submodule(args, outdir):
     module = build_module(args)
     sub, gens = load_generators(args, module)
-    tol = resolve(args, "tol", cfg.SPAN_TOL, finite_float)
+    tol = cfg.SPAN_TOL if args.tol is None else args.tol
     report_deg = sub.degree_report()
     reducing, v_basis = sub.is_reducing()
-    quotient = QuotientModule(sub)
 
     orthonormality = sub.orthonormality_residual()
     invariance = sub.invariance_residual()
@@ -319,11 +371,12 @@ def cmd_submodule(args, outdir):
     report = {
         "schema": 1,
         "command": "submodule",
-        "config": config_echo(args, module, extra={"gens": resolve(args, "gens")}),
+        "config": config_echo(args, gens=args.gens),
         "generator_count": len(gens),
         "ambient_dims": [module.level_dim(n) for n in range(module.top_level + 1)],
         "submodule_dims": sub.dims(),
-        "quotient_dims": quotient.dims(),
+        "quotient_dims": [module.level_dim(n) - sub.dim(n)
+                          for n in range(sub.window + 1)],
         "degree": _degree_payload(report_deg),
         "reducing": {"is_reducing": reducing,
                      "V_dim": None if v_basis is None else v_basis.shape[1]},
@@ -333,17 +386,15 @@ def cmd_submodule(args, outdir):
         },
         "hard_failures": failures,
     }
-    written = [dump_report(report, outdir / "submodule.json")]
     if not report_deg.determined:
-        raise WindowFailure("degree not determinable at this truncation",
-                            (report, written))
-    return report, written
+        raise WindowFailure("degree not determinable at this truncation", report)
+    return report
 
 
 def cmd_linearize(args, outdir):
     module = build_module(args)
     sub, _ = load_generators(args, module)
-    tol = resolve(args, "tol", cfg.SPAN_TOL, finite_float)
+    tol = cfg.SPAN_TOL if args.tol is None else args.tol
     result = linearize_full(sub)
 
     failures = []
@@ -355,7 +406,7 @@ def cmd_linearize(args, outdir):
     report = {
         "schema": 1,
         "command": "linearize",
-        "config": config_echo(args, module, extra={"gens": resolve(args, "gens")}),
+        "config": config_echo(args, gens=args.gens),
         "complete": result.complete,
         "reason": result.reason,
         "steps": [{
@@ -370,23 +421,21 @@ def cmd_linearize(args, outdir):
         "final_multiplicity": result.final.module.multiplicity,
         "hard_failures": failures,
     }
-    written = [dump_report(report, outdir / "linearize.json")]
     if not result.complete:
-        raise WindowFailure(result.reason, (report, written))
-    return report, written
+        raise WindowFailure(result.reason, report)
+    return report
 
 
 def cmd_ev(args, outdir):
     module = build_module(args)
-    v_path = resolve(args, "V")
-    if v_path is None:
+    if args.V is None:
         raise ParseFailure("ev needs --V FILE (column vectors in d.E)")
     try:
-        v = parse_subspace(read_text_file(v_path, "subspace"), module)
+        v = parse_subspace(read_text_file(args.V, "subspace"), module)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
-    tol = resolve(args, "tol", cfg.ROUNDTRIP_TOL, finite_float)
-    p_list = resolve_p_list(args)
+    tol = cfg.ROUNDTRIP_TOL if args.tol is None else args.tol
+    p_list = args.p
 
     ev, sub = ev_space(module, v)
     ev_grad, _ = ev_space(module, v, use_gradient=True)
@@ -408,8 +457,7 @@ def cmd_ev(args, outdir):
     report = {
         "schema": 1,
         "command": "ev",
-        "config": config_echo(args, module,
-                              extra={"V": v_path, "p": p_list}),
+        "config": config_echo(args, V=args.V, p=p_list),
         "V_dim": v.dim,
         "ev_dims": [int(ev[n].shape[1]) for n in sorted(ev)],
         "orthocomplement_dims": sub.dims(),
@@ -425,14 +473,13 @@ def cmd_ev(args, outdir):
         },
         "hard_failures": failures,
     }
-    return report, [dump_report(report, outdir / "ev.json")]
+    return report
 
 
 def cmd_koszul(args, outdir):
     module = build_module(args)
-    tol = resolve(args, "tol", cfg.IDENTITY_TOL, finite_float)
-    gens_path = resolve(args, "gens")
-    if gens_path is None:
+    tol = cfg.IDENTITY_TOL if args.tol is None else args.tol
+    if args.gens is None:
         ops = module.coordinate_tuple()
         subject = "standard module"
     else:
@@ -458,7 +505,7 @@ def cmd_koszul(args, outdir):
     report = {
         "schema": 1,
         "command": "koszul",
-        "config": config_echo(args, module, extra={"gens": gens_path}),
+        "config": config_echo(args, gens=args.gens),
         "subject": subject,
         "bsquared_residual": bsquared,
         "betti_numbers": list(betti_numbers(complex_)),
@@ -466,14 +513,14 @@ def cmd_koszul(args, outdir):
         "dirac_residuals": {str(n): resid for n, resid in dirac.items()},
         "hard_failures": failures,
     }
-    return report, [dump_report(report, outdir / "koszul.json")]
+    return report
 
 
 def cmd_identity(args, outdir):
     module = build_module(args)
     sub, _ = load_generators(args, module)
-    tol = resolve(args, "tol", cfg.IDENTITY_TOL, finite_float)
-    nodes = resolve(args, "nodes", cfg.QUAD_DEFAULT_NODES, int)
+    tol = cfg.IDENTITY_TOL if args.tol is None else args.tol
+    nodes = args.nodes
     if nodes <= 0:
         raise ParseFailure("identity needs --nodes >= 1")
     failures = []
@@ -504,10 +551,8 @@ def cmd_identity(args, outdir):
 
     # resolvent projection at a mid level
     level = min(2, module.top_level - 2)
-    target = sub.basis(level + 1)
     lmat = module.row_block(level)
-    proj_out = lmat - target @ (target.conj().T @ lmat)
-    pre = linalg.nullspace(proj_out)
+    pre = linalg.preimage(lmat, sub.basis(level + 1))
     b = lmat @ linalg.projector(pre) @ lmat.conj().T
     eigs = np.linalg.eigvalsh(b)
     positive = eigs[eigs > 1e-10 * max(eigs.max(initial=0.0), 1.0)]
@@ -547,22 +592,20 @@ def cmd_identity(args, outdir):
     report = {
         "schema": 1,
         "command": "identity",
-        "config": config_echo(args, module, extra={"gens": resolve(args, "gens"),
-                                                   "nodes": nodes}),
+        "config": config_echo(args, gens=args.gens, nodes=nodes),
         "compression_identity_residuals": comp,
         "row_sum_residual": row_res,
         "commutator_decomposition_residual": dec_res,
         "resolvent": quad_report,
         "hard_failures": failures,
     }
-    return report, [dump_report(report, outdir / "identity.json")]
+    return report
 
 
 def cmd_counterexample(args, outdir):
-    n_levels = resolve(args, "N", cast=int)
+    n_levels, u_path = args.N, args.u
     if n_levels is None or n_levels < 5:
         raise ParseFailure("counterexample needs --N >= 5")
-    u_path = resolve(args, "u")
     if u_path is None:
         u = alternating_block_sequence(n_levels + 1)
     else:
@@ -601,7 +644,7 @@ def cmd_counterexample(args, outdir):
         "b_weights": np.exp(rep.u[1:]),
         "hard_failures": failures,
     }
-    return report, [dump_report(report, outdir / "counterexample.json")]
+    return report
 
 
 COMMANDS = {
@@ -615,82 +658,27 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="gradmod",
-        description="Graded Hilbert module experiments with deterministic reports.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "weights": "weight table, slow-oscillation and summability diagnostics "
-                   "(CSV columns: k, rho, diff = rho_{k+1}-rho_k, cumulative "
-                   "psum_p<P> = sum k^{d-1}|diff|^p from k=1)",
-        "submodule": "generate a graded submodule, report dimensions/degree/reducing",
-        "linearize": "iterate the row-operator pullback down to degree 1",
-        "ev": "E_V spaces of a subspace V of d.E and the quotient commutator trends",
-        "koszul": "Koszul boundary, Betti table and Dirac-square residuals",
-        "identity": "compression identities, row sums, resolvent projection bound",
-        "counterexample": "similar pair LA = BL with only one side essentially normal",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--d", type=int, help="number of variables")
-        p.add_argument("--r", type=int, help="multiplicity dim E (default 1)")
-        p.add_argument("--N", type=int, help="truncation degree")
-        p.add_argument("--family",
-                       choices=["dshift", "hardy", "bergman", "sinsqrt"],
-                       help="weight family (default dshift)")
-        p.add_argument("--r1", type=finite_float, help="sinsqrt lower bound")
-        p.add_argument("--r2", type=finite_float, help="sinsqrt upper bound")
-        p.add_argument("--p", help="comma list of Schatten exponents")
-        p.add_argument("--gens", help="generators file (one per line: "
-                       "'deg c (a_1 .. a_d)@e_i + ...', c in a+bi form)")
-        p.add_argument("--V", help="subspace file: rows of complex entries, "
-                       "columns span V in d.E")
-        p.add_argument("--u", help="file of u_n values for the counterexample")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=finite_float,
-                       help="override hard-check tolerance")
-        p.add_argument("--nodes", type=int, help="contour quadrature nodes")
-        p.add_argument("--tail", type=int, help="tail window for oscillation")
-        p.add_argument("--json", action="store_true",
-                       help="write only the JSON report")
-        p.add_argument("--csv", action="store_true",
-                       help="write only the CSV table (weights)")
-    return parser
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    window = None
     try:
-        args._file_config = read_config_file(args.config) if args.config else {}
-    except (ParseFailure, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    outdir = Path(args.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
-        report, written = COMMANDS[args.command](args, outdir)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        outdir = Path(args.out)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParseFailure(f"cannot create output directory: {exc}") from exc
+        report = COMMANDS[args.command](args, outdir)
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except WindowFailure as exc:
-        report, written = exc.report
-        for path in written:
-            print(f"wrote {path}")
-        print(f"window exhausted: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
+        report, window = exc.report, exc
 
-    for path in written:
-        print(f"wrote {path}")
-    failures = report.get("hard_failures", [])
+    write_output(outdir / f"{args.command}.json", report_json(report))
+    if window is not None:
+        print(f"window exhausted: {window}", file=sys.stderr)
+        return EXIT_WINDOW
+    failures = report["hard_failures"]
     if failures:
         for f in failures:
             print(f"FAIL {f['check']}: {f['value']} > {f['tolerance']}",

@@ -120,12 +120,6 @@ def fock_level_weights(d, top_level):
     return levels
 
 
-def _unit_row(i, d):
-    row = np.zeros((1, d))
-    row[0, i - 1] = 1.0
-    return row
-
-
 class StandardModule:
     """Truncated standard Hilbert module S = G (x) C^r with exact level blocks.
 
@@ -264,10 +258,11 @@ class StandardModule:
         if cached is None:
             if not 0 <= n <= self.top_level - 1:
                 raise ValueError(f"no row block at level {n}")
-            cached = sum(
-                np.kron(self.scalar_block(i, n),
-                        np.kron(_unit_row(i, self.d), np.eye(self.multiplicity)))
-                for i in range(1, self.d + 1)).astype(complex)
+            # column (monomial, copy i, component) of the d.S level: copy-major d.E
+            scalar = np.stack([self.scalar_block(i, n) for i in range(1, self.d + 1)],
+                              axis=-1)
+            cached = np.kron(scalar.reshape(scalar.shape[0], -1),
+                             np.eye(self.multiplicity)).astype(complex)
             self._row_blocks[n] = cached
         return cached
 

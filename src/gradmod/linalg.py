@@ -70,6 +70,20 @@ def nullspace(a, rtol=RANK_TOL_FACTOR, floor=0.0):
     return vh[rank:, :].conj().T
 
 
+def preimage(block, target):
+    """Orthonormal basis of {x : block x in span(target)}.
+
+    That is the nullspace of (I - P_target) block; ``target`` has orthonormal
+    columns.  The absolute floor ``1e-10 * ||block||``
+    keeps roundoff from counting as rank when span(target) contains the range
+    of ``block`` and the composition is a true zero map.
+    """
+    block = _as_complex(block)
+    target = _as_complex(target)
+    proj_out = block - target @ (target.conj().T @ block)
+    return nullspace(proj_out, floor=1e-10 * opnorm(block))
+
+
 def complement_basis(basis):
     """Orthonormal basis of the orthocomplement of span(basis) in its ambient space."""
     basis = _as_complex(basis)

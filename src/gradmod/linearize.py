@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .completion import _unit_row
 from .submodules import GradedSubmodule, QuotientModule, parse_complex
 
 
@@ -49,13 +48,8 @@ def pullback(submodule):
         raise ValueError("pullback reduction applies to submodules of degree >= 2")
     module = submodule.module
     window = min(submodule.window - 1, module.top_level - 1)
-    bases = {}
-    for k in range(window + 1):
-        target = submodule.basis(k + 1)
-        block = module.row_block(k)
-        proj_out = block - target @ (target.conj().T @ block)
-        # floor: when M_{k+1} contains ran L_k the composition is a true zero
-        bases[k] = linalg.nullspace(proj_out, floor=1e-10 * linalg.opnorm(block))
+    bases = {k: linalg.preimage(module.row_block(k), submodule.basis(k + 1))
+             for k in range(window + 1)}
     return GradedSubmodule(module.row_domain, bases, window=window)
 
 
@@ -226,12 +220,12 @@ def ev_space(module, v, window=None, use_gradient=False):
     ev = {0: np.eye(module.level_dim(0), dtype=complex)}
     for n in range(1, window + 1):
         if use_gradient:
-            d_blocks = [module.gradient_block(i, n) for i in range(1, module.d + 1)]
-            stacked = sum(
-                np.kron(np.eye(module.scalar_dim(n - 1)),
-                        np.kron(_unit_row(i + 1, module.d).T,
-                                np.eye(module.multiplicity))) @ blk
-                for i, blk in enumerate(d_blocks))
+            # row (monomial, copy i, component) of the d.S level: copy-major d.E
+            stacked = np.stack(
+                [module.gradient_block(i, n).reshape(module.scalar_dim(n - 1),
+                                                     module.multiplicity, -1)
+                 for i in range(1, module.d + 1)],
+                axis=1).reshape(module.level_dim(n - 1) * module.d, -1)
         else:
             stacked = module.row_block(n - 1).conj().T
         qfull = np.kron(np.eye(module.scalar_dim(n - 1)), q)
@@ -255,9 +249,6 @@ def recover_subspace(module, m1_basis):
     The level-0 row block is injective on d.E, so W and hence V are uniquely
     determined.
     """
-    l0 = module.row_block(0)
-    m1 = np.asarray(m1_basis, dtype=complex)
-    proj_out = l0 - m1 @ (m1.conj().T @ l0)
-    w = linalg.nullspace(proj_out, floor=1e-10 * linalg.opnorm(l0))
+    w = linalg.preimage(module.row_block(0), m1_basis)
     v_basis = linalg.complement_basis(w)
     return SubspaceV(module.d * module.multiplicity, v_basis)

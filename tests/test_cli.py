@@ -2,8 +2,10 @@
 
 import functools
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,10 +93,8 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     # hard check, since no value compares greater than nan
     quadric = str(write_quadric(tmp_path))
     for flag, token in (("--tol", "nan"), ("--r1", "inf"), ("--r2", "-inf")):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["submodule", "--d", "2", "--N", "8", "--gens", quadric,
-                     f"{flag}={token}", "--out", str(tmp_path)])
-        assert exc.value.code == cli.EXIT_PARSE
+        assert run_cli(["submodule", "--d", "2", "--N", "8", "--gens", quadric,
+                        f"{flag}={token}", "--out", str(tmp_path)]) == cli.EXIT_PARSE
         assert repr(token) in capsys.readouterr().err
     conf = tmp_path / "nan.conf"
     for key in ("tol", "r1", "r2"):
@@ -111,6 +111,50 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     assert run_cli(["identity", "--d", "2", "--N", "6", "--gens", quadric,
                     "--nodes", "100000", "--out", str(tmp_path)]) == cli.EXIT_PARSE
     assert "QUAD_MAX_NODES" in capsys.readouterr().err
+
+
+UNREAD_FLAG_CASES = [
+    (["weights", "--d", "2", "--N", "40"], ["--tol", "1e-30"]),
+    (["submodule", "--d", "2", "--N", "6", "--gens", "{gens}"], ["--nodes", "64"]),
+    (["linearize", "--d", "2", "--N", "6", "--gens", "{gens}"], ["--p", "2"]),
+    (["ev", "--d", "2", "--N", "6", "--V", "{V}"], ["--gens", "{gens}"]),
+    (["koszul", "--d", "2", "--N", "5"], ["--tail", "3"]),
+    (["identity", "--d", "2", "--N", "6", "--gens", "{gens}"], ["--V", "{V}"]),
+    (["counterexample", "--N", "24"], ["--d", "3"]),
+]
+
+
+@pytest.mark.parametrize("argv,unread", UNREAD_FLAG_CASES,
+                         ids=[argv[0] for argv, _ in UNREAD_FLAG_CASES])
+def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, argv, unread):
+    files = {"gens": write_quadric(tmp_path), "V": tmp_path / "V.txt"}
+    files["V"].write_text("1+0i\n0+0i\n")
+    argv = [tok.format(**files) for tok in argv + unread]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert not (tmp_path / f"{argv[0]}.json").exists()
+
+
+def test_argparse_errors_return_exit_code(tmp_path, capsys):
+    quadric = str(write_quadric(tmp_path))
+    for argv in (["submodule", "--d", "abc", "--N", "6", "--gens", quadric],
+                 ["submodule", "--d", "2", "--N", "6", "--gens", quadric,
+                  "--family", "nosuch"],
+                 ["submodule", "--d", "2", "--N", "6", "--gen", quadric],
+                 ["nosuch"], []):
+        assert run_cli(argv) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "'abc'" in err and "'nosuch'" in err and "--gen " in err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["identity", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--nodes" in out and "--V" not in out
 
 
 def test_window_exhaustion_exit_code(tmp_path):
@@ -139,7 +183,7 @@ def test_config_file_and_flag_override(tmp_path):
     conf = tmp_path / "exp.conf"
     conf.write_text(
         "# quadric experiment\n"
-        "d = 2\nN = 6\nfamily = hardy\np = 2\np = 3\n")
+        "d = 2\nN = 6\nfamily = hardy\n")
     gens = write_quadric(tmp_path)
     out = tmp_path / "out"
     code = run_cli(["submodule", "--config", str(conf), "--gens", str(gens),
@@ -149,6 +193,58 @@ def test_config_file_and_flag_override(tmp_path):
     assert report["config"]["N"] == 8          # flag beats file
     assert report["config"]["family"] == "hardy"
     assert report["config"]["d"] == 2
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    gens = write_quadric(tmp_path)
+    conf = tmp_path / "typo.conf"
+    for key in ("tl", "nodse", "p"):       # typos, and a key submodule never reads
+        conf.write_text(f"d = 2\nN = 6\n{key} = 1\n")
+        assert run_cli(["submodule", "--config", str(conf), "--gens", str(gens),
+                        "--out", str(tmp_path)]) == cli.EXIT_PARSE
+        assert f"{conf}:3: unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "submodule.json").exists()
+
+
+def test_config_value_errors_name_the_key(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("d = two\nN = 6\n")
+    assert run_cli(["koszul", "--config", str(conf),
+                    "--out", str(tmp_path)]) == cli.EXIT_PARSE
+    assert "--d: invalid int value: 'two'" in capsys.readouterr().err
+
+
+def test_repeated_p_keys_join_in_order(tmp_path):
+    vfile = tmp_path / "V.txt"
+    vfile.write_text("1+0i\n0+0i\n")
+    conf = tmp_path / "ev.conf"
+    # 3, 5 rather than 2, 3: the default list would hide lost keys
+    conf.write_text(f"d = 2\nN = 6\nV = {vfile}\np = 3\np = 5\n")
+    for flags, expected in (([], [3.0, 5.0]), (["--p", "2"], [2.0])):
+        out = tmp_path / f"out{len(flags)}"
+        assert run_cli(["ev", "--config", str(conf), *flags, "--out", str(out)]) == 0
+        report = json.loads((out / "ev.json").read_text())
+        assert report["config"]["p"] == expected
+        assert sorted(report["quotient_commutators"]["trends"]) \
+            == sorted(f"{p:.15g}" for p in expected)
+
+
+def test_config_out_key_sets_output_directory(tmp_path):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"N = 24\nout = {tmp_path / 'from-file'}\n")
+    assert run_cli(["counterexample", "--config", str(conf)]) == 0
+    assert (tmp_path / "from-file" / "counterexample.json").exists()
+    assert run_cli(["counterexample", "--config", str(conf),
+                    "--out", str(tmp_path / "from-flag")]) == 0
+    assert (tmp_path / "from-flag" / "counterexample.json").exists()
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = [shlex.split(line)[1:] for line in readme.read_text().splitlines()
+                if line.startswith("gradmod ")]
+    parser = cli.build_parser()
+    assert {parser.parse_args(argv).command for argv in examples} == set(cli.COMMANDS)
 
 
 def test_malformed_config_rejected(tmp_path):

@@ -29,6 +29,24 @@ def test_row_operator_surjective(h2):
         assert h2.row_block(n).shape == (h2.level_dim(n + 1), 2 * h2.level_dim(n))
 
 
+@pytest.mark.parametrize("family,d,r", [("dshift", 2, 1), ("hardy", 2, 3),
+                                        ("bergman", 3, 2), ("sinsqrt", 4, 1)])
+def test_row_block_is_sum_of_coordinate_blocks(rng, family, d, r):
+    mod = gm.StandardModule(gm.make_weights(family, 5, d=d, r1=1.0, r2=4.0),
+                            d=d, multiplicity=r)
+    for n in range(mod.top_level):
+        s = mod.scalar_dim(n)
+        xis = [rng.normal(size=s * r) + 1j * rng.normal(size=s * r) for _ in range(d)]
+        # d.S level n: index (monomial, copy k, component), copy-major d.E
+        stacked = np.zeros(s * d * r, dtype=complex)
+        for m in range(s):
+            for k in range(d):
+                for c in range(r):
+                    stacked[(m * d + k) * r + c] = xis[k][m * r + c]
+        expected = sum(mod.coordinate_block(k + 1, n) @ xis[k] for k in range(d))
+        assert np.allclose(mod.row_block(n) @ stacked, expected, rtol=0, atol=1e-13)
+
+
 def test_row_blocks_cached_on_module(h2):
     assert h2.row_block(3) is h2.row_block(3)
     assert h2.row_domain is h2.row_domain
@@ -90,6 +108,17 @@ def test_pullback_matches_bruteforce_preimage(h2):
     for k in range(pulled.window + 1):
         oracle = bruteforce_preimage(h2.row_block(k), sub.basis(k + 1))
         assert linalg.subspace_distance(pulled.basis(k), oracle) <= 1e-10
+
+
+def test_preimage_of_a_target_containing_the_range():
+    # two generic linear forms fill every level >= 1, so M_3 contains ran L_2:
+    # (I - P_{M_3}) L_2 is roundoff (1e-16), and all of (d.S)_2 is the preimage
+    mod = gm.StandardModule(gm.make_weights("dshift", 7), d=2)
+    gens = gm.parse_generators("1 0.3+0.2i (1 0)@e1 + 0.7-0.1i (0 1)@e1\n"
+                               "1 -0.4+0.9i (1 0)@e1 + 0.2+0.5i (0 1)@e1\n", 2)
+    sub = gm.GradedSubmodule.generate(mod, gens)
+    assert sub.dim(3) == mod.level_dim(3)
+    assert linalg.preimage(mod.row_block(2), sub.basis(3)).shape == (6, 6)
 
 
 def test_pullback_identities(h2):
