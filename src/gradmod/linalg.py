@@ -62,7 +62,9 @@ def nullspace(a, rtol=RANK_TOL_FACTOR, floor=0.0):
         return np.zeros((0, 0), dtype=complex)
     if a.shape[0] == 0:
         return np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    # U is never read; for a tall matrix the thin factorization already holds
+    # every right singular vector, and skipping the full U saves most of the work
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] <= n)
     if s.size == 0 or s[0] <= floor:
         rank = 0
     else:

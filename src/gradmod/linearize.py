@@ -9,7 +9,10 @@ degree >= 2 to a degree-1 submodule in a higher-multiplicity ambient module.
 Degree-1 submodules of Z_1 S + ... + Z_d S are in bijection with subspaces
 V of d.E: M is the orthocomplement of the space E_V of polynomials whose
 stacked adjoint image (equivalently, for maximally symmetric completions,
-whose gradient) lies pointwise in V.
+whose gradient) lies pointwise in V.  E_V is computed level by level with
+the Euler recursion: every partial derivative of f in E_V(n) lies in
+E_V(n-1), and f = (1/n) sum_j z_j d_j f, so E_V(n) lies in the span of the
+Z_j E_V(n-1); each level solves its nullspace problem on that small span.
 """
 
 from dataclasses import dataclass
@@ -212,6 +215,15 @@ def ev_space(module, v, window=None, use_gradient=False):
     instead; for maximally symmetric completions the two agree levelwise (the
     adjoints are positive multiples of the gradients).
 
+    The nullspace is solved on candidates, not on the whole level (Euler
+    recursion).  If f lies in E_V(n), each d_j f lies in E_V(n-1), since mixed
+    partials commute and V is linear, and f = (1/n) sum_j z_j d_j f.  So
+    E_V(n) lies in C_n = span_j Z_j E_V(n-1), which has dimension at most
+    d dim E_V(n-1), and E_V(n) = C_n ker((1 (x) Q) stacked C_n).  An empty
+    E_V(n-1) gives an empty E_V(n).  The rank floor is 1e-10 ||stacked||,
+    taken on the whole level.  Each route recurses on its own stacked blocks,
+    so the two routes remain independent computations.
+
     Returns (dict level -> E_V basis, GradedSubmodule M).
     """
     if window is None:
@@ -219,6 +231,9 @@ def ev_space(module, v, window=None, use_gradient=False):
     q = v.complement_projector()
     ev = {0: np.eye(module.level_dim(0), dtype=complex)}
     for n in range(1, window + 1):
+        if ev[n - 1].shape[1] == 0:
+            ev[n] = np.zeros((module.level_dim(n), 0), dtype=complex)
+            continue
         if use_gradient:
             # row (monomial, copy i, component) of the d.S level: copy-major d.E
             stacked = np.stack(
@@ -228,10 +243,20 @@ def ev_space(module, v, window=None, use_gradient=False):
                 axis=1).reshape(module.level_dim(n - 1) * module.d, -1)
         else:
             stacked = module.row_block(n - 1).conj().T
-        qfull = np.kron(np.eye(module.scalar_dim(n - 1)), q)
+        candidates = linalg.orthonormal_columns(np.hstack(
+            [module.coordinate_block(j, n - 1) @ ev[n - 1]
+             for j in range(1, module.d + 1)]))
+        if candidates.shape[1] == module.level_dim(n):
+            # the candidates fill the level (always at n = 1): keep the level's
+            # own basis, so that E_V(n) = level n gets the identity basis
+            candidates = np.eye(module.level_dim(n), dtype=complex)
+        # 1 (x) Q: Q acts on the d.E index of each level-(n-1) monomial
+        image = q @ (stacked @ candidates).reshape(module.scalar_dim(n - 1),
+                                                   q.shape[0], -1)
         # floor: for V = d.E the composition is a true zero map
-        ev[n] = linalg.nullspace(qfull @ stacked,
-                                 floor=1e-10 * linalg.opnorm(stacked))
+        ev[n] = candidates @ linalg.nullspace(
+            image.reshape(stacked.shape[0], -1),
+            floor=1e-10 * linalg.opnorm(stacked))
     complements = {n: linalg.complement_basis(ev[n]) for n in ev}
     m = GradedSubmodule(module, complements, window=window)
     return ev, m

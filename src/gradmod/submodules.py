@@ -186,6 +186,8 @@ class GradedSubmodule:
         self.generators = tuple(generators) if generators else ()
         self.max_generator_degree = max_generator_degree
         self._degree_report = None
+        # levels k with M_{k+1} = sum_j Z_j M_k by construction (set by _grow)
+        self._saturated_by_construction = frozenset()
 
     # construction --------------------------------------------------------
 
@@ -220,6 +222,7 @@ class GradedSubmodule:
     @classmethod
     def _grow(cls, module, seeds, window):
         bases = {}
+        saturated = set()
         prev = np.zeros((module.level_dim(0), 0), dtype=complex)
         for n in range(window + 1):
             cols = []
@@ -228,12 +231,19 @@ class GradedSubmodule:
                     cols.append(module.coordinate_block(k, n - 1) @ prev)
             if n in seeds and seeds[n].shape[1] > 0:
                 cols.append(seeds[n])
+            elif n > 0:
+                # M_n is the span of sum_k Z_k M_{n-1} alone, taken with the
+                # rank rule of numerical_rank: the saturation flag of level
+                # n-1 is True by construction
+                saturated.add(n - 1)
             if cols:
                 prev = linalg.orthonormal_columns(np.hstack(cols))
             else:
                 prev = np.zeros((module.level_dim(n), 0), dtype=complex)
             bases[n] = prev
-        return cls(module, bases, window=window)
+        sub = cls(module, bases, window=window)
+        sub._saturated_by_construction = frozenset(saturated)
+        return sub
 
     @classmethod
     def zero(cls, module, window=None):
@@ -283,10 +293,17 @@ class GradedSubmodule:
         return worst
 
     def saturation_flags(self):
-        """flags[k]: does sum_j Z_j M_k span all of M_{k+1}?"""
+        """flags[k]: does sum_j Z_j M_k span all of M_{k+1}?
+
+        Levels that ``_grow`` built from sum_j Z_j M_k alone are saturated by
+        construction; only the other levels pay a rank decision.
+        """
         flags = {}
         for k in range(self.window):
             target = self.dim(k + 1)
+            if k in self._saturated_by_construction:
+                flags[k] = True
+                continue
             if self.dim(k) == 0:
                 flags[k] = target == 0
                 continue

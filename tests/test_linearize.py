@@ -5,13 +5,17 @@ solutions plus the kernel), a route independent of the nullspace-of-composed-
 map construction used in the package.
 """
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradmod as gm
 from gradmod import linalg
+from gradmod.config import RANK_TOL_FACTOR
 from gradmod.linearize import WindowExhausted
-from conftest import random_subspace
+from conftest import random_generators, random_subspace
 
 
 @pytest.fixture
@@ -250,6 +254,144 @@ def test_ev_roundtrip_both_directions(rng):
     _, back = gm.ev_space(mod, v)
     for n in range(back.window + 1):
         assert linalg.subspace_distance(back.basis(n), sub.basis(n)) <= 1e-9
+
+
+def full_svd_nullspace(a, floor):
+    """Kernel from a full SVD with the package's rank rule."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    rank = 0 if s[0] <= floor else int(np.count_nonzero(
+        s > max(RANK_TOL_FACTOR * s[0], floor)))
+    return vh[rank:, :].conj().T
+
+
+def test_nullspace_of_tall_matrix(rng):
+    # 40 x 9 of rank 5: a thin SVD of a tall matrix still has all 9 right
+    # singular vectors
+    a = (rng.normal(size=(40, 5)) + 1j * rng.normal(size=(40, 5))) \
+        @ (rng.normal(size=(5, 9)) + 1j * rng.normal(size=(5, 9)))
+    null = linalg.nullspace(a)
+    assert null.shape == (9, 4)
+    assert linalg.orthonormality_residual(null) <= 1e-13
+    assert linalg.opnorm(a @ null) <= 1e-12 * linalg.opnorm(a)
+    assert linalg.subspace_distance(null, full_svd_nullspace(a, 0.0)) <= 1e-12
+
+
+def full_level_ev(module, v, use_gradient=False):
+    """E_V(n) as the nullspace of (1 (x) Q) stacked on the whole level n."""
+    q = v.complement_projector()
+    ev = {0: np.eye(module.level_dim(0), dtype=complex)}
+    for n in range(1, module.top_level + 1):
+        if use_gradient:
+            stacked = np.stack(
+                [module.gradient_block(i, n).reshape(module.scalar_dim(n - 1),
+                                                     module.multiplicity, -1)
+                 for i in range(1, module.d + 1)],
+                axis=1).reshape(module.level_dim(n - 1) * module.d, -1)
+        else:
+            stacked = module.row_block(n - 1).conj().T
+        qfull = np.kron(np.eye(module.scalar_dim(n - 1)), q)
+        ev[n] = full_svd_nullspace(qfull @ stacked,
+                                   floor=1e-10 * linalg.opnorm(stacked))
+    return ev
+
+
+EV_FAMILIES = ("dshift", "hardy", "bergman", "sinsqrt")
+
+
+def ev_module(family, d, r, top):
+    return gm.StandardModule(gm.make_weights(family, top, d=d, r1=1.0, r2=4.0),
+                             d=d, multiplicity=r)
+
+
+@pytest.mark.parametrize("family", EV_FAMILIES)
+@pytest.mark.parametrize("d,top", [(2, 8), (3, 6), (4, 5)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_ev_recursion_matches_full_level_nullspace(rng, family, d, r, top):
+    mod = ev_module(family, d, r, top)
+    for dim in sorted({0, 1, 2, d * r - 1, d * r}):
+        v = random_subspace(rng, mod, dim)
+        for use_gradient in (False, True):
+            ev, _ = gm.ev_space(mod, v, use_gradient=use_gradient)
+            oracle = full_level_ev(mod, v, use_gradient=use_gradient)
+            assert sorted(ev) == sorted(oracle)
+            for n in oracle:
+                assert ev[n].shape == oracle[n].shape
+                assert linalg.subspace_distance(ev[n], oracle[n]) <= 1e-12
+
+
+def test_ev_nullspace_calls_stay_on_the_candidate_span(monkeypatch, rng):
+    mod = ev_module("bergman", 3, 2, 6)
+    widths = []
+    nullspace = linalg.nullspace
+
+    def counting(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "ev_space":
+            widths.append(np.shape(a)[1])
+        return nullspace(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "nullspace", counting)
+    for dim in (1, 3, 5):
+        v = random_subspace(rng, mod, dim)
+        for use_gradient in (False, True):
+            widths.clear()
+            ev, _ = gm.ev_space(mod, v, use_gradient=use_gradient)
+            solved = [n for n in range(1, mod.top_level + 1) if ev[n - 1].shape[1]]
+            assert len(widths) == len(solved)
+            for n, width in zip(solved, widths):
+                assert width <= mod.d * ev[n - 1].shape[1]
+
+
+def test_generate_ranks_only_seeded_levels(monkeypatch, rng):
+    mod = gm.StandardModule(gm.make_weights("hardy", 9, d=2), d=2)
+    gens = random_generators(rng, 2, 1, 2, 1) + random_generators(rng, 2, 1, 3, 1)
+    sub = gm.GradedSubmodule.generate(mod, gens)
+    shapes = []
+    numerical_rank = linalg.numerical_rank
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return numerical_rank(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "numerical_rank", counting)
+    flags = sub.degree_report().flags
+    # level 2 is seeded on M_1 = 0 (no rank needed); level 3 on M_2 != 0
+    assert shapes == [(mod.level_dim(3), 2 * sub.dim(2))]
+    for k in range(sub.window):
+        if sub.dim(k) == 0:
+            assert flags[k] == (sub.dim(k + 1) == 0)
+            continue
+        spanned = np.hstack([mod.coordinate_block(j, k) @ sub.basis(k)
+                             for j in (1, 2)])
+        assert flags[k] == (numerical_rank(spanned) == sub.dim(k + 1))
+    assert [k for k, ok in flags.items() if not ok] == [1, 2]
+
+
+@st.composite
+def ev_inputs(draw):
+    family = draw(st.sampled_from(EV_FAMILIES))
+    d = draw(st.sampled_from((2, 3)))
+    r = draw(st.sampled_from((1, 2)))
+    dim = draw(st.integers(0, d * r))
+    parts = draw(st.lists(st.integers(-2, 2), min_size=2 * d * r * dim,
+                          max_size=2 * d * r * dim))
+    raw = (np.array(parts[0::2]) + 1j * np.array(parts[1::2])).reshape(d * r, dim)
+    mod = ev_module(family, d, r, 6)
+    return mod, gm.SubspaceV.from_matrix(mod, raw)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(ev_inputs())
+def test_ev_roundtrip_and_derivative_containment(case):
+    mod, v = case
+    ev, sub = gm.ev_space(mod, v)
+    rec = gm.recover_subspace(mod, sub.basis(1))
+    assert linalg.subspace_distance(v.basis, rec.basis) <= 1e-9
+    for n in range(1, mod.top_level + 1):
+        outer = ev[n - 1]
+        for j in range(1, mod.d + 1):
+            img = mod.gradient_block(j, n) @ ev[n]
+            out = img - outer @ (outer.conj().T @ img)
+            assert linalg.opnorm(out) <= 1e-10 * max(1.0, linalg.opnorm(img))
 
 
 def test_ev_quotient_full_subspace_is_ambient(h2):
