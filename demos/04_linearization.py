@@ -29,9 +29,9 @@ for step in result.steps:
     print(f"  ambient multiplicity {step.multiplicity}: degree {step.degree}, "
           f"window {step.window}, dims {list(step.level_dims[:6])}...")
 print(f"  complete: {result.complete} ({result.reason})")
-print(f"  span identity L(M'_k) = M_(k+1) residuals: "
-      f"{[f'{r:.1e}' for r in result.span_residuals]}")
-print(f"  kernel containment residuals: "
+print(f"  co-invariance residuals of each pullback's quotient side: "
+      f"{[f'{r:.1e}' for r in result.coinvariance_residuals]}")
+print(f"  ker L against each pullback's quotient side, ||K* Q'||: "
       f"{[f'{r:.1e}' for r in result.kernel_residuals]}")
 
 print("\nThe shifted quotient is carried levelwise by L: level n of the new")

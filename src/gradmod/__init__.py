@@ -37,7 +37,6 @@ from .linearize import (
     kernel_levels,
     linearize_full,
     pullback,
-    pullback_span_residual,
     recover_subspace,
     shift_quotient,
 )

@@ -240,10 +240,13 @@ def build_module(args):
 def config_echo(args, **extra):
     """The report's ``config`` block.
 
-    ``weights`` reads neither ``r`` nor ``tol``; it echoes r = 1 and tol = null.
+    ``r`` and ``tol`` are echoed only by the commands that read them (so not
+    by ``weights``); ``r1`` and ``r2`` only when set.
     """
-    echo = {"family": args.family, "d": args.d, "r": getattr(args, "r", 1),
-            "N": args.N, "tol": getattr(args, "tol", None)}
+    echo = {"family": args.family, "d": args.d, "N": args.N}
+    for key in ("r", "tol"):
+        if key in vars(args):
+            echo[key] = getattr(args, key)
     for key in ("r1", "r2"):
         if getattr(args, key) is not None:
             echo[key] = getattr(args, key)
@@ -301,7 +304,7 @@ def cmd_weights(args, outdir):
     trace = {p: number_trace_report(d, p, n_weights) for p in p_list}
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "command": "weights",
         "config": config_echo(args, p=p_list, tail=tail),
         "bounds": {"min": weights.bounds[0], "max": weights.bounds[1]},
@@ -369,7 +372,7 @@ def cmd_submodule(args, outdir):
     hard_check(failures, "coordinate_invariance", invariance, tol)
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "command": "submodule",
         "config": config_echo(args, gens=args.gens),
         "generator_count": len(gens),
@@ -398,13 +401,13 @@ def cmd_linearize(args, outdir):
     result = linearize_full(sub)
 
     failures = []
-    for i, resid in enumerate(result.span_residuals):
-        hard_check(failures, f"pullback_span_step_{i}", resid, tol)
+    for i, resid in enumerate(result.coinvariance_residuals):
+        hard_check(failures, f"pullback_coinvariance_step_{i}", resid, tol)
     for i, resid in enumerate(result.kernel_residuals):
         hard_check(failures, f"kernel_containment_step_{i}", resid, tol)
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "command": "linearize",
         "config": config_echo(args, gens=args.gens),
         "complete": result.complete,
@@ -415,7 +418,7 @@ def cmd_linearize(args, outdir):
             "window": s.window,
             "level_dims": list(s.level_dims),
         } for s in result.steps],
-        "span_residuals": list(result.span_residuals),
+        "coinvariance_residuals": list(result.coinvariance_residuals),
         "kernel_containment_residuals": list(result.kernel_residuals),
         "final_degree": result.steps[-1].degree if result.steps else None,
         "final_multiplicity": result.final.module.multiplicity,
@@ -443,7 +446,7 @@ def cmd_ev(args, outdir):
     deg = sub.degree_report()
     recovered = recover_subspace(module, sub.basis(1))
     roundtrip = linalg.subspace_distance(v.basis, recovered.basis)
-    en = quotient_en_report(QuotientModule(sub, coquotient_bases=ev), p_list)
+    en = quotient_en_report(QuotientModule(sub), p_list)
 
     failures = []
     hard_check(failures, "roundtrip_V_distance", roundtrip, tol)

@@ -6,6 +6,15 @@ Its kernel is a degree-1 submodule; pulling a degree-n submodule M back
 through L drops the degree by one, and iterating reduces any determinable
 degree >= 2 to a degree-1 submodule in a higher-multiplicity ambient module.
 
+Everything here works on the quotient side of a submodule (the bases
+Q_n = M_n^perp that ``GradedSubmodule`` stores).  The pullback
+M'_k = {zeta : L zeta in M_{k+1}} is the kernel of Q_{k+1}* L_k, so its
+quotient side is one product, Q'_k = ran(L_k* Q_{k+1}); since L_k* is rho_k
+times an isometry, dim Q'_k = dim Q_{k+1} and L induces the shift of the
+quotient.  Each pullback step is checked by two computations that do not
+share it: co-invariance of Q' in d.S, and Q' perp ker L with ker L taken
+from dense SVDs of the row blocks (``kernel_levels``).
+
 Degree-1 submodules of Z_1 S + ... + Z_d S are in bijection with subspaces
 V of d.E: M is the orthocomplement of the space E_V of polynomials whose
 stacked adjoint image (equivalently, for maximally symmetric completions,
@@ -13,6 +22,7 @@ whose gradient) lies pointwise in V.  E_V is computed level by level with
 the Euler recursion: every partial derivative of f in E_V(n) lies in
 E_V(n-1), and f = (1/n) sum_j z_j d_j f, so E_V(n) lies in the span of the
 Z_j E_V(n-1); each level solves its nullspace problem on that small span.
+E_V is the quotient side of its submodule, so it is stored as Q directly.
 """
 
 from dataclasses import dataclass
@@ -20,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .submodules import GradedSubmodule, QuotientModule, parse_complex
+from .submodules import (GradedSubmodule, QuotientModule, euler_candidates,
+                         parse_complex)
 
 
 class WindowExhausted(RuntimeError):
@@ -28,20 +39,29 @@ class WindowExhausted(RuntimeError):
 
 
 def kernel_levels(module, window=None):
-    """The kernel K = ker L as a graded submodule of d.S (degree 1, K_0 = 0)."""
+    """The kernel K = ker L as a graded submodule of d.S (degree 1, K_0 = 0).
+
+    Each level is one dense SVD of the row block, which gives K_n and its
+    complement ran(L_n*) together.
+    """
     if window is None:
         window = module.top_level - 1
     if window > module.top_level - 1 or window < 1:
         raise ValueError("kernel window must lie in 1..N-1")
-    bases = {n: linalg.nullspace(module.row_block(n)) for n in range(window + 1)}
-    return GradedSubmodule(module.row_domain, bases, window=window)
+    split = {n: linalg.coimage_and_kernel(module.row_block(n))
+             for n in range(window + 1)}
+    return GradedSubmodule(module.row_domain,
+                           {n: coimage for n, (coimage, _) in split.items()},
+                           window=window,
+                           bases={n: kernel for n, (_, kernel) in split.items()})
 
 
 def pullback(submodule):
     """M' = {zeta in d.S : L zeta in M}, levelwise, for deg M >= 2.
 
-    M'_k is the nullspace of (I - P_{M_{k+1}}) L_k; it contains ker L and
-    satisfies L(M'_k) = M_{k+1}.  The stored window shrinks by one level.
+    M'_k is the kernel of Q_{k+1}* L_k, so Q'_k = orth(L_k* Q_{k+1}), with
+    the floor 1e-10 ||L_k|| = 1e-10 rho_k.  M' contains ker L and satisfies
+    L(M'_k) = M_{k+1}.  The stored window shrinks by one level.
     """
     report = submodule.degree_report()
     if not report.determined:
@@ -51,31 +71,17 @@ def pullback(submodule):
         raise ValueError("pullback reduction applies to submodules of degree >= 2")
     module = submodule.module
     window = min(submodule.window - 1, module.top_level - 1)
-    bases = {k: linalg.preimage(module.row_block(k), submodule.basis(k + 1))
-             for k in range(window + 1)}
-    return GradedSubmodule(module.row_domain, bases, window=window)
-
-
-def pullback_span_residual(submodule, pulled):
-    """max_k principal-angle distance between L(M'_k) and M_{k+1} (should be 0)."""
-    worst = 0.0
-    for k in range(pulled.window + 1):
-        block = submodule.module.row_block(k)
-        # absolute floor: kernel directions map to roundoff junk, not rank
-        image = linalg.orthonormal_columns(block @ pulled.basis(k),
-                                           floor=1e-10 * linalg.opnorm(block))
-        worst = max(worst, linalg.subspace_distance(image, submodule.basis(k + 1)))
-    return worst
+    quotient = {k: linalg.orthonormal_columns(
+        module.row_block(k).conj().T @ submodule.quotient_basis(k + 1),
+        floor=1e-10 * module.rho[k]) for k in range(window + 1)}
+    return GradedSubmodule(module.row_domain, quotient, window=window)
 
 
 def kernel_containment_residual(module, pulled):
-    """How far ker L sticks out of the pullback of a submodule of ``module`` (should be 0)."""
+    """max_n ||K_n* Q'_n||: how far ker L sticks out of the pullback (should be 0)."""
     kernel = kernel_levels(module, window=max(pulled.window, 1))
-    worst = 0.0
-    for n in range(min(pulled.window, kernel.window) + 1):
-        worst = max(worst, linalg.containment_residual(
-            kernel.basis(n), pulled.basis(n)))
-    return worst
+    return max(linalg.opnorm(kernel.basis(n).conj().T @ pulled.quotient_basis(n))
+               for n in range(min(pulled.window, kernel.window) + 1))
 
 
 def shift_quotient(quotient):
@@ -121,8 +127,8 @@ class LinearizationResult:
     final: GradedSubmodule
     complete: bool
     reason: str
-    span_residuals: tuple = ()      # L(M'_k) vs M_{k+1}, one per pullback
-    kernel_residuals: tuple = ()    # ker L containment in M', one per pullback
+    coinvariance_residuals: tuple = ()  # Q' co-invariant in d.S, one per pullback
+    kernel_residuals: tuple = ()        # ker L perp Q', one per pullback
 
 
 def linearize_full(submodule, max_ambient_dim=200_000):
@@ -135,7 +141,7 @@ def linearize_full(submodule, max_ambient_dim=200_000):
     """
     current = submodule
     steps = []
-    span_residuals = []
+    coinvariance_residuals = []
     kernel_residuals = []
 
     def record(sub, deg):
@@ -144,7 +150,8 @@ def linearize_full(submodule, max_ambient_dim=200_000):
 
     def result(complete, reason):
         return LinearizationResult(tuple(steps), current, complete, reason,
-                                   tuple(span_residuals), tuple(kernel_residuals))
+                                   tuple(coinvariance_residuals),
+                                   tuple(kernel_residuals))
 
     while True:
         report = current.degree_report()
@@ -159,7 +166,7 @@ def linearize_full(submodule, max_ambient_dim=200_000):
         if next_dim > max_ambient_dim:
             return result(False, "ambient dimension budget exceeded")
         pulled = pullback(current)
-        span_residuals.append(pullback_span_residual(current, pulled))
+        coinvariance_residuals.append(pulled.invariance_residual())
         kernel_residuals.append(kernel_containment_residual(current.module, pulled))
         current = pulled
 
@@ -206,8 +213,26 @@ def parse_subspace(text, module):
     return SubspaceV.from_matrix(module, np.array(rows, dtype=complex))
 
 
+def stacked_adjoint(module, n, use_gradient=False):
+    """The stacked map from level n to d.(level n-1), with its exact norm.
+
+    The adjoint route stacks (Z_1*, ..., Z_d*), which is L_{n-1}*: the
+    row-sum identity gives it norm rho_{n-1}.  The gradient route stacks the
+    level gradients d/dz_k = Z_k* / u(n), of norm rho_{n-1} / u(n) =
+    n / rho_{n-1}.  Rows are (monomial, copy i, component): copy-major d.E.
+    """
+    if not use_gradient:
+        return module.row_block(n - 1).conj().T, float(module.rho[n - 1])
+    stacked = np.stack(
+        [module.gradient_block(i, n).reshape(module.scalar_dim(n - 1),
+                                             module.multiplicity, -1)
+         for i in range(1, module.d + 1)],
+        axis=1).reshape(module.level_dim(n - 1) * module.d, -1)
+    return stacked, float(module.rho[n - 1]) / module.adjoint_scalar(n)
+
+
 def ev_space(module, v, window=None, use_gradient=False):
-    """Levelwise bases of E_V and its orthocomplement M = E_V^perp.
+    """Levelwise bases of E_V, and M = E_V^perp held on its quotient side.
 
     E_V(n) is the nullspace of (1 (x) Q) composed with the stacked adjoint
     blocks (Z_1*, ..., Z_d*) on level n, Q being the projection onto V^perp.
@@ -221,10 +246,12 @@ def ev_space(module, v, window=None, use_gradient=False):
     E_V(n) lies in C_n = span_j Z_j E_V(n-1), which has dimension at most
     d dim E_V(n-1), and E_V(n) = C_n ker((1 (x) Q) stacked C_n).  An empty
     E_V(n-1) gives an empty E_V(n).  The rank floor is 1e-10 ||stacked||,
-    taken on the whole level.  Each route recurses on its own stacked blocks,
-    so the two routes remain independent computations.
+    with the norm in closed form (``stacked_adjoint``).  Each route recurses
+    on its own stacked blocks, so the two routes remain independent
+    computations.
 
-    Returns (dict level -> E_V basis, GradedSubmodule M).
+    Returns (dict level -> E_V basis, GradedSubmodule M whose quotient bases
+    are those E_V levels).  M costs nothing until it is queried.
     """
     if window is None:
         window = module.top_level
@@ -234,38 +261,20 @@ def ev_space(module, v, window=None, use_gradient=False):
         if ev[n - 1].shape[1] == 0:
             ev[n] = np.zeros((module.level_dim(n), 0), dtype=complex)
             continue
-        if use_gradient:
-            # row (monomial, copy i, component) of the d.S level: copy-major d.E
-            stacked = np.stack(
-                [module.gradient_block(i, n).reshape(module.scalar_dim(n - 1),
-                                                     module.multiplicity, -1)
-                 for i in range(1, module.d + 1)],
-                axis=1).reshape(module.level_dim(n - 1) * module.d, -1)
-        else:
-            stacked = module.row_block(n - 1).conj().T
-        candidates = linalg.orthonormal_columns(np.hstack(
-            [module.coordinate_block(j, n - 1) @ ev[n - 1]
-             for j in range(1, module.d + 1)]))
-        if candidates.shape[1] == module.level_dim(n):
-            # the candidates fill the level (always at n = 1): keep the level's
-            # own basis, so that E_V(n) = level n gets the identity basis
-            candidates = np.eye(module.level_dim(n), dtype=complex)
+        stacked, norm = stacked_adjoint(module, n, use_gradient)
+        candidates = euler_candidates(module, ev[n - 1], n)
         # 1 (x) Q: Q acts on the d.E index of each level-(n-1) monomial
         image = q @ (stacked @ candidates).reshape(module.scalar_dim(n - 1),
                                                    q.shape[0], -1)
         # floor: for V = d.E the composition is a true zero map
         ev[n] = candidates @ linalg.nullspace(
-            image.reshape(stacked.shape[0], -1),
-            floor=1e-10 * linalg.opnorm(stacked))
-    complements = {n: linalg.complement_basis(ev[n]) for n in ev}
-    m = GradedSubmodule(module, complements, window=window)
-    return ev, m
+            image.reshape(stacked.shape[0], -1), floor=1e-10 * norm)
+    return ev, GradedSubmodule(module, ev, window=window)
 
 
 def ev_quotient(module, v, window=None):
     """The quotient H_V = S / E_V^perp, realized on the E_V level bases."""
-    ev, m = ev_space(module, v, window=window)
-    return QuotientModule(m, coquotient_bases=ev)
+    return QuotientModule(ev_space(module, v, window=window)[1])
 
 
 def recover_subspace(module, m1_basis):

@@ -1,10 +1,19 @@
 """Graded submodules of a standard Hilbert module and their quotients.
 
-A submodule is stored levelwise: an orthonormal column basis of M_n inside
-the level-n coordinates of the ambient module, for every stored level.
-Generation follows the grading: M_n is spanned by the coordinate images of
-M_{n-1} together with the degree-n generators, orthonormalized with the
-project rank tolerance.
+A submodule M is stored on its quotient side: for every stored level n, an
+orthonormal basis Q_n of the orthocomplement M_n^perp inside the level-n
+coordinates of the ambient module.  For the submodules the paper studies
+these levels are small (two generic cubics in three variables leave
+dim Q_n = 9 at every n >= 4), while M_n fills almost the whole level.
+
+Generation is the co-invariant Euler recursion.  With G_n the degree-n
+generators, Q_n = {f perp G_n : Z_k* f in Q_{n-1} for every k}.  Every
+standard module is maximally symmetric, so Z_k* is a multiple of d/dz_k and
+the row-sum identity puts Q_n inside the span of the Z_k Q_{n-1}; each level
+solves one small nullspace problem on that span (``cosaturation``).  The
+saturation flags come out of the same recursion.  Degrees, residuals,
+quotients and projections read Q; a basis of M_n is the complement of Q_n,
+computed only on request.
 
 Degree reporting is deliberately conservative: a degree is only declared when
 saturation is witnessed on at least two consecutive levels beyond both the
@@ -164,30 +173,79 @@ class DegreeReport:
     witnessed_levels: int = 0
 
 
+# -- the co-invariant Euler recursion ----------------------------------------
+
+
+def euler_candidates(module, prev, n):
+    """Orthonormal basis of C_n = sum_k Z_k span(prev) inside level n.
+
+    ``prev`` has orthonormal columns in level n-1.  When C_n fills the level
+    the identity is returned, so that a whole level keeps its own basis.
+    """
+    cand = linalg.orthonormal_columns(np.hstack(
+        [module.coordinate_block(k, n - 1) @ prev for k in range(1, module.d + 1)]))
+    if cand.shape[1] == module.level_dim(n):
+        return np.eye(module.level_dim(n), dtype=complex)
+    return cand
+
+
+def cosaturation(module, quotient_prev, n):
+    """Orthonormal basis of R_n = {f in level n : Z_k* f in span(Q_{n-1}) for all k}.
+
+    R_n is the orthocomplement of sum_k Z_k M_{n-1}, given Q_{n-1} = M_{n-1}^perp.
+    The row-sum identity sum_k Z_k Z_k* = rho_{n-1}^2 I on level n writes every
+    f in R_n as rho_{n-1}^{-2} sum_k Z_k (Z_k* f), so R_n lies in
+    C_n = sum_k Z_k Q_{n-1} (Euler's identity, as Z_k* = u(n) d_k), and the
+    nullspace of the stacked rows (I - P_{Q_{n-1}}) Z_k* is solved on C_n:
+    at most d dim Q_{n-1} columns.  The stacked rows are a compression of
+    L_{n-1}*, whose norm is rho_{n-1} exactly, so the rank floor is
+    1e-10 rho_{n-1}.
+    """
+    dim_prev = quotient_prev.shape[1]
+    if dim_prev == 0:
+        return np.zeros((module.level_dim(n), 0), dtype=complex)
+    if dim_prev == module.level_dim(n - 1):
+        # M_{n-1} = 0, so nothing constrains level n
+        return np.eye(module.level_dim(n), dtype=complex)
+    cand = euler_candidates(module, quotient_prev, n)
+    rows = np.stack([module.coordinate_block(k, n - 1).conj().T @ cand
+                     for k in range(1, module.d + 1)])
+    rows -= quotient_prev @ (quotient_prev.conj().T @ rows)
+    return cand @ linalg.nullspace(rows.reshape(-1, cand.shape[1]),
+                                   floor=1e-10 * module.rho[n - 1])
+
+
 # -- graded submodules -----------------------------------------------------
 
 
 class GradedSubmodule:
-    """Levelwise orthonormal bases of a graded submodule M of a standard module."""
+    """A graded submodule M of a standard module, held by its quotient side.
 
-    def __init__(self, module, level_bases, generators=None,
-                 max_generator_degree=None, window=None):
+    ``quotient_bases[n]`` is an orthonormal basis Q_n of M_n^perp for every
+    level n of the window.  ``flags`` (level k -> M_{k+1} == sum_j Z_j M_k)
+    may be supplied by a construction that proves them; otherwise they are
+    computed on first use from ``cosaturation``.  ``bases`` may supply
+    orthonormal bases of M_n that the caller already holds; any other M_n is
+    the complement of Q_n, computed once on request.
+    """
+
+    def __init__(self, module, quotient_bases, window=None, flags=None,
+                 bases=None, generators=(), max_generator_degree=None):
         self.module = module
         self.window = module.top_level if window is None else int(window)
         if not 0 <= self.window <= module.top_level:
             raise ValueError("window exceeds the ambient module")
-        self.level_bases = {}
+        self.quotient_bases = {}
         for n in range(self.window + 1):
-            b = np.asarray(level_bases.get(n,
-                           np.zeros((module.level_dim(n), 0))), dtype=complex)
-            if b.shape[0] != module.level_dim(n):
-                raise ValueError(f"level {n} basis has wrong ambient dimension")
-            self.level_bases[n] = b
-        self.generators = tuple(generators) if generators else ()
+            q = np.asarray(quotient_bases[n], dtype=complex)
+            if q.ndim != 2 or q.shape[0] != module.level_dim(n):
+                raise ValueError(f"level {n} quotient basis has wrong ambient dimension")
+            self.quotient_bases[n] = q
+        self.generators = tuple(generators)
         self.max_generator_degree = max_generator_degree
+        self._flags = flags
+        self._bases = dict(bases or {})
         self._degree_report = None
-        # levels k with M_{k+1} = sum_j Z_j M_k by construction (set by _grow)
-        self._saturated_by_construction = frozenset()
 
     # construction --------------------------------------------------------
 
@@ -203,115 +261,120 @@ class GradedSubmodule:
             by_degree.setdefault(g.degree, []).append(g)
         seeds = {deg: embed_polynomials(module, polys)
                  for deg, polys in by_degree.items()}
-        sub = cls._grow(module, seeds, window)
-        sub.generators = tuple(generators)
-        sub.max_generator_degree = max(by_degree) if by_degree else None
-        return sub
+        return cls._from_seeds(
+            module, seeds, window, generators=generators,
+            max_generator_degree=max(by_degree) if by_degree else None)
 
     @classmethod
     def from_level_seeds(cls, module, seeds, max_generator_degree=None, window=None):
         """Generate from raw coordinate columns seeded at given levels."""
         window = module.top_level if window is None else int(window)
-        sub = cls._grow(module, {int(n): np.asarray(s, dtype=complex)
-                                 for n, s in seeds.items()}, window)
         if max_generator_degree is None and seeds:
             max_generator_degree = max(int(n) for n in seeds)
-        sub.max_generator_degree = max_generator_degree
-        return sub
+        return cls._from_seeds(module, {int(n): np.asarray(s, dtype=complex)
+                                        for n, s in seeds.items()}, window,
+                               max_generator_degree=max_generator_degree)
 
     @classmethod
-    def _grow(cls, module, seeds, window):
-        bases = {}
-        saturated = set()
-        prev = np.zeros((module.level_dim(0), 0), dtype=complex)
+    def _from_seeds(cls, module, seeds, window, **kwargs):
+        """Q_n = {f in R_n : G_n* f = 0}, level by level (see ``cosaturation``).
+
+        G_n holds the degree-n seeds, orthonormalized.  The flag of level n-1
+        is whether the G_n rows cut R_n down; without seeds at n it is True.
+        The G_n rows have norm 1 on orthonormal columns, so their floor is
+        1e-10.
+        """
+        quotient = {}
+        flags = {}
         for n in range(window + 1):
-            cols = []
-            if n > 0 and prev.shape[1] > 0:
-                for k in range(1, module.d + 1):
-                    cols.append(module.coordinate_block(k, n - 1) @ prev)
-            if n in seeds and seeds[n].shape[1] > 0:
-                cols.append(seeds[n])
-            elif n > 0:
-                # M_n is the span of sum_k Z_k M_{n-1} alone, taken with the
-                # rank rule of numerical_rank: the saturation flag of level
-                # n-1 is True by construction
-                saturated.add(n - 1)
-            if cols:
-                prev = linalg.orthonormal_columns(np.hstack(cols))
-            else:
-                prev = np.zeros((module.level_dim(n), 0), dtype=complex)
-            bases[n] = prev
-        sub = cls(module, bases, window=window)
-        sub._saturated_by_construction = frozenset(saturated)
-        return sub
+            cosat = (np.eye(module.level_dim(0), dtype=complex) if n == 0
+                     else cosaturation(module, quotient[n - 1], n))
+            q = cosat
+            if n in seeds:
+                gens = linalg.orthonormal_columns(seeds[n])
+                q = cosat @ linalg.nullspace(gens.conj().T @ cosat, floor=1e-10)
+            if n > 0:
+                flags[n - 1] = q.shape[1] == cosat.shape[1]
+            quotient[n] = q
+        return cls(module, quotient, window=window, flags=flags, **kwargs)
 
     @classmethod
     def zero(cls, module, window=None):
-        return cls(module, {}, max_generator_degree=0, window=window)
+        window = module.top_level if window is None else int(window)
+        return cls(module, {n: np.eye(module.level_dim(n), dtype=complex)
+                            for n in range(window + 1)},
+                   window=window, max_generator_degree=0)
 
     @classmethod
     def full(cls, module, window=None):
         window = module.top_level if window is None else int(window)
-        return cls(module,
-                   {n: np.eye(module.level_dim(n), dtype=complex)
-                    for n in range(window + 1)},
-                   max_generator_degree=0, window=window)
+        return cls(module, {n: np.zeros((module.level_dim(n), 0), dtype=complex)
+                            for n in range(window + 1)},
+                   window=window, max_generator_degree=0)
 
     # queries --------------------------------------------------------------
 
-    def basis(self, n):
+    def quotient_basis(self, n):
+        """Q_n: orthonormal basis of M_n^perp."""
         try:
-            return self.level_bases[n]
+            return self.quotient_bases[n]
         except KeyError:
             raise ValueError(f"level {n} outside the stored window") from None
 
+    def basis(self, n):
+        """Orthonormal basis of M_n: the complement of Q_n, computed once on request."""
+        q = self.quotient_basis(n)
+        if n not in self._bases:
+            self._bases[n] = linalg.complement_basis(q)
+        return self._bases[n]
+
     def dim(self, n):
-        return self.basis(n).shape[1]
+        q = self.quotient_basis(n)
+        return q.shape[0] - q.shape[1]
 
     def dims(self):
         return [self.dim(n) for n in range(self.window + 1)]
 
     def projection_block(self, n):
-        """Orthogonal projection onto M_n inside level n (Hermitian idempotent)."""
-        return linalg.projector(self.basis(n))
+        """Orthogonal projection onto M_n inside level n: I - Q_n Q_n*."""
+        q = self.quotient_basis(n)
+        return np.eye(q.shape[0], dtype=complex) - linalg.projector(q)
 
     def orthonormality_residual(self):
-        return max(linalg.orthonormality_residual(self.basis(n))
+        """max over n of ||Q_n* Q_n - I||."""
+        return max(linalg.orthonormality_residual(self.quotient_basis(n))
                    for n in range(self.window + 1))
 
     def invariance_residual(self):
-        """max over k, n of ||(I - P_{M_{n+1}}) Z_k M_n||: 0 for a true submodule."""
+        """max over k, n of ||(I - P_{Q_n}) Z_k* Q_{n+1}||: 0 for a true submodule.
+
+        This is the adjoint of ||(I - P_{M_{n+1}}) Z_k P_{M_n}||: Z_k M_n lies
+        in M_{n+1} exactly when Z_k* maps M_{n+1}^perp into M_n^perp.
+        """
         worst = 0.0
         for n in range(min(self.window, self.module.top_level - 1)):
-            outer = self.basis(n + 1)
+            inner = self.quotient_basis(n)
             for k in range(1, self.module.d + 1):
-                img = self.module.coordinate_block(k, n) @ self.basis(n)
+                img = self.module.coordinate_block(k, n).conj().T \
+                    @ self.quotient_basis(n + 1)
                 if img.shape[1] == 0:
                     continue
                 worst = max(worst, linalg.opnorm(
-                    img - outer @ (outer.conj().T @ img)))
+                    img - inner @ (inner.conj().T @ img)))
         return worst
 
     def saturation_flags(self):
         """flags[k]: does sum_j Z_j M_k span all of M_{k+1}?
 
-        Levels that ``_grow`` built from sum_j Z_j M_k alone are saturated by
-        construction; only the other levels pay a rank decision.
+        Equivalently dim Q_{k+1} = dim R_{k+1} (``cosaturation``).  Generated
+        submodules carry the flags their recursion proved.
         """
-        flags = {}
-        for k in range(self.window):
-            target = self.dim(k + 1)
-            if k in self._saturated_by_construction:
-                flags[k] = True
-                continue
-            if self.dim(k) == 0:
-                flags[k] = target == 0
-                continue
-            spanned = np.hstack([
-                self.module.coordinate_block(j, k) @ self.basis(k)
-                for j in range(1, self.module.d + 1)])
-            flags[k] = linalg.numerical_rank(spanned) == target
-        return flags
+        if self._flags is None:
+            self._flags = {
+                k: cosaturation(self.module, self.quotient_basis(k), k + 1).shape[1]
+                == self.quotient_basis(k + 1).shape[1]
+                for k in range(self.window)}
+        return dict(self._flags)
 
     def degree_report(self):
         """Degree per the smallest-saturation-level definition, with honesty flags."""
@@ -345,49 +408,34 @@ class GradedSubmodule:
         """(True, V basis in E) when the submodule is a summand G (x) V; else (False, None).
 
         Reducing is equivalent to degree 0; the levelwise identity
-        M_n = A_n (x) V is verified against the stored bases.
+        Q_n = A_n (x) V^perp is verified against the stored quotient bases.
         """
         report = self.degree_report()
         if not report.determined or report.degree != 0:
             return False, None
-        v = self.basis(0)  # level 0 of S is E itself
+        v_perp = self.quotient_basis(0)  # level 0 of S is E itself
         for n in range(self.window + 1):
             expected = np.kron(
-                np.eye(monomials.level_dimension(self.module.d, n)), v)
-            if linalg.subspace_distance(expected, self.basis(n)) > SPAN_TOL:
+                np.eye(monomials.level_dimension(self.module.d, n)), v_perp)
+            if linalg.subspace_distance(expected, self.quotient_basis(n)) > SPAN_TOL:
                 return False, None
-        return True, v
+        return True, self.basis(0)
 
 
 # -- quotients ---------------------------------------------------------------
 
 
 class QuotientModule:
-    """Quotient S/M realized on the levelwise orthocomplements of M.
+    """Quotient S/M realized on the submodule's quotient bases Q_n = M_n^perp."""
 
-    ``coquotient_bases`` may be supplied to realize the quotient on a
-    preferred orthonormal basis of the complement (the linearization theory
-    wants specific ones); otherwise complements are computed directly.
-    """
-
-    def __init__(self, submodule, coquotient_bases=None):
+    def __init__(self, submodule):
         self.submodule = submodule
         self.module = submodule.module
         self.window = submodule.window
-        self.coquotient_bases = {}
-        for n in range(self.window + 1):
-            if coquotient_bases is not None and n in coquotient_bases:
-                c = np.asarray(coquotient_bases[n], dtype=complex)
-                if c.shape != (self.module.level_dim(n),
-                               self.module.level_dim(n) - submodule.dim(n)):
-                    raise ValueError(f"bad coquotient basis shape at level {n}")
-            else:
-                c = linalg.complement_basis(submodule.basis(n))
-            self.coquotient_bases[n] = c
         self._blocks = {}
 
     def basis(self, n):
-        return self.coquotient_bases[n]
+        return self.submodule.quotient_basis(n)
 
     def dim(self, n):
         return self.basis(n).shape[1]
@@ -396,7 +444,7 @@ class QuotientModule:
         return [self.dim(n) for n in range(self.window + 1)]
 
     def block(self, k, n):
-        """Compressed coordinate block C_{n+1}* Z_k(n) C_n on the quotient."""
+        """Compressed coordinate block Q_{n+1}* Z_k(n) Q_n on the quotient."""
         key = (k, n)
         if key not in self._blocks:
             if not 0 <= n <= self.window - 1:
