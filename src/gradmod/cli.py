@@ -34,7 +34,8 @@ from .completion import (StandardModule, make_weights, number_trace_report,
                          oscillation_report, row_sum_residual,
                          commutator_decomposition_residual, summability_report)
 from .koszul import betti_numbers, betti_table, build_koszul, dirac_square_residual
-from .linearize import ev_space, linearize_full, parse_subspace, recover_subspace
+from .linearize import (ev_space, linearize_full, parse_subspace,
+                        pullback_quotient, recover_subspace)
 from .normality import (alternating_block_sequence,
                         compression_identity_residuals, quotient_en_report,
                         resolvent_projection, similarity_counterexample,
@@ -555,8 +556,8 @@ def cmd_identity(args, outdir):
     # resolvent projection at a mid level
     level = min(2, module.top_level - 2)
     lmat = module.row_block(level)
-    pre = linalg.preimage(lmat, sub.basis(level + 1))
-    b = lmat @ linalg.projector(pre) @ lmat.conj().T
+    pulled = pullback_quotient(module, sub.quotient_basis(level + 1), level)
+    b = lmat @ (np.eye(lmat.shape[1]) - linalg.projector(pulled)) @ lmat.conj().T
     eigs = np.linalg.eigvalsh(b)
     positive = eigs[eigs > 1e-10 * max(eigs.max(initial=0.0), 1.0)]
     quad_report = None

@@ -54,22 +54,14 @@ def nullspace(a, rtol=RANK_TOL_FACTOR, floor=0.0):
     complement projection applied to a map whose range it contains), where a
     purely relative tolerance would manufacture spurious rank.
     """
-    return coimage_and_kernel(a, rtol, floor)[1]
-
-
-def coimage_and_kernel(a, rtol=RANK_TOL_FACTOR, floor=0.0):
-    """Orthonormal bases of ran(a*) and ker(a): the two halves of one SVD.
-
-    The rank rule (``rtol``, ``floor``) is that of ``nullspace``.
-    """
     a = _as_complex(a)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     n = a.shape[1]
     if n == 0:
-        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
+        return np.zeros((0, 0), dtype=complex)
     if a.shape[0] == 0:
-        return np.zeros((n, 0), dtype=complex), np.eye(n, dtype=complex)
+        return np.eye(n, dtype=complex)
     # U is never read; for a tall matrix the thin factorization already holds
     # every right singular vector, and skipping the full U saves most of the work
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] <= n)
@@ -77,7 +69,7 @@ def coimage_and_kernel(a, rtol=RANK_TOL_FACTOR, floor=0.0):
         rank = 0
     else:
         rank = int(np.count_nonzero(s > max(rtol * s[0], floor)))
-    return vh[:rank, :].conj().T, vh[rank:, :].conj().T
+    return vh[rank:, :].conj().T
 
 
 def preimage(block, target):

@@ -11,9 +11,13 @@ Q_n = M_n^perp that ``GradedSubmodule`` stores).  The pullback
 M'_k = {zeta : L zeta in M_{k+1}} is the kernel of Q_{k+1}* L_k, so its
 quotient side is one product, Q'_k = ran(L_k* Q_{k+1}); since L_k* is rho_k
 times an isometry, dim Q'_k = dim Q_{k+1} and L induces the shift of the
-quotient.  Each pullback step is checked by two computations that do not
-share it: co-invariance of Q' in d.S, and Q' perp ker L with ker L taken
-from dense SVDs of the row blocks (``kernel_levels``).
+quotient.  The kernel K = ker L is held the same way: the row-sum identity
+L_n L_n* = rho_n^2 I makes L_n*/rho_n an orthonormal basis of K_n^perp.
+
+Each pullback step reports two residuals.  Co-invariance of Q' in d.S is
+the check that can fail.  ||K_n* Q'_n|| holds by construction, since Q'_n
+lies in ran(L_n*) = K_n^perp; it only shows that the orthonormalization kept
+Q' there to roundoff.
 
 Degree-1 submodules of Z_1 S + ... + Z_d S are in bijection with subspaces
 V of d.E: M is the orthocomplement of the space E_V of polynomials whose
@@ -41,27 +45,36 @@ class WindowExhausted(RuntimeError):
 def kernel_levels(module, window=None):
     """The kernel K = ker L as a graded submodule of d.S (degree 1, K_0 = 0).
 
-    Each level is one dense SVD of the row block, which gives K_n and its
-    complement ran(L_n*) together.
+    Its quotient side needs no factorization: L_n L_n* = rho_n^2 I, so
+    L_n*/rho_n is an orthonormal basis of ran(L_n*) = K_n^perp.  K_n itself
+    is the complement, computed on request.
     """
     if window is None:
         window = module.top_level - 1
     if window > module.top_level - 1 or window < 1:
         raise ValueError("kernel window must lie in 1..N-1")
-    split = {n: linalg.coimage_and_kernel(module.row_block(n))
-             for n in range(window + 1)}
     return GradedSubmodule(module.row_domain,
-                           {n: coimage for n, (coimage, _) in split.items()},
-                           window=window,
-                           bases={n: kernel for n, (_, kernel) in split.items()})
+                           {n: module.row_block(n).conj().T / module.rho[n]
+                            for n in range(window + 1)},
+                           window=window)
+
+
+def pullback_quotient(module, quotient_next, k):
+    """Q'_k = orth(L_k* Q_{k+1}), the quotient side of {zeta : L_k zeta in M_{k+1}}.
+
+    That pullback level is the kernel of Q_{k+1}* L_k.  The floor is
+    1e-10 ||L_k|| = 1e-10 rho_k.
+    """
+    return linalg.orthonormal_columns(
+        module.row_block(k).conj().T @ quotient_next,
+        floor=1e-10 * module.rho[k])
 
 
 def pullback(submodule):
     """M' = {zeta in d.S : L zeta in M}, levelwise, for deg M >= 2.
 
-    M'_k is the kernel of Q_{k+1}* L_k, so Q'_k = orth(L_k* Q_{k+1}), with
-    the floor 1e-10 ||L_k|| = 1e-10 rho_k.  M' contains ker L and satisfies
-    L(M'_k) = M_{k+1}.  The stored window shrinks by one level.
+    Level k is ``pullback_quotient`` of Q_{k+1}.  M' contains ker L and
+    satisfies L(M'_k) = M_{k+1}.  The stored window shrinks by one level.
     """
     report = submodule.degree_report()
     if not report.determined:
@@ -71,16 +84,20 @@ def pullback(submodule):
         raise ValueError("pullback reduction applies to submodules of degree >= 2")
     module = submodule.module
     window = min(submodule.window - 1, module.top_level - 1)
-    quotient = {k: linalg.orthonormal_columns(
-        module.row_block(k).conj().T @ submodule.quotient_basis(k + 1),
-        floor=1e-10 * module.rho[k]) for k in range(window + 1)}
+    quotient = {k: pullback_quotient(module, submodule.quotient_basis(k + 1), k)
+                for k in range(window + 1)}
     return GradedSubmodule(module.row_domain, quotient, window=window)
 
 
 def kernel_containment_residual(module, pulled):
-    """max_n ||K_n* Q'_n||: how far ker L sticks out of the pullback (should be 0)."""
+    """max_n ||K_n* Q'_n||: how far ker L sticks out of the pullback (should be 0).
+
+    Read as ||(I - P_{ran L_n*}) Q'_n|| against the quotient side of K.  It
+    is roundoff by construction (see the module docstring).
+    """
     kernel = kernel_levels(module, window=max(pulled.window, 1))
-    return max(linalg.opnorm(kernel.basis(n).conj().T @ pulled.quotient_basis(n))
+    return max(linalg.containment_residual(pulled.quotient_basis(n),
+                                           kernel.quotient_basis(n))
                for n in range(min(pulled.window, kernel.window) + 1))
 
 

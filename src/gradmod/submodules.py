@@ -224,13 +224,12 @@ class GradedSubmodule:
     ``quotient_bases[n]`` is an orthonormal basis Q_n of M_n^perp for every
     level n of the window.  ``flags`` (level k -> M_{k+1} == sum_j Z_j M_k)
     may be supplied by a construction that proves them; otherwise they are
-    computed on first use from ``cosaturation``.  ``bases`` may supply
-    orthonormal bases of M_n that the caller already holds; any other M_n is
-    the complement of Q_n, computed once on request.
+    computed on first use from ``cosaturation``.  M_n is the complement of
+    Q_n, computed once on request.
     """
 
     def __init__(self, module, quotient_bases, window=None, flags=None,
-                 bases=None, generators=(), max_generator_degree=None):
+                 generators=(), max_generator_degree=None):
         self.module = module
         self.window = module.top_level if window is None else int(window)
         if not 0 <= self.window <= module.top_level:
@@ -244,7 +243,7 @@ class GradedSubmodule:
         self.generators = tuple(generators)
         self.max_generator_degree = max_generator_degree
         self._flags = flags
-        self._bases = dict(bases or {})
+        self._bases = {}
         self._degree_report = None
 
     # construction --------------------------------------------------------

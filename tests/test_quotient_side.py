@@ -126,6 +126,20 @@ def test_linearize_matches_mside_oracle(family, d, r, top):
             assert oracle.pullback_span_residual(sub, pulled) <= 1e-10
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d,r", [(2, 1), (2, 3), (3, 2), (4, 1)])
+def test_kernel_quotient_side_matches_dense_kernel(family, d, r):
+    # L_n*/rho_n against K_n from a dense SVD of the row block
+    mod = module(family, d, r)
+    kernel = gm.kernel_levels(mod)
+    assert kernel.orthonormality_residual() <= 1e-12
+    for n in range(kernel.window + 1):
+        dense = linalg.nullspace(mod.row_block(n))
+        assert kernel.dim(n) == dense.shape[1]
+        assert linalg.subspace_distance(
+            kernel.quotient_basis(n), linalg.complement_basis(dense)) <= 1e-10
+
+
 # -- identities of the quotient side ------------------------------------------------
 
 
@@ -232,6 +246,21 @@ def test_cli_submodule_and_linearize_never_build_m(monkeypatch, tmp_path, rng):
     for argv in runs:
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert complements == []
+
+
+def test_cli_identity_pulls_back_on_the_quotient_side(monkeypatch, tmp_path, rng):
+    calls = []
+    for name in ("complement_basis", "preimage"):
+        def counting(*args, _name=name, _orig=getattr(linalg, name), **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, counting)
+    quadric = tmp_path / "quadric.txt"
+    quadric.write_text("".join(gm.submodules.format_generator(g) + "\n"
+                               for g in random_generators(rng, 2, 1, 2, 1)))
+    assert cli.main(["identity", "--d", "2", "--N", "6", "--gens", str(quadric),
+                     "--nodes", "128", "--out", str(tmp_path / "out")]) == 0
+    assert calls == []
 
 
 def test_generate_nullspaces_stay_on_the_candidate_span(monkeypatch, rng):
