@@ -51,7 +51,7 @@ print("  V = span{(1,0)}: E_V(n) is spanned by z_1^n, dims",
       [ev[n].shape[1] for n in range(8)])
 print("  orthocomplement degree:", m.degree_report().degree,
       "| level-0 component:", m.dim(0))
-recovered = gm.recover_subspace(mod, m.basis(1))
+recovered = gm.recover_subspace(m)
 print("  V recovered from M_1, distance:",
       f"{linalg.subspace_distance(v.basis, recovered.basis):.2e}")
 

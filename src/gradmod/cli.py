@@ -445,7 +445,7 @@ def cmd_ev(args, outdir):
     ev_grad, _ = ev_space(module, v, use_gradient=True)
     route_gap = max(linalg.subspace_distance(ev[n], ev_grad[n]) for n in ev)
     deg = sub.degree_report()
-    recovered = recover_subspace(module, sub.basis(1))
+    recovered = recover_subspace(sub)
     roundtrip = linalg.subspace_distance(v.basis, recovered.basis)
     en = quotient_en_report(QuotientModule(sub), p_list)
 

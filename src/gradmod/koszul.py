@@ -50,6 +50,7 @@ class KoszulComplex:
     level_dims: dict
     boundary: dict       # (form degree k, level n) -> block of B
     top_level: int
+    creation: dict       # (form degree k, variable i) -> C_i on Lambda^k, k < d
     _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def boundary_block(self, k, n):
@@ -110,7 +111,7 @@ def build_koszul(ops, commute_tol=EXACT_TOL):
             boundary[(k, n)] = sum(
                 np.kron(blocks[i - 1], creation[(k, i)])
                 for i in range(1, d + 1)).astype(complex)
-    return KoszulComplex(d, dims, boundary, top)
+    return KoszulComplex(d, dims, boundary, top, creation)
 
 
 def betti_table(complex_, levels=None):
@@ -195,9 +196,9 @@ def dirac_square_residual(complex_, ops, level):
         if k < d:
             # C_k* C_j vanishes identically on Lambda^d
             for kk in range(1, d + 1):
-                ck = creation_matrix(d, k, kk)
+                ck = complex_.creation[(k, kk)]
                 for jj in range(1, d + 1):
-                    cj = creation_matrix(d, k, jj)
+                    cj = complex_.creation[(k, jj)]
                     rhs += np.kron(comm_level[(kk, jj)], ck.conj().T @ cj)
         worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)) if lhs.size else 0.0)
     return worst

@@ -14,25 +14,22 @@ def _as_complex(a):
     return np.asarray(a, dtype=complex)
 
 
-def numerical_rank(a, rtol=RANK_TOL_FACTOR):
-    """Rank of a dense matrix, counting singular values above rtol * sigma_max."""
+def numerical_rank(a):
+    """Rank of a dense matrix: singular values above RANK_TOL_FACTOR * sigma_max."""
     a = _as_complex(a)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL_FACTOR * s[0]))
 
 
-def orthonormal_columns(a, rtol=RANK_TOL_FACTOR, floor=0.0):
+def orthonormal_columns(a):
     """Orthonormal basis for the column span of ``a``.
 
     Returns a (rows, rank) matrix with orthonormal columns.  The zero matrix
-    (or a matrix with no columns) yields a (rows, 0) result.  ``floor`` is an
-    absolute singular-value cutoff for callers whose input is the image of a
-    map and may be roundoff junk of a true zero (a relative tolerance alone
-    would keep such columns).
+    (or a matrix with no columns) yields a (rows, 0) result.
     """
     a = _as_complex(a)
     if a.ndim != 2:
@@ -40,13 +37,12 @@ def orthonormal_columns(a, rtol=RANK_TOL_FACTOR, floor=0.0):
     if a.shape[1] == 0 or a.shape[0] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= floor:
+    if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    rank = int(np.count_nonzero(s > max(rtol * s[0], floor)))
-    return u[:, :rank]
+    return u[:, :int(np.count_nonzero(s > RANK_TOL_FACTOR * s[0]))]
 
 
-def nullspace(a, rtol=RANK_TOL_FACTOR, floor=0.0):
+def nullspace(a, floor=0.0):
     """Orthonormal basis of the kernel of ``a`` as a (cols, nullity) matrix.
 
     ``floor`` is an absolute singular-value cutoff for callers passing a
@@ -68,22 +64,8 @@ def nullspace(a, rtol=RANK_TOL_FACTOR, floor=0.0):
     if s.size == 0 or s[0] <= floor:
         rank = 0
     else:
-        rank = int(np.count_nonzero(s > max(rtol * s[0], floor)))
+        rank = int(np.count_nonzero(s > max(RANK_TOL_FACTOR * s[0], floor)))
     return vh[rank:, :].conj().T
-
-
-def preimage(block, target):
-    """Orthonormal basis of {x : block x in span(target)}.
-
-    That is the nullspace of (I - P_target) block; ``target`` has orthonormal
-    columns.  The absolute floor ``1e-10 * ||block||``
-    keeps roundoff from counting as rank when span(target) contains the range
-    of ``block`` and the composition is a true zero map.
-    """
-    block = _as_complex(block)
-    target = _as_complex(target)
-    proj_out = block - target @ (target.conj().T @ block)
-    return nullspace(proj_out, floor=1e-10 * opnorm(block))
 
 
 def complement_basis(basis):

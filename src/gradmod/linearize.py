@@ -7,17 +7,19 @@ through L drops the degree by one, and iterating reduces any determinable
 degree >= 2 to a degree-1 submodule in a higher-multiplicity ambient module.
 
 Everything here works on the quotient side of a submodule (the bases
-Q_n = M_n^perp that ``GradedSubmodule`` stores).  The pullback
-M'_k = {zeta : L zeta in M_{k+1}} is the kernel of Q_{k+1}* L_k, so its
-quotient side is one product, Q'_k = ran(L_k* Q_{k+1}); since L_k* is rho_k
-times an isometry, dim Q'_k = dim Q_{k+1} and L induces the shift of the
-quotient.  The kernel K = ker L is held the same way: the row-sum identity
-L_n L_n* = rho_n^2 I makes L_n*/rho_n an orthonormal basis of K_n^perp.
+Q_n = M_n^perp that ``GradedSubmodule`` stores).  The row-sum identity
+L_k L_k* = rho_k^2 I makes L_k*/rho_k an isometry, and every pullback level
+is that one map.  The pullback M'_k = {zeta : L zeta in M_{k+1}} is the
+kernel of Q_{k+1}* L_k, so its quotient side is Q'_k = L_k* Q_{k+1} / rho_k:
+orthonormal columns with no factorization, dim Q'_k = dim Q_{k+1}, and L
+induces rho_k times a unitary between the quotients.  Applied to the whole
+level S_{k+1}, the same map gives K_k^perp for the kernel K = ker L; applied
+at k = 0, where L_0/rho_0 is unitary from d.E onto S_1, it gives the
+subspace V of a degree-1 submodule.
 
 Each pullback step reports two residuals.  Co-invariance of Q' in d.S is
 the check that can fail.  ||K_n* Q'_n|| holds by construction, since Q'_n
-lies in ran(L_n*) = K_n^perp; it only shows that the orthonormalization kept
-Q' there to roundoff.
+lies in ran(L_n*) = K_n^perp; it is roundoff of the row-sum identity.
 
 Degree-1 submodules of Z_1 S + ... + Z_d S are in bijection with subspaces
 V of d.E: M is the orthocomplement of the space E_V of polynomials whose
@@ -45,7 +47,7 @@ class WindowExhausted(RuntimeError):
 def kernel_levels(module, window=None):
     """The kernel K = ker L as a graded submodule of d.S (degree 1, K_0 = 0).
 
-    Its quotient side needs no factorization: L_n L_n* = rho_n^2 I, so
+    Its quotient side is ``pullback_quotient`` applied to the whole level:
     L_n*/rho_n is an orthonormal basis of ran(L_n*) = K_n^perp.  K_n itself
     is the complement, computed on request.
     """
@@ -60,14 +62,13 @@ def kernel_levels(module, window=None):
 
 
 def pullback_quotient(module, quotient_next, k):
-    """Q'_k = orth(L_k* Q_{k+1}), the quotient side of {zeta : L_k zeta in M_{k+1}}.
+    """Q'_k = L_k* Q_{k+1} / rho_k, the quotient side of {zeta : L_k zeta in M_{k+1}}.
 
-    That pullback level is the kernel of Q_{k+1}* L_k.  The floor is
-    1e-10 ||L_k|| = 1e-10 rho_k.
+    That pullback level is the kernel of Q_{k+1}* L_k, so its orthocomplement
+    is ran(L_k* Q_{k+1}).  L_k*/rho_k is an isometry, so the product is
+    already an orthonormal basis of it, with dim Q'_k = dim Q_{k+1}.
     """
-    return linalg.orthonormal_columns(
-        module.row_block(k).conj().T @ quotient_next,
-        floor=1e-10 * module.rho[k])
+    return module.row_block(k).conj().T @ quotient_next / module.rho[k]
 
 
 def pullback(submodule):
@@ -294,12 +295,12 @@ def ev_quotient(module, v, window=None):
     return QuotientModule(ev_space(module, v, window=window)[1])
 
 
-def recover_subspace(module, m1_basis):
-    """V from a degree-1 submodule's level-1 data: W = L_0^{-1}(M_1), V = W^perp.
+def recover_subspace(submodule):
+    """V from a degree-1 submodule's level 1: V = W^perp for W = L_0^{-1}(M_1).
 
-    The level-0 row block is injective on d.E, so W and hence V are uniquely
-    determined.
+    L_0/rho_0 is unitary from d.E onto S_1 (both have dimension d r), so
+    W^perp = L_0* Q_1 / rho_0, which is ``pullback_quotient`` at k = 0.
     """
-    w = linalg.preimage(module.row_block(0), m1_basis)
-    v_basis = linalg.complement_basis(w)
-    return SubspaceV(module.d * module.multiplicity, v_basis)
+    module = submodule.module
+    return SubspaceV(module.d * module.multiplicity,
+                     pullback_quotient(module, submodule.quotient_basis(1), 0))

@@ -229,7 +229,7 @@ class GradedSubmodule:
     """
 
     def __init__(self, module, quotient_bases, window=None, flags=None,
-                 generators=(), max_generator_degree=None):
+                 max_generator_degree=None):
         self.module = module
         self.window = module.top_level if window is None else int(window)
         if not 0 <= self.window <= module.top_level:
@@ -240,7 +240,6 @@ class GradedSubmodule:
             if q.ndim != 2 or q.shape[0] != module.level_dim(n):
                 raise ValueError(f"level {n} quotient basis has wrong ambient dimension")
             self.quotient_bases[n] = q
-        self.generators = tuple(generators)
         self.max_generator_degree = max_generator_degree
         self._flags = flags
         self._bases = {}
@@ -260,9 +259,8 @@ class GradedSubmodule:
             by_degree.setdefault(g.degree, []).append(g)
         seeds = {deg: embed_polynomials(module, polys)
                  for deg, polys in by_degree.items()}
-        return cls._from_seeds(
-            module, seeds, window, generators=generators,
-            max_generator_degree=max(by_degree) if by_degree else None)
+        return cls._from_seeds(module, seeds, window,
+                               max(by_degree) if by_degree else None)
 
     @classmethod
     def from_level_seeds(cls, module, seeds, max_generator_degree=None, window=None):
@@ -272,10 +270,10 @@ class GradedSubmodule:
             max_generator_degree = max(int(n) for n in seeds)
         return cls._from_seeds(module, {int(n): np.asarray(s, dtype=complex)
                                         for n, s in seeds.items()}, window,
-                               max_generator_degree=max_generator_degree)
+                               max_generator_degree)
 
     @classmethod
-    def _from_seeds(cls, module, seeds, window, **kwargs):
+    def _from_seeds(cls, module, seeds, window, max_generator_degree):
         """Q_n = {f in R_n : G_n* f = 0}, level by level (see ``cosaturation``).
 
         G_n holds the degree-n seeds, orthonormalized.  The flag of level n-1
@@ -295,7 +293,8 @@ class GradedSubmodule:
             if n > 0:
                 flags[n - 1] = q.shape[1] == cosat.shape[1]
             quotient[n] = q
-        return cls(module, quotient, window=window, flags=flags, **kwargs)
+        return cls(module, quotient, window=window, flags=flags,
+                   max_generator_degree=max_generator_degree)
 
     @classmethod
     def zero(cls, module, window=None):

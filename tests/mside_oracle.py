@@ -5,13 +5,14 @@ co-invariant Euler recursion.  This module grows M_n itself instead:
 M_n = orth(sum_k Z_k M_{n-1} + G_n), the saturation flag of level k is a
 rank decision on sum_j Z_j M_k (True without one where M_{k+1} was built
 from sum_j Z_j M_k alone), and a pullback is the preimage of M_{k+1} under
-the row block.  It shares only the module's blocks and the dense helpers of
-``gradmod.linalg`` with the package.
+the row block, a nullspace with an absolute floor.  It shares only the
+module's blocks and the dense helpers of ``gradmod.linalg`` with the package.
 """
 
 import numpy as np
 
 from gradmod import linalg
+from gradmod.config import RANK_TOL_FACTOR
 
 
 def grow(module, seeds, window):
@@ -70,10 +71,22 @@ def report_payload(report):
         "degenerate_zero", "witnessed_levels")}
 
 
+def preimage(block, target):
+    """Orthonormal basis of {x : block x in span(target)}.
+
+    That is the nullspace of (I - P_target) block; ``target`` has orthonormal
+    columns.  The absolute floor 1e-10 ||block|| keeps roundoff from counting
+    as rank when span(target) contains the range of ``block`` and the
+    composition is a true zero map.
+    """
+    proj_out = block - target @ (target.conj().T @ block)
+    return linalg.nullspace(proj_out, floor=1e-10 * linalg.opnorm(block))
+
+
 def pullback(module, bases, window):
     """Preimages M'_k = L_k^{-1}(M_{k+1}) and the shrunk window."""
     pulled_window = min(window - 1, module.top_level - 1)
-    return ({k: linalg.preimage(module.row_block(k), bases[k + 1])
+    return ({k: preimage(module.row_block(k), bases[k + 1])
              for k in range(pulled_window + 1)}, pulled_window)
 
 
@@ -107,8 +120,10 @@ def pullback_span_residual(submodule, pulled):
     worst = 0.0
     for k in range(pulled.window + 1):
         block = submodule.module.row_block(k)
+        u, s, _ = np.linalg.svd(block @ pulled.basis(k), full_matrices=False)
         # absolute floor: kernel directions map to roundoff junk, not rank
-        image = linalg.orthonormal_columns(block @ pulled.basis(k),
-                                           floor=1e-10 * linalg.opnorm(block))
+        floor = max(RANK_TOL_FACTOR * s[0], 1e-10 * linalg.opnorm(block)) \
+            if s.size else 0.0
+        image = u[:, :int(np.count_nonzero(s > floor))]
         worst = max(worst, linalg.subspace_distance(image, submodule.basis(k + 1)))
     return worst

@@ -118,7 +118,7 @@ def test_criterion_3_ev_bijection():
             deg = sub.degree_report()
             assert deg.determined and deg.degree <= 1
             assert sub.dim(0) == 0       # contained in Z_1 S + ... + Z_d S
-            recovered = gm.recover_subspace(mod, sub.basis(1))
+            recovered = gm.recover_subspace(sub)
             worst_round = max(worst_round, linalg.subspace_distance(
                 v.basis, recovered.basis))
             # reverse direction: degree-1 submodule -> V -> same submodule

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -321,9 +322,11 @@ def test_identity_unconverged_quadrature_fails(tmp_path, monkeypatch):
 
 
 def test_console_entry_point(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gradmod.cli", "counterexample", "--N", "24",
          "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert (tmp_path / "counterexample.json").exists()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import gradmod as gm
 from gradmod import linalg
@@ -9,6 +10,7 @@ from gradmod.koszul import (betti_numbers, betti_table, build_koszul,
                             creation_matrix, dirac_square_residual, form_subsets,
                             solve_syzygy)
 from gradmod.operators import GradedOperator
+from conftest import submodule_inputs
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -64,6 +66,18 @@ def test_d1_complex_is_the_operator_itself():
 def test_bsquared_vanishes(d):
     kz = build_koszul(h2_module(d).coordinate_tuple())
     assert kz.bsquared_residual() <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(submodule_inputs())
+def test_bsquared_vanishes_on_drawn_tuples(case):
+    # B^2 = 0 from [T_i, T_j] = 0 and C_i C_j = -C_j C_i, on the standard
+    # tuple of drawn weights and on the quotient tuple of drawn generators
+    mod, gens = case
+    quotient = gm.QuotientModule(gm.GradedSubmodule.generate(mod, gens))
+    for ops in (mod.coordinate_tuple(), quotient.coordinate_tuple()):
+        scale = max(op.sup_norm() for op in ops)
+        assert build_koszul(ops).bsquared_residual() <= 1e-12 * max(1.0, scale**2)
 
 
 def test_noncommuting_input_rejected():

@@ -3,6 +3,7 @@ projection, and the similarity counterexample."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import gradmod as gm
 from gradmod import linalg
@@ -10,7 +11,7 @@ from gradmod.normality import (alternating_block_sequence,
                                resolvent_quadrature, similarity_counterexample,
                                spectral_projection_oracle)
 from gradmod.operators import GradedOperator
-from conftest import random_generators
+from conftest import random_generators, submodule_inputs
 
 
 @pytest.fixture
@@ -103,7 +104,7 @@ def test_linearized_quotient_presets_emit_labeled_evidence():
             overlap = (mod22.adjoint_block(k, 1) @ m1).conj().T \
                 @ (mod22.adjoint_block(j, 1) @ m1)
             assert linalg.opnorm(overlap) <= 1e-13    # genuinely diagonal
-    v_c = gm.recover_subspace(mod22, linalg.orthonormal_columns(m1))
+    v_c = gm.recover_subspace(gm.GradedSubmodule.from_level_seeds(mod22, {1: m1}))
 
     for mod, v in ((mod3, v_a), (mod3, v_b), (mod22, v_c)):
         rep = gm.quotient_en_report(gm.ev_quotient(mod, v), [3.0, 4.0])
@@ -155,6 +156,20 @@ def test_identities_random_submodules(rng, h2):
                 for k in (1, 2):
                     r1, r2 = gm.compression_identity_residuals(h2, sub, j, k, level)
                     assert max(r1, r2) <= 1e-11
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(submodule_inputs())
+def test_identities_on_drawn_submodules(case):
+    mod, gens = case
+    sub = gm.GradedSubmodule.generate(mod, gens)
+    # the identities are quartic in the T_i, whose norms are the weights
+    tol = 1e-11 * max(1.0, float(np.max(mod.rho))) ** 4
+    for level in range(1, sub.window):
+        for j in range(1, mod.d + 1):
+            for k in range(1, mod.d + 1):
+                r1, r2 = gm.compression_identity_residuals(mod, sub, j, k, level)
+                assert max(r1, r2) <= tol
 
 
 def test_identities_reject_boundary_level(h2):

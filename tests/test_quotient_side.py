@@ -1,11 +1,13 @@
 """Submodules held on their quotient side, against the M-side oracle.
 
 The package grows Q_n = M_n^perp by the co-invariant Euler recursion and
-pulls back by Q'_k = orth(L_k* Q_{k+1}).  ``mside_oracle`` grows M_n and
-pulls back by preimages; the two must agree on dimensions, saturation flags,
-degree reports and linearization steps, and Q_n must be the complement of
-the oracle's M_n.  Property tests check the identities the quotient side
-rests on, and work guards check that the command-line paths never build M.
+pulls back by the isometry L_k*/rho_k: Q'_k = L_k* Q_{k+1} / rho_k.
+``mside_oracle`` grows M_n and pulls back by preimages; the two must agree
+on dimensions, saturation flags, degree reports and linearization steps, and
+Q_n must be the complement of the oracle's M_n.  The closed-form pullback is
+also checked against orth(L_k* Q_{k+1}) by SVD.  Property tests check the
+identities the quotient side rests on, and work guards check that the
+command-line paths never build M and that the closed form takes no SVD.
 """
 
 import inspect
@@ -13,16 +15,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import gradmod as gm
 import mside_oracle as oracle
 from gradmod import cli, linalg
-from gradmod.linearize import stacked_adjoint
+from gradmod.linearize import pullback_quotient, stacked_adjoint
+from gradmod.config import RANK_TOL_FACTOR
 from gradmod.submodules import embed_polynomials
-from conftest import random_generators
+from conftest import FAMILIES, random_generators, submodule_inputs
 
-FAMILIES = ("dshift", "hardy", "bergman", "sinsqrt")
 TOP = {2: 8, 3: 6, 4: 5}
 
 
@@ -140,30 +142,57 @@ def test_kernel_quotient_side_matches_dense_kernel(family, d, r):
             kernel.quotient_basis(n), linalg.complement_basis(dense)) <= 1e-10
 
 
+# -- the closed-form pullback against the SVD route ----------------------------------
+
+
+def svd_pullback(module, quotient_next, k):
+    """orth(L_k* Q_{k+1}) by a thin SVD with the floor 1e-10 rho_k."""
+    u, s, _ = np.linalg.svd(module.row_block(k).conj().T @ quotient_next,
+                            full_matrices=False)
+    floor = max(RANK_TOL_FACTOR * s[0], 1e-10 * module.rho[k]) if s.size else 0.0
+    return u[:, :int(np.count_nonzero(s > floor))]
+
+
+def assert_same_subspace(got, want):
+    assert got.shape == want.shape
+    assert linalg.subspace_distance(got, want) <= 1e-12
+    assert linalg.orthonormality_residual(got) <= 1e-13
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_pullback_quotient_matches_svd_route(family, d, r):
+    rng = np.random.default_rng([d, r, FAMILIES.index(family), 7])
+    mod = module(family, d, r)
+    for gens in generator_sets(rng, d, r).values():
+        sub = gm.GradedSubmodule.generate(mod, gens)
+        for k in range(mod.top_level):
+            q_next = sub.quotient_basis(k + 1)
+            assert_same_subspace(pullback_quotient(mod, q_next, k),
+                                 svd_pullback(mod, q_next, k))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_recover_subspace_matches_preimage_complement(family, d, r):
+    # V = (L_0^{-1} M_1)^perp by the oracle's preimage and a complement SVD
+    rng = np.random.default_rng([d, r, FAMILIES.index(family), 11])
+    mod = module(family, d, r)
+    subs = [gm.GradedSubmodule.generate(mod, gens)
+            for gens in generator_sets(rng, d, r).values()]
+    for dim in range(d * r + 1):
+        raw = rng.normal(size=(d * r, dim)) + 1j * rng.normal(size=(d * r, dim))
+        v = gm.SubspaceV.from_matrix(mod, raw)
+        subs.append(gm.ev_space(mod, v, window=3)[1])
+    for sub in subs:
+        want = linalg.complement_basis(
+            oracle.preimage(mod.row_block(0), sub.basis(1)))
+        assert_same_subspace(gm.recover_subspace(sub).basis, want)
+
+
 # -- identities of the quotient side ------------------------------------------------
-
-
-@st.composite
-def submodule_inputs(draw):
-    """A module and 1-2 generators of degree 2..3 with small Gaussian-integer coefficients."""
-    family = draw(st.sampled_from(FAMILIES))
-    d = draw(st.sampled_from((2, 3)))
-    r = draw(st.sampled_from((1, 2)))
-    mod = module(family, d, r, 7 if d == 2 else 6)
-    gens = []
-    for _ in range(draw(st.integers(1, 2))):
-        degree = draw(st.integers(2, 3))
-        alphas = gm.monomial_basis(d, degree).monomials
-        parts = draw(st.lists(st.integers(-2, 2), min_size=2 * len(alphas) * r,
-                              max_size=2 * len(alphas) * r))
-        coeffs = [complex(a, b) for a, b in zip(parts[0::2], parts[1::2])]
-        if not any(coeffs):
-            coeffs[0] = 1.0
-        gens.append(gm.VectorPolynomial(degree, tuple(
-            (alpha, comp, coeffs[i * r + comp])
-            for i, alpha in enumerate(alphas) for comp in range(r)
-            if coeffs[i * r + comp] != 0)))
-    return mod, gens
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -220,15 +249,20 @@ def test_stacked_adjoint_norm_is_closed_form(family, d, r):
 # -- work guards --------------------------------------------------------------------
 
 
-def test_cli_submodule_and_linearize_never_build_m(monkeypatch, tmp_path, rng):
-    complements = []
+def counting_complements(monkeypatch):
+    calls = []
     complement_basis = linalg.complement_basis
 
     def counting(*args, **kwargs):
-        complements.append(1)
+        calls.append(1)
         return complement_basis(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "complement_basis", counting)
+    return calls
+
+
+def test_cli_submodule_and_linearize_never_build_m(monkeypatch, tmp_path, rng):
+    complements = counting_complements(monkeypatch)
     quadric = tmp_path / "quadric.txt"
     quadric.write_text("".join(gm.submodules.format_generator(g) + "\n"
                                for g in random_generators(rng, 2, 1, 2, 1)))
@@ -249,18 +283,44 @@ def test_cli_submodule_and_linearize_never_build_m(monkeypatch, tmp_path, rng):
 
 
 def test_cli_identity_pulls_back_on_the_quotient_side(monkeypatch, tmp_path, rng):
-    calls = []
-    for name in ("complement_basis", "preimage"):
-        def counting(*args, _name=name, _orig=getattr(linalg, name), **kwargs):
-            calls.append(_name)
-            return _orig(*args, **kwargs)
-        monkeypatch.setattr(linalg, name, counting)
+    calls = counting_complements(monkeypatch)
     quadric = tmp_path / "quadric.txt"
     quadric.write_text("".join(gm.submodules.format_generator(g) + "\n"
                                for g in random_generators(rng, 2, 1, 2, 1)))
     assert cli.main(["identity", "--d", "2", "--N", "6", "--gens", str(quadric),
                      "--nodes", "128", "--out", str(tmp_path / "out")]) == 0
     assert calls == []
+
+
+def test_cli_ev_never_builds_m(monkeypatch, tmp_path, rng):
+    # V comes back from Q_1 by the isometry, not from a complement of M_1
+    calls = counting_complements(monkeypatch)
+    for d, r, dim in ((2, 1, 1), (3, 1, 2), (2, 2, 3)):
+        grid = tmp_path / f"v-{d}-{r}-{dim}.txt"
+        raw = rng.normal(size=(d * r, dim)) + 1j * rng.normal(size=(d * r, dim))
+        grid.write_text("".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row)
+                                + "\n" for row in raw))
+        assert cli.main(["ev", "--d", str(d), "--r", str(r), "--N", "8",
+                         "--V", str(grid), "--out", str(tmp_path / "out")]) == 0
+    assert calls == []
+
+
+def test_closed_form_pullbacks_take_no_svd(monkeypatch, rng):
+    mod = module("sinsqrt", 3, 2)
+    sub = gm.GradedSubmodule.generate(mod, random_generators(rng, 3, 2, 2, 2))
+    quotients = [sub.quotient_basis(k + 1) for k in range(mod.top_level)]
+    svds = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for k, q_next in enumerate(quotients):
+        pullback_quotient(mod, q_next, k)
+    gm.recover_subspace(sub)
+    assert svds == []
 
 
 def test_generate_nullspaces_stay_on_the_candidate_span(monkeypatch, rng):
@@ -294,3 +354,4 @@ def test_package_has_one_pullback_path():
     assert not hasattr(gm, "pullback_span_residual")
     assert not hasattr(gm.GradedSubmodule, "_saturated_by_construction")
     assert list(inspect.signature(gm.QuotientModule).parameters) == ["submodule"]
+    assert not hasattr(linalg, "preimage")
