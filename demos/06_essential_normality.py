@@ -14,6 +14,7 @@ import numpy as np
 
 import gradmod as gm
 from gradmod import linalg
+from gradmod.linearize import pullback_quotient
 from gradmod.normality import (alternating_block_sequence,
                                similarity_counterexample,
                                spectral_projection_oracle)
@@ -34,10 +35,8 @@ g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((0, 2), 0, 1.0)))
 sub = gm.GradedSubmodule.generate(small, [g])
 level = 2
 lmat = small.row_block(level)
-target = sub.basis(level + 1)
-pre = linalg.nullspace(lmat - target @ (target.conj().T @ lmat),
-                       floor=1e-10 * linalg.opnorm(lmat))
-b = lmat @ linalg.projector(pre) @ lmat.conj().T
+pulled = pullback_quotient(small, sub.quotient_basis(level + 1), level)
+b = lmat @ (np.eye(lmat.shape[1]) - linalg.projector(pulled)) @ lmat.conj().T
 eigs = np.linalg.eigvalsh(b)
 gap = float(eigs[eigs > 1e-10].min())
 y = [small.coordinate_block(k, level + 1).conj().T

@@ -21,6 +21,7 @@ keys; repeated ``p`` keys join into one list.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -170,7 +171,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseFailure(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process; parsing never changes it."""
     parser = _Parser(
         prog="gradmod",
         description="Graded Hilbert module experiments with deterministic reports.")

@@ -15,14 +15,20 @@ def _as_complex(a):
 
 
 def numerical_rank(a):
-    """Rank of a dense matrix: singular values above RANK_TOL_FACTOR * sigma_max."""
+    """Rank of a matrix, or of the block-diagonal matrix a (count, m, p) stack holds.
+
+    Singular values count above RANK_TOL_FACTOR times the largest one, over
+    every block of a stack.  Zero padding of stacked blocks adds only zero
+    singular values.
+    """
     a = _as_complex(a)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    top = s.max()
+    if top == 0.0:
         return 0
-    return int(np.count_nonzero(s > RANK_TOL_FACTOR * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL_FACTOR * top))
 
 
 def orthonormal_columns(a):

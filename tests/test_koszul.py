@@ -1,16 +1,24 @@
 """Koszul boundary, exterior-algebra signs, Betti ranks, Dirac square, syzygies."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import gradmod as gm
-from gradmod import linalg
+from gradmod import cli, linalg
 from gradmod.koszul import (betti_numbers, betti_table, build_koszul,
                             creation_matrix, dirac_square_residual, form_subsets,
-                            solve_syzygy)
+                            node_labels, solve_syzygy)
 from gradmod.operators import GradedOperator
-from conftest import submodule_inputs
+from conftest import FAMILIES, submodule_inputs
+from koszul_oracle import DenseKoszul
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -122,7 +130,8 @@ def test_betti_ranks_computed_once(monkeypatch):
     monkeypatch.setattr(linalg, "numerical_rank", counted)
     assert sorted(betti_table(kz)) == interior
     assert betti_numbers(kz) == (0, 0, 0, 1)
-    assert 0 < len(calls) <= len(read)      # one SVD per boundary block read
+    assert 0 < len(calls) <= len(read)      # one batched SVD per boundary block read
+    assert all(len(shape) == 3 for shape in calls)      # each on a stack of gamma-blocks
 
 
 def test_quotient_by_z1_has_middle_cohomology():
@@ -165,6 +174,91 @@ def test_dirac_square_normal_tuple():
         comm = gm.self_commutator(ops, 1, 2).block(n)
         assert np.linalg.norm(comm) <= 1e-14
         assert dirac_square_residual(kz, ops, n) <= 1e-12
+
+
+# -- gamma-blocks against the dense complex ---------------------------------------
+
+
+def assert_matches_dense(ops):
+    kz = build_koszul(ops)
+    dense = DenseKoszul(ops)
+    assert betti_table(kz) == dense.betti_table()
+    assert abs(kz.bsquared_residual() - dense.bsquared_residual()) <= 1e-13
+    for n in range(kz.top_level):
+        if kz.interior(0, n):
+            assert abs(dirac_square_residual(kz, ops, n)
+                       - dense.dirac_square_residual(n)) <= 1e-13
+    assert sorted(kz.boundary) == sorted(dense.boundary)
+    for (k, n), block in dense.boundary.items():
+        assert np.array_equal(kz.boundary_block(k, n), block)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_gamma_blocks_match_the_dense_complex(family, d, r):
+    weights = gm.make_weights(family, {1: 8, 2: 7, 3: 6, 4: 5}[d], d=d, r1=1.0, r2=4.0)
+    mod = gm.StandardModule(weights, d=d, multiplicity=r)
+    free = mod.coordinate_tuple()
+    assert node_labels(free) is not None       # the free complex splits
+    assert_matches_dense(free)
+    sub = gm.GradedSubmodule.generate(
+        mod, [gm.monomial_generator((1,) + (0,) * (d - 1))])
+    assert_matches_dense(gm.QuotientModule(sub).coordinate_tuple())
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(submodule_inputs())
+def test_gamma_blocks_match_the_dense_complex_on_drawn_quotients(case):
+    mod, gens = case
+    quotient = gm.QuotientModule(gm.GradedSubmodule.generate(mod, gens))
+    assert_matches_dense(quotient.coordinate_tuple())
+
+
+def test_unlabelled_tuple_keeps_one_class_per_space():
+    # a generic quotient has no torus labels: each space is one class and the
+    # one block of each B_k(n) is the dense block
+    mod = h2_module(2)
+    g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((1, 1), 0, 2.0), ((0, 2), 0, 1.0)))
+    ops = gm.QuotientModule(gm.GradedSubmodule.generate(mod, [g])).coordinate_tuple()
+    assert node_labels(ops) is None
+    kz = build_koszul(ops)
+    assert all(classes.ids.size <= 1 for classes in kz.classes.values())
+    # on the free complex, a class has at most C(d, k) members
+    kz = build_koszul(h2_module(3, r=2).coordinate_tuple())
+    for (k, _), classes in kz.classes.items():
+        assert classes.members.shape[1] <= len(form_subsets(3, k))
+
+
+def test_koszul_command_takes_only_gamma_sized_svds(monkeypatch, tmp_path):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    assert cli.main(["koszul", "--d", "4", "--N", "9", "--out", str(tmp_path)]) == 0
+    assert shapes
+    assert max(shape[-1] for shape in shapes) <= 2**4
+
+
+@pytest.mark.parametrize("argv", [["--d", "4", "--N", "9"],
+                                  ["--d", "2", "--r", "3", "--N", "7"]])
+def test_koszul_report_is_byte_identical_across_blas_threads(argv, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradmod.cli", "koszul", *argv, "--out", str(out)],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "koszul.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 # -- syzygies -------------------------------------------------------------------
