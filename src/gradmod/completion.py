@@ -215,6 +215,32 @@ class StandardModule:
             self._blocks[key] = cached
         return cached
 
+    def shift(self, k, n, x):
+        """Z_k(n) x for coordinate columns x of level n, without the dense block.
+
+        Z_k(n) is ``scalar_block(k, n)`` (x) I_r, so x is reshaped to
+        (monomials, r * columns) and multiplied by the real scalar block alone.
+        The scalar block has at most one nonzero per row and per column, so
+        every entry of the result is one product plus exact zeros: it equals
+        ``coordinate_block(k, n) @ x`` bit for bit, up to the sign of a zero,
+        which the BLAS kernel decides.
+        """
+        return self._apply_scalar(self.scalar_block(k, n), x)
+
+    def shift_adjoint(self, k, n, x):
+        """Z_k(n)* x for coordinate columns x of level n+1 (exact, as ``shift``).
+
+        The scalar block is real, so its transpose is the adjoint: no complex
+        conjugate copy is formed.
+        """
+        return self._apply_scalar(self.scalar_block(k, n).T, x)
+
+    def _apply_scalar(self, scalar, x):
+        cols = x.shape[1]
+        r = self.multiplicity
+        out = scalar @ x.reshape(scalar.shape[1], r * cols)
+        return out.reshape(scalar.shape[0] * r, cols)
+
     def adjoint_block(self, k, n):
         """Block of Z_k* from level n to n-1 (conjugate transpose by construction)."""
         if n < 1:

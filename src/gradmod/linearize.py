@@ -17,6 +17,13 @@ level S_{k+1}, the same map gives K_k^perp for the kernel K = ker L; applied
 at k = 0, where L_0/rho_0 is unitary from d.E onto S_1, it gives the
 subspace V of a degree-1 submodule.
 
+Pullbacks carry their saturation flags: ker L is generated at level 1 by the
+Koszul syzygies z_i e_j - z_j e_i, so the flag of M' at level k >= 1 is the
+flag of M at level k+1, and only level 0 takes a nullspace (``pullback``).
+The co-invariant recursion and the co-invariance check apply Z_k of d.S
+through its real scalar block (``StandardModule.shift``), so a linearization
+builds no dense coordinate block of d.S.
+
 Each pullback step reports two residuals.  Co-invariance of Q' in d.S is
 the check that can fail.  ||K_n* Q'_n|| holds by construction, since Q'_n
 lies in ran(L_n*) = K_n^perp; it is roundoff of the row-sum identity.
@@ -36,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .submodules import (GradedSubmodule, QuotientModule, euler_candidates,
-                         parse_complex)
+from .submodules import (GradedSubmodule, QuotientModule, cosaturation,
+                         euler_candidates, parse_complex)
 
 
 class WindowExhausted(RuntimeError):
@@ -74,8 +81,18 @@ def pullback_quotient(module, quotient_next, k):
 def pullback(submodule):
     """M' = {zeta in d.S : L zeta in M}, levelwise, for deg M >= 2.
 
-    Level k is ``pullback_quotient`` of Q_{k+1}.  M' contains ker L and
+    Level k is ``pullback_quotient`` of Q_{k+1}.  M' contains K = ker L and
     satisfies L(M'_k) = M_{k+1}.  The stored window shrinks by one level.
+
+    The saturation flags of M' are those of M shifted down by one degree,
+    except at level 0.  L is a module map and L_k is onto, so
+    L(sum_j Z_j M'_k) = sum_j Z_j M_{k+1}.  K is generated at level 1 by the
+    Koszul syzygies z_i e_j - z_j e_i, so for k >= 1 the span
+    sum_j Z_j M'_k contains sum_j Z_j K_k = K_{k+1}, and it is therefore the
+    whole preimage L^{-1}(sum_j Z_j M_{k+1}).  It equals
+    M'_{k+1} = L^{-1}(M_{k+2}) exactly when sum_j Z_j M_{k+1} = M_{k+2}:
+    flag'[k] = flag[k+1].  At k = 0 the span of Z_j M'_0 need not contain
+    K_1, so that one flag is solved (``cosaturation`` at level 1 of d.S).
     """
     report = submodule.degree_report()
     if not report.determined:
@@ -87,7 +104,10 @@ def pullback(submodule):
     window = min(submodule.window - 1, module.top_level - 1)
     quotient = {k: pullback_quotient(module, submodule.quotient_basis(k + 1), k)
                 for k in range(window + 1)}
-    return GradedSubmodule(module.row_domain, quotient, window=window)
+    flags = {0: cosaturation(module.row_domain, quotient[0], 1).shape[1]
+             == quotient[1].shape[1]}
+    flags.update((k, report.flags[k + 1]) for k in range(1, window))
+    return GradedSubmodule(module.row_domain, quotient, window=window, flags=flags)
 
 
 def kernel_containment_residual(module, pulled):

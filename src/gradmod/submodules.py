@@ -11,9 +11,12 @@ generators, Q_n = {f perp G_n : Z_k* f in Q_{n-1} for every k}.  Every
 standard module is maximally symmetric, so Z_k* is a multiple of d/dz_k and
 the row-sum identity puts Q_n inside the span of the Z_k Q_{n-1}; each level
 solves one small nullspace problem on that span (``cosaturation``).  The
-saturation flags come out of the same recursion.  Degrees, residuals,
-quotients and projections read Q; a basis of M_n is the complement of Q_n,
-computed only on request.
+saturation flags come out of the same recursion, and a pullback through the
+row operator carries the flags its construction proves (see
+``linearize.pullback``).  Z_k and Z_k* act through ``StandardModule.shift``
+and ``shift_adjoint``, on the real scalar block, never on a dense block of
+the ambient module.  Degrees, residuals, quotients and projections read Q; a
+basis of M_n is the complement of Q_n, computed only on request.
 
 Degree reporting is deliberately conservative: a degree is only declared when
 saturation is witnessed on at least two consecutive levels beyond both the
@@ -183,7 +186,7 @@ def euler_candidates(module, prev, n):
     the identity is returned, so that a whole level keeps its own basis.
     """
     cand = linalg.orthonormal_columns(np.hstack(
-        [module.coordinate_block(k, n - 1) @ prev for k in range(1, module.d + 1)]))
+        [module.shift(k, n - 1, prev) for k in range(1, module.d + 1)]))
     if cand.shape[1] == module.level_dim(n):
         return np.eye(module.level_dim(n), dtype=complex)
     return cand
@@ -208,7 +211,7 @@ def cosaturation(module, quotient_prev, n):
         # M_{n-1} = 0, so nothing constrains level n
         return np.eye(module.level_dim(n), dtype=complex)
     cand = euler_candidates(module, quotient_prev, n)
-    rows = np.stack([module.coordinate_block(k, n - 1).conj().T @ cand
+    rows = np.stack([module.shift_adjoint(k, n - 1, cand)
                      for k in range(1, module.d + 1)])
     rows -= quotient_prev @ (quotient_prev.conj().T @ rows)
     return cand @ linalg.nullspace(rows.reshape(-1, cand.shape[1]),
@@ -223,7 +226,9 @@ class GradedSubmodule:
 
     ``quotient_bases[n]`` is an orthonormal basis Q_n of M_n^perp for every
     level n of the window.  ``flags`` (level k -> M_{k+1} == sum_j Z_j M_k)
-    may be supplied by a construction that proves them; otherwise they are
+    may be supplied by a construction that proves them: generated submodules
+    carry the flags of their recursion, and pullbacks the flags of their input
+    shifted down one degree, with only level 0 solved.  Otherwise they are
     computed on first use from ``cosaturation``.  M_n is the complement of
     Q_n, computed once on request.
     """
@@ -353,8 +358,7 @@ class GradedSubmodule:
         for n in range(min(self.window, self.module.top_level - 1)):
             inner = self.quotient_basis(n)
             for k in range(1, self.module.d + 1):
-                img = self.module.coordinate_block(k, n).conj().T \
-                    @ self.quotient_basis(n + 1)
+                img = self.module.shift_adjoint(k, n, self.quotient_basis(n + 1))
                 if img.shape[1] == 0:
                     continue
                 worst = max(worst, linalg.opnorm(
@@ -365,7 +369,7 @@ class GradedSubmodule:
         """flags[k]: does sum_j Z_j M_k span all of M_{k+1}?
 
         Equivalently dim Q_{k+1} = dim R_{k+1} (``cosaturation``).  Generated
-        submodules carry the flags their recursion proved.
+        submodules and pullbacks carry the flags their construction proved.
         """
         if self._flags is None:
             self._flags = {
@@ -447,8 +451,8 @@ class QuotientModule:
         if key not in self._blocks:
             if not 0 <= n <= self.window - 1:
                 raise ValueError(f"no quotient block from level {n}")
-            self._blocks[key] = self.basis(n + 1).conj().T \
-                @ self.module.coordinate_block(k, n) @ self.basis(n)
+            self._blocks[key] = self.module.shift_adjoint(
+                k, n, self.basis(n + 1)).conj().T @ self.basis(n)
         return self._blocks[key]
 
     def coordinate_tuple(self):

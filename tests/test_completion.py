@@ -185,6 +185,39 @@ def test_adjoint_h2_scalars():
     assert mod.adjoint_scalar(2) == pytest.approx(0.5)
 
 
+def shift_inputs(rng, rows):
+    """Complex columns, real columns with signed zero imaginary parts, and sparse ones."""
+    for cols in (0, 1, 3, 8):
+        yield rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    real = rng.normal(size=(rows, 5)) + 0j
+    real.imag[::3] = -0.0
+    yield real
+    yield np.eye(rows, dtype=complex)[:, ::2]
+    yield -np.eye(rows, dtype=complex).T.copy().T   # Fortran order, -0 entries
+
+
+@pytest.mark.parametrize("family", ["dshift", "hardy", "bergman", "sinsqrt"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_shift_helpers_equal_dense_blocks_exactly(family, d, r):
+    # one product per entry, so the scalar-block application is exact (the
+    # sign of a zero is the BLAS kernel's, and array_equal does not read it)
+    rng = np.random.default_rng([d, r, len(family)])
+    mod = gm.StandardModule(gm.make_weights(family, 6, d=d, r1=1.0, r2=4.0),
+                            d=d, multiplicity=r)
+    for n in range(mod.top_level):
+        for k in range(1, d + 1):
+            block = mod.coordinate_block(k, n)
+            for x in shift_inputs(rng, mod.level_dim(n)):
+                got = mod.shift(k, n, x)
+                assert got.shape == (mod.level_dim(n + 1), x.shape[1])
+                assert np.array_equal(got, block @ x)
+            for x in shift_inputs(rng, mod.level_dim(n + 1)):
+                got = mod.shift_adjoint(k, n, x)
+                assert got.shape == (mod.level_dim(n), x.shape[1])
+                assert np.array_equal(got, block.conj().T @ x)
+
+
 def test_out_of_window_blocks_raise():
     mod = gm.StandardModule(gm.make_weights("dshift", 4), d=2)
     with pytest.raises(ValueError):

@@ -5,12 +5,15 @@ pulls back by the isometry L_k*/rho_k: Q'_k = L_k* Q_{k+1} / rho_k.
 ``mside_oracle`` grows M_n and pulls back by preimages; the two must agree
 on dimensions, saturation flags, degree reports and linearization steps, and
 Q_n must be the complement of the oracle's M_n.  The closed-form pullback is
-also checked against orth(L_k* Q_{k+1}) by SVD.  Property tests check the
+also checked against orth(L_k* Q_{k+1}) by SVD, and the saturation flags a
+pullback carries (its input's, shifted down one degree) against the flags
+``cosaturation`` solves on the same quotient bases.  Property tests check the
 identities the quotient side rests on, and work guards check that the
 command-line paths never build M and that the closed form takes no SVD.
 """
 
 import inspect
+import json
 import sys
 
 import numpy as np
@@ -25,7 +28,7 @@ from gradmod.config import RANK_TOL_FACTOR
 from gradmod.submodules import embed_polynomials
 from conftest import FAMILIES, random_generators, submodule_inputs
 
-TOP = {2: 8, 3: 6, 4: 5}
+TOP = {1: 8, 2: 8, 3: 6, 4: 5}
 
 
 def module(family, d, r, top=None):
@@ -229,6 +232,51 @@ def test_pullback_drops_degree_and_shifts_the_quotient(case):
         assert np.all(np.abs(s - mod.rho[k]) <= 1e-10 * mod.rho[k])
 
 
+# -- saturation flags of pullbacks ---------------------------------------------------
+
+
+def pulled_chain(sub):
+    """The pullbacks of sub, iterated while the degree is determined and >= 2."""
+    chain = []
+    while True:
+        report = sub.degree_report()
+        if not report.determined or report.degree < 2:
+            return chain
+        sub = gm.pullback(sub)
+        chain.append(sub)
+
+
+def assert_pulled_flags_match_cosaturation(pulled):
+    # the same quotient bases without flags: every flag from cosaturation
+    rewrapped = gm.GradedSubmodule(pulled.module, pulled.quotient_bases,
+                                   window=pulled.window)
+    assert pulled.saturation_flags() == rewrapped.saturation_flags()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_pulled_flags_match_cosaturation(family, d, r):
+    rng = np.random.default_rng([d, r, FAMILIES.index(family), 13])
+    mod = module(family, d, r)
+    pulled = 0
+    for gens in generator_sets(rng, d, r).values():
+        for sub in pulled_chain(gm.GradedSubmodule.generate(mod, gens)):
+            assert_pulled_flags_match_cosaturation(sub)
+            pulled += 1
+    assert pulled >= 2
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(submodule_inputs())
+def test_pulled_flags_match_cosaturation_on_drawn_inputs(case):
+    mod, gens = case
+    chain = pulled_chain(gm.GradedSubmodule.generate(mod, gens))
+    assert chain
+    for sub in chain:
+        assert_pulled_flags_match_cosaturation(sub)
+
+
 # -- closed-form rank floors -------------------------------------------------------
 
 
@@ -347,6 +395,40 @@ def test_generate_nullspaces_stay_on_the_candidate_span(monkeypatch, rng):
                 if sub.dim(n - 1) == 0:   # M_{n-1} = 0: the level is not yet filled
                     bound = max(bound, mod.level_dim(n))
                 assert width <= bound
+
+
+def test_cli_linearize_solves_one_flag_per_pullback(monkeypatch, tmp_path, rng):
+    # pulled flags are shifted, and d.S is applied through its scalar blocks
+    cubic = tmp_path / "cubic.txt"
+    cubic.write_text(gm.submodules.format_generator(
+        random_generators(rng, 3, 1, 3, 1)[0]) + "\n")
+    cosaturations = []
+    dense_blocks = []
+    cosaturation = gm.submodules.cosaturation
+    coordinate_block = gm.StandardModule.coordinate_block
+
+    def counting_cosaturation(module, *args, **kwargs):
+        cosaturations.append(module.multiplicity)
+        return cosaturation(module, *args, **kwargs)
+
+    def counting_block(self, *args, **kwargs):
+        dense_blocks.append(self.multiplicity)
+        return coordinate_block(self, *args, **kwargs)
+
+    # linearize binds cosaturation by name; a tree where it does not still counts
+    for owner in (gm.submodules, gm.linearize):
+        monkeypatch.setattr(owner, "cosaturation", counting_cosaturation,
+                            raising=False)
+    monkeypatch.setattr(gm.StandardModule, "coordinate_block", counting_block)
+    out = tmp_path / "out"
+    assert cli.main(["linearize", "--d", "3", "--N", "11", "--gens", str(cubic),
+                     "--out", str(out)]) == 0
+    steps = json.loads((out / "linearize.json").read_text())["steps"]
+    pullbacks = len(steps) - 1
+    assert pullbacks == 2
+    # the base module has r = 1; every d.S of the chain has r >= 3
+    assert len([r for r in cosaturations if r > 1]) <= pullbacks
+    assert [r for r in dense_blocks if r > 1] == []
 
 
 def test_package_has_one_pullback_path():
