@@ -45,7 +45,7 @@ hardy = gm.StandardModule(gm.make_weights("hardy", 8, d=2), d=2)
 h_ops = hardy.coordinate_tuple()
 h_complex = build_koszul(h_ops)
 for n in range(1, 6):
-    print(f"  level {n}: residual {dirac_square_residual(h_complex, h_ops, n):.2e}")
+    print(f"  level {n}: residual {dirac_square_residual(h_complex, n):.2e}")
 
 print("\nSyzygies: any homogeneous relation sum_k Z_k xi_k = 0 is generated")
 print("by the trivial antisymmetric ones, one degree down.")

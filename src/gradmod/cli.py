@@ -500,7 +500,7 @@ def cmd_koszul(args, outdir):
         raise ParseFailure(str(exc)) from exc
     interior_levels = [n for n in range(module.top_level)
                        if complex_.interior(0, n)]
-    dirac = {n: dirac_square_residual(complex_, ops, n)
+    dirac = {n: dirac_square_residual(complex_, n)
              for n in interior_levels}
 
     bsquared = complex_.bsquared_residual()

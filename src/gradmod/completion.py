@@ -158,6 +158,7 @@ class StandardModule:
             ([1.0], np.cumprod(self.rho**2)))
         self._fock_blocks = {}
         self._blocks = {}
+        self._scalar_rows = {}
         self._row_blocks = {}
 
     # -- level geometry -------------------------------------------------
@@ -278,19 +279,49 @@ class StandardModule:
         return StandardModule(self.weights, self.d, self.multiplicity * self.d,
                               levels=self.top_level)
 
+    def scalar_row_block(self, n):
+        """L_n on the completion G: the real (h_{n+1}, d h_n) block [Z_1(n) .. Z_d(n)].
+
+        Column (monomial, copy i) holds the column of ``scalar_block(i, n)``,
+        so ``row_block(n)`` is this block (x) I_r.  Cached per level on its
+        own, so that callers of ``row_block`` do not hold it as well.
+        """
+        cached = self._scalar_rows.get(n)
+        if cached is None:
+            cached = self._scalar_rows[n] = self._stacked_scalar_blocks(n)
+        return cached
+
     def row_block(self, n):
         """Block L_n: (d.S)_n -> S_{n+1} of the row operator L(xi) = sum_k Z_k xi_k."""
         cached = self._row_blocks.get(n)
         if cached is None:
-            if not 0 <= n <= self.top_level - 1:
-                raise ValueError(f"no row block at level {n}")
             # column (monomial, copy i, component) of the d.S level: copy-major d.E
-            scalar = np.stack([self.scalar_block(i, n) for i in range(1, self.d + 1)],
-                              axis=-1)
-            cached = np.kron(scalar.reshape(scalar.shape[0], -1),
+            cached = np.kron(self._stacked_scalar_blocks(n),
                              np.eye(self.multiplicity)).astype(complex)
             self._row_blocks[n] = cached
         return cached
+
+    def _stacked_scalar_blocks(self, n):
+        if not 0 <= n <= self.top_level - 1:
+            raise ValueError(f"no row block at level {n}")
+        scalar = np.stack([self.scalar_block(i, n) for i in range(1, self.d + 1)], axis=-1)
+        return scalar.reshape(scalar.shape[0], -1)
+
+    def row(self, n, x):
+        """L_n x for coordinate columns x of (d.S)_n, without the dense row block.
+
+        x is multiplied by ``scalar_row_block(n)`` as in ``shift``; each entry
+        sums up to d products, in the order of the dense product.
+        """
+        return self._apply_scalar(self.scalar_row_block(n), x)
+
+    def row_adjoint(self, n, x):
+        """L_n* x for coordinate columns x of S_{n+1}, without the dense row block.
+
+        Each entry is one product plus exact zeros, as in ``shift_adjoint``, so
+        it equals ``row_block(n).conj().T @ x`` up to the sign of a zero.
+        """
+        return self._apply_scalar(self.scalar_row_block(n).T, x)
 
     def coordinate_tuple(self):
         """The d coordinate operators as degree-1 graded block operators."""

@@ -27,6 +27,17 @@ stacks.  A rank counts the singular values of B_k(n) above RANK_TOL_FACTOR
 times the largest over all of its blocks, so it is the rank of the assembled
 block.  ``boundary_block`` assembles a dense B_k(n) only on request.
 
+The input checks and the right-hand side of D^2 run on the same labels.  The
+classes of form degree 0 are the level classes, and each T_i(n) is held as
+the zero-padded stack of its blocks from level class L to L + e_i
+(``KoszulComplex.level_blocks``), 1 x 1 on a standard module.  Where the
+labels hold, that stack is T_i(n) with its rows and columns permuted and
+zeros added.  So the tuple's scale is the largest block norm, each
+commutator T_j T_k - T_k T_j is checked block by block, and the entries of
+F and of [T_k*, T_j] that D^2 reads are formed only between level classes
+L and L + e_j - e_k.  A tuple without labels has one class per level, and
+the same code runs on its dense blocks.
+
 Every reported quantity is restricted to interior (level, form-degree) pairs
 with n + k <= N - 1, so no block ever touches truncated data.
 """
@@ -40,7 +51,7 @@ import numpy as np
 
 from . import linalg
 from .config import EXACT_TOL
-from .operators import commutation_residual, tuple_level_dims
+from .operators import tuple_level_dims
 
 
 def form_subsets(d, k):
@@ -134,29 +145,29 @@ def node_labels(ops):
     return labels
 
 
-def _class_ids(ops, d, dims):
+def _class_ids(labels, d, dims):
     """Class id of every flat basis index of every space (k, n), one id space.
 
-    The id of (root, gamma) is a number in base ``radix``; an unlabelled
-    tuple, or one with too many classes to number in 62 bits, gets id 0
-    everywhere.
+    The id of (root, gamma) is a number in base ``radix`` with one digit
+    gamma_i + 1 per variable, so adding e_i to gamma adds ``steps[i]`` to the
+    id.  A tuple without labels, or one with too many classes to number in
+    62 bits, gets id 0 everywhere and steps 0.  Returns (ids, steps).
     """
-    labels = node_labels(ops)
     spaces = [(k, n) for n in sorted(dims) for k in range(d + 1)]
     if labels is not None:
         # weights are >= 0, so each entry of gamma + 1 is a digit in base ``radix``
         radix = 2 + max(int(weight.max(initial=0)) for _, weight in labels.values())
         roots = 1 + max(int(root.max(initial=0)) for root, _ in labels.values())
     if labels is None or roots * radix**d >= 2**62:
-        return {(k, n): np.zeros(dims[n] * comb(d, k), dtype=np.int64)
-                for k, n in spaces}
+        return ({(k, n): np.zeros(dims[n] * comb(d, k), dtype=np.int64)
+                 for k, n in spaces}, np.zeros(d, dtype=np.int64))
+    steps = radix ** np.arange(d, dtype=np.int64)
     ids = {}
     for k, n in spaces:
         root, weight = labels[n]
         digits = weight[:, None, :] - _subset_rows(d, k)[None, :, :] + 1
-        ids[(k, n)] = (root[:, None] * radix**d
-                       + digits @ radix ** np.arange(d, dtype=np.int64)).reshape(-1)
-    return ids
+        ids[(k, n)] = (root[:, None] * radix**d + digits @ steps).reshape(-1)
+    return ids, steps
 
 
 @dataclass(frozen=True)
@@ -212,15 +223,51 @@ def _gamma_blocks(blocks, k, dom, cod):
     return GammaBlocks(at_cod, at_dom, np.where((rows >= 0) & (cols >= 0), values, 0))
 
 
+def _locate(classes, ids):
+    """Position of each of ``ids`` among the classes; -1 where no class has it.
+
+    Every digit of a level class's id is at least 1, so an id shifted by a
+    step off the range of weights has a digit 0 and matches no level class.
+    """
+    known = classes.ids
+    if known.size == 0:
+        return np.full(np.shape(ids), -1)
+    at = np.minimum(np.searchsorted(known, ids), known.size - 1)
+    return np.where(known[at] == ids, at, -1)
+
+
+def _level_blocks(blocks, steps, dom, cod):
+    """The T_i(n) between level classes, as one zero-padded (d, u + 1, w', w) stack.
+
+    ``blocks`` is the (d, h_{n+1}, h_n) stack of the T_i(n), ``dom`` and
+    ``cod`` are the level classes of n and n + 1 (the classes of form
+    degree 0).  Entry [i, p] is the block of T_i(n) from class p to class
+    p + e_i, rows and columns following the padded member tables; it is zero
+    where level n + 1 has no class p + e_i.  The extra last block is zero,
+    so position -1, an absent class, reads zeros.  Where the labels hold,
+    every nonzero entry of T_i(n) lies in one of its blocks, so they form a
+    permutation of T_i(n) padded with zeros: the same norms and products.
+    """
+    d = blocks.shape[0]
+    target = _locate(cod, dom.ids + steps[:, None])
+    members = np.vstack([cod.members, np.full((1, cod.members.shape[1]), -1)])
+    rows = members[target][:, :, :, None]
+    cols = dom.members[None, :, None, :]
+    values = np.where((rows >= 0) & (cols >= 0),
+                      blocks[np.arange(d)[:, None, None, None], rows, cols], 0)
+    pad = np.zeros((d, 1) + values.shape[2:], dtype=values.dtype)
+    return np.concatenate([values, pad], axis=1)
+
+
 def _top_singular(stack):
-    """Largest spectral norm over a (c, m, p) stack of blocks; 0 when empty."""
+    """Largest spectral norm over a (..., m, p) stack of blocks; 0 when empty."""
     if stack.size == 0:
         return 0.0
-    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
+    return float(np.linalg.svd(stack, compute_uv=False)[..., 0].max())
 
 
 def _adjoint(stack):
-    return stack.conj().transpose(0, 2, 1)
+    return np.swapaxes(stack.conj(), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -231,7 +278,9 @@ class KoszulComplex:
     classes, and ``boundary[(k, n)]`` holds B_k(n) as the stack of its blocks
     between equal classes of (k, n) and (k + 1, n + 1); every entry outside
     those blocks is exactly zero.  A class present on one side only is a run
-    of zero rows or columns and has no block.
+    of zero rows or columns and has no block.  The classes of form degree 0
+    are the level classes, and ``level_blocks[n]`` holds every T_i(n) on
+    them (``_level_blocks``); ``steps[i]`` is the id shift of e_i.
     """
 
     d: int
@@ -239,6 +288,8 @@ class KoszulComplex:
     boundary: dict       # (form degree k, level n) -> GammaBlocks of B_k(n)
     top_level: int
     classes: dict        # (form degree k, level n) -> GammaClasses
+    level_blocks: dict   # level n -> (d, u_n + 1, w_{n+1}, w_n) stack of the T_i(n)
+    steps: np.ndarray    # (d,) class id shift of e_i; 0 for a tuple without labels
     _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def boundary_block(self, k, n):
@@ -284,26 +335,77 @@ class KoszulComplex:
                 upper.values[at_upper] @ lower.values[at_lower]))
         return worst
 
+    def tuple_norm(self):
+        """max ||T_i(n)|| over the stored levels: the largest norm of a level-class block."""
+        return max((_top_singular(stack[:, :-1])
+                    for stack in self.level_blocks.values()), default=0.0)
+
+    def commutation_residual(self):
+        """max || T_j(n+1) T_k(n) - T_k(n+1) T_j(n) || over j < k: 0 for a commuting tuple.
+
+        The commutator sends level class p to p + e_j + e_k through
+        T_j(n+1)[p + e_k] T_k(n)[p] - T_k(n+1)[p + e_j] T_j(n)[p], so its
+        norm is the largest over those blocks.
+        """
+        j, k = np.triu_indices(self.d, 1)
+        worst = 0.0
+        for n, low in self.level_blocks.items():
+            high = self.level_blocks.get(n + 1)
+            if high is None:
+                continue
+            target = _locate(self.classes[(0, n + 1)],
+                             self.classes[(0, n)].ids + self.steps[:, None])
+            low = low[:, :-1]
+            delta = (high[j[:, None], target[k]] @ low[k]
+                     - high[k[:, None], target[j]] @ low[j])
+            worst = max(worst, _top_singular(delta))
+        return worst
+
+    def _level_terms(self, n):
+        """F(n) and the starred commutators [T_k*, T_j](n), as one stack by level class.
+
+        Entry 0 is F = T_1 T_1* + ... + T_d T_d* (taken on level n - 1
+        blocks), entry 1 + (k - 1) d + (j - 1) is [T_k*, T_j].  Each is
+        indexed by the level class p of its columns.  F(n)[p] is its block
+        on class p, and the commutator holds at p the block from class p to
+        class p + e_j - e_k,
+        T_k(n)[p + e_j - e_k]* T_j(n)[p] - T_j(n-1)[p - e_k] T_k(n-1)[p - e_k]*;
+        it has no other nonzero blocks, and none are formed.
+        """
+        d, var = self.d, np.arange(self.d)
+        level = self.classes[(0, n)]
+        up = self.level_blocks[n]
+        across = _locate(level, level.ids + (self.steps - self.steps[:, None])[:, :, None])
+        comm = _adjoint(up[var[:, None, None], across]) @ up[None, :, :-1]
+        f_level = np.zeros(comm.shape[2:], dtype=complex)
+        if n >= 1:
+            # [i, k, p] = T_i(n-1)[p - e_k]
+            below = self.level_blocks[n - 1][
+                :, _locate(self.classes[(0, n - 1)], level.ids - self.steps[:, None])]
+            outer = below.swapaxes(0, 1) @ _adjoint(below[var, var])[:, None]
+            comm -= outer
+            f_level = outer[var, var].sum(axis=0)
+        return np.concatenate([f_level[None], comm.reshape(d * d, *comm.shape[2:])])
+
 
 def build_koszul(ops, commute_tol=EXACT_TOL):
     """Assemble the Koszul complex of a commuting degree-1 tuple on its gamma-blocks.
 
-    Raises ValueError when the supplied blocks fail to commute within
-    ``commute_tol`` (relative to the largest block norm).
+    The labels are read once (``node_labels``).  The T_i(n) are gathered
+    onto the level classes, and the input checks run there: the tuple's
+    scale is ``tuple_norm`` and its commutators are checked block by block
+    (``KoszulComplex.commutation_residual``).  Raises ValueError when the
+    blocks fail to commute within ``commute_tol`` (relative to the largest
+    block norm).
     """
     d = len(ops)
     if d < 1:
         raise ValueError("need at least one operator")
     dims = tuple_level_dims(ops)
-    scale = max((op.sup_norm() for op in ops), default=1.0) or 1.0
-    resid = commutation_residual(ops)
-    if resid > commute_tol * max(scale**2, 1.0):
-        raise ValueError(
-            f"tuple does not commute: residual {resid:.3e}")
     top = max(dims)
-    classes = {space: GammaClasses.of(ids)
-               for space, ids in _class_ids(ops, d, dims).items()}
-    boundary = {}
+    ids, steps = _class_ids(node_labels(ops), d, dims)
+    classes = {space: GammaClasses.of(space_ids) for space, space_ids in ids.items()}
+    level_blocks, boundary = {}, {}
     for n in range(top):
         if n not in dims or (n + 1) not in dims:
             continue
@@ -311,10 +413,18 @@ def build_koszul(ops, commute_tol=EXACT_TOL):
         if any(b is None for b in blocks):
             continue
         blocks = np.stack(blocks)
+        level_blocks[n] = _level_blocks(blocks, steps, classes[(0, n)],
+                                        classes[(0, n + 1)])
         for k in range(d):
             boundary[(k, n)] = _gamma_blocks(blocks, k, classes[(k, n)],
                                              classes[(k + 1, n + 1)])
-    return KoszulComplex(d, dims, boundary, top, classes)
+    complex_ = KoszulComplex(d, dims, boundary, top, classes, level_blocks, steps)
+    scale = complex_.tuple_norm() or 1.0
+    resid = complex_.commutation_residual()
+    if resid > commute_tol * max(scale**2, 1.0):
+        raise ValueError(
+            f"tuple does not commute: residual {resid:.3e}")
+    return complex_
 
 
 def betti_table(complex_, levels=None):
@@ -356,63 +466,50 @@ def betti_numbers(complex_, levels=None):
     return tuple(beta)
 
 
-def _level_terms(ops, n):
-    """F(n) and the starred commutators [T_k*, T_j](n) on level n.
-
-    F = T_1 T_1* + ... + T_d T_d* is taken on level n - 1 blocks; entry
-    (k - 1) d + (j - 1) of the (d^2, h, h) commutator stack is
-    T_k(n)* T_j(n) - T_j(n-1) T_k(n-1)*.
-    """
-    d = len(ops)
-    up = np.stack([op.blocks[n] for op in ops])
-    comm = _adjoint(up)[:, None] @ up[None, :]
-    h = up.shape[2]
-    f_level = np.zeros((h, h), dtype=complex)
-    if n >= 1:
-        down = [op.blocks[n - 1] for op in ops]
-        for j, below_j in enumerate(down):
-            for k, below_k in enumerate(down):
-                outer = below_j @ below_k.conj().T
-                comm[k, j] -= outer
-                if j == k:
-                    f_level += outer
-    return f_level, comm.reshape(d * d, h, h)
-
-
 @lru_cache(maxsize=None)
 def _form_terms(d, k):
-    """The nonzero C_k* C_j on Lambda^k, as (index into ``_level_terms``, matrix).
+    """The form factors on Lambda^k of the level terms, and which are nonzero.
 
-    C_k* C_j vanishes identically on Lambda^d, so form degree d has none.
+    Factor 0 is the identity (for F), factor 1 + (k - 1) d + (j - 1) is
+    C_k* C_j.  Returns the indices of the nonzero factors and their stack;
+    C_k* C_j vanishes identically on Lambda^d, which keeps only F.
     """
-    if k == d:
-        return ()
-    terms = []
-    for kk in range(1, d + 1):
-        for jj in range(1, d + 1):
-            product = creation_matrix(d, k, kk).T @ creation_matrix(d, k, jj)
-            if product.any():
-                product.setflags(write=False)
-                terms.append(((kk - 1) * d + (jj - 1), product))
-    return tuple(terms)
+    products = np.stack([np.eye(comb(d, k))]
+                        + [creation_matrix(d, k, kk).T @ creation_matrix(d, k, jj)
+                           for kk in range(1, d + 1) for jj in range(1, d + 1)])
+    index = np.flatnonzero(products.any(axis=(1, 2)))
+    forms = products[index]
+    index.setflags(write=False)
+    forms.setflags(write=False)
+    return index, forms
 
 
-def dirac_square_residual(complex_, ops, level):
+def dirac_square_residual(complex_, level):
     """Residual of D^2 = F (x) 1 + sum_{k,j} [T_k*, T_j] (x) C_k* C_j at one level.
 
     D = B + B* preserves (form degree, level) and the classes, so at every
     interior form degree of the given level both sides are compared on each
     class: B*B + BB* from the gamma-blocks of the two boundary maps that
-    meet there, the right-hand side gathered from the level and form terms
-    by index arrays.  The worst spectral-norm deviation is returned.  F is
-    T_1 T_1* + ... + T_d T_d*.
+    meet there, the right-hand side gathered by index arrays from the level
+    terms (``KoszulComplex._level_terms``, formed block by level class) and
+    the form terms.  A member (v, S) of class gamma has v in the level class
+    gamma + 1_S, so the entries read join level classes p and
+    p + e_j - e_k, the blocks the level terms hold.  The worst
+    spectral-norm deviation is returned.  F is T_1 T_1* + ... + T_d T_d*.
     """
     d = complex_.d
-    dims = complex_.level_dims
     n = int(level)
-    if n not in dims or not complex_.interior(0, n):
+    if n not in complex_.level_dims or not complex_.interior(0, n):
         raise ValueError(f"level {n} is not interior to the stored window")
-    f_level, comm = _level_terms(ops, n)
+    terms = complex_._level_terms(n)
+    terms = terms.reshape(terms.shape[0], -1)
+    # where each level-n basis vector sits in a flat (level class, row slot,
+    # column slot) stack of the level terms: as a column and as a row
+    level = complex_.classes[(0, n)].members
+    width_n = level.shape[1]
+    cls, slot = np.nonzero(level >= 0)
+    offset = np.zeros((2, complex_.level_dims[n]), dtype=np.int64)
+    offset[:, level[cls, slot]] = cls * width_n**2 + slot, slot * width_n
 
     worst = 0.0
     for k in range(d + 1):
@@ -428,12 +525,12 @@ def dirac_square_residual(complex_, ops, level):
             gamma = complex_.boundary[(k - 1, n - 1)]
             lhs[gamma.row_class] += gamma.values @ _adjoint(gamma.values)
         vec, sub = np.divmod(members, comb(d, k))
-        vr, vc = vec[:, :, None], vec[:, None, :]
-        sr, sc = sub[:, :, None], sub[:, None, :]
-        rhs = f_level[vr, vc] * (sr == sc)
-        for t, form in _form_terms(d, k):
-            rhs += comm[t][vr, vc] * form[sr, sc]
-        rhs[(vr < 0) | (vc < 0)] = 0
+        as_col, as_row = offset[:, vec]
+        at = as_row[:, :, None] + as_col[:, None, :]
+        index, forms = _form_terms(d, k)
+        rhs = (terms[index[:, None, None, None], at]
+               * forms[:, sub[:, :, None], sub[:, None, :]]).sum(axis=0)
+        rhs[(members[:, :, None] < 0) | (members[:, None, :] < 0)] = 0
         worst = max(worst, _top_singular(lhs - rhs))
     return worst
 

@@ -21,8 +21,10 @@ Pullbacks carry their saturation flags: ker L is generated at level 1 by the
 Koszul syzygies z_i e_j - z_j e_i, so the flag of M' at level k >= 1 is the
 flag of M at level k+1, and only level 0 takes a nullspace (``pullback``).
 The co-invariant recursion and the co-invariance check apply Z_k of d.S
-through its real scalar block (``StandardModule.shift``), so a linearization
-builds no dense coordinate block of d.S.
+through its real scalar block (``StandardModule.shift``), and pullbacks and
+the ker L residual apply L_k and L_k* through the real scalar row block
+(``StandardModule.row``, ``row_adjoint``), so a linearization builds no
+dense coordinate block of d.S and no dense row block.
 
 Each pullback step reports two residuals.  Co-invariance of Q' in d.S is
 the check that can fail.  ||K_n* Q'_n|| holds by construction, since Q'_n
@@ -73,9 +75,10 @@ def pullback_quotient(module, quotient_next, k):
 
     That pullback level is the kernel of Q_{k+1}* L_k, so its orthocomplement
     is ran(L_k* Q_{k+1}).  L_k*/rho_k is an isometry, so the product is
-    already an orthonormal basis of it, with dim Q'_k = dim Q_{k+1}.
+    already an orthonormal basis of it, with dim Q'_k = dim Q_{k+1}.  L_k* is
+    applied through the real scalar row block (``StandardModule.row_adjoint``).
     """
-    return module.row_block(k).conj().T @ quotient_next / module.rho[k]
+    return module.row_adjoint(k, quotient_next) / module.rho[k]
 
 
 def pullback(submodule):
@@ -113,13 +116,18 @@ def pullback(submodule):
 def kernel_containment_residual(module, pulled):
     """max_n ||K_n* Q'_n||: how far ker L sticks out of the pullback (should be 0).
 
-    Read as ||(I - P_{ran L_n*}) Q'_n|| against the quotient side of K.  It
-    is roundoff by construction (see the module docstring).
+    Read as ||(I - P_{ran L_n*}) Q'_n|| against the quotient side of K, with
+    the projection P = (L_n*/rho_n)(L_n/rho_n) applied through the real
+    scalar row block (``StandardModule.row``, ``row_adjoint``): no dense row
+    block.  It is roundoff by construction (see the module docstring).
     """
-    kernel = kernel_levels(module, window=max(pulled.window, 1))
-    return max(linalg.containment_residual(pulled.quotient_basis(n),
-                                           kernel.quotient_basis(n))
-               for n in range(min(pulled.window, kernel.window) + 1))
+    worst = 0.0
+    for n in range(pulled.window + 1):
+        inner = pulled.quotient_basis(n)
+        rho = module.rho[n]
+        back = module.row_adjoint(n, module.row(n, inner) / rho) / rho
+        worst = max(worst, linalg.opnorm(inner - back))
+    return worst
 
 
 def shift_quotient(quotient):

@@ -3,9 +3,9 @@
 The package holds B_k(n) on its gamma-blocks.  This module builds each
 B_k(n) as the dense sum of Kronecker products T_i(n) (x) C_i, takes ranks
 by SVDs of whole blocks, and evaluates B^2 and the Dirac square on the
-dense blocks, with a right-hand side built from Kronecker products.  It
-shares only the tuple's blocks, ``creation_matrix`` and
-``linalg.numerical_rank`` with the package.
+dense blocks, with a right-hand side built from Kronecker products of the
+dense level terms (``level_terms``).  It shares only the tuple's blocks,
+``creation_matrix`` and ``linalg.numerical_rank`` with the package.
 """
 
 from math import comb
@@ -15,6 +15,29 @@ import numpy as np
 from gradmod import linalg
 from gradmod.koszul import creation_matrix
 from gradmod.operators import tuple_level_dims
+
+
+def level_terms(ops, n):
+    """F(n) and the starred commutators [T_k*, T_j](n) on level n, as dense matrices.
+
+    F = T_1 T_1* + ... + T_d T_d* is taken on level n - 1 blocks; entry
+    (k - 1) d + (j - 1) of the (d^2, h, h) commutator stack is
+    T_k(n)* T_j(n) - T_j(n-1) T_k(n-1)*.
+    """
+    d = len(ops)
+    up = np.stack([op.blocks[n] for op in ops])
+    comm = up.conj().transpose(0, 2, 1)[:, None] @ up[None, :]
+    h = up.shape[2]
+    f_level = np.zeros((h, h), dtype=complex)
+    if n >= 1:
+        down = [op.blocks[n - 1] for op in ops]
+        for j, below_j in enumerate(down):
+            for k, below_k in enumerate(down):
+                outer = below_j @ below_k.conj().T
+                comm[k, j] -= outer
+                if j == k:
+                    f_level += outer
+    return f_level, comm.reshape(d * d, h, h)
 
 
 class DenseKoszul:
@@ -75,20 +98,8 @@ class DenseKoszul:
 
     def dirac_square_residual(self, n):
         """max_k || B*B + BB* - F (x) 1 - sum [T_k*, T_j] (x) C_k* C_j || at level n."""
-        d, ops, h = self.d, self.ops, self.dims[n]
-        f_level = np.zeros((h, h), dtype=complex)
-        if n >= 1:
-            for op in ops:
-                blk = op.blocks.get(n - 1)
-                f_level += blk @ blk.conj().T
-        comm = {}
-        for kk in range(1, d + 1):
-            for jj in range(1, d + 1):
-                term = ops[kk - 1].blocks[n].conj().T @ ops[jj - 1].blocks[n]
-                if n >= 1:
-                    term = term - ops[jj - 1].blocks[n - 1] \
-                        @ ops[kk - 1].blocks[n - 1].conj().T
-                comm[(kk, jj)] = term
+        d, h = self.d, self.dims[n]
+        f_level, comm = level_terms(self.ops, n)
         worst = 0.0
         for k in range(d + 1):
             if not self.interior(k, n):
@@ -105,7 +116,7 @@ class DenseKoszul:
             if k < d:
                 for kk in range(1, d + 1):
                     for jj in range(1, d + 1):
-                        rhs += np.kron(comm[(kk, jj)],
+                        rhs += np.kron(comm[(kk - 1) * d + (jj - 1)],
                                        self.creation[(k, kk)].T @ self.creation[(k, jj)])
             if lhs.size:
                 worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))

@@ -209,7 +209,7 @@ def test_criterion_6_koszul():
             worst_b2 = max(worst_b2, complex_.bsquared_residual())
             for n in range(0, complex_.top_level - d):
                 worst_dirac = max(worst_dirac,
-                                  dirac_square_residual(complex_, ops, n))
+                                  dirac_square_residual(complex_, n))
             betti_ok &= betti_numbers(complex_) == (0,) * d + (r,)
 
     worst_syz = 0.0

@@ -218,6 +218,28 @@ def test_shift_helpers_equal_dense_blocks_exactly(family, d, r):
                 assert np.array_equal(got, block.conj().T @ x)
 
 
+@pytest.mark.parametrize("family", ["dshift", "hardy", "bergman", "sinsqrt"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2])
+def test_row_helpers_equal_the_dense_row_block(family, d, r):
+    # L_n* x: one product per entry, so exact; L_n x sums up to d products,
+    # in another order than the dense product, so equal to roundoff
+    rng = np.random.default_rng([d, r, len(family), 1])
+    mod = gm.StandardModule(gm.make_weights(family, 6, d=d, r1=1.0, r2=4.0),
+                            d=d, multiplicity=r)
+    for n in range(mod.top_level):
+        block = mod.row_block(n)
+        for x in shift_inputs(rng, block.shape[0]):
+            got = mod.row_adjoint(n, x)
+            assert got.shape == (block.shape[1], x.shape[1])
+            assert np.array_equal(got, block.conj().T @ x)
+        for x in shift_inputs(rng, block.shape[1]):
+            got = mod.row(n, x)
+            assert got.shape == (block.shape[0], x.shape[1])
+            np.testing.assert_allclose(got, block @ x, rtol=0, atol=1e-14 * max(
+                1.0, float(np.abs(x).max(initial=0.0))))
+
+
 def test_out_of_window_blocks_raise():
     mod = gm.StandardModule(gm.make_weights("dshift", 4), d=2)
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from gradmod import cli, linalg
 from gradmod.koszul import (betti_numbers, betti_table, build_koszul,
                             creation_matrix, dirac_square_residual, form_subsets,
                             node_labels, solve_syzygy)
-from gradmod.operators import GradedOperator
+from gradmod.operators import GradedOperator, commutation_residual
 from conftest import FAMILIES, submodule_inputs
 from koszul_oracle import DenseKoszul
 
@@ -96,6 +96,22 @@ def test_noncommuting_input_rejected():
         build_koszul(ops)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_labelled_noncommuting_input_rejected(d):
+    # scaling one nonzero entry of T_2(3) keeps the zero pattern, so the
+    # labels still hold and the checks run on the level classes, but
+    # T_1 T_2 != T_2 T_1 on the blocks through that entry
+    ops = h2_module(d).coordinate_tuple()
+    blocks = {n: b.copy() for n, b in ops[1].blocks.items()}
+    rows, cols = np.nonzero(blocks[3])
+    blocks[3][rows[0], cols[0]] *= 1.5
+    ops[1] = GradedOperator(1, blocks)
+    assert node_labels(ops) is not None
+    assert commutation_residual(ops) > 0.1
+    with pytest.raises(ValueError, match="does not commute"):
+        build_koszul(ops)
+
+
 @pytest.mark.parametrize("d,r", [(2, 1), (2, 3), (3, 1), (3, 3)])
 def test_standard_module_betti_type(d, r):
     mod = h2_module(d, r)
@@ -150,7 +166,7 @@ def test_dirac_square_identity(d):
     ops = mod.coordinate_tuple()
     kz = build_koszul(ops)
     for n in range(0, kz.top_level - d):
-        assert dirac_square_residual(kz, ops, n) <= 1e-11
+        assert dirac_square_residual(kz, n) <= 1e-11
 
 
 def test_dirac_square_on_hardy_levels():
@@ -158,9 +174,9 @@ def test_dirac_square_on_hardy_levels():
     ops = mod.coordinate_tuple()
     kz = build_koszul(ops)
     for n in range(1, 7):
-        assert dirac_square_residual(kz, ops, n) <= 1e-11
+        assert dirac_square_residual(kz, n) <= 1e-11
     with pytest.raises(ValueError):
-        dirac_square_residual(kz, ops, 99)
+        dirac_square_residual(kz, 99)
 
 
 def test_dirac_square_normal_tuple():
@@ -173,7 +189,7 @@ def test_dirac_square_normal_tuple():
     for n in range(1, 4):
         comm = gm.self_commutator(ops, 1, 2).block(n)
         assert np.linalg.norm(comm) <= 1e-14
-        assert dirac_square_residual(kz, ops, n) <= 1e-12
+        assert dirac_square_residual(kz, n) <= 1e-12
 
 
 # -- gamma-blocks against the dense complex ---------------------------------------
@@ -186,7 +202,7 @@ def assert_matches_dense(ops):
     assert abs(kz.bsquared_residual() - dense.bsquared_residual()) <= 1e-13
     for n in range(kz.top_level):
         if kz.interior(0, n):
-            assert abs(dirac_square_residual(kz, ops, n)
+            assert abs(dirac_square_residual(kz, n)
                        - dense.dirac_square_residual(n)) <= 1e-13
     assert sorted(kz.boundary) == sorted(dense.boundary)
     for (k, n), block in dense.boundary.items():
@@ -215,6 +231,25 @@ def test_gamma_blocks_match_the_dense_complex_on_drawn_quotients(case):
     assert_matches_dense(quotient.coordinate_tuple())
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_input_checks_on_level_classes_match_the_dense_norms(family, d, r):
+    # the level-class stacks are a permutation of each T_i(n) padded with
+    # zeros: the tuple's scale and commutation residual are those of the
+    # whole blocks, up to the roundoff of the dense SVDs
+    weights = gm.make_weights(family, {1: 8, 2: 7, 3: 6, 4: 5}[d], d=d, r1=1.0, r2=4.0)
+    mod = gm.StandardModule(weights, d=d, multiplicity=r)
+    sub = gm.GradedSubmodule.generate(
+        mod, [gm.monomial_generator((1,) + (0,) * (d - 1))])
+    for ops in (mod.coordinate_tuple(), gm.QuotientModule(sub).coordinate_tuple()):
+        kz = build_koszul(ops)
+        scale = max(op.sup_norm() for op in ops)
+        assert abs(kz.tuple_norm() - scale) <= 1e-15 * scale
+        assert abs(kz.commutation_residual()
+                   - commutation_residual(ops)) <= 1e-15 * max(scale**2, 1.0)
+
+
 def test_unlabelled_tuple_keeps_one_class_per_space():
     # a generic quotient has no torus labels: each space is one class and the
     # one block of each B_k(n) is the dense block
@@ -231,17 +266,25 @@ def test_unlabelled_tuple_keeps_one_class_per_space():
 
 
 def test_koszul_command_takes_only_gamma_sized_svds(monkeypatch, tmp_path):
-    shapes = []
+    # np.linalg.norm(a, 2) calls the svd of numpy's implementation module, not
+    # np.linalg.svd, so both are recorded
+    shapes = {"direct": [], "norm": []}
     svd = np.linalg.svd
+    from numpy.linalg import _linalg as impl
 
-    def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def recorder(route):
+        def recorded(a, *args, **kwargs):
+            shapes[route].append(np.shape(a))
+            return svd(a, *args, **kwargs)
+        return recorded
 
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    monkeypatch.setattr(np.linalg, "svd", recorder("direct"))
+    monkeypatch.setattr(impl, "svd", recorder("norm"))
+    assert np.linalg.norm(np.eye(3), 2) == 1.0 and shapes["norm"] == [(3, 3)]
+    shapes["norm"].clear()
     assert cli.main(["koszul", "--d", "4", "--N", "9", "--out", str(tmp_path)]) == 0
-    assert shapes
-    assert max(shape[-1] for shape in shapes) <= 2**4
+    assert shapes["direct"]
+    assert max(shape[-1] for shape in shapes["direct"] + shapes["norm"]) <= 2**4
 
 
 @pytest.mark.parametrize("argv", [["--d", "4", "--N", "9"],
