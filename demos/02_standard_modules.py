@@ -30,11 +30,12 @@ for n in range(6):
           f"rho_{n}^2 = {w.values[n] ** 2:.6f}")
 
 print("\nAdjoints act as scaled differentiation (maximal symmetry):")
-print("  Z_k* = u(n) d/dz_k on level n with u(n) = rho_(n-1)^2 / n")
+print("  Z_k* = u(n) d/dz_k on level n with u(n) = rho_(n-1)^2 / n; stacked over")
+print("  k, the row adjoint L_(n-1)* is u(n) times the gradient (d/dz_1, d/dz_2)")
 for n in (1, 2, 5):
-    grad = mod.gradient_block(1, n)
-    resid = np.linalg.norm(mod.adjoint_block(1, n)
-                           - mod.adjoint_scalar(n) * grad, 2)
+    eye = np.eye(mod.level_dim(n))
+    resid = np.linalg.norm(mod.row_adjoint(n - 1, eye)
+                           - mod.adjoint_scalar(n) * mod.gradient(n, eye), 2)
     print(f"  level {n}: u({n}) = {mod.adjoint_scalar(n):.6f}, residual {resid:.2e}")
 
 print("\nCommutator decomposition against the Fock-space commutator,")

@@ -1,7 +1,8 @@
 """gradmod: exact block-operator toolkit for graded Hilbert modules.
 
-Standard modules over the polynomial algebra in d variables are stored as
-exact dense blocks in orthonormal level bases; on top of that the package
+Standard modules over the polynomial algebra in d variables are stored
+exactly in orthonormal level bases, each coordinate operator as a weighted
+index map between levels; on top of that the package
 provides graded submodules and quotients, degree and reducing structure, the
 row-operator linearization machinery, Koszul complexes with Dirac-square and
 syzygy checks, and Schatten-class essential-normality diagnostics.
@@ -42,10 +43,8 @@ from .linearize import (
 )
 from .monomials import (
     LevelBasis,
-    derivative_structure_map,
     level_dimension,
     monomial_basis,
-    mult_structure_map,
 )
 from .normality import (
     CounterexampleReport,

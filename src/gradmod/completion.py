@@ -3,8 +3,12 @@
 A maximally symmetric graded inner product on polynomials is determined (up
 to scale) by one positive sequence rho_0, rho_1, ...; the coordinate
 multiplications then act, in orthonormal level bases, as rho_n times the
-symmetric-Fock-space blocks.  ``StandardModule`` stores those blocks exactly
-for levels 0..N and is the ambient object everything else consumes.
+symmetric-Fock-space blocks.  ``StandardModule`` is the ambient object
+everything else consumes.  It holds each level n < N as one index table (the
+successor of every monomial under every z_k, ``monomials.successors``) plus
+one table of weights, and applies Z_k, Z_k*, the row operator L, L* and
+d/dz_k as gathers and scatters on that table.  A dense block exists only as
+such an operator applied to an identity, and it is not cached.
 
 Level bases are orthonormalized monomials: for a maximally symmetric inner
 product the monomials are already orthogonal, so orthonormalization is the
@@ -15,7 +19,7 @@ only a cross-check in the test suite).
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -92,49 +96,45 @@ def make_weights(family, n_weights, d=None, r1=None, r2=None, values=None):
     return WeightSequence(family, vals, params)
 
 
+@lru_cache(maxsize=None)
 def fock_level_weights(d, top_level):
     """Squared Fock-space monomial norms nu_alpha for levels 0..top_level.
 
     Solved recursively from sum_k S_k S_k* = I - E_0: for |beta| >= 1,
     nu_beta = 1 / sum_{k: beta_k >= 1} (1 / nu_{beta - e_k}), anchored at
-    nu_0 = 1.  Returns a list of per-level arrays in basis order.
+    nu_0 = 1.  The sum runs over the successor table, in ascending k.
+    Returns a tuple of read-only per-level arrays in basis order, cached per
+    (d, top_level), so that d.S and every module over the same completion
+    share it.
     """
     levels = [np.ones(1)]
-    index_prev = {tuple([0] * d): 0}
     for n in range(1, top_level + 1):
-        basis = monomials.monomial_basis(d, n)
-        nu = np.empty(len(basis))
-        index_now = {}
-        for i, beta in enumerate(basis.monomials):
-            index_now[beta] = i
-            inv = 0.0
-            for k in range(d):
-                if beta[k] == 0:
-                    continue
-                gamma = list(beta)
-                gamma[k] -= 1
-                inv += 1.0 / levels[n - 1][index_prev[tuple(gamma)]]
-            nu[i] = 1.0 / inv
-        levels.append(nu)
-        index_prev = index_now
-    return levels
+        succ = monomials.successors(d, n - 1)
+        inv_prev = 1.0 / levels[n - 1]
+        inv = np.zeros(monomials.level_dimension(d, n))
+        for k in range(d):
+            inv[succ[:, k]] += inv_prev
+        levels.append(1.0 / inv)
+    for nu in levels:
+        nu.flags.writeable = False
+    return tuple(levels)
 
 
 class StandardModule:
-    """Truncated standard Hilbert module S = G (x) C^r with exact level blocks.
+    """Truncated standard Hilbert module S = G (x) C^r with exact level operators.
 
     Parameters
     ----------
     weights : WeightSequence
-        rho_0..rho_{N-1}; the module stores levels 0..N and coordinate blocks
-        for levels 0..N-1.
+        rho_0..rho_{N-1}; the module stores levels 0..N and coordinate
+        operators from levels 0..N-1.
     d : int
         Number of variables.
     multiplicity : int
         r = dim E.
 
     Instances are immutable after construction and safe to share across
-    threads; block computations only read cached per-level data.
+    threads; the operators only read cached per-level tables.
     """
 
     def __init__(self, weights, d, multiplicity=1, levels=None):
@@ -156,10 +156,7 @@ class StandardModule:
         # c_n = (rho_0 ... rho_{n-1})^2, with the normalization c_0 = 1.
         self.level_scale = np.concatenate(
             ([1.0], np.cumprod(self.rho**2)))
-        self._fock_blocks = {}
-        self._blocks = {}
-        self._scalar_rows = {}
-        self._row_blocks = {}
+        self._level_weights = {}
 
     # -- level geometry -------------------------------------------------
 
@@ -182,89 +179,106 @@ class StandardModule:
         self._check_level(n)
         return self.level_scale[n] * self.nu[n]
 
-    # -- blocks ----------------------------------------------------------
+    # -- level operators ---------------------------------------------------
 
-    def fock_block(self, k, n):
-        """Symmetric-Fock-space block of S_k from level n to n+1 (multiplicity 1)."""
-        key = (k, n)
-        cached = self._fock_blocks.get(key)
-        if cached is not None:
-            return cached
-        if not 1 <= k <= self.d:
+    def _tables(self, n, k=None, fock=False):
+        """Successor table and Z (or Fock) weights from level n to n+1.
+
+        Entry (alpha, k) of the weights is the coefficient of the level-(n+1)
+        basis vector succ[alpha, k] in S_k z^alpha (Fock) or Z_k z^alpha =
+        rho_n S_k z^alpha.  With ``k`` (1-based) only that column is returned.
+        """
+        if k is not None and not 1 <= k <= self.d:
             raise ValueError("variable index out of range")
         if not 0 <= n <= self.top_level - 1:
             raise ValueError(
                 f"no block from level {n}: stored window is 0..{self.top_level}")
-        raw = monomials.mult_structure_map(k, self.d, n)
-        scale = np.sqrt(self.nu[n + 1])[:, None] * (1.0 / np.sqrt(self.nu[n]))[None, :]
-        block = raw * scale
-        self._fock_blocks[key] = block
-        return block
-
-    def scalar_block(self, k, n):
-        """Block of Z_k = rho_n S_k from level n to n+1 on the completion G."""
-        fock = self.fock_block(k, n)
-        return self.rho[n] * fock
-
-    def coordinate_block(self, k, n):
-        """Block of the coordinate operator Z_k on S from level n to n+1."""
-        key = (k, n)
-        cached = self._blocks.get(key)
+        cached = self._level_weights.get(n)
         if cached is None:
-            cached = np.kron(self.scalar_block(k, n),
-                             np.eye(self.multiplicity)).astype(complex)
-            self._blocks[key] = cached
-        return cached
+            succ = monomials.successors(self.d, n)
+            fock_w = np.sqrt(self.nu[n + 1])[succ] \
+                * (1.0 / np.sqrt(self.nu[n]))[:, None]
+            cached = self._level_weights[n] = (succ, fock_w, self.rho[n] * fock_w)
+        succ, weights = cached[0], cached[1 if fock else 2]
+        if k is None:
+            return succ, weights
+        return succ[:, k - 1:k], weights[:, k - 1:k]
+
+    def _scatter(self, n, succ, weights, x):
+        """Level n -> n+1: sum_k of block k of x sent along the successor table.
+
+        x holds level-n coordinates ordered (monomial alpha, block k,
+        component); row alpha of block k lands on monomial succ[alpha, k]
+        with weight weights[alpha, k].  Each k hits distinct monomials, so
+        every entry sums its products in ascending k.
+        """
+        rows, blocks = succ.shape
+        r, cols = self.multiplicity, x.shape[1]
+        xs = x.reshape(rows, blocks, r * cols)
+        out = np.zeros((self.scalar_dim(n + 1), r * cols),
+                       dtype=np.result_type(x, weights))
+        for k in range(blocks):
+            out[succ[:, k]] += weights[:, k, None] * xs[:, k]
+        return out.reshape(out.shape[0] * r, cols)
+
+    def _gather(self, succ, weights, x):
+        """Level n+1 -> n: the adjoint of ``_scatter``, one product per entry.
+
+        Row (alpha, block k) of the result is weights[alpha, k] times the row
+        of monomial succ[alpha, k] of x.
+        """
+        rows, blocks = succ.shape
+        r, cols = self.multiplicity, x.shape[1]
+        xs = x.reshape(x.shape[0] // r, r * cols)
+        return (weights[:, :, None] * xs[succ]).reshape(rows * blocks * r, cols)
 
     def shift(self, k, n, x):
-        """Z_k(n) x for coordinate columns x of level n, without the dense block.
+        """Z_k(n) x for coordinate columns x of level n: a scatter, no dense block.
 
-        Z_k(n) is ``scalar_block(k, n)`` (x) I_r, so x is reshaped to
-        (monomials, r * columns) and multiplied by the real scalar block alone.
-        The scalar block has at most one nonzero per row and per column, so
-        every entry of the result is one product plus exact zeros: it equals
-        ``coordinate_block(k, n) @ x`` bit for bit, up to the sign of a zero,
-        which the BLAS kernel decides.
+        Every entry is one product of x with a Z weight.
         """
-        return self._apply_scalar(self.scalar_block(k, n), x)
+        return self._scatter(n, *self._tables(n, k), x)
 
     def shift_adjoint(self, k, n, x):
-        """Z_k(n)* x for coordinate columns x of level n+1 (exact, as ``shift``).
+        """Z_k(n)* x for coordinate columns x of level n+1: a gather, exact as ``shift``."""
+        return self._gather(*self._tables(n, k), x)
 
-        The scalar block is real, so its transpose is the adjoint: no complex
-        conjugate copy is formed.
+    def row(self, n, x):
+        """L_n x for coordinate columns x of (d.S)_n: one scatter over all k.
+
+        Each entry sums up to d products, in ascending k.
         """
-        return self._apply_scalar(self.scalar_block(k, n).T, x)
+        return self._scatter(n, *self._tables(n), x)
 
-    def _apply_scalar(self, scalar, x):
-        cols = x.shape[1]
-        r = self.multiplicity
-        out = scalar @ x.reshape(scalar.shape[1], r * cols)
-        return out.reshape(scalar.shape[0] * r, cols)
+    def row_adjoint(self, n, x):
+        """L_n* x for coordinate columns x of S_{n+1}: a gather, one product per entry.
 
-    def adjoint_block(self, k, n):
-        """Block of Z_k* from level n to n-1 (conjugate transpose by construction)."""
-        if n < 1:
-            raise ValueError("Z_k* annihilates level 0")
-        return self.coordinate_block(k, n - 1).conj().T
+        Rows are the level-n coordinates of d.S (monomial, copy i, component).
+        """
+        return self._gather(*self._tables(n), x)
 
-    def gradient_block(self, k, n):
-        """d/dz_k from level n to n-1, in the module's orthonormal level bases.
+    def gradient(self, n, x):
+        """(d/dz_1 x, ..., d/dz_d x) for coordinate columns x of level n >= 1.
 
-        On each level Z_k* equals ``adjoint_scalar(n)`` times this block
-        (maximal symmetry).
+        A gather onto level n-1 of d.S (rows: monomial, copy i, component),
+        in the module's orthonormal level bases.  Its weights,
+        (alpha_k + 1) ||z^alpha|| / ||z^(alpha + e_k)||, are read off
+        ``monomial_norms``, independently of the Z weights; by maximal
+        symmetry ``row_adjoint(n - 1, x)`` is ``adjoint_scalar(n)`` times it.
         """
         self._check_level(n)
         if n < 1:
             raise ValueError("nothing to differentiate at level 0")
-        raw = monomials.derivative_structure_map(k, self.d, n)
+        succ = monomials.successors(self.d, n - 1)
+        exps = np.array(monomials.monomial_basis(self.d, n - 1).monomials,
+                        dtype=float)
         w_lo = np.sqrt(self.monomial_norms(n - 1))
         w_hi = np.sqrt(self.monomial_norms(n))
-        scale = w_lo[:, None] * (1.0 / w_hi)[None, :]
-        return np.kron(raw * scale, np.eye(self.multiplicity)).astype(complex)
+        weights = (exps + 1.0) * (w_lo[:, None] * (1.0 / w_hi)[succ])
+        return self._gather(succ, weights, x)
 
     def adjoint_scalar(self, n):
-        """u(n) with Z_k*|_{level n} = u(n) * gradient_block(k, n): rho_{n-1}^2 / n."""
+        """u(n) with Z_k*|_{level n} = u(n) d/dz_k (``gradient``): rho_{n-1}^2 / n."""
         if n < 1:
             raise ValueError("defined on levels >= 1")
         return float(self.rho[n - 1] ** 2) / float(n)
@@ -279,49 +293,26 @@ class StandardModule:
         return StandardModule(self.weights, self.d, self.multiplicity * self.d,
                               levels=self.top_level)
 
-    def scalar_row_block(self, n):
-        """L_n on the completion G: the real (h_{n+1}, d h_n) block [Z_1(n) .. Z_d(n)].
+    # -- dense blocks: the operators applied to an identity, never cached --
 
-        Column (monomial, copy i) holds the column of ``scalar_block(i, n)``,
-        so ``row_block(n)`` is this block (x) I_r.  Cached per level on its
-        own, so that callers of ``row_block`` do not hold it as well.
-        """
-        cached = self._scalar_rows.get(n)
-        if cached is None:
-            cached = self._scalar_rows[n] = self._stacked_scalar_blocks(n)
-        return cached
+    def coordinate_block(self, k, n):
+        """Block of the coordinate operator Z_k on S from level n to n+1."""
+        return self.shift(k, n, np.eye(self.level_dim(n), dtype=complex))
+
+    def fock_block(self, k, n):
+        """Real Fock-shift block S_k (x) I_r from level n to n+1 (Z_k = rho_n S_k)."""
+        return self._scatter(n, *self._tables(n, k, fock=True),
+                             np.eye(self.level_dim(n)))
+
+    def adjoint_block(self, k, n):
+        """Block of Z_k* from level n to n-1 (conjugate transpose by construction)."""
+        if n < 1:
+            raise ValueError("Z_k* annihilates level 0")
+        return self.coordinate_block(k, n - 1).conj().T
 
     def row_block(self, n):
         """Block L_n: (d.S)_n -> S_{n+1} of the row operator L(xi) = sum_k Z_k xi_k."""
-        cached = self._row_blocks.get(n)
-        if cached is None:
-            # column (monomial, copy i, component) of the d.S level: copy-major d.E
-            cached = np.kron(self._stacked_scalar_blocks(n),
-                             np.eye(self.multiplicity)).astype(complex)
-            self._row_blocks[n] = cached
-        return cached
-
-    def _stacked_scalar_blocks(self, n):
-        if not 0 <= n <= self.top_level - 1:
-            raise ValueError(f"no row block at level {n}")
-        scalar = np.stack([self.scalar_block(i, n) for i in range(1, self.d + 1)], axis=-1)
-        return scalar.reshape(scalar.shape[0], -1)
-
-    def row(self, n, x):
-        """L_n x for coordinate columns x of (d.S)_n, without the dense row block.
-
-        x is multiplied by ``scalar_row_block(n)`` as in ``shift``; each entry
-        sums up to d products, in the order of the dense product.
-        """
-        return self._apply_scalar(self.scalar_row_block(n), x)
-
-    def row_adjoint(self, n, x):
-        """L_n* x for coordinate columns x of S_{n+1}, without the dense row block.
-
-        Each entry is one product plus exact zeros, as in ``shift_adjoint``, so
-        it equals ``row_block(n).conj().T @ x`` up to the sign of a zero.
-        """
-        return self._apply_scalar(self.scalar_row_block(n).T, x)
+        return self.row(n, np.eye(self.d * self.level_dim(n), dtype=complex))
 
     def coordinate_tuple(self):
         """The d coordinate operators as degree-1 graded block operators."""
@@ -369,10 +360,8 @@ def commutator_decomposition_residual(module, j, k, n):
     zk = [module.coordinate_block(k, m) for m in (n - 1, n)]
     lhs = zj[1].conj().T @ zk[1] - zk[0] @ zj[0].conj().T
 
-    sj = [np.kron(module.fock_block(j, m), np.eye(module.multiplicity))
-          for m in (n - 1, n)]
-    sk = [np.kron(module.fock_block(k, m), np.eye(module.multiplicity))
-          for m in (n - 1, n)]
+    sj = [module.fock_block(j, m) for m in (n - 1, n)]
+    sk = [module.fock_block(k, m) for m in (n - 1, n)]
     fock_comm = sj[1].conj().T @ sk[1] - sk[0] @ sj[0].conj().T
     rhs = fock_comm * rho[n] ** 2 \
         + (sk[0] @ sj[0].conj().T) * (rho[n] ** 2 - rho[n - 1] ** 2)

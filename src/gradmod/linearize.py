@@ -1,7 +1,7 @@
 """Row operator, pullbacks, iterated linearization, and degree-1 structure.
 
 The row operator L sends (xi_1, ..., xi_d) in d.S to Z_1 xi_1 + ... + Z_d xi_d
-(blocks ``StandardModule.row_block``, domain ``StandardModule.row_domain``).
+(``StandardModule.row`` and ``row_adjoint``, domain ``StandardModule.row_domain``).
 Its kernel is a degree-1 submodule; pulling a degree-n submodule M back
 through L drops the degree by one, and iterating reduces any determinable
 degree >= 2 to a degree-1 submodule in a higher-multiplicity ambient module.
@@ -21,10 +21,10 @@ Pullbacks carry their saturation flags: ker L is generated at level 1 by the
 Koszul syzygies z_i e_j - z_j e_i, so the flag of M' at level k >= 1 is the
 flag of M at level k+1, and only level 0 takes a nullspace (``pullback``).
 The co-invariant recursion and the co-invariance check apply Z_k of d.S
-through its real scalar block (``StandardModule.shift``), and pullbacks and
-the ker L residual apply L_k and L_k* through the real scalar row block
+as a scatter on the successor table (``StandardModule.shift``), and
+pullbacks and the ker L residual apply L_k and L_k* the same way
 (``StandardModule.row``, ``row_adjoint``), so a linearization builds no
-dense coordinate block of d.S and no dense row block.
+dense coordinate block and no dense row block.
 
 Each pullback step reports two residuals.  Co-invariance of Q' in d.S is
 the check that can fail.  ||K_n* Q'_n|| holds by construction, since Q'_n
@@ -57,15 +57,17 @@ def kernel_levels(module, window=None):
     """The kernel K = ker L as a graded submodule of d.S (degree 1, K_0 = 0).
 
     Its quotient side is ``pullback_quotient`` applied to the whole level:
-    L_n*/rho_n is an orthonormal basis of ran(L_n*) = K_n^perp.  K_n itself
-    is the complement, computed on request.
+    L_n*/rho_n, a gather applied to the identity of S_{n+1}, is an
+    orthonormal basis of ran(L_n*) = K_n^perp.  K_n itself is the
+    complement, computed on request.
     """
     if window is None:
         window = module.top_level - 1
     if window > module.top_level - 1 or window < 1:
         raise ValueError("kernel window must lie in 1..N-1")
     return GradedSubmodule(module.row_domain,
-                           {n: module.row_block(n).conj().T / module.rho[n]
+                           {n: pullback_quotient(module, np.eye(
+                               module.level_dim(n + 1), dtype=complex), n)
                             for n in range(window + 1)},
                            window=window)
 
@@ -76,7 +78,7 @@ def pullback_quotient(module, quotient_next, k):
     That pullback level is the kernel of Q_{k+1}* L_k, so its orthocomplement
     is ran(L_k* Q_{k+1}).  L_k*/rho_k is an isometry, so the product is
     already an orthonormal basis of it, with dim Q'_k = dim Q_{k+1}.  L_k* is
-    applied through the real scalar row block (``StandardModule.row_adjoint``).
+    a gather (``StandardModule.row_adjoint``).
     """
     return module.row_adjoint(k, quotient_next) / module.rho[k]
 
@@ -117,9 +119,9 @@ def kernel_containment_residual(module, pulled):
     """max_n ||K_n* Q'_n||: how far ker L sticks out of the pullback (should be 0).
 
     Read as ||(I - P_{ran L_n*}) Q'_n|| against the quotient side of K, with
-    the projection P = (L_n*/rho_n)(L_n/rho_n) applied through the real
-    scalar row block (``StandardModule.row``, ``row_adjoint``): no dense row
-    block.  It is roundoff by construction (see the module docstring).
+    the projection P = (L_n*/rho_n)(L_n/rho_n) applied as a scatter and a
+    gather (``StandardModule.row``, ``row_adjoint``): no dense row block.  It
+    is roundoff by construction (see the module docstring).
     """
     worst = 0.0
     for n in range(pulled.window + 1):
@@ -141,13 +143,16 @@ def shift_quotient(quotient):
 
 
 def induced_map_report(quotient, shifted):
-    """Condition numbers of the level maps induced by L between the two quotients."""
-    row_block = quotient.module.row_block
+    """Condition numbers of the level maps induced by L between the two quotients.
+
+    Q_{n+1}* L_n is read as (L_n* Q_{n+1})*, a gather: no dense row block.
+    """
+    module = quotient.module
     out = {}
     for n in range(shifted.window + 1):
         if n + 1 > quotient.window:
             break
-        mat = quotient.basis(n + 1).conj().T @ row_block(n) @ shifted.basis(n)
+        mat = module.row_adjoint(n, quotient.basis(n + 1)).conj().T @ shifted.basis(n)
         if mat.size == 0:
             out[n] = (0.0, True)
             continue
@@ -259,30 +264,28 @@ def parse_subspace(text, module):
     return SubspaceV.from_matrix(module, np.array(rows, dtype=complex))
 
 
-def stacked_adjoint(module, n, use_gradient=False):
-    """The stacked map from level n to d.(level n-1), with its exact norm.
+def stacked_adjoint(module, n, x, use_gradient=False):
+    """The stacked map from level n to d.(level n-1) applied to x, with its exact norm.
 
-    The adjoint route stacks (Z_1*, ..., Z_d*), which is L_{n-1}*: the
-    row-sum identity gives it norm rho_{n-1}.  The gradient route stacks the
-    level gradients d/dz_k = Z_k* / u(n), of norm rho_{n-1} / u(n) =
-    n / rho_{n-1}.  Rows are (monomial, copy i, component): copy-major d.E.
+    The adjoint route stacks (Z_1*, ..., Z_d*), which is L_{n-1}*
+    (``StandardModule.row_adjoint``): the row-sum identity gives it norm
+    rho_{n-1}.  The gradient route stacks the level gradients
+    d/dz_k = Z_k* / u(n) (``StandardModule.gradient``), of norm
+    rho_{n-1} / u(n) = n / rho_{n-1}.  Both are gathers with rows
+    (monomial, copy i, component): copy-major d.E.
     """
     if not use_gradient:
-        return module.row_block(n - 1).conj().T, float(module.rho[n - 1])
-    stacked = np.stack(
-        [module.gradient_block(i, n).reshape(module.scalar_dim(n - 1),
-                                             module.multiplicity, -1)
-         for i in range(1, module.d + 1)],
-        axis=1).reshape(module.level_dim(n - 1) * module.d, -1)
-    return stacked, float(module.rho[n - 1]) / module.adjoint_scalar(n)
+        return module.row_adjoint(n - 1, x), float(module.rho[n - 1])
+    return (module.gradient(n, x),
+            float(module.rho[n - 1]) / module.adjoint_scalar(n))
 
 
 def ev_space(module, v, window=None, use_gradient=False):
     """Levelwise bases of E_V, and M = E_V^perp held on its quotient side.
 
-    E_V(n) is the nullspace of (1 (x) Q) composed with the stacked adjoint
-    blocks (Z_1*, ..., Z_d*) on level n, Q being the projection onto V^perp.
-    With ``use_gradient=True`` the stacked blocks are the level gradients
+    E_V(n) is the nullspace of (1 (x) Q) composed with the stacked adjoints
+    (Z_1*, ..., Z_d*) on level n, Q being the projection onto V^perp.
+    With ``use_gradient=True`` the stacked maps are the level gradients
     instead; for maximally symmetric completions the two agree levelwise (the
     adjoints are positive multiples of the gradients).
 
@@ -293,8 +296,8 @@ def ev_space(module, v, window=None, use_gradient=False):
     d dim E_V(n-1), and E_V(n) = C_n ker((1 (x) Q) stacked C_n).  An empty
     E_V(n-1) gives an empty E_V(n).  The rank floor is 1e-10 ||stacked||,
     with the norm in closed form (``stacked_adjoint``).  Each route recurses
-    on its own stacked blocks, so the two routes remain independent
-    computations.
+    on its own gather, with its own weights, so the two routes remain
+    independent computations.
 
     Returns (dict level -> E_V basis, GradedSubmodule M whose quotient bases
     are those E_V levels).  M costs nothing until it is queried.
@@ -307,14 +310,13 @@ def ev_space(module, v, window=None, use_gradient=False):
         if ev[n - 1].shape[1] == 0:
             ev[n] = np.zeros((module.level_dim(n), 0), dtype=complex)
             continue
-        stacked, norm = stacked_adjoint(module, n, use_gradient)
         candidates = euler_candidates(module, ev[n - 1], n)
+        stacked, norm = stacked_adjoint(module, n, candidates, use_gradient)
         # 1 (x) Q: Q acts on the d.E index of each level-(n-1) monomial
-        image = q @ (stacked @ candidates).reshape(module.scalar_dim(n - 1),
-                                                   q.shape[0], -1)
+        image = q @ stacked.reshape(module.scalar_dim(n - 1), q.shape[0], -1)
         # floor: for V = d.E the composition is a true zero map
         ev[n] = candidates @ linalg.nullspace(
-            image.reshape(stacked.shape[0], -1), floor=1e-10 * norm)
+            image.reshape(stacked.shape), floor=1e-10 * norm)
     return ev, GradedSubmodule(module, ev, window=window)
 
 

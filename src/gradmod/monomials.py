@@ -5,8 +5,8 @@ variables is spanned by the monomials z^alpha with |alpha| = n, ordered
 graded-lexicographically with z_1 > z_2 > ... > z_d; that order is fixed once
 so every block matrix in the toolkit is reproducible entry for entry.
 
-The structure maps built here are pure coefficient matrices in the monomial
-basis: no inner product enters at this layer.
+The successor tables built here are pure index maps between levels: no
+inner product enters at this layer.
 """
 
 from dataclasses import dataclass
@@ -68,41 +68,19 @@ def _index_map(d, n):
     return {alpha: i for i, alpha in enumerate(_basis_cached(d, n))}
 
 
-def mult_structure_map(k, d, n):
-    """Coefficient matrix of multiplication by z_k from level n to level n+1.
+@lru_cache(maxsize=None)
+def successors(d, n):
+    """Index table of the coordinate multiplications from level n to level n+1.
 
-    ``k`` is the 1-based variable index.  The matrix is 0/1: monomial alpha
-    maps to alpha + e_k.
+    Entry (i, k) is the index in level n+1 of alpha + e_{k+1}, alpha being the
+    i-th monomial of level n (k is 0-based here).  Shape (dim level n, d),
+    read-only, cached per (d, n).
     """
-    if not 1 <= k <= d:
-        raise ValueError("variable index out of range")
-    src = _basis_cached(d, n)
     dst_index = _index_map(d, n + 1)
-    out = np.zeros((level_dimension(d, n + 1), len(src)))
-    for col, alpha in enumerate(src):
-        beta = list(alpha)
-        beta[k - 1] += 1
-        out[dst_index[tuple(beta)], col] = 1.0
-    return out
-
-
-def derivative_structure_map(k, d, n):
-    """Coefficient matrix of d/dz_k from level n to level n-1.
-
-    The column of alpha carries the coefficient alpha_k at alpha - e_k and is
-    zero when alpha_k = 0.  Requires n >= 1.
-    """
-    if not 1 <= k <= d:
-        raise ValueError("variable index out of range")
-    if n < 1:
-        raise ValueError("nothing to differentiate at level 0")
     src = _basis_cached(d, n)
-    dst_index = _index_map(d, n - 1)
-    out = np.zeros((level_dimension(d, n - 1), len(src)))
-    for col, alpha in enumerate(src):
-        if alpha[k - 1] == 0:
-            continue
-        beta = list(alpha)
-        beta[k - 1] -= 1
-        out[dst_index[tuple(beta)], col] = float(alpha[k - 1])
-    return out
+    table = np.empty((len(src), d), dtype=np.intp)
+    for i, alpha in enumerate(src):
+        for k in range(d):
+            table[i, k] = dst_index[alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]]
+    table.flags.writeable = False
+    return table

@@ -14,9 +14,10 @@ solves one small nullspace problem on that span (``cosaturation``).  The
 saturation flags come out of the same recursion, and a pullback through the
 row operator carries the flags its construction proves (see
 ``linearize.pullback``).  Z_k and Z_k* act through ``StandardModule.shift``
-and ``shift_adjoint``, on the real scalar block, never on a dense block of
-the ambient module.  Degrees, residuals, quotients and projections read Q; a
-basis of M_n is the complement of Q_n, computed only on request.
+and ``shift_adjoint``, a scatter and a gather on the level's successor
+table, never through a dense block of the ambient module.  Degrees,
+residuals, quotients and projections read Q; a basis of M_n is the
+complement of Q_n, computed only on request.
 
 Degree reporting is deliberately conservative: a degree is only declared when
 saturation is witnessed on at least two consecutive levels beyond both the

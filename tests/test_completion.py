@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gradmod as gm
+import structure_oracle as oracle
 from gradmod.completion import fock_level_weights
 from gradmod.linalg import opnorm
 
@@ -86,6 +87,16 @@ def test_fock_weights_match_factorial_closed_form(d):
             for a in alpha:
                 closed *= factorial(a)
             assert levels[n][i] == pytest.approx(float(closed), rel=1e-13)
+
+
+@pytest.mark.parametrize("d,top", [(1, 10), (2, 14), (3, 24), (3, 40), (4, 12), (9, 5)])
+def test_fock_weights_equal_the_monomial_loop(d, top):
+    # same divisions and the same ascending-k sums, so equal bit for bit
+    levels = fock_level_weights(d, top)
+    assert fock_level_weights(d, top) is levels
+    for got, want in zip(levels, oracle.fock_level_weights(d, top), strict=True):
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
 
 
 def test_monomial_norms():
@@ -168,12 +179,16 @@ def test_adjoint_proportional_to_derivative():
             w_lo = np.sqrt(c[n - 1] * nu_lo)
             u = rho[n - 1] ** 2 / n
             for k in range(1, mod.d + 1):
-                raw = gm.derivative_structure_map(k, mod.d, n)
+                raw = oracle.derivative_structure_map(k, mod.d, n)
                 normalized = w_lo[:, None] * raw / w_hi[None, :]
-                oracle = u * np.kron(normalized, np.eye(mod.multiplicity))
-                assert opnorm(mod.adjoint_block(k, n) - oracle) <= 1e-12
-                assert opnorm(mod.adjoint_block(k, n)
-                              - mod.adjoint_scalar(n) * mod.gradient_block(k, n)) <= 1e-12
+                expected = u * np.kron(normalized, np.eye(mod.multiplicity))
+                assert opnorm(mod.adjoint_block(k, n) - expected) <= 1e-12
+                assert opnorm(mod.adjoint_block(k, n) - mod.adjoint_scalar(n)
+                              * oracle.gradient_block(mod, k, n)) <= 1e-12
+            # the stacked gather: L_{n-1}* = u(n) (d/dz_1, ..., d/dz_d)
+            eye = np.eye(mod.level_dim(n), dtype=complex)
+            assert opnorm(mod.row_adjoint(n - 1, eye)
+                          - mod.adjoint_scalar(n) * mod.gradient(n, eye)) <= 1e-12
 
 
 def test_adjoint_h2_scalars():
@@ -207,7 +222,8 @@ def test_shift_helpers_equal_dense_blocks_exactly(family, d, r):
                             d=d, multiplicity=r)
     for n in range(mod.top_level):
         for k in range(1, d + 1):
-            block = mod.coordinate_block(k, n)
+            block = oracle.coordinate_block(mod, k, n)
+            assert np.array_equal(mod.coordinate_block(k, n), block)
             for x in shift_inputs(rng, mod.level_dim(n)):
                 got = mod.shift(k, n, x)
                 assert got.shape == (mod.level_dim(n + 1), x.shape[1])
@@ -216,6 +232,12 @@ def test_shift_helpers_equal_dense_blocks_exactly(family, d, r):
                 got = mod.shift_adjoint(k, n, x)
                 assert got.shape == (mod.level_dim(n), x.shape[1])
                 assert np.array_equal(got, block.conj().T @ x)
+    for n in range(1, mod.top_level + 1):
+        stacked = oracle.stacked_gradient(mod, n)
+        for x in shift_inputs(rng, mod.level_dim(n)):
+            got = mod.gradient(n, x)
+            assert got.shape == (d * mod.level_dim(n - 1), x.shape[1])
+            assert np.array_equal(got, stacked @ x)
 
 
 @pytest.mark.parametrize("family", ["dshift", "hardy", "bergman", "sinsqrt"])
@@ -228,7 +250,8 @@ def test_row_helpers_equal_the_dense_row_block(family, d, r):
     mod = gm.StandardModule(gm.make_weights(family, 6, d=d, r1=1.0, r2=4.0),
                             d=d, multiplicity=r)
     for n in range(mod.top_level):
-        block = mod.row_block(n)
+        block = oracle.row_block(mod, n)
+        assert np.array_equal(mod.row_block(n), block)
         for x in shift_inputs(rng, block.shape[0]):
             got = mod.row_adjoint(n, x)
             assert got.shape == (block.shape[1], x.shape[1])
@@ -241,11 +264,40 @@ def test_row_helpers_equal_the_dense_row_block(family, d, r):
 
 
 def test_out_of_window_blocks_raise():
-    mod = gm.StandardModule(gm.make_weights("dshift", 4), d=2)
+    # a negative or out-of-range index must not wrap around a table
+    mod = gm.StandardModule(gm.make_weights("dshift", 4), d=2, multiplicity=2)
     with pytest.raises(ValueError):
         mod.coordinate_block(1, 4)
     with pytest.raises(ValueError):
         mod.level_dim(5)
+    top = mod.top_level
+
+    def cols(n, copies=1):
+        # columns of the right height, so only the index check can raise
+        return np.ones((copies * mod.level_dim(n), 1), dtype=complex)
+
+    for k in (0, mod.d + 1, -1):
+        with pytest.raises(ValueError):
+            mod.shift(k, 1, cols(1))
+        with pytest.raises(ValueError):
+            mod.shift_adjoint(k, 1, cols(2))
+        for build in (mod.coordinate_block, mod.fock_block):
+            with pytest.raises(ValueError):
+                build(k, 1)
+    with pytest.raises(ValueError):
+        mod.shift(1, top, cols(top))
+    with pytest.raises(ValueError):
+        mod.shift_adjoint(1, top, cols(top))
+    with pytest.raises(ValueError):
+        mod.row(top, cols(top, mod.d))
+    with pytest.raises(ValueError):
+        mod.row_adjoint(top, cols(top))
+    for n in (top, -1):
+        with pytest.raises(ValueError):
+            mod.row_block(n)
+    for n in (0, top + 1, -1):
+        with pytest.raises(ValueError):
+            mod.gradient(n, cols(min(max(n, 0), top)))
 
 
 # -- appendix commutator decomposition --------------------------------------

@@ -1,7 +1,8 @@
-"""Combinatorial layer: bases, structure maps, and their algebraic relations.
+"""Combinatorial layer: bases, successor tables, and the structure maps' relations.
 
 Derived expectations are recomputed here by brute-force enumeration,
-independently of the recursive generator inside the package.
+independently of the recursive generator inside the package.  The dense
+structure maps live in the test oracle (``structure_oracle``).
 """
 
 from itertools import product
@@ -10,8 +11,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from gradmod import (derivative_structure_map, level_dimension, monomial_basis,
-                     mult_structure_map)
+from gradmod import level_dimension, monomial_basis, monomials
+from structure_oracle import derivative_structure_map, mult_structure_map
 
 
 def brute_force_level(d, n):
@@ -118,3 +119,15 @@ def test_mult_columns_span_next_level(d):
     for n in range(0, 9 - d):
         stacked = np.hstack([mult_structure_map(k, d, n) for k in range(1, d + 1)])
         assert np.linalg.matrix_rank(stacked) == level_dimension(d, n + 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_successors_index_the_mult_structure_maps(d):
+    for n in range(0, 9 - d):
+        succ = monomials.successors(d, n)
+        assert succ.shape == (level_dimension(d, n), d)
+        assert not succ.flags.writeable
+        for k in range(1, d + 1):
+            expected = np.zeros((level_dimension(d, n + 1), level_dimension(d, n)))
+            expected[succ[:, k - 1], np.arange(succ.shape[0])] = 1.0
+            np.testing.assert_array_equal(expected, mult_structure_map(k, d, n))

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 
 import gradmod as gm
 import mside_oracle as oracle
+import structure_oracle as structure
 from gradmod import cli, linalg
 from gradmod.linearize import pullback_quotient, stacked_adjoint
 from gradmod.config import RANK_TOL_FACTOR
@@ -287,11 +288,15 @@ def test_stacked_adjoint_norm_is_closed_form(family, d, r):
     mod = module(family, d, r)
     for n in range(1, mod.top_level + 1):
         for use_gradient in (False, True):
-            stacked, norm = stacked_adjoint(mod, n, use_gradient)
-            assert abs(norm - linalg.opnorm(stacked)) <= 1e-14 * norm
+            eye = np.eye(mod.level_dim(n), dtype=complex)
+            stacked, norm = stacked_adjoint(mod, n, eye, use_gradient)
+            dense = (structure.stacked_gradient(mod, n) if use_gradient
+                     else structure.row_block(mod, n - 1).conj().T)
+            assert np.array_equal(stacked, dense)
+            assert abs(norm - linalg.opnorm(dense)) <= 1e-14 * norm
         # the floors of cosaturation and pullback: ||L_{n-1}|| = rho_{n-1}
         rho = mod.rho[n - 1]
-        assert abs(linalg.opnorm(mod.row_block(n - 1)) - rho) <= 1e-14 * rho
+        assert abs(linalg.opnorm(structure.row_block(mod, n - 1)) - rho) <= 1e-14 * rho
 
 
 # -- work guards --------------------------------------------------------------------
@@ -429,6 +434,30 @@ def test_cli_linearize_solves_one_flag_per_pullback(monkeypatch, tmp_path, rng):
     # the base module has r = 1; every d.S of the chain has r >= 3
     assert len([r for r in cosaturations if r > 1]) <= pullbacks
     assert [r for r in dense_blocks if r > 1] == []
+
+
+def test_cli_ev_and_linearize_build_no_dense_block(monkeypatch, tmp_path, rng):
+    # Z_k, L, L* and d/dz_k act as scatters and gathers on the successor table
+    built = []
+    for name in ("coordinate_block", "row_block"):
+        def counting(self, *args, _name=name,
+                     _block=getattr(gm.StandardModule, name), **kwargs):
+            built.append(_name)
+            return _block(self, *args, **kwargs)
+
+        monkeypatch.setattr(gm.StandardModule, name, counting)
+    grid = tmp_path / "v.txt"
+    raw = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    grid.write_text("".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row)
+                            + "\n" for row in raw))
+    cubic = tmp_path / "cubic.txt"
+    cubic.write_text(gm.submodules.format_generator(
+        random_generators(rng, 3, 1, 3, 1)[0]) + "\n")
+    assert cli.main(["ev", "--d", "3", "--N", "16", "--V", str(grid),
+                     "--out", str(tmp_path / "ev")]) == 0
+    assert cli.main(["linearize", "--d", "3", "--N", "11", "--gens", str(cubic),
+                     "--out", str(tmp_path / "linearize")]) == 0
+    assert built == []
 
 
 def test_package_has_one_pullback_path():
