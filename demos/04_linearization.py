@@ -62,6 +62,6 @@ rng = np.random.default_rng(5)
 raw = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
 v = gm.SubspaceV.from_matrix(hardy, raw)
 ev_adj, _ = gm.ev_space(hardy, v)
-ev_grad, _ = gm.ev_space(hardy, v, use_gradient=True)
+ev_grad = gm.ev_gradient_levels(hardy, v)
 gap = max(linalg.subspace_distance(ev_adj[n], ev_grad[n]) for n in ev_adj)
 print(f"  max subspace gap over levels: {gap:.2e}")

@@ -31,6 +31,7 @@ from .linearize import (
     LinearizationResult,
     SubspaceV,
     WindowExhausted,
+    ev_gradient_levels,
     ev_quotient,
     ev_space,
     induced_map_report,

@@ -35,8 +35,8 @@ from .completion import (StandardModule, make_weights, number_trace_report,
                          oscillation_report, row_sum_residual,
                          commutator_decomposition_residual, summability_report)
 from .koszul import betti_numbers, betti_table, build_koszul, dirac_square_residual
-from .linearize import (ev_space, linearize_full, parse_subspace,
-                        pullback_quotient, recover_subspace)
+from .linearize import (ev_gradient_levels, ev_space, linearize_full,
+                        parse_subspace, pullback_quotient, recover_subspace)
 from .normality import (alternating_block_sequence,
                         compression_identity_residuals, quotient_en_report,
                         resolvent_projection, similarity_counterexample,
@@ -445,7 +445,7 @@ def cmd_ev(args, outdir):
     p_list = args.p
 
     ev, sub = ev_space(module, v)
-    ev_grad, _ = ev_space(module, v, use_gradient=True)
+    ev_grad = ev_gradient_levels(module, v)
     route_gap = max(linalg.subspace_distance(ev[n], ev_grad[n]) for n in ev)
     deg = sub.degree_report()
     recovered = recover_subspace(sub)

@@ -37,7 +37,8 @@ whose gradient) lies pointwise in V.  E_V is computed level by level with
 the Euler recursion: every partial derivative of f in E_V(n) lies in
 E_V(n-1), and f = (1/n) sum_j z_j d_j f, so E_V(n) lies in the span of the
 Z_j E_V(n-1); each level solves its nullspace problem on that small span.
-E_V is the quotient side of its submodule, so it is stored as Q directly.
+E_V is the quotient side of its submodule, so it is stored as Q directly,
+and its flags are solved on the same spans (``ev_space``).
 """
 
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import linalg
 from .submodules import (GradedSubmodule, QuotientModule, cosaturation,
-                         euler_candidates, parse_complex)
+                         cosaturation_flags, euler_candidates, parse_complex)
 
 
 class WindowExhausted(RuntimeError):
@@ -65,11 +66,11 @@ def kernel_levels(module, window=None):
         window = module.top_level - 1
     if window > module.top_level - 1 or window < 1:
         raise ValueError("kernel window must lie in 1..N-1")
-    return GradedSubmodule(module.row_domain,
-                           {n: pullback_quotient(module, np.eye(
-                               module.level_dim(n + 1), dtype=complex), n)
-                            for n in range(window + 1)},
-                           window=window)
+    quotient = {n: pullback_quotient(module, np.eye(module.level_dim(n + 1),
+                                                    dtype=complex), n)
+                for n in range(window + 1)}
+    return GradedSubmodule(module.row_domain, quotient, cosaturation_flags(
+        module.row_domain, quotient, window), window=window)
 
 
 def pullback_quotient(module, quotient_next, k):
@@ -109,10 +110,9 @@ def pullback(submodule):
     window = min(submodule.window - 1, module.top_level - 1)
     quotient = {k: pullback_quotient(module, submodule.quotient_basis(k + 1), k)
                 for k in range(window + 1)}
-    flags = {0: cosaturation(module.row_domain, quotient[0], 1).shape[1]
-             == quotient[1].shape[1]}
+    flags = cosaturation_flags(module.row_domain, quotient, 1)
     flags.update((k, report.flags[k + 1]) for k in range(1, window))
-    return GradedSubmodule(module.row_domain, quotient, window=window, flags=flags)
+    return GradedSubmodule(module.row_domain, quotient, flags, window=window)
 
 
 def kernel_containment_residual(module, pulled):
@@ -264,60 +264,73 @@ def parse_subspace(text, module):
     return SubspaceV.from_matrix(module, np.array(rows, dtype=complex))
 
 
-def stacked_adjoint(module, n, x, use_gradient=False):
-    """The stacked map from level n to d.(level n-1) applied to x, with its exact norm.
+def stacked_adjoint(module, n, x):
+    """(Z_1*, ..., Z_d*) from level n to d.(level n-1) applied to x, with its exact norm.
 
-    The adjoint route stacks (Z_1*, ..., Z_d*), which is L_{n-1}*
-    (``StandardModule.row_adjoint``): the row-sum identity gives it norm
-    rho_{n-1}.  The gradient route stacks the level gradients
-    d/dz_k = Z_k* / u(n) (``StandardModule.gradient``), of norm
-    rho_{n-1} / u(n) = n / rho_{n-1}.  Both are gathers with rows
-    (monomial, copy i, component): copy-major d.E.
+    That is L_{n-1}* (``StandardModule.row_adjoint``), of norm rho_{n-1} by the
+    row-sum identity: a gather with rows (monomial, copy i, component).
     """
-    if not use_gradient:
-        return module.row_adjoint(n - 1, x), float(module.rho[n - 1])
-    return (module.gradient(n, x),
-            float(module.rho[n - 1]) / module.adjoint_scalar(n))
+    return module.row_adjoint(n - 1, x), float(module.rho[n - 1])
 
 
-def ev_space(module, v, window=None, use_gradient=False):
-    """Levelwise bases of E_V, and M = E_V^perp held on its quotient side.
+def stacked_gradient(module, n, x):
+    """The level gradients d/dz_k = Z_k* / u(n), stacked the same way, with its norm.
 
-    E_V(n) is the nullspace of (1 (x) Q) composed with the stacked adjoints
-    (Z_1*, ..., Z_d*) on level n, Q being the projection onto V^perp.
-    With ``use_gradient=True`` the stacked maps are the level gradients
-    instead; for maximally symmetric completions the two agree levelwise (the
-    adjoints are positive multiples of the gradients).
-
-    The nullspace is solved on candidates, not on the whole level (Euler
-    recursion).  If f lies in E_V(n), each d_j f lies in E_V(n-1), since mixed
-    partials commute and V is linear, and f = (1/n) sum_j z_j d_j f.  So
-    E_V(n) lies in C_n = span_j Z_j E_V(n-1), which has dimension at most
-    d dim E_V(n-1), and E_V(n) = C_n ker((1 (x) Q) stacked C_n).  An empty
-    E_V(n-1) gives an empty E_V(n).  The rank floor is 1e-10 ||stacked||,
-    with the norm in closed form (``stacked_adjoint``).  Each route recurses
-    on its own gather, with its own weights, so the two routes remain
-    independent computations.
-
-    Returns (dict level -> E_V basis, GradedSubmodule M whose quotient bases
-    are those E_V levels).  M costs nothing until it is queried.
+    That is ``StandardModule.gradient``, of norm rho_{n-1} / u(n) = n / rho_{n-1}.
     """
-    if window is None:
-        window = module.top_level
+    return module.gradient(n, x), float(module.rho[n - 1]) / module.adjoint_scalar(n)
+
+
+def _ev_recursion(module, v, window, stacked):
+    """Yield (n, C_n, E_V(n)) for n = 0..window (C_0 is None).
+
+    E_V(n) is the nullspace of (1 (x) Q) composed with ``stacked`` on level n,
+    Q being the projection onto V^perp.  It is solved on candidates, not on
+    the whole level (Euler recursion).  If f lies in E_V(n), each d_j f lies
+    in E_V(n-1), since mixed partials commute and V is linear, and
+    f = (1/n) sum_j z_j d_j f.  So E_V(n) lies in C_n = span_j Z_j E_V(n-1),
+    which has dimension at most d dim E_V(n-1), and
+    E_V(n) = C_n ker((1 (x) Q) stacked C_n); an empty E_V(n-1) gives empty
+    C_n and E_V(n) with no factorization.  The rank floor is
+    1e-10 ||stacked||, with the norm in closed form.
+    """
     q = v.complement_projector()
-    ev = {0: np.eye(module.level_dim(0), dtype=complex)}
-    for n in range(1, window + 1):
-        if ev[n - 1].shape[1] == 0:
-            ev[n] = np.zeros((module.level_dim(n), 0), dtype=complex)
-            continue
-        candidates = euler_candidates(module, ev[n - 1], n)
-        stacked, norm = stacked_adjoint(module, n, candidates, use_gradient)
+    level = np.eye(module.level_dim(0), dtype=complex)
+    yield 0, None, level
+    for n in range(1, (module.top_level if window is None else window) + 1):
+        cand = euler_candidates(module, level, n)
+        stacked_cand, norm = stacked(module, n, cand)
         # 1 (x) Q: Q acts on the d.E index of each level-(n-1) monomial
-        image = q @ stacked.reshape(module.scalar_dim(n - 1), q.shape[0], -1)
+        image = q @ stacked_cand.reshape(module.scalar_dim(n - 1), q.shape[0], -1)
         # floor: for V = d.E the composition is a true zero map
-        ev[n] = candidates @ linalg.nullspace(
-            image.reshape(stacked.shape), floor=1e-10 * norm)
-    return ev, GradedSubmodule(module, ev, window=window)
+        level = cand @ linalg.nullspace(image.reshape(stacked_cand.shape),
+                                        floor=1e-10 * norm)
+        yield n, cand, level
+
+
+def ev_space(module, v, window=None):
+    """E_V by the adjoint route (``stacked_adjoint``), and M = E_V^perp with its flags.
+
+    Returns (dict level -> E_V basis, M on those quotient bases).  M's flag at
+    n-1 is dim E_V(n) == dim R_n, R_n solved by ``cosaturation`` on C_n.
+    """
+    ev, flags = {}, {}
+    for n, cand, level in _ev_recursion(module, v, window, stacked_adjoint):
+        if n:
+            flags[n - 1] = (cosaturation(module, ev[n - 1], n, cand).shape[1]
+                            == level.shape[1])
+        ev[n] = level
+    return ev, GradedSubmodule(module, ev, flags, window=window)
+
+
+def ev_gradient_levels(module, v, window=None):
+    """E_V by the gradient route (``stacked_gradient``), independent of ``ev_space``.
+
+    Returns dict level -> E_V basis.  The routes agree for maximally symmetric
+    completions, where the adjoints are positive multiples of the gradients.
+    """
+    return {n: level for n, _, level
+            in _ev_recursion(module, v, window, stacked_gradient)}
 
 
 def ev_quotient(module, v, window=None):

@@ -10,14 +10,14 @@ Generation is the co-invariant Euler recursion.  With G_n the degree-n
 generators, Q_n = {f perp G_n : Z_k* f in Q_{n-1} for every k}.  Every
 standard module is maximally symmetric, so Z_k* is a multiple of d/dz_k and
 the row-sum identity puts Q_n inside the span of the Z_k Q_{n-1}; each level
-solves one small nullspace problem on that span (``cosaturation``).  The
-saturation flags come out of the same recursion, and a pullback through the
-row operator carries the flags its construction proves (see
-``linearize.pullback``).  Z_k and Z_k* act through ``StandardModule.shift``
-and ``shift_adjoint``, a scatter and a gather on the level's successor
-table, never through a dense block of the ambient module.  Degrees,
-residuals, quotients and projections read Q; a basis of M_n is the
-complement of Q_n, computed only on request.
+solves one small nullspace problem on that span (``cosaturation``).  Every
+submodule carries the saturation flags of the construction that built it
+(generation and ``linearize.ev_space`` their recursion's, a pullback its
+input's shifted, ker L one ``cosaturation_flags`` pass).  Z_k and Z_k* act
+through ``StandardModule.shift`` and ``shift_adjoint``, a scatter and a
+gather on the level's successor table, never through a dense block of the
+ambient module.  Degrees, residuals, quotients and projections read Q; a
+basis of M_n is the complement of Q_n, computed only on request.
 
 Degree reporting is deliberately conservative: a degree is only declared when
 saturation is witnessed on at least two consecutive levels beyond both the
@@ -193,7 +193,7 @@ def euler_candidates(module, prev, n):
     return cand
 
 
-def cosaturation(module, quotient_prev, n):
+def cosaturation(module, quotient_prev, n, cand=None):
     """Orthonormal basis of R_n = {f in level n : Z_k* f in span(Q_{n-1}) for all k}.
 
     R_n is the orthocomplement of sum_k Z_k M_{n-1}, given Q_{n-1} = M_{n-1}^perp.
@@ -203,7 +203,7 @@ def cosaturation(module, quotient_prev, n):
     nullspace of the stacked rows (I - P_{Q_{n-1}}) Z_k* is solved on C_n:
     at most d dim Q_{n-1} columns.  The stacked rows are a compression of
     L_{n-1}*, whose norm is rho_{n-1} exactly, so the rank floor is
-    1e-10 rho_{n-1}.
+    1e-10 rho_{n-1}.  A caller that holds C_n passes it as ``cand``.
     """
     dim_prev = quotient_prev.shape[1]
     if dim_prev == 0:
@@ -211,12 +211,19 @@ def cosaturation(module, quotient_prev, n):
     if dim_prev == module.level_dim(n - 1):
         # M_{n-1} = 0, so nothing constrains level n
         return np.eye(module.level_dim(n), dtype=complex)
-    cand = euler_candidates(module, quotient_prev, n)
+    if cand is None:
+        cand = euler_candidates(module, quotient_prev, n)
     rows = np.stack([module.shift_adjoint(k, n - 1, cand)
                      for k in range(1, module.d + 1)])
     rows -= quotient_prev @ (quotient_prev.conj().T @ rows)
     return cand @ linalg.nullspace(rows.reshape(-1, cand.shape[1]),
                                    floor=1e-10 * module.rho[n - 1])
+
+
+def cosaturation_flags(module, quotient_bases, window):
+    """flags[k] = (dim Q_{k+1} == dim R_{k+1}), one ``cosaturation`` per level."""
+    return {k: cosaturation(module, quotient_bases[k], k + 1).shape[1]
+            == quotient_bases[k + 1].shape[1] for k in range(window)}
 
 
 # -- graded submodules -----------------------------------------------------
@@ -226,15 +233,13 @@ class GradedSubmodule:
     """A graded submodule M of a standard module, held by its quotient side.
 
     ``quotient_bases[n]`` is an orthonormal basis Q_n of M_n^perp for every
-    level n of the window.  ``flags`` (level k -> M_{k+1} == sum_j Z_j M_k)
-    may be supplied by a construction that proves them: generated submodules
-    carry the flags of their recursion, and pullbacks the flags of their input
-    shifted down one degree, with only level 0 solved.  Otherwise they are
-    computed on first use from ``cosaturation``.  M_n is the complement of
-    Q_n, computed once on request.
+    level n of the window.  ``flags`` (level k -> M_{k+1} == sum_j Z_j M_k,
+    one per level below the window) come from the construction that built M
+    (see the module docstring).  M_n is the complement of Q_n, computed once
+    on request.
     """
 
-    def __init__(self, module, quotient_bases, window=None, flags=None,
+    def __init__(self, module, quotient_bases, flags, window=None,
                  max_generator_degree=None):
         self.module = module
         self.window = module.top_level if window is None else int(window)
@@ -249,7 +254,6 @@ class GradedSubmodule:
         self.max_generator_degree = max_generator_degree
         self._flags = flags
         self._bases = {}
-        self._degree_report = None
 
     # construction --------------------------------------------------------
 
@@ -263,30 +267,24 @@ class GradedSubmodule:
                 raise ValueError(
                     f"generator degree {g.degree} exceeds the window {window}")
             by_degree.setdefault(g.degree, []).append(g)
-        seeds = {deg: embed_polynomials(module, polys)
-                 for deg, polys in by_degree.items()}
-        return cls._from_seeds(module, seeds, window,
-                               max(by_degree) if by_degree else None)
+        return cls.from_level_seeds(module, {deg: embed_polynomials(module, polys)
+                                             for deg, polys in by_degree.items()},
+                                    window=window)
 
     @classmethod
     def from_level_seeds(cls, module, seeds, max_generator_degree=None, window=None):
-        """Generate from raw coordinate columns seeded at given levels."""
-        window = module.top_level if window is None else int(window)
-        if max_generator_degree is None and seeds:
-            max_generator_degree = max(int(n) for n in seeds)
-        return cls._from_seeds(module, {int(n): np.asarray(s, dtype=complex)
-                                        for n, s in seeds.items()}, window,
-                               max_generator_degree)
+        """Generate from raw coordinate columns seeded at given levels.
 
-    @classmethod
-    def _from_seeds(cls, module, seeds, window, max_generator_degree):
-        """Q_n = {f in R_n : G_n* f = 0}, level by level (see ``cosaturation``).
-
+        Q_n = {f in R_n : G_n* f = 0}, level by level (see ``cosaturation``).
         G_n holds the degree-n seeds, orthonormalized.  The flag of level n-1
         is whether the G_n rows cut R_n down; without seeds at n it is True.
         The G_n rows have norm 1 on orthonormal columns, so their floor is
         1e-10.
         """
+        window = module.top_level if window is None else int(window)
+        seeds = {int(n): np.asarray(s, dtype=complex) for n, s in seeds.items()}
+        if max_generator_degree is None and seeds:
+            max_generator_degree = max(seeds)
         quotient = {}
         flags = {}
         for n in range(window + 1):
@@ -299,22 +297,19 @@ class GradedSubmodule:
             if n > 0:
                 flags[n - 1] = q.shape[1] == cosat.shape[1]
             quotient[n] = q
-        return cls(module, quotient, window=window, flags=flags,
+        return cls(module, quotient, flags, window=window,
                    max_generator_degree=max_generator_degree)
 
     @classmethod
     def zero(cls, module, window=None):
-        window = module.top_level if window is None else int(window)
-        return cls(module, {n: np.eye(module.level_dim(n), dtype=complex)
-                            for n in range(window + 1)},
-                   window=window, max_generator_degree=0)
+        """The submodule generated by nothing: no factorization at any level."""
+        return cls.from_level_seeds(module, {}, max_generator_degree=0, window=window)
 
     @classmethod
     def full(cls, module, window=None):
-        window = module.top_level if window is None else int(window)
-        return cls(module, {n: np.zeros((module.level_dim(n), 0), dtype=complex)
-                            for n in range(window + 1)},
-                   window=window, max_generator_degree=0)
+        """The submodule generated by E at level 0."""
+        return cls.from_level_seeds(module, {0: np.eye(module.level_dim(0))},
+                                    window=window)
 
     # queries --------------------------------------------------------------
 
@@ -369,20 +364,13 @@ class GradedSubmodule:
     def saturation_flags(self):
         """flags[k]: does sum_j Z_j M_k span all of M_{k+1}?
 
-        Equivalently dim Q_{k+1} = dim R_{k+1} (``cosaturation``).  Generated
-        submodules and pullbacks carry the flags their construction proved.
+        Equivalently dim Q_{k+1} = dim R_{k+1} (``cosaturation``).  These
+        are the flags the construction proved.
         """
-        if self._flags is None:
-            self._flags = {
-                k: cosaturation(self.module, self.quotient_basis(k), k + 1).shape[1]
-                == self.quotient_basis(k + 1).shape[1]
-                for k in range(self.window)}
         return dict(self._flags)
 
     def degree_report(self):
         """Degree per the smallest-saturation-level definition, with honesty flags."""
-        if self._degree_report is not None:
-            return self._degree_report
         flags = self.saturation_flags()
         degenerate = all(self.dim(n) == 0 for n in range(self.window + 1))
         false_levels = [k for k, ok in flags.items() if not ok]
@@ -391,7 +379,7 @@ class GradedSubmodule:
         threshold = candidate if g is None else max(candidate, g)
         witnessed = self.window - threshold  # saturated levels threshold..window-1
         determined = degenerate or witnessed >= 2
-        report = DegreeReport(
+        return DegreeReport(
             degree=candidate if determined else None,
             determined=determined,
             flags=flags,
@@ -400,8 +388,6 @@ class GradedSubmodule:
             degenerate_zero=degenerate,
             witnessed_levels=max(witnessed, 0),
         )
-        self._degree_report = report
-        return report
 
     @property
     def degree(self):

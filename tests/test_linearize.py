@@ -5,6 +5,8 @@ solutions plus the kernel), a route independent of the isometry L_k*/rho_k
 that the package pulls back by.
 """
 
+import itertools
+import math
 import sys
 
 import numpy as np
@@ -234,7 +236,7 @@ def test_ev_gradient_route_agrees(rng):
     for dim in (1, 2, 3):
         v = random_subspace(rng, mod, dim)
         ev_a, _ = gm.ev_space(mod, v)
-        ev_g, _ = gm.ev_space(mod, v, use_gradient=True)
+        ev_g = gm.ev_gradient_levels(mod, v)
         for n in ev_a:
             assert linalg.subspace_distance(ev_a[n], ev_g[n]) <= 1e-10
 
@@ -278,12 +280,12 @@ def test_nullspace_of_tall_matrix(rng):
     assert linalg.subspace_distance(null, full_svd_nullspace(a, 0.0)) <= 1e-12
 
 
-def full_level_ev(module, v, use_gradient=False):
+def full_level_ev(module, v, route):
     """E_V(n) as the nullspace of (1 (x) Q) stacked on the whole level n."""
     q = v.complement_projector()
     ev = {0: np.eye(module.level_dim(0), dtype=complex)}
     for n in range(1, module.top_level + 1):
-        if use_gradient:
+        if route is gm.ev_gradient_levels:
             stacked = oracle.stacked_gradient(module, n)
         else:
             stacked = oracle.row_block(module, n - 1).conj().T
@@ -294,6 +296,14 @@ def full_level_ev(module, v, use_gradient=False):
 
 
 EV_FAMILIES = ("dshift", "hardy", "bergman", "sinsqrt")
+
+
+def adjoint_levels(module, v):
+    return gm.ev_space(module, v)[0]
+
+
+# the two routes to E_V, each returning dict level -> basis
+EV_ROUTES = (adjoint_levels, gm.ev_gradient_levels)
 
 
 def ev_module(family, d, r, top):
@@ -308,13 +318,57 @@ def test_ev_recursion_matches_full_level_nullspace(rng, family, d, r, top):
     mod = ev_module(family, d, r, top)
     for dim in sorted({0, 1, 2, d * r - 1, d * r}):
         v = random_subspace(rng, mod, dim)
-        for use_gradient in (False, True):
-            ev, _ = gm.ev_space(mod, v, use_gradient=use_gradient)
-            oracle = full_level_ev(mod, v, use_gradient=use_gradient)
+        for route in EV_ROUTES:
+            ev = route(mod, v)
+            oracle = full_level_ev(mod, v, route)
             assert sorted(ev) == sorted(oracle)
             for n in oracle:
                 assert ev[n].shape == oracle[n].shape
                 assert linalg.subspace_distance(ev[n], oracle[n]) <= 1e-12
+
+
+def linear_form_products(module, v_basis, n):
+    """The products l_1^{a_1} ... l_m^{a_m} with |a| = n, in the level-n basis.
+
+    l_j(z) = sum_i v_ij z_i, without conjugation, for the columns v_j of
+    ``v_basis``; coefficients are scaled into the orthonormal level basis by
+    the square roots of the monomial norms.
+    """
+    d = module.d
+    basis = gm.monomial_basis(d, n)
+    norms = np.sqrt(module.monomial_norms(n))
+    cols = []
+    for picks in itertools.combinations_with_replacement(range(v_basis.shape[1]), n):
+        poly = {(0,) * d: 1.0 + 0j}
+        for j in picks:
+            product = {}
+            for alpha, c in poly.items():
+                for i in range(d):
+                    beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                    product[beta] = product.get(beta, 0.0) + c * v_basis[i, j]
+            poly = product
+        col = np.zeros(module.level_dim(n), dtype=complex)
+        for alpha, c in poly.items():
+            idx = basis.index(alpha)
+            col[idx] = c * norms[idx]
+        cols.append(col)
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("family", EV_FAMILIES)
+@pytest.mark.parametrize("d,top", [(2, 10), (3, 8), (4, 7)])
+def test_ev_matches_linear_form_products(rng, family, d, top):
+    # r = 1: grad f in V pointwise means f is constant along V^perp, so E_V(n)
+    # is spanned by the degree-n products of the linear forms of V
+    mod = ev_module(family, d, 1, top)
+    for m in range(1, d + 1):
+        v = random_subspace(rng, mod, m)
+        ev, _ = gm.ev_space(mod, v)
+        for n in range(top + 1):
+            products = linear_form_products(mod, v.basis, n)
+            assert ev[n].shape[1] == products.shape[1] == math.comb(n + m - 1, m - 1)
+            assert linalg.subspace_distance(
+                ev[n], linalg.orthonormal_columns(products)) <= 1e-12
 
 
 def test_ev_nullspace_calls_stay_on_the_candidate_span(monkeypatch, rng):
@@ -323,19 +377,19 @@ def test_ev_nullspace_calls_stay_on_the_candidate_span(monkeypatch, rng):
     nullspace = linalg.nullspace
 
     def counting(a, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "ev_space":
+        if sys._getframe(1).f_code.co_name == "_ev_recursion":
             widths.append(np.shape(a)[1])
         return nullspace(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "nullspace", counting)
     for dim in (1, 3, 5):
         v = random_subspace(rng, mod, dim)
-        for use_gradient in (False, True):
+        for route in EV_ROUTES:
             widths.clear()
-            ev, _ = gm.ev_space(mod, v, use_gradient=use_gradient)
-            solved = [n for n in range(1, mod.top_level + 1) if ev[n - 1].shape[1]]
-            assert len(widths) == len(solved)
-            for n, width in zip(solved, widths):
+            ev = route(mod, v)
+            # one solve per level; below an empty E_V(n-1) it has no columns
+            assert len(widths) == mod.top_level
+            for n, width in enumerate(widths, 1):
                 assert width <= mod.d * ev[n - 1].shape[1]
 
 
@@ -353,7 +407,7 @@ def test_generate_ranks_only_seeded_levels(monkeypatch, rng):
     monkeypatch.setattr(linalg, "nullspace", counting_nullspace)
     sub = gm.GradedSubmodule.generate(mod, gens)
     # the generator rows are solved only at the seeded levels 2 and 3
-    assert [n for name, n in solved if name == "_from_seeds"] == [2, 3]
+    assert [n for name, n in solved if name == "from_level_seeds"] == [2, 3]
 
     shapes = []
     numerical_rank = linalg.numerical_rank

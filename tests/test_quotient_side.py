@@ -5,8 +5,9 @@ pulls back by the isometry L_k*/rho_k: Q'_k = L_k* Q_{k+1} / rho_k.
 ``mside_oracle`` grows M_n and pulls back by preimages; the two must agree
 on dimensions, saturation flags, degree reports and linearization steps, and
 Q_n must be the complement of the oracle's M_n.  The closed-form pullback is
-also checked against orth(L_k* Q_{k+1}) by SVD, and the saturation flags a
-pullback carries (its input's, shifted down one degree) against the flags
+also checked against orth(L_k* Q_{k+1}) by SVD, and the saturation flags
+every construction carries (a pullback's are its input's, shifted down one
+degree; E_V^perp's come from the E_V recursion) against the flags
 ``cosaturation`` solves on the same quotient bases.  Property tests check the
 identities the quotient side rests on, and work guards check that the
 command-line paths never build M and that the closed form takes no SVD.
@@ -15,6 +16,7 @@ command-line paths never build M and that the closed form takes no SVD.
 import inspect
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,9 +26,9 @@ import gradmod as gm
 import mside_oracle as oracle
 import structure_oracle as structure
 from gradmod import cli, linalg
-from gradmod.linearize import pullback_quotient, stacked_adjoint
+from gradmod.linearize import pullback_quotient, stacked_adjoint, stacked_gradient
 from gradmod.config import RANK_TOL_FACTOR
-from gradmod.submodules import embed_polynomials
+from gradmod.submodules import cosaturation_flags, embed_polynomials
 from conftest import FAMILIES, random_generators, submodule_inputs
 
 TOP = {1: 8, 2: 8, 3: 6, 4: 5}
@@ -233,7 +235,7 @@ def test_pullback_drops_degree_and_shifts_the_quotient(case):
         assert np.all(np.abs(s - mod.rho[k]) <= 1e-10 * mod.rho[k])
 
 
-# -- saturation flags of pullbacks ---------------------------------------------------
+# -- saturation flags carried by each construction ---------------------------------
 
 
 def pulled_chain(sub):
@@ -247,11 +249,10 @@ def pulled_chain(sub):
         chain.append(sub)
 
 
-def assert_pulled_flags_match_cosaturation(pulled):
-    # the same quotient bases without flags: every flag from cosaturation
-    rewrapped = gm.GradedSubmodule(pulled.module, pulled.quotient_bases,
-                                   window=pulled.window)
-    assert pulled.saturation_flags() == rewrapped.saturation_flags()
+def assert_flags_match_cosaturation(sub):
+    # the flags the construction carries, against cosaturation on every level
+    assert sub.saturation_flags() == cosaturation_flags(
+        sub.module, sub.quotient_bases, sub.window)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -263,7 +264,7 @@ def test_pulled_flags_match_cosaturation(family, d, r):
     pulled = 0
     for gens in generator_sets(rng, d, r).values():
         for sub in pulled_chain(gm.GradedSubmodule.generate(mod, gens)):
-            assert_pulled_flags_match_cosaturation(sub)
+            assert_flags_match_cosaturation(sub)
             pulled += 1
     assert pulled >= 2
 
@@ -275,7 +276,39 @@ def test_pulled_flags_match_cosaturation_on_drawn_inputs(case):
     chain = pulled_chain(gm.GradedSubmodule.generate(mod, gens))
     assert chain
     for sub in chain:
-        assert_pulled_flags_match_cosaturation(sub)
+        assert_flags_match_cosaturation(sub)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2])
+def test_ev_flags_match_cosaturation(family, d, r):
+    # E_V^perp's flags are solved on the candidates of the E_V recursion
+    rng = np.random.default_rng([d, r, FAMILIES.index(family), 17])
+    mod = module(family, d, r)
+    for dim in range(1, d + 1):
+        raw = rng.normal(size=(d * r, dim)) + 1j * rng.normal(size=(d * r, dim))
+        sub = gm.ev_space(mod, gm.SubspaceV.from_matrix(mod, raw))[1]
+        assert_flags_match_cosaturation(sub)
+        assert sub.degree_report().determined and sub.degree <= 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d,r", [(2, 1), (2, 3), (3, 2), (4, 1)])
+def test_zero_full_and_kernel_flags_match_cosaturation(family, d, r):
+    mod = module(family, d, r)
+    zero, full = gm.GradedSubmodule.zero(mod), gm.GradedSubmodule.full(mod)
+    assert zero.dims() == [0] * (mod.top_level + 1)
+    assert full.dims() == [mod.level_dim(n) for n in range(mod.top_level + 1)]
+    for sub, degree in ((zero, 0), (full, 0), (gm.kernel_levels(mod), 1)):
+        assert_flags_match_cosaturation(sub)
+        assert sub.degree == degree
+
+
+def test_every_construction_supplies_its_flags():
+    assert (inspect.signature(gm.GradedSubmodule).parameters["flags"].default
+            is inspect.Parameter.empty)
+    assert "use_gradient" not in inspect.signature(gm.ev_space).parameters
 
 
 # -- closed-form rank floors -------------------------------------------------------
@@ -287,10 +320,11 @@ def test_pulled_flags_match_cosaturation_on_drawn_inputs(case):
 def test_stacked_adjoint_norm_is_closed_form(family, d, r):
     mod = module(family, d, r)
     for n in range(1, mod.top_level + 1):
-        for use_gradient in (False, True):
+        for stacked_map in (stacked_adjoint, stacked_gradient):
             eye = np.eye(mod.level_dim(n), dtype=complex)
-            stacked, norm = stacked_adjoint(mod, n, eye, use_gradient)
-            dense = (structure.stacked_gradient(mod, n) if use_gradient
+            stacked, norm = stacked_map(mod, n, eye)
+            dense = (structure.stacked_gradient(mod, n)
+                     if stacked_map is stacked_gradient
                      else structure.row_block(mod, n - 1).conj().T)
             assert np.array_equal(stacked, dense)
             assert abs(norm - linalg.opnorm(dense)) <= 1e-14 * norm
@@ -356,6 +390,30 @@ def test_cli_ev_never_builds_m(monkeypatch, tmp_path, rng):
         assert cli.main(["ev", "--d", str(d), "--r", str(r), "--N", "8",
                          "--V", str(grid), "--out", str(tmp_path / "out")]) == 0
     assert calls == []
+
+
+def test_cli_ev_runs_one_euler_recursion_per_route(monkeypatch, tmp_path, rng):
+    # the saturation flags of E_V^perp reuse the adjoint route's candidates;
+    # the gradient route, the hard check's other side, has its own
+    levels = []
+    euler_candidates = gm.submodules.euler_candidates
+
+    def counting(module, prev, n):
+        levels.append(n)
+        return euler_candidates(module, prev, n)
+
+    # linearize binds euler_candidates by name; a tree where it does not still counts
+    for owner in (gm.submodules, gm.linearize):
+        monkeypatch.setattr(owner, "euler_candidates", counting, raising=False)
+    grid = tmp_path / "v.txt"
+    raw = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    grid.write_text("".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row)
+                            + "\n" for row in raw))
+    assert cli.main(["ev", "--d", "3", "--N", "16", "--V", str(grid),
+                     "--out", str(tmp_path / "out")]) == 0
+    per_level = Counter(levels)
+    assert sorted(per_level) == list(range(1, 17))
+    assert max(per_level.values()) <= 2
 
 
 def test_closed_form_pullbacks_take_no_svd(monkeypatch, rng):
