@@ -3,16 +3,18 @@
 The self-commutators of a degree-1 tuple are degree-0, so they decompose
 exactly into level blocks; their singular values therefore give exact
 per-level Schatten contributions, and only the top truncation level (whose
-commutator would touch level N+1) is ever excluded.  Cumulative p-sums are
-reported with a trend classification, never with a convergence verdict.
+commutator would touch level N+1) is ever excluded.  The d^2 blocks of a
+level share one shape, so each level takes one stacked SVD.  Cumulative
+p-sums are reported with a trend classification, never with a convergence
+verdict.
 
 Also here: the compression identities relating ambient, submodule and
 quotient commutators; the rectangular-contour resolvent integral for the
 range projection of a gapped positive matrix, with its commutator transform
 and norm bound, evaluated by composite Gauss-Legendre panels (geometric
-convergence, since the integrand is analytic along each side); and the
-weighted-shift similarity pair showing that graded isomorphism does not
-preserve essential normality.
+convergence, since the integrand is analytic along each side), one stacked
+solve per panel; and the weighted-shift similarity pair showing that graded
+isomorphism does not preserve essential normality.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +60,11 @@ class SchattenReport:
 
 
 def schatten_report(ops, p_values, note=""):
-    """Per-level singular values and cumulative p-sums of all self-commutators."""
+    """Per-level singular values and cumulative p-sums of all self-commutators.
+
+    The singular values of all d^2 blocks of a level come from one stacked
+    ``np.linalg.svd`` call; a level of dimension 0 has none.
+    """
     d = len(ops)
     p_values = [float(p) for p in p_values]
     if any(p < 1 for p in p_values):
@@ -68,11 +74,11 @@ def schatten_report(ops, p_values, note=""):
     levels = sorted(next(iter(comms.values())).blocks)
     sigma = {pair: [] for pair in pairs}
     for n in levels:
-        for pair in pairs:
-            block = comms[pair].blocks[n]
-            sigma[pair].append(
-                np.linalg.svd(block, compute_uv=False) if block.size
-                else np.zeros(0))
+        stack = np.stack([comms[pair].blocks[n] for pair in pairs])
+        values = (np.linalg.svd(stack, compute_uv=False) if stack.size
+                  else np.zeros((len(pairs), 0)))
+        for pair, sv in zip(pairs, values):
+            sigma[pair].append(sv)
     level_arr = np.asarray(levels, dtype=float)
     level_sums, cumulative, trends = {}, {}, {}
     for p in p_values:
@@ -195,28 +201,52 @@ def _contour_nodes(b_norm, gap, nodes, doublings=0):
     return np.concatenate(nodes_out), np.concatenate(weights_out)
 
 
+def _ordered_sum(running, weights, stack):
+    """running + w_0 stack_0 + w_1 stack_1 + ..., added in that order.
+
+    ``add.accumulate`` adds strictly in node order, so a panel at a time sums
+    exactly as one node at a time does.
+    """
+    return np.add.accumulate(np.concatenate([running[None], weights * stack]),
+                             axis=0)[-1]
+
+
+def _contour_rule(b, b_norm, comms, gap, nodes, doublings):
+    """``resolvent_quadrature`` on a complex B with ||B|| and each [Y, B] in hand.
+
+    One Gauss-Legendre panel at a time: the GL_ORDER resolvents of a panel
+    are one stacked solve, and each [Y, B] is sandwiched between them on the
+    stack, so no temporary exceeds (GL_ORDER + 1) dim^2 entries (the panel's
+    terms and the running sum) per transform, whatever the rule's size.
+    """
+    pts, weights = _contour_nodes(b_norm, gap, nodes, doublings)
+    eye = np.eye(b.shape[0], dtype=complex)
+    proj = np.zeros_like(b)
+    transformed = [np.zeros_like(b) for _ in comms]
+    for start in range(0, len(pts), GL_ORDER):
+        lam = pts[start:start + GL_ORDER, None, None]
+        w = weights[start:start + GL_ORDER, None, None]
+        res = np.linalg.solve(lam * eye - b, eye)
+        proj = _ordered_sum(proj, w, res)
+        transformed = [_ordered_sum(out, w, res @ c @ res)
+                       for out, c in zip(transformed, comms)]
+    factor = 1.0 / (2.0j * np.pi)
+    return factor * proj, [factor * t for t in transformed]
+
+
 def resolvent_quadrature(b, gap, nodes, transforms=(), doublings=0):
     """One fixed-rule contour evaluation of P = (2 pi i)^{-1} int R_lambda dlambda.
 
     The rule is ``_contour_nodes(||B||, gap, nodes, doublings)``.
     ``transforms`` are matrices Y; for each one the same quadrature is applied
-    to R_lambda [Y, B] R_lambda, the contour-integral form of [Y, P].
+    to R_lambda [Y, B] R_lambda, the contour-integral form of [Y, P].  Each
+    panel's resolvents come from one stacked solve, and the weighted terms
+    are added in node order, so the sums are those of a node-by-node loop.
     """
     b = np.asarray(b, dtype=complex)
-    dim = b.shape[0]
-    pts, weights = _contour_nodes(float(np.linalg.norm(b, 2)), gap, nodes,
-                                  doublings)
-    eye = np.eye(dim, dtype=complex)
-    proj = np.zeros_like(b)
-    comms = [y @ b - b @ y for y in transforms]
-    transformed = [np.zeros_like(b) for _ in transforms]
-    for lam, w in zip(pts, weights):
-        res = np.linalg.solve(lam * eye - b, eye)
-        proj += w * res
-        for out, c in zip(transformed, comms):
-            out += w * (res @ c @ res)
-    factor = 1.0 / (2.0j * np.pi)
-    return factor * proj, [factor * t for t in transformed]
+    return _contour_rule(b, float(np.linalg.norm(b, 2)),
+                         [y @ b - b @ y for y in transforms], gap, nodes,
+                         doublings)
 
 
 def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
@@ -256,22 +286,21 @@ def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
             f"nodes = {nodes} gives a {first}-node rule, which leaves no "
             f"doubling under QUAD_MAX_NODES = {QUAD_MAX_NODES}")
 
-    proj, transformed = resolvent_quadrature(b, gap, nodes, transforms)
+    comms = [y @ b - b @ y for y in transforms]
+    proj, transformed = _contour_rule(b, b_norm, comms, gap, nodes, 0)
     doublings = 0
     diff = float("inf")
     while first << (doublings + 1) <= QUAD_MAX_NODES:
         doublings += 1
         prev = proj
-        proj, transformed = resolvent_quadrature(b, gap, nodes, transforms,
-                                                 doublings)
+        proj, transformed = _contour_rule(b, b_norm, comms, gap, nodes, doublings)
         diff = float(np.linalg.norm(proj - prev, 2))
         if diff < refine_floor:
             break
 
     const = (4.0 * b_norm + 4.0 * gap) / (np.pi * gap**2)
     checks = []
-    for y, ty in zip(transforms, transformed):
-        yb = y @ b - b @ y
+    for yb, ty in zip(comms, transformed):
         for p in p_values:
             q = 2.0 * float(p)
             measured = linalg.schatten_norm(ty, q)

@@ -279,10 +279,13 @@ class GradedSubmodule:
         G_n holds the degree-n seeds, orthonormalized.  The flag of level n-1
         is whether the G_n rows cut R_n down; without seeds at n it is True.
         The G_n rows have norm 1 on orthonormal columns, so their floor is
-        1e-10.
+        1e-10.  A seed level outside 0..window raises ValueError.
         """
         window = module.top_level if window is None else int(window)
         seeds = {int(n): np.asarray(s, dtype=complex) for n, s in seeds.items()}
+        for n in seeds:
+            if not 0 <= n <= window:
+                raise ValueError(f"seed level {n} is outside the window 0..{window}")
         if max_generator_degree is None and seeds:
             max_generator_degree = max(seeds)
         quotient = {}

@@ -6,7 +6,9 @@ operators the way the package once stored them: 0/1 and derivative
 coefficient matrices enumerated monomial by monomial, scaled by the Fock
 weights or the monomial norms, and tensored with I_r by ``np.kron``.  It
 shares only the level bases and the module's weight data (``rho``, ``nu``,
-``monomial_norms``) with the package, and none of its operators.
+``monomial_norms``) with the package, and none of its operators.  The row-sum
+and commutator-decomposition residuals are also evaluated here, on these
+blocks.
 """
 
 import numpy as np
@@ -85,17 +87,55 @@ def fock_level_weights(d, top_level):
     return levels
 
 
-def scalar_block(module, k, n):
-    """Real block of Z_k = rho_n S_k from level n to n+1 on the completion (r = 1)."""
+def fock_scalar_block(module, k, n):
+    """Real block of the Fock shift S_k from level n to n+1 (r = 1)."""
     raw = mult_structure_map(k, module.d, n)
     scale = np.sqrt(module.nu[n + 1])[:, None] * (1.0 / np.sqrt(module.nu[n]))[None, :]
-    return module.rho[n] * (raw * scale)
+    return raw * scale
+
+
+def scalar_block(module, k, n):
+    """Real block of Z_k = rho_n S_k from level n to n+1 on the completion (r = 1)."""
+    return module.rho[n] * fock_scalar_block(module, k, n)
+
+
+def fock_block(module, k, n):
+    """Dense block of S_k on S from level n to n+1: Fock scalar block (x) I_r."""
+    return np.kron(fock_scalar_block(module, k, n),
+                   np.eye(module.multiplicity)).astype(complex)
 
 
 def coordinate_block(module, k, n):
     """Dense block of Z_k on S from level n to n+1: scalar block (x) I_r."""
     return np.kron(scalar_block(module, k, n),
                    np.eye(module.multiplicity)).astype(complex)
+
+
+def row_sum_residual(module, n, rho):
+    """|| sum_k Z_k(n) Z_k(n)* - rho[n]^2 I ||_2 on the Kronecker blocks.
+
+    The Z_k are built from ``module.rho``; ``rho`` is the weight sequence the
+    identity is checked against (``module.rho`` for the identity itself).
+    """
+    acc = sum(blk @ blk.conj().T for blk in
+              (coordinate_block(module, k, n) for k in range(1, module.d + 1)))
+    return float(np.linalg.norm(acc - rho[n] ** 2 * np.eye(acc.shape[0]), 2))
+
+
+def commutator_decomposition_residual(module, j, k, n, rho):
+    """|| [Z_j*, Z_k] - [S_j*, S_k] rho_n^2 - S_k S_j* (rho_n^2 - rho_{n-1}^2) ||_2 on level n.
+
+    Kronecker blocks on both sides; ``rho`` as in ``row_sum_residual``.
+    """
+    zj = [coordinate_block(module, j, m) for m in (n - 1, n)]
+    zk = [coordinate_block(module, k, m) for m in (n - 1, n)]
+    sj = [fock_block(module, j, m) for m in (n - 1, n)]
+    sk = [fock_block(module, k, m) for m in (n - 1, n)]
+    lhs = zj[1].conj().T @ zk[1] - zk[0] @ zj[0].conj().T
+    lower = sk[0] @ sj[0].conj().T
+    rhs = (sj[1].conj().T @ sk[1] - lower) * rho[n] ** 2 \
+        + lower * (rho[n] ** 2 - rho[n - 1] ** 2)
+    return float(np.linalg.norm(lhs - rhs, 2))
 
 
 def row_block(module, n):

@@ -321,6 +321,25 @@ def test_identity_unconverged_quadrature_fails(tmp_path, monkeypatch):
     assert [f["check"] for f in report["hard_failures"]] == ["resolvent_converged"]
 
 
+def test_identity_report_is_byte_identical_across_blas_threads(tmp_path):
+    # the contour rule's stacked solves and products must not depend on the
+    # BLAS thread count
+    gens = write_quadric(tmp_path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradmod.cli", "identity", "--d", "2", "--N", "7",
+             "--gens", str(gens), "--nodes", "512", "--out", str(out)],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "identity.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_console_entry_point(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))

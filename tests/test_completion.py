@@ -131,6 +131,41 @@ def test_row_sum_identity_all_families():
             assert gm.row_sum_residual(mod, n) <= 1e-12
 
 
+class _Reweighted:
+    """A module checked against weights ``rho`` other than the ones it was built with."""
+
+    def __init__(self, module, rho):
+        self._module = module
+        self.rho = rho
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_ambient_residuals_match_kronecker_oracle(eps):
+    # eps = 0: both identities hold on the package's blocks and on the
+    # oracle's.  eps > 0: the weights the identities are checked against are
+    # off by a level-dependent factor, and the residuals, now far above
+    # roundoff, must equal the oracle's values.
+    for mod in all_test_modules():
+        rho = mod.rho * (1.0 + eps * np.arange(1, mod.rho.size + 1))
+        checked = _Reweighted(mod, rho)
+        pairs = [(gm.row_sum_residual(checked, n),
+                  oracle.row_sum_residual(mod, n, rho))
+                 for n in range(mod.top_level)]
+        pairs += [(gm.commutator_decomposition_residual(checked, j, k, n),
+                   oracle.commutator_decomposition_residual(mod, j, k, n, rho))
+                  for j in range(1, mod.d + 1) for k in range(1, mod.d + 1)
+                  for n in range(1, mod.top_level)]
+        for got, want in pairs:
+            if eps == 0.0:
+                assert max(got, want) <= 1e-12
+            else:
+                assert want >= 1e-6
+                assert abs(got - want) <= 1e-10 * want
+
+
 def test_coordinate_blocks_commute():
     for mod in all_test_modules():
         assert gm.commutation_residual(mod.coordinate_tuple()) <= 1e-13

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 
 import gradmod as gm
 from gradmod import linalg
-from gradmod.normality import (alternating_block_sequence,
+from gradmod.normality import (GL_ORDER, _side_panels,
+                               alternating_block_sequence,
                                resolvent_quadrature, similarity_counterexample,
                                spectral_projection_oracle)
 from gradmod.operators import GradedOperator
 from conftest import random_generators, submodule_inputs
+from quadrature_oracle import node_by_node_quadrature
 
 
 @pytest.fixture
@@ -58,6 +60,27 @@ def test_schatten_report_structure(h2):
     assert np.all(np.diff(rep.cumulative[2.0]) >= 0)
     with pytest.raises(ValueError):
         gm.schatten_report(h2.coordinate_tuple(), [0.5])
+
+
+def test_schatten_singular_values_equal_per_block_svd(h2, rng):
+    # one stacked SVD per level gives each block's singular values bit for
+    # bit; the quotient by (z_1, z_2) has dim Q_n = 0 on every level n >= 1
+    linear = gm.GradedSubmodule.generate(
+        h2, [gm.monomial_generator((1, 0)), gm.monomial_generator((0, 1))])
+    generic = gm.GradedSubmodule.generate(h2, random_generators(rng, 2, 1, 2, 1))
+    assert linear.dims()[1:] == [h2.level_dim(n) for n in range(1, 11)]
+    for ops in (h2.coordinate_tuple(),
+                gm.QuotientModule(linear).coordinate_tuple(),
+                gm.QuotientModule(generic).coordinate_tuple()):
+        rep = gm.schatten_report(ops, [2.0])
+        for pair in rep.pairs:
+            blocks = gm.self_commutator(ops, *pair).blocks
+            for n, got in zip(rep.levels.astype(int), rep.singular_values[pair],
+                              strict=True):
+                want = (np.linalg.svd(blocks[n], compute_uv=False)
+                        if blocks[n].size else np.zeros(0))
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
 
 def test_quotient_report_of_full_subspace_matches_ambient(h2):
@@ -246,6 +269,54 @@ def test_resolvent_converges_at_small_relative_gap():
     assert rep.nodes <= 4096
     assert np.linalg.norm(rep.projection - spectral_projection_oracle(b, 0.1), 2) \
         <= 1e-12
+
+
+def _gapped_case(dim):
+    """Hermitian B with a zero cluster and spectrum above a gap, plus Hermitian Ys.
+
+    The number of transforms is dim mod 4 and the doublings (dim // 4) mod 4,
+    so dim = 1..16 meets every pair of the two.
+    """
+    rng = np.random.default_rng(500 + dim)
+    gap = float(rng.uniform(0.25, 2.0))
+    spectrum = np.where(rng.random(dim) < 0.4, 0.0,
+                        gap + rng.uniform(0.0, 4.0, dim))
+    b = _rotated_diagonal(spectrum)
+    ys = []
+    for _ in range(dim % 4):
+        y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        ys.append((y + y.conj().T) / 2)
+    return b, gap, ys, (dim // 4) % 4
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_panel_quadrature_equals_node_loop_bitwise(dim):
+    # one stacked solve per panel, summed in node order: the same bits as one
+    # solve per node; nodes = 1 gives one panel per side
+    b, gap, ys, doublings = _gapped_case(dim)
+    for nodes in (1, 100):
+        proj, transformed = resolvent_quadrature(b, gap, nodes, ys, doublings)
+        want_proj, want_transformed = node_by_node_quadrature(b, gap, nodes, ys,
+                                                              doublings)
+        assert np.array_equal(proj, want_proj)
+        assert len(transformed) == len(ys)
+        for got, want in zip(transformed, want_transformed):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 7])
+def test_resolvent_projection_is_its_last_rule_bitwise(dim):
+    # resolvent_projection reuses ||B|| and each [Y, B] across its rules; its
+    # answer is still exactly the node-by-node value of the last rule
+    b, gap, ys, _ = _gapped_case(dim)
+    rep = gm.resolvent_projection(b, gap, nodes=64, transforms=ys)
+    first = GL_ORDER * sum(_side_panels(float(np.linalg.norm(b, 2)), gap, 64))
+    doublings = (rep.nodes // first).bit_length() - 1
+    assert first << doublings == rep.nodes
+    want_proj, want_transformed = node_by_node_quadrature(b, gap, 64, ys, doublings)
+    assert np.array_equal(rep.projection, want_proj)
+    for got, want in zip(rep.commutator_transforms, want_transformed, strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_resolvent_commutator_transform_and_bound(rng):

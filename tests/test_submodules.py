@@ -150,6 +150,16 @@ def test_generator_above_window_rejected(h2):
         gm.GradedSubmodule.generate(h2, [gm.monomial_generator((11, 0))])
 
 
+@pytest.mark.parametrize("level", [-1, 6])
+def test_seed_outside_window_rejected(level):
+    # a seed the window cannot hold would otherwise be dropped, leaving the
+    # zero submodule reported as generated in degree `level`
+    mod = gm.StandardModule(gm.make_weights("hardy", 5, d=2), d=2)
+    seed = np.ones((7, 1))     # the shape of a level-6 column at d = 2
+    with pytest.raises(ValueError, match=f"seed level {level} "):
+        gm.GradedSubmodule.from_level_seeds(mod, {level: seed})
+
+
 # -- degree --------------------------------------------------------------------
 
 
