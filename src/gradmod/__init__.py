@@ -60,7 +60,7 @@ from .normality import (
     similarity_counterexample,
     spectral_projection_oracle,
 )
-from .operators import GradedOperator, commutation_residual, commutator
+from .operators import GradedOperator, commutation_residual
 from .submodules import (
     DegreeReport,
     GradedSubmodule,

@@ -346,26 +346,32 @@ def row_sum_residual(module, n):
     return float(np.linalg.norm(acc, 2))
 
 
-def commutator_decomposition_residual(module, j, k, n):
-    """Residual of [Z_j*, Z_k] = [S_j*, S_k] Dt^2 + S_k S_j* (Dt^2 - D^2) on level n.
+def commutator_decomposition_residual(module, n):
+    """Residuals of [Z_j*, Z_k] = [S_j*, S_k] Dt^2 + S_k S_j* (Dt^2 - D^2) on level n.
 
     D is the weight diagonal seen from below (rho_{n-1} on level n), Dt the
     one seen on the level itself (rho_n); both sides are evaluated as exact
-    level-n matrices for 1 <= n <= N-1.
+    level-n matrices for 1 <= n <= N-1.  Returns a real (d, d) array of
+    spectral-norm residuals, entry [j-1, k-1] for the pair (j, k).  The
+    coordinate blocks (from the Z weights) and the Fock blocks (from the Fock
+    weights) of levels n-1 and n are built once for the level.
     """
     if not 1 <= n <= module.top_level - 1:
         raise ValueError("defined on interior levels 1..N-1")
-    rho = module.rho
-    zj = [module.coordinate_block(j, m) for m in (n - 1, n)]
-    zk = [module.coordinate_block(k, m) for m in (n - 1, n)]
-    lhs = zj[1].conj().T @ zk[1] - zk[0] @ zj[0].conj().T
-
-    sj = [module.fock_block(j, m) for m in (n - 1, n)]
-    sk = [module.fock_block(k, m) for m in (n - 1, n)]
-    fock_comm = sj[1].conj().T @ sk[1] - sk[0] @ sj[0].conj().T
-    rhs = fock_comm * rho[n] ** 2 \
-        + (sk[0] @ sj[0].conj().T) * (rho[n] ** 2 - rho[n - 1] ** 2)
-    return float(np.linalg.norm(lhs - rhs, 2))
+    rho, d = module.rho, module.d
+    z = [[module.coordinate_block(k, m) for m in (n - 1, n)]
+         for k in range(1, d + 1)]
+    s = [[module.fock_block(k, m) for m in (n - 1, n)] for k in range(1, d + 1)]
+    out = np.zeros((d, d))
+    for j in range(d):
+        for k in range(d):
+            zj, zk, sj, sk = z[j], z[k], s[j], s[k]
+            lhs = zj[1].conj().T @ zk[1] - zk[0] @ zj[0].conj().T
+            fock_comm = sj[1].conj().T @ sk[1] - sk[0] @ sj[0].conj().T
+            rhs = fock_comm * rho[n] ** 2 \
+                + (sk[0] @ sj[0].conj().T) * (rho[n] ** 2 - rho[n - 1] ** 2)
+            out[j, k] = np.linalg.norm(lhs - rhs, 2)
+    return out
 
 
 # -- scalar weight diagnostics ------------------------------------------

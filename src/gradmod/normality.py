@@ -9,7 +9,8 @@ p-sums are reported with a trend classification, never with a convergence
 verdict.
 
 Also here: the compression identities relating ambient, submodule and
-quotient commutators; the rectangular-contour resolvent integral for the
+quotient commutators, checked one level at a time on plain level matrices
+for all d^2 pairs at once; the rectangular-contour resolvent integral for the
 range projection of a gapped positive matrix, with its commutator transform
 and norm bound, evaluated by composite Gauss-Legendre panels (geometric
 convergence, since the integrand is analytic along each side), one stacked
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .config import QUAD_DEFAULT_NODES, QUAD_MAX_NODES, QUAD_REFINE_FLOOR
-from .operators import GradedOperator, commutator
+from .operators import GradedOperator
 from .trends import classify_trend
 
 # Points per Gauss-Legendre panel of the contour rule.
@@ -105,7 +106,7 @@ def quotient_en_report(quotient, p_values):
 # -- compression identities ------------------------------------------------
 
 
-def compression_identity_residuals(module, submodule, j, k, level):
+def compression_identity_residuals(module, submodule, level):
     """Residuals of the two exact compression identities at one interior level.
 
     First: [B_j, B_k*] P = -[P, T_j][P, T_k]* + P [T_j, T_k*] P with
@@ -113,32 +114,43 @@ def compression_identity_residuals(module, submodule, j, k, level):
     Second: [C_j, C_k*] P' = [P, T_k]*[P, T_j] + P' [T_j, T_k*] P' with
     C_i the compression of T_i to the orthocomplement and P' = 1 - P.
     Both hold as exact finite-matrix identities on levels 1..N-1.
+
+    Returns two real (d, d) arrays of spectral-norm residuals on level n,
+    entry [j-1, k-1] for the pair (j, k).  Block n of either identity reads
+    only levels n-1..n+1, so T_j, P, P', the commutators
+    E_j(m) = [P, T_j](m) and the compressions C_j(m) on m = n-1, n are
+    built once for the level and shared by all d^2 pairs.
     """
     n = int(level)
     window = min(submodule.window, module.top_level)
     if not 1 <= n <= window - 1:
         raise ValueError(f"level {n} is not interior (1..{window - 1})")
-    # block n of every product below reads only levels n-1..n+1
-    levels = (n - 1, n, n + 1)
-    tj = GradedOperator(1, {m: module.coordinate_block(j, m) for m in (n - 1, n)})
-    tk = GradedOperator(1, {m: module.coordinate_block(k, m) for m in (n - 1, n)})
-    p = GradedOperator(0, {m: submodule.projection_block(m) for m in levels})
-    pperp = GradedOperator.identity({m: module.level_dim(m) for m in levels}) - p
+    d = module.d
+    lo, hi = n - 1, n
+    t = [{m: module.coordinate_block(j, m) for m in (lo, hi)}
+         for j in range(1, d + 1)]
+    p = {m: submodule.projection_block(m) for m in (lo, hi, hi + 1)}
+    pp = {m: np.eye(module.level_dim(m), dtype=complex) - p[m] for m in p}
+    e = [{m: p[m + 1] @ tj[m] - tj[m] @ p[m] for m in (lo, hi)} for tj in t]
+    c = [{m: (pp[m + 1] @ tj[m]) @ pp[m] for m in (lo, hi)} for tj in t]
 
-    amb_comm = commutator(tj, tk.adjoint())  # [T_j, T_k*]
-
-    lhs1 = (tj @ p @ tk.adjoint() @ p) - (p @ tk.adjoint() @ tj @ p)
-    rhs1 = -(commutator(p, tj) @ commutator(p, tk).adjoint()) \
-        + (p @ amb_comm @ p)
-    res1 = float(np.linalg.norm((lhs1 - rhs1).block(n), 2))
-
-    cj = pperp @ tj @ pperp
-    ck = pperp @ tk @ pperp
-    lhs2 = (cj @ ck.adjoint() - ck.adjoint() @ cj) @ pperp
-    rhs2 = (commutator(p, tk).adjoint() @ commutator(p, tj)) \
-        + (pperp @ amb_comm @ pperp)
-    res2 = float(np.linalg.norm((lhs2 - rhs2).block(n), 2))
-    return res1, res2
+    # the parentheses fix the order of every product, and with it the
+    # rounding of the reported residuals
+    r1, r2 = np.zeros((d, d)), np.zeros((d, d))
+    for j in range(d):
+        for k in range(d):
+            tjl, tkl_adj = t[j][lo], t[k][lo].conj().T
+            tjh, tkh_adj = t[j][hi], t[k][hi].conj().T
+            amb = tjl @ tkl_adj - tkh_adj @ tjh      # [T_j, T_k*] on level n
+            lhs1 = ((tjl @ p[lo]) @ tkl_adj) @ p[hi] \
+                - ((p[hi] @ tkh_adj) @ tjh) @ p[hi]
+            rhs1 = -(e[j][lo] @ e[k][lo].conj().T) + (p[hi] @ amb) @ p[hi]
+            r1[j, k] = np.linalg.norm(lhs1 - rhs1, 2)
+            lhs2 = (c[j][lo] @ c[k][lo].conj().T
+                    - c[k][hi].conj().T @ c[j][hi]) @ pp[hi]
+            rhs2 = e[k][hi].conj().T @ e[j][hi] + (pp[hi] @ amb) @ pp[hi]
+            r2[j, k] = np.linalg.norm(lhs2 - rhs2, 2)
+    return r1, r2
 
 
 # -- resolvent-integral projection -----------------------------------------

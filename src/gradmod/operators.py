@@ -1,10 +1,10 @@
-"""Graded block operators and their exact levelwise algebra.
+"""Graded block operators stored level by level.
 
 A degree-s graded operator is stored as a map ``level n -> dense block`` of
 shape (dim level n+s) x (dim level n), for the levels where the block is
-known exactly.  Compositions, sums and adjoints track those windows, so any
-expression built from stored blocks is automatically restricted to the levels
-where every factor is truncation-free.
+known exactly.  ``GradedOperator`` is only that container: every identity
+the toolkit checks is formed from the stored blocks as plain level matrices,
+on levels where each factor is truncation-free.
 """
 
 import numpy as np
@@ -37,40 +37,6 @@ class GradedOperator:
         except KeyError:
             raise KeyError(f"no exact block at level {n}") from None
 
-    def __matmul__(self, other):
-        blocks = {}
-        for n, b in other.blocks.items():
-            a = self.blocks.get(n + other.shift)
-            if a is not None:
-                blocks[n] = a @ b
-        return GradedOperator(self.shift + other.shift, blocks)
-
-    def _combine(self, other, sign):
-        if self.shift != other.shift:
-            raise ValueError("can only add operators of equal degree")
-        common = self.blocks.keys() & other.blocks.keys()
-        return GradedOperator(
-            self.shift, {n: self.blocks[n] + sign * other.blocks[n] for n in common})
-
-    def __add__(self, other):
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, -1.0)
-
-    def __neg__(self):
-        return GradedOperator(self.shift, {n: -b for n, b in self.blocks.items()})
-
-    def __rmul__(self, scalar):
-        return GradedOperator(self.shift,
-                              {n: scalar * b for n, b in self.blocks.items()})
-
-    def adjoint(self):
-        """Conjugate-transpose operator; block windows move with the shift."""
-        return GradedOperator(
-            -self.shift,
-            {n + self.shift: b.conj().T for n, b in self.blocks.items()})
-
     def level_norm(self, n):
         b = self.block(n)
         return 0.0 if b.size == 0 else float(np.linalg.norm(b, 2))
@@ -81,17 +47,6 @@ class GradedOperator:
             levels = self.levels()
         norms = [self.level_norm(n) for n in levels]
         return max(norms) if norms else 0.0
-
-    @staticmethod
-    def identity(dims):
-        """Degree-0 identity on the levels of ``dims`` = {n: dimension}."""
-        return GradedOperator(0, {n: np.eye(m, dtype=complex)
-                                  for n, m in dims.items()})
-
-
-def commutator(a, b):
-    """[a, b] = a b - b a on the common exact window."""
-    return a @ b - b @ a
 
 
 def tuple_level_dims(ops):

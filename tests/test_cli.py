@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from gradmod import cli, normality
+from gradmod.completion import StandardModule
 
 
 def run_cli(argv):
@@ -135,6 +136,37 @@ def test_flag_a_command_does_not_read_exits_2(tmp_path, capsys, argv, unread):
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
     assert not (tmp_path / f"{argv[0]}.json").exists()
+
+
+TOL_CASES = {
+    "submodule": ["--d", "2", "--N", "6", "--gens", "{gens}"],
+    "linearize": ["--d", "2", "--N", "6", "--gens", "{gens}"],
+    "ev": ["--d", "2", "--N", "6", "--V", "{V}"],
+    "koszul": ["--d", "2", "--N", "5"],
+    "identity": ["--d", "2", "--N", "6", "--gens", "{gens}"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(TOL_CASES))
+def test_negative_tol_exits_2(tmp_path, capsys, command, source):
+    # exit 1 is reserved for a residual above a tolerance; a negative
+    # tolerance is a configuration error, caught before the command runs
+    files = {"gens": write_quadric(tmp_path), "V": tmp_path / "V.txt"}
+    files["V"].write_text("1+0i\n0+0i\n")
+    base = [command] + [tok.format(**files) for tok in TOL_CASES[command]]
+    conf = tmp_path / "tol.conf"
+
+    def with_tol(value):
+        if source == "flag":
+            return base + ["--tol", value]
+        conf.write_text(f"tol = {value}\n")
+        return base + ["--config", str(conf)]
+
+    assert cli.parse_args(with_tol("0")).tol == 0.0
+    assert run_cli(with_tol("-1") + ["--out", str(tmp_path)]) == cli.EXIT_PARSE
+    assert "argument --tol" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
 
 
 def test_argparse_errors_return_exit_code(tmp_path, capsys):
@@ -305,6 +337,26 @@ def test_identity_report(tmp_path):
     assert report["resolvent"]["converged"] is True
     assert report["resolvent"]["distance_to_oracle"] <= 1e-8
     assert all(c["slack"] >= 0 for c in report["resolvent"]["bound_checks"])
+
+
+def test_identity_builds_level_blocks_once_per_check(tmp_path, monkeypatch):
+    # the identities are checked one level at a time: each check builds the
+    # blocks of a level once for all d^2 pairs (6 interior levels x 2 levels
+    # x 2 variables, for the compression identities and for the ambient
+    # decomposition), the row sums 7 x 2, and the quadrature's transforms 2
+    counts = {"coordinate_block": 0, "fock_block": 0}
+    for name in counts:
+        original = getattr(StandardModule, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(StandardModule, name, counted)
+    gens = write_quadric(tmp_path)
+    assert run_cli(["identity", "--d", "2", "--N", "7", "--gens", str(gens),
+                    "--nodes", "512", "--out", str(tmp_path)]) == 0
+    assert counts["coordinate_block"] <= 64
+    assert counts["fock_block"] <= 24
 
 
 def test_identity_unconverged_quadrature_fails(tmp_path, monkeypatch):

@@ -154,10 +154,12 @@ def test_ambient_residuals_match_kronecker_oracle(eps):
         pairs = [(gm.row_sum_residual(checked, n),
                   oracle.row_sum_residual(mod, n, rho))
                  for n in range(mod.top_level)]
-        pairs += [(gm.commutator_decomposition_residual(checked, j, k, n),
-                   oracle.commutator_decomposition_residual(mod, j, k, n, rho))
-                  for j in range(1, mod.d + 1) for k in range(1, mod.d + 1)
-                  for n in range(1, mod.top_level)]
+        for n in range(1, mod.top_level):
+            levelwise = gm.commutator_decomposition_residual(checked, n)
+            assert levelwise.shape == (mod.d, mod.d)
+            pairs += [(levelwise[j - 1, k - 1],
+                       oracle.commutator_decomposition_residual(mod, j, k, n, rho))
+                      for j in range(1, mod.d + 1) for k in range(1, mod.d + 1)]
         for got, want in pairs:
             if eps == 0.0:
                 assert max(got, want) <= 1e-12
@@ -342,17 +344,16 @@ def test_decomposition_dshift_reduces_to_fock_commutator():
     # Dt^2 - D^2 = 0 on levels >= 1 when all weights are 1
     mod = gm.StandardModule(gm.make_weights("dshift", 8), d=2)
     for n in range(1, 7):
-        assert gm.commutator_decomposition_residual(mod, 1, 2, n) <= 1e-14
+        assert gm.commutator_decomposition_residual(mod, n)[0, 1] <= 1e-14
 
 
 def test_decomposition_hardy():
     mod = gm.StandardModule(gm.make_weights("hardy", 12, d=2), d=2)
     for n in range(1, 11):
-        for j in (1, 2):
-            for k in (1, 2):
-                assert gm.commutator_decomposition_residual(mod, j, k, n) <= 1e-12
-    with pytest.raises(ValueError):
-        gm.commutator_decomposition_residual(mod, 1, 2, 0)
+        assert gm.commutator_decomposition_residual(mod, n).max() <= 1e-12
+    for n in (0, 12):
+        with pytest.raises(ValueError):
+            gm.commutator_decomposition_residual(mod, n)
 
 
 def test_unilateral_shift_self_commutator():

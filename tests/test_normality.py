@@ -13,6 +13,7 @@ from gradmod.normality import (GL_ORDER, _side_panels,
                                spectral_projection_oracle)
 from gradmod.operators import GradedOperator
 from conftest import random_generators, submodule_inputs
+from normality_oracle import compression_sides
 from quadrature_oracle import node_by_node_quadrature
 
 
@@ -164,10 +165,11 @@ def test_identities_for_trivial_submodules(h2):
     full = gm.GradedSubmodule.full(h2)
     zero = gm.GradedSubmodule.zero(h2)
     for level in (1, 4, 8):
-        r1, r2 = gm.compression_identity_residuals(h2, full, 1, 2, level)
-        assert max(r1, r2) <= 1e-13
-        r1, r2 = gm.compression_identity_residuals(h2, zero, 1, 2, level)
-        assert max(r1, r2) <= 1e-13
+        r1, r2 = gm.compression_identity_residuals(h2, full, level)
+        assert r1.shape == r2.shape == (2, 2)
+        assert max(r1.max(), r2.max()) <= 1e-13
+        r1, r2 = gm.compression_identity_residuals(h2, zero, level)
+        assert max(r1.max(), r2.max()) <= 1e-13
 
 
 def test_identities_random_submodules(rng, h2):
@@ -175,10 +177,8 @@ def test_identities_random_submodules(rng, h2):
         gens = random_generators(rng, 2, 1, int(rng.integers(1, 4)), 1)
         sub = gm.GradedSubmodule.generate(h2, gens)
         for level in range(1, 7):
-            for j in (1, 2):
-                for k in (1, 2):
-                    r1, r2 = gm.compression_identity_residuals(h2, sub, j, k, level)
-                    assert max(r1, r2) <= 1e-11
+            r1, r2 = gm.compression_identity_residuals(h2, sub, level)
+            assert max(r1.max(), r2.max()) <= 1e-11
 
 
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
@@ -189,18 +189,73 @@ def test_identities_on_drawn_submodules(case):
     # the identities are quartic in the T_i, whose norms are the weights
     tol = 1e-11 * max(1.0, float(np.max(mod.rho))) ** 4
     for level in range(1, sub.window):
-        for j in range(1, mod.d + 1):
-            for k in range(1, mod.d + 1):
-                r1, r2 = gm.compression_identity_residuals(mod, sub, j, k, level)
-                assert max(r1, r2) <= tol
+        r1, r2 = gm.compression_identity_residuals(mod, sub, level)
+        assert r1.shape == r2.shape == (mod.d, mod.d)
+        assert max(r1.max(), r2.max()) <= tol
 
 
 def test_identities_reject_boundary_level(h2):
     sub = gm.GradedSubmodule.full(h2)
     with pytest.raises(ValueError):
-        gm.compression_identity_residuals(h2, sub, 1, 2, 0)
+        gm.compression_identity_residuals(h2, sub, 0)
     with pytest.raises(ValueError):
-        gm.compression_identity_residuals(h2, sub, 1, 2, 10)
+        gm.compression_identity_residuals(h2, sub, 10)
+
+
+def _oracle_residuals(mod, sub, level):
+    """Both residual arrays of one level from the dense oracle."""
+    r1, r2 = np.zeros((mod.d, mod.d)), np.zeros((mod.d, mod.d))
+    for j in range(1, mod.d + 1):
+        for k in range(1, mod.d + 1):
+            lhs1, rhs1, lhs2, rhs2 = compression_sides(mod, sub, j, k, level)
+            r1[j - 1, k - 1] = np.linalg.norm(lhs1 - rhs1, 2)
+            r2[j - 1, k - 1] = np.linalg.norm(lhs2 - rhs2, 2)
+    return r1, r2
+
+
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(submodule_inputs())
+def test_identities_match_dense_oracle_on_generated_submodules(case):
+    # invariant M: both evaluations are at roundoff, on every pair and level
+    mod, gens = case
+    sub = gm.GradedSubmodule.generate(mod, gens)
+    tol = 1e-11 * max(1.0, float(np.max(mod.rho))) ** 4
+    for level in range(1, sub.window):
+        got = gm.compression_identity_residuals(mod, sub, level)
+        for g, want in zip(got, _oracle_residuals(mod, sub, level)):
+            assert g.max() <= tol and want.max() <= tol
+            np.testing.assert_allclose(g, want, rtol=0, atol=tol)
+
+
+def _random_quotient_side(rng, mod):
+    """A GradedSubmodule whose Q_n are random orthonormal columns: not invariant.
+
+    Level 0 lies in M; every other level has ceil(dim / 2) columns in Q_n.
+    """
+    bases = {}
+    for n in range(mod.top_level + 1):
+        dim = mod.level_dim(n)
+        cols = (dim + 1) // 2 if n else 0
+        raw = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
+        bases[n] = np.linalg.qr(raw)[0]
+    return gm.GradedSubmodule(mod, bases, {})
+
+
+@pytest.mark.parametrize("family,d,r,top", [
+    ("hardy", 2, 1, 7), ("bergman", 3, 1, 5), ("sinsqrt", 2, 2, 6)])
+def test_identities_fail_off_invariant_subspaces_as_the_oracle_does(
+        rng, family, d, r, top):
+    # the levelwise arrays must see the same nonzero residuals as the dense
+    # evaluation, for every pair: a check that can only report roundoff would
+    # not fail here
+    mod = gm.StandardModule(gm.make_weights(family, top, d=d, r1=0.5, r2=2.0),
+                            d=d, multiplicity=r)
+    sub = _random_quotient_side(rng, mod)
+    for level in range(1, top):
+        got = gm.compression_identity_residuals(mod, sub, level)
+        for g, want in zip(got, _oracle_residuals(mod, sub, level)):
+            assert g.min() > 1e-3
+            np.testing.assert_allclose(g, want, rtol=1e-10, atol=0)
 
 
 # -- resolvent projection ------------------------------------------------------

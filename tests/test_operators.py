@@ -1,10 +1,10 @@
-"""Window bookkeeping of the graded block-operator algebra."""
+"""The graded block container and the self-commutator blocks built on it."""
 
 import numpy as np
 import pytest
 
 import gradmod as gm
-from gradmod.operators import GradedOperator, commutator
+from normality_oracle import self_commutator_block
 
 
 @pytest.fixture
@@ -12,58 +12,17 @@ def module():
     return gm.StandardModule(gm.make_weights("hardy", 6, d=2), d=2)
 
 
-def test_composition_tracks_shifts_and_windows(module):
-    t1, t2 = module.coordinate_tuple()
-    prod = t1 @ t2
-    assert prod.shift == 2
-    assert prod.levels() == list(range(5))   # needs blocks at n and n+1
-    np.testing.assert_allclose(
-        prod.block(1), module.coordinate_block(1, 2) @ module.coordinate_block(2, 1))
-
-
-def test_adjoint_moves_window(module):
-    t1, _ = module.coordinate_tuple()
-    adj = t1.adjoint()
-    assert adj.shift == -1
-    assert adj.levels() == list(range(1, 7))
-    np.testing.assert_array_equal(adj.block(3), module.coordinate_block(1, 2).conj().T)
-    # double adjoint restores blocks
-    np.testing.assert_array_equal(adj.adjoint().block(2), t1.block(2))
-
-
-def test_addition_requires_matching_shift(module):
-    t1, t2 = module.coordinate_tuple()
-    with pytest.raises(ValueError):
-        t1 + t1.adjoint()
-    s = t1 + t2
-    np.testing.assert_allclose(
-        s.block(2), module.coordinate_block(1, 2) + module.coordinate_block(2, 2))
-
-
-def test_commutator_window_is_interior(module):
-    t1, t2 = module.coordinate_tuple()
-    comm = commutator(t1, t2.adjoint())
-    assert comm.shift == 0
-    # T_j T_k* known on levels 1..6, T_k* T_j on 0..5: intersection 1..5
-    assert comm.levels() == list(range(1, 6))
-
-
 def test_commutator_matches_direct_construction(module):
+    # [T_j*, T_k] on every stored level, against the dense multi-level product
     ops = module.coordinate_tuple()
-    generic = commutator(ops[0], ops[1].adjoint())   # [T_1, T_2*]
-    direct = gm.self_commutator(ops, 2, 1)           # [T_2*, T_1]
-    for n in generic.levels():
-        np.testing.assert_allclose(generic.block(n), -direct.block(n), atol=1e-14)
-
-
-def test_identity_and_scalar(module):
-    dims = {n: module.level_dim(n) for n in range(3)}
-    ident = GradedOperator.identity(dims)
-    t1, _ = module.coordinate_tuple()
-    scaled = 2.0 * t1
-    np.testing.assert_allclose(scaled.block(1), 2.0 * t1.block(1))
-    np.testing.assert_allclose((ident @ ident).block(1), np.eye(module.level_dim(1)))
-    assert ident.sup_norm() == pytest.approx(1.0)
+    for j in (1, 2):
+        for k in (1, 2):
+            comm = gm.self_commutator(ops, j, k)
+            assert comm.levels() == list(range(6))
+            for n in comm.levels():
+                np.testing.assert_allclose(
+                    comm.block(n), self_commutator_block(module, j, k, n),
+                    rtol=0, atol=1e-14)
 
 
 def test_missing_block_raises(module):
