@@ -49,7 +49,7 @@ print("d-shift, [Z_j*, Z_k] equals the Fock commutator identically, and at")
 print("d = 1 the single self-commutator is the rank-one projection onto the")
 print("constants:")
 shift = gm.StandardModule(gm.make_weights("dshift", 6), d=1)
-comm = gm.self_commutator(shift.coordinate_tuple(), 1, 1)
-print("  [Z*, Z] level 0 block:", comm.block(0).real[0, 0],
+comms = gm.self_commutators(shift.coordinate_tuple())
+print("  [Z*, Z] level 0 block:", comms[0][0, 0].real[0, 0],
       "| higher-level norms:",
-      [round(comm.level_norm(n), 15) for n in range(1, 5)])
+      [round(float(np.linalg.norm(comms[n][0, 0], 2)), 15) for n in range(1, 5)])

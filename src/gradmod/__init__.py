@@ -2,7 +2,8 @@
 
 Standard modules over the polynomial algebra in d variables are stored
 exactly in orthonormal level bases, each coordinate operator as a weighted
-index map between levels; on top of that the package
+index map between levels.  A coordinate tuple, of a module or of a quotient,
+is one (d, h_{n+1}, h_n) array per level n.  On top of that the package
 provides graded submodules and quotients, degree and reducing structure, the
 row-operator linearization machinery, Koszul complexes with Dirac-square and
 syzygy checks, and Schatten-class essential-normality diagnostics.
@@ -56,11 +57,10 @@ from .normality import (
     resolvent_projection,
     resolvent_quadrature,
     schatten_report,
-    self_commutator,
+    self_commutators,
     similarity_counterexample,
     spectral_projection_oracle,
 )
-from .operators import GradedOperator, commutation_residual
 from .submodules import (
     DegreeReport,
     GradedSubmodule,

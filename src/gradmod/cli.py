@@ -267,7 +267,8 @@ def config_echo(args, **extra):
 
 
 def hard_check(failures, name, value, tol):
-    if value > tol:
+    """Record a failure unless value <= tol; a NaN value never passes."""
+    if not value <= tol:
         failures.append({"check": name, "value": value, "tolerance": tol})
 
 

@@ -8,7 +8,9 @@ everything else consumes.  It holds each level n < N as one index table (the
 successor of every monomial under every z_k, ``monomials.successors``) plus
 one table of weights, and applies Z_k, Z_k*, the row operator L, L* and
 d/dz_k as gathers and scatters on that table.  A dense block exists only as
-such an operator applied to an identity, and it is not cached.
+such an operator applied to an identity, and it is not cached; the
+coordinate tuple, one (d, h_{n+1}, h_n) stack per level, is filled straight
+from the tables on each call.
 
 Level bases are orthonormalized monomials: for a maximally symmetric inner
 product the monomials are already orthogonal, so orthonormalization is the
@@ -25,7 +27,6 @@ import numpy as np
 
 from . import monomials
 from .config import TREND_BURN_IN
-from .operators import GradedOperator
 from .trends import TrendReport, classify_trend, loglog_slope
 
 
@@ -315,12 +316,23 @@ class StandardModule:
         return self.row(n, np.eye(self.d * self.level_dim(n), dtype=complex))
 
     def coordinate_tuple(self):
-        """The d coordinate operators as degree-1 graded block operators."""
-        return [
-            GradedOperator(1, {n: self.coordinate_block(k, n)
-                               for n in range(self.top_level)})
-            for k in range(1, self.d + 1)
-        ]
+        """Z_1, ..., Z_d as one complex (d, h_{n+1}, h_n) stack per level n < N.
+
+        Entry [k-1] of level n is Z_k(n), filled from the successor and Z
+        weight tables: every entry is one Z weight, so it equals
+        ``coordinate_block(k, n)`` bit for bit.  Built on every call.
+        """
+        r, out = self.multiplicity, {}
+        comp = np.arange(r)
+        for n in range(self.top_level):
+            succ, weights = self._tables(n)
+            stack = np.zeros((self.d, self.level_dim(n + 1), self.level_dim(n)),
+                             dtype=complex)
+            rows = (r * succ)[:, :, None] + comp
+            cols = r * np.arange(succ.shape[0])[:, None, None] + comp
+            stack[np.arange(self.d)[:, None], rows, cols] = weights[:, :, None]
+            out[n] = stack
+        return out
 
     def level_basis(self, n):
         """Monomial labels (alpha, component) indexing level-n coordinates."""

@@ -2,7 +2,9 @@
 
 For a commuting degree-1 tuple T_1, ..., T_d the boundary operator is
 B = T_1 (x) C_1 + ... + T_d (x) C_d on H (x) Lambda E, where the C_i are
-creation operators on the exterior algebra of a d-dimensional space.  Form
+creation operators on the exterior algebra of a d-dimensional space.  The
+tuple is a dict holding, for each level n, one (d, h_{n+1}, h_n) array whose
+entry [i-1] is T_i(n), as ``coordinate_tuple`` returns it.  Form
 degree k at level n is the space H_n (x) Lambda^k E, with its flat basis
 ordered (level vector) major, (sorted k-subset) minor; the creation sign
 convention is (-1)^(number of subset members below the new index).
@@ -51,7 +53,6 @@ import numpy as np
 
 from . import linalg
 from .config import EXACT_TOL
-from .operators import tuple_level_dims
 
 
 def form_subsets(d, k):
@@ -102,6 +103,7 @@ def _creation_links(d, k):
 def node_labels(ops):
     """Torus labels of the level basis vectors, read off the exact zero pattern.
 
+    ``ops`` maps each level n to the (d, h_{n+1}, h_n) stack of the T_i(n).
     Returns ``{n: (root, weight)}``: an (h_n,) int array naming the piece
     each basis vector hangs from and an (h_n, d) int array of weights, such
     that every nonzero entry of every T_i(n) sends (root, w) to
@@ -109,35 +111,24 @@ def node_labels(ops):
     nonzero entry reaches starts a new root at weight 0, any other takes the
     label its entries give it.  Returns None when two entries disagree.
     """
-    d = len(ops)
-    dims = tuple_level_dims(ops)
+    d = ops[min(ops)].shape[0]
     labels = {}
     roots = 0
-    for n in sorted(dims):
-        root = np.full(dims[n], -1, dtype=np.int64)
-        weight = np.zeros((dims[n], d), dtype=np.int64)
-        if n - 1 in labels:
+    for n in sorted(set(ops) | {n + 1 for n in ops}):
+        size = ops[n].shape[2] if n in ops else ops[n - 1].shape[1]
+        root = np.full(size, -1, dtype=np.int64)
+        weight = np.zeros((size, d), dtype=np.int64)
+        if n - 1 in ops:
             below_root, below_weight = labels[n - 1]
-            rows, got_root, got_weight = [], [], []
-            for i, op in enumerate(ops):
-                block = op.blocks.get(n - 1)
-                if block is None:
-                    continue
-                a, b = np.nonzero(block)
-                step = below_weight[b]
-                step[:, i] += 1
-                rows.append(a)
-                got_root.append(below_root[b])
-                got_weight.append(step)
-            if rows:
-                rows = np.concatenate(rows)
-                got_root = np.concatenate(got_root)
-                got_weight = np.concatenate(got_weight)
-                root[rows] = got_root
-                weight[rows] = got_weight
-                if not (np.array_equal(root[rows], got_root)
-                        and np.array_equal(weight[rows], got_weight)):
-                    return None
+            var, rows, cols = np.nonzero(ops[n - 1])
+            got_root = below_root[cols]
+            got_weight = below_weight[cols]
+            got_weight[np.arange(var.size), var] += 1
+            root[rows] = got_root
+            weight[rows] = got_weight
+            if not (np.array_equal(root[rows], got_root)
+                    and np.array_equal(weight[rows], got_weight)):
+                return None
         fresh = np.flatnonzero(root < 0)
         root[fresh] = roots + np.arange(fresh.size)
         roots += fresh.size
@@ -391,32 +382,37 @@ class KoszulComplex:
 def build_koszul(ops, commute_tol=EXACT_TOL):
     """Assemble the Koszul complex of a commuting degree-1 tuple on its gamma-blocks.
 
+    ``ops`` maps each level n to the (d, h_{n+1}, h_n) stack of the T_i(n)
+    (``StandardModule.coordinate_tuple``, ``QuotientModule.coordinate_tuple``).
     The labels are read once (``node_labels``).  The T_i(n) are gathered
     onto the level classes, and the input checks run there: the tuple's
     scale is ``tuple_norm`` and its commutators are checked block by block
-    (``KoszulComplex.commutation_residual``).  Raises ValueError when the
-    blocks fail to commute within ``commute_tol`` (relative to the largest
-    block norm).
+    (``KoszulComplex.commutation_residual``).  Raises ValueError when two
+    stacks disagree on the shape of a level they share, or when the blocks
+    fail to commute within ``commute_tol`` (relative to the largest block
+    norm).
     """
-    d = len(ops)
+    if not ops:
+        raise ValueError("need at least one level")
+    d = ops[min(ops)].shape[0]
     if d < 1:
         raise ValueError("need at least one operator")
-    dims = tuple_level_dims(ops)
+    dims = {n: stack.shape[2] for n, stack in ops.items()}
+    for n, stack in ops.items():
+        rows = dims.setdefault(n + 1, stack.shape[1])
+        if stack.shape[0] != d or stack.shape[1] != rows:
+            raise ValueError(
+                f"inconsistent stack shapes: level {n} is {stack.shape}, "
+                f"level {n + 1} has dimension {dims[n + 1]}")
     top = max(dims)
     ids, steps = _class_ids(node_labels(ops), d, dims)
     classes = {space: GammaClasses.of(space_ids) for space, space_ids in ids.items()}
     level_blocks, boundary = {}, {}
-    for n in range(top):
-        if n not in dims or (n + 1) not in dims:
-            continue
-        blocks = [op.blocks.get(n) for op in ops]
-        if any(b is None for b in blocks):
-            continue
-        blocks = np.stack(blocks)
-        level_blocks[n] = _level_blocks(blocks, steps, classes[(0, n)],
+    for n in sorted(ops):
+        level_blocks[n] = _level_blocks(ops[n], steps, classes[(0, n)],
                                         classes[(0, n + 1)])
         for k in range(d):
-            boundary[(k, n)] = _gamma_blocks(blocks, k, classes[(k, n)],
+            boundary[(k, n)] = _gamma_blocks(ops[n], k, classes[(k, n)],
                                              classes[(k + 1, n + 1)])
     complex_ = KoszulComplex(d, dims, boundary, top, classes, level_blocks, steps)
     scale = complex_.tuple_norm() or 1.0
@@ -540,7 +536,7 @@ def solve_syzygy(ops, xi, level, kernel_tol=1e-10):
 
     Parameters
     ----------
-    ops : commuting degree-1 tuple
+    ops : commuting degree-1 tuple, {n: (d, h_{n+1}, h_n) stack}
     xi : list of d level-``level`` coordinate vectors with sum_k T_k xi_k = 0
     level : homogeneous degree n of the input
 
@@ -549,20 +545,18 @@ def solve_syzygy(ops, xi, level, kernel_tol=1e-10):
     is the relative reconstruction error.  Degree-0 input must be zero and
     yields the zero certificate.
     """
-    d = len(ops)
     n = int(level)
+    if n not in ops:
+        raise ValueError(
+            f"level {n} has no exact blocks above it; cannot certify kernel membership")
+    d, _, h_n = ops[n].shape
     xi = [np.asarray(x, dtype=complex).reshape(-1) for x in xi]
     if len(xi) != d:
         raise ValueError("need one component per operator")
-    dims = tuple_level_dims(ops)
-    h_n = dims[n]
     if any(x.size != h_n for x in xi):
         raise ValueError("components must live on the stated level")
     scale = max(max((float(np.linalg.norm(x)) for x in xi)), 1.0)
-    if any(n not in op.blocks for op in ops):
-        raise ValueError(
-            f"level {n} has no exact blocks above it; cannot certify kernel membership")
-    in_kernel = sum(ops[k].blocks[n] @ xi[k] for k in range(d))
+    in_kernel = sum(ops[n][k] @ xi[k] for k in range(d))
     if float(np.linalg.norm(in_kernel)) > kernel_tol * scale:
         raise ValueError("input is not in the kernel of the row map")
     pairs = [(j, k) for j in range(1, d + 1) for k in range(j + 1, d + 1)]
@@ -571,13 +565,14 @@ def solve_syzygy(ops, xi, level, kernel_tol=1e-10):
                for j in range(1, d + 1) for k in range(1, d + 1)}
         return eta, 0.0
 
-    h_prev = dims[n - 1]
+    below = ops[n - 1]
+    h_prev = below.shape[2]
     big = np.zeros((d * h_n, len(pairs) * h_prev), dtype=complex)
     for col, (a, b) in enumerate(pairs):
         sl = slice(col * h_prev, (col + 1) * h_prev)
         # eta_{ab} feeds +T_a into equation b and -T_b into equation a
-        big[(b - 1) * h_n:b * h_n, sl] = ops[a - 1].blocks[n - 1]
-        big[(a - 1) * h_n:a * h_n, sl] = -ops[b - 1].blocks[n - 1]
+        big[(b - 1) * h_n:b * h_n, sl] = below[a - 1]
+        big[(a - 1) * h_n:a * h_n, sl] = -below[b - 1]
     target = np.concatenate(xi)
     sol = np.linalg.lstsq(big, target, rcond=None)[0]
     eta = {(j, j): np.zeros(h_prev, dtype=complex) for j in range(1, d + 1)}

@@ -1,10 +1,11 @@
 """Essential-normality diagnostics for graded operator tuples.
 
-The self-commutators of a degree-1 tuple are degree-0, so they decompose
-exactly into level blocks; their singular values therefore give exact
-per-level Schatten contributions, and only the top truncation level (whose
-commutator would touch level N+1) is ever excluded.  The d^2 blocks of a
-level share one shape, so each level takes one stacked SVD.  Cumulative
+A degree-1 tuple is one (d, h_{n+1}, h_n) stack of the T_k(n) per level n.
+Its self-commutators are degree-0, so they decompose exactly into level
+blocks: one (d, d, h_n, h_n) stack per level, formed by two batched
+products; their singular values therefore give exact per-level Schatten
+contributions, and only the top truncation level (whose commutator would
+touch level N+1) is ever excluded.  Each level takes one stacked SVD.  Cumulative
 p-sums are reported with a trend classification, never with a convergence
 verdict.
 
@@ -15,7 +16,8 @@ range projection of a gapped positive matrix, with its commutator transform
 and norm bound, evaluated by composite Gauss-Legendre panels (geometric
 convergence, since the integrand is analytic along each side), one stacked
 solve per panel; and the weighted-shift similarity pair showing that graded
-isomorphism does not preserve essential normality.
+isomorphism does not preserve essential normality, whose 1 x 1 blocks give
+its self-commutator diagonals in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -24,27 +26,33 @@ import numpy as np
 
 from . import linalg
 from .config import QUAD_DEFAULT_NODES, QUAD_MAX_NODES, QUAD_REFINE_FLOOR
-from .operators import GradedOperator
 from .trends import classify_trend
 
 # Points per Gauss-Legendre panel of the contour rule.
 GL_ORDER = 16
 
 
-def self_commutator(ops, j, k):
-    """[T_j*, T_k] = T_j* T_k - T_k T_j* as a degree-0 graded operator.
+def _level_commutators(ops):
+    """(n, stack) for every level of ``self_commutators``, one level at a time."""
+    for n in sorted(ops):
+        up = ops[n]
+        comm = np.swapaxes(up.conj(), 1, 2)[:, None] @ up[None, :]
+        if n - 1 in ops:
+            down = ops[n - 1]
+            comm = comm - down[None, :] @ np.swapaxes(down.conj(), 1, 2)[:, None]
+        yield n, comm
 
-    Exact on levels 0..N-1; level N is omitted because one factor would need
-    the unstored block into level N+1.
+
+def self_commutators(ops):
+    """[T_j*, T_k] = T_j* T_k - T_k T_j* for every pair, one stack per level.
+
+    ``ops`` maps each level n to the (d, h_{n+1}, h_n) stack of the T_i(n).
+    Returns ``{n: (d, d, h_n, h_n) array}`` with entry [j-1, k-1] the pair
+    (j, k), T_j(n)* T_k(n) - T_k(n-1) T_j(n-1)*.  Exact on the stored levels
+    0..N-1; level N is omitted because one factor would need the unstored
+    block into level N+1.
     """
-    tj, tk = ops[j - 1], ops[k - 1]
-    blocks = {}
-    for n in sorted(tj.blocks):
-        term = tj.blocks[n].conj().T @ tk.blocks[n]
-        if n - 1 in tk.blocks:
-            term = term - tk.blocks[n - 1] @ tj.blocks[n - 1].conj().T
-        blocks[n] = term
-    return GradedOperator(0, blocks)
+    return dict(_level_commutators(ops))
 
 
 @dataclass(frozen=True)
@@ -64,18 +72,19 @@ def schatten_report(ops, p_values, note=""):
     """Per-level singular values and cumulative p-sums of all self-commutators.
 
     The singular values of all d^2 blocks of a level come from one stacked
-    ``np.linalg.svd`` call; a level of dimension 0 has none.
+    ``np.linalg.svd`` call on that level's ``self_commutators`` stack; a
+    level of dimension 0 has none.
     """
-    d = len(ops)
+    d = ops[min(ops)].shape[0]
     p_values = [float(p) for p in p_values]
     if any(p < 1 for p in p_values):
         raise ValueError("Schatten exponents must be at least 1")
     pairs = [(j, k) for j in range(1, d + 1) for k in range(1, d + 1)]
-    comms = {pair: self_commutator(ops, *pair) for pair in pairs}
-    levels = sorted(next(iter(comms.values())).blocks)
+    levels = []
     sigma = {pair: [] for pair in pairs}
-    for n in levels:
-        stack = np.stack([comms[pair].blocks[n] for pair in pairs])
+    for n, comm in _level_commutators(ops):
+        levels.append(n)
+        stack = comm.reshape(len(pairs), *comm.shape[2:])
         values = (np.linalg.svd(stack, compute_uv=False) if stack.size
                   else np.zeros((len(pairs), 0)))
         for pair, sv in zip(pairs, values):
@@ -343,13 +352,11 @@ class CounterexampleReport:
     """Similar graded pair (A, B) with LA = BL where only A is essentially normal."""
 
     u: np.ndarray
-    shift_a: GradedOperator
-    shift_b: GradedOperator
     intertwiner_diag: np.ndarray
     flagged_indices: np.ndarray          # n with (u_n, u_{n+1}) = (0, 1)
     intertwining_residual: float         # max |(LA - BL) e_n|, exactly 0
-    a_commutator_rank: int
-    b_commutator_diag: np.ndarray        # e^{2 u_{n+1}} - e^{2 u_n}
+    a_commutator_rank: int               # [A*, A] = diag(1, 0, 0, ...)
+    b_commutator_diag: np.ndarray        # e^{2 u_{n+1}} - e^{2 u_n}, e^{2 u_1} at n = 0
     b_ratio_diag: np.ndarray             # e^{2 (u_{n+1} - u_n)}
     max_partial_sum: float
     intertwiner_extremes: tuple
@@ -387,25 +394,26 @@ def similarity_counterexample(u, levels, require_flag=True):
     if require_flag and flagged.size == 0:
         raise ValueError("u never hits (u_n, u_{n+1}) = (0, 1) on the window")
 
-    b_weights = np.exp(u[1:])
-    lam = np.empty(n_levels + 1)
-    lam[0] = np.exp(u[0])
-    for n in range(n_levels):
-        lam[n + 1] = b_weights[n] * lam[n]
-
-    a_op = GradedOperator(1, {n: np.array([[1.0]]) for n in range(n_levels)})
-    b_op = GradedOperator(1, {n: np.array([[b_weights[n]]])
-                              for n in range(n_levels)})
+    with np.errstate(over="ignore"):
+        b_weights = np.exp(u[1:])
+        lam = np.empty(n_levels + 1)
+        lam[0] = np.exp(u[0])
+        for n in range(n_levels):
+            lam[n + 1] = b_weights[n] * lam[n]
+        b_square = b_weights * b_weights
+        ratio = np.exp(2.0 * (u[1:] - u[:-1]))[:n_levels]
+    if not all(np.all(np.isfinite(x)) for x in (b_square, lam, ratio)):
+        raise ValueError("e^u, its square or the intertwiner overflows on the window")
     resid = max(abs(lam[n + 1] * 1.0 - b_weights[n] * lam[n])
                 for n in range(n_levels))
 
-    sc_a = self_commutator([a_op], 1, 1)
-    sc_b = self_commutator([b_op], 1, 1)
-    a_diag = np.array([float(sc_a.blocks[n].real[0, 0]) for n in range(n_levels)])
+    # the self-commutators of the 1 x 1 weighted shifts, level by level:
+    # [A*, A](n) = 1 - 1 for n >= 1, and [B*, B](n) = b_n^2 - b_{n-1}^2
+    a_diag = np.zeros(n_levels)
+    a_diag[0] = 1.0
     rank_a = int(np.count_nonzero(np.abs(a_diag) > 1e-14))
-    b_diag = np.array([float(sc_b.blocks[n].real[0, 0]) for n in range(n_levels)])
-    ratio = np.exp(2.0 * (u[1:] - u[:-1]))[:n_levels]
+    b_diag = b_square - np.concatenate(([0.0], b_square[:-1]))
     partial = np.cumsum(u)
     return CounterexampleReport(
-        u, a_op, b_op, lam, flagged, float(resid), rank_a, b_diag, ratio,
+        u, lam, flagged, float(resid), rank_a, b_diag, ratio,
         float(np.max(np.abs(partial))), (float(lam.min()), float(lam.max())))

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import linalg, monomials
 from .config import SPAN_TOL
-from .operators import GradedOperator
 
 
 # -- vector polynomials and their text format ----------------------------
@@ -424,7 +423,7 @@ class QuotientModule:
         self.submodule = submodule
         self.module = submodule.module
         self.window = submodule.window
-        self._blocks = {}
+        self._stacks = {}
 
     def basis(self, n):
         return self.submodule.quotient_basis(n)
@@ -435,18 +434,28 @@ class QuotientModule:
     def dims(self):
         return [self.dim(n) for n in range(self.window + 1)]
 
-    def block(self, k, n):
-        """Compressed coordinate block Q_{n+1}* Z_k(n) Q_n on the quotient."""
-        key = (k, n)
-        if key not in self._blocks:
+    def _level_stack(self, n):
+        """The compressed blocks Q_{n+1}* Z_k(n) Q_n of every k, one complex stack.
+
+        Shape (d, dim Q_{n+1}, dim Q_n), entry [k-1] for Z_k; built once per
+        level.
+        """
+        stack = self._stacks.get(n)
+        if stack is None:
             if not 0 <= n <= self.window - 1:
                 raise ValueError(f"no quotient block from level {n}")
-            self._blocks[key] = self.module.shift_adjoint(
-                k, n, self.basis(n + 1)).conj().T @ self.basis(n)
-        return self._blocks[key]
+            low, high = self.basis(n), self.basis(n + 1)
+            stack = self._stacks[n] = np.asarray(
+                [self.module.shift_adjoint(k, n, high).conj().T @ low
+                 for k in range(1, self.module.d + 1)], dtype=complex)
+        return stack
+
+    def block(self, k, n):
+        """Compressed coordinate block Q_{n+1}* Z_k(n) Q_n on the quotient."""
+        if not 1 <= k <= self.module.d:
+            raise ValueError("variable index out of range")
+        return self._level_stack(n)[k - 1]
 
     def coordinate_tuple(self):
-        return [
-            GradedOperator(1, {n: self.block(k, n) for n in range(self.window)})
-            for k in range(1, self.module.d + 1)
-        ]
+        """The compressed tuple: one (d, dim Q_{n+1}, dim Q_n) stack per level n < window."""
+        return {n: self._level_stack(n) for n in range(self.window)}

@@ -4,8 +4,10 @@ The package holds B_k(n) on its gamma-blocks.  This module builds each
 B_k(n) as the dense sum of Kronecker products T_i(n) (x) C_i, takes ranks
 by SVDs of whole blocks, and evaluates B^2 and the Dirac square on the
 dense blocks, with a right-hand side built from Kronecker products of the
-dense level terms (``level_terms``).  It shares only the tuple's blocks,
-``creation_matrix`` and ``linalg.numerical_rank`` with the package.
+dense level terms (``level_terms``), and checks that the tuple commutes
+with whole-block products (``commutation_residual``).  It shares only the
+tuple's blocks, ``creation_matrix`` and ``linalg.numerical_rank`` with the
+package.  A tuple is a dict {n: (d, h_{n+1}, h_n) stack of the T_i(n)}.
 """
 
 from math import comb
@@ -14,7 +16,21 @@ import numpy as np
 
 from gradmod import linalg
 from gradmod.koszul import creation_matrix
-from gradmod.operators import tuple_level_dims
+
+
+def commutation_residual(ops):
+    """max_n || T_j(n+1) T_k(n) - T_k(n+1) T_j(n) || over all pairs: 0 for a commuting tuple."""
+    worst = 0.0
+    for n, low in ops.items():
+        high = ops.get(n + 1)
+        if high is None:
+            continue
+        for j in range(low.shape[0]):
+            for k in range(j + 1, low.shape[0]):
+                delta = high[j] @ low[k] - high[k] @ low[j]
+                if delta.size:
+                    worst = max(worst, float(np.linalg.norm(delta, 2)))
+    return worst
 
 
 def level_terms(ops, n):
@@ -24,13 +40,12 @@ def level_terms(ops, n):
     (k - 1) d + (j - 1) of the (d^2, h, h) commutator stack is
     T_k(n)* T_j(n) - T_j(n-1) T_k(n-1)*.
     """
-    d = len(ops)
-    up = np.stack([op.blocks[n] for op in ops])
+    up = ops[n]
+    d, _, h = up.shape
     comm = up.conj().transpose(0, 2, 1)[:, None] @ up[None, :]
-    h = up.shape[2]
     f_level = np.zeros((h, h), dtype=complex)
     if n >= 1:
-        down = [op.blocks[n - 1] for op in ops]
+        down = ops[n - 1]
         for j, below_j in enumerate(down):
             for k, below_k in enumerate(down):
                 outer = below_j @ below_k.conj().T
@@ -45,19 +60,15 @@ class DenseKoszul:
 
     def __init__(self, ops):
         self.ops = ops
-        self.d = d = len(ops)
-        self.dims = dims = tuple_level_dims(ops)
-        self.top = max(dims)
+        self.d = d = ops[min(ops)].shape[0]
+        self.dims = {n: stack.shape[2] for n, stack in ops.items()}
+        self.dims.update({n + 1: stack.shape[1] for n, stack in ops.items()})
+        self.top = max(self.dims)
         self.creation = {(k, i): creation_matrix(d, k, i)
                          for k in range(d) for i in range(1, d + 1)}
         self.boundary = {}
         for k in range(d):
-            for n in range(self.top):
-                if n not in dims or (n + 1) not in dims:
-                    continue
-                blocks = [op.blocks.get(n) for op in ops]
-                if any(b is None for b in blocks):
-                    continue
+            for n, blocks in ops.items():
                 self.boundary[(k, n)] = sum(
                     np.kron(blocks[i - 1], self.creation[(k, i)])
                     for i in range(1, d + 1)).astype(complex)

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,29 @@ def test_tolerance_failure_exit_code(tmp_path):
     assert report["hard_failures"]
 
 
+def test_hard_check_fails_values_that_are_not_finite():
+    failures = []
+    cli.hard_check(failures, "ok", 1e-16, 1e-12)
+    cli.hard_check(failures, "nan", float("nan"), 1e-12)
+    cli.hard_check(failures, "inf", float("inf"), 1e-12)
+    assert [f["check"] for f in failures] == ["nan", "inf"]
+
+
+def test_overflowing_counterexample_exits_2(tmp_path, capsys):
+    # e^1000 overflows; the command refuses the sequence instead of
+    # reporting a nan residual and infinite intertwiner extremes
+    u = tmp_path / "u.txt"
+    u.write_text("1000 0 1 0 -1 0 1 0 1 0 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["counterexample", "--N", "10", "--u", str(u),
+                        "--out", str(tmp_path)])
+    assert code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err
+    assert not (tmp_path / "counterexample.json").exists()
+
+
 # -- config files ------------------------------------------------------------------
 
 
@@ -373,10 +397,8 @@ def test_identity_unconverged_quadrature_fails(tmp_path, monkeypatch):
     assert [f["check"] for f in report["hard_failures"]] == ["resolvent_converged"]
 
 
-def test_identity_report_is_byte_identical_across_blas_threads(tmp_path):
-    # the contour rule's stacked solves and products must not depend on the
-    # BLAS thread count
-    gens = write_quadric(tmp_path)
+def reports_under_blas_threads(tmp_path, argv, files):
+    """The report files of one CLI run under 1 and under 2 OpenBLAS threads."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     reports = []
@@ -384,12 +406,31 @@ def test_identity_report_is_byte_identical_across_blas_threads(tmp_path):
         out = tmp_path / threads
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-m", "gradmod.cli", "identity", "--d", "2", "--N", "7",
-             "--gens", str(gens), "--nodes", "512", "--out", str(out)],
+            [sys.executable, "-m", "gradmod.cli", *argv, "--out", str(out)],
             capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stderr
-        reports.append((out / "identity.json").read_bytes())
-    assert reports[0] == reports[1]
+        reports.append([(out / name).read_bytes() for name in files])
+    return reports
+
+
+def test_identity_report_is_byte_identical_across_blas_threads(tmp_path):
+    # the contour rule's stacked solves and products must not depend on the
+    # BLAS thread count
+    gens = write_quadric(tmp_path)
+    first, second = reports_under_blas_threads(
+        tmp_path, ["identity", "--d", "2", "--N", "7", "--gens", str(gens),
+                   "--nodes", "512"], ["identity.json"])
+    assert first == second
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["weights", "--family", "sinsqrt", "--r1", "1", "--r2", "4", "--d", "2",
+      "--N", "2000", "--p", "3,5"], ["weights.json", "weights.csv"]),
+    (["counterexample", "--N", "60"], ["counterexample.json"]),
+])
+def test_reports_are_byte_identical_across_blas_threads(tmp_path, argv, files):
+    first, second = reports_under_blas_threads(tmp_path, argv, files)
+    assert first == second
 
 
 def test_console_entry_point(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 import gradmod as gm
 import structure_oracle as oracle
+from koszul_oracle import commutation_residual
 from gradmod.completion import fock_level_weights
 from gradmod.linalg import opnorm
 
@@ -170,7 +171,23 @@ def test_ambient_residuals_match_kronecker_oracle(eps):
 
 def test_coordinate_blocks_commute():
     for mod in all_test_modules():
-        assert gm.commutation_residual(mod.coordinate_tuple()) <= 1e-13
+        assert commutation_residual(mod.coordinate_tuple()) <= 1e-13
+
+
+def test_coordinate_tuple_stacks_the_coordinate_blocks_bitwise():
+    # each level's stack holds Z_1(n), ..., Z_d(n) as coordinate_block builds
+    # them, signs of zeros included; every call builds a new tuple
+    for mod in all_test_modules():
+        ops = mod.coordinate_tuple()
+        assert sorted(ops) == list(range(mod.top_level))
+        for n, stack in ops.items():
+            assert stack.dtype == complex
+            assert stack.shape == (mod.d, mod.level_dim(n + 1), mod.level_dim(n))
+            for k in range(1, mod.d + 1):
+                block = mod.coordinate_block(k, n)
+                assert stack[k - 1].tobytes() == block.tobytes()
+        again = mod.coordinate_tuple()
+        assert all(again[n] is not ops[n] for n in ops)
 
 
 def test_level_zero_column_is_scaled_unit_vector():
@@ -359,10 +376,10 @@ def test_decomposition_hardy():
 def test_unilateral_shift_self_commutator():
     # d = 1 shift: [Z*, Z] is the rank-one projection onto the constants
     mod = gm.StandardModule(gm.make_weights("dshift", 6), d=1)
-    comm = gm.self_commutator(mod.coordinate_tuple(), 1, 1)
-    np.testing.assert_allclose(comm.block(0), [[1.0]], atol=1e-15)
+    comms = gm.self_commutators(mod.coordinate_tuple())
+    np.testing.assert_allclose(comms[0][0, 0], [[1.0]], atol=1e-15)
     for n in range(1, 6):
-        assert comm.level_norm(n) <= 1e-15
+        assert np.linalg.norm(comms[n][0, 0], 2) <= 1e-15
 
 
 # -- scalar diagnostics ------------------------------------------------------

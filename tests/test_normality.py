@@ -11,7 +11,6 @@ from gradmod.normality import (GL_ORDER, _side_panels,
                                alternating_block_sequence,
                                resolvent_quadrature, similarity_counterexample,
                                spectral_projection_oracle)
-from gradmod.operators import GradedOperator
 from conftest import random_generators, submodule_inputs
 from normality_oracle import compression_sides
 from quadrature_oracle import node_by_node_quadrature
@@ -26,11 +25,9 @@ def h2():
 
 
 def test_commutators_are_level_diagonal(h2):
-    ops = h2.coordinate_tuple()
-    comm = gm.self_commutator(ops, 1, 2)
-    assert comm.shift == 0
-    for n, block in comm.blocks.items():
-        assert block.shape == (h2.level_dim(n),) * 2
+    comms = gm.self_commutators(h2.coordinate_tuple())
+    for n, stack in comms.items():
+        assert stack.shape == (2, 2) + (h2.level_dim(n),) * 2
 
 
 def test_normal_tuple_has_zero_commutators():
@@ -38,18 +35,15 @@ def test_normal_tuple_has_zero_commutators():
     # grading all commutator blocks vanish (at level 0 the truncation itself
     # contributes T_j* T_k, the same edge effect that makes a shift non-normal)
     diag = np.diag([1.0, -2.0]).astype(complex)
-    ops = [GradedOperator(1, {n: diag for n in range(5)}),
-           GradedOperator(1, {n: 2 * diag for n in range(5)})]
-    for j in (1, 2):
-        for k in (1, 2):
-            comm = gm.self_commutator(ops, j, k)
-            assert comm.sup_norm(levels=range(1, 5)) <= 1e-14
+    ops = {n: np.stack([diag, 2 * diag]) for n in range(5)}
+    comms = gm.self_commutators(ops)
+    for n in range(1, 5):
+        assert np.abs(comms[n]).max() <= 1e-14
 
 
 def test_h2_commutator_norm_decay(h2):
-    ops = h2.coordinate_tuple()
-    comm = gm.self_commutator(ops, 1, 1)
-    norms = [comm.level_norm(n) for n in range(10)]
+    comms = gm.self_commutators(h2.coordinate_tuple())
+    norms = [np.linalg.norm(comms[n][0, 0], 2) for n in range(10)]
     # O(1/n) decay: norm at level 2n is about half the norm at level n
     assert norms[8] < 0.7 * norms[4] < 0.5 * norms[2]
 
@@ -74,12 +68,13 @@ def test_schatten_singular_values_equal_per_block_svd(h2, rng):
                 gm.QuotientModule(linear).coordinate_tuple(),
                 gm.QuotientModule(generic).coordinate_tuple()):
         rep = gm.schatten_report(ops, [2.0])
-        for pair in rep.pairs:
-            blocks = gm.self_commutator(ops, *pair).blocks
-            for n, got in zip(rep.levels.astype(int), rep.singular_values[pair],
+        comms = gm.self_commutators(ops)
+        for j, k in rep.pairs:
+            for n, got in zip(rep.levels.astype(int), rep.singular_values[(j, k)],
                               strict=True):
-                want = (np.linalg.svd(blocks[n], compute_uv=False)
-                        if blocks[n].size else np.zeros(0))
+                block = comms[n][j - 1, k - 1]
+                want = (np.linalg.svd(block, compute_uv=False)
+                        if block.size else np.zeros(0))
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
 
@@ -148,12 +143,9 @@ def test_quotient_commutator_norms_eventually_nonincreasing(rng):
     ]
     for gens in gens_list:
         q = gm.QuotientModule(gm.GradedSubmodule.generate(mod, gens))
-        ops = q.coordinate_tuple()
-        norms = []
-        for n in range(20):
-            worst = max(gm.self_commutator(ops, j, k).level_norm(n)
-                        for j in (1, 2) for k in (1, 2))
-            norms.append(worst)
+        comms = gm.self_commutators(q.coordinate_tuple())
+        norms = [max(np.linalg.norm(comms[n][j, k], 2) if comms[n].size else 0.0
+                     for j in (0, 1) for k in (0, 1)) for n in range(20)]
         for n in range(10, 19):
             assert norms[n + 1] <= norms[n] + 1e-10
 
@@ -422,8 +414,9 @@ def test_counterexample_requires_flag():
 def test_counterexample_degenerate_u_zero():
     # u = 0 collapses the construction: A = B and L = I
     rep = similarity_counterexample(np.zeros(21), 20, require_flag=False)
-    for n in range(20):
-        np.testing.assert_array_equal(rep.shift_a.block(n), rep.shift_b.block(n))
+    # B's self-commutator is then A's, the rank-one diag(1, 0, 0, ...)
+    np.testing.assert_array_equal(rep.b_commutator_diag, np.eye(1, 20)[0])
+    assert rep.a_commutator_rank == 1
     np.testing.assert_array_equal(rep.intertwiner_diag, np.ones(21))
     assert rep.flagged_indices.size == 0
 
@@ -434,3 +427,29 @@ def test_counterexample_nontrivial_b():
     # not decay along flagged indices
     tail_flags = rep.flagged_indices[rep.flagged_indices > 20]
     assert np.all(np.abs(rep.b_commutator_diag[tail_flags]) > 1.0)
+
+
+@pytest.mark.parametrize("random_u", [False, True])
+def test_counterexample_diagonals_are_the_one_by_one_self_commutators(rng, random_u):
+    # the closed-form diagonals equal [A*, A] and [B*, B] formed by
+    # self_commutators on the 1 x 1 stacks of A e_n = e_{n+1} and
+    # B e_n = e^{u_{n+1}} e_{n+1}, bit for bit
+    u = rng.normal(size=41) if random_u else alternating_block_sequence(41)
+    rep = similarity_counterexample(u, 40, require_flag=not random_u)
+    b = np.exp(u[1:])
+    a_comms = gm.self_commutators({n: np.ones((1, 1, 1), dtype=complex)
+                                   for n in range(40)})
+    b_comms = gm.self_commutators({n: np.full((1, 1, 1), b[n], dtype=complex)
+                                   for n in range(40)})
+    a_diag = np.array([a_comms[n].real[0, 0, 0, 0] for n in range(40)])
+    b_diag = np.array([b_comms[n].real[0, 0, 0, 0] for n in range(40)])
+    assert rep.a_commutator_rank == np.count_nonzero(a_diag) == 1
+    np.testing.assert_array_equal(a_diag, np.eye(1, 40)[0])
+    np.testing.assert_array_equal(rep.b_commutator_diag, b_diag)
+
+
+def test_counterexample_rejects_an_overflowing_sequence():
+    # e^1000 overflows: no report is built from an infinite weight
+    u = [1000.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+    with pytest.raises(ValueError, match="overflows"):
+        similarity_counterexample(u, 10)

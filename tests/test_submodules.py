@@ -267,6 +267,26 @@ def test_quotient_of_zero_is_ambient(h2):
                                           h2.coordinate_block(k, n))
 
 
+def test_quotient_tuple_stacks_its_blocks(rng, h2):
+    # one (d, dim Q_{n+1}, dim Q_n) stack per level, built once; block(k, n)
+    # is its slice k - 1
+    q = gm.QuotientModule(gm.GradedSubmodule.generate(h2, random_generators(rng, 2, 1, 2, 1)))
+    ops = q.coordinate_tuple()
+    assert sorted(ops) == list(range(q.window))
+    for n, stack in ops.items():
+        assert stack.dtype == complex
+        assert stack.shape == (2, q.dim(n + 1), q.dim(n))
+        for k in (1, 2):
+            np.testing.assert_array_equal(
+                q.block(k, n),
+                h2.shift_adjoint(k, n, q.basis(n + 1)).conj().T @ q.basis(n))
+    assert all(q.coordinate_tuple()[n] is ops[n] for n in ops)
+    with pytest.raises(ValueError):
+        q.block(0, 1)
+    with pytest.raises(ValueError):
+        q.block(1, q.window)
+
+
 def test_quotient_of_full_is_zero(h2):
     q = gm.QuotientModule(gm.GradedSubmodule.full(h2))
     assert q.dims() == [0] * 11
