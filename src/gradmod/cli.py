@@ -489,6 +489,8 @@ def cmd_ev(args, outdir):
         },
         "hard_failures": failures,
     }
+    if not deg.determined:
+        raise WindowFailure("degree not determinable at this truncation", report)
     return report
 
 
@@ -563,7 +565,7 @@ def cmd_identity(args, outdir):
     pulled = pullback_quotient(module, sub.quotient_basis(level + 1), level)
     b = lmat @ (np.eye(lmat.shape[1]) - linalg.projector(pulled)) @ lmat.conj().T
     eigs = np.linalg.eigvalsh(b)
-    positive = eigs[eigs > 1e-10 * max(eigs.max(initial=0.0), 1.0)]
+    positive = eigs[eigs > cfg.RANK_TOL_FACTOR * max(eigs.max(initial=0.0), 1.0)]
     quad_report = None
     if positive.size:
         gap = float(positive.min())
@@ -576,7 +578,7 @@ def cmd_identity(args, outdir):
         except ValueError as exc:
             raise ParseFailure(f"identity: {exc}") from exc
         oracle = spectral_projection_oracle(b, gap)
-        distance = float(np.linalg.norm(rep.projection - oracle, 2))
+        distance = linalg.opnorm(rep.projection - oracle)
         if not rep.converged:
             failures.append({"check": "resolvent_converged",
                              "value": rep.successive_difference,

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import monomials
+from . import linalg, monomials
 from .config import TREND_BURN_IN
 from .trends import TrendReport, classify_trend, loglog_slope
 
@@ -355,7 +355,7 @@ def row_sum_residual(module, n):
         blk = module.coordinate_block(k, n)
         acc += blk @ blk.conj().T
     acc -= module.rho[n] ** 2 * np.eye(dim)
-    return float(np.linalg.norm(acc, 2))
+    return linalg.opnorm(acc)
 
 
 def commutator_decomposition_residual(module, n):
@@ -382,7 +382,7 @@ def commutator_decomposition_residual(module, n):
             fock_comm = sj[1].conj().T @ sk[1] - sk[0] @ sj[0].conj().T
             rhs = fock_comm * rho[n] ** 2 \
                 + (sk[0] @ sj[0].conj().T) * (rho[n] ** 2 - rho[n - 1] ** 2)
-            out[j, k] = np.linalg.norm(lhs - rhs, 2)
+            out[j, k] = linalg.opnorm(lhs - rhs)
     return out
 
 

@@ -1,10 +1,13 @@
 """Shared numerical tolerances and diagnostic thresholds.
 
 Every module draws its cutoffs from here so that a single edit retunes the
-whole toolkit consistently.
+whole toolkit consistently, except three local constants: the trend noise
+floor (``trends``), the spectral-gap margin (``normality``) and the resolvent
+oracle tolerance (``cli.cmd_identity``).
 """
 
-# Rank decisions: singular values below RANK_TOL_FACTOR * sigma_max are zero.
+# Rank decisions (``linalg._kept``) and eigenvalue zero cuts: values at most
+# RANK_TOL_FACTOR * max(sigma_max, the caller's closed-form norm) are zero.
 RANK_TOL_FACTOR = 1e-10
 
 # Exact finite-matrix identities (row sums, commutator decompositions, B^2 = 0).

@@ -52,7 +52,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .config import EXACT_TOL
+from .config import EXACT_TOL, SPAN_TOL
 
 
 def form_subsets(d, k):
@@ -250,13 +250,6 @@ def _level_blocks(blocks, steps, dom, cod):
     return np.concatenate([values, pad], axis=1)
 
 
-def _top_singular(stack):
-    """Largest spectral norm over a (..., m, p) stack of blocks; 0 when empty."""
-    if stack.size == 0:
-        return 0.0
-    return float(np.linalg.svd(stack, compute_uv=False)[..., 0].max())
-
-
 def _adjoint(stack):
     return np.swapaxes(stack.conj(), -1, -2)
 
@@ -322,13 +315,13 @@ class KoszulComplex:
             _, at_lower, at_upper = np.intersect1d(
                 lower.row_class, upper.col_class, assume_unique=True,
                 return_indices=True)
-            worst = max(worst, _top_singular(
+            worst = max(worst, linalg.opnorm(
                 upper.values[at_upper] @ lower.values[at_lower]))
         return worst
 
     def tuple_norm(self):
         """max ||T_i(n)|| over the stored levels: the largest norm of a level-class block."""
-        return max((_top_singular(stack[:, :-1])
+        return max((linalg.opnorm(stack[:, :-1])
                     for stack in self.level_blocks.values()), default=0.0)
 
     def commutation_residual(self):
@@ -349,7 +342,7 @@ class KoszulComplex:
             low = low[:, :-1]
             delta = (high[j[:, None], target[k]] @ low[k]
                      - high[k[:, None], target[j]] @ low[j])
-            worst = max(worst, _top_singular(delta))
+            worst = max(worst, linalg.opnorm(delta))
         return worst
 
     def _level_terms(self, n):
@@ -527,11 +520,11 @@ def dirac_square_residual(complex_, level):
         rhs = (terms[index[:, None, None, None], at]
                * forms[:, sub[:, :, None], sub[:, None, :]]).sum(axis=0)
         rhs[(members[:, :, None] < 0) | (members[:, None, :] < 0)] = 0
-        worst = max(worst, _top_singular(lhs - rhs))
+        worst = max(worst, linalg.opnorm(lhs - rhs))
     return worst
 
 
-def solve_syzygy(ops, xi, level, kernel_tol=1e-10):
+def solve_syzygy(ops, xi, level, kernel_tol=SPAN_TOL):
     """Antisymmetric eta with xi_k = sum_j T_j eta_{jk}, minimal norm.
 
     Parameters

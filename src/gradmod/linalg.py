@@ -1,8 +1,9 @@
 """Dense rank-revealing helpers shared by all block computations.
 
-Everything here is a thin, deterministic wrapper around numpy's SVD with the
-project-wide relative rank tolerance.  Subspaces are always represented by
-matrices whose columns are orthonormal; an empty subspace is a (dim, 0) array.
+It owns the toolkit's one rank cut (``_kept``) and one spectral norm
+(``opnorm``), each a thin, deterministic wrapper around numpy's SVD.
+Subspaces are always represented by matrices whose columns are orthonormal;
+an empty subspace is a (dim, 0) array.
 """
 
 import numpy as np
@@ -14,21 +15,23 @@ def _as_complex(a):
     return np.asarray(a, dtype=complex)
 
 
+def _kept(s, scale=0.0):
+    """How many singular values in ``s`` exceed RANK_TOL_FACTOR * max(s.max(), scale)."""
+    top = max(s.max(initial=0.0), scale)
+    return int(np.count_nonzero(s > RANK_TOL_FACTOR * top))
+
+
 def numerical_rank(a):
     """Rank of a matrix, or of the block-diagonal matrix a (count, m, p) stack holds.
 
-    Singular values count above RANK_TOL_FACTOR times the largest one, over
-    every block of a stack.  Zero padding of stacked blocks adds only zero
+    The cut (``_kept``) is relative to the largest singular value over every
+    block of a stack.  Zero padding of stacked blocks adds only zero
     singular values.
     """
     a = _as_complex(a)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    top = s.max()
-    if top == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL_FACTOR * top))
+    return _kept(np.linalg.svd(a, compute_uv=False))
 
 
 def orthonormal_columns(a):
@@ -43,18 +46,17 @@ def orthonormal_columns(a):
     if a.shape[1] == 0 or a.shape[0] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    return u[:, :int(np.count_nonzero(s > RANK_TOL_FACTOR * s[0]))]
+    return u[:, :_kept(s)]
 
 
-def nullspace(a, floor=0.0):
+def nullspace(a, scale=0.0):
     """Orthonormal basis of the kernel of ``a`` as a (cols, nullity) matrix.
 
-    ``floor`` is an absolute singular-value cutoff for callers passing a
-    composition that may be roundoff junk of a true zero map (e.g. a
-    complement projection applied to a map whose range it contains), where a
-    purely relative tolerance would manufacture spurious rank.
+    ``scale`` is a closed-form norm of the map ``a`` represents, for callers
+    passing a composition that may be roundoff junk of a true zero map (e.g.
+    a complement projection applied to a map whose range it contains): the
+    cut is then relative to it rather than to the junk's own largest
+    singular value, which would manufacture spurious rank.
     """
     a = _as_complex(a)
     if a.ndim != 2:
@@ -67,11 +69,7 @@ def nullspace(a, floor=0.0):
     # U is never read; for a tall matrix the thin factorization already holds
     # every right singular vector, and skipping the full U saves most of the work
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] <= n)
-    if s.size == 0 or s[0] <= floor:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > max(RANK_TOL_FACTOR * s[0], floor)))
-    return vh[rank:, :].conj().T
+    return vh[_kept(s, scale):, :].conj().T
 
 
 def complement_basis(basis):
@@ -87,18 +85,19 @@ def projector(basis):
 
 
 def opnorm(a):
-    """Spectral norm, with the convention that empty blocks have norm 0."""
+    """Largest spectral norm of a matrix or a (..., m, p) stack; 0 when empty."""
     a = _as_complex(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False).max())
 
 
 def containment_residual(inner, outer):
     """How far span(inner) sticks out of span(outer): ||(I - P_outer) inner||_2.
 
-    Both arguments are orthonormal-column matrices in the same ambient space.
-    Zero-dimensional ``inner`` is contained in everything.
+    ``outer`` has orthonormal columns in the ambient space of ``inner``; for
+    a span comparison ``inner`` has them too.  Zero-dimensional ``inner`` is
+    contained in everything.
     """
     inner = _as_complex(inner)
     outer = _as_complex(outer)

@@ -291,8 +291,8 @@ def _ev_recursion(module, v, window, stacked):
     f = (1/n) sum_j z_j d_j f.  So E_V(n) lies in C_n = span_j Z_j E_V(n-1),
     which has dimension at most d dim E_V(n-1), and
     E_V(n) = C_n ker((1 (x) Q) stacked C_n); an empty E_V(n-1) gives empty
-    C_n and E_V(n) with no factorization.  The rank floor is
-    1e-10 ||stacked||, with the norm in closed form.
+    C_n and E_V(n) with no factorization.  The rank cut is relative to
+    ||stacked||, with the norm in closed form.
     """
     q = v.complement_projector()
     level = np.eye(module.level_dim(0), dtype=complex)
@@ -302,9 +302,9 @@ def _ev_recursion(module, v, window, stacked):
         stacked_cand, norm = stacked(module, n, cand)
         # 1 (x) Q: Q acts on the d.E index of each level-(n-1) monomial
         image = q @ stacked_cand.reshape(module.scalar_dim(n - 1), q.shape[0], -1)
-        # floor: for V = d.E the composition is a true zero map
+        # the closed-form scale: for V = d.E the composition is a true zero map
         level = cand @ linalg.nullspace(image.reshape(stacked_cand.shape),
-                                        floor=1e-10 * norm)
+                                        scale=norm)
         yield n, cand, level
 
 

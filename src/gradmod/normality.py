@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .config import QUAD_DEFAULT_NODES, QUAD_MAX_NODES, QUAD_REFINE_FLOOR
+from .config import (EXACT_TOL, QUAD_DEFAULT_NODES, QUAD_MAX_NODES,
+                     QUAD_REFINE_FLOOR, RANK_TOL_FACTOR)
 from .trends import classify_trend
 
 # Points per Gauss-Legendre panel of the contour rule.
@@ -154,11 +155,11 @@ def compression_identity_residuals(module, submodule, level):
             lhs1 = ((tjl @ p[lo]) @ tkl_adj) @ p[hi] \
                 - ((p[hi] @ tkh_adj) @ tjh) @ p[hi]
             rhs1 = -(e[j][lo] @ e[k][lo].conj().T) + (p[hi] @ amb) @ p[hi]
-            r1[j, k] = np.linalg.norm(lhs1 - rhs1, 2)
+            r1[j, k] = linalg.opnorm(lhs1 - rhs1)
             lhs2 = (c[j][lo] @ c[k][lo].conj().T
                     - c[k][hi].conj().T @ c[j][hi]) @ pp[hi]
             rhs2 = e[k][hi].conj().T @ e[j][hi] + (pp[hi] @ amb) @ pp[hi]
-            r2[j, k] = np.linalg.norm(lhs2 - rhs2, 2)
+            r2[j, k] = linalg.opnorm(lhs2 - rhs2)
     return r1, r2
 
 
@@ -265,7 +266,7 @@ def resolvent_quadrature(b, gap, nodes, transforms=(), doublings=0):
     are added in node order, so the sums are those of a node-by-node loop.
     """
     b = np.asarray(b, dtype=complex)
-    return _contour_rule(b, float(np.linalg.norm(b, 2)),
+    return _contour_rule(b, linalg.opnorm(b),
                          [y @ b - b @ y for y in transforms], gap, nodes,
                          doublings)
 
@@ -288,15 +289,15 @@ def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("B must be square")
-    herm = float(np.linalg.norm(b - b.conj().T, 2))
-    b_norm = float(np.linalg.norm(b, 2))
+    herm = linalg.opnorm(b - b.conj().T)
+    b_norm = linalg.opnorm(b)
     scale = max(b_norm, 1.0)
-    if herm > 1e-12 * scale:
+    if herm > EXACT_TOL * scale:
         raise ValueError("B must be Hermitian")
     if gap <= 0:
         raise ValueError("gap must be positive")
     eigs = np.linalg.eigvalsh(b)
-    zero_cut = 1e-10 * scale
+    zero_cut = RANK_TOL_FACTOR * scale
     inside = [float(e) for e in eigs if zero_cut < e < gap * (1 - 1e-9)]
     if inside:
         raise ValueError(
@@ -315,7 +316,7 @@ def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
         doublings += 1
         prev = proj
         proj, transformed = _contour_rule(b, b_norm, comms, gap, nodes, doublings)
-        diff = float(np.linalg.norm(proj - prev, 2))
+        diff = linalg.opnorm(proj - prev)
         if diff < refine_floor:
             break
 
@@ -338,8 +339,8 @@ def spectral_projection_oracle(b, gap):
     """Eigendecomposition route to the same projection (the independent oracle)."""
     b = np.asarray(b, dtype=complex)
     eigs, vecs = np.linalg.eigh(b)
-    scale = max(float(np.abs(eigs).max(initial=0.0)), 1.0)
-    keep = eigs > min(gap / 2.0, 1e-10 * scale) if gap > 0 else eigs > 1e-10 * scale
+    cut = RANK_TOL_FACTOR * max(float(np.abs(eigs).max(initial=0.0)), 1.0)
+    keep = eigs > (min(gap / 2.0, cut) if gap > 0 else cut)
     v = vecs[:, keep]
     return v @ v.conj().T
 
@@ -382,7 +383,8 @@ def similarity_counterexample(u, levels, require_flag=True):
     L e_n = lambda_n e_n is built by the recursion
     lambda_{n+1} = e^{u_{n+1}} lambda_n, which makes LA = BL hold bitwise in
     floating point.  ``require_flag=False`` admits degenerate sequences such
-    as u = 0, where the construction collapses to A = B, L = I.
+    as u = 0, where the construction collapses to A = B, L = I.  A u whose
+    intertwiner overflows or underflows on the window raises ValueError.
     """
     u = np.asarray(u, dtype=float)
     n_levels = int(levels)
@@ -404,6 +406,8 @@ def similarity_counterexample(u, levels, require_flag=True):
         ratio = np.exp(2.0 * (u[1:] - u[:-1]))[:n_levels]
     if not all(np.all(np.isfinite(x)) for x in (b_square, lam, ratio)):
         raise ValueError("e^u, its square or the intertwiner overflows on the window")
+    if lam.min() < np.finfo(float).tiny:
+        raise ValueError("the intertwiner underflows on the window: L is not invertible")
     resid = max(abs(lam[n + 1] * 1.0 - b_weights[n] * lam[n])
                 for n in range(n_levels))
 
@@ -411,7 +415,7 @@ def similarity_counterexample(u, levels, require_flag=True):
     # [A*, A](n) = 1 - 1 for n >= 1, and [B*, B](n) = b_n^2 - b_{n-1}^2
     a_diag = np.zeros(n_levels)
     a_diag[0] = 1.0
-    rank_a = int(np.count_nonzero(np.abs(a_diag) > 1e-14))
+    rank_a = int(np.count_nonzero(a_diag))
     b_diag = b_square - np.concatenate(([0.0], b_square[:-1]))
     partial = np.cumsum(u)
     return CounterexampleReport(

@@ -201,8 +201,8 @@ def cosaturation(module, quotient_prev, n, cand=None):
     C_n = sum_k Z_k Q_{n-1} (Euler's identity, as Z_k* = u(n) d_k), and the
     nullspace of the stacked rows (I - P_{Q_{n-1}}) Z_k* is solved on C_n:
     at most d dim Q_{n-1} columns.  The stacked rows are a compression of
-    L_{n-1}*, whose norm is rho_{n-1} exactly, so the rank floor is
-    1e-10 rho_{n-1}.  A caller that holds C_n passes it as ``cand``.
+    L_{n-1}*, whose norm is rho_{n-1} exactly, so the rank cut is taken
+    relative to rho_{n-1}.  A caller that holds C_n passes it as ``cand``.
     """
     dim_prev = quotient_prev.shape[1]
     if dim_prev == 0:
@@ -216,7 +216,7 @@ def cosaturation(module, quotient_prev, n, cand=None):
                      for k in range(1, module.d + 1)])
     rows -= quotient_prev @ (quotient_prev.conj().T @ rows)
     return cand @ linalg.nullspace(rows.reshape(-1, cand.shape[1]),
-                                   floor=1e-10 * module.rho[n - 1])
+                                   scale=module.rho[n - 1])
 
 
 def cosaturation_flags(module, quotient_bases, window):
@@ -277,8 +277,8 @@ class GradedSubmodule:
         Q_n = {f in R_n : G_n* f = 0}, level by level (see ``cosaturation``).
         G_n holds the degree-n seeds, orthonormalized.  The flag of level n-1
         is whether the G_n rows cut R_n down; without seeds at n it is True.
-        The G_n rows have norm 1 on orthonormal columns, so their floor is
-        1e-10.  A seed level outside 0..window raises ValueError.
+        The G_n rows have norm 1 on orthonormal columns, so their rank cut is
+        relative to 1.  A seed level outside 0..window raises ValueError.
         """
         window = module.top_level if window is None else int(window)
         seeds = {int(n): np.asarray(s, dtype=complex) for n, s in seeds.items()}
@@ -295,7 +295,7 @@ class GradedSubmodule:
             q = cosat
             if n in seeds:
                 gens = linalg.orthonormal_columns(seeds[n])
-                q = cosat @ linalg.nullspace(gens.conj().T @ cosat, floor=1e-10)
+                q = cosat @ linalg.nullspace(gens.conj().T @ cosat, scale=1.0)
             if n > 0:
                 flags[n - 1] = q.shape[1] == cosat.shape[1]
             quotient[n] = q
@@ -357,10 +357,7 @@ class GradedSubmodule:
             inner = self.quotient_basis(n)
             for k in range(1, self.module.d + 1):
                 img = self.module.shift_adjoint(k, n, self.quotient_basis(n + 1))
-                if img.shape[1] == 0:
-                    continue
-                worst = max(worst, linalg.opnorm(
-                    img - inner @ (inner.conj().T @ img)))
+                worst = max(worst, linalg.containment_residual(img, inner))
         return worst
 
     def saturation_flags(self):

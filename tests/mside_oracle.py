@@ -75,12 +75,12 @@ def preimage(block, target):
     """Orthonormal basis of {x : block x in span(target)}.
 
     That is the nullspace of (I - P_target) block; ``target`` has orthonormal
-    columns.  The absolute floor 1e-10 ||block|| keeps roundoff from counting
-    as rank when span(target) contains the range of ``block`` and the
+    columns.  Cutting relative to ||block|| keeps roundoff from counting as
+    rank when span(target) contains the range of ``block`` and the
     composition is a true zero map.
     """
     proj_out = block - target @ (target.conj().T @ block)
-    return linalg.nullspace(proj_out, floor=1e-10 * linalg.opnorm(block))
+    return linalg.nullspace(proj_out, scale=linalg.opnorm(block))
 
 
 def pullback(module, bases, window):

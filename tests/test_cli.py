@@ -6,10 +6,12 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gradmod import cli, normality
 from gradmod.completion import StandardModule
@@ -231,6 +233,119 @@ def test_overflowing_counterexample_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflows" in err
     assert not (tmp_path / "counterexample.json").exists()
+
+
+def test_underflowing_counterexample_exits_2(tmp_path, capsys):
+    # lambda_n = e^(u_0 + ... + u_n) drifts to e^-798 and underflows to 0, so
+    # L is not invertible on the window and the pair is not shown similar
+    u = tmp_path / "u.txt"
+    u.write_text("0 1\n" + " ".join(["-1"] * 800) + "\n")
+    code = run_cli(["counterexample", "--N", "800", "--u", str(u),
+                    "--out", str(tmp_path)])
+    assert code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "underflows" in err
+    assert not (tmp_path / "counterexample.json").exists()
+
+
+def test_ev_with_undetermined_degree_exits_3(tmp_path):
+    # V = span(1, 0) at N = 2 leaves the degree undetermined; the partial
+    # report is written, as for submodule, and N = 3 already decides it
+    vfile = tmp_path / "V.txt"
+    vfile.write_text("1\n0\n")
+    for n, code, determined in ((2, cli.EXIT_WINDOW, False), (3, cli.EXIT_OK, True),
+                                (4, cli.EXIT_OK, True)):
+        out = tmp_path / f"N{n}"
+        assert run_cli(["ev", "--d", "2", "--N", str(n), "--V", str(vfile),
+                        "--out", str(out)]) == code
+        report = json.loads((out / "ev.json").read_text())
+        assert report["degree"]["determined"] is determined
+
+
+# -- the exit-code contract on drawn invocations ------------------------------
+
+
+def v_grid(kind, d):
+    """Text grid for --V: zero, full, partial, rank-deficient or a wrong row count."""
+    rows = {"zero": [["0"]] * d,
+            "full": [["1" if i == j else "0" for j in range(d)] for i in range(d)],
+            "partial": [["1"]] + [["0"]] * (d - 1),
+            "deficient": [["1", "2"]] + [["0", "0"]] * (d - 1),
+            "wrong-rows": [["1"]] * (d + 1)}[kind]
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+def generator_file(kind, d):
+    """--gens text: constant, linear, a quadric, a component out of range, or empty."""
+    def line(degree, first, component):
+        exponents = " ".join([str(first)] + ["0"] * (d - 1))
+        return f"{degree} 1+0i ({exponents})@e{component}\n"
+    return {"constant": line(0, 0, 1), "linear": line(1, 1, 1),
+            "quadric": line(2, 2, 1), "out-of-range": line(1, 1, 2),
+            "empty": ""}[kind]
+
+
+@st.composite
+def invocations(draw):
+    """(argv without --out, input flag, input text) of one drawn CLI call."""
+    command = draw(st.sampled_from(["ev", "counterexample", "submodule", "linearize"]))
+    n = draw(st.integers(0, 6))
+    if command == "counterexample":
+        # partial sums drift (large negative steps underflow the intertwiner)
+        # or overflow; u hits (0, 1) at n = 0
+        step = draw(st.sampled_from([-400.0, -1.0, 0.0, 1.0, 400.0]))
+        return ([command, "--N", str(n)], "--u",
+                "0 1 " + " ".join([repr(step)] * (n + 1)) + "\n")
+    d = draw(st.integers(1, 3))
+    argv = [command, "--d", str(d), "--N", str(n)]
+    if command == "ev":
+        kind = draw(st.sampled_from(["zero", "full", "partial", "deficient",
+                                     "wrong-rows"]))
+        return argv, "--V", v_grid(kind, d)
+    kind = draw(st.sampled_from(["constant", "linear", "quadric", "out-of-range",
+                                 "empty"]))
+    return argv, "--gens", generator_file(kind, d)
+
+
+def printed_verdicts(obj):
+    """Every determined, converged and complete value anywhere in a report."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key in ("determined", "converged", "complete"):
+                yield value
+            yield from printed_verdicts(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from printed_verdicts(value)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(invocations())
+@example((["ev", "--d", "2", "--N", "2"], "--V", "1\n0\n"))
+@example((["counterexample", "--N", "5"], "--u", "0 1 -400 -400 -400 -400\n"))
+def test_exit_code_contract_holds_on_drawn_invocations(tmp_path, capsys, call):
+    argv, flag, text = call
+    workdir = Path(tempfile.mkdtemp(dir=tmp_path))
+    source = workdir / "input.txt"
+    source.write_text(text)
+    capsys.readouterr()
+    code = run_cli(argv + [flag, str(source), "--out", str(workdir / "out")])
+    captured = capsys.readouterr()
+    assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE, cli.EXIT_PARSE, cli.EXIT_WINDOW)
+    assert "Traceback" not in captured.out + captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    path = workdir / "out" / f"{argv[0]}.json"
+    assert (code == cli.EXIT_PARSE) == (len(errors) == 1 and not path.exists())
+    if code == cli.EXIT_PARSE:
+        return
+    report = json.loads(path.read_text())
+    assert (code == cli.EXIT_TOLERANCE) == bool(report["hard_failures"])
+    if code == cli.EXIT_OK:
+        assert all(value is True for value in printed_verdicts(report))
+        if argv[0] == "counterexample":
+            # L e_n = lambda_n e_n must be invertible for the pair to be similar
+            assert report["intertwiner_extremes"][0] > 0.0
 
 
 # -- config files ------------------------------------------------------------------
