@@ -56,7 +56,8 @@ print("\nCompression identities tie ambient, submodule and quotient")
 print("commutators together exactly at every interior level (max over j, k):")
 g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((0, 2), 0, 1.0)))
 sub = gm.GradedSubmodule.generate(mod, [g])
+ops = mod.coordinate_tuple()
 for level in (1, 3, 6):
-    r1, r2 = gm.compression_identity_residuals(mod, sub, level)
+    r1, r2 = gm.compression_identity_residuals(ops, sub, level)
     print(f"  level {level}: restriction identity {r1.max():.2e}, "
           f"compression identity {r2.max():.2e}")

@@ -39,8 +39,8 @@ pulled = pullback_quotient(small, sub.quotient_basis(level + 1), level)
 b = lmat @ (np.eye(lmat.shape[1]) - linalg.projector(pulled)) @ lmat.conj().T
 eigs = np.linalg.eigvalsh(b)
 gap = float(eigs[eigs > 1e-10].min())
-y = [small.coordinate_block(k, level + 1).conj().T
-     @ small.coordinate_block(k, level + 1) for k in (1, 2)]
+up = small.coordinate_tuple()[level + 1]
+y = np.swapaxes(up.conj(), 1, 2) @ up          # Y_k = Z_k* Z_k, k = 1, 2
 out = gm.resolvent_projection(b, gap, transforms=y, p_values=[1.0])
 oracle = spectral_projection_oracle(b, gap)
 print(f"  spectral gap (0, {gap:.4f}); {out.nodes} nodes; distance to oracle "

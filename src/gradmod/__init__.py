@@ -12,12 +12,10 @@ syzygy checks, and Schatten-class essential-normality diagnostics.
 from .completion import (
     StandardModule,
     WeightSequence,
-    commutator_decomposition_residual,
     fock_level_weights,
     make_weights,
     number_trace_report,
     oscillation_report,
-    row_sum_residual,
     summability_report,
 )
 from .koszul import (
@@ -52,10 +50,12 @@ from .normality import (
     CounterexampleReport,
     SchattenReport,
     alternating_block_sequence,
+    commutator_decomposition_residual,
     compression_identity_residuals,
     quotient_en_report,
     resolvent_projection,
     resolvent_quadrature,
+    row_sum_residual,
     schatten_report,
     self_commutators,
     similarity_counterexample,

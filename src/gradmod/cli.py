@@ -8,8 +8,8 @@ timestamps or machine data are embedded.
 
 Exit codes: 0 all hard identity residuals within tolerance; 1 a tolerance
 failed; 2 configuration or input-file parse error, including a flag or
-config key the command does not read; 3 truncation window exhausted
-(partial report written).
+config key the command does not read; 3 truncation window exhausted and
+no tolerance failed (partial report written).
 
 Each flag is declared once in ``FLAGS``, and ``COMMAND_FLAGS`` lists the
 flags each command reads; a command accepts only those, plus ``--config``
@@ -32,15 +32,15 @@ import numpy as np
 from . import config as cfg
 from . import linalg
 from .completion import (StandardModule, make_weights, number_trace_report,
-                         oscillation_report, row_sum_residual,
-                         commutator_decomposition_residual, summability_report)
+                         oscillation_report, summability_report)
 from .koszul import betti_numbers, betti_table, build_koszul, dirac_square_residual
 from .linearize import (ev_gradient_levels, ev_space, linearize_full,
                         parse_subspace, pullback_quotient, recover_subspace)
 from .normality import (alternating_block_sequence,
+                        commutator_decomposition_residual,
                         compression_identity_residuals, quotient_en_report,
-                        resolvent_projection, similarity_counterexample,
-                        spectral_projection_oracle)
+                        resolvent_projection, row_sum_residual,
+                        similarity_counterexample, spectral_projection_oracle)
 from .submodules import GradedSubmodule, QuotientModule, parse_generators
 
 EXIT_OK = 0
@@ -542,20 +542,22 @@ def cmd_identity(args, outdir):
     if nodes <= 0:
         raise ParseFailure("identity needs --nodes >= 1")
     failures = []
+    ops, fock_ops = module.coordinate_tuple(), module.fock_tuple()
 
     # compression identities on all interior levels, all pairs at once
     comp = {}
     for n in range(1, min(sub.window, module.top_level)):
-        r1, r2 = compression_identity_residuals(module, sub, n)
+        r1, r2 = compression_identity_residuals(ops, sub, n)
         comp[str(n)] = float(max(r1.max(), r2.max()))
     hard_check(failures, "compression_identities",
                max(comp.values(), default=0.0), tol)
 
     # ambient exact identities
-    row_res = max(row_sum_residual(module, n)
+    row_res = max(row_sum_residual(ops, module.rho, n)
                   for n in range(module.top_level))
-    dec_res = float(max(commutator_decomposition_residual(module, n).max()
-                        for n in range(1, module.top_level)))
+    dec_res = float(max(
+        commutator_decomposition_residual(ops, fock_ops, module.rho, n).max()
+        for n in range(1, module.top_level)))
     hard_check(failures, "row_sum_identity", row_res, cfg.EXACT_TOL)
     hard_check(failures, "commutator_decomposition", dec_res, cfg.EXACT_TOL)
 
@@ -569,9 +571,8 @@ def cmd_identity(args, outdir):
     quad_report = None
     if positive.size:
         gap = float(positive.min())
-        blocks = [module.coordinate_block(k, level + 1)
-                  for k in range(1, module.d + 1)]
-        y_ops = [blk.conj().T @ blk for blk in blocks]
+        up = ops[level + 1]
+        y_ops = np.swapaxes(up.conj(), 1, 2) @ up      # Y_k = Z_k* Z_k
         try:
             rep = resolvent_projection(b, gap, nodes=nodes, transforms=y_ops,
                                        p_values=[1.0])
@@ -687,14 +688,13 @@ def main(argv=None):
     write_output(outdir / f"{args.command}.json", report_json(report))
     if window is not None:
         print(f"window exhausted: {window}", file=sys.stderr)
-        return EXIT_WINDOW
     failures = report["hard_failures"]
+    for f in failures:
+        print(f"FAIL {f['check']}: {f['value']} > {f['tolerance']}",
+              file=sys.stderr)
     if failures:
-        for f in failures:
-            print(f"FAIL {f['check']}: {f['value']} > {f['tolerance']}",
-                  file=sys.stderr)
         return EXIT_TOLERANCE
-    return EXIT_OK
+    return EXIT_OK if window is None else EXIT_WINDOW
 
 
 if __name__ == "__main__":

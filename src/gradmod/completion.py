@@ -7,10 +7,10 @@ symmetric-Fock-space blocks.  ``StandardModule`` is the ambient object
 everything else consumes.  It holds each level n < N as one index table (the
 successor of every monomial under every z_k, ``monomials.successors``) plus
 one table of weights, and applies Z_k, Z_k*, the row operator L, L* and
-d/dz_k as gathers and scatters on that table.  A dense block exists only as
-such an operator applied to an identity, and it is not cached; the
-coordinate tuple, one (d, h_{n+1}, h_n) stack per level, is filled straight
-from the tables on each call.
+d/dz_k as gathers and scatters on that table.  The coordinate and Fock
+tuples, one (d, h_{n+1}, h_n) stack per level, are filled straight from the
+tables on each call, and are what the exact identities of ``normality``
+read; no dense block is cached.
 
 Level bases are orthonormalized monomials: for a maximally symmetric inner
 product the monomials are already orthogonal, so orthonormalization is the
@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import linalg, monomials
+from . import monomials
 from .config import TREND_BURN_IN
 from .trends import TrendReport, classify_trend, loglog_slope
 
@@ -121,6 +121,13 @@ def fock_level_weights(d, top_level):
     return tuple(levels)
 
 
+@lru_cache(maxsize=None)
+def _fock_range(d, top_level):
+    """Per-level min and max of nu_alpha (fl(c nu) is monotone, so they bound c_n nu)."""
+    nu = fock_level_weights(d, top_level)
+    return np.array([x.min() for x in nu]), np.array([x.max() for x in nu])
+
+
 class StandardModule:
     """Truncated standard Hilbert module S = G (x) C^r with exact level operators.
 
@@ -154,9 +161,14 @@ class StandardModule:
         self.top_level = int(levels)
         self.rho = weights.values[: self.top_level].copy()
         self.nu = fock_level_weights(self.d, self.top_level)
-        # c_n = (rho_0 ... rho_{n-1})^2, with the normalization c_0 = 1.
-        self.level_scale = np.concatenate(
-            ([1.0], np.cumprod(self.rho**2)))
+        # c_n = (rho_0 ... rho_{n-1})^2 with c_0 = 1; the level operators divide
+        # by the norms c_n nu_alpha, so each must be a normal float
+        with np.errstate(over="ignore"):
+            self.level_scale = np.concatenate(([1.0], np.cumprod(self.rho**2)))
+            low, high = (self.level_scale * nu
+                         for nu in _fock_range(self.d, self.top_level))
+        if not (np.all(low >= np.finfo(float).tiny) and np.all(high < np.inf)):
+            raise ValueError("monomial norms c_n nu_alpha leave the normal float range")
         self._level_weights = {}
 
     # -- level geometry -------------------------------------------------
@@ -294,96 +306,46 @@ class StandardModule:
         return StandardModule(self.weights, self.d, self.multiplicity * self.d,
                               levels=self.top_level)
 
-    # -- dense blocks: the operators applied to an identity, never cached --
+    # -- dense blocks, built on every call and never cached -------------------
+
+    def _level_stack(self, n, fock=False):
+        """The complex Z_k(n) (or real Fock S_k(n) (x) I_r) of every k, one stack.
+
+        Every entry is one weight of ``_tables``, as ``shift`` applies it.
+        """
+        succ, weights = self._tables(n, fock=fock)
+        r = self.multiplicity
+        comp = np.arange(r)
+        stack = np.zeros((self.d, self.level_dim(n + 1), self.level_dim(n)),
+                         dtype=float if fock else complex)
+        rows = (r * succ)[:, :, None] + comp
+        cols = r * np.arange(succ.shape[0])[:, None, None] + comp
+        stack[np.arange(self.d)[:, None], rows, cols] = weights[:, :, None]
+        return stack
 
     def coordinate_block(self, k, n):
         """Block of the coordinate operator Z_k on S from level n to n+1."""
-        return self.shift(k, n, np.eye(self.level_dim(n), dtype=complex))
-
-    def fock_block(self, k, n):
-        """Real Fock-shift block S_k (x) I_r from level n to n+1 (Z_k = rho_n S_k)."""
-        return self._scatter(n, *self._tables(n, k, fock=True),
-                             np.eye(self.level_dim(n)))
-
-    def adjoint_block(self, k, n):
-        """Block of Z_k* from level n to n-1 (conjugate transpose by construction)."""
-        if n < 1:
-            raise ValueError("Z_k* annihilates level 0")
-        return self.coordinate_block(k, n - 1).conj().T
+        if not 1 <= k <= self.d:
+            raise ValueError("variable index out of range")
+        return self._level_stack(n)[k - 1]
 
     def row_block(self, n):
         """Block L_n: (d.S)_n -> S_{n+1} of the row operator L(xi) = sum_k Z_k xi_k."""
         return self.row(n, np.eye(self.d * self.level_dim(n), dtype=complex))
 
     def coordinate_tuple(self):
-        """Z_1, ..., Z_d as one complex (d, h_{n+1}, h_n) stack per level n < N.
+        """Z_1, ..., Z_d: one complex (d, h_{n+1}, h_n) stack per level n < N."""
+        return {n: self._level_stack(n) for n in range(self.top_level)}
 
-        Entry [k-1] of level n is Z_k(n), filled from the successor and Z
-        weight tables: every entry is one Z weight, so it equals
-        ``coordinate_block(k, n)`` bit for bit.  Built on every call.
-        """
-        r, out = self.multiplicity, {}
-        comp = np.arange(r)
-        for n in range(self.top_level):
-            succ, weights = self._tables(n)
-            stack = np.zeros((self.d, self.level_dim(n + 1), self.level_dim(n)),
-                             dtype=complex)
-            rows = (r * succ)[:, :, None] + comp
-            cols = r * np.arange(succ.shape[0])[:, None, None] + comp
-            stack[np.arange(self.d)[:, None], rows, cols] = weights[:, :, None]
-            out[n] = stack
-        return out
+    def fock_tuple(self):
+        """S_1 (x) I_r, ..., S_d (x) I_r as real stacks, with Z_k(n) = rho_n S_k(n)."""
+        return {n: self._level_stack(n, fock=True) for n in range(self.top_level)}
 
     def level_basis(self, n):
         """Monomial labels (alpha, component) indexing level-n coordinates."""
         basis = monomials.monomial_basis(self.d, n)
         return [(alpha, c) for alpha in basis.monomials
                 for c in range(self.multiplicity)]
-
-
-# -- Appendix-style diagnostics -----------------------------------------
-
-
-def row_sum_residual(module, n):
-    """|| sum_k Z_k(n) Z_k(n)* - rho_n^2 I ||_2 on level n+1.
-
-    The defining identity of the weighted d-shift realization.
-    """
-    dim = module.level_dim(n + 1)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, module.d + 1):
-        blk = module.coordinate_block(k, n)
-        acc += blk @ blk.conj().T
-    acc -= module.rho[n] ** 2 * np.eye(dim)
-    return linalg.opnorm(acc)
-
-
-def commutator_decomposition_residual(module, n):
-    """Residuals of [Z_j*, Z_k] = [S_j*, S_k] Dt^2 + S_k S_j* (Dt^2 - D^2) on level n.
-
-    D is the weight diagonal seen from below (rho_{n-1} on level n), Dt the
-    one seen on the level itself (rho_n); both sides are evaluated as exact
-    level-n matrices for 1 <= n <= N-1.  Returns a real (d, d) array of
-    spectral-norm residuals, entry [j-1, k-1] for the pair (j, k).  The
-    coordinate blocks (from the Z weights) and the Fock blocks (from the Fock
-    weights) of levels n-1 and n are built once for the level.
-    """
-    if not 1 <= n <= module.top_level - 1:
-        raise ValueError("defined on interior levels 1..N-1")
-    rho, d = module.rho, module.d
-    z = [[module.coordinate_block(k, m) for m in (n - 1, n)]
-         for k in range(1, d + 1)]
-    s = [[module.fock_block(k, m) for m in (n - 1, n)] for k in range(1, d + 1)]
-    out = np.zeros((d, d))
-    for j in range(d):
-        for k in range(d):
-            zj, zk, sj, sk = z[j], z[k], s[j], s[k]
-            lhs = zj[1].conj().T @ zk[1] - zk[0] @ zj[0].conj().T
-            fock_comm = sj[1].conj().T @ sk[1] - sk[0] @ sj[0].conj().T
-            rhs = fock_comm * rho[n] ** 2 \
-                + (sk[0] @ sj[0].conj().T) * (rho[n] ** 2 - rho[n - 1] ** 2)
-            out[j, k] = linalg.opnorm(lhs - rhs)
-    return out
 
 
 # -- scalar weight diagnostics ------------------------------------------

@@ -1,7 +1,7 @@
 """Dense rank-revealing helpers shared by all block computations.
 
 It owns the toolkit's one rank cut (``_kept``) and one spectral norm
-(``opnorm``), each a thin, deterministic wrapper around numpy's SVD.
+(``opnorms``, with ``opnorm`` their largest), thin wrappers of numpy's SVD.
 Subspaces are always represented by matrices whose columns are orthonormal;
 an empty subspace is a (dim, 0) array.
 """
@@ -84,12 +84,17 @@ def projector(basis):
     return basis @ basis.conj().T
 
 
-def opnorm(a):
-    """Largest spectral norm of a matrix or a (..., m, p) stack; 0 when empty."""
+def opnorms(a):
+    """Spectral norm of every matrix of a (..., m, p) stack; 0 for empty matrices."""
     a = _as_complex(a)
     if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False).max())
+        return np.zeros(a.shape[:-2])
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def opnorm(a):
+    """Largest spectral norm of a matrix or a (..., m, p) stack; 0 when empty."""
+    return float(opnorms(a).max(initial=0.0))
 
 
 def containment_residual(inner, outer):

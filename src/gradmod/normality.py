@@ -9,15 +9,15 @@ touch level N+1) is ever excluded.  Each level takes one stacked SVD.  Cumulativ
 p-sums are reported with a trend classification, never with a convergence
 verdict.
 
-Also here: the compression identities relating ambient, submodule and
-quotient commutators, checked one level at a time on plain level matrices
-for all d^2 pairs at once; the rectangular-contour resolvent integral for the
-range projection of a gapped positive matrix, with its commutator transform
-and norm bound, evaluated by composite Gauss-Legendre panels (geometric
-convergence, since the integrand is analytic along each side), one stacked
-solve per panel; and the weighted-shift similarity pair showing that graded
-isomorphism does not preserve essential normality, whose 1 x 1 blocks give
-its self-commutator diagonals in closed form.
+Also here: the exact identities on a module's tuples (row sums, the
+appendix commutator decomposition, the compression identities), one level
+at a time, all d^2 pairs read off the same commutator stacks; the
+rectangular-contour resolvent integral for the range projection of a gapped
+positive matrix, with its commutator transform and norm bound, by composite
+Gauss-Legendre panels (geometric convergence: the integrand is analytic
+along each side), one stacked solve per panel; and the weighted-shift
+similarity pair showing that graded isomorphism does not preserve essential
+normality, whose 1 x 1 blocks give its self-commutator diagonals in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -33,15 +33,25 @@ from .trends import classify_trend
 GL_ORDER = 16
 
 
-def _level_commutators(ops):
-    """(n, stack) for every level of ``self_commutators``, one level at a time."""
-    for n in sorted(ops):
-        up = ops[n]
-        comm = np.swapaxes(up.conj(), 1, 2)[:, None] @ up[None, :]
-        if n - 1 in ops:
-            down = ops[n - 1]
-            comm = comm - down[None, :] @ np.swapaxes(down.conj(), 1, 2)[:, None]
-        yield n, comm
+def _adjoint(stack):
+    """The blockwise adjoint of a stack of level blocks."""
+    return np.swapaxes(stack.conj(), -1, -2)
+
+
+def _level_commutators(ops, n):
+    """The (d, d, h_n, h_n) stacks of [T_j*, T_k] and of its down term on level n.
+
+    Entry [j-1, k-1] is the pair (j, k), each stack one broadcast product:
+    the down term T_k(n-1) T_j(n-1)* (None at the lowest stored level) and
+    T_j(n)* T_k(n) minus it.
+    """
+    up = ops[n]
+    comm = _adjoint(up)[:, None] @ up[None, :]
+    if n - 1 not in ops:
+        return comm, None
+    low = ops[n - 1]
+    down = low[None, :] @ _adjoint(low)[:, None]
+    return comm - down, down
 
 
 def self_commutators(ops):
@@ -53,7 +63,7 @@ def self_commutators(ops):
     0..N-1; level N is omitted because one factor would need the unstored
     block into level N+1.
     """
-    return dict(_level_commutators(ops))
+    return {n: _level_commutators(ops, n)[0] for n in sorted(ops)}
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,8 @@ def schatten_report(ops, p_values, note=""):
     pairs = [(j, k) for j in range(1, d + 1) for k in range(1, d + 1)]
     levels = []
     sigma = {pair: [] for pair in pairs}
-    for n, comm in _level_commutators(ops):
+    for n in sorted(ops):
+        comm, _ = _level_commutators(ops, n)
         levels.append(n)
         stack = comm.reshape(len(pairs), *comm.shape[2:])
         values = (np.linalg.svd(stack, compute_uv=False) if stack.size
@@ -113,54 +124,71 @@ def quotient_en_report(quotient, p_values):
                            note="evidence, not proof")
 
 
-# -- compression identities ------------------------------------------------
+# -- exact identities on coordinate tuples ------------------------------------
 
 
-def compression_identity_residuals(module, submodule, level):
+def row_sum_residual(ops, rho, n):
+    """|| sum_k T_k(n) T_k(n)* - rho_n^2 I ||_2 on level n+1, the d products batched.
+
+    On a module's ``coordinate_tuple`` and weights this is the defining
+    identity of the weighted d-shift realization.
+    """
+    acc = (ops[n] @ _adjoint(ops[n])).sum(axis=0)
+    return linalg.opnorm(acc - rho[n] ** 2 * np.eye(acc.shape[0]))
+
+
+def commutator_decomposition_residual(ops, fock_ops, rho, n):
+    """Residuals of [Z_j*, Z_k] = [S_j*, S_k] Dt^2 + S_k S_j* (Dt^2 - D^2) on level n.
+
+    ``ops`` and ``fock_ops`` are a module's ``coordinate_tuple`` and
+    ``fock_tuple``; D is the weight diagonal seen from below (rho_{n-1} on
+    level n), Dt the one seen on the level itself (rho_n).  Both sides are
+    exact level-n matrices for 1 <= n <= N-1.  Returns a real (d, d) array
+    of spectral-norm residuals, entry [j-1, k-1] for the pair (j, k).
+    """
+    if n - 1 not in ops or n not in ops:
+        raise ValueError("defined on interior levels 1..N-1")
+    lhs, _ = _level_commutators(ops, n)
+    fock_comm, lower = _level_commutators(fock_ops, n)
+    rhs = fock_comm * rho[n] ** 2 + lower * (rho[n] ** 2 - rho[n - 1] ** 2)
+    return linalg.opnorms(lhs - rhs)
+
+
+def compression_identity_residuals(ops, submodule, level):
     """Residuals of the two exact compression identities at one interior level.
 
     First: [B_j, B_k*] P = -[P, T_j][P, T_k]* + P [T_j, T_k*] P with
     B_i = T_i restricted to M and P = P_M.
     Second: [C_j, C_k*] P' = [P, T_k]*[P, T_j] + P' [T_j, T_k*] P' with
     C_i the compression of T_i to the orthocomplement and P' = 1 - P.
-    Both hold as exact finite-matrix identities on levels 1..N-1.
+    Both hold as exact finite-matrix identities on levels 1..N-1 of a
+    module's ``coordinate_tuple`` ``ops``.
 
     Returns two real (d, d) arrays of spectral-norm residuals on level n,
     entry [j-1, k-1] for the pair (j, k).  Block n of either identity reads
-    only levels n-1..n+1, so T_j, P, P', the commutators
-    E_j(m) = [P, T_j](m) and the compressions C_j(m) on m = n-1, n are
-    built once for the level and shared by all d^2 pairs.
+    only levels n-1..n+1.  The ambient [T_j, T_k*] is -[T_k*, T_j] from the
+    level's commutator stack; every other term is one broadcast product.
     """
     n = int(level)
-    window = min(submodule.window, module.top_level)
-    if not 1 <= n <= window - 1:
-        raise ValueError(f"level {n} is not interior (1..{window - 1})")
-    d = module.d
+    if n - 1 not in ops or n not in ops or n >= submodule.window:
+        raise ValueError(f"level {n} is not interior")
+    amb = -np.swapaxes(_level_commutators(ops, n)[0], 0, 1)
     lo, hi = n - 1, n
-    t = [{m: module.coordinate_block(j, m) for m in (lo, hi)}
-         for j in range(1, d + 1)]
     p = {m: submodule.projection_block(m) for m in (lo, hi, hi + 1)}
-    pp = {m: np.eye(module.level_dim(m), dtype=complex) - p[m] for m in p}
-    e = [{m: p[m + 1] @ tj[m] - tj[m] @ p[m] for m in (lo, hi)} for tj in t]
-    c = [{m: (pp[m + 1] @ tj[m]) @ pp[m] for m in (lo, hi)} for tj in t]
+    pp = {m: np.eye(p[m].shape[0], dtype=complex) - p[m] for m in p}
+    t, t_adj = ops, {m: _adjoint(ops[m]) for m in (lo, hi)}
+    e = {m: p[m + 1] @ t[m] - t[m] @ p[m] for m in (lo, hi)}
+    c = {m: (pp[m + 1] @ t[m]) @ pp[m] for m in (lo, hi)}
 
     # the parentheses fix the order of every product, and with it the
-    # rounding of the reported residuals
-    r1, r2 = np.zeros((d, d)), np.zeros((d, d))
-    for j in range(d):
-        for k in range(d):
-            tjl, tkl_adj = t[j][lo], t[k][lo].conj().T
-            tjh, tkh_adj = t[j][hi], t[k][hi].conj().T
-            amb = tjl @ tkl_adj - tkh_adj @ tjh      # [T_j, T_k*] on level n
-            lhs1 = ((tjl @ p[lo]) @ tkl_adj) @ p[hi] \
-                - ((p[hi] @ tkh_adj) @ tjh) @ p[hi]
-            rhs1 = -(e[j][lo] @ e[k][lo].conj().T) + (p[hi] @ amb) @ p[hi]
-            r1[j, k] = linalg.opnorm(lhs1 - rhs1)
-            lhs2 = (c[j][lo] @ c[k][lo].conj().T
-                    - c[k][hi].conj().T @ c[j][hi]) @ pp[hi]
-            rhs2 = e[k][hi].conj().T @ e[j][hi] + (pp[hi] @ amb) @ pp[hi]
-            r2[j, k] = linalg.opnorm(lhs2 - rhs2)
-    return r1, r2
+    # rounding of the reported residuals; axis 0 is j and axis 1 is k
+    lhs1 = (((t[lo] @ p[lo])[:, None] @ t_adj[lo][None, :]) @ p[hi]
+            - ((p[hi] @ t_adj[hi])[None, :] @ t[hi][:, None]) @ p[hi])
+    rhs1 = -(e[lo][:, None] @ _adjoint(e[lo])[None, :]) + (p[hi] @ amb) @ p[hi]
+    lhs2 = (c[lo][:, None] @ _adjoint(c[lo])[None, :]
+            - _adjoint(c[hi])[None, :] @ c[hi][:, None]) @ pp[hi]
+    rhs2 = _adjoint(e[hi])[None, :] @ e[hi][:, None] + (pp[hi] @ amb) @ pp[hi]
+    return linalg.opnorms(lhs1 - rhs1), linalg.opnorms(lhs2 - rhs2)
 
 
 # -- resolvent-integral projection -----------------------------------------

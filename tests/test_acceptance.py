@@ -146,11 +146,12 @@ def test_criterion_4_appendix_algebra():
         gm.StandardModule(gm.make_weights("sinsqrt", 12, r1=1.0, r2=4.0), d=3),
     ]
     for mod in modules:
+        ops, fock_ops = mod.coordinate_tuple(), mod.fock_tuple()
         for n in range(mod.top_level):
-            worst_row = max(worst_row, gm.row_sum_residual(mod, n))
+            worst_row = max(worst_row, gm.row_sum_residual(ops, mod.rho, n))
         for n in range(1, mod.top_level):
-            worst_dec = max(worst_dec,
-                            gm.commutator_decomposition_residual(mod, n).max())
+            worst_dec = max(worst_dec, gm.commutator_decomposition_residual(
+                ops, fock_ops, mod.rho, n).max())
     hardy = gm.make_weights("hardy", 200, d=2)
     k = np.arange(200)
     hardy_exact = float(np.max(np.abs(hardy.values - np.sqrt((k + 1) / (k + 2)))))
@@ -255,8 +256,9 @@ def test_criterion_7_identities_and_resolvent():
                       for alpha in basis.monomials for comp in range(r))
         sub = gm.GradedSubmodule.generate(
             mod, [gm.VectorPolynomial(degree, terms)])
+        ops = mod.coordinate_tuple()
         for level in range(1, mod.top_level):
-            r1, r2 = gm.compression_identity_residuals(mod, sub, level)
+            r1, r2 = gm.compression_identity_residuals(ops, sub, level)
             worst_comp = max(worst_comp, r1.max(), r2.max())
 
     # resolvent projection against the eigendecomposition oracle

@@ -248,6 +248,49 @@ def test_underflowing_counterexample_exits_2(tmp_path, capsys):
     assert not (tmp_path / "counterexample.json").exists()
 
 
+# a V whose E_V degree N = 2 cannot determine, and whose roundtrip and route
+# residuals are roundoff, so --tol 0 fails them
+WINDOW_AND_TOL_V = "1 0.3+0.2i\n0.5-1i 0.1\n0.2 1+1i\n"
+
+
+def test_failed_hard_check_exits_1_when_the_window_runs_out(tmp_path, capsys):
+    vfile = tmp_path / "V.txt"
+    vfile.write_text(WINDOW_AND_TOL_V)
+    code = run_cli(["ev", "--d", "3", "--N", "2", "--V", str(vfile), "--tol", "0",
+                    "--out", str(tmp_path)])
+    assert code == cli.EXIT_TOLERANCE
+    report = json.loads((tmp_path / "ev.json").read_text())
+    assert report["degree"]["determined"] is False
+    checks = [f["check"] for f in report["hard_failures"]]
+    assert checks == ["roundtrip_V_distance", "adjoint_vs_gradient_route"]
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("window exhausted:")
+    assert [line.split(":")[0] for line in err[1:]] == [f"FAIL {c}" for c in checks]
+
+
+@pytest.mark.parametrize("argv,flag,text", [
+    (["ev", "--d", "2", "--N", "6", "--r1", "1e-150", "--r2", "2e-150"],
+     "--V", "1 0\n0 1\n"),
+    (["identity", "--d", "2", "--N", "6", "--r1", "1e-300", "--r2", "1e300"],
+     "--gens", "2 1+0i (2 0)@e1 + 1+0i (0 2)@e1\n"),
+    (["koszul", "--d", "2", "--N", "3", "--r1", "1e-300", "--r2", "1e300"], None, None),
+])
+def test_monomial_norms_outside_the_float_range_exit_2(tmp_path, capsys, argv, flag, text):
+    # c_n nu_alpha underflows (the first) or overflows (the others) on the
+    # window: the module is refused instead of a LinAlgError, an
+    # OverflowError or a roundoff failure scaled by rho^2 (B^2 = 2.3e283)
+    inputs = []
+    if flag is not None:
+        source = tmp_path / "input.txt"
+        source.write_text(text)
+        inputs = [flag, str(source)]
+    out = tmp_path / "out"
+    code = run_cli(argv + ["--family", "sinsqrt", *inputs, "--out", str(out)])
+    assert code == cli.EXIT_PARSE
+    assert "monomial norms" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_ev_with_undetermined_degree_exits_3(tmp_path):
     # V = span(1, 0) at N = 2 leaves the degree undetermined; the partial
     # report is written, as for submodule, and N = 3 already decides it
@@ -287,8 +330,9 @@ def generator_file(kind, d):
 
 @st.composite
 def invocations(draw):
-    """(argv without --out, input flag, input text) of one drawn CLI call."""
-    command = draw(st.sampled_from(["ev", "counterexample", "submodule", "linearize"]))
+    """(argv without --out, input flag or None, input text) of one drawn CLI call."""
+    command = draw(st.sampled_from(["ev", "counterexample", "submodule", "linearize",
+                                    "identity", "koszul", "weights"]))
     n = draw(st.integers(0, 6))
     if command == "counterexample":
         # partial sums drift (large negative steps underflow the intertwiner)
@@ -298,12 +342,24 @@ def invocations(draw):
                 "0 1 " + " ".join([repr(step)] * (n + 1)) + "\n")
     d = draw(st.integers(1, 3))
     argv = [command, "--d", str(d), "--N", str(n)]
+    if draw(st.booleans()):
+        # sinsqrt bounds 1e-300 <= r1 < r2 <= 1e300: the monomial norms
+        # c_n nu_alpha may leave the float range
+        low = draw(st.integers(-300, 299))
+        high = draw(st.integers(low + 1, 300))
+        argv += ["--family", "sinsqrt", "--r1", f"1e{low}", "--r2", f"1e{high}"]
+    if command == "weights":
+        return argv, None, ""
+    if draw(st.booleans()):
+        argv += ["--tol", "0"]
     if command == "ev":
         kind = draw(st.sampled_from(["zero", "full", "partial", "deficient",
                                      "wrong-rows"]))
         return argv, "--V", v_grid(kind, d)
     kind = draw(st.sampled_from(["constant", "linear", "quadric", "out-of-range",
-                                 "empty"]))
+                                 "empty"] + (["none"] if command == "koszul" else [])))
+    if kind == "none":
+        return argv, None, ""
     return argv, "--gens", generator_file(kind, d)
 
 
@@ -324,13 +380,17 @@ def printed_verdicts(obj):
 @given(invocations())
 @example((["ev", "--d", "2", "--N", "2"], "--V", "1\n0\n"))
 @example((["counterexample", "--N", "5"], "--u", "0 1 -400 -400 -400 -400\n"))
+@example((["ev", "--d", "3", "--N", "2", "--tol", "0"], "--V", WINDOW_AND_TOL_V))
+@example((["identity", "--d", "2", "--N", "6", "--family", "sinsqrt", "--r1", "1e-300",
+           "--r2", "1e300"], "--gens", generator_file("quadric", 2)))
 def test_exit_code_contract_holds_on_drawn_invocations(tmp_path, capsys, call):
     argv, flag, text = call
     workdir = Path(tempfile.mkdtemp(dir=tmp_path))
     source = workdir / "input.txt"
     source.write_text(text)
     capsys.readouterr()
-    code = run_cli(argv + [flag, str(source), "--out", str(workdir / "out")])
+    inputs = [] if flag is None else [flag, str(source)]
+    code = run_cli(argv + inputs + ["--out", str(workdir / "out")])
     captured = capsys.readouterr()
     assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE, cli.EXIT_PARSE, cli.EXIT_WINDOW)
     assert "Traceback" not in captured.out + captured.err
@@ -478,24 +538,27 @@ def test_identity_report(tmp_path):
     assert all(c["slack"] >= 0 for c in report["resolvent"]["bound_checks"])
 
 
-def test_identity_builds_level_blocks_once_per_check(tmp_path, monkeypatch):
-    # the identities are checked one level at a time: each check builds the
-    # blocks of a level once for all d^2 pairs (6 interior levels x 2 levels
-    # x 2 variables, for the compression identities and for the ambient
-    # decomposition), the row sums 7 x 2, and the quadrature's transforms 2
-    counts = {"coordinate_block": 0, "fock_block": 0}
-    for name in counts:
-        original = getattr(StandardModule, name)
+def test_identity_builds_each_level_stack_once(tmp_path, monkeypatch):
+    # every check reads one Z tuple and one Fock tuple, built once per run,
+    # and the quadrature's transforms come from the same Z stack
+    built, blocks = [], []
+    level_stack = StandardModule._level_stack
+    coordinate_block = StandardModule.coordinate_block
 
-        def counted(self, *args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(self, *args)
-        monkeypatch.setattr(StandardModule, name, counted)
+    def counted_stack(self, n, fock=False):
+        built.append((n, fock))
+        return level_stack(self, n, fock)
+
+    def counted_block(self, *args):
+        blocks.append(args)
+        return coordinate_block(self, *args)
+    monkeypatch.setattr(StandardModule, "_level_stack", counted_stack)
+    monkeypatch.setattr(StandardModule, "coordinate_block", counted_block)
     gens = write_quadric(tmp_path)
     assert run_cli(["identity", "--d", "2", "--N", "7", "--gens", str(gens),
                     "--nodes", "512", "--out", str(tmp_path)]) == 0
-    assert counts["coordinate_block"] <= 64
-    assert counts["fock_block"] <= 24
+    assert sorted(built) == [(n, fock) for n in range(7) for fock in (False, True)]
+    assert blocks == []
 
 
 def test_identity_unconverged_quadrature_fails(tmp_path, monkeypatch):
@@ -542,8 +605,17 @@ def test_identity_report_is_byte_identical_across_blas_threads(tmp_path):
     (["weights", "--family", "sinsqrt", "--r1", "1", "--r2", "4", "--d", "2",
       "--N", "2000", "--p", "3,5"], ["weights.json", "weights.csv"]),
     (["counterexample", "--N", "60"], ["counterexample.json"]),
+    # the identity checks' broadcast products, on generators of degrees 1 and 2
+    (["identity", "--d", "3", "--N", "6", "--r", "2", "--family", "hardy", "--gens",
+      "1 1+0i (1 0 0)@e1 + 0.5-1i (0 1 0)@e2\n2 1+0i (0 0 2)@e1 + 2+0.5i (1 1 0)@e2\n"],
+     ["identity.json"]),
 ])
 def test_reports_are_byte_identical_across_blas_threads(tmp_path, argv, files):
+    if "--gens" in argv:
+        # the value after --gens is the generators' text; pass it as a file
+        at = argv.index("--gens") + 1
+        (tmp_path / "gens.txt").write_text(argv[at])
+        argv = argv[:at] + [str(tmp_path / "gens.txt")] + argv[at + 1:]
     first, second = reports_under_blas_threads(tmp_path, argv, files)
     assert first == second
 

@@ -128,19 +128,9 @@ def all_test_modules(n_levels=8):
 
 def test_row_sum_identity_all_families():
     for mod in all_test_modules():
+        ops = mod.coordinate_tuple()
         for n in range(mod.top_level):
-            assert gm.row_sum_residual(mod, n) <= 1e-12
-
-
-class _Reweighted:
-    """A module checked against weights ``rho`` other than the ones it was built with."""
-
-    def __init__(self, module, rho):
-        self._module = module
-        self.rho = rho
-
-    def __getattr__(self, name):
-        return getattr(self._module, name)
+            assert gm.row_sum_residual(ops, mod.rho, n) <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
@@ -151,12 +141,12 @@ def test_ambient_residuals_match_kronecker_oracle(eps):
     # roundoff, must equal the oracle's values.
     for mod in all_test_modules():
         rho = mod.rho * (1.0 + eps * np.arange(1, mod.rho.size + 1))
-        checked = _Reweighted(mod, rho)
-        pairs = [(gm.row_sum_residual(checked, n),
+        ops, fock_ops = mod.coordinate_tuple(), mod.fock_tuple()
+        pairs = [(gm.row_sum_residual(ops, rho, n),
                   oracle.row_sum_residual(mod, n, rho))
                  for n in range(mod.top_level)]
         for n in range(1, mod.top_level):
-            levelwise = gm.commutator_decomposition_residual(checked, n)
+            levelwise = gm.commutator_decomposition_residual(ops, fock_ops, rho, n)
             assert levelwise.shape == (mod.d, mod.d)
             pairs += [(levelwise[j - 1, k - 1],
                        oracle.commutator_decomposition_residual(mod, j, k, n, rho))
@@ -175,19 +165,25 @@ def test_coordinate_blocks_commute():
 
 
 def test_coordinate_tuple_stacks_the_coordinate_blocks_bitwise():
-    # each level's stack holds Z_1(n), ..., Z_d(n) as coordinate_block builds
-    # them, signs of zeros included; every call builds a new tuple
+    # each level's stack holds Z_1(n), ..., Z_d(n) as ``shift`` applied to an
+    # identity builds them, signs of zeros included, and Z_k(n) = rho_n S_k(n)
+    # entry for entry; coordinate_block is a slice; every call builds anew
     for mod in all_test_modules():
-        ops = mod.coordinate_tuple()
-        assert sorted(ops) == list(range(mod.top_level))
+        ops, fock_ops = mod.coordinate_tuple(), mod.fock_tuple()
+        assert sorted(ops) == sorted(fock_ops) == list(range(mod.top_level))
         for n, stack in ops.items():
-            assert stack.dtype == complex
-            assert stack.shape == (mod.d, mod.level_dim(n + 1), mod.level_dim(n))
+            shape = (mod.d, mod.level_dim(n + 1), mod.level_dim(n))
+            assert stack.dtype == complex and stack.shape == shape
+            assert fock_ops[n].dtype == float and fock_ops[n].shape == shape
+            assert np.array_equal(stack, mod.rho[n] * fock_ops[n])
+            eye = np.eye(mod.level_dim(n), dtype=complex)
             for k in range(1, mod.d + 1):
-                block = mod.coordinate_block(k, n)
-                assert stack[k - 1].tobytes() == block.tobytes()
-        again = mod.coordinate_tuple()
-        assert all(again[n] is not ops[n] for n in ops)
+                assert stack[k - 1].tobytes() == mod.shift(k, n, eye).tobytes()
+                assert mod.coordinate_block(k, n).tobytes() == stack[k - 1].tobytes()
+                assert np.array_equal(fock_ops[n][k - 1], oracle.fock_block(mod, k, n))
+        again, fock_again = mod.coordinate_tuple(), mod.fock_tuple()
+        assert all(again[n] is not ops[n] and fock_again[n] is not fock_ops[n]
+                   for n in ops)
 
 
 def test_level_zero_column_is_scaled_unit_vector():
@@ -202,15 +198,6 @@ def test_level_zero_column_is_scaled_unit_vector():
         expected = np.zeros(2, complex)
         expected[k - 1] = 1.0
         np.testing.assert_allclose(unit, expected, atol=1e-15)
-
-
-def test_adjoint_blocks():
-    for mod in all_test_modules():
-        with pytest.raises(ValueError):
-            mod.adjoint_block(1, 0)       # Z_k* annihilates level 0
-        for n in range(1, mod.top_level):
-            np.testing.assert_array_equal(
-                mod.adjoint_block(1, n), mod.coordinate_block(1, n - 1).conj().T)
 
 
 def test_adjoint_proportional_to_derivative():
@@ -236,8 +223,9 @@ def test_adjoint_proportional_to_derivative():
                 raw = oracle.derivative_structure_map(k, mod.d, n)
                 normalized = w_lo[:, None] * raw / w_hi[None, :]
                 expected = u * np.kron(normalized, np.eye(mod.multiplicity))
-                assert opnorm(mod.adjoint_block(k, n) - expected) <= 1e-12
-                assert opnorm(mod.adjoint_block(k, n) - mod.adjoint_scalar(n)
+                adjoint = mod.coordinate_block(k, n - 1).conj().T
+                assert opnorm(adjoint - expected) <= 1e-12
+                assert opnorm(adjoint - mod.adjoint_scalar(n)
                               * oracle.gradient_block(mod, k, n)) <= 1e-12
             # the stacked gather: L_{n-1}* = u(n) (d/dz_1, ..., d/dz_d)
             eye = np.eye(mod.level_dim(n), dtype=complex)
@@ -248,7 +236,7 @@ def test_adjoint_proportional_to_derivative():
 def test_adjoint_h2_scalars():
     # Z_1*(z_1) = 1 on the d-shift module; the level-2 scalar is 1/2.
     mod = gm.StandardModule(gm.make_weights("dshift", 6), d=2)
-    adj = mod.adjoint_block(1, 1)
+    adj = mod.coordinate_block(1, 0).conj().T
     np.testing.assert_allclose(adj, [[1.0, 0.0]], atol=1e-15)
     assert mod.adjoint_scalar(1) == pytest.approx(1.0)
     assert mod.adjoint_scalar(2) == pytest.approx(0.5)
@@ -335,9 +323,8 @@ def test_out_of_window_blocks_raise():
             mod.shift(k, 1, cols(1))
         with pytest.raises(ValueError):
             mod.shift_adjoint(k, 1, cols(2))
-        for build in (mod.coordinate_block, mod.fock_block):
-            with pytest.raises(ValueError):
-                build(k, 1)
+        with pytest.raises(ValueError):
+            mod.coordinate_block(k, 1)
     with pytest.raises(ValueError):
         mod.shift(1, top, cols(top))
     with pytest.raises(ValueError):
@@ -360,17 +347,21 @@ def test_out_of_window_blocks_raise():
 def test_decomposition_dshift_reduces_to_fock_commutator():
     # Dt^2 - D^2 = 0 on levels >= 1 when all weights are 1
     mod = gm.StandardModule(gm.make_weights("dshift", 8), d=2)
+    ops, fock_ops = mod.coordinate_tuple(), mod.fock_tuple()
     for n in range(1, 7):
-        assert gm.commutator_decomposition_residual(mod, n)[0, 1] <= 1e-14
+        assert gm.commutator_decomposition_residual(
+            ops, fock_ops, mod.rho, n)[0, 1] <= 1e-14
 
 
 def test_decomposition_hardy():
     mod = gm.StandardModule(gm.make_weights("hardy", 12, d=2), d=2)
+    ops, fock_ops = mod.coordinate_tuple(), mod.fock_tuple()
     for n in range(1, 11):
-        assert gm.commutator_decomposition_residual(mod, n).max() <= 1e-12
+        assert gm.commutator_decomposition_residual(
+            ops, fock_ops, mod.rho, n).max() <= 1e-12
     for n in (0, 12):
         with pytest.raises(ValueError):
-            gm.commutator_decomposition_residual(mod, n)
+            gm.commutator_decomposition_residual(ops, fock_ops, mod.rho, n)
 
 
 def test_unilateral_shift_self_commutator():

@@ -22,18 +22,23 @@ def with_singular_values(rng, rows, cols, sigma):
 # -- opnorm --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("shape", [(5, 4, 3), (3, 2, 6), (1, 7, 7)])
+@pytest.mark.parametrize("shape", [(5, 4, 3), (3, 2, 6), (1, 7, 7), (2, 3, 4, 5)])
 def test_opnorm_of_a_stack_is_the_largest_block_norm_bitwise(rng, shape):
     stack = complex_gaussian(rng, *shape)
-    want = max(float(np.linalg.norm(block, 2)) for block in stack)
-    assert linalg.opnorm(stack) == want
-    for block in stack:
-        assert linalg.opnorm(block) == float(np.linalg.norm(block, 2))
+    blocks = stack.reshape(-1, *shape[-2:])
+    want = [float(np.linalg.norm(block, 2)) for block in blocks]
+    assert linalg.opnorm(stack) == max(want)
+    assert linalg.opnorms(stack).shape == shape[:-2]
+    assert linalg.opnorms(stack).ravel().tolist() == want
+    for block, norm in zip(blocks, want):
+        assert linalg.opnorm(block) == norm
 
 
 @pytest.mark.parametrize("shape", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0), (5, 0)])
 def test_opnorm_of_empty_blocks_is_zero(shape):
     assert linalg.opnorm(np.zeros(shape, dtype=complex)) == 0.0
+    norms = linalg.opnorms(np.zeros(shape, dtype=complex))
+    assert norms.shape == shape[:-2] and not norms.any()
 
 
 # -- the rank cut --------------------------------------------------------------

@@ -120,8 +120,8 @@ def test_linearized_quotient_presets_emit_labeled_evidence():
         for j in (1, 2):
             if j == k:
                 continue
-            overlap = (mod22.adjoint_block(k, 1) @ m1).conj().T \
-                @ (mod22.adjoint_block(j, 1) @ m1)
+            overlap = mod22.shift_adjoint(k, 0, m1).conj().T \
+                @ mod22.shift_adjoint(j, 0, m1)
             assert linalg.opnorm(overlap) <= 1e-13    # genuinely diagonal
     v_c = gm.recover_subspace(gm.GradedSubmodule.from_level_seeds(mod22, {1: m1}))
 
@@ -156,20 +156,22 @@ def test_quotient_commutator_norms_eventually_nonincreasing(rng):
 def test_identities_for_trivial_submodules(h2):
     full = gm.GradedSubmodule.full(h2)
     zero = gm.GradedSubmodule.zero(h2)
+    ops = h2.coordinate_tuple()
     for level in (1, 4, 8):
-        r1, r2 = gm.compression_identity_residuals(h2, full, level)
+        r1, r2 = gm.compression_identity_residuals(ops, full, level)
         assert r1.shape == r2.shape == (2, 2)
         assert max(r1.max(), r2.max()) <= 1e-13
-        r1, r2 = gm.compression_identity_residuals(h2, zero, level)
+        r1, r2 = gm.compression_identity_residuals(ops, zero, level)
         assert max(r1.max(), r2.max()) <= 1e-13
 
 
 def test_identities_random_submodules(rng, h2):
+    ops = h2.coordinate_tuple()
     for trial in range(3):
         gens = random_generators(rng, 2, 1, int(rng.integers(1, 4)), 1)
         sub = gm.GradedSubmodule.generate(h2, gens)
         for level in range(1, 7):
-            r1, r2 = gm.compression_identity_residuals(h2, sub, level)
+            r1, r2 = gm.compression_identity_residuals(ops, sub, level)
             assert max(r1.max(), r2.max()) <= 1e-11
 
 
@@ -180,18 +182,20 @@ def test_identities_on_drawn_submodules(case):
     sub = gm.GradedSubmodule.generate(mod, gens)
     # the identities are quartic in the T_i, whose norms are the weights
     tol = 1e-11 * max(1.0, float(np.max(mod.rho))) ** 4
+    ops = mod.coordinate_tuple()
     for level in range(1, sub.window):
-        r1, r2 = gm.compression_identity_residuals(mod, sub, level)
+        r1, r2 = gm.compression_identity_residuals(ops, sub, level)
         assert r1.shape == r2.shape == (mod.d, mod.d)
         assert max(r1.max(), r2.max()) <= tol
 
 
 def test_identities_reject_boundary_level(h2):
     sub = gm.GradedSubmodule.full(h2)
+    ops = h2.coordinate_tuple()
     with pytest.raises(ValueError):
-        gm.compression_identity_residuals(h2, sub, 0)
+        gm.compression_identity_residuals(ops, sub, 0)
     with pytest.raises(ValueError):
-        gm.compression_identity_residuals(h2, sub, 10)
+        gm.compression_identity_residuals(ops, sub, 10)
 
 
 def _oracle_residuals(mod, sub, level):
@@ -212,8 +216,9 @@ def test_identities_match_dense_oracle_on_generated_submodules(case):
     mod, gens = case
     sub = gm.GradedSubmodule.generate(mod, gens)
     tol = 1e-11 * max(1.0, float(np.max(mod.rho))) ** 4
+    ops = mod.coordinate_tuple()
     for level in range(1, sub.window):
-        got = gm.compression_identity_residuals(mod, sub, level)
+        got = gm.compression_identity_residuals(ops, sub, level)
         for g, want in zip(got, _oracle_residuals(mod, sub, level)):
             assert g.max() <= tol and want.max() <= tol
             np.testing.assert_allclose(g, want, rtol=0, atol=tol)
@@ -243,8 +248,9 @@ def test_identities_fail_off_invariant_subspaces_as_the_oracle_does(
     mod = gm.StandardModule(gm.make_weights(family, top, d=d, r1=0.5, r2=2.0),
                             d=d, multiplicity=r)
     sub = _random_quotient_side(rng, mod)
+    ops = mod.coordinate_tuple()
     for level in range(1, top):
-        got = gm.compression_identity_residuals(mod, sub, level)
+        got = gm.compression_identity_residuals(ops, sub, level)
         for g, want in zip(got, _oracle_residuals(mod, sub, level)):
             assert g.min() > 1e-3
             np.testing.assert_allclose(g, want, rtol=1e-10, atol=0)
