@@ -313,7 +313,10 @@ def cmd_weights(args, outdir):
         raise ParseFailure("weights needs 1 <= --tail <= N")
 
     osc = oscillation_report(weights, tail)
-    reports = {p: summability_report(weights, d, p) for p in p_list}
+    try:
+        reports = {p: summability_report(weights, d, p) for p in p_list}
+    except ValueError as exc:
+        raise ParseFailure(str(exc)) from exc
     trace = {p: number_trace_report(d, p, n_weights) for p in p_list}
 
     report = {
@@ -459,7 +462,10 @@ def cmd_ev(args, outdir):
     deg = sub.degree_report()
     recovered = recover_subspace(sub)
     roundtrip = linalg.subspace_distance(v.basis, recovered.basis)
-    en = quotient_en_report(QuotientModule(sub), p_list)
+    try:
+        en = quotient_en_report(QuotientModule(sub), p_list)
+    except ValueError as exc:
+        raise ParseFailure(str(exc)) from exc
 
     failures = []
     hard_check(failures, "roundtrip_V_distance", roundtrip, tol)

@@ -391,16 +391,25 @@ class SummabilityReport:
 
 
 def summability_report(weights, d, p):
-    """Schatten-membership evidence for the weight sequence at exponent p >= 1."""
+    """Schatten-membership evidence for the weight sequence at exponent p >= 1.
+
+    Raises ValueError when a partial sum is not a finite float: a trend call
+    on an overflowed sum says nothing.
+    """
     if p < 1:
         raise ValueError("p must be at least 1")
     rho = weights.values
     if rho.size < 3:
         raise ValueError("window too small")
     k = np.arange(1, rho.size - 1, dtype=float)
-    summands = k ** (d - 1) * np.abs(rho[2:] - rho[1:-1]) ** p
-    return SummabilityReport(float(p), k, np.cumsum(summands),
-                             classify_trend(k, summands))
+    diffs = np.abs(rho[2:] - rho[1:-1])
+    # an exactly constant step adds 0 even where k^(d-1) overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        summands = np.where(diffs > 0, k ** (d - 1) * diffs ** p, 0.0)
+        sums = np.cumsum(summands)
+    if not np.isfinite(sums).all():
+        raise ValueError(f"the p = {p:g} summability sums leave the float range")
+    return SummabilityReport(float(p), k, sums, classify_trend(k, summands))
 
 
 def number_trace_report(d, p, top_level):

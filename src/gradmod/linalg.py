@@ -4,11 +4,34 @@ It owns the toolkit's one rank cut (``_kept``) and one spectral norm
 (``opnorms``, with ``opnorm`` their largest), thin wrappers of numpy's SVD.
 Subspaces are always represented by matrices whose columns are orthonormal;
 an empty subspace is a (dim, 0) array.
+
+``nullspace``, ``numerical_rank`` and ``opnorms`` never read U, so a tall
+operand goes through its triangle first (``_triangle``): R of a = QR has the
+singular values and right singular vectors of ``a``.  They are the same bits,
+not just the same numbers: for M >= int(17 N / 9) LAPACK's gesdd itself
+factors A = QR and bidiagonalizes R, and the route skips only the forming of
+Q and of Q U_R.  It is taken for blocks with M >= 2 N whose size M N^2 is at
+least ``TRIANGLE_MIN_WORK`` (below that the extra QR call costs more than it
+saves), and only while every block's max|a| lies in ``TRIANGLE_RANGE``:
+outside about [6.7e-139, 1e138] gesdd rescales the operand first, and its
+bits then differ from those of the route.  ``orthonormal_columns`` needs U
+and keeps the plain SVD.
 """
 
 import numpy as np
 
 from .config import RANK_TOL_FACTOR
+
+# The triangle route costs one more LAPACK call (about 12 us for a tiny
+# np.linalg.qr), so it gains only on large blocks.  One BLAS thread on a
+# 2-vCPU host: a (20, 5) nullspace operand takes 21 us by a plain SVD and
+# 33 us through R, a (190, 9) one 79 and 58 us, a (828, 27) one 1.47 and
+# 0.52 ms; singular values alone gain less.  The table is in BENCH_18.json.
+TRIANGLE_MIN_WORK = 16384
+# gesdd rescales a block whose max|a| lies outside about [6.7e-139, 1e138];
+# this range keeps a margin inside that for both a and R (max|a| / sqrt(N)
+# <= max|R| <= sqrt(M) max|a|).
+TRIANGLE_RANGE = (1e-130, 1e130)
 
 
 def _as_complex(a):
@@ -21,6 +44,23 @@ def _kept(s, scale=0.0):
     return int(np.count_nonzero(s > RANK_TOL_FACTOR * top))
 
 
+def _triangle(a):
+    """The R of a = QR for a matrix or stack of (M, N) blocks that gains from it; else ``a``.
+
+    Its SVD gives the same singular values and right singular vectors, bit
+    for bit (module docstring).  Taken when M >= 2 N, M N^2 >=
+    TRIANGLE_MIN_WORK and every block has max|a| in TRIANGLE_RANGE.
+    """
+    m, n = a.shape[-2:]
+    if m < 2 * n or m * n * n < TRIANGLE_MIN_WORK:
+        return a
+    top = np.abs(a).max(axis=(-2, -1))
+    low, high = TRIANGLE_RANGE
+    if not np.all((top >= low) & (top <= high)):
+        return a
+    return np.linalg.qr(a, mode="r")
+
+
 def numerical_rank(a):
     """Rank of a matrix, or of the block-diagonal matrix a (count, m, p) stack holds.
 
@@ -31,7 +71,7 @@ def numerical_rank(a):
     a = _as_complex(a)
     if a.size == 0:
         return 0
-    return _kept(np.linalg.svd(a, compute_uv=False))
+    return _kept(np.linalg.svd(_triangle(a), compute_uv=False))
 
 
 def orthonormal_columns(a):
@@ -68,7 +108,7 @@ def nullspace(a, scale=0.0):
         return np.eye(n, dtype=complex)
     # U is never read; for a tall matrix the thin factorization already holds
     # every right singular vector, and skipping the full U saves most of the work
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] <= n)
+    _, s, vh = np.linalg.svd(_triangle(a), full_matrices=a.shape[0] <= n)
     return vh[_kept(s, scale):, :].conj().T
 
 
@@ -89,7 +129,7 @@ def opnorms(a):
     a = _as_complex(a)
     if a.size == 0:
         return np.zeros(a.shape[:-2])
-    return np.linalg.svd(a, compute_uv=False)[..., 0]
+    return np.linalg.svd(_triangle(a), compute_uv=False)[..., 0]
 
 
 def opnorm(a):

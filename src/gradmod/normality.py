@@ -84,7 +84,8 @@ def schatten_report(ops, p_values, note=""):
 
     The singular values of all d^2 blocks of a level come from one stacked
     ``np.linalg.svd`` call on that level's ``self_commutators`` stack; a
-    level of dimension 0 has none.
+    level of dimension 0 has none.  Raises ValueError when a cumulative sum
+    is not a finite float.
     """
     d = ops[min(ops)].shape[0]
     p_values = [float(p) for p in p_values]
@@ -104,11 +105,14 @@ def schatten_report(ops, p_values, note=""):
     level_arr = np.asarray(levels, dtype=float)
     level_sums, cumulative, trends = {}, {}, {}
     for p in p_values:
-        per_level = np.array([
-            sum(float(np.sum(sigma[pair][i] ** p)) for pair in pairs)
-            for i in range(len(levels))])
+        with np.errstate(over="ignore"):
+            per_level = np.array([
+                sum(float(np.sum(sigma[pair][i] ** p)) for pair in pairs)
+                for i in range(len(levels))])
+            cumulative[p] = np.cumsum(per_level)
+        if not np.isfinite(cumulative[p]).all():
+            raise ValueError(f"the p = {p:g} Schatten sums leave the float range")
         level_sums[p] = per_level
-        cumulative[p] = np.cumsum(per_level)
         trends[p] = classify_trend(level_arr + 1.0, per_level)
     return SchattenReport(tuple(pairs), level_arr, level_sums,
                           cumulative, trends, sigma, note)

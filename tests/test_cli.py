@@ -268,6 +268,51 @@ def test_failed_hard_check_exits_1_when_the_window_runs_out(tmp_path, capsys):
     assert [line.split(":")[0] for line in err[1:]] == [f"FAIL {c}" for c in checks]
 
 
+def run_with_inputs(workdir, argv, files):
+    """Run argv with --out workdir/out and each {input flag: text} written under workdir."""
+    inputs = []
+    for flag, text in files.items():
+        source = workdir / f"input{flag}.txt"
+        source.write_text(text)
+        inputs += [flag, str(source)]
+    return run_cli(argv + inputs + ["--out", str(workdir / "out")])
+
+
+# sinsqrt weights from 1 to near 1e150 pass the module's range check, but
+# |rho_{k+1} - rho_k|^3 and sigma^3 overflow
+OVERFLOWING_SUMS = [
+    (["weights", "--d", "2", "--N", "10", "--p", "3", "--family", "sinsqrt",
+      "--r1", "1", "--r2", "1e300"], {}),
+    (["ev", "--d", "2", "--N", "2", "--family", "sinsqrt", "--r1", "1", "--r2", "1e150"],
+     {"--V": "1\n0\n"}),
+]
+
+
+@pytest.mark.parametrize("call,what", zip(OVERFLOWING_SUMS, ["summability", "Schatten"]))
+def test_overflowing_sums_exit_2(tmp_path, capsys, call, what):
+    # a trend call on an infinite sum says nothing, so the run is refused
+    # with no report and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_with_inputs(tmp_path, *call)
+    assert code == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: the p = 3 {what} sums leave the float range"]
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_constant_weights_sum_to_zero_where_k_to_the_d_overflows(tmp_path):
+    # k^(d-1) overflows for k >= 35 at d = 200, but every d-shift step is
+    # exactly 0: the sums are 0, not inf * 0 = nan called "diverging"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["weights", "--d", "200", "--N", "50", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    report = json.loads((tmp_path / "weights.json").read_text())
+    for entry in report["summability"].values():
+        assert (entry["final_partial_sum"], entry["trend"]) == (0.0, "converging")
+
+
 @pytest.mark.parametrize("argv,flag,text", [
     (["ev", "--d", "2", "--N", "6", "--r1", "1e-150", "--r2", "2e-150"],
      "--V", "1 0\n0 1\n"),
@@ -309,7 +354,9 @@ def test_ev_with_undetermined_degree_exits_3(tmp_path):
 
 
 def v_grid(kind, d):
-    """Text grid for --V: zero, full, partial, rank-deficient or a wrong row count."""
+    """Text grid for --V: zero, full, partial, rank-deficient, a wrong row count or empty."""
+    if kind == "empty":
+        return "# no columns\n"
     rows = {"zero": [["0"]] * d,
             "full": [["1" if i == j else "0" for j in range(d)] for i in range(d)],
             "partial": [["1"]] + [["0"]] * (d - 1),
@@ -319,48 +366,84 @@ def v_grid(kind, d):
 
 
 def generator_file(kind, d):
-    """--gens text: constant, linear, a quadric, a component out of range, or empty."""
-    def line(degree, first, component):
+    """--gens text: constant, linear, a quadric, a component out of range, zero,
+    inhomogeneous (terms of degrees 2 and 1 in one line), two degrees (a linear
+    form and a quadric), or empty."""
+    def term(first, component, coeff="1+0i"):
         exponents = " ".join([str(first)] + ["0"] * (d - 1))
-        return f"{degree} 1+0i ({exponents})@e{component}\n"
+        return f"{coeff} ({exponents})@e{component}"
+
+    def line(degree, first, component, coeff="1+0i"):
+        return f"{degree} {term(first, component, coeff)}\n"
     return {"constant": line(0, 0, 1), "linear": line(1, 1, 1),
             "quadric": line(2, 2, 1), "out-of-range": line(1, 1, 2),
+            "zero": line(2, 2, 1, "0+0i"),
+            "inhomogeneous": f"2 {term(2, 1)} + {term(1, 1)}\n",
+            "two-degrees": line(1, 1, 1) + line(2, 2, 1),
             "empty": ""}[kind]
+
+
+# config lines: unknown keys (for every command, or only for some), a repeated
+# key, and values that are not finite, out of range or of the wrong type
+CONFIG_LINES = ["bogus = 1", "nodes = 16", "N = 3", "N = 4", "tol = nan", "tol = 1e-9",
+                "r1 = inf", "r2 = -inf", "p = inf", "p = 2", "d = nan", "r = 2",
+                "family = hardy", "N = 1e3"]
+
+
+def sinsqrt_bound(draw, low, high):
+    """A bound m * 10^e, low <= e <= high, with a drawn mantissa 1 <= m < 10."""
+    mantissa = draw(st.sampled_from(["1", "1.5", "3", "7.25", "9.99"]))
+    return f"{mantissa}e{draw(st.integers(low, high))}"
 
 
 @st.composite
 def invocations(draw):
-    """(argv without --out, input flag or None, input text) of one drawn CLI call."""
+    """(argv without --out, {input flag: file text}) of one drawn CLI call."""
     command = draw(st.sampled_from(["ev", "counterexample", "submodule", "linearize",
                                     "identity", "koszul", "weights"]))
     n = draw(st.integers(0, 6))
+    files = {}
+    if draw(st.integers(0, 3)) == 0:
+        files["--config"] = "".join(
+            line + "\n" for line in draw(st.lists(st.sampled_from(CONFIG_LINES),
+                                                   min_size=1, max_size=3)))
     if command == "counterexample":
         # partial sums drift (large negative steps underflow the intertwiner)
         # or overflow; u hits (0, 1) at n = 0
         step = draw(st.sampled_from([-400.0, -1.0, 0.0, 1.0, 400.0]))
-        return ([command, "--N", str(n)], "--u",
-                "0 1 " + " ".join([repr(step)] * (n + 1)) + "\n")
-    d = draw(st.integers(1, 3))
+        files["--u"] = "0 1 " + " ".join([repr(step)] * (n + 1)) + "\n"
+        return [command, "--N", str(n)], files
+    d = draw(st.sampled_from([0, 1, 2, 2, 3, 3, 4]))
     argv = [command, "--d", str(d), "--N", str(n)]
+    if command != "weights":
+        argv += ["--r", str(draw(st.integers(0, 3)))] if draw(st.booleans()) else []
     if draw(st.booleans()):
-        # sinsqrt bounds 1e-300 <= r1 < r2 <= 1e300: the monomial norms
-        # c_n nu_alpha may leave the float range
+        # sinsqrt bounds between 1e-300 and 1e300, mantissas included: the
+        # monomial norms c_n nu_alpha may leave the float range, and r1 >= r2
+        # may be drawn
         low = draw(st.integers(-300, 299))
-        high = draw(st.integers(low + 1, 300))
-        argv += ["--family", "sinsqrt", "--r1", f"1e{low}", "--r2", f"1e{high}"]
+        argv += ["--family", "sinsqrt", "--r1", sinsqrt_bound(draw, low, low),
+                 "--r2", sinsqrt_bound(draw, low, 300)]
     if command == "weights":
-        return argv, None, ""
-    if draw(st.booleans()):
-        argv += ["--tol", "0"]
+        return argv, files
+    tol = draw(st.sampled_from([None, None, None, "0", "1e-30", "1e-9", "1", "1e300",
+                                "-1", "nan"]))
+    if tol is not None:
+        argv += ["--tol", tol]
+    if command == "identity":
+        nodes = draw(st.sampled_from([None, "-2", "0", "1", "2", "16"]))
+        argv += [] if nodes is None else ["--nodes", nodes]
     if command == "ev":
         kind = draw(st.sampled_from(["zero", "full", "partial", "deficient",
-                                     "wrong-rows"]))
-        return argv, "--V", v_grid(kind, d)
-    kind = draw(st.sampled_from(["constant", "linear", "quadric", "out-of-range",
-                                 "empty"] + (["none"] if command == "koszul" else [])))
-    if kind == "none":
-        return argv, None, ""
-    return argv, "--gens", generator_file(kind, d)
+                                     "wrong-rows", "empty"]))
+        files["--V"] = v_grid(kind, d)
+        return argv, files
+    kind = draw(st.sampled_from(["constant", "linear", "quadric", "out-of-range", "zero",
+                                 "inhomogeneous", "two-degrees", "empty"]
+                                + (["none"] if command == "koszul" else [])))
+    if kind != "none":
+        files["--gens"] = generator_file(kind, d)
+    return argv, files
 
 
 def printed_verdicts(obj):
@@ -375,23 +458,26 @@ def printed_verdicts(obj):
             yield from printed_verdicts(value)
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(invocations())
-@example((["ev", "--d", "2", "--N", "2"], "--V", "1\n0\n"))
-@example((["counterexample", "--N", "5"], "--u", "0 1 -400 -400 -400 -400\n"))
-@example((["ev", "--d", "3", "--N", "2", "--tol", "0"], "--V", WINDOW_AND_TOL_V))
+@example((["ev", "--d", "2", "--N", "2"], {"--V": "1\n0\n"}))
+@example((["counterexample", "--N", "5"], {"--u": "0 1 -400 -400 -400 -400\n"}))
+@example((["ev", "--d", "3", "--N", "2", "--tol", "0"], {"--V": WINDOW_AND_TOL_V}))
 @example((["identity", "--d", "2", "--N", "6", "--family", "sinsqrt", "--r1", "1e-300",
-           "--r2", "1e300"], "--gens", generator_file("quadric", 2)))
+           "--r2", "1e300"], {"--gens": generator_file("quadric", 2)}))
+@example(OVERFLOWING_SUMS[0])
+@example(OVERFLOWING_SUMS[1])
+@example((["weights", "--d", "200", "--N", "50"], {}))
 def test_exit_code_contract_holds_on_drawn_invocations(tmp_path, capsys, call):
-    argv, flag, text = call
+    argv, files = call
     workdir = Path(tempfile.mkdtemp(dir=tmp_path))
-    source = workdir / "input.txt"
-    source.write_text(text)
     capsys.readouterr()
-    inputs = [] if flag is None else [flag, str(source)]
-    code = run_cli(argv + inputs + ["--out", str(workdir / "out")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_with_inputs(workdir, argv, files)
     captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
     assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE, cli.EXIT_PARSE, cli.EXIT_WINDOW)
     assert "Traceback" not in captured.out + captured.err
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]

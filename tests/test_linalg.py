@@ -78,3 +78,107 @@ def test_rank_helpers_agree_on_one_cut(case):
     assert linalg.orthonormal_columns(a).shape == (a.shape[0], rank)
     assert linalg.nullspace(a).shape == (a.shape[1], a.shape[1] - rank)
     assert linalg.numerical_rank(a[None]) == rank
+
+
+# -- the triangle route --------------------------------------------------------
+
+# (rows, cols) of operands met in the benchmark's workloads: the largest
+# nullspace operand of a ``rank`` pass and of a ``desk`` pass
+RANK_SIZED = (828, 27)
+DESK_SIZED = (20, 4)
+
+
+def reference_nullspace(a, scale=0.0):
+    """``nullspace`` by numpy's SVD of the whole operand."""
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] <= a.shape[1])
+    return vh[linalg._kept(s, scale):, :].conj().T
+
+
+def signed_zeros(rng, a):
+    """``a`` with about half of its real and imaginary parts set to -0.0."""
+    out = a.copy()
+    out.real = np.where(rng.random(a.shape) < 0.5, -0.0, a.real)
+    out.imag = np.where(rng.random(a.shape) < 0.5, -0.0, a.imag)
+    return out
+
+
+@st.composite
+def tall_operands(draw):
+    """A tall complex matrix or (count, m, n) stack of drawn kind and scale.
+
+    Shapes straddle the route's gates; the kinds are generic, rank-deficient,
+    laden with signed zeros, and with a zero block in a stack.  The scales
+    include values outside the range where LAPACK leaves the operand unscaled.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 3)):
+        # at and just below the smallest routed row count
+        n = draw(st.integers(1, 30))
+        least = max(2 * n, -(-linalg.TRIANGLE_MIN_WORK // n**2))
+        m = draw(st.integers(max(n, least - 8), least + 60))
+    else:
+        # square up to twice as tall, past the size gate: below M = int(17 N / 9)
+        # the SVD of R is not the same bits
+        n = draw(st.integers(26, 30))
+        m = draw(st.integers(n, 2 * n))
+    count = draw(st.sampled_from([None, 1, 3]))
+    shape = (m, n) if count is None else (count, m, n)
+    kind = draw(st.sampled_from(["generic", "deficient", "signed-zeros", "zero-block"]))
+    if kind == "deficient":
+        rank = draw(st.integers(0, n - 1))
+        a = complex_gaussian(rng, *shape[:-1], rank) @ complex_gaussian(
+            rng, *shape[:-2], rank, n)
+    else:
+        a = complex_gaussian(rng, *shape)
+    if kind == "signed-zeros":
+        a = signed_zeros(rng, a)
+    if kind == "zero-block" and count is not None:
+        a[0] = 0.0
+    return a * draw(st.sampled_from([1.0, 1.0, 1e-120, 1e120, 1e-200, 1e-139, 1e138, 1e200]))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(tall_operands())
+@example(np.full(RANK_SIZED, 1e-200 + 0j))
+@example(np.full(RANK_SIZED, 1e200 + 0j))
+def test_routed_helpers_equal_svds_of_the_whole_operand(a):
+    values = np.linalg.svd(a, compute_uv=False)
+    assert np.array_equal(linalg.opnorms(a), values[..., 0])
+    assert linalg.numerical_rank(a) == linalg._kept(values)
+    for block, s in zip(a.reshape(-1, *a.shape[-2:]), values.reshape(-1, values.shape[-1])):
+        # the second scale cuts the spectrum at its median, so that about half
+        # of the right singular vectors are compared even at full rank
+        for scale in (0.0, float(np.median(s)) / RANK_TOL_FACTOR):
+            assert np.array_equal(linalg.nullspace(block, scale=scale),
+                                  reference_nullspace(block, scale))
+
+
+def counted_qr(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
+def test_rank_sized_operands_take_the_triangle_route(rng, monkeypatch):
+    calls = counted_qr(monkeypatch)
+    a = complex_gaussian(rng, *RANK_SIZED)
+    linalg.nullspace(a)
+    linalg.numerical_rank(a)
+    linalg.opnorms(np.stack([a, a]))
+    assert calls == [RANK_SIZED, RANK_SIZED, (2, *RANK_SIZED)]
+
+
+def test_desk_sized_wide_and_out_of_range_operands_do_not(rng, monkeypatch):
+    calls = counted_qr(monkeypatch)
+    linalg.nullspace(complex_gaussian(rng, *DESK_SIZED))
+    linalg.opnorms(complex_gaussian(rng, *RANK_SIZED[::-1]))
+    for scale in (1e-200, 1e200):
+        linalg.opnorm(scale * complex_gaussian(rng, *RANK_SIZED))
+    nan = np.full(RANK_SIZED, np.nan + 0j)
+    assert linalg._triangle(nan) is nan
+    assert calls == []

@@ -13,6 +13,7 @@ identities the quotient side rests on, and work guards check that the
 command-line paths never build M and that the closed form takes no SVD.
 """
 
+import functools
 import inspect
 import json
 import sys
@@ -66,6 +67,26 @@ def generator_sets(rng, d, r):
     }
 
 
+class Case:
+    """The module, seeded generator sets and generated submodules of one (family, d, r).
+
+    Built once per session by ``case`` and shared by the parametrized tests
+    below, which differ only in what they check on these submodules.
+    """
+
+    def __init__(self, family, d, r):
+        self.module = module(family, d, r)
+        self.gens = generator_sets(np.random.default_rng([d, r, FAMILIES.index(family)]),
+                                   d, r)
+        self.subs = {name: gm.GradedSubmodule.generate(self.module, gens)
+                     for name, gens in self.gens.items()}
+
+
+@functools.cache
+def case(family, d, r):
+    return Case(family, d, r)
+
+
 def oracle_of(mod, gens, window=None):
     window = mod.top_level if window is None else window
     seeds = {deg: embed_polynomials(mod, [g for g in gens if g.degree == deg])
@@ -81,10 +102,10 @@ def oracle_of(mod, gens, window=None):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_generate_matches_mside_oracle(family, d, r):
-    rng = np.random.default_rng([d, r, FAMILIES.index(family)])
-    mod = module(family, d, r)
-    for name, gens in generator_sets(rng, d, r).items():
-        sub = gm.GradedSubmodule.generate(mod, gens)
+    built = case(family, d, r)
+    mod = built.module
+    for name, gens in built.gens.items():
+        sub = built.subs[name]
         bases, saturated, g = oracle_of(mod, gens)
         dims = [bases[n].shape[1] for n in range(mod.top_level + 1)]
         flags = oracle.saturation_flags(mod, bases, mod.top_level, saturated)
@@ -169,10 +190,9 @@ def assert_same_subspace(got, want):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_pullback_quotient_matches_svd_route(family, d, r):
-    rng = np.random.default_rng([d, r, FAMILIES.index(family), 7])
-    mod = module(family, d, r)
-    for gens in generator_sets(rng, d, r).values():
-        sub = gm.GradedSubmodule.generate(mod, gens)
+    built = case(family, d, r)
+    mod = built.module
+    for sub in built.subs.values():
         for k in range(mod.top_level):
             q_next = sub.quotient_basis(k + 1)
             assert_same_subspace(pullback_quotient(mod, q_next, k),
@@ -185,9 +205,9 @@ def test_pullback_quotient_matches_svd_route(family, d, r):
 def test_recover_subspace_matches_preimage_complement(family, d, r):
     # V = (L_0^{-1} M_1)^perp by the oracle's preimage and a complement SVD
     rng = np.random.default_rng([d, r, FAMILIES.index(family), 11])
-    mod = module(family, d, r)
-    subs = [gm.GradedSubmodule.generate(mod, gens)
-            for gens in generator_sets(rng, d, r).values()]
+    built = case(family, d, r)
+    mod = built.module
+    subs = list(built.subs.values())
     for dim in range(d * r + 1):
         raw = rng.normal(size=(d * r, dim)) + 1j * rng.normal(size=(d * r, dim))
         v = gm.SubspaceV.from_matrix(mod, raw)
@@ -259,12 +279,10 @@ def assert_flags_match_cosaturation(sub):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_pulled_flags_match_cosaturation(family, d, r):
-    rng = np.random.default_rng([d, r, FAMILIES.index(family), 13])
-    mod = module(family, d, r)
     pulled = 0
-    for gens in generator_sets(rng, d, r).values():
-        for sub in pulled_chain(gm.GradedSubmodule.generate(mod, gens)):
-            assert_flags_match_cosaturation(sub)
+    for sub in case(family, d, r).subs.values():
+        for step in pulled_chain(sub):
+            assert_flags_match_cosaturation(step)
             pulled += 1
     assert pulled >= 2
 
