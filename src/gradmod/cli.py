@@ -315,9 +315,9 @@ def cmd_weights(args, outdir):
     osc = oscillation_report(weights, tail)
     try:
         reports = {p: summability_report(weights, d, p) for p in p_list}
+        trace = {p: number_trace_report(d, p, n_weights) for p in p_list}
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
-    trace = {p: number_trace_report(d, p, n_weights) for p in p_list}
 
     report = {
         "schema": 2,
@@ -347,16 +347,15 @@ def cmd_weights(args, outdir):
         "hard_failures": [],
     }
 
+    # one column at a time: the cells are the strings _fmt gives, and a psum
+    # column is blank on the first and last rows, which have no partial sum
+    fmt = "{:.15g}".format
+    rho = weights.values
+    columns = [map(str, range(n_weights)), map(fmt, rho.tolist()),
+               [*map(fmt, np.diff(rho).tolist()), ""]]
+    columns += [["", *map(fmt, reports[p].partial_sums.tolist()), ""] for p in p_list]
     rows = ["k,rho,diff," + ",".join(f"psum_p{_fmt(p)}" for p in p_list)]
-    sums = {p: reports[p].partial_sums for p in p_list}
-    for k in range(n_weights):
-        diff = weights.values[k + 1] - weights.values[k] if k <= n_weights - 2 else None
-        cells = [str(k), _fmt(weights.values[k]),
-                 _fmt(diff) if diff is not None else ""]
-        for p in p_list:
-            in_range = 1 <= k <= n_weights - 2
-            cells.append(_fmt(sums[p][k - 1]) if in_range else "")
-        rows.append(",".join(cells))
+    rows += map(",".join, zip(*columns))
     write_output(outdir / "weights.csv", "\n".join(rows) + "\n")
     return report
 

@@ -20,6 +20,7 @@ identity sum_k S_k S_k* = I - E_0, solved level by level (the closed form is
 only a cross-check in the test suite).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -270,6 +271,16 @@ class StandardModule:
         """
         return self._gather(*self._tables(n), x)
 
+    def adjoint_stack(self, n, x):
+        """Z_1(n)* x, ..., Z_d(n)* x as one (d, h_n r, cols) stack, from one gather.
+
+        Block [k-1] is ``shift_adjoint(k, n, x)`` bit for bit: ``row_adjoint``
+        with its copy index moved to the front.
+        """
+        h, r, cols = self.scalar_dim(n), self.multiplicity, x.shape[1]
+        rows = self.row_adjoint(n, x).reshape(h, self.d, r, cols)
+        return rows.transpose(1, 0, 2, 3).reshape(self.d, h * r, cols)
+
     def gradient(self, n, x):
         """(d/dz_1 x, ..., d/dz_d x) for coordinate columns x of level n >= 1.
 
@@ -413,11 +424,27 @@ def summability_report(weights, d, p):
 
 
 def number_trace_report(d, p, top_level):
-    """Partial sums of trace (N+1)^{-p} = sum_n (n+1)^{-p} dim A_n with a trend call."""
+    """Partial sums of trace (N+1)^{-p} = sum_n (n+1)^{-p} dim A_n with a trend call.
+
+    Raises ValueError when the top level dimension C(N+d-1, d-1) or a
+    partial sum is not a finite float.
+    """
     if p < 1:
         raise ValueError("p must be at least 1")
+    if d < 1:
+        raise ValueError("need at least one variable")
     n = np.arange(top_level + 1)
-    dims = np.array([monomials.level_dimension(d, int(m)) for m in n], dtype=float)
-    summands = (n + 1.0) ** (-float(p)) * dims
-    return SummabilityReport(float(p), n + 1.0, np.cumsum(summands),
+    # the level dimensions C(m+d-1, d-1), as monomials.level_dimension gives them
+    try:
+        dims = np.array([math.comb(m + d - 1, d - 1) for m in range(top_level + 1)],
+                        dtype=float)
+    except OverflowError:
+        raise ValueError(f"the level dimensions at d = {d}, N = {top_level} "
+                         "leave the float range") from None
+    with np.errstate(over="ignore"):
+        summands = (n + 1.0) ** (-float(p)) * dims
+        sums = np.cumsum(summands)
+    if not np.isfinite(sums).all():
+        raise ValueError(f"the p = {p:g} number-operator trace sums leave the float range")
+    return SummabilityReport(float(p), n + 1.0, sums,
                              classify_trend(n + 1.0, summands, burn_in=TREND_BURN_IN))

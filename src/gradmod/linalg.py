@@ -137,31 +137,40 @@ def opnorm(a):
     return float(opnorms(a).max(initial=0.0))
 
 
+def _outside(inner, outer):
+    """(I - P_outer) inner, for a matrix or (..., m, p) stack ``inner``."""
+    return inner - outer @ (outer.conj().T @ inner)
+
+
 def containment_residual(inner, outer):
     """How far span(inner) sticks out of span(outer): ||(I - P_outer) inner||_2.
 
     ``outer`` has orthonormal columns in the ambient space of ``inner``; for
-    a span comparison ``inner`` has them too.  Zero-dimensional ``inner`` is
+    a span comparison ``inner`` has them too.  ``inner`` may be a
+    (..., m, p) stack of matrices, each measured against ``outer``: the
+    largest residual comes from one stacked norm, the same bits as the
+    largest of the per-matrix norms.  Zero-dimensional ``inner`` is
     contained in everything.
     """
     inner = _as_complex(inner)
     outer = _as_complex(outer)
-    if inner.shape[1] == 0:
+    if inner.shape[-1] == 0:
         return 0.0
-    return opnorm(inner - outer @ (outer.conj().T @ inner))
+    return opnorm(_outside(inner, outer))
 
 
 def subspace_distance(a, b):
     """Symmetric gap between two subspaces given by orthonormal-column matrices.
 
     Equals the sine of the largest principal angle when dimensions agree and
-    1.0 when they differ.
+    1.0 when they differ.  Both containment residuals, (I - P_b) a and
+    (I - P_a) b, go through one stacked norm.
     """
     a = _as_complex(a)
     b = _as_complex(b)
     if a.shape[1] != b.shape[1]:
         return 1.0
-    return max(containment_residual(a, b), containment_residual(b, a))
+    return opnorm(np.stack([_outside(a, b), _outside(b, a)]))
 
 
 def orthonormality_residual(basis):

@@ -14,7 +14,7 @@ solves one small nullspace problem on that span (``cosaturation``).  Every
 submodule carries the saturation flags of the construction that built it
 (generation and ``linearize.ev_space`` their recursion's, a pullback its
 input's shifted, ker L one ``cosaturation_flags`` pass).  Z_k and Z_k* act
-through ``StandardModule.shift`` and ``shift_adjoint``, a scatter and a
+through ``StandardModule.shift`` and ``adjoint_stack``, a scatter and a
 gather on the level's successor table, never through a dense block of the
 ambient module.  Degrees, residuals, quotients and projections read Q; a
 basis of M_n is the complement of Q_n, computed only on request.
@@ -212,8 +212,7 @@ def cosaturation(module, quotient_prev, n, cand=None):
         return np.eye(module.level_dim(n), dtype=complex)
     if cand is None:
         cand = euler_candidates(module, quotient_prev, n)
-    rows = np.stack([module.shift_adjoint(k, n - 1, cand)
-                     for k in range(1, module.d + 1)])
+    rows = module.adjoint_stack(n - 1, cand)
     rows -= quotient_prev @ (quotient_prev.conj().T @ rows)
     return cand @ linalg.nullspace(rows.reshape(-1, cand.shape[1]),
                                    scale=module.rho[n - 1])
@@ -350,14 +349,14 @@ class GradedSubmodule:
         """max over k, n of ||(I - P_{Q_n}) Z_k* Q_{n+1}||: 0 for a true submodule.
 
         This is the adjoint of ||(I - P_{M_{n+1}}) Z_k P_{M_n}||: Z_k M_n lies
-        in M_{n+1} exactly when Z_k* maps M_{n+1}^perp into M_n^perp.
+        in M_{n+1} exactly when Z_k* maps M_{n+1}^perp into M_n^perp.  Each
+        level takes one gather, the (d, h_n r, q_{n+1}) stack of the
+        Z_k* Q_{n+1} (``adjoint_stack``), and one stacked norm per level.
         """
         worst = 0.0
         for n in range(min(self.window, self.module.top_level - 1)):
-            inner = self.quotient_basis(n)
-            for k in range(1, self.module.d + 1):
-                img = self.module.shift_adjoint(k, n, self.quotient_basis(n + 1))
-                worst = max(worst, linalg.containment_residual(img, inner))
+            img = self.module.adjoint_stack(n, self.quotient_basis(n + 1))
+            worst = max(worst, linalg.containment_residual(img, self.quotient_basis(n)))
         return worst
 
     def saturation_flags(self):
@@ -443,8 +442,8 @@ class QuotientModule:
                 raise ValueError(f"no quotient block from level {n}")
             low, high = self.basis(n), self.basis(n + 1)
             stack = self._stacks[n] = np.asarray(
-                [self.module.shift_adjoint(k, n, high).conj().T @ low
-                 for k in range(1, self.module.d + 1)], dtype=complex)
+                [z.conj().T @ low for z in self.module.adjoint_stack(n, high)],
+                dtype=complex)
         return stack
 
     def block(self, k, n):

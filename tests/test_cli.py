@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gradmod import cli, normality
-from gradmod.completion import StandardModule
+from gradmod.completion import StandardModule, make_weights, summability_report
 
 
 def run_cli(argv):
@@ -313,6 +313,23 @@ def test_constant_weights_sum_to_zero_where_k_to_the_d_overflows(tmp_path):
         assert (entry["final_partial_sum"], entry["trend"]) == (0.0, "converging")
 
 
+def test_level_dimensions_past_the_float_range_exit_2(tmp_path, capsys):
+    # C(2219, 219) is past the float range: the number-operator trace is
+    # refused with one error line, where it used to end in an OverflowError;
+    # one variable fewer, every level dimension is a float and the run passes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["weights", "--d", "220", "--N", "2000", "--out", str(tmp_path / "out")])
+        assert run_cli(["weights", "--d", "219", "--N", "2000",
+                        "--out", str(tmp_path / "ok")]) == cli.EXIT_OK
+    assert code == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the level dimensions at d = 220, N = 2000 leave the float range"]
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    report = json.loads((tmp_path / "ok" / "weights.json").read_text())
+    assert report["number_operator_trace"]["2"]["final_partial_sum"] > 1e300
+
+
 @pytest.mark.parametrize("argv,flag,text", [
     (["ev", "--d", "2", "--N", "6", "--r1", "1e-150", "--r2", "2e-150"],
      "--V", "1 0\n0 1\n"),
@@ -469,6 +486,7 @@ def printed_verdicts(obj):
 @example(OVERFLOWING_SUMS[0])
 @example(OVERFLOWING_SUMS[1])
 @example((["weights", "--d", "200", "--N", "50"], {}))
+@example((["weights", "--d", "220", "--N", "2000"], {}))
 def test_exit_code_contract_holds_on_drawn_invocations(tmp_path, capsys, call):
     argv, files = call
     workdir = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -583,6 +601,43 @@ def test_weights_csv_shape(tmp_path):
     assert len(lines) == 41
     first = lines[1].split(",")
     assert first[0] == "0" and abs(float(first[1]) - 0.5**0.5) < 1e-12
+
+
+def weights_csv_oracle(values, sums, p_list):
+    """weights.csv formatted one row and one numpy scalar at a time."""
+    fmt = cli._fmt
+    n_weights = len(values)
+    rows = ["k,rho,diff," + ",".join(f"psum_p{fmt(p)}" for p in p_list)]
+    for k in range(n_weights):
+        diff = values[k + 1] - values[k] if k <= n_weights - 2 else None
+        cells = [str(k), fmt(values[k]), fmt(diff) if diff is not None else ""]
+        for p in p_list:
+            in_range = 1 <= k <= n_weights - 2
+            cells.append(fmt(sums[p][k - 1]) if in_range else "")
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("family", ["dshift", "hardy", "bergman", "sinsqrt"])
+@pytest.mark.parametrize("n_weights", [3, 4, 2000])
+@pytest.mark.parametrize("p_list", [[2.0], [1.0, 2.5, 7.0]])
+@pytest.mark.parametrize("tail", [None, 1])
+def test_weights_csv_matches_the_row_by_row_oracle(tmp_path, family, n_weights, p_list, tail):
+    d = 3
+    argv = ["weights", "--family", family, "--d", str(d), "--N", str(n_weights),
+            "--p", ",".join(map(str, p_list))]
+    if family == "sinsqrt":
+        argv += ["--r1", "0.5", "--r2", "3"]
+    if tail is not None:
+        argv += ["--tail", str(tail)]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    weights = make_weights(family, n_weights, d=d, r1=0.5, r2=3.0)
+    sums = {p: summability_report(weights, d, p).partial_sums for p in p_list}
+    want = weights_csv_oracle(weights.values, sums, p_list)
+    got = (tmp_path / "weights.csv").read_text()
+    assert got == want
+    if family == "dshift":
+        assert {row.split(",")[2] for row in got.splitlines()[1:-1]} == {"0"}
 
 
 def test_ev_report(tmp_path):

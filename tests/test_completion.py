@@ -274,6 +274,9 @@ def test_shift_helpers_equal_dense_blocks_exactly(family, d, r):
                 got = mod.shift_adjoint(k, n, x)
                 assert got.shape == (mod.level_dim(n), x.shape[1])
                 assert np.array_equal(got, block.conj().T @ x)
+        for x in shift_inputs(rng, mod.level_dim(n + 1)):
+            want = np.stack([mod.shift_adjoint(k, n, x) for k in range(1, d + 1)])
+            assert np.array_equal(mod.adjoint_stack(n, x), want)
     for n in range(1, mod.top_level + 1):
         stacked = oracle.stacked_gradient(mod, n)
         for x in shift_inputs(rng, mod.level_dim(n)):
