@@ -267,9 +267,19 @@ def config_echo(args, **extra):
 
 
 def hard_check(failures, name, value, tol):
-    """Record a failure unless value <= tol; a NaN value never passes."""
-    if not value <= tol:
+    """Record a failure unless value <= tol; a NaN or infinite value never passes."""
+    if not (math.isfinite(value) and value <= tol):
         failures.append({"check": name, "value": value, "tolerance": tol})
+
+
+def tuple_scale(module):
+    """max(max rho^2, 1): the scale of a residual quadratic in the coordinate tuple.
+
+    ||Z_k(n)|| <= rho_n, so the roundoff of an exact identity that multiplies
+    two blocks of the tuple grows with max rho^2; its tolerance is scaled by
+    this factor, which is 1 for weights at most 1.
+    """
+    return max(float(module.rho.max()) ** 2, 1.0)
 
 
 def read_text_file(path, what):
@@ -309,8 +319,9 @@ def cmd_weights(args, outdir):
         raise ParseFailure(str(exc)) from exc
     p_list = args.p
     tail = max(2, n_weights // 2) if args.tail is None else args.tail
-    if not 1 <= tail <= n_weights:
-        raise ParseFailure("weights needs 1 <= --tail <= N")
+    if not 1 <= tail <= n_weights - 1:
+        raise ParseFailure("weights needs 1 <= --tail <= N - 1 (N weights have "
+                           "N - 1 differences)")
 
     osc = oscillation_report(weights, tail)
     try:
@@ -502,6 +513,7 @@ def cmd_ev(args, outdir):
 def cmd_koszul(args, outdir):
     module = build_module(args)
     tol = cfg.IDENTITY_TOL if args.tol is None else args.tol
+    scale = tuple_scale(module)
     if args.gens is None:
         ops = module.coordinate_tuple()
         subject = "standard module"
@@ -521,9 +533,10 @@ def cmd_koszul(args, outdir):
 
     bsquared = complex_.bsquared_residual()
     failures = []
-    hard_check(failures, "boundary_squared", bsquared, max(tol, cfg.EXACT_TOL))
+    hard_check(failures, "boundary_squared", bsquared,
+               max(tol, cfg.EXACT_TOL) * scale)
     for n, resid in dirac.items():
-        hard_check(failures, f"dirac_square_level_{n}", resid, tol)
+        hard_check(failures, f"dirac_square_level_{n}", resid, tol * scale)
 
     report = {
         "schema": 1,
@@ -543,6 +556,7 @@ def cmd_identity(args, outdir):
     module = build_module(args)
     sub, _ = load_generators(args, module)
     tol = cfg.IDENTITY_TOL if args.tol is None else args.tol
+    scale = tuple_scale(module)
     nodes = args.nodes
     if nodes <= 0:
         raise ParseFailure("identity needs --nodes >= 1")
@@ -555,7 +569,7 @@ def cmd_identity(args, outdir):
         r1, r2 = compression_identity_residuals(ops, sub, n)
         comp[str(n)] = float(max(r1.max(), r2.max()))
     hard_check(failures, "compression_identities",
-               max(comp.values(), default=0.0), tol)
+               max(comp.values(), default=0.0), tol * scale)
 
     # ambient exact identities
     row_res = max(row_sum_residual(ops, module.rho, n)
@@ -563,8 +577,8 @@ def cmd_identity(args, outdir):
     dec_res = float(max(
         commutator_decomposition_residual(ops, fock_ops, module.rho, n).max()
         for n in range(1, module.top_level)))
-    hard_check(failures, "row_sum_identity", row_res, cfg.EXACT_TOL)
-    hard_check(failures, "commutator_decomposition", dec_res, cfg.EXACT_TOL)
+    hard_check(failures, "row_sum_identity", row_res, cfg.EXACT_TOL * scale)
+    hard_check(failures, "commutator_decomposition", dec_res, cfg.EXACT_TOL * scale)
 
     # resolvent projection at a mid level
     level = min(2, module.top_level - 2)

@@ -21,13 +21,12 @@ only a cross-check in the test suite).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import monomials
-from .config import TREND_BURN_IN
 from .trends import TrendReport, classify_trend, loglog_slope
 
 
@@ -35,9 +34,7 @@ from .trends import TrendReport, classify_trend, loglog_slope
 class WeightSequence:
     """Positive weights rho_0..rho_{N-1} defining a maximally symmetric inner product."""
 
-    family: str
     values: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -56,13 +53,12 @@ class WeightSequence:
         return self.values.size
 
 
-def make_weights(family, n_weights, d=None, r1=None, r2=None, values=None):
+def make_weights(family, n_weights, d=None, r1=None, r2=None):
     """Build a weight family over k = 0..n_weights-1.
 
     Families: ``dshift`` (rho_k = 1), ``hardy`` (sqrt((k+1)/(k+d))),
-    ``bergman`` (sqrt((k+1)/(k+d+1))), ``sinsqrt`` with parameters
-    0 < r1 < r2 (rho_k^2 = r1 + (r2-r1)(1+sin sqrt(k))/2), and ``custom``
-    (explicit values).
+    ``bergman`` (sqrt((k+1)/(k+d+1))) and ``sinsqrt`` with parameters
+    0 < r1 < r2 (rho_k^2 = r1 + (r2-r1)(1+sin sqrt(k))/2).
     """
     family = str(family).lower()
     if n_weights < 1:
@@ -70,32 +66,21 @@ def make_weights(family, n_weights, d=None, r1=None, r2=None, values=None):
     k = np.arange(n_weights, dtype=float)
     if family == "dshift":
         vals = np.ones(n_weights)
-        params = {}
     elif family == "hardy":
         if d is None or d < 1:
             raise ValueError("hardy weights need the dimension d")
         vals = np.sqrt((k + 1.0) / (k + float(d)))
-        params = {"d": int(d)}
     elif family == "bergman":
         if d is None or d < 1:
             raise ValueError("bergman weights need the dimension d")
         vals = np.sqrt((k + 1.0) / (k + float(d) + 1.0))
-        params = {"d": int(d)}
     elif family == "sinsqrt":
         if r1 is None or r2 is None or not (0.0 < r1 < r2):
             raise ValueError("sinsqrt needs 0 < r1 < r2")
         vals = np.sqrt(r1 + (r2 - r1) * (1.0 + np.sin(np.sqrt(k))) / 2.0)
-        params = {"r1": float(r1), "r2": float(r2)}
-    elif family == "custom":
-        if values is None:
-            raise ValueError("custom weights need explicit values")
-        vals = np.asarray(values, dtype=float)
-        if vals.size != n_weights:
-            raise ValueError("custom values must match the requested length")
-        params = {}
     else:
         raise ValueError(f"unknown weight family {family!r}")
-    return WeightSequence(family, vals, params)
+    return WeightSequence(vals)
 
 
 @lru_cache(maxsize=None)
@@ -146,21 +131,16 @@ class StandardModule:
     threads; the operators only read cached per-level tables.
     """
 
-    def __init__(self, weights, d, multiplicity=1, levels=None):
+    def __init__(self, weights, d, multiplicity=1):
         if d < 1:
             raise ValueError("need at least one variable")
         if multiplicity < 1:
             raise ValueError("multiplicity must be at least 1")
-        n_max = len(weights)
-        if levels is None:
-            levels = n_max
-        if not 1 <= levels <= n_max:
-            raise ValueError("levels must lie within the weight window")
         self.weights = weights
         self.d = int(d)
         self.multiplicity = int(multiplicity)
-        self.top_level = int(levels)
-        self.rho = weights.values[: self.top_level].copy()
+        self.top_level = len(weights)
+        self.rho = weights.values.copy()
         self.nu = fock_level_weights(self.d, self.top_level)
         # c_n = (rho_0 ... rho_{n-1})^2 with c_0 = 1; the level operators divide
         # by the norms c_n nu_alpha, so each must be a normal float
@@ -314,8 +294,7 @@ class StandardModule:
         Its d.E coordinates are ordered copy-major ((zeta_1, ..., zeta_d) with
         zeta_i in E).
         """
-        return StandardModule(self.weights, self.d, self.multiplicity * self.d,
-                              levels=self.top_level)
+        return StandardModule(self.weights, self.d, self.multiplicity * self.d)
 
     # -- dense blocks, built on every call and never cached -------------------
 
@@ -369,7 +348,6 @@ class OscillationReport:
     tail_max: float         # max |rho_{k+1} - rho_k| over the tail window
     slope: float            # log-log decay exponent estimate, or None
     tail_window: int
-    diff_count: int
 
 
 def oscillation_report(weights, tail_window):
@@ -378,25 +356,21 @@ def oscillation_report(weights, tail_window):
     The limit condition itself is not decidable at finite truncation, so only
     the evidence is reported.
     """
-    rho = weights.values
-    if len(weights) < 2:
+    diffs = np.diff(weights.values)
+    if diffs.size < 1:
         raise ValueError("need at least two weights")
-    if not 1 <= tail_window <= len(weights):
-        raise ValueError("tail window out of range")
-    diffs = np.diff(rho)
+    if not 1 <= tail_window <= diffs.size:
+        raise ValueError(f"tail window {tail_window} outside 1..{diffs.size}, "
+                         "the number of differences")
     tail = diffs[-tail_window:]
-    ks = np.arange(diffs.size)
-    slope = loglog_slope(ks, diffs)
-    return OscillationReport(float(np.max(np.abs(tail))), slope,
-                             int(tail_window), int(diffs.size))
+    slope = loglog_slope(np.arange(diffs.size), diffs)
+    return OscillationReport(float(np.max(np.abs(tail))), slope, int(tail_window))
 
 
 @dataclass(frozen=True)
 class SummabilityReport:
     """Partial sums of sum_k k^{d-1} |rho_{k+1} - rho_k|^p with a trend call."""
 
-    p: float
-    indices: np.ndarray
     partial_sums: np.ndarray
     trend: TrendReport
 
@@ -420,7 +394,7 @@ def summability_report(weights, d, p):
         sums = np.cumsum(summands)
     if not np.isfinite(sums).all():
         raise ValueError(f"the p = {p:g} summability sums leave the float range")
-    return SummabilityReport(float(p), k, sums, classify_trend(k, summands))
+    return SummabilityReport(sums, classify_trend(k, summands))
 
 
 def number_trace_report(d, p, top_level):
@@ -446,5 +420,4 @@ def number_trace_report(d, p, top_level):
         sums = np.cumsum(summands)
     if not np.isfinite(sums).all():
         raise ValueError(f"the p = {p:g} number-operator trace sums leave the float range")
-    return SummabilityReport(float(p), n + 1.0, sums,
-                             classify_trend(n + 1.0, summands, burn_in=TREND_BURN_IN))
+    return SummabilityReport(sums, classify_trend(n + 1.0, summands))

@@ -1,9 +1,23 @@
 """Shared numerical tolerances and diagnostic thresholds.
 
-Every module draws its cutoffs from here so that a single edit retunes the
-whole toolkit consistently, except three local constants: the trend noise
-floor (``trends``), the spectral-gap margin (``normality``) and the resolvent
-oracle tolerance (``cli.cmd_identity``).
+Every module draws its tolerances and thresholds from here so that a single
+edit retunes the whole toolkit consistently.  The constants that live next
+to the one piece of code that reads them are:
+
+- ``linalg.TRIANGLE_MIN_WORK`` and ``linalg.TRIANGLE_RANGE``: when a tall
+  operand's SVD goes through its QR triangle;
+- ``normality.GL_ORDER``: points per Gauss-Legendre panel of the contour;
+- the spectral-gap margin 1e-9 of ``normality.resolvent_projection``
+  (an eigenvalue from ``gap * (1 - 1e-9)`` up lies on the far side of the
+  gap);
+- ``trends.NOISE_FLOOR`` and ``trends.SLOPE_BINS``: the trend noise floor
+  and the bin count of the decay-slope fit;
+- the 1e-8 tolerance of ``cli.cmd_identity``'s resolvent-vs-eigendecomposition
+  check;
+- the ambient-dimension budget 200_000 of ``linearize.linearize_full``.
+
+``cli`` scales the tolerances of the exact identities that are quadratic in
+the coordinate tuple by max(max rho^2, 1) (``cli.tuple_scale``).
 """
 
 # Rank decisions (``linalg._kept``) and eigenvalue zero cuts: values at most

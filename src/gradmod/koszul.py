@@ -372,7 +372,7 @@ class KoszulComplex:
         return np.concatenate([f_level[None], comm.reshape(d * d, *comm.shape[2:])])
 
 
-def build_koszul(ops, commute_tol=EXACT_TOL):
+def build_koszul(ops):
     """Assemble the Koszul complex of a commuting degree-1 tuple on its gamma-blocks.
 
     ``ops`` maps each level n to the (d, h_{n+1}, h_n) stack of the T_i(n)
@@ -382,8 +382,7 @@ def build_koszul(ops, commute_tol=EXACT_TOL):
     scale is ``tuple_norm`` and its commutators are checked block by block
     (``KoszulComplex.commutation_residual``).  Raises ValueError when two
     stacks disagree on the shape of a level they share, or when the blocks
-    fail to commute within ``commute_tol`` (relative to the largest block
-    norm).
+    fail to commute within EXACT_TOL (relative to the largest block norm).
     """
     if not ops:
         raise ValueError("need at least one level")
@@ -410,22 +409,20 @@ def build_koszul(ops, commute_tol=EXACT_TOL):
     complex_ = KoszulComplex(d, dims, boundary, top, classes, level_blocks, steps)
     scale = complex_.tuple_norm() or 1.0
     resid = complex_.commutation_residual()
-    if resid > commute_tol * max(scale**2, 1.0):
+    if resid > EXACT_TOL * max(scale**2, 1.0):
         raise ValueError(
             f"tuple does not commute: residual {resid:.3e}")
     return complex_
 
 
-def betti_table(complex_, levels=None):
+def betti_table(complex_):
     """Cohomology dimensions per (form degree, level) at interior pairs.
 
     Entry (k, n) is dim ker B_k(n) - rank B_{k-1}(n-1); missing boundary
     blocks below level 0 (or at form degree d) are zero maps.  Raises when
     the window leaves no interior pair for some form degree.
     """
-    if levels is None:
-        levels = range(0, complex_.top_level)
-    levels = list(levels)
+    levels = range(complex_.top_level)
     for k in range(complex_.d + 1):
         if not any(complex_.interior(k, n) for n in levels):
             raise ValueError(
@@ -446,9 +443,9 @@ def betti_table(complex_, levels=None):
     return table
 
 
-def betti_numbers(complex_, levels=None):
+def betti_numbers(complex_):
     """Aggregate Betti vector (beta_0, ..., beta_d) over the level window."""
-    table = betti_table(complex_, levels=levels)
+    table = betti_table(complex_)
     beta = [0] * (complex_.d + 1)
     for (k, _), dim in table.items():
         beta[k] += dim
@@ -524,7 +521,7 @@ def dirac_square_residual(complex_, level):
     return worst
 
 
-def solve_syzygy(ops, xi, level, kernel_tol=SPAN_TOL):
+def solve_syzygy(ops, xi, level):
     """Antisymmetric eta with xi_k = sum_j T_j eta_{jk}, minimal norm.
 
     Parameters
@@ -550,7 +547,7 @@ def solve_syzygy(ops, xi, level, kernel_tol=SPAN_TOL):
         raise ValueError("components must live on the stated level")
     scale = max(max((float(np.linalg.norm(x)) for x in xi)), 1.0)
     in_kernel = sum(ops[n][k] @ xi[k] for k in range(d))
-    if float(np.linalg.norm(in_kernel)) > kernel_tol * scale:
+    if float(np.linalg.norm(in_kernel)) > SPAN_TOL * scale:
         raise ValueError("input is not in the kernel of the row map")
     pairs = [(j, k) for j in range(1, d + 1) for k in range(j + 1, d + 1)]
     if n == 0:

@@ -183,11 +183,9 @@ def orthonormality_residual(basis):
 
 
 def schatten_norm(a, p):
-    """Schatten p-norm of a dense matrix (p >= 1); p = inf is the spectral norm."""
+    """Schatten p-norm of a dense matrix, for finite p >= 1."""
     a = _as_complex(a)
     if a.size == 0:
         return 0.0
     s = np.linalg.svd(a, compute_uv=False)
-    if np.isinf(p):
-        return float(s[0]) if s.size else 0.0
     return float(np.sum(s**p) ** (1.0 / p))

@@ -54,7 +54,7 @@ class WindowExhausted(RuntimeError):
     """Raised when a degree is not determinable within the stored truncation."""
 
 
-def kernel_levels(module, window=None):
+def kernel_levels(module):
     """The kernel K = ker L as a graded submodule of d.S (degree 1, K_0 = 0).
 
     Its quotient side is ``pullback_quotient`` applied to the whole level:
@@ -62,10 +62,9 @@ def kernel_levels(module, window=None):
     orthonormal basis of ran(L_n*) = K_n^perp.  K_n itself is the
     complement, computed on request.
     """
-    if window is None:
-        window = module.top_level - 1
-    if window > module.top_level - 1 or window < 1:
-        raise ValueError("kernel window must lie in 1..N-1")
+    window = module.top_level - 1
+    if window < 1:
+        raise ValueError("the kernel needs N >= 2")
     quotient = {n: pullback_quotient(module, np.eye(module.level_dim(n + 1),
                                                     dtype=complex), n)
                 for n in range(window + 1)}
@@ -323,19 +322,19 @@ def ev_space(module, v, window=None):
     return ev, GradedSubmodule(module, ev, flags, window=window)
 
 
-def ev_gradient_levels(module, v, window=None):
+def ev_gradient_levels(module, v):
     """E_V by the gradient route (``stacked_gradient``), independent of ``ev_space``.
 
     Returns dict level -> E_V basis.  The routes agree for maximally symmetric
     completions, where the adjoints are positive multiples of the gradients.
     """
     return {n: level for n, _, level
-            in _ev_recursion(module, v, window, stacked_gradient)}
+            in _ev_recursion(module, v, None, stacked_gradient)}
 
 
-def ev_quotient(module, v, window=None):
+def ev_quotient(module, v):
     """The quotient H_V = S / E_V^perp, realized on the E_V level bases."""
-    return QuotientModule(ev_space(module, v, window=window)[1])
+    return QuotientModule(ev_space(module, v)[1])
 
 
 def recover_subspace(submodule):

@@ -72,7 +72,6 @@ class SchattenReport:
 
     pairs: tuple
     levels: np.ndarray
-    level_sums: dict          # p -> per-level sum over pairs of sigma_i^p
     cumulative: dict          # p -> running partial sums
     trends: dict              # p -> TrendReport
     singular_values: dict = field(repr=False)   # (j, k) -> list of arrays
@@ -103,7 +102,7 @@ def schatten_report(ops, p_values, note=""):
         for pair, sv in zip(pairs, values):
             sigma[pair].append(sv)
     level_arr = np.asarray(levels, dtype=float)
-    level_sums, cumulative, trends = {}, {}, {}
+    cumulative, trends = {}, {}
     for p in p_values:
         with np.errstate(over="ignore"):
             per_level = np.array([
@@ -112,10 +111,8 @@ def schatten_report(ops, p_values, note=""):
             cumulative[p] = np.cumsum(per_level)
         if not np.isfinite(cumulative[p]).all():
             raise ValueError(f"the p = {p:g} Schatten sums leave the float range")
-        level_sums[p] = per_level
         trends[p] = classify_trend(level_arr + 1.0, per_level)
-    return SchattenReport(tuple(pairs), level_arr, level_sums,
-                          cumulative, trends, sigma, note)
+    return SchattenReport(tuple(pairs), level_arr, cumulative, trends, sigma, note)
 
 
 def quotient_en_report(quotient, p_values):
@@ -214,7 +211,6 @@ class ResolventReport:
     nodes: int
     converged: bool
     successive_difference: float
-    eigenvalue_gap: tuple
     commutator_transforms: list
     bound_checks: list
 
@@ -361,10 +357,8 @@ def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
             bound = const * linalg.schatten_norm(yb, q)
             checks.append(BoundCheck(float(p), measured, bound,
                                      bound - measured))
-    gap_pair = (float(eigs[eigs <= zero_cut].max(initial=0.0)),
-                float(eigs[eigs > zero_cut].min(initial=np.inf)))
     return ResolventReport(proj, first << doublings, diff < refine_floor, diff,
-                           gap_pair, transformed, checks)
+                           transformed, checks)
 
 
 def spectral_projection_oracle(b, gap):

@@ -256,30 +256,28 @@ class GradedSubmodule:
     # construction --------------------------------------------------------
 
     @classmethod
-    def generate(cls, module, generators, window=None):
+    def generate(cls, module, generators):
         """Generate levelwise from homogeneous generators: M_n = sum_k Z_k M_{n-1} + gens_n."""
-        window = module.top_level if window is None else int(window)
         by_degree = {}
         for g in generators:
-            if g.degree > window:
-                raise ValueError(
-                    f"generator degree {g.degree} exceeds the window {window}")
+            if g.degree > module.top_level:
+                raise ValueError(f"generator degree {g.degree} exceeds "
+                                 f"the window {module.top_level}")
             by_degree.setdefault(g.degree, []).append(g)
         return cls.from_level_seeds(module, {deg: embed_polynomials(module, polys)
-                                             for deg, polys in by_degree.items()},
-                                    window=window)
+                                             for deg, polys in by_degree.items()})
 
     @classmethod
-    def from_level_seeds(cls, module, seeds, max_generator_degree=None, window=None):
+    def from_level_seeds(cls, module, seeds, max_generator_degree=None):
         """Generate from raw coordinate columns seeded at given levels.
 
         Q_n = {f in R_n : G_n* f = 0}, level by level (see ``cosaturation``).
         G_n holds the degree-n seeds, orthonormalized.  The flag of level n-1
         is whether the G_n rows cut R_n down; without seeds at n it is True.
         The G_n rows have norm 1 on orthonormal columns, so their rank cut is
-        relative to 1.  A seed level outside 0..window raises ValueError.
+        relative to 1.  A seed level outside 0..N raises ValueError.
         """
-        window = module.top_level if window is None else int(window)
+        window = module.top_level
         seeds = {int(n): np.asarray(s, dtype=complex) for n, s in seeds.items()}
         for n in seeds:
             if not 0 <= n <= window:
@@ -298,19 +296,18 @@ class GradedSubmodule:
             if n > 0:
                 flags[n - 1] = q.shape[1] == cosat.shape[1]
             quotient[n] = q
-        return cls(module, quotient, flags, window=window,
+        return cls(module, quotient, flags,
                    max_generator_degree=max_generator_degree)
 
     @classmethod
-    def zero(cls, module, window=None):
+    def zero(cls, module):
         """The submodule generated by nothing: no factorization at any level."""
-        return cls.from_level_seeds(module, {}, max_generator_degree=0, window=window)
+        return cls.from_level_seeds(module, {}, max_generator_degree=0)
 
     @classmethod
-    def full(cls, module, window=None):
+    def full(cls, module):
         """The submodule generated by E at level 0."""
-        return cls.from_level_seeds(module, {0: np.eye(module.level_dim(0))},
-                                    window=window)
+        return cls.from_level_seeds(module, {0: np.eye(module.level_dim(0))})
 
     # queries --------------------------------------------------------------
 

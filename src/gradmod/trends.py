@@ -13,6 +13,11 @@ import numpy as np
 
 from .config import TREND_BURN_IN, TREND_CONVERGING, TREND_DIVERGING
 
+# Summands below this fraction of the largest one count as exact zeros.
+NOISE_FLOOR = 1e-13
+# Geometric bins of the decay-slope fit.
+SLOPE_BINS = 16
+
 
 @dataclass(frozen=True)
 class TrendReport:
@@ -20,15 +25,12 @@ class TrendReport:
 
     trend: str              # "converging" | "diverging" | "inconclusive"
     ratio: float            # last-quarter mass / first-quarter mass
-    quarter_masses: tuple
-    index_span: tuple       # (k_lo, k_hi) actually used
-    total: float
 
 
-def classify_trend(indices, summands, burn_in=TREND_BURN_IN, noise_floor=1e-13):
+def classify_trend(indices, summands):
     """Classify the tail behaviour of sum_k summands[k].
 
-    Summands below ``noise_floor`` times the largest one are treated as exact
+    Summands below NOISE_FLOOR times the largest one are treated as exact
     zeros: singular values computed from dense blocks carry relative roundoff
     around 1e-12, and p-th powers of that noise would otherwise masquerade as
     a non-decaying tail.
@@ -44,31 +46,25 @@ def classify_trend(indices, summands, burn_in=TREND_BURN_IN, noise_floor=1e-13):
         raise ValueError("indices and summands must align")
     if np.any(summands < 0):
         raise ValueError("summands must be nonnegative")
-    total = float(np.sum(summands))
     cap = float(np.max(summands)) if summands.size else 0.0
     if cap > 0.0:
-        summands = np.where(summands >= noise_floor * cap, summands, 0.0)
-    if total == 0.0 or np.all(summands == 0.0):
-        return TrendReport("converging", 0.0, (0.0, 0.0, 0.0, 0.0),
-                           (float(indices[0]) if indices.size else 0.0,
-                            float(indices[-1]) if indices.size else 0.0), total)
+        summands = np.where(summands >= NOISE_FLOOR * cap, summands, 0.0)
+    if np.all(summands == 0.0):
+        return TrendReport("converging", 0.0)
 
-    keep = indices >= burn_in
+    keep = indices >= TREND_BURN_IN
     if np.count_nonzero(keep) < 8:
         keep = np.ones_like(indices, dtype=bool)
     idx = indices[keep]
     val = summands[keep]
     k_lo, k_hi = float(idx[0]), float(idx[-1])
     if k_hi <= k_lo:
-        return TrendReport("inconclusive", float("nan"),
-                           (0.0, 0.0, 0.0, 0.0), (k_lo, k_hi), total)
+        return TrendReport("inconclusive", float("nan"))
 
     # Geometric quarter boundaries; bin by log position.
     edges = k_lo * (k_hi / k_lo) ** (np.arange(5) / 4.0)
     which = np.searchsorted(edges[1:-1], idx, side="left")
-    masses = tuple(float(np.sum(val[which == q])) for q in range(4))
-
-    first, last = masses[0], masses[3]
+    first, last = (float(np.sum(val[which == q])) for q in (0, 3))
     if first == 0.0:
         ratio = 0.0 if last == 0.0 else float("inf")
     else:
@@ -79,10 +75,10 @@ def classify_trend(indices, summands, burn_in=TREND_BURN_IN, noise_floor=1e-13):
         trend = "diverging"
     else:
         trend = "inconclusive"
-    return TrendReport(trend, float(ratio), masses, (k_lo, k_hi), total)
+    return TrendReport(trend, float(ratio))
 
 
-def loglog_slope(indices, values, n_bins=16, burn_in=TREND_BURN_IN):
+def loglog_slope(indices, values):
     """Decay exponent estimate: slope of log10(bin mean |value|) vs log10 k.
 
     Values are averaged over geometric bins before fitting so sequences that
@@ -91,7 +87,7 @@ def loglog_slope(indices, values, n_bins=16, burn_in=TREND_BURN_IN):
     """
     indices = np.asarray(indices, dtype=float)
     values = np.abs(np.asarray(values, dtype=float))
-    keep = (indices >= burn_in) & (indices > 0)
+    keep = (indices >= TREND_BURN_IN) & (indices > 0)
     idx = indices[keep]
     val = values[keep]
     if idx.size < 4 or np.all(val == 0.0):
@@ -99,10 +95,10 @@ def loglog_slope(indices, values, n_bins=16, burn_in=TREND_BURN_IN):
     k_lo, k_hi = idx[0], idx[-1]
     if k_hi <= k_lo:
         return None
-    edges = k_lo * (k_hi / k_lo) ** (np.arange(n_bins + 1) / n_bins)
-    which = np.clip(np.searchsorted(edges[1:-1], idx, side="left"), 0, n_bins - 1)
+    edges = k_lo * (k_hi / k_lo) ** (np.arange(SLOPE_BINS + 1) / SLOPE_BINS)
+    which = np.clip(np.searchsorted(edges[1:-1], idx, side="left"), 0, SLOPE_BINS - 1)
     xs, ys = [], []
-    for b in range(n_bins):
+    for b in range(SLOPE_BINS):
         sel = which == b
         if not np.any(sel):
             continue

@@ -353,6 +353,65 @@ def test_monomial_norms_outside_the_float_range_exit_2(tmp_path, capsys, argv, f
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv,r2,gens", [
+    (["koszul", "--d", "2", "--N", "5"], "1e8", None),
+    (["identity", "--d", "2", "--N", "7"], "1e4", "2 1+0i (2 0)@e1 + 1+0i (0 2)@e1\n"),
+])
+def test_identity_tolerances_scale_with_the_weights(tmp_path, capsys, argv, r2, gens):
+    # the exact identities are quadratic in the tuple, so at rho^2 up to r2
+    # their roundoff alone exceeds the absolute tolerances; scaled by
+    # max(max rho^2, 1) they pass, while --tol 0 still fails
+    argv = argv + ["--family", "sinsqrt", "--r1", "1", "--r2", r2]
+    if gens is not None:
+        source = tmp_path / "gens.txt"
+        source.write_text(gens)
+        argv += ["--gens", str(source)]
+    assert run_cli(argv + ["--out", str(tmp_path / "default")]) == cli.EXIT_OK
+    assert run_cli(argv + ["--tol", "0", "--out", str(tmp_path / "zero")]) \
+        == cli.EXIT_TOLERANCE
+    assert run_cli(argv + ["--tol", "1e-30", "--out", str(tmp_path / "tiny")]) \
+        == cli.EXIT_TOLERANCE
+    capsys.readouterr()
+    report = json.loads((tmp_path / "tiny" / f"{argv[0]}.json").read_text())
+    rho = make_weights("sinsqrt", int(argv[4]), r1=1.0, r2=float(r2)).values
+    scale = float(rho.max()) ** 2
+    assert scale > 1e3
+    scaled = [f["tolerance"] for f in report["hard_failures"]
+              if f["check"] != "boundary_squared"]
+    assert scaled and all(t == pytest.approx(1e-30 * scale, rel=1e-14) for t in scaled)
+
+
+def test_hard_check_fails_non_finite_residuals():
+    for value in (float("nan"), float("inf")):
+        failures = []
+        cli.hard_check(failures, "x", value, float("inf"))
+        assert len(failures) == 1
+    failures = []
+    cli.hard_check(failures, "x", 1e300, float("inf"))
+    assert failures == []
+
+
+def test_tuple_scale_is_one_for_weights_at_most_one():
+    for family in ("dshift", "hardy", "bergman"):
+        mod = StandardModule(make_weights(family, 6, d=3), 3)
+        assert cli.tuple_scale(mod) == 1.0
+    mod = StandardModule(make_weights("sinsqrt", 6, r1=1.0, r2=9.0), 2)
+    assert cli.tuple_scale(mod) == float(mod.rho.max()) ** 2
+
+
+def test_weights_tail_is_bounded_by_the_difference_count(tmp_path, capsys):
+    argv = ["weights", "--d", "2", "--N", "10"]
+    assert run_cli(argv + ["--tail", "9", "--out", str(tmp_path / "a")]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "a" / "weights.json").read_text())
+    assert report["oscillation"]["tail_window"] == 9
+    capsys.readouterr()
+    for tail in ("10", "11"):
+        out = tmp_path / f"t{tail}"
+        assert run_cli(argv + ["--tail", tail, "--out", str(out)]) == cli.EXIT_PARSE
+        assert "--tail" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_ev_with_undetermined_degree_exits_3(tmp_path):
     # V = span(1, 0) at N = 2 leaves the degree undetermined; the partial
     # report is written, as for submodule, and N = 3 already decides it
@@ -418,7 +477,9 @@ def invocations(draw):
     """(argv without --out, {input flag: file text}) of one drawn CLI call."""
     command = draw(st.sampled_from(["ev", "counterexample", "submodule", "linearize",
                                     "identity", "koszul", "weights"]))
-    n = draw(st.integers(0, 6))
+    # weights runs in milliseconds even at N = 3000, so it draws far past the
+    # flag bounds; the module commands stay at desk size
+    n = draw(st.integers(0, 3000) if command == "weights" else st.integers(0, 6))
     files = {}
     if draw(st.integers(0, 3)) == 0:
         files["--config"] = "".join(
@@ -430,7 +491,12 @@ def invocations(draw):
         step = draw(st.sampled_from([-400.0, -1.0, 0.0, 1.0, 400.0]))
         files["--u"] = "0 1 " + " ".join([repr(step)] * (n + 1)) + "\n"
         return [command, "--N", str(n)], files
-    d = draw(st.sampled_from([0, 1, 2, 2, 3, 3, 4]))
+    if command == "weights":
+        # d = 219 and 220 straddle the overflow of C(N+d-1, d-1) at N = 2000
+        d = draw(st.one_of(st.sampled_from([0, 1, 2, 3, 219, 220, 400]),
+                           st.integers(0, 400)))
+    else:
+        d = draw(st.sampled_from([0, 1, 2, 2, 3, 3, 4]))
     argv = [command, "--d", str(d), "--N", str(n)]
     if command != "weights":
         argv += ["--r", str(draw(st.integers(0, 3)))] if draw(st.booleans()) else []
@@ -442,7 +508,8 @@ def invocations(draw):
         argv += ["--family", "sinsqrt", "--r1", sinsqrt_bound(draw, low, low),
                  "--r2", sinsqrt_bound(draw, low, 300)]
     if command == "weights":
-        return argv, files
+        tail = draw(st.sampled_from([None, 1, n - 1, n, n + 1]))
+        return argv + ([] if tail is None else ["--tail", str(tail)]), files
     tol = draw(st.sampled_from([None, None, None, "0", "1e-30", "1e-9", "1", "1e300",
                                 "-1", "nan"]))
     if tol is not None:
@@ -487,6 +554,9 @@ def printed_verdicts(obj):
 @example(OVERFLOWING_SUMS[1])
 @example((["weights", "--d", "200", "--N", "50"], {}))
 @example((["weights", "--d", "220", "--N", "2000"], {}))
+@example((["weights", "--d", "2", "--N", "10", "--tail", "10"], {}))
+@example((["koszul", "--d", "2", "--N", "5", "--family", "sinsqrt", "--r1", "1",
+           "--r2", "1e8"], {}))
 def test_exit_code_contract_holds_on_drawn_invocations(tmp_path, capsys, call):
     argv, files = call
     workdir = Path(tempfile.mkdtemp(dir=tmp_path))

@@ -71,8 +71,13 @@ def test_weight_validation():
         gm.make_weights("hardy", 5)
     with pytest.raises(ValueError):
         gm.make_weights("nosuch", 5)
+
+
+@pytest.mark.parametrize("values", [[1.0, -1.0, 2.0], [1.0, 0.0], [1.0, np.nan],
+                                    [np.inf, 1.0], [], [[1.0]]])
+def test_weight_sequence_refuses_bad_values(values):
     with pytest.raises(ValueError):
-        gm.make_weights("custom", 3, values=[1.0, -1.0, 2.0])
+        gm.WeightSequence(values)
 
 
 # -- Fock weights and monomial norms ----------------------------------------
@@ -383,6 +388,16 @@ def test_oscillation_dshift():
     rep = gm.oscillation_report(gm.make_weights("dshift", 100), 50)
     assert rep.tail_max == 0.0
     assert rep.slope is None
+
+
+def test_oscillation_tail_window_is_bounded_by_the_differences():
+    w = gm.make_weights("hardy", 10, d=2)
+    assert gm.oscillation_report(w, 9).tail_window == 9
+    for tail in (0, 10):
+        with pytest.raises(ValueError, match="tail window"):
+            gm.oscillation_report(w, tail)
+    with pytest.raises(ValueError):
+        gm.oscillation_report(gm.make_weights("dshift", 1), 1)
 
 
 def test_oscillation_hardy_decay():
