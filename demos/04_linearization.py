@@ -5,7 +5,8 @@ Its kernel has degree 1, and pulling a degree-n submodule back through L
 yields a degree-(n-1) submodule of the d-fold module; iterating reduces any
 quotient by nonlinear relations to a quotient by linear ones.  Degree-1
 submodules in turn are classified by subspaces V of d.E through the spaces
-E_V of polynomials with gradient pointwise in V.
+E_V of polynomials with gradient pointwise in V: E_V^perp is the submodule
+generated at level 1 by L_0 V^perp.
 """
 
 import numpy as np
@@ -55,8 +56,8 @@ recovered = gm.recover_subspace(m)
 print("  V recovered from M_1, distance:",
       f"{linalg.subspace_distance(v.basis, recovered.basis):.2e}")
 
-print("\nBoth routes to E_V agree: stacked adjoint blocks (any completion)")
-print("and pointwise gradient membership (maximally symmetric case):")
+print("\nBoth routes to E_V agree: the submodule generated by L_0 V^perp")
+print("and the Euler recursion on pointwise gradient membership:")
 hardy = gm.StandardModule(gm.make_weights("hardy", 8, d=2), d=2, multiplicity=2)
 rng = np.random.default_rng(5)
 raw = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))

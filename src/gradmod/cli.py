@@ -272,14 +272,25 @@ def hard_check(failures, name, value, tol):
         failures.append({"check": name, "value": value, "tolerance": tol})
 
 
+def linear_scale(module):
+    """max(max rho, 1): the scale of a residual linear in the coordinate tuple.
+
+    ||Z_k(n)|| <= rho_n, so the roundoff of an exact identity that applies
+    one block of the tuple (invariance, co-invariance) grows with max rho;
+    its tolerance is scaled by this factor, which is 1 for weights at most 1.
+    Residuals built from isometries (L/rho, orthonormal bases, subspace
+    distances) are scale-free and keep scale 1.
+    """
+    return max(float(module.rho.max()), 1.0)
+
+
 def tuple_scale(module):
     """max(max rho^2, 1): the scale of a residual quadratic in the coordinate tuple.
 
-    ||Z_k(n)|| <= rho_n, so the roundoff of an exact identity that multiplies
-    two blocks of the tuple grows with max rho^2; its tolerance is scaled by
-    this factor, which is 1 for weights at most 1.
+    An exact identity that multiplies two blocks of the tuple has roundoff
+    growing with max rho^2: the square of ``linear_scale``.
     """
-    return max(float(module.rho.max()) ** 2, 1.0)
+    return linear_scale(module) ** 2
 
 
 def read_text_file(path, what):
@@ -395,7 +406,8 @@ def cmd_submodule(args, outdir):
     failures = []
     hard_check(failures, "level_basis_orthonormality",
                orthonormality, max(tol, cfg.EXACT_TOL))
-    hard_check(failures, "coordinate_invariance", invariance, tol)
+    hard_check(failures, "coordinate_invariance", invariance,
+               tol * linear_scale(module))
 
     report = {
         "schema": 2,
@@ -427,8 +439,9 @@ def cmd_linearize(args, outdir):
     result = linearize_full(sub)
 
     failures = []
+    scale = linear_scale(module)
     for i, resid in enumerate(result.coinvariance_residuals):
-        hard_check(failures, f"pullback_coinvariance_step_{i}", resid, tol)
+        hard_check(failures, f"pullback_coinvariance_step_{i}", resid, tol * scale)
     for i, resid in enumerate(result.kernel_residuals):
         hard_check(failures, f"kernel_containment_step_{i}", resid, tol)
 
@@ -464,6 +477,7 @@ def cmd_ev(args, outdir):
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
     tol = cfg.ROUNDTRIP_TOL if args.tol is None else args.tol
+    span_tol = cfg.SPAN_TOL if args.tol is None else args.tol
     p_list = args.p
 
     ev, sub = ev_space(module, v)
@@ -481,13 +495,14 @@ def cmd_ev(args, outdir):
     hard_check(failures, "roundtrip_V_distance", roundtrip, tol)
     hard_check(failures, "adjoint_vs_gradient_route", route_gap, tol)
     hard_check(failures, "level0_component", float(sub.dim(0)), 0.0)
-    hard_check(failures, "invariance", sub.invariance_residual(), cfg.SPAN_TOL)
+    hard_check(failures, "invariance", sub.invariance_residual(),
+               span_tol * linear_scale(module))
     if deg.determined and deg.degree > 1:
         failures.append({"check": "degree_at_most_1", "value": deg.degree,
                          "tolerance": 1})
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "command": "ev",
         "config": config_echo(args, V=args.V, p=p_list),
         "V_dim": v.dim,
@@ -556,6 +571,7 @@ def cmd_identity(args, outdir):
     module = build_module(args)
     sub, _ = load_generators(args, module)
     tol = cfg.IDENTITY_TOL if args.tol is None else args.tol
+    exact_tol = cfg.EXACT_TOL if args.tol is None else args.tol
     scale = tuple_scale(module)
     nodes = args.nodes
     if nodes <= 0:
@@ -577,8 +593,8 @@ def cmd_identity(args, outdir):
     dec_res = float(max(
         commutator_decomposition_residual(ops, fock_ops, module.rho, n).max()
         for n in range(1, module.top_level)))
-    hard_check(failures, "row_sum_identity", row_res, cfg.EXACT_TOL * scale)
-    hard_check(failures, "commutator_decomposition", dec_res, cfg.EXACT_TOL * scale)
+    hard_check(failures, "row_sum_identity", row_res, exact_tol * scale)
+    hard_check(failures, "commutator_decomposition", dec_res, exact_tol * scale)
 
     # resolvent projection at a mid level
     level = min(2, module.top_level - 2)

@@ -16,8 +16,10 @@ to the one piece of code that reads them are:
   check;
 - the ambient-dimension budget 200_000 of ``linearize.linearize_full``.
 
-``cli`` scales the tolerances of the exact identities that are quadratic in
-the coordinate tuple by max(max rho^2, 1) (``cli.tuple_scale``).
+``cli`` scales the tolerances of the exact identities that are linear in
+the coordinate tuple (invariance, co-invariance) by max(max rho, 1)
+(``cli.linear_scale``), and of those quadratic in it by max(max rho^2, 1)
+(``cli.tuple_scale``).
 """
 
 # Rank decisions (``linalg._kept``) and eigenvalue zero cuts: values at most

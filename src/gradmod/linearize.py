@@ -31,23 +31,25 @@ the check that can fail.  ||K_n* Q'_n|| holds by construction, since Q'_n
 lies in ran(L_n*) = K_n^perp; it is roundoff of the row-sum identity.
 
 Degree-1 submodules of Z_1 S + ... + Z_d S are in bijection with subspaces
-V of d.E: M is the orthocomplement of the space E_V of polynomials whose
-stacked adjoint image (equivalently, for maximally symmetric completions,
-whose gradient) lies pointwise in V.  E_V is computed level by level with
-the Euler recursion: every partial derivative of f in E_V(n) lies in
-E_V(n-1), and f = (1/n) sum_j z_j d_j f, so E_V(n) lies in the span of the
-Z_j E_V(n-1); each level solves its nullspace problem on that small span.
-E_V is the quotient side of its submodule, so it is stored as Q directly,
-and its flags are solved on the same spans (``ev_space``).
+V of d.E: M_V is the orthocomplement of the space E_V of polynomials whose
+gradient lies pointwise in V.  M_V is the submodule generated at level 1 by
+L_0 V^perp, the elements sum_k z_k zeta_k with zeta in V^perp, so ``ev_space``
+is one ``GradedSubmodule.from_level_seeds`` call: E_V is its quotient side,
+and its flags are those of the generation.  ``ev_gradient_levels`` computes
+E_V independently, by an Euler recursion on the gradient: every partial
+derivative of f in E_V(n) lies in E_V(n-1), and f = (1/n) sum_j z_j d_j f, so
+E_V(n) lies in the span of the Z_j E_V(n-1); each level solves its
+nullspace problem on that small span.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .submodules import (GradedSubmodule, QuotientModule, cosaturation,
-                         cosaturation_flags, euler_candidates, parse_complex)
+from .submodules import (GradedSubmodule, QuotientModule, cosaturation_flags,
+                         euler_candidates, parse_complex)
 
 
 class WindowExhausted(RuntimeError):
@@ -226,9 +228,8 @@ def linearize_full(submodule, max_ambient_dim=200_000):
 
 @dataclass(frozen=True)
 class SubspaceV:
-    """Subspace V of d.E: orthonormal basis plus its complement projector."""
+    """Subspace V of d.E: an orthonormal basis, and one of V^perp on first read."""
 
-    ambient_dim: int
     basis: np.ndarray
 
     @classmethod
@@ -237,14 +238,20 @@ class SubspaceV:
         dim = module.d * module.multiplicity
         if raw.shape[0] != dim:
             raise ValueError(f"V must live in d.E of dimension {dim}")
-        return cls(dim, linalg.orthonormal_columns(raw))
+        return cls(linalg.orthonormal_columns(raw))
 
     @property
     def dim(self):
         return self.basis.shape[1]
 
-    def complement_projector(self):
-        return np.eye(self.ambient_dim, dtype=complex) - linalg.projector(self.basis)
+    @functools.cached_property
+    def complement(self):
+        """Orthonormal basis of V^perp in d.E, rank-cut against the basis of V.
+
+        Never I - P_V: for V = d.E that projector is roundoff, which a cut
+        relative to its own largest singular value would keep as full rank.
+        """
+        return linalg.complement_basis(self.basis)
 
 
 def parse_subspace(text, module):
@@ -263,73 +270,46 @@ def parse_subspace(text, module):
     return SubspaceV.from_matrix(module, np.array(rows, dtype=complex))
 
 
-def stacked_adjoint(module, n, x):
-    """(Z_1*, ..., Z_d*) from level n to d.(level n-1) applied to x, with its exact norm.
+def ev_space(module, v):
+    """E_V and M = E_V^perp, the submodule generated by L_0 V^perp at level 1.
 
-    That is L_{n-1}* (``StandardModule.row_adjoint``), of norm rho_{n-1} by the
-    row-sum identity: a gather with rows (monomial, copy i, component).
+    Returns (dict level -> E_V basis, M), E_V being M's quotient bases.
+    L_0/rho_0 is unitary from d.E onto S_1, so M_1 = L_0 V^perp.  For n >= 2,
+    if every d_k f lies in E_V(n-1) then grad(d_k f) = d_k grad f is
+    V-valued for every k, and by Euler grad f = (n-1)^{-1} sum_k z_k d_k grad f
+    is V-valued too.  So E_V(n) = {f : Z_k* f in E_V(n-1) for all k}, which
+    is ``cosaturation``, and M carries the flags of its generation.
     """
-    return module.row_adjoint(n - 1, x), float(module.rho[n - 1])
-
-
-def stacked_gradient(module, n, x):
-    """The level gradients d/dz_k = Z_k* / u(n), stacked the same way, with its norm.
-
-    That is ``StandardModule.gradient``, of norm rho_{n-1} / u(n) = n / rho_{n-1}.
-    """
-    return module.gradient(n, x), float(module.rho[n - 1]) / module.adjoint_scalar(n)
-
-
-def _ev_recursion(module, v, window, stacked):
-    """Yield (n, C_n, E_V(n)) for n = 0..window (C_0 is None).
-
-    E_V(n) is the nullspace of (1 (x) Q) composed with ``stacked`` on level n,
-    Q being the projection onto V^perp.  It is solved on candidates, not on
-    the whole level (Euler recursion).  If f lies in E_V(n), each d_j f lies
-    in E_V(n-1), since mixed partials commute and V is linear, and
-    f = (1/n) sum_j z_j d_j f.  So E_V(n) lies in C_n = span_j Z_j E_V(n-1),
-    which has dimension at most d dim E_V(n-1), and
-    E_V(n) = C_n ker((1 (x) Q) stacked C_n); an empty E_V(n-1) gives empty
-    C_n and E_V(n) with no factorization.  The rank cut is relative to
-    ||stacked||, with the norm in closed form.
-    """
-    q = v.complement_projector()
-    level = np.eye(module.level_dim(0), dtype=complex)
-    yield 0, None, level
-    for n in range(1, (module.top_level if window is None else window) + 1):
-        cand = euler_candidates(module, level, n)
-        stacked_cand, norm = stacked(module, n, cand)
-        # 1 (x) Q: Q acts on the d.E index of each level-(n-1) monomial
-        image = q @ stacked_cand.reshape(module.scalar_dim(n - 1), q.shape[0], -1)
-        # the closed-form scale: for V = d.E the composition is a true zero map
-        level = cand @ linalg.nullspace(image.reshape(stacked_cand.shape),
-                                        scale=norm)
-        yield n, cand, level
-
-
-def ev_space(module, v, window=None):
-    """E_V by the adjoint route (``stacked_adjoint``), and M = E_V^perp with its flags.
-
-    Returns (dict level -> E_V basis, M on those quotient bases).  M's flag at
-    n-1 is dim E_V(n) == dim R_n, R_n solved by ``cosaturation`` on C_n.
-    """
-    ev, flags = {}, {}
-    for n, cand, level in _ev_recursion(module, v, window, stacked_adjoint):
-        if n:
-            flags[n - 1] = (cosaturation(module, ev[n - 1], n, cand).shape[1]
-                            == level.shape[1])
-        ev[n] = level
-    return ev, GradedSubmodule(module, ev, flags, window=window)
+    sub = GradedSubmodule.from_level_seeds(module, {1: module.row(0, v.complement)})
+    return sub.quotient_bases, sub
 
 
 def ev_gradient_levels(module, v):
-    """E_V by the gradient route (``stacked_gradient``), independent of ``ev_space``.
+    """E_V by the gradient route: its own Euler recursion, independent of ``ev_space``.
 
-    Returns dict level -> E_V basis.  The routes agree for maximally symmetric
-    completions, where the adjoints are positive multiples of the gradients.
+    Returns dict level -> E_V basis.  E_V(n) is the nullspace of 1 (x) B* applied
+    to the gradient (``StandardModule.gradient``) on level n, for an
+    orthonormal basis B of V^perp.  It is solved on candidates, not on the
+    whole level: if f lies in E_V(n), each d_j f lies in E_V(n-1), since
+    mixed partials commute and V is linear, and f = (1/n) sum_j z_j d_j f.
+    So E_V(n) lies in C_n = span_j Z_j E_V(n-1), of dimension at most
+    d dim E_V(n-1).  1 (x) B* is a coisometry, so the rank cut is relative
+    to the gradient's closed-form norm rho_{n-1} / u(n) = n / rho_{n-1}; for
+    V = d.E the operand has no rows.  The two routes agree for maximally
+    symmetric completions, where the adjoints are positive multiples of the
+    gradients.
     """
-    return {n: level for n, _, level
-            in _ev_recursion(module, v, None, stacked_gradient)}
+    b_adj = v.complement.conj().T
+    level = np.eye(module.level_dim(0), dtype=complex)
+    ev = {0: level}
+    for n in range(1, module.top_level + 1):
+        cand = euler_candidates(module, level, n)
+        # 1 (x) B*: B* acts on the d.E index of each level-(n-1) monomial
+        image = b_adj @ module.gradient(n, cand).reshape(
+            module.scalar_dim(n - 1), b_adj.shape[1], cand.shape[1])
+        level = ev[n] = cand @ linalg.nullspace(np.vstack(image),
+                                                scale=n / module.rho[n - 1])
+    return ev
 
 
 def ev_quotient(module, v):
@@ -343,6 +323,5 @@ def recover_subspace(submodule):
     L_0/rho_0 is unitary from d.E onto S_1 (both have dimension d r), so
     W^perp = L_0* Q_1 / rho_0, which is ``pullback_quotient`` at k = 0.
     """
-    module = submodule.module
-    return SubspaceV(module.d * module.multiplicity,
-                     pullback_quotient(module, submodule.quotient_basis(1), 0))
+    return SubspaceV(pullback_quotient(submodule.module,
+                                       submodule.quotient_basis(1), 0))

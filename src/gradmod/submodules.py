@@ -12,11 +12,12 @@ standard module is maximally symmetric, so Z_k* is a multiple of d/dz_k and
 the row-sum identity puts Q_n inside the span of the Z_k Q_{n-1}; each level
 solves one small nullspace problem on that span (``cosaturation``).  Every
 submodule carries the saturation flags of the construction that built it
-(generation and ``linearize.ev_space`` their recursion's, a pullback its
-input's shifted, ker L one ``cosaturation_flags`` pass).  Z_k and Z_k* act
-through ``StandardModule.shift`` and ``adjoint_stack``, a scatter and a
-gather on the level's successor table, never through a dense block of the
-ambient module.  Degrees, residuals, quotients and projections read Q; a
+(generation their recursion's, and E_V^perp of ``linearize.ev_space`` is
+generated too; a pullback its input's shifted; ker L one
+``cosaturation_flags`` pass).  Z_k and Z_k* act through
+``StandardModule.shift`` and ``adjoint_stack``, a scatter and a gather on
+the level's successor table, never through a dense block of the ambient
+module.  Degrees, residuals, quotients and projections read Q; a
 basis of M_n is the complement of Q_n, computed only on request.
 
 Degree reporting is deliberately conservative: a degree is only declared when
@@ -192,7 +193,7 @@ def euler_candidates(module, prev, n):
     return cand
 
 
-def cosaturation(module, quotient_prev, n, cand=None):
+def cosaturation(module, quotient_prev, n):
     """Orthonormal basis of R_n = {f in level n : Z_k* f in span(Q_{n-1}) for all k}.
 
     R_n is the orthocomplement of sum_k Z_k M_{n-1}, given Q_{n-1} = M_{n-1}^perp.
@@ -202,7 +203,7 @@ def cosaturation(module, quotient_prev, n, cand=None):
     nullspace of the stacked rows (I - P_{Q_{n-1}}) Z_k* is solved on C_n:
     at most d dim Q_{n-1} columns.  The stacked rows are a compression of
     L_{n-1}*, whose norm is rho_{n-1} exactly, so the rank cut is taken
-    relative to rho_{n-1}.  A caller that holds C_n passes it as ``cand``.
+    relative to rho_{n-1}.
     """
     dim_prev = quotient_prev.shape[1]
     if dim_prev == 0:
@@ -210,8 +211,7 @@ def cosaturation(module, quotient_prev, n, cand=None):
     if dim_prev == module.level_dim(n - 1):
         # M_{n-1} = 0, so nothing constrains level n
         return np.eye(module.level_dim(n), dtype=complex)
-    if cand is None:
-        cand = euler_candidates(module, quotient_prev, n)
+    cand = euler_candidates(module, quotient_prev, n)
     rows = module.adjoint_stack(n - 1, cand)
     rows -= quotient_prev @ (quotient_prev.conj().T @ rows)
     return cand @ linalg.nullspace(rows.reshape(-1, cand.shape[1]),

@@ -155,7 +155,7 @@ def gradient_block(module, k, n):
     return np.kron(raw * scale, np.eye(module.multiplicity)).astype(complex)
 
 
-def stacked_gradient(module, n):
+def gradient_stack(module, n):
     """(d/dz_1, ..., d/dz_d) stacked onto level n-1 of d.S (copy-major d.E)."""
     return np.stack(
         [gradient_block(module, i, n).reshape(module.scalar_dim(n - 1),

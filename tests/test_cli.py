@@ -10,11 +10,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gradmod import cli, normality
 from gradmod.completion import StandardModule, make_weights, summability_report
+from gradmod.submodules import format_generator
+from conftest import random_generators
 
 
 def run_cli(argv):
@@ -353,19 +356,40 @@ def test_monomial_norms_outside_the_float_range_exit_2(tmp_path, capsys, argv, f
     assert not out.exists() or not any(out.iterdir())
 
 
+README_QUADRIC = "2 1+0i (2 0)@e1 + 1+0i (0 2)@e1\n"
+# the V of the benchmark's first desk replica at seed 11
+DESK_V = "0.746885616256544+1.56654877469952i\n-1.84732479897411-0.0964321601556205i\n"
+
+
+def tolerance_power(check):
+    """The power of max rho that scales the tolerance of ``check`` (0: scale-free)."""
+    if check.startswith(("compression", "row_sum", "commutator", "dirac_square")):
+        return 2
+    if check in ("coordinate_invariance", "invariance") \
+            or check.startswith("pullback_coinvariance"):
+        return 1
+    return 0
+
+
 @pytest.mark.parametrize("argv,r2,gens", [
     (["koszul", "--d", "2", "--N", "5"], "1e8", None),
-    (["identity", "--d", "2", "--N", "7"], "1e4", "2 1+0i (2 0)@e1 + 1+0i (0 2)@e1\n"),
+    (["identity", "--d", "2", "--N", "7"], "1e4", README_QUADRIC),
+    (["submodule", "--d", "2", "--N", "10"], "1e10", README_QUADRIC),
+    (["submodule", "--d", "2", "--N", "10"], "1e12", README_QUADRIC),
+    (["linearize", "--d", "2", "--N", "10"], "1e12", README_QUADRIC),
+    (["ev", "--d", "2", "--N", "8"], "1e12", DESK_V),
 ])
 def test_identity_tolerances_scale_with_the_weights(tmp_path, capsys, argv, r2, gens):
-    # the exact identities are quadratic in the tuple, so at rho^2 up to r2
-    # their roundoff alone exceeds the absolute tolerances; scaled by
-    # max(max rho^2, 1) they pass, while --tol 0 still fails
+    # the roundoff of an exact identity grows with max rho (invariance and
+    # co-invariance apply one block of the tuple) or max rho^2 (the identities
+    # quadratic in it); past r2 = 1e10 it exceeds the absolute tolerances
+    # alone, while scaled by max(max rho, 1) or max(max rho^2, 1) every check
+    # passes, and --tol 0 still fails
     argv = argv + ["--family", "sinsqrt", "--r1", "1", "--r2", r2]
     if gens is not None:
-        source = tmp_path / "gens.txt"
+        source = tmp_path / "input.txt"
         source.write_text(gens)
-        argv += ["--gens", str(source)]
+        argv += ["--V" if argv[0] == "ev" else "--gens", str(source)]
     assert run_cli(argv + ["--out", str(tmp_path / "default")]) == cli.EXIT_OK
     assert run_cli(argv + ["--tol", "0", "--out", str(tmp_path / "zero")]) \
         == cli.EXIT_TOLERANCE
@@ -373,12 +397,13 @@ def test_identity_tolerances_scale_with_the_weights(tmp_path, capsys, argv, r2, 
         == cli.EXIT_TOLERANCE
     capsys.readouterr()
     report = json.loads((tmp_path / "tiny" / f"{argv[0]}.json").read_text())
-    rho = make_weights("sinsqrt", int(argv[4]), r1=1.0, r2=float(r2)).values
-    scale = float(rho.max()) ** 2
-    assert scale > 1e3
-    scaled = [f["tolerance"] for f in report["hard_failures"]
-              if f["check"] != "boundary_squared"]
-    assert scaled and all(t == pytest.approx(1e-30 * scale, rel=1e-14) for t in scaled)
+    rho = float(make_weights("sinsqrt", int(argv[4]), r1=1.0, r2=float(r2)).values.max())
+    assert rho > 30
+    # boundary_squared and orthonormality keep a floor of EXACT_TOL
+    scaled = [(f["tolerance"], tolerance_power(f["check"])) for f in report["hard_failures"]
+              if f["check"] not in ("boundary_squared", "level_basis_orthonormality")]
+    assert any(power for _, power in scaled)
+    assert all(t == pytest.approx(1e-30 * rho ** power, rel=1e-14) for t, power in scaled)
 
 
 def test_hard_check_fails_non_finite_residuals():
@@ -394,9 +419,32 @@ def test_hard_check_fails_non_finite_residuals():
 def test_tuple_scale_is_one_for_weights_at_most_one():
     for family in ("dshift", "hardy", "bergman"):
         mod = StandardModule(make_weights(family, 6, d=3), 3)
-        assert cli.tuple_scale(mod) == 1.0
+        assert cli.tuple_scale(mod) == cli.linear_scale(mod) == 1.0
     mod = StandardModule(make_weights("sinsqrt", 6, r1=1.0, r2=9.0), 2)
+    assert cli.linear_scale(mod) == float(mod.rho.max())
     assert cli.tuple_scale(mod) == float(mod.rho.max()) ** 2
+
+
+@pytest.mark.parametrize("argv,flag,text,checks", [
+    (["ev", "--d", "2", "--N", "8"], "--V", DESK_V, ["invariance"]),
+    (["identity", "--d", "2", "--N", "7", "--nodes", "128"], "--gens", README_QUADRIC,
+     ["row_sum_identity", "commutator_decomposition"]),
+])
+def test_tol_reaches_every_residual_check(tmp_path, capsys, argv, flag, text, checks):
+    # without --tol each check keeps its default; --tol replaces it, times
+    # the check's scale, which is 1 for the Hardy weights (at most 1; and
+    # unlike dshift they leave roundoff in every residual)
+    source = tmp_path / "input.txt"
+    source.write_text(text)
+    argv = argv + ["--family", "hardy", flag, str(source)]
+    assert run_cli(argv + ["--out", str(tmp_path / "default")]) == cli.EXIT_OK
+    assert run_cli(argv + ["--tol", "1e-300", "--out", str(tmp_path / "tiny")]) \
+        == cli.EXIT_TOLERANCE
+    capsys.readouterr()
+    report = json.loads((tmp_path / "tiny" / f"{argv[0]}.json").read_text())
+    printed = {f["check"]: f["tolerance"] for f in report["hard_failures"]}
+    assert {check: printed.get(check) for check in checks} \
+        == {check: 1e-300 for check in checks}
 
 
 def test_weights_tail_is_bounded_by_the_difference_count(tmp_path, capsys):
@@ -530,6 +578,40 @@ def invocations(draw):
     return argv, files
 
 
+def complex_grid(rows):
+    """Text grid of complex entries, one line per row, at full precision."""
+    return "".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) + "\n"
+                   for row in rows)
+
+
+@st.composite
+def exact_invocations(draw):
+    """(argv, files, True): submodule, linearize or ev on an input with an exact answer.
+
+    A generated submodule is invariant, its pullbacks are co-invariant, and
+    E_V^perp is a submodule, for any generic forms and subspace V, so a
+    failed tolerance there is roundoff that the scaled tolerances missed.
+    The weights are sinsqrt, the one family whose scale is not at most 1, with
+    r1 log-uniform in [0.1, 10) and r2 log-uniform up to 1e12.  Everything is
+    drawn from one seeded generator, so the draws spread evenly; --tol keeps
+    its default.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    command = str(rng.choice(["submodule", "linearize", "ev"]))
+    d, r = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    n = int(rng.integers(4, 10 if d < 3 else 8))
+    high = rng.uniform(0.0, 12.0)
+    argv = [command, "--d", str(d), "--r", str(r), "--N", str(n), "--family", "sinsqrt",
+            "--r1", repr(10.0 ** rng.uniform(-1.0, min(high, 1.0) - 0.1)),
+            "--r2", repr(10.0 ** high)]
+    if command == "ev":
+        dim = int(rng.integers(0, d * r + 1))
+        raw = rng.normal(size=(d * r, dim)) + 1j * rng.normal(size=(d * r, dim))
+        return argv, {"--V": complex_grid(raw)}, True
+    gens = random_generators(rng, d, r, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+    return argv, {"--gens": "".join(format_generator(g) + "\n" for g in gens)}, True
+
+
 def printed_verdicts(obj):
     """Every determined, converged and complete value anywhere in a report."""
     if isinstance(obj, dict):
@@ -542,23 +624,30 @@ def printed_verdicts(obj):
             yield from printed_verdicts(value)
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(invocations())
-@example((["ev", "--d", "2", "--N", "2"], {"--V": "1\n0\n"}))
-@example((["counterexample", "--N", "5"], {"--u": "0 1 -400 -400 -400 -400\n"}))
-@example((["ev", "--d", "3", "--N", "2", "--tol", "0"], {"--V": WINDOW_AND_TOL_V}))
+@given(st.booleans().flatmap(
+    lambda exact: exact_invocations() if exact else invocations().map(lambda c: (*c, False))))
+@example((["submodule", "--d", "2", "--N", "10", "--family", "sinsqrt", "--r1", "1",
+           "--r2", "1e10"], {"--gens": README_QUADRIC}, True))
+@example((["linearize", "--d", "2", "--N", "10", "--family", "sinsqrt", "--r1", "1",
+           "--r2", "1e12"], {"--gens": README_QUADRIC}, True))
+@example((["ev", "--d", "2", "--N", "8", "--family", "sinsqrt", "--r1", "1",
+           "--r2", "1e12"], {"--V": DESK_V}, True))
+@example((["ev", "--d", "2", "--N", "2"], {"--V": "1\n0\n"}, False))
+@example((["counterexample", "--N", "5"], {"--u": "0 1 -400 -400 -400 -400\n"}, False))
+@example((["ev", "--d", "3", "--N", "2", "--tol", "0"], {"--V": WINDOW_AND_TOL_V}, False))
 @example((["identity", "--d", "2", "--N", "6", "--family", "sinsqrt", "--r1", "1e-300",
-           "--r2", "1e300"], {"--gens": generator_file("quadric", 2)}))
-@example(OVERFLOWING_SUMS[0])
-@example(OVERFLOWING_SUMS[1])
-@example((["weights", "--d", "200", "--N", "50"], {}))
-@example((["weights", "--d", "220", "--N", "2000"], {}))
-@example((["weights", "--d", "2", "--N", "10", "--tail", "10"], {}))
+           "--r2", "1e300"], {"--gens": generator_file("quadric", 2)}, False))
+@example((*OVERFLOWING_SUMS[0], False))
+@example((*OVERFLOWING_SUMS[1], False))
+@example((["weights", "--d", "200", "--N", "50"], {}, False))
+@example((["weights", "--d", "220", "--N", "2000"], {}, False))
+@example((["weights", "--d", "2", "--N", "10", "--tail", "10"], {}, False))
 @example((["koszul", "--d", "2", "--N", "5", "--family", "sinsqrt", "--r1", "1",
-           "--r2", "1e8"], {}))
+           "--r2", "1e8"], {}, False))
 def test_exit_code_contract_holds_on_drawn_invocations(tmp_path, capsys, call):
-    argv, files = call
+    argv, files, exact = call
     workdir = Path(tempfile.mkdtemp(dir=tmp_path))
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
@@ -573,6 +662,9 @@ def test_exit_code_contract_holds_on_drawn_invocations(tmp_path, capsys, call):
     assert (code == cli.EXIT_PARSE) == (len(errors) == 1 and not path.exists())
     if code == cli.EXIT_PARSE:
         return
+    # an exact input satisfies every identity the command checks: its
+    # residuals are roundoff, which the scaled tolerances must absorb
+    assert not (exact and code == cli.EXIT_TOLERANCE), captured.err
     report = json.loads(path.read_text())
     assert (code == cli.EXIT_TOLERANCE) == bool(report["hard_failures"])
     if code == cli.EXIT_OK:
@@ -716,8 +808,11 @@ def test_ev_report(tmp_path):
     assert run_cli(["ev", "--d", "2", "--N", "8", "--V", str(vfile),
                     "--p", "2", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "ev.json").read_text())
+    assert report["schema"] == 2
     assert report["ev_dims"] == [1] * 9
     assert report["degree"]["degree"] == 1
+    # E_V^perp is generated at level 1
+    assert report["degree"]["max_generator_degree"] == 1
     assert report["quotient_commutators"]["note"] == "evidence, not proof"
 
 

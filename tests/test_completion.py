@@ -283,7 +283,7 @@ def test_shift_helpers_equal_dense_blocks_exactly(family, d, r):
             want = np.stack([mod.shift_adjoint(k, n, x) for k in range(1, d + 1)])
             assert np.array_equal(mod.adjoint_stack(n, x), want)
     for n in range(1, mod.top_level + 1):
-        stacked = oracle.stacked_gradient(mod, n)
+        stacked = oracle.gradient_stack(mod, n)
         for x in shift_inputs(rng, mod.level_dim(n)):
             got = mod.gradient(n, x)
             assert got.shape == (d * mod.level_dim(n - 1), x.shape[1])

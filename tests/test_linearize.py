@@ -281,12 +281,16 @@ def test_nullspace_of_tall_matrix(rng):
 
 
 def full_level_ev(module, v, route):
-    """E_V(n) as the nullspace of (1 (x) Q) stacked on the whole level n."""
-    q = v.complement_projector()
+    """E_V(n) as the nullspace of (1 (x) Q) stacked on the whole level n.
+
+    Q = I - P_V is the projector onto V^perp, built here from V's basis; for
+    V = d.E it is roundoff, and the absolute floor cuts it.
+    """
+    q = np.eye(v.basis.shape[0]) - linalg.projector(v.basis)
     ev = {0: np.eye(module.level_dim(0), dtype=complex)}
     for n in range(1, module.top_level + 1):
         if route is gm.ev_gradient_levels:
-            stacked = oracle.stacked_gradient(module, n)
+            stacked = oracle.gradient_stack(module, n)
         else:
             stacked = oracle.row_block(module, n - 1).conj().T
         qfull = np.kron(np.eye(module.scalar_dim(n - 1)), q)
@@ -372,25 +376,26 @@ def test_ev_matches_linear_form_products(rng, family, d, top):
 
 
 def test_ev_nullspace_calls_stay_on_the_candidate_span(monkeypatch, rng):
+    # the gradient route's own Euler recursion; ev_space is generation, covered
+    # by test_generate_nullspaces_stay_on_the_candidate_span
     mod = ev_module("bergman", 3, 2, 6)
     widths = []
     nullspace = linalg.nullspace
 
     def counting(a, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "_ev_recursion":
+        if sys._getframe(1).f_code.co_name == "ev_gradient_levels":
             widths.append(np.shape(a)[1])
         return nullspace(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "nullspace", counting)
-    for dim in (1, 3, 5):
+    for dim in (0, 1, 3, 5, 6):
         v = random_subspace(rng, mod, dim)
-        for route in EV_ROUTES:
-            widths.clear()
-            ev = route(mod, v)
-            # one solve per level; below an empty E_V(n-1) it has no columns
-            assert len(widths) == mod.top_level
-            for n, width in enumerate(widths, 1):
-                assert width <= mod.d * ev[n - 1].shape[1]
+        widths.clear()
+        ev = gm.ev_gradient_levels(mod, v)
+        # one solve per level; below an empty E_V(n-1) it has no columns
+        assert len(widths) == mod.top_level
+        for n, width in enumerate(widths, 1):
+            assert width <= mod.d * ev[n - 1].shape[1]
 
 
 def test_generate_ranks_only_seeded_levels(monkeypatch, rng):

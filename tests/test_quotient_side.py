@@ -7,7 +7,7 @@ on dimensions, saturation flags, degree reports and linearization steps, and
 Q_n must be the complement of the oracle's M_n.  The closed-form pullback is
 also checked against orth(L_k* Q_{k+1}) by SVD, and the saturation flags
 every construction carries (a pullback's are its input's, shifted down one
-degree; E_V^perp's come from the E_V recursion) against the flags
+degree; E_V^perp's come from its generation by L_0 V^perp) against the flags
 ``cosaturation`` solves on the same quotient bases.  Property tests check the
 identities the quotient side rests on, and work guards check that the
 command-line paths never build M and that the closed form takes no SVD.
@@ -27,7 +27,7 @@ import gradmod as gm
 import mside_oracle as oracle
 import structure_oracle as structure
 from gradmod import cli, linalg
-from gradmod.linearize import pullback_quotient, stacked_adjoint, stacked_gradient
+from gradmod.linearize import pullback_quotient
 from gradmod.config import RANK_TOL_FACTOR
 from gradmod.submodules import cosaturation_flags, embed_polynomials
 from conftest import FAMILIES, random_generators, submodule_inputs
@@ -211,7 +211,7 @@ def test_recover_subspace_matches_preimage_complement(family, d, r):
     for dim in range(d * r + 1):
         raw = rng.normal(size=(d * r, dim)) + 1j * rng.normal(size=(d * r, dim))
         v = gm.SubspaceV.from_matrix(mod, raw)
-        subs.append(gm.ev_space(mod, v, window=3)[1])
+        subs.append(gm.ev_space(mod, v)[1])
     for sub in subs:
         want = linalg.complement_basis(
             oracle.preimage(mod.row_block(0), sub.basis(1)))
@@ -301,7 +301,7 @@ def test_pulled_flags_match_cosaturation_on_drawn_inputs(case):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("r", [1, 2])
 def test_ev_flags_match_cosaturation(family, d, r):
-    # E_V^perp's flags are solved on the candidates of the E_V recursion
+    # E_V^perp is generated by L_0 V^perp, so its flags are those of generation
     rng = np.random.default_rng([d, r, FAMILIES.index(family), 17])
     mod = module(family, d, r)
     for dim in range(1, d + 1):
@@ -326,7 +326,7 @@ def test_zero_full_and_kernel_flags_match_cosaturation(family, d, r):
 def test_every_construction_supplies_its_flags():
     assert (inspect.signature(gm.GradedSubmodule).parameters["flags"].default
             is inspect.Parameter.empty)
-    assert "use_gradient" not in inspect.signature(gm.ev_space).parameters
+    assert list(inspect.signature(gm.ev_space).parameters) == ["module", "v"]
 
 
 # -- closed-form rank floors -------------------------------------------------------
@@ -338,28 +338,32 @@ def test_every_construction_supplies_its_flags():
 def test_stacked_adjoint_norm_is_closed_form(family, d, r):
     mod = module(family, d, r)
     for n in range(1, mod.top_level + 1):
-        for stacked_map in (stacked_adjoint, stacked_gradient):
-            eye = np.eye(mod.level_dim(n), dtype=complex)
-            stacked, norm = stacked_map(mod, n, eye)
-            dense = (structure.stacked_gradient(mod, n)
-                     if stacked_map is stacked_gradient
-                     else structure.row_block(mod, n - 1).conj().T)
-            assert np.array_equal(stacked, dense)
-            assert abs(norm - linalg.opnorm(dense)) <= 1e-14 * norm
-        # the floors of cosaturation and pullback: ||L_{n-1}|| = rho_{n-1}
+        eye = np.eye(mod.level_dim(n), dtype=complex)
         rho = mod.rho[n - 1]
-        assert abs(linalg.opnorm(structure.row_block(mod, n - 1)) - rho) <= 1e-14 * rho
+        # the stacked adjoints L_{n-1}* and the gradient, against dense oracles;
+        # the gradient's norm rho_{n-1} / u(n) = n / rho_{n-1} is the floor of
+        # ev_gradient_levels
+        dense_adjoint = structure.row_block(mod, n - 1).conj().T
+        assert np.array_equal(mod.row_adjoint(n - 1, eye), dense_adjoint)
+        dense_gradient = structure.gradient_stack(mod, n)
+        assert np.array_equal(mod.gradient(n, eye), dense_gradient)
+        norm = n / rho
+        assert abs(norm - linalg.opnorm(dense_gradient)) <= 1e-14 * norm
+        # the floors of cosaturation and pullback: ||L_{n-1}|| = rho_{n-1}
+        assert abs(linalg.opnorm(dense_adjoint) - rho) <= 1e-14 * rho
 
 
 # -- work guards --------------------------------------------------------------------
 
 
-def counting_complements(monkeypatch):
+def counting_complements(monkeypatch, skip=None):
+    """Count complement_basis calls, except those made by the function named ``skip``."""
     calls = []
     complement_basis = linalg.complement_basis
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        if sys._getframe(1).f_code.co_name != skip:
+            calls.append(1)
         return complement_basis(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "complement_basis", counting)
@@ -398,8 +402,10 @@ def test_cli_identity_pulls_back_on_the_quotient_side(monkeypatch, tmp_path, rng
 
 
 def test_cli_ev_never_builds_m(monkeypatch, tmp_path, rng):
-    # V comes back from Q_1 by the isometry, not from a complement of M_1
-    calls = counting_complements(monkeypatch)
+    # V comes back from Q_1 by the isometry, not from a complement of M_1; the
+    # one complement taken is V^perp in d.E (``SubspaceV.complement``), the
+    # seed of E_V^perp, so only complements of level bases count
+    calls = counting_complements(monkeypatch, skip="complement")
     for d, r, dim in ((2, 1, 1), (3, 1, 2), (2, 2, 3)):
         grid = tmp_path / f"v-{d}-{r}-{dim}.txt"
         raw = rng.normal(size=(d * r, dim)) + 1j * rng.normal(size=(d * r, dim))
@@ -411,8 +417,8 @@ def test_cli_ev_never_builds_m(monkeypatch, tmp_path, rng):
 
 
 def test_cli_ev_runs_one_euler_recursion_per_route(monkeypatch, tmp_path, rng):
-    # the saturation flags of E_V^perp reuse the adjoint route's candidates;
-    # the gradient route, the hard check's other side, has its own
+    # the generation of E_V^perp and the gradient route, the hard check's
+    # other side, each take one candidate span per level
     levels = []
     euler_candidates = gm.submodules.euler_candidates
 
@@ -453,20 +459,32 @@ def test_closed_form_pullbacks_take_no_svd(monkeypatch, rng):
 
 
 def test_generate_nullspaces_stay_on_the_candidate_span(monkeypatch, rng):
-    solved = []
     nullspace = linalg.nullspace
 
-    def recording(a, *args, **kwargs):
-        solved.append((sys._getframe(1).f_locals["n"], np.shape(a)[1]))
-        return nullspace(a, *args, **kwargs)
+    def solved_by(build, *args):
+        """``build(*args)`` and the (level, width) of each nullspace it solved."""
+        solved = []
 
-    monkeypatch.setattr(linalg, "nullspace", recording)
+        def recording(a, *rest, **kwargs):
+            solved.append((sys._getframe(1).f_locals["n"], np.shape(a)[1]))
+            return nullspace(a, *rest, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "nullspace", recording)
+            return build(*args), solved
+
     for family, d, r in (("hardy", 2, 2), ("bergman", 3, 1), ("sinsqrt", 3, 2),
                          ("dshift", 4, 1)):
         mod = module(family, d, r)
-        for gens in generator_sets(rng, d, r).values():
-            solved.clear()
-            sub = gm.GradedSubmodule.generate(mod, gens)
+        built = [solved_by(gm.GradedSubmodule.generate, mod, gens)
+                 for gens in generator_sets(rng, d, r).values()]
+        # E_V^perp is generated too; V^perp in d.E is taken before the count
+        for dim in range(d * r + 1):
+            v = gm.SubspaceV.from_matrix(mod, rng.normal(size=(d * r, dim)))
+            v.complement
+            (_, sub), solved = solved_by(gm.ev_space, mod, v)
+            built.append((sub, solved))
+        for sub, solved in built:
             assert solved
             for n, width in solved:
                 if n == 0:
