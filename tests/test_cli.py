@@ -24,9 +24,12 @@ def run_cli(argv):
     return cli.main(argv)
 
 
+README_QUADRIC = "2 1+0i (2 0)@e1 + 1+0i (0 2)@e1\n"
+
+
 def write_quadric(tmp_path):
     gens = tmp_path / "gens.txt"
-    gens.write_text("2 1+0i (2 0)@e1 + 1+0i (0 2)@e1\n")
+    gens.write_text(README_QUADRIC)
     return gens
 
 
@@ -356,7 +359,6 @@ def test_monomial_norms_outside_the_float_range_exit_2(tmp_path, capsys, argv, f
     assert not out.exists() or not any(out.iterdir())
 
 
-README_QUADRIC = "2 1+0i (2 0)@e1 + 1+0i (0 2)@e1\n"
 # the V of the benchmark's first desk replica at seed 11
 DESK_V = "0.746885616256544+1.56654877469952i\n-1.84732479897411-0.0964321601556205i\n"
 
