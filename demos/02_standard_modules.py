@@ -16,8 +16,9 @@ mod = gm.StandardModule(w, d=2, multiplicity=1)
 
 print("Hardy module at d = 2, levels 0..10")
 print("level dims:", [mod.level_dim(n) for n in range(8)])
+ops = mod.coordinate_tuple()
 print("\nZ_1 block from level 1 to level 2 (rows: z1^2, z1 z2, z2^2):")
-print(np.round(mod.coordinate_block(1, 1).real, 6))
+print(np.round(ops[1][0].real, 6))
 
 print("\nmonomial norms ||z^alpha||^2 at level 2 (c_2 * nu_alpha):")
 for (alpha, _), nrm in zip(mod.level_basis(2), mod.monomial_norms(2)):
@@ -25,7 +26,6 @@ for (alpha, _), nrm in zip(mod.level_basis(2), mod.monomial_norms(2)):
 
 print("\nDefining identity of the weighted shift realization:")
 print("  sum_k Z_k Z_k* = rho_n^2 * I on each level")
-ops = mod.coordinate_tuple()
 for n in range(6):
     print(f"  level {n + 1}: residual {gm.row_sum_residual(ops, mod.rho, n):.2e}, "
           f"rho_{n}^2 = {w.values[n] ** 2:.6f}")

@@ -46,10 +46,11 @@ print("\nQuotient by [z2] collapses to one variable: the compressed Z_1 is")
 print("the weighted unilateral shift, the compressed Z_2 vanishes:")
 sub = gm.GradedSubmodule.generate(mod, [gm.monomial_generator((0, 1))])
 q = gm.QuotientModule(sub)
+blocks = q.coordinate_tuple()
 print("  quotient dims:", q.dims())
-print("  compressed Z_1 entries:", [round(abs(q.block(1, n)[0, 0]), 6)
+print("  compressed Z_1 entries:", [round(abs(blocks[n][0][0, 0]), 6)
                                     for n in range(5)])
-print("  compressed Z_2 norms:  ", [round(float(np.linalg.norm(q.block(2, n))), 16)
+print("  compressed Z_2 norms:  ", [round(float(np.linalg.norm(blocks[n][1])), 16)
                                     for n in range(5)])
 
 print("\nCompression identities tie ambient, submodule and quotient")

@@ -175,15 +175,13 @@ class StandardModule:
 
     # -- level operators ---------------------------------------------------
 
-    def _tables(self, n, k=None, fock=False):
+    def _tables(self, n, fock=False):
         """Successor table and Z (or Fock) weights from level n to n+1.
 
         Entry (alpha, k) of the weights is the coefficient of the level-(n+1)
         basis vector succ[alpha, k] in S_k z^alpha (Fock) or Z_k z^alpha =
-        rho_n S_k z^alpha.  With ``k`` (1-based) only that column is returned.
+        rho_n S_k z^alpha.
         """
-        if k is not None and not 1 <= k <= self.d:
-            raise ValueError("variable index out of range")
         if not 0 <= n <= self.top_level - 1:
             raise ValueError(
                 f"no block from level {n}: stored window is 0..{self.top_level}")
@@ -193,10 +191,7 @@ class StandardModule:
             fock_w = np.sqrt(self.nu[n + 1])[succ] \
                 * (1.0 / np.sqrt(self.nu[n]))[:, None]
             cached = self._level_weights[n] = (succ, fock_w, self.rho[n] * fock_w)
-        succ, weights = cached[0], cached[1 if fock else 2]
-        if k is None:
-            return succ, weights
-        return succ[:, k - 1:k], weights[:, k - 1:k]
+        return cached[0], cached[1 if fock else 2]
 
     def _scatter(self, n, succ, weights, x):
         """Level n -> n+1: sum_k of block k of x sent along the successor table.
@@ -231,11 +226,10 @@ class StandardModule:
 
         Every entry is one product of x with a Z weight.
         """
-        return self._scatter(n, *self._tables(n, k), x)
-
-    def shift_adjoint(self, k, n, x):
-        """Z_k(n)* x for coordinate columns x of level n+1: a gather, exact as ``shift``."""
-        return self._gather(*self._tables(n, k), x)
+        if not 1 <= k <= self.d:
+            raise ValueError("variable index out of range")
+        succ, weights = self._tables(n)
+        return self._scatter(n, succ[:, k - 1:k], weights[:, k - 1:k], x)
 
     def row(self, n, x):
         """L_n x for coordinate columns x of (d.S)_n: one scatter over all k.
@@ -254,8 +248,8 @@ class StandardModule:
     def adjoint_stack(self, n, x):
         """Z_1(n)* x, ..., Z_d(n)* x as one (d, h_n r, cols) stack, from one gather.
 
-        Block [k-1] is ``shift_adjoint(k, n, x)`` bit for bit: ``row_adjoint``
-        with its copy index moved to the front.
+        Block [k-1] is Z_k(n)* x, one product per entry: ``row_adjoint`` with
+        its copy index moved to the front.
         """
         h, r, cols = self.scalar_dim(n), self.multiplicity, x.shape[1]
         rows = self.row_adjoint(n, x).reshape(h, self.d, r, cols)
@@ -312,12 +306,6 @@ class StandardModule:
         cols = r * np.arange(succ.shape[0])[:, None, None] + comp
         stack[np.arange(self.d)[:, None], rows, cols] = weights[:, :, None]
         return stack
-
-    def coordinate_block(self, k, n):
-        """Block of the coordinate operator Z_k on S from level n to n+1."""
-        if not 1 <= k <= self.d:
-            raise ValueError("variable index out of range")
-        return self._level_stack(n)[k - 1]
 
     def row_block(self, n):
         """Block L_n: (d.S)_n -> S_{n+1} of the row operator L(xi) = sum_k Z_k xi_k."""

@@ -14,7 +14,8 @@ to the one piece of code that reads them are:
   and the bin count of the decay-slope fit;
 - the 1e-8 tolerance of ``cli.cmd_identity``'s resolvent-vs-eigendecomposition
   check;
-- the ambient-dimension budget 200_000 of ``linearize.linearize_full``.
+- ``linearize.MAX_AMBIENT_DIM``: the ambient-dimension budget 200_000 of
+  ``linearize.linearize_full``.
 
 ``cli`` scales the tolerances of the exact identities that are linear in
 the coordinate tuple (invariance, co-invariance) by max(max rho, 1)

@@ -380,13 +380,16 @@ def build_koszul(ops):
     The labels are read once (``node_labels``).  The T_i(n) are gathered
     onto the level classes, and the input checks run there: the tuple's
     scale is ``tuple_norm`` and its commutators are checked block by block
-    (``KoszulComplex.commutation_residual``).  Raises ValueError when two
-    stacks disagree on the shape of a level they share, or when the blocks
-    fail to commute within EXACT_TOL (relative to the largest block norm).
+    (``KoszulComplex.commutation_residual``).  Raises ValueError when the
+    levels are not exactly 0..N-1, when two stacks disagree on the shape of
+    a level they share, or when the blocks fail to commute within EXACT_TOL
+    (relative to the largest block norm).
     """
     if not ops:
         raise ValueError("need at least one level")
-    d = ops[min(ops)].shape[0]
+    if sorted(ops) != list(range(len(ops))):
+        raise ValueError(f"levels must be 0..{len(ops) - 1}, got {sorted(ops)}")
+    d = ops[0].shape[0]
     if d < 1:
         raise ValueError("need at least one operator")
     dims = {n: stack.shape[2] for n, stack in ops.items()}
@@ -418,8 +421,9 @@ def build_koszul(ops):
 def betti_table(complex_):
     """Cohomology dimensions per (form degree, level) at interior pairs.
 
-    Entry (k, n) is dim ker B_k(n) - rank B_{k-1}(n-1); missing boundary
-    blocks below level 0 (or at form degree d) are zero maps.  Raises when
+    Entry (k, n) is dim ker B_k(n) - rank B_{k-1}(n-1); the boundary maps
+    below level 0, below form degree 0 and from form degree d are zero
+    (``boundary_rank`` reads 0 where no block is stored).  Raises when
     the window leaves no interior pair for some form degree.
     """
     levels = range(complex_.top_level)
@@ -432,14 +436,9 @@ def betti_table(complex_):
         for k in range(complex_.d + 1):
             if not complex_.interior(k, n):
                 continue
-            dim_kn = complex_.form_dim(k, n)
-            if k < complex_.d and (k, n) in complex_.boundary:
-                nullity = dim_kn - complex_.boundary_rank(k, n)
-            elif k == complex_.d:
-                nullity = dim_kn
-            else:
-                continue
-            table[(k, n)] = int(nullity - complex_.boundary_rank(k - 1, n - 1))
+            table[(k, n)] = int(complex_.form_dim(k, n)
+                                - complex_.boundary_rank(k, n)
+                                - complex_.boundary_rank(k - 1, n - 1))
     return table
 
 

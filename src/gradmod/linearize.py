@@ -52,6 +52,11 @@ from .submodules import (GradedSubmodule, QuotientModule, cosaturation_flags,
                          euler_candidates, parse_complex)
 
 
+# ``linearize_full`` stops before a pullback whose ambient d.S would hold more
+# coordinates than this over the window.
+MAX_AMBIENT_DIM = 200_000
+
+
 class WindowExhausted(RuntimeError):
     """Raised when a degree is not determinable within the stored truncation."""
 
@@ -179,17 +184,17 @@ class LinearizationResult:
     final: GradedSubmodule
     complete: bool
     reason: str
-    coinvariance_residuals: tuple = ()  # Q' co-invariant in d.S, one per pullback
-    kernel_residuals: tuple = ()        # ker L perp Q', one per pullback
+    coinvariance_residuals: tuple  # Q' co-invariant in d.S, one per pullback
+    kernel_residuals: tuple        # ker L perp Q', one per pullback
 
 
-def linearize_full(submodule, max_ambient_dim=200_000):
+def linearize_full(submodule):
     """Iterate pullbacks until a degree-1 submodule is reached.
 
     Each step multiplies the ambient multiplicity by d and consumes one level
     of the truncation window.  Returns a partial result (``complete=False``)
     when the window is exhausted before the degree drops to 1, or when the
-    ambient dimension would exceed ``max_ambient_dim``.
+    ambient dimension would exceed ``MAX_AMBIENT_DIM``.
     """
     current = submodule
     steps = []
@@ -215,7 +220,7 @@ def linearize_full(submodule, max_ambient_dim=200_000):
                           else "degree 0 input")
         next_dim = sum(current.module.level_dim(n) * current.module.d
                        for n in range(current.window))
-        if next_dim > max_ambient_dim:
+        if next_dim > MAX_AMBIENT_DIM:
             return result(False, "ambient dimension budget exceeded")
         pulled = pullback(current)
         coinvariance_residuals.append(pulled.invariance_residual())

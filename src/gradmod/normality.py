@@ -300,13 +300,13 @@ def resolvent_quadrature(b, gap, nodes, transforms=(), doublings=0):
 
 
 def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
-                         p_values=(1.0,), refine_floor=QUAD_REFINE_FLOOR):
+                         p_values=(1.0,)):
     """Range projection of a gapped psd matrix by refined contour quadrature.
 
     The spectrum must split as {0-cluster} union [gap, inf): eigenvalues in
     between raise ValueError.  The first rule has about ``nodes`` points;
     each refinement doubles every side's panel count, until successive
-    estimates agree to ``refine_floor`` or the next rule would exceed
+    estimates agree to QUAD_REFINE_FLOOR or the next rule would exceed
     QUAD_MAX_NODES.  A ``nodes`` value that leaves no doubling under the cap
     raises ValueError, since no convergence check is possible.  The last
     rule evaluated is the answer, and ``nodes`` in the report is its size.
@@ -345,7 +345,7 @@ def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
         prev = proj
         proj, transformed = _contour_rule(b, b_norm, comms, gap, nodes, doublings)
         diff = linalg.opnorm(proj - prev)
-        if diff < refine_floor:
+        if diff < QUAD_REFINE_FLOOR:
             break
 
     const = (4.0 * b_norm + 4.0 * gap) / (np.pi * gap**2)
@@ -357,7 +357,7 @@ def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
             bound = const * linalg.schatten_norm(yb, q)
             checks.append(BoundCheck(float(p), measured, bound,
                                      bound - measured))
-    return ResolventReport(proj, first << doublings, diff < refine_floor, diff,
+    return ResolventReport(proj, first << doublings, diff < QUAD_REFINE_FLOOR, diff,
                            transformed, checks)
 
 
@@ -400,17 +400,16 @@ def alternating_block_sequence(length):
     return np.tile(base, reps)[:length]
 
 
-def similarity_counterexample(u, levels, require_flag=True):
+def similarity_counterexample(u, levels):
     """Construct the weighted-shift pair A e_n = e_{n+1}, B e_n = e^{u_{n+1}} e_{n+1}.
 
-    ``u`` must provide u_0..u_levels and, unless ``require_flag`` is False,
-    hit (u_n, u_{n+1}) = (0, 1) somewhere on the window (the indices where
-    B's self-commutator refuses to decay).  The intertwiner
-    L e_n = lambda_n e_n is built by the recursion
+    ``u`` must provide u_0..u_levels and hit (u_n, u_{n+1}) = (0, 1)
+    somewhere on the window (the indices where B's self-commutator refuses
+    to decay); a u that never does, u = 0 among them, raises ValueError.
+    The intertwiner L e_n = lambda_n e_n is built by the recursion
     lambda_{n+1} = e^{u_{n+1}} lambda_n, which makes LA = BL hold bitwise in
-    floating point.  ``require_flag=False`` admits degenerate sequences such
-    as u = 0, where the construction collapses to A = B, L = I.  A u whose
-    intertwiner overflows or underflows on the window raises ValueError.
+    floating point.  A u whose intertwiner overflows or underflows on the
+    window raises ValueError.
     """
     u = np.asarray(u, dtype=float)
     n_levels = int(levels)
@@ -419,7 +418,7 @@ def similarity_counterexample(u, levels, require_flag=True):
     u = u[: n_levels + 1]
     flagged = np.array([n for n in range(n_levels)
                         if u[n] == 0.0 and u[n + 1] == 1.0], dtype=int)
-    if require_flag and flagged.size == 0:
+    if flagged.size == 0:
         raise ValueError("u never hits (u_n, u_{n+1}) = (0, 1) on the window")
 
     with np.errstate(over="ignore"):

@@ -171,10 +171,10 @@ class DegreeReport:
     degree: int | None
     determined: bool
     flags: dict = field(repr=False)   # level k -> M_{k+1} == sum_j Z_j M_k
-    window: int = 0
-    max_generator_degree: int | None = None
-    degenerate_zero: bool = False
-    witnessed_levels: int = 0
+    window: int
+    max_generator_degree: int | None
+    degenerate_zero: bool
+    witnessed_levels: int
 
 
 # -- the co-invariant Euler recursion ----------------------------------------
@@ -268,22 +268,21 @@ class GradedSubmodule:
                                              for deg, polys in by_degree.items()})
 
     @classmethod
-    def from_level_seeds(cls, module, seeds, max_generator_degree=None):
+    def from_level_seeds(cls, module, seeds):
         """Generate from raw coordinate columns seeded at given levels.
 
         Q_n = {f in R_n : G_n* f = 0}, level by level (see ``cosaturation``).
         G_n holds the degree-n seeds, orthonormalized.  The flag of level n-1
         is whether the G_n rows cut R_n down; without seeds at n it is True.
         The G_n rows have norm 1 on orthonormal columns, so their rank cut is
-        relative to 1.  A seed level outside 0..N raises ValueError.
+        relative to 1.  The largest seed level is the maximal generator
+        degree (0 without seeds).  A seed level outside 0..N raises ValueError.
         """
         window = module.top_level
         seeds = {int(n): np.asarray(s, dtype=complex) for n, s in seeds.items()}
         for n in seeds:
             if not 0 <= n <= window:
                 raise ValueError(f"seed level {n} is outside the window 0..{window}")
-        if max_generator_degree is None and seeds:
-            max_generator_degree = max(seeds)
         quotient = {}
         flags = {}
         for n in range(window + 1):
@@ -297,12 +296,12 @@ class GradedSubmodule:
                 flags[n - 1] = q.shape[1] == cosat.shape[1]
             quotient[n] = q
         return cls(module, quotient, flags,
-                   max_generator_degree=max_generator_degree)
+                   max_generator_degree=max(seeds, default=0))
 
     @classmethod
     def zero(cls, module):
         """The submodule generated by nothing: no factorization at any level."""
-        return cls.from_level_seeds(module, {}, max_generator_degree=0)
+        return cls.from_level_seeds(module, {})
 
     @classmethod
     def full(cls, module):
@@ -384,10 +383,6 @@ class GradedSubmodule:
             witnessed_levels=max(witnessed, 0),
         )
 
-    @property
-    def degree(self):
-        return self.degree_report().degree
-
     def is_reducing(self):
         """(True, V basis in E) when the submodule is a summand G (x) V; else (False, None).
 
@@ -435,19 +430,11 @@ class QuotientModule:
         """
         stack = self._stacks.get(n)
         if stack is None:
-            if not 0 <= n <= self.window - 1:
-                raise ValueError(f"no quotient block from level {n}")
             low, high = self.basis(n), self.basis(n + 1)
             stack = self._stacks[n] = np.asarray(
                 [z.conj().T @ low for z in self.module.adjoint_stack(n, high)],
                 dtype=complex)
         return stack
-
-    def block(self, k, n):
-        """Compressed coordinate block Q_{n+1}* Z_k(n) Q_n on the quotient."""
-        if not 1 <= k <= self.module.d:
-            raise ValueError("variable index out of range")
-        return self._level_stack(n)[k - 1]
 
     def coordinate_tuple(self):
         """The compressed tuple: one (d, dim Q_{n+1}, dim Q_n) stack per level n < window."""

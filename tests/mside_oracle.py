@@ -5,14 +5,16 @@ co-invariant Euler recursion.  This module grows M_n itself instead:
 M_n = orth(sum_k Z_k M_{n-1} + G_n), the saturation flag of level k is a
 rank decision on sum_j Z_j M_k (True without one where M_{k+1} was built
 from sum_j Z_j M_k alone), and a pullback is the preimage of M_{k+1} under
-the row block, a nullspace with an absolute floor.  It shares only the
-module's blocks and the dense helpers of ``gradmod.linalg`` with the package.
+the row block, a nullspace with an absolute floor.  Z_k comes from the
+Kronecker blocks of ``structure_oracle``; it shares only the module's row
+blocks and the dense helpers of ``gradmod.linalg`` with the package.
 """
 
 import numpy as np
 
 from gradmod import linalg
 from gradmod.config import RANK_TOL_FACTOR
+from structure_oracle import coordinate_block
 
 
 def grow(module, seeds, window):
@@ -23,7 +25,7 @@ def grow(module, seeds, window):
     for n in range(window + 1):
         cols = []
         if n > 0 and prev.shape[1] > 0:
-            cols.extend(module.coordinate_block(k, n - 1) @ prev
+            cols.extend(coordinate_block(module, k, n - 1) @ prev
                         for k in range(1, module.d + 1))
         if n in seeds and seeds[n].shape[1] > 0:
             cols.append(seeds[n])
@@ -44,7 +46,7 @@ def saturation_flags(module, bases, window, saturated=frozenset()):
         elif bases[k].shape[1] == 0:
             flags[k] = target == 0
         else:
-            spanned = np.hstack([module.coordinate_block(j, k) @ bases[k]
+            spanned = np.hstack([coordinate_block(module, j, k) @ bases[k]
                                  for j in range(1, module.d + 1)])
             flags[k] = linalg.numerical_rank(spanned) == target
     return flags

@@ -13,6 +13,7 @@ from gradmod.koszul import betti_numbers, build_koszul, dirac_square_residual, s
 from gradmod.normality import (alternating_block_sequence, resolvent_quadrature,
                                similarity_counterexample, spectral_projection_oracle)
 from mside_oracle import pullback_span_residual
+from structure_oracle import coordinate_block
 
 RNG_SEED = 1729
 
@@ -40,7 +41,7 @@ def test_criterion_1_kernel_degree_one():
             dom = mod.row_domain
             for n in range(1, kernel.window):
                 image = linalg.orthonormal_columns(np.hstack([
-                    dom.coordinate_block(k, n) @ kernel.basis(n)
+                    coordinate_block(dom, k, n) @ kernel.basis(n)
                     for k in range(1, d + 1)]))
                 worst = max(worst, linalg.subspace_distance(
                     image, kernel.basis(n + 1)))
@@ -289,8 +290,7 @@ def test_criterion_7_identities_and_resolvent():
         fine <= coarse / 100 for coarse, fine in zip(errors, errors[1:])
         if coarse > 1e-12)
 
-    y_ops = [mod.coordinate_block(k, level + 1).conj().T
-             @ mod.coordinate_block(k, level + 1) for k in (1, 2)]
+    y_ops = [z.conj().T @ z for z in mod.coordinate_tuple()[level + 1]]
     rep = gm.resolvent_projection(b, gap, transforms=y_ops, p_values=[1.0, 2.0])
     distance = float(np.linalg.norm(rep.projection - oracle, 2))
     bounds_ok = all(c.slack >= 0.0 for c in rep.bound_checks)

@@ -1,6 +1,5 @@
 """Command-line front end: determinism, exit codes, config handling."""
 
-import functools
 import json
 import os
 import shlex
@@ -849,30 +848,22 @@ def test_identity_report(tmp_path):
 def test_identity_builds_each_level_stack_once(tmp_path, monkeypatch):
     # every check reads one Z tuple and one Fock tuple, built once per run,
     # and the quadrature's transforms come from the same Z stack
-    built, blocks = [], []
+    built = []
     level_stack = StandardModule._level_stack
-    coordinate_block = StandardModule.coordinate_block
 
     def counted_stack(self, n, fock=False):
         built.append((n, fock))
         return level_stack(self, n, fock)
-
-    def counted_block(self, *args):
-        blocks.append(args)
-        return coordinate_block(self, *args)
     monkeypatch.setattr(StandardModule, "_level_stack", counted_stack)
-    monkeypatch.setattr(StandardModule, "coordinate_block", counted_block)
     gens = write_quadric(tmp_path)
     assert run_cli(["identity", "--d", "2", "--N", "7", "--gens", str(gens),
                     "--nodes", "512", "--out", str(tmp_path)]) == 0
     assert sorted(built) == [(n, fock) for n in range(7) for fock in (False, True)]
-    assert blocks == []
 
 
 def test_identity_unconverged_quadrature_fails(tmp_path, monkeypatch):
     # a zero refinement floor is never reached; the cap allows one doubling
-    monkeypatch.setattr(cli, "resolvent_projection", functools.partial(
-        normality.resolvent_projection, refine_floor=0.0))
+    monkeypatch.setattr(normality, "QUAD_REFINE_FLOOR", 0.0)
     monkeypatch.setattr(normality, "QUAD_MAX_NODES", 128)
     gens = write_quadric(tmp_path)
     assert run_cli(["identity", "--d", "2", "--N", "6", "--gens", str(gens),

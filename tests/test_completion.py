@@ -119,9 +119,9 @@ def test_monomial_norms():
 
 
 def test_one_variable_dshift_blocks_are_unit():
-    mod = gm.StandardModule(gm.make_weights("dshift", 6), d=1)
+    ops = gm.StandardModule(gm.make_weights("dshift", 6), d=1).coordinate_tuple()
     for n in range(5):
-        np.testing.assert_allclose(mod.coordinate_block(1, n), [[1.0]], atol=1e-15)
+        np.testing.assert_allclose(ops[n][0], [[1.0]], atol=1e-15)
 
 
 def all_test_modules(n_levels=8):
@@ -172,7 +172,7 @@ def test_coordinate_blocks_commute():
 def test_coordinate_tuple_stacks_the_coordinate_blocks_bitwise():
     # each level's stack holds Z_1(n), ..., Z_d(n) as ``shift`` applied to an
     # identity builds them, signs of zeros included, and Z_k(n) = rho_n S_k(n)
-    # entry for entry; coordinate_block is a slice; every call builds anew
+    # entry for entry; every call builds anew
     for mod in all_test_modules():
         ops, fock_ops = mod.coordinate_tuple(), mod.fock_tuple()
         assert sorted(ops) == sorted(fock_ops) == list(range(mod.top_level))
@@ -184,7 +184,6 @@ def test_coordinate_tuple_stacks_the_coordinate_blocks_bitwise():
             eye = np.eye(mod.level_dim(n), dtype=complex)
             for k in range(1, mod.d + 1):
                 assert stack[k - 1].tobytes() == mod.shift(k, n, eye).tobytes()
-                assert mod.coordinate_block(k, n).tobytes() == stack[k - 1].tobytes()
                 assert np.array_equal(fock_ops[n][k - 1], oracle.fock_block(mod, k, n))
         again, fock_again = mod.coordinate_tuple(), mod.fock_tuple()
         assert all(again[n] is not ops[n] and fock_again[n] is not fock_ops[n]
@@ -195,9 +194,9 @@ def test_level_zero_column_is_scaled_unit_vector():
     # Z_k 1 = z_k has norm rho_0; after the coordinate normalization (divide
     # by rho_0) it is the k-th level-1 basis vector.
     w = gm.make_weights("hardy", 6, d=2)
-    mod = gm.StandardModule(w, d=2)
+    level_0 = gm.StandardModule(w, d=2).coordinate_tuple()[0]
     for k in (1, 2):
-        col = mod.coordinate_block(k, 0)[:, 0]
+        col = level_0[k - 1][:, 0]
         assert np.linalg.norm(col) == pytest.approx(w.values[0], abs=1e-15)
         unit = col / w.values[0]
         expected = np.zeros(2, complex)
@@ -213,6 +212,7 @@ def test_adjoint_proportional_to_derivative():
     """
     for mod in all_test_modules():
         rho = mod.rho
+        ops = mod.coordinate_tuple()
         c = np.concatenate(([1.0], np.cumprod(rho**2)))
         for n in range(1, mod.top_level):
             nu_hi = np.array([
@@ -228,7 +228,7 @@ def test_adjoint_proportional_to_derivative():
                 raw = oracle.derivative_structure_map(k, mod.d, n)
                 normalized = w_lo[:, None] * raw / w_hi[None, :]
                 expected = u * np.kron(normalized, np.eye(mod.multiplicity))
-                adjoint = mod.coordinate_block(k, n - 1).conj().T
+                adjoint = ops[n - 1][k - 1].conj().T
                 assert opnorm(adjoint - expected) <= 1e-12
                 assert opnorm(adjoint - mod.adjoint_scalar(n)
                               * oracle.gradient_block(mod, k, n)) <= 1e-12
@@ -241,7 +241,7 @@ def test_adjoint_proportional_to_derivative():
 def test_adjoint_h2_scalars():
     # Z_1*(z_1) = 1 on the d-shift module; the level-2 scalar is 1/2.
     mod = gm.StandardModule(gm.make_weights("dshift", 6), d=2)
-    adj = mod.coordinate_block(1, 0).conj().T
+    adj = mod.coordinate_tuple()[0][0].conj().T
     np.testing.assert_allclose(adj, [[1.0, 0.0]], atol=1e-15)
     assert mod.adjoint_scalar(1) == pytest.approx(1.0)
     assert mod.adjoint_scalar(2) == pytest.approx(0.5)
@@ -267,21 +267,20 @@ def test_shift_helpers_equal_dense_blocks_exactly(family, d, r):
     rng = np.random.default_rng([d, r, len(family)])
     mod = gm.StandardModule(gm.make_weights(family, 6, d=d, r1=1.0, r2=4.0),
                             d=d, multiplicity=r)
+    ops = mod.coordinate_tuple()
     for n in range(mod.top_level):
-        for k in range(1, d + 1):
-            block = oracle.coordinate_block(mod, k, n)
-            assert np.array_equal(mod.coordinate_block(k, n), block)
+        blocks = [oracle.coordinate_block(mod, k, n) for k in range(1, d + 1)]
+        for k, block in enumerate(blocks, start=1):
+            assert np.array_equal(ops[n][k - 1], block)
             for x in shift_inputs(rng, mod.level_dim(n)):
                 got = mod.shift(k, n, x)
                 assert got.shape == (mod.level_dim(n + 1), x.shape[1])
                 assert np.array_equal(got, block @ x)
-            for x in shift_inputs(rng, mod.level_dim(n + 1)):
-                got = mod.shift_adjoint(k, n, x)
-                assert got.shape == (mod.level_dim(n), x.shape[1])
-                assert np.array_equal(got, block.conj().T @ x)
         for x in shift_inputs(rng, mod.level_dim(n + 1)):
-            want = np.stack([mod.shift_adjoint(k, n, x) for k in range(1, d + 1)])
-            assert np.array_equal(mod.adjoint_stack(n, x), want)
+            got = mod.adjoint_stack(n, x)
+            assert got.shape == (d, mod.level_dim(n), x.shape[1])
+            for k, block in enumerate(blocks, start=1):
+                assert np.array_equal(got[k - 1], block.conj().T @ x)
     for n in range(1, mod.top_level + 1):
         stacked = oracle.gradient_stack(mod, n)
         for x in shift_inputs(rng, mod.level_dim(n)):
@@ -317,8 +316,6 @@ def test_out_of_window_blocks_raise():
     # a negative or out-of-range index must not wrap around a table
     mod = gm.StandardModule(gm.make_weights("dshift", 4), d=2, multiplicity=2)
     with pytest.raises(ValueError):
-        mod.coordinate_block(1, 4)
-    with pytest.raises(ValueError):
         mod.level_dim(5)
     top = mod.top_level
 
@@ -329,14 +326,11 @@ def test_out_of_window_blocks_raise():
     for k in (0, mod.d + 1, -1):
         with pytest.raises(ValueError):
             mod.shift(k, 1, cols(1))
+    for n in (top, -1):
         with pytest.raises(ValueError):
-            mod.shift_adjoint(k, 1, cols(2))
+            mod.shift(1, n, cols(max(n, 0)))
         with pytest.raises(ValueError):
-            mod.coordinate_block(k, 1)
-    with pytest.raises(ValueError):
-        mod.shift(1, top, cols(top))
-    with pytest.raises(ValueError):
-        mod.shift_adjoint(1, top, cols(top))
+            mod.adjoint_stack(n, cols(max(n, 0)))
     with pytest.raises(ValueError):
         mod.row(top, cols(top, mod.d))
     with pytest.raises(ValueError):

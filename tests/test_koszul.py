@@ -115,6 +115,19 @@ def test_inconsistent_stack_shapes_rejected():
         build_koszul(ops)
 
 
+@pytest.mark.parametrize("levels", [(2, 3, 4, 5), (0, 1, 3), (1, 2)])
+def test_levels_other_than_zero_to_n_rejected(levels):
+    # a shifted or gapped window would build, then fail with KeyError in
+    # betti_table or dirac_square_residual; its prefix 0..3 builds
+    ops = h2_module(2).coordinate_tuple()
+    with pytest.raises(ValueError, match="levels must be 0.."):
+        build_koszul({n: ops[n] for n in levels})
+    prefix = {n: ops[n] for n in range(4)}
+    kz = build_koszul(prefix)
+    assert betti_table(kz) == DenseKoszul(prefix).betti_table()
+    assert dirac_square_residual(kz, 2) <= 1e-12
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_labelled_noncommuting_input_rejected(d):
     # scaling one nonzero entry of T_2(3) keeps the zero pattern, so the

@@ -230,7 +230,8 @@ def test_quotient_side_is_coinvariant(case):
     for n in range(mod.top_level):
         inner = sub.quotient_basis(n)
         for k in range(1, mod.d + 1):
-            img = mod.coordinate_block(k, n).conj().T @ sub.quotient_basis(n + 1)
+            img = structure.coordinate_block(mod, k, n).conj().T \
+                @ sub.quotient_basis(n + 1)
             out = img - inner @ (inner.conj().T @ img)
             assert linalg.opnorm(out) <= 1e-10 * max(1.0, linalg.opnorm(img))
 
@@ -243,8 +244,9 @@ def test_pullback_drops_degree_and_shifts_the_quotient(case):
     report = sub.degree_report()
     assert report.determined and report.degree >= 2
     pulled = gm.pullback(sub)
-    assert pulled.degree_report().determined
-    assert pulled.degree == report.degree - 1
+    pulled_report = pulled.degree_report()
+    assert pulled_report.determined
+    assert pulled_report.degree == report.degree - 1
     for k in range(pulled.window + 1):
         assert pulled.quotient_basis(k).shape[1] == sub.quotient_basis(k + 1).shape[1]
         # L_k* is rho_k times an isometry, so the induced map is rho_k times
@@ -308,7 +310,8 @@ def test_ev_flags_match_cosaturation(family, d, r):
         raw = rng.normal(size=(d * r, dim)) + 1j * rng.normal(size=(d * r, dim))
         sub = gm.ev_space(mod, gm.SubspaceV.from_matrix(mod, raw))[1]
         assert_flags_match_cosaturation(sub)
-        assert sub.degree_report().determined and sub.degree <= 1
+        report = sub.degree_report()
+        assert report.determined and report.degree <= 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -320,7 +323,7 @@ def test_zero_full_and_kernel_flags_match_cosaturation(family, d, r):
     assert full.dims() == [mod.level_dim(n) for n in range(mod.top_level + 1)]
     for sub, degree in ((zero, 0), (full, 0), (gm.kernel_levels(mod), 1)):
         assert_flags_match_cosaturation(sub)
-        assert sub.degree == degree
+        assert sub.degree_report().degree == degree
 
 
 def test_every_construction_supplies_its_flags():
@@ -497,28 +500,29 @@ def test_generate_nullspaces_stay_on_the_candidate_span(monkeypatch, rng):
 
 
 def test_cli_linearize_solves_one_flag_per_pullback(monkeypatch, tmp_path, rng):
-    # pulled flags are shifted, and d.S is applied through its scalar blocks
+    # pulled flags are shifted, and d.S is applied through its scalar tables:
+    # no dense Z stack of a d.S is built
     cubic = tmp_path / "cubic.txt"
     cubic.write_text(gm.submodules.format_generator(
         random_generators(rng, 3, 1, 3, 1)[0]) + "\n")
     cosaturations = []
-    dense_blocks = []
+    dense_stacks = []
     cosaturation = gm.submodules.cosaturation
-    coordinate_block = gm.StandardModule.coordinate_block
+    level_stack = gm.StandardModule._level_stack
 
     def counting_cosaturation(module, *args, **kwargs):
         cosaturations.append(module.multiplicity)
         return cosaturation(module, *args, **kwargs)
 
-    def counting_block(self, *args, **kwargs):
-        dense_blocks.append(self.multiplicity)
-        return coordinate_block(self, *args, **kwargs)
+    def counting_stack(self, *args, **kwargs):
+        dense_stacks.append(self.multiplicity)
+        return level_stack(self, *args, **kwargs)
 
     # linearize binds cosaturation by name; a tree where it does not still counts
     for owner in (gm.submodules, gm.linearize):
         monkeypatch.setattr(owner, "cosaturation", counting_cosaturation,
                             raising=False)
-    monkeypatch.setattr(gm.StandardModule, "coordinate_block", counting_block)
+    monkeypatch.setattr(gm.StandardModule, "_level_stack", counting_stack)
     out = tmp_path / "out"
     assert cli.main(["linearize", "--d", "3", "--N", "11", "--gens", str(cubic),
                      "--out", str(out)]) == 0
@@ -527,13 +531,13 @@ def test_cli_linearize_solves_one_flag_per_pullback(monkeypatch, tmp_path, rng):
     assert pullbacks == 2
     # the base module has r = 1; every d.S of the chain has r >= 3
     assert len([r for r in cosaturations if r > 1]) <= pullbacks
-    assert [r for r in dense_blocks if r > 1] == []
+    assert [r for r in dense_stacks if r > 1] == []
 
 
 def test_cli_ev_and_linearize_build_no_dense_block(monkeypatch, tmp_path, rng):
     # Z_k, L, L* and d/dz_k act as scatters and gathers on the successor table
     built = []
-    for name in ("coordinate_block", "row_block"):
+    for name in ("_level_stack", "row_block"):
         def counting(self, *args, _name=name,
                      _block=getattr(gm.StandardModule, name), **kwargs):
             built.append(_name)

@@ -177,6 +177,18 @@ def test_degree_of_zero_module_is_degenerate(h2):
     assert rep.degree == 0 and rep.determined and rep.degenerate_zero
 
 
+def test_generating_from_nothing_is_the_zero_submodule(h2):
+    # the same construction: equal quotient bases, flags and degree report,
+    # with 0 as the largest generator degree
+    empty, zero = gm.GradedSubmodule.generate(h2, []), gm.GradedSubmodule.zero(h2)
+    assert sorted(empty.quotient_bases) == sorted(zero.quotient_bases)
+    for n, q in zero.quotient_bases.items():
+        assert np.array_equal(empty.quotient_bases[n], q)
+    assert empty.saturation_flags() == zero.saturation_flags()
+    assert empty.degree_report() == zero.degree_report()
+    assert zero.degree_report().max_generator_degree == 0
+
+
 def test_degree_undetermined_when_window_too_small(h2):
     sub = gm.GradedSubmodule.generate(h2, [gm.monomial_generator((9, 0))])
     rep = sub.degree_report()
@@ -188,9 +200,9 @@ def test_saturation_rank_identity(rng, h2):
     # stacked coordinate images
     gens = random_generators(rng, 2, 1, 3, 1)
     sub = gm.GradedSubmodule.generate(h2, gens)
+    ops = h2.coordinate_tuple()
     for k in range(3, 10):
-        stacked = np.hstack([h2.coordinate_block(j, k) @ sub.basis(k)
-                             for j in (1, 2)])
+        stacked = np.hstack([ops[k][j - 1] @ sub.basis(k) for j in (1, 2)])
         assert linalg.numerical_rank(stacked) == sub.dim(k + 1)
 
 
@@ -246,9 +258,9 @@ def test_invariance_as_operator_identity(rng, h2):
     # P_{M_{n+1}} Z_k P_{M_n} = Z_k P_{M_n}
     gens = random_generators(rng, 2, 1, 2, 1)
     sub = gm.GradedSubmodule.generate(h2, gens)
+    ops = h2.coordinate_tuple()
     for n in range(9):
-        for k in (1, 2):
-            z = h2.coordinate_block(k, n)
+        for z in ops[n]:
             lhs = sub.projection_block(n + 1) @ z @ sub.projection_block(n)
             rhs = z @ sub.projection_block(n)
             assert linalg.opnorm(lhs - rhs) <= 1e-10
@@ -261,36 +273,31 @@ def test_quotient_of_zero_is_ambient(h2):
     q = gm.QuotientModule(gm.GradedSubmodule.zero(h2))
     assert q.dims() == [h2.level_dim(n) for n in range(11)]
     # the complement basis of {0} is the identity, so blocks agree exactly
+    compressed, ambient = q.coordinate_tuple(), h2.coordinate_tuple()
     for n in range(5):
-        for k in (1, 2):
-            np.testing.assert_array_equal(q.block(k, n),
-                                          h2.coordinate_block(k, n))
+        np.testing.assert_array_equal(compressed[n], ambient[n])
 
 
 def test_quotient_tuple_stacks_its_blocks(rng, h2):
-    # one (d, dim Q_{n+1}, dim Q_n) stack per level, built once; block(k, n)
-    # is its slice k - 1
+    # one (d, dim Q_{n+1}, dim Q_n) stack per level, built once, whose
+    # slice k - 1 is Q_{n+1}* Z_k(n) Q_n
     q = gm.QuotientModule(gm.GradedSubmodule.generate(h2, random_generators(rng, 2, 1, 2, 1)))
     ops = q.coordinate_tuple()
     assert sorted(ops) == list(range(q.window))
     for n, stack in ops.items():
         assert stack.dtype == complex
         assert stack.shape == (2, q.dim(n + 1), q.dim(n))
+        adjoints = h2.adjoint_stack(n, q.basis(n + 1))
         for k in (1, 2):
             np.testing.assert_array_equal(
-                q.block(k, n),
-                h2.shift_adjoint(k, n, q.basis(n + 1)).conj().T @ q.basis(n))
+                stack[k - 1], adjoints[k - 1].conj().T @ q.basis(n))
     assert all(q.coordinate_tuple()[n] is ops[n] for n in ops)
-    with pytest.raises(ValueError):
-        q.block(0, 1)
-    with pytest.raises(ValueError):
-        q.block(1, q.window)
 
 
 def test_quotient_of_full_is_zero(h2):
     q = gm.QuotientModule(gm.GradedSubmodule.full(h2))
     assert q.dims() == [0] * 11
-    assert q.block(1, 2).shape == (0, 0)
+    assert q.coordinate_tuple()[2].shape == (2, 0, 0)
 
 
 def test_dimension_count(rng, h2):
@@ -308,11 +315,12 @@ def test_quotient_by_z2_is_weighted_one_variable_shift(family, d_arg):
     sub = gm.GradedSubmodule.generate(mod, [gm.monomial_generator((0, 1))])
     q = gm.QuotientModule(sub)
     assert q.dims() == [1] * 10
+    blocks = q.coordinate_tuple()
     z1_idx = [gm.monomial_basis(2, n).index((n, 0)) for n in range(10)]
     for n in range(9):
         # quotient level basis is the span of z_1^n
         vec = q.basis(n)[:, 0]
         assert abs(abs(vec[z1_idx[n]]) - 1.0) <= 1e-12
         # compressed Z_2 vanishes, compressed Z_1 is the weighted shift rho_n
-        assert linalg.opnorm(q.block(2, n)) <= 1e-13
-        assert abs(q.block(1, n)[0, 0]) == pytest.approx(w.values[n], abs=1e-13)
+        assert linalg.opnorm(blocks[n][1]) <= 1e-13
+        assert abs(blocks[n][0][0, 0]) == pytest.approx(w.values[n], abs=1e-13)
