@@ -27,7 +27,7 @@ for (alpha, _), nrm in zip(mod.level_basis(2), mod.monomial_norms(2)):
 print("\nDefining identity of the weighted shift realization:")
 print("  sum_k Z_k Z_k* = rho_n^2 * I on each level")
 for n in range(6):
-    print(f"  level {n + 1}: residual {gm.row_sum_residual(ops, mod.rho, n):.2e}, "
+    print(f"  level {n + 1}: residual {gm.row_sum_residual(ops, mod.rho, n, 0.0):.2e}, "
           f"rho_{n}^2 = {w.values[n] ** 2:.6f}")
 
 print("\nAdjoints act as scaled differentiation (maximal symmetry):")
@@ -43,7 +43,7 @@ print("\nCommutator decomposition against the Fock-space commutator,")
 print("  [Z_j*, Z_k] = [S_j*, S_k] Dt^2 + S_k S_j* (Dt^2 - D^2) per level:")
 fock_ops = mod.fock_tuple()
 for n in (1, 3, 6, 9):
-    worst = gm.commutator_decomposition_residual(ops, fock_ops, mod.rho, n).max()
+    worst = gm.commutator_decomposition_residual(ops, fock_ops, mod.rho, n, 0.0).max()
     print(f"  level {n}: max residual over pairs {worst:.2e}")
 
 print("\nFor constant weights the correction term drops out: with the plain")

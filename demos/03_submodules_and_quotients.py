@@ -32,7 +32,7 @@ for name, gens in examples.items():
     print(f"  degree = {rep.degree} (determined: {rep.determined}; saturation "
           f"flags {[int(rep.flags[k]) for k in sorted(rep.flags)]})")
     print(f"  reducing: {sub.is_reducing()[0]}   invariance residual "
-          f"{sub.invariance_residual():.2e}")
+          f"{sub.invariance_residual(0.0):.2e}")
 
 print("\nDegree 0 means reducing summand. In multiplicity 2, the generator")
 print("e_1 produces G (x) span(e_1):")
@@ -59,6 +59,6 @@ g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((0, 2), 0, 1.0)))
 sub = gm.GradedSubmodule.generate(mod, [g])
 ops = mod.coordinate_tuple()
 for level in (1, 3, 6):
-    r1, r2 = gm.compression_identity_residuals(ops, sub, level)
+    r1, r2 = gm.compression_identity_residuals(ops, sub, level, 0.0)
     print(f"  level {level}: restriction identity {r1.max():.2e}, "
           f"compression identity {r2.max():.2e}")

@@ -25,7 +25,7 @@ print("  degree report:", K.degree_report().degree,
 print("\nPullback chain for M = [z1^3 + z2^3] (degree 3):")
 g = gm.VectorPolynomial(3, (((3, 0), 0, 1.0), ((0, 3), 0, 1.0)))
 sub = gm.GradedSubmodule.generate(mod, [g])
-result = gm.linearize_full(sub)
+result = gm.linearize_full(sub, 0.0, 0.0)
 for step in result.steps:
     print(f"  ambient multiplicity {step.multiplicity}: degree {step.degree}, "
           f"window {step.window}, dims {list(step.level_dims[:6])}...")
@@ -54,7 +54,7 @@ print("  orthocomplement degree:", m.degree_report().degree,
       "| level-0 component:", m.dim(0))
 recovered = gm.recover_subspace(m)
 print("  V recovered from M_1, distance:",
-      f"{linalg.subspace_distance(v.basis, recovered.basis):.2e}")
+      f"{linalg.subspace_distance(v.basis, recovered.basis, 0.0):.2e}")
 
 print("\nBoth routes to E_V agree: the submodule generated by L_0 V^perp")
 print("and the Euler recursion on pointwise gradient membership:")
@@ -64,5 +64,5 @@ raw = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
 v = gm.SubspaceV.from_matrix(hardy, raw)
 ev_adj, _ = gm.ev_space(hardy, v)
 ev_grad = gm.ev_gradient_levels(hardy, v)
-gap = max(linalg.subspace_distance(ev_adj[n], ev_grad[n]) for n in ev_adj)
+gap = max(linalg.subspace_distance(ev_adj[n], ev_grad[n], 0.0) for n in ev_adj)
 print(f"  max subspace gap over levels: {gap:.2e}")

@@ -20,7 +20,7 @@ for d, r in ((2, 1), (2, 3), (3, 1)):
     ops = mod.coordinate_tuple()
     complex_ = build_koszul(ops)
     print(f"standard module d = {d}, r = {r}: "
-          f"B^2 residual {complex_.bsquared_residual():.2e}, "
+          f"B^2 residual {complex_.bsquared_residual(0.0):.2e}, "
           f"Betti numbers {betti_numbers(complex_)}")
 
 print("\nThe free-module cohomology is concentrated at level 0: the full")
@@ -45,7 +45,7 @@ hardy = gm.StandardModule(gm.make_weights("hardy", 8, d=2), d=2)
 h_ops = hardy.coordinate_tuple()
 h_complex = build_koszul(h_ops)
 for n in range(1, 6):
-    print(f"  level {n}: residual {dirac_square_residual(h_complex, n):.2e}")
+    print(f"  level {n}: residual {dirac_square_residual(h_complex, n, 0.0):.2e}")
 
 print("\nSyzygies: any homogeneous relation sum_k Z_k xi_k = 0 is generated")
 print("by the trivial antisymmetric ones, one degree down.")

@@ -6,6 +6,8 @@ to the one piece of code that reads them are:
 
 - ``linalg.TRIANGLE_MIN_WORK`` and ``linalg.TRIANGLE_RANGE``: when a tall
   operand's SVD goes through its QR triangle;
+- ``linalg.FROBENIUS_MIN_BOUND``: the smallest bound a Frobenius norm may
+  certify a residual against (below it squares may underflow);
 - ``normality.GL_ORDER``: points per Gauss-Legendre panel of the contour;
 - the spectral-gap margin 1e-9 of ``normality.resolvent_projection``
   (an eigenvalue from ``gap * (1 - 1e-9)`` up lies on the far side of the
@@ -20,7 +22,10 @@ to the one piece of code that reads them are:
 ``cli`` scales the tolerances of the exact identities that are linear in
 the coordinate tuple (invariance, co-invariance) by max(max rho, 1)
 (``cli.linear_scale``), and of those quadratic in it by max(max rho^2, 1)
-(``cli.tuple_scale``).
+(``cli.tuple_scale``).  Each such residual is printed as
+max(||X||_2, bound) with bound = min(RESIDUAL_FLOOR * scale, tolerance)
+(``cli.residual_bound``); one whose Frobenius norm is at most the bound
+reads as the bound and takes no SVD (``linalg.residual``).
 """
 
 # Rank decisions (``linalg._kept``) and eigenvalue zero cuts: values at most
@@ -33,6 +38,11 @@ EXACT_TOL = 1e-12
 # Blockwise operator identities that compose several products (compression
 # identities, Dirac squares).
 IDENTITY_TOL = 1e-11
+
+# The printed floor of a roundoff residual of an exact identity, relative to
+# its tolerance scale: a residual at most RESIDUAL_FLOOR * scale (and at most
+# its tolerance) prints as that bound, certified by its Frobenius norm.
+RESIDUAL_FLOOR = 1e-13
 
 # Span comparisons (principal-angle distances between level subspaces).
 SPAN_TOL = 1e-10

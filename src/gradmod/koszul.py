@@ -301,13 +301,14 @@ class KoszulComplex:
     def interior(self, k, n):
         return 0 <= n and n + k <= self.top_level - 1
 
-    def bsquared_residual(self):
-        """max || B_{k+1}(n+1) B_k(n) || over interior pairs; 0 by anticommutation.
+    def bsquared_residual(self, bound):
+        """max || B_{k+1}(n+1) B_k(n) || over interior pairs, and ``bound``; 0 by anticommutation.
 
         The product is the stack of products of the two maps' blocks on each
-        class of (k + 1, n + 1) that both of them meet.
+        class of (k + 1, n + 1) that both of them meet, one
+        ``linalg.residual`` against ``bound``.
         """
-        worst = 0.0
+        worst = float(bound)
         for (k, n), lower in self.boundary.items():
             upper = self.boundary.get((k + 1, n + 1))
             if upper is None or not self.interior(k + 1, n + 1):
@@ -315,8 +316,8 @@ class KoszulComplex:
             _, at_lower, at_upper = np.intersect1d(
                 lower.row_class, upper.col_class, assume_unique=True,
                 return_indices=True)
-            worst = max(worst, linalg.opnorm(
-                upper.values[at_upper] @ lower.values[at_lower]))
+            worst = max(worst, linalg.residual(
+                upper.values[at_upper] @ lower.values[at_lower], bound))
         return worst
 
     def tuple_norm(self):
@@ -324,15 +325,15 @@ class KoszulComplex:
         return max((linalg.opnorm(stack[:, :-1])
                     for stack in self.level_blocks.values()), default=0.0)
 
-    def commutation_residual(self):
-        """max || T_j(n+1) T_k(n) - T_k(n+1) T_j(n) || over j < k: 0 for a commuting tuple.
+    def commutation_residual(self, bound):
+        """max || T_j(n+1) T_k(n) - T_k(n+1) T_j(n) || over j < k, and ``bound``: 0 if commuting.
 
         The commutator sends level class p to p + e_j + e_k through
         T_j(n+1)[p + e_k] T_k(n)[p] - T_k(n+1)[p + e_j] T_j(n)[p], so its
-        norm is the largest over those blocks.
+        norm is the largest over those blocks (``linalg.residual``).
         """
         j, k = np.triu_indices(self.d, 1)
-        worst = 0.0
+        worst = float(bound)
         for n, low in self.level_blocks.items():
             high = self.level_blocks.get(n + 1)
             if high is None:
@@ -342,7 +343,7 @@ class KoszulComplex:
             low = low[:, :-1]
             delta = (high[j[:, None], target[k]] @ low[k]
                      - high[k[:, None], target[j]] @ low[j])
-            worst = max(worst, linalg.opnorm(delta))
+            worst = max(worst, linalg.residual(delta, bound))
         return worst
 
     def _level_terms(self, n):
@@ -411,8 +412,9 @@ def build_koszul(ops):
                                              classes[(k + 1, n + 1)])
     complex_ = KoszulComplex(d, dims, boundary, top, classes, level_blocks, steps)
     scale = complex_.tuple_norm() or 1.0
-    resid = complex_.commutation_residual()
-    if resid > EXACT_TOL * max(scale**2, 1.0):
+    tol = EXACT_TOL * max(scale**2, 1.0)
+    resid = complex_.commutation_residual(tol)
+    if resid > tol:
         raise ValueError(
             f"tuple does not commute: residual {resid:.3e}")
     return complex_
@@ -469,7 +471,7 @@ def _form_terms(d, k):
     return index, forms
 
 
-def dirac_square_residual(complex_, level):
+def dirac_square_residual(complex_, level, bound):
     """Residual of D^2 = F (x) 1 + sum_{k,j} [T_k*, T_j] (x) C_k* C_j at one level.
 
     D = B + B* preserves (form degree, level) and the classes, so at every
@@ -480,7 +482,8 @@ def dirac_square_residual(complex_, level):
     the form terms.  A member (v, S) of class gamma has v in the level class
     gamma + 1_S, so the entries read join level classes p and
     p + e_j - e_k, the blocks the level terms hold.  The worst
-    spectral-norm deviation is returned.  F is T_1 T_1* + ... + T_d T_d*.
+    spectral-norm deviation is returned, as a ``linalg.residual`` against
+    ``bound``.  F is T_1 T_1* + ... + T_d T_d*.
     """
     d = complex_.d
     n = int(level)
@@ -496,7 +499,7 @@ def dirac_square_residual(complex_, level):
     offset = np.zeros((2, complex_.level_dims[n]), dtype=np.int64)
     offset[:, level[cls, slot]] = cls * width_n**2 + slot, slot * width_n
 
-    worst = 0.0
+    worst = float(bound)
     for k in range(d + 1):
         if not complex_.interior(k, n):
             continue
@@ -516,7 +519,7 @@ def dirac_square_residual(complex_, level):
         rhs = (terms[index[:, None, None, None], at]
                * forms[:, sub[:, :, None], sub[:, None, :]]).sum(axis=0)
         rhs[(members[:, :, None] < 0) | (members[:, None, :] < 0)] = 0
-        worst = max(worst, linalg.opnorm(lhs - rhs))
+        worst = max(worst, linalg.residual(lhs - rhs, bound))
     return worst
 
 

@@ -1,7 +1,10 @@
 """Dense rank-revealing helpers shared by all block computations.
 
 It owns the toolkit's one rank cut (``_kept``) and one spectral norm
-(``opnorms``, with ``opnorm`` their largest), thin wrappers of numpy's SVD.
+(``opnorms``, with ``opnorm`` their largest), thin wrappers of numpy's SVD,
+and the one norm of the residual of an exact identity (``residuals``, with
+``residual`` their largest), which takes that spectral norm only when the
+Frobenius norm cannot settle it.
 Subspaces are always represented by matrices whose columns are orthonormal;
 an empty subspace is a (dim, 0) array.
 
@@ -32,6 +35,10 @@ TRIANGLE_MIN_WORK = 16384
 # this range keeps a margin inside that for both a and R (max|a| / sqrt(N)
 # <= max|R| <= sqrt(M) max|a|).
 TRIANGLE_RANGE = (1e-130, 1e130)
+# Below this bound a sum of squares may have lost its terms to underflow
+# (entries under about 1e-162 square to zero), so a Frobenius norm certifies
+# nothing and ``residuals`` takes the spectral norm.
+FROBENIUS_MIN_BOUND = 1e-150
 
 
 def _as_complex(a):
@@ -137,49 +144,70 @@ def opnorm(a):
     return float(opnorms(a).max(initial=0.0))
 
 
+def residuals(a, bound):
+    """max(||a_i||_2, bound) for every matrix of a (..., m, p) stack (a 0-d array for one).
+
+    The residual of an exact identity is roundoff, and its caller needs to
+    know only that it lies at or below ``bound``.  ||a_i||_2 <= ||a_i||_F, so
+    when every block's Frobenius norm is at most ``bound`` the answer is
+    ``bound`` everywhere and no SVD is taken.  Otherwise every block gets
+    max(``opnorms``, ``bound``), the spectral norm's own bits.  A bound of 0
+    (or one under ``FROBENIUS_MIN_BOUND``) certifies nothing, so the result
+    is then the exact spectral norm; a NaN or infinite entry is never
+    certified either.
+    """
+    a = _as_complex(a)
+    if bound >= FROBENIUS_MIN_BOUND:
+        squares = (a.real**2 + a.imag**2).sum(axis=(-2, -1))
+        if np.all(np.sqrt(squares) <= bound):
+            return np.full(a.shape[:-2], float(bound))
+    return np.maximum(opnorms(a), bound)
+
+
+def residual(a, bound):
+    """max(largest ||a_i||_2 over a matrix or (..., m, p) stack, bound); see ``residuals``."""
+    return float(residuals(a, bound).max(initial=bound))
+
+
 def _outside(inner, outer):
     """(I - P_outer) inner, for a matrix or (..., m, p) stack ``inner``."""
     return inner - outer @ (outer.conj().T @ inner)
 
 
-def containment_residual(inner, outer):
-    """How far span(inner) sticks out of span(outer): ||(I - P_outer) inner||_2.
+def containment_residual(inner, outer, bound):
+    """How far span(inner) sticks out of span(outer): max(||(I - P_outer) inner||_2, bound).
 
     ``outer`` has orthonormal columns in the ambient space of ``inner``; for
     a span comparison ``inner`` has them too.  ``inner`` may be a
     (..., m, p) stack of matrices, each measured against ``outer``: the
-    largest residual comes from one stacked norm, the same bits as the
-    largest of the per-matrix norms.  Zero-dimensional ``inner`` is
-    contained in everything.
+    largest residual comes from one stacked ``residual``, the same bits as
+    the largest of the per-matrix ones.  Zero-dimensional ``inner`` is
+    contained in everything (an empty operand reads ``bound``).
     """
     inner = _as_complex(inner)
     outer = _as_complex(outer)
-    if inner.shape[-1] == 0:
-        return 0.0
-    return opnorm(_outside(inner, outer))
+    return residual(_outside(inner, outer), bound)
 
 
-def subspace_distance(a, b):
+def subspace_distance(a, b, bound):
     """Symmetric gap between two subspaces given by orthonormal-column matrices.
 
-    Equals the sine of the largest principal angle when dimensions agree and
-    1.0 when they differ.  Both containment residuals, (I - P_b) a and
-    (I - P_a) b, go through one stacked norm.
+    Equals max(sine of the largest principal angle, ``bound``) when
+    dimensions agree, and 1.0 when they differ.  Both containment
+    residuals, (I - P_b) a and (I - P_a) b, go through one stacked
+    ``residual``.
     """
     a = _as_complex(a)
     b = _as_complex(b)
     if a.shape[1] != b.shape[1]:
         return 1.0
-    return opnorm(np.stack([_outside(a, b), _outside(b, a)]))
+    return residual(np.stack([_outside(a, b), _outside(b, a)]), bound)
 
 
-def orthonormality_residual(basis):
-    """|| basis* basis - I ||_2 : how orthonormal the columns actually are."""
+def orthonormality_residual(basis, bound):
+    """max(|| basis* basis - I ||_2, bound): how orthonormal the columns actually are."""
     basis = _as_complex(basis)
-    m = basis.shape[1]
-    if m == 0:
-        return 0.0
-    return opnorm(basis.conj().T @ basis - np.eye(m))
+    return residual(basis.conj().T @ basis - np.eye(basis.shape[1]), bound)
 
 
 def schatten_norm(a, p):

@@ -121,20 +121,21 @@ def pullback(submodule):
     return GradedSubmodule(module.row_domain, quotient, flags, window=window)
 
 
-def kernel_containment_residual(module, pulled):
-    """max_n ||K_n* Q'_n||: how far ker L sticks out of the pullback (should be 0).
+def kernel_containment_residual(module, pulled, bound):
+    """max_n ||K_n* Q'_n||, and ``bound``: how far ker L sticks out of the pullback (0).
 
     Read as ||(I - P_{ran L_n*}) Q'_n|| against the quotient side of K, with
     the projection P = (L_n*/rho_n)(L_n/rho_n) applied as a scatter and a
     gather (``StandardModule.row``, ``row_adjoint``): no dense row block.  It
-    is roundoff by construction (see the module docstring).
+    is roundoff by construction (see the module docstring), so each level
+    is a ``linalg.residual`` against ``bound``.
     """
-    worst = 0.0
+    worst = float(bound)
     for n in range(pulled.window + 1):
         inner = pulled.quotient_basis(n)
         rho = module.rho[n]
         back = module.row_adjoint(n, module.row(n, inner) / rho) / rho
-        worst = max(worst, linalg.opnorm(inner - back))
+        worst = max(worst, linalg.residual(inner - back, bound))
     return worst
 
 
@@ -188,13 +189,16 @@ class LinearizationResult:
     kernel_residuals: tuple        # ker L perp Q', one per pullback
 
 
-def linearize_full(submodule):
+def linearize_full(submodule, coinvariance_bound, kernel_bound):
     """Iterate pullbacks until a degree-1 submodule is reached.
 
     Each step multiplies the ambient multiplicity by d and consumes one level
     of the truncation window.  Returns a partial result (``complete=False``)
     when the window is exhausted before the degree drops to 1, or when the
-    ambient dimension would exceed ``MAX_AMBIENT_DIM``.
+    ambient dimension would exceed ``MAX_AMBIENT_DIM``.  Every pulled module
+    is a d.S over the input's weights, so one bound per residual serves every
+    step: ``coinvariance_bound`` for ``invariance_residual`` of the pullback,
+    ``kernel_bound`` for ``kernel_containment_residual``.
     """
     current = submodule
     steps = []
@@ -223,8 +227,9 @@ def linearize_full(submodule):
         if next_dim > MAX_AMBIENT_DIM:
             return result(False, "ambient dimension budget exceeded")
         pulled = pullback(current)
-        coinvariance_residuals.append(pulled.invariance_residual())
-        kernel_residuals.append(kernel_containment_residual(current.module, pulled))
+        coinvariance_residuals.append(pulled.invariance_residual(coinvariance_bound))
+        kernel_residuals.append(
+            kernel_containment_residual(current.module, pulled, kernel_bound))
         current = pulled
 
 

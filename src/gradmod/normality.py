@@ -126,36 +126,42 @@ def quotient_en_report(quotient, p_values):
 
 
 # -- exact identities on coordinate tuples ------------------------------------
+#
+# Each residual is roundoff of an exact identity, so each is measured against
+# the caller's ``bound`` (``linalg.residual``, and ``linalg.residuals`` per
+# pair): max(spectral norm, bound), with no SVD when the Frobenius norm is at
+# most the bound.
 
 
-def row_sum_residual(ops, rho, n):
-    """|| sum_k T_k(n) T_k(n)* - rho_n^2 I ||_2 on level n+1, the d products batched.
+def row_sum_residual(ops, rho, n, bound):
+    """max(|| sum_k T_k(n) T_k(n)* - rho_n^2 I ||_2, bound) on level n+1; d products batched.
 
     On a module's ``coordinate_tuple`` and weights this is the defining
     identity of the weighted d-shift realization.
     """
     acc = (ops[n] @ _adjoint(ops[n])).sum(axis=0)
-    return linalg.opnorm(acc - rho[n] ** 2 * np.eye(acc.shape[0]))
+    return linalg.residual(acc - rho[n] ** 2 * np.eye(acc.shape[0]), bound)
 
 
-def commutator_decomposition_residual(ops, fock_ops, rho, n):
+def commutator_decomposition_residual(ops, fock_ops, rho, n, bound):
     """Residuals of [Z_j*, Z_k] = [S_j*, S_k] Dt^2 + S_k S_j* (Dt^2 - D^2) on level n.
 
     ``ops`` and ``fock_ops`` are a module's ``coordinate_tuple`` and
     ``fock_tuple``; D is the weight diagonal seen from below (rho_{n-1} on
     level n), Dt the one seen on the level itself (rho_n).  Both sides are
     exact level-n matrices for 1 <= n <= N-1.  Returns a real (d, d) array
-    of spectral-norm residuals, entry [j-1, k-1] for the pair (j, k).
+    of spectral-norm residuals against ``bound``, entry [j-1, k-1] for the
+    pair (j, k).
     """
     if n - 1 not in ops or n not in ops:
         raise ValueError("defined on interior levels 1..N-1")
     lhs, _ = _level_commutators(ops, n)
     fock_comm, lower = _level_commutators(fock_ops, n)
     rhs = fock_comm * rho[n] ** 2 + lower * (rho[n] ** 2 - rho[n - 1] ** 2)
-    return linalg.opnorms(lhs - rhs)
+    return linalg.residuals(lhs - rhs, bound)
 
 
-def compression_identity_residuals(ops, submodule, level):
+def compression_identity_residuals(ops, submodule, level, bound):
     """Residuals of the two exact compression identities at one interior level.
 
     First: [B_j, B_k*] P = -[P, T_j][P, T_k]* + P [T_j, T_k*] P with
@@ -165,9 +171,9 @@ def compression_identity_residuals(ops, submodule, level):
     Both hold as exact finite-matrix identities on levels 1..N-1 of a
     module's ``coordinate_tuple`` ``ops``.
 
-    Returns two real (d, d) arrays of spectral-norm residuals on level n,
-    entry [j-1, k-1] for the pair (j, k).  Block n of either identity reads
-    only levels n-1..n+1.  The ambient [T_j, T_k*] is -[T_k*, T_j] from the
+    Returns two real (d, d) arrays of spectral-norm residuals against
+    ``bound`` on level n, entry [j-1, k-1] for the pair (j, k).  Block n of
+    either identity reads only levels n-1..n+1.  The ambient [T_j, T_k*] is -[T_k*, T_j] from the
     level's commutator stack; every other term is one broadcast product.
     """
     n = int(level)
@@ -189,7 +195,7 @@ def compression_identity_residuals(ops, submodule, level):
     lhs2 = (c[lo][:, None] @ _adjoint(c[lo])[None, :]
             - _adjoint(c[hi])[None, :] @ c[hi][:, None]) @ pp[hi]
     rhs2 = _adjoint(e[hi])[None, :] @ e[hi][:, None] + (pp[hi] @ amb) @ pp[hi]
-    return linalg.opnorms(lhs1 - rhs1), linalg.opnorms(lhs2 - rhs2)
+    return linalg.residuals(lhs1 - rhs1, bound), linalg.residuals(lhs2 - rhs2, bound)
 
 
 # -- resolvent-integral projection -----------------------------------------
@@ -317,10 +323,9 @@ def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("B must be square")
-    herm = linalg.opnorm(b - b.conj().T)
     b_norm = linalg.opnorm(b)
     scale = max(b_norm, 1.0)
-    if herm > EXACT_TOL * scale:
+    if linalg.residual(b - b.conj().T, EXACT_TOL * scale) > EXACT_TOL * scale:
         raise ValueError("B must be Hermitian")
     if gap <= 0:
         raise ValueError("gap must be positive")

@@ -336,23 +336,25 @@ class GradedSubmodule:
         q = self.quotient_basis(n)
         return np.eye(q.shape[0], dtype=complex) - linalg.projector(q)
 
-    def orthonormality_residual(self):
-        """max over n of ||Q_n* Q_n - I||."""
-        return max(linalg.orthonormality_residual(self.quotient_basis(n))
+    def orthonormality_residual(self, bound):
+        """max over n of ||Q_n* Q_n - I||, and ``bound`` (``linalg.residual``)."""
+        return max(linalg.orthonormality_residual(self.quotient_basis(n), bound)
                    for n in range(self.window + 1))
 
-    def invariance_residual(self):
-        """max over k, n of ||(I - P_{Q_n}) Z_k* Q_{n+1}||: 0 for a true submodule.
+    def invariance_residual(self, bound):
+        """max over k, n of ||(I - P_{Q_n}) Z_k* Q_{n+1}||, and ``bound``: 0 for a true submodule.
 
         This is the adjoint of ||(I - P_{M_{n+1}}) Z_k P_{M_n}||: Z_k M_n lies
         in M_{n+1} exactly when Z_k* maps M_{n+1}^perp into M_n^perp.  Each
         level takes one gather, the (d, h_n r, q_{n+1}) stack of the
-        Z_k* Q_{n+1} (``adjoint_stack``), and one stacked norm per level.
+        Z_k* Q_{n+1} (``adjoint_stack``), and one stacked residual per level,
+        which takes no SVD when its Frobenius norm is at most ``bound``.
         """
-        worst = 0.0
+        worst = float(bound)
         for n in range(min(self.window, self.module.top_level - 1)):
             img = self.module.adjoint_stack(n, self.quotient_basis(n + 1))
-            worst = max(worst, linalg.containment_residual(img, self.quotient_basis(n)))
+            worst = max(worst, linalg.containment_residual(
+                img, self.quotient_basis(n), bound))
         return worst
 
     def saturation_flags(self):
@@ -396,7 +398,8 @@ class GradedSubmodule:
         for n in range(self.window + 1):
             expected = np.kron(
                 np.eye(monomials.level_dimension(self.module.d, n)), v_perp)
-            if linalg.subspace_distance(expected, self.quotient_basis(n)) > SPAN_TOL:
+            if linalg.subspace_distance(expected, self.quotient_basis(n),
+                                        SPAN_TOL) > SPAN_TOL:
                 return False, None
         return True, self.basis(0)
 

@@ -127,5 +127,5 @@ def pullback_span_residual(submodule, pulled):
         floor = max(RANK_TOL_FACTOR * s[0], 1e-10 * linalg.opnorm(block)) \
             if s.size else 0.0
         image = u[:, :int(np.count_nonzero(s > floor))]
-        worst = max(worst, linalg.subspace_distance(image, submodule.basis(k + 1)))
+        worst = max(worst, linalg.subspace_distance(image, submodule.basis(k + 1), 0.0))
     return worst

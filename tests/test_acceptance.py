@@ -44,7 +44,7 @@ def test_criterion_1_kernel_degree_one():
                     coordinate_block(dom, k, n) @ kernel.basis(n)
                     for k in range(1, d + 1)]))
                 worst = max(worst, linalg.subspace_distance(
-                    image, kernel.basis(n + 1)))
+                    image, kernel.basis(n + 1), 0.0))
     _report(1, worst <= 1e-10,
             f"K_0 = 0 and K_(n+1) = sum_k Z_k K_n at d = 2,3, r = 1,2 "
             f"(max principal-angle distance {worst:.2e} <= 1e-10)")
@@ -89,7 +89,7 @@ def test_criterion_2_degree_drop_and_linearization():
         pulled_rep = pulled.degree_report()
         assert pulled_rep.determined and pulled_rep.degree == expected_degree - 1
         worst_span = max(worst_span, pullback_span_residual(sub, pulled))
-        result = gm.linearize_full(sub)
+        result = gm.linearize_full(sub, 0.0, 0.0)
         assert result.complete and result.steps[-1].degree == 1
         worst_span = max(worst_span, *result.coinvariance_residuals,
                          *result.kernel_residuals)
@@ -121,12 +121,12 @@ def test_criterion_3_ev_bijection():
             assert sub.dim(0) == 0       # contained in Z_1 S + ... + Z_d S
             recovered = gm.recover_subspace(sub)
             worst_round = max(worst_round, linalg.subspace_distance(
-                v.basis, recovered.basis))
+                v.basis, recovered.basis, 0.0))
             # reverse direction: degree-1 submodule -> V -> same submodule
             _, back = gm.ev_space(mod, recovered)
             for n in range(back.window + 1):
                 worst_round = max(worst_round, linalg.subspace_distance(
-                    back.basis(n), sub.basis(n)))
+                    back.basis(n), sub.basis(n), 0.0))
             count += 1
     _report(3, count == 20 and worst_round <= 1e-9,
             f"E_V structure on {count} random subspaces at d = 2,3: degree <= 1, "
@@ -149,10 +149,10 @@ def test_criterion_4_appendix_algebra():
     for mod in modules:
         ops, fock_ops = mod.coordinate_tuple(), mod.fock_tuple()
         for n in range(mod.top_level):
-            worst_row = max(worst_row, gm.row_sum_residual(ops, mod.rho, n))
+            worst_row = max(worst_row, gm.row_sum_residual(ops, mod.rho, n, 0.0))
         for n in range(1, mod.top_level):
             worst_dec = max(worst_dec, gm.commutator_decomposition_residual(
-                ops, fock_ops, mod.rho, n).max())
+                ops, fock_ops, mod.rho, n, 0.0).max())
     hardy = gm.make_weights("hardy", 200, d=2)
     k = np.arange(200)
     hardy_exact = float(np.max(np.abs(hardy.values - np.sqrt((k + 1) / (k + 2)))))
@@ -206,10 +206,10 @@ def test_criterion_6_koszul():
             mod = h2(d, r, 8)
             ops = mod.coordinate_tuple()
             complex_ = build_koszul(ops)
-            worst_b2 = max(worst_b2, complex_.bsquared_residual())
+            worst_b2 = max(worst_b2, complex_.bsquared_residual(0.0))
             for n in range(0, complex_.top_level - d):
                 worst_dirac = max(worst_dirac,
-                                  dirac_square_residual(complex_, n))
+                                  dirac_square_residual(complex_, n, 0.0))
             betti_ok &= betti_numbers(complex_) == (0,) * d + (r,)
 
     worst_syz = 0.0
@@ -259,7 +259,7 @@ def test_criterion_7_identities_and_resolvent():
             mod, [gm.VectorPolynomial(degree, terms)])
         ops = mod.coordinate_tuple()
         for level in range(1, mod.top_level):
-            r1, r2 = gm.compression_identity_residuals(ops, sub, level)
+            r1, r2 = gm.compression_identity_residuals(ops, sub, level, 0.0)
             worst_comp = max(worst_comp, r1.max(), r2.max())
 
     # resolvent projection against the eigendecomposition oracle

@@ -407,6 +407,71 @@ def test_identity_tolerances_scale_with_the_weights(tmp_path, capsys, argv, r2, 
     assert all(t == pytest.approx(1e-30 * rho ** power, rel=1e-14) for t, power in scaled)
 
 
+def rank_forms(seed):
+    """(two cubics, one cubic) in 3 variables, as the benchmark's ``rank`` workload draws them.
+
+    Each form has one complex Gaussian coefficient per monomial, in the
+    benchmark's monomial order, all from one generator seeded with ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    monomials = [(a, b, 3 - a - b) for a in range(3, -1, -1) for b in range(3 - a, -1, -1)]
+
+    def form():
+        return "3 " + " + ".join(
+            f"{z.real:.15g}{z.imag:+.15g}i ({' '.join(map(str, alpha))})@e1"
+            for alpha in monomials for z in [complex(*rng.normal(size=2))]) + "\n"
+    cubics = form() + form()
+    return cubics, form()
+
+
+def svd_callers(monkeypatch):
+    """Names of the gradmod functions on the stack of every np.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording(*args, **kwargs):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append(names)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+def test_roundoff_residuals_take_no_svd_below_their_floor(tmp_path, capsys, monkeypatch):
+    # submodule --d 3 --N 24 on the rank workload's cubics: both residuals are
+    # roundoff, certified by their Frobenius norms below 1e-13
+    gens = tmp_path / "cubics.txt"
+    gens.write_text(rank_forms(7)[0])
+    argv = ["submodule", "--d", "3", "--N", "24", "--gens", str(gens)]
+    residuals = ("invariance_residual", "orthonormality_residual")
+    calls = svd_callers(monkeypatch)
+    assert run_cli(argv + ["--out", str(tmp_path / "default")]) == cli.EXIT_OK
+    assert calls and not [c for c in calls if c & set(residuals)]
+    report = json.loads((tmp_path / "default" / "submodule.json").read_text())
+    assert report["residuals"] == {"invariance": 1e-13, "orthonormality": 1e-13}
+    # --tol 0 makes the invariance bound 0: its exact norms are taken, and the
+    # roundoff fails; orthonormality keeps its EXACT_TOL floor and its bound
+    calls.clear()
+    assert run_cli(argv + ["--tol", "0", "--out", str(tmp_path / "zero")]) \
+        == cli.EXIT_TOLERANCE
+    assert [c for c in calls if "invariance_residual" in c]
+    assert not [c for c in calls if "orthonormality_residual" in c]
+    report = json.loads((tmp_path / "zero" / "submodule.json").read_text())
+    assert [f["check"] for f in report["hard_failures"]] == ["coordinate_invariance"]
+    assert 0.0 < report["residuals"]["invariance"] < 1e-13
+    assert "FAIL coordinate_invariance" in capsys.readouterr().err
+
+
+def test_residual_bound_never_exceeds_the_tolerance():
+    assert cli.residual_bound(1e-10, 1.0) == 1e-13
+    assert cli.residual_bound(1e-10 * 1e6, 1e6) == 1e-13 * 1e6
+    assert cli.residual_bound(1e-14, 1.0) == 1e-14
+    assert cli.residual_bound(0.0, 4.0) == 0.0
+
+
 def test_hard_check_fails_non_finite_residuals():
     for value in (float("nan"), float("inf")):
         failures = []
@@ -587,24 +652,31 @@ def complex_grid(rows):
 
 @st.composite
 def exact_invocations(draw):
-    """(argv, files, True): submodule, linearize or ev on an input with an exact answer.
+    """(argv, files, True): a module command on an input with an exact answer.
 
     A generated submodule is invariant, its pullbacks are co-invariant, and
-    E_V^perp is a submodule, for any generic forms and subspace V, so a
+    E_V^perp is a submodule, for any generic forms and subspace V; B^2 = 0
+    and the Dirac square hold on every standard module and quotient, and the
+    compression and ambient identities on every invariant subspace.  So a
     failed tolerance there is roundoff that the scaled tolerances missed.
-    The weights are sinsqrt, the one family whose scale is not at most 1, with
-    r1 log-uniform in [0.1, 10) and r2 log-uniform up to 1e12.  Everything is
-    drawn from one seeded generator, so the draws spread evenly; --tol keeps
-    its default.
+    ``koszul`` runs free or on the README quadric, ``identity`` on the
+    README quadric (so at d = 2).  The weights are sinsqrt, the one family
+    whose scale is not at most 1, with r1 log-uniform in [0.1, 10) and r2
+    log-uniform up to 1e12.  Everything is drawn from one seeded generator,
+    so the draws spread evenly; --tol keeps its default.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    command = str(rng.choice(["submodule", "linearize", "ev"]))
-    d, r = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-    n = int(rng.integers(4, 10 if d < 3 else 8))
+    command = str(rng.choice(["submodule", "linearize", "ev", "koszul", "identity"]))
+    on_quadric = command == "identity" or (command == "koszul" and rng.random() < 0.5)
+    d, r = 2 if on_quadric else int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    n = int(rng.integers(4, 8)) if command in ("koszul", "identity") else \
+        int(rng.integers(4, 10 if d < 3 else 8))
     high = rng.uniform(0.0, 12.0)
     argv = [command, "--d", str(d), "--r", str(r), "--N", str(n), "--family", "sinsqrt",
             "--r1", repr(10.0 ** rng.uniform(-1.0, min(high, 1.0) - 0.1)),
             "--r2", repr(10.0 ** high)]
+    if command in ("koszul", "identity"):
+        return argv, {"--gens": README_QUADRIC} if on_quadric else {}, True
     if command == "ev":
         dim = int(rng.integers(0, d * r + 1))
         raw = rng.normal(size=(d * r, dim)) + 1j * rng.normal(size=(d * r, dim))
@@ -635,6 +707,10 @@ def printed_verdicts(obj):
            "--r2", "1e12"], {"--gens": README_QUADRIC}, True))
 @example((["ev", "--d", "2", "--N", "8", "--family", "sinsqrt", "--r1", "1",
            "--r2", "1e12"], {"--V": DESK_V}, True))
+@example((["koszul", "--d", "2", "--N", "6", "--family", "sinsqrt", "--r1", "1",
+           "--r2", "1e12"], {"--gens": README_QUADRIC}, True))
+@example((["identity", "--d", "2", "--N", "7", "--family", "sinsqrt", "--r1", "1",
+           "--r2", "1e12"], {"--gens": README_QUADRIC}, True))
 @example((["ev", "--d", "2", "--N", "2"], {"--V": "1\n0\n"}, False))
 @example((["counterexample", "--N", "5"], {"--u": "0 1 -400 -400 -400 -400\n"}, False))
 @example((["ev", "--d", "3", "--N", "2", "--tol", "0"], {"--V": WINDOW_AND_TOL_V}, False))
@@ -809,7 +885,7 @@ def test_ev_report(tmp_path):
     assert run_cli(["ev", "--d", "2", "--N", "8", "--V", str(vfile),
                     "--p", "2", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "ev.json").read_text())
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["ev_dims"] == [1] * 9
     assert report["degree"]["degree"] == 1
     # E_V^perp is generated at level 1
@@ -908,6 +984,11 @@ def test_identity_report_is_byte_identical_across_blas_threads(tmp_path):
     (["identity", "--d", "3", "--N", "6", "--r", "2", "--family", "hardy", "--gens",
       "1 1+0i (1 0 0)@e1 + 0.5-1i (0 1 0)@e2\n2 1+0i (0 0 2)@e1 + 2+0.5i (1 1 0)@e2\n"],
      ["identity.json"]),
+    # the rank workload's rank-heavy runs: their residuals print at the floor
+    *[(["submodule", "--d", "3", "--N", "24", "--gens", rank_forms(seed)[0]],
+       ["submodule.json"]) for seed in (7, 11)],
+    *[(["linearize", "--d", "3", "--N", "11", "--gens", rank_forms(seed)[1]],
+       ["linearize.json"]) for seed in (7, 11)],
 ])
 def test_reports_are_byte_identical_across_blas_threads(tmp_path, argv, files):
     if "--gens" in argv:

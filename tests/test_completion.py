@@ -15,6 +15,7 @@ import gradmod as gm
 import structure_oracle as oracle
 from koszul_oracle import commutation_residual
 from gradmod.completion import fock_level_weights
+from gradmod.config import RESIDUAL_FLOOR
 from gradmod.linalg import opnorm
 
 
@@ -135,7 +136,7 @@ def test_row_sum_identity_all_families():
     for mod in all_test_modules():
         ops = mod.coordinate_tuple()
         for n in range(mod.top_level):
-            assert gm.row_sum_residual(ops, mod.rho, n) <= 1e-12
+            assert gm.row_sum_residual(ops, mod.rho, n, 0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
@@ -147,11 +148,11 @@ def test_ambient_residuals_match_kronecker_oracle(eps):
     for mod in all_test_modules():
         rho = mod.rho * (1.0 + eps * np.arange(1, mod.rho.size + 1))
         ops, fock_ops = mod.coordinate_tuple(), mod.fock_tuple()
-        pairs = [(gm.row_sum_residual(ops, rho, n),
+        pairs = [(gm.row_sum_residual(ops, rho, n, 0.0),
                   oracle.row_sum_residual(mod, n, rho))
                  for n in range(mod.top_level)]
         for n in range(1, mod.top_level):
-            levelwise = gm.commutator_decomposition_residual(ops, fock_ops, rho, n)
+            levelwise = gm.commutator_decomposition_residual(ops, fock_ops, rho, n, 0.0)
             assert levelwise.shape == (mod.d, mod.d)
             pairs += [(levelwise[j - 1, k - 1],
                        oracle.commutator_decomposition_residual(mod, j, k, n, rho))
@@ -162,6 +163,14 @@ def test_ambient_residuals_match_kronecker_oracle(eps):
             else:
                 assert want >= 1e-6
                 assert abs(got - want) <= 1e-10 * want
+        if eps:
+            # residuals far above the printed floor keep their exact bits
+            assert [gm.row_sum_residual(ops, rho, n, RESIDUAL_FLOOR)
+                    for n in range(mod.top_level)] == [got for got, _ in pairs[:mod.top_level]]
+            for n in range(1, mod.top_level):
+                assert np.array_equal(
+                    gm.commutator_decomposition_residual(ops, fock_ops, rho, n, RESIDUAL_FLOOR),
+                    gm.commutator_decomposition_residual(ops, fock_ops, rho, n, 0.0))
 
 
 def test_coordinate_blocks_commute():
@@ -352,7 +361,7 @@ def test_decomposition_dshift_reduces_to_fock_commutator():
     ops, fock_ops = mod.coordinate_tuple(), mod.fock_tuple()
     for n in range(1, 7):
         assert gm.commutator_decomposition_residual(
-            ops, fock_ops, mod.rho, n)[0, 1] <= 1e-14
+            ops, fock_ops, mod.rho, n, 0.0)[0, 1] <= 1e-14
 
 
 def test_decomposition_hardy():
@@ -360,10 +369,10 @@ def test_decomposition_hardy():
     ops, fock_ops = mod.coordinate_tuple(), mod.fock_tuple()
     for n in range(1, 11):
         assert gm.commutator_decomposition_residual(
-            ops, fock_ops, mod.rho, n).max() <= 1e-12
+            ops, fock_ops, mod.rho, n, 0.0).max() <= 1e-12
     for n in (0, 12):
         with pytest.raises(ValueError):
-            gm.commutator_decomposition_residual(ops, fock_ops, mod.rho, n)
+            gm.commutator_decomposition_residual(ops, fock_ops, mod.rho, n, 0.0)
 
 
 def test_unilateral_shift_self_commutator():

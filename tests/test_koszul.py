@@ -72,13 +72,13 @@ def test_d1_complex_is_the_operator_itself():
     kz = build_koszul(ops)
     for n in range(7):
         np.testing.assert_allclose(kz.boundary_block(0, n), ops[n][0])
-    assert kz.bsquared_residual() == 0.0
+    assert kz.bsquared_residual(0.0) == 0.0
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_bsquared_vanishes(d):
     kz = build_koszul(h2_module(d).coordinate_tuple())
-    assert kz.bsquared_residual() <= 1e-12
+    assert kz.bsquared_residual(0.0) <= 1e-12
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -90,7 +90,7 @@ def test_bsquared_vanishes_on_drawn_tuples(case):
     quotient = gm.QuotientModule(gm.GradedSubmodule.generate(mod, gens))
     for ops in (mod.coordinate_tuple(), quotient.coordinate_tuple()):
         scale = sup_norm(ops)
-        assert build_koszul(ops).bsquared_residual() <= 1e-12 * max(1.0, scale**2)
+        assert build_koszul(ops).bsquared_residual(0.0) <= 1e-12 * max(1.0, scale**2)
 
 
 def test_noncommuting_input_rejected():
@@ -125,7 +125,7 @@ def test_levels_other_than_zero_to_n_rejected(levels):
     prefix = {n: ops[n] for n in range(4)}
     kz = build_koszul(prefix)
     assert betti_table(kz) == DenseKoszul(prefix).betti_table()
-    assert dirac_square_residual(kz, 2) <= 1e-12
+    assert dirac_square_residual(kz, 2, 0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -196,7 +196,7 @@ def test_dirac_square_identity(d):
     ops = mod.coordinate_tuple()
     kz = build_koszul(ops)
     for n in range(0, kz.top_level - d):
-        assert dirac_square_residual(kz, n) <= 1e-11
+        assert dirac_square_residual(kz, n, 0.0) <= 1e-11
 
 
 def test_dirac_square_on_hardy_levels():
@@ -204,9 +204,9 @@ def test_dirac_square_on_hardy_levels():
     ops = mod.coordinate_tuple()
     kz = build_koszul(ops)
     for n in range(1, 7):
-        assert dirac_square_residual(kz, n) <= 1e-11
+        assert dirac_square_residual(kz, n, 0.0) <= 1e-11
     with pytest.raises(ValueError):
-        dirac_square_residual(kz, 99)
+        dirac_square_residual(kz, 99, 0.0)
 
 
 def test_dirac_square_normal_tuple():
@@ -218,7 +218,7 @@ def test_dirac_square_normal_tuple():
     comms = gm.self_commutators(ops)
     for n in range(1, 4):
         assert np.linalg.norm(comms[n][0, 1]) <= 1e-14
-        assert dirac_square_residual(kz, n) <= 1e-12
+        assert dirac_square_residual(kz, n, 0.0) <= 1e-12
 
 
 # -- gamma-blocks against the dense complex ---------------------------------------
@@ -228,10 +228,10 @@ def assert_matches_dense(ops):
     kz = build_koszul(ops)
     dense = DenseKoszul(ops)
     assert betti_table(kz) == dense.betti_table()
-    assert abs(kz.bsquared_residual() - dense.bsquared_residual()) <= 1e-13
+    assert abs(kz.bsquared_residual(0.0) - dense.bsquared_residual()) <= 1e-13
     for n in range(kz.top_level):
         if kz.interior(0, n):
-            assert abs(dirac_square_residual(kz, n)
+            assert abs(dirac_square_residual(kz, n, 0.0)
                        - dense.dirac_square_residual(n)) <= 1e-13
     assert sorted(kz.boundary) == sorted(dense.boundary)
     for (k, n), block in dense.boundary.items():
@@ -275,7 +275,7 @@ def test_input_checks_on_level_classes_match_the_dense_norms(family, d, r):
         kz = build_koszul(ops)
         scale = sup_norm(ops)
         assert abs(kz.tuple_norm() - scale) <= 1e-15 * scale
-        assert abs(kz.commutation_residual()
+        assert abs(kz.commutation_residual(0.0)
                    - commutation_residual(ops)) <= 1e-15 * max(scale**2, 1.0)
 
 

@@ -182,3 +182,97 @@ def test_desk_sized_wide_and_out_of_range_operands_do_not(rng, monkeypatch):
     nan = np.full(RANK_SIZED, np.nan + 0j)
     assert linalg._triangle(nan) is nan
     assert calls == []
+
+
+# -- residuals of exact identities -------------------------------------------------
+
+
+def no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD was taken")
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+
+
+@st.composite
+def residual_operands(draw):
+    """A complex matrix or (count, m, p) stack, possibly empty, of drawn scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    count = draw(st.sampled_from([None, 1, 3]))
+    shape = (rows, cols) if count is None else (count, rows, cols)
+    a = complex_gaussian(rng, *shape)
+    if count is not None and draw(st.booleans()):
+        a[0] = 0.0
+    return a * draw(st.sampled_from([1.0, 1e-15, 1e-8, 1e6, 1e-170, 1e-300]))
+
+
+def frobenius(a):
+    """The largest per-block Frobenius norm, by numpy's own norm."""
+    return float(np.linalg.norm(a, axis=(-2, -1)).max(initial=0.0))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(residual_operands(), st.sampled_from([1.0 + 1e-12, 1.5, 4.0]))
+def test_residual_is_its_bound_without_an_svd_when_the_frobenius_norm_is_below(
+        a, headroom):
+    bound = max(frobenius(a) * headroom, linalg.FROBENIUS_MIN_BOUND)
+    with pytest.MonkeyPatch.context() as patch:
+        no_svd(patch)
+        got = linalg.residual(a, bound)
+        per_block = linalg.residuals(a, bound)
+    assert got == bound
+    assert per_block.shape == a.shape[:-2] and np.all(per_block == bound)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(residual_operands(), st.sampled_from([0.0, 1e-200, 0.5, 0.9]))
+def test_residual_is_the_clamped_spectral_norm_bitwise_otherwise(a, fraction):
+    # a bound below the Frobenius norm (or none) leaves the exact path, bit for bit
+    bound = fraction * frobenius(a)
+    assert linalg.residual(a, bound) == max(linalg.opnorm(a), bound)
+    assert np.array_equal(linalg.residuals(a, bound),
+                          np.maximum(linalg.opnorms(a), bound))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(residual_operands())
+@example(np.zeros((0, 4), dtype=complex))
+@example(np.zeros((3, 4, 0), dtype=complex))
+@example(np.zeros((2, 5, 5), dtype=complex))
+@example(np.full((4, 3), 1e-170 + 1e-170j))
+def test_a_zero_bound_gives_the_exact_spectral_norm(a):
+    assert linalg.residual(a, 0.0) == linalg.opnorm(a)
+    assert np.array_equal(linalg.residuals(a, 0.0), linalg.opnorms(a))
+
+
+def test_tiny_bounds_certify_nothing_a_sum_of_squares_may_have_lost():
+    # every square underflows to zero, so the computed Frobenius norm is 0
+    a = np.full((4, 3), 1e-170 + 0j)
+    assert not (a.real**2).any()
+    assert linalg.residual(a, 1e-320) == linalg.opnorm(a) > 1e-320
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_operands_are_never_certified(bad, monkeypatch):
+    a = np.zeros((2, 3, 3), dtype=complex)
+    a[1, 0, 0] = bad
+    try:
+        want = linalg.opnorm(a)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.residual(a, 1e300)
+    else:
+        assert np.isnan(want) and np.isnan(linalg.residual(a, 1e300))
+    no_svd(monkeypatch)
+    with pytest.raises(AssertionError, match="an SVD was taken"):
+        linalg.residual(a, 1e300)
+
+
+def test_span_residuals_of_empty_operands_read_their_bound():
+    outer = np.eye(4, dtype=complex)[:, :2]
+    assert linalg.containment_residual(np.zeros((3, 4, 0)), outer, 1e-13) == 1e-13
+    assert linalg.orthonormality_residual(np.zeros((5, 0)), 1e-13) == 1e-13
+    assert linalg.subspace_distance(np.zeros((4, 0)), np.zeros((4, 0)), 1e-13) == 1e-13
+    for fn, args in [(linalg.containment_residual, (np.zeros((4, 0)), outer)),
+                     (linalg.orthonormality_residual, (np.zeros((5, 0)),))]:
+        assert fn(*args, 0.0) == 0.0

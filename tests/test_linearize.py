@@ -71,7 +71,7 @@ def test_kernel_level_one_explicit(h2):
     expected[0 * 2 + 1] = -1.0   # -z_1 in copy 2
     expected[1 * 2 + 0] = 1.0    # +z_2 in copy 1
     expected /= np.sqrt(2.0)
-    assert linalg.subspace_distance(K.basis(1), expected) <= 1e-12
+    assert linalg.subspace_distance(K.basis(1), expected, 0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("d,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -92,7 +92,7 @@ def test_kernel_degree_one(h2):
     for n in range(1, K.window):
         image = linalg.orthonormal_columns(np.hstack([
             oracle.coordinate_block(dom, k, n) @ K.basis(n) for k in (1, 2)]))
-        assert linalg.subspace_distance(image, K.basis(n + 1)) <= 1e-10
+        assert linalg.subspace_distance(image, K.basis(n + 1), 0.0) <= 1e-10
 
 
 # -- pullback -------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_pullback_matches_bruteforce_preimage(h2):
     assert pulled.dim(1) == 2    # nullity 1 + preimage dim 1
     for k in range(pulled.window + 1):
         oracle = bruteforce_preimage(h2.row_block(k), sub.basis(k + 1))
-        assert linalg.subspace_distance(pulled.basis(k), oracle) <= 1e-10
+        assert linalg.subspace_distance(pulled.basis(k), oracle, 0.0) <= 1e-10
 
 
 def test_preimage_of_a_target_containing_the_range():
@@ -134,7 +134,7 @@ def test_pullback_identities(h2):
     sub = gm.GradedSubmodule.generate(h2, [g])
     pulled = gm.pullback(sub)
     assert pullback_span_residual(sub, pulled) <= 1e-10
-    assert gm.kernel_containment_residual(h2, pulled) <= 1e-10
+    assert gm.kernel_containment_residual(h2, pulled, 0.0) <= 1e-10
     assert pulled.degree_report().degree == sub.degree_report().degree - 1
 
 
@@ -165,19 +165,19 @@ def test_shift_quotient_dims_and_induced_map(h2):
 def test_linearize_full_cases(h2):
     # degree 2: one pullback step
     g2 = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((0, 2), 0, 1.0)))
-    res = gm.linearize_full(gm.GradedSubmodule.generate(h2, [g2]))
+    res = gm.linearize_full(gm.GradedSubmodule.generate(h2, [g2]), 0.0, 0.0)
     assert res.complete and len(res.steps) == 2
     assert [s.degree for s in res.steps] == [2, 1]
     assert res.steps[-1].multiplicity == 2
 
     # degree 1 input: zero steps
     res = gm.linearize_full(gm.GradedSubmodule.generate(
-        h2, [gm.monomial_generator((1, 0))]))
+        h2, [gm.monomial_generator((1, 0))]), 0.0, 0.0)
     assert res.complete and len(res.steps) == 1 and res.steps[0].degree == 1
 
     # degree 3: two steps, final multiplicity d^2 = 4
     g3 = gm.VectorPolynomial(3, (((3, 0), 0, 1.0), ((0, 3), 0, 1.0)))
-    res = gm.linearize_full(gm.GradedSubmodule.generate(h2, [g3]))
+    res = gm.linearize_full(gm.GradedSubmodule.generate(h2, [g3]), 0.0, 0.0)
     assert res.complete
     assert [s.degree for s in res.steps] == [3, 2, 1]
     assert res.steps[-1].multiplicity == 4
@@ -191,7 +191,7 @@ def test_linearize_full_window_exhaustion():
     mod = gm.StandardModule(gm.make_weights("dshift", 4), d=2)
     g = gm.VectorPolynomial(3, (((3, 0), 0, 1.0), ((0, 3), 0, 1.0)))
     sub = gm.GradedSubmodule.generate(mod, [g])
-    res = gm.linearize_full(sub)
+    res = gm.linearize_full(sub, 0.0, 0.0)
     assert not res.complete
     assert "window" in res.reason
 
@@ -200,7 +200,7 @@ def test_linearize_budget_flag(h2, monkeypatch):
     g3 = gm.VectorPolynomial(3, (((3, 0), 0, 1.0), ((0, 3), 0, 1.0)))
     sub = gm.GradedSubmodule.generate(h2, [g3])
     monkeypatch.setattr(gm.linearize, "MAX_AMBIENT_DIM", 10)
-    res = gm.linearize_full(sub)
+    res = gm.linearize_full(sub, 0.0, 0.0)
     assert not res.complete and "budget" in res.reason
 
 
@@ -239,7 +239,7 @@ def test_ev_gradient_route_agrees(rng):
         ev_a, _ = gm.ev_space(mod, v)
         ev_g = gm.ev_gradient_levels(mod, v)
         for n in ev_a:
-            assert linalg.subspace_distance(ev_a[n], ev_g[n]) <= 1e-10
+            assert linalg.subspace_distance(ev_a[n], ev_g[n], 0.0) <= 1e-10
 
 
 def test_ev_roundtrip_both_directions(rng):
@@ -249,7 +249,7 @@ def test_ev_roundtrip_both_directions(rng):
         v = random_subspace(rng, mod, dim)
         _, sub = gm.ev_space(mod, v)
         rec = gm.recover_subspace(sub)
-        assert linalg.subspace_distance(v.basis, rec.basis) <= 1e-9
+        assert linalg.subspace_distance(v.basis, rec.basis, 0.0) <= 1e-9
     # M -> V -> M for a degree-1 submodule generated from random M_1
     raw = rng.normal(size=(mod.level_dim(1), 2)) \
         + 1j * rng.normal(size=(mod.level_dim(1), 2))
@@ -258,7 +258,7 @@ def test_ev_roundtrip_both_directions(rng):
     v = gm.recover_subspace(sub)
     _, back = gm.ev_space(mod, v)
     for n in range(back.window + 1):
-        assert linalg.subspace_distance(back.basis(n), sub.basis(n)) <= 1e-9
+        assert linalg.subspace_distance(back.basis(n), sub.basis(n), 0.0) <= 1e-9
 
 
 def full_svd_nullspace(a, floor):
@@ -276,9 +276,9 @@ def test_nullspace_of_tall_matrix(rng):
         @ (rng.normal(size=(5, 9)) + 1j * rng.normal(size=(5, 9)))
     null = linalg.nullspace(a)
     assert null.shape == (9, 4)
-    assert linalg.orthonormality_residual(null) <= 1e-13
+    assert linalg.orthonormality_residual(null, 0.0) <= 1e-13
     assert linalg.opnorm(a @ null) <= 1e-12 * linalg.opnorm(a)
-    assert linalg.subspace_distance(null, full_svd_nullspace(a, 0.0)) <= 1e-12
+    assert linalg.subspace_distance(null, full_svd_nullspace(a, 0.0), 0.0) <= 1e-12
 
 
 def full_level_ev(module, v, route):
@@ -329,7 +329,7 @@ def test_ev_recursion_matches_full_level_nullspace(rng, family, d, r, top):
             assert sorted(ev) == sorted(oracle)
             for n in oracle:
                 assert ev[n].shape == oracle[n].shape
-                assert linalg.subspace_distance(ev[n], oracle[n]) <= 1e-12
+                assert linalg.subspace_distance(ev[n], oracle[n], 0.0) <= 1e-12
 
 
 def linear_form_products(module, v_basis, n):
@@ -373,7 +373,7 @@ def test_ev_matches_linear_form_products(rng, family, d, top):
             products = linear_form_products(mod, v.basis, n)
             assert ev[n].shape[1] == products.shape[1] == math.comb(n + m - 1, m - 1)
             assert linalg.subspace_distance(
-                ev[n], linalg.orthonormal_columns(products)) <= 1e-12
+                ev[n], linalg.orthonormal_columns(products), 0.0) <= 1e-12
 
 
 def test_ev_nullspace_calls_stay_on_the_candidate_span(monkeypatch, rng):
@@ -456,7 +456,7 @@ def test_ev_roundtrip_and_derivative_containment(case):
     mod, v = case
     ev, sub = gm.ev_space(mod, v)
     rec = gm.recover_subspace(sub)
-    assert linalg.subspace_distance(v.basis, rec.basis) <= 1e-9
+    assert linalg.subspace_distance(v.basis, rec.basis, 0.0) <= 1e-9
     for n in range(1, mod.top_level + 1):
         outer = ev[n - 1]
         for j in range(1, mod.d + 1):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 import gradmod as gm
 from gradmod import linalg
+from gradmod.config import RESIDUAL_FLOOR
 from gradmod.normality import (GL_ORDER, _side_panels,
                                alternating_block_sequence,
                                resolvent_quadrature, similarity_counterexample,
@@ -158,10 +159,10 @@ def test_identities_for_trivial_submodules(h2):
     zero = gm.GradedSubmodule.zero(h2)
     ops = h2.coordinate_tuple()
     for level in (1, 4, 8):
-        r1, r2 = gm.compression_identity_residuals(ops, full, level)
+        r1, r2 = gm.compression_identity_residuals(ops, full, level, 0.0)
         assert r1.shape == r2.shape == (2, 2)
         assert max(r1.max(), r2.max()) <= 1e-13
-        r1, r2 = gm.compression_identity_residuals(ops, zero, level)
+        r1, r2 = gm.compression_identity_residuals(ops, zero, level, 0.0)
         assert max(r1.max(), r2.max()) <= 1e-13
 
 
@@ -171,7 +172,7 @@ def test_identities_random_submodules(rng, h2):
         gens = random_generators(rng, 2, 1, int(rng.integers(1, 4)), 1)
         sub = gm.GradedSubmodule.generate(h2, gens)
         for level in range(1, 7):
-            r1, r2 = gm.compression_identity_residuals(ops, sub, level)
+            r1, r2 = gm.compression_identity_residuals(ops, sub, level, 0.0)
             assert max(r1.max(), r2.max()) <= 1e-11
 
 
@@ -184,7 +185,7 @@ def test_identities_on_drawn_submodules(case):
     tol = 1e-11 * max(1.0, float(np.max(mod.rho))) ** 4
     ops = mod.coordinate_tuple()
     for level in range(1, sub.window):
-        r1, r2 = gm.compression_identity_residuals(ops, sub, level)
+        r1, r2 = gm.compression_identity_residuals(ops, sub, level, 0.0)
         assert r1.shape == r2.shape == (mod.d, mod.d)
         assert max(r1.max(), r2.max()) <= tol
 
@@ -193,9 +194,9 @@ def test_identities_reject_boundary_level(h2):
     sub = gm.GradedSubmodule.full(h2)
     ops = h2.coordinate_tuple()
     with pytest.raises(ValueError):
-        gm.compression_identity_residuals(ops, sub, 0)
+        gm.compression_identity_residuals(ops, sub, 0, 0.0)
     with pytest.raises(ValueError):
-        gm.compression_identity_residuals(ops, sub, 10)
+        gm.compression_identity_residuals(ops, sub, 10, 0.0)
 
 
 def _oracle_residuals(mod, sub, level):
@@ -218,7 +219,7 @@ def test_identities_match_dense_oracle_on_generated_submodules(case):
     tol = 1e-11 * max(1.0, float(np.max(mod.rho))) ** 4
     ops = mod.coordinate_tuple()
     for level in range(1, sub.window):
-        got = gm.compression_identity_residuals(ops, sub, level)
+        got = gm.compression_identity_residuals(ops, sub, level, 0.0)
         for g, want in zip(got, _oracle_residuals(mod, sub, level)):
             assert g.max() <= tol and want.max() <= tol
             np.testing.assert_allclose(g, want, rtol=0, atol=tol)
@@ -250,9 +251,12 @@ def test_identities_fail_off_invariant_subspaces_as_the_oracle_does(
     sub = _random_quotient_side(rng, mod)
     ops = mod.coordinate_tuple()
     for level in range(1, top):
-        got = gm.compression_identity_residuals(ops, sub, level)
-        for g, want in zip(got, _oracle_residuals(mod, sub, level)):
+        got = gm.compression_identity_residuals(ops, sub, level, 0.0)
+        # residuals far above the printed floor keep their exact bits
+        floored = gm.compression_identity_residuals(ops, sub, level, RESIDUAL_FLOOR)
+        for g, f, want in zip(got, floored, _oracle_residuals(mod, sub, level)):
             assert g.min() > 1e-3
+            assert np.array_equal(f, g)
             np.testing.assert_allclose(g, want, rtol=1e-10, atol=0)
 
 

@@ -114,7 +114,7 @@ def test_generate_matches_mside_oracle(family, d, r):
             == oracle.degree_payload(flags, dims, mod.top_level, g), name
         for n in range(mod.top_level + 1):
             assert linalg.subspace_distance(
-                sub.quotient_basis(n), linalg.complement_basis(bases[n])) <= 1e-10
+                sub.quotient_basis(n), linalg.complement_basis(bases[n]), 0.0) <= 1e-10
 
 
 LINEARIZE_CASES = (
@@ -138,7 +138,7 @@ def test_linearize_matches_mside_oracle(family, d, r, top):
         bases, saturated, g = oracle_of(mod, gens)
         steps, complete, reason = oracle.linearize_steps(
             mod, bases, mod.top_level, g, saturated)
-        result = gm.linearize_full(sub)
+        result = gm.linearize_full(sub, 0.0, 0.0)
         assert [(s.multiplicity, s.degree, s.window, s.level_dims)
                 for s in result.steps] == steps
         assert (result.complete, result.reason) == (complete, reason)
@@ -151,7 +151,7 @@ def test_linearize_matches_mside_oracle(family, d, r, top):
             assert pulled.window == window
             for k in range(window + 1):
                 assert linalg.subspace_distance(
-                    pulled.quotient_basis(k), linalg.complement_basis(pre[k])) <= 1e-10
+                    pulled.quotient_basis(k), linalg.complement_basis(pre[k]), 0.0) <= 1e-10
             assert oracle.pullback_span_residual(sub, pulled) <= 1e-10
 
 
@@ -161,12 +161,12 @@ def test_kernel_quotient_side_matches_dense_kernel(family, d, r):
     # L_n*/rho_n against K_n from a dense SVD of the row block
     mod = module(family, d, r)
     kernel = gm.kernel_levels(mod)
-    assert kernel.orthonormality_residual() <= 1e-12
+    assert kernel.orthonormality_residual(0.0) <= 1e-12
     for n in range(kernel.window + 1):
         dense = linalg.nullspace(mod.row_block(n))
         assert kernel.dim(n) == dense.shape[1]
         assert linalg.subspace_distance(
-            kernel.quotient_basis(n), linalg.complement_basis(dense)) <= 1e-10
+            kernel.quotient_basis(n), linalg.complement_basis(dense), 0.0) <= 1e-10
 
 
 # -- the closed-form pullback against the SVD route ----------------------------------
@@ -182,8 +182,8 @@ def svd_pullback(module, quotient_next, k):
 
 def assert_same_subspace(got, want):
     assert got.shape == want.shape
-    assert linalg.subspace_distance(got, want) <= 1e-12
-    assert linalg.orthonormality_residual(got) <= 1e-13
+    assert linalg.subspace_distance(got, want, 0.0) <= 1e-12
+    assert linalg.orthonormality_residual(got, 0.0) <= 1e-13
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -226,7 +226,7 @@ def test_recover_subspace_matches_preimage_complement(family, d, r):
 def test_quotient_side_is_coinvariant(case):
     mod, gens = case
     sub = gm.GradedSubmodule.generate(mod, gens)
-    assert sub.orthonormality_residual() <= 1e-12
+    assert sub.orthonormality_residual(0.0) <= 1e-12
     for n in range(mod.top_level):
         inner = sub.quotient_basis(n)
         for k in range(1, mod.d + 1):

@@ -14,6 +14,7 @@ import pytest
 
 import gradmod as gm
 from gradmod import linalg
+from gradmod.config import RESIDUAL_FLOOR
 from conftest import FAMILIES, random_generators
 
 TOP = {1: 8, 2: 8, 3: 6, 4: 5}
@@ -104,11 +105,14 @@ def submodules(family, d, r):
 def test_invariance_residual_is_the_per_k_residual_bitwise(family, d, r):
     _, subs = submodules(family, d, r)
     for name, sub in subs.items():
-        got = sub.invariance_residual()
+        got = sub.invariance_residual(0.0)
         assert got == invariance_oracle(sub), name
         assert isinstance(got, float)
-    assert subs["generated"].invariance_residual() <= 1e-12
-    assert subs["random"].invariance_residual() > 1e-3 or d == 1
+    assert subs["generated"].invariance_residual(0.0) <= 1e-12
+    assert subs["random"].invariance_residual(0.0) > 1e-3 or d == 1
+    # a residual far above the printed floor keeps its exact bits
+    assert (subs["random"].invariance_residual(RESIDUAL_FLOOR)
+            == max(subs["random"].invariance_residual(0.0), RESIDUAL_FLOOR))
 
 
 def test_invariance_stack_with_an_exact_zero_block_beside_routed_blocks():
@@ -129,7 +133,7 @@ def test_invariance_stack_with_an_exact_zero_block_beside_routed_blocks():
     assert all(linalg._triangle(res) is not res for res in residuals[1:])
     stack = np.stack(residuals)
     assert linalg._triangle(stack) is stack
-    assert sub.invariance_residual() == invariance_oracle(sub) > 0.1
+    assert sub.invariance_residual(0.0) == invariance_oracle(sub) > 0.1
 
 
 # -- subspace_distance -------------------------------------------------------------
@@ -153,11 +157,11 @@ def test_subspace_distance_is_the_two_sided_residual_bitwise(family, d, r):
             (q[:, :0], q[:, :0]),
         ]
         for a, b in pairs:
-            got = linalg.subspace_distance(a, b)
+            got = linalg.subspace_distance(a, b, 0.0)
             assert got == distance_oracle(a, b)
             assert isinstance(got, float)
-    assert linalg.subspace_distance(np.zeros((4, 0)), np.zeros((4, 0))) == 0.0
-    assert linalg.subspace_distance(np.eye(4)[:, :1], np.eye(4)[:, :2]) == 1.0
+    assert linalg.subspace_distance(np.zeros((4, 0)), np.zeros((4, 0)), 0.0) == 0.0
+    assert linalg.subspace_distance(np.eye(4)[:, :1], np.eye(4)[:, :2], 0.0) == 1.0
 
 
 def test_subspace_distance_with_an_exact_zero_side_beside_a_routed_side():
@@ -172,8 +176,8 @@ def test_subspace_distance_with_an_exact_zero_side_beside_a_routed_side():
     other = b - a @ (a.conj().T @ b)
     assert not one_side.any() and other.any()
     assert linalg._triangle(other) is not other
-    assert linalg.subspace_distance(a, b) == distance_oracle(a, b)
-    assert linalg.subspace_distance(b, a) == distance_oracle(b, a)
+    assert linalg.subspace_distance(a, b, 0.0) == distance_oracle(a, b)
+    assert linalg.subspace_distance(b, a, 0.0) == distance_oracle(b, a)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -186,4 +190,4 @@ def test_stacked_containment_matches_per_block_around_the_route_gate(seed):
         stack[seed % 4] = 0.0
     stack[1] = outer @ (outer.conj().T @ stack[1])     # roundoff-sized residual
     want = max(containment_oracle(block, outer) for block in stack)
-    assert linalg.containment_residual(stack, outer) == want
+    assert linalg.containment_residual(stack, outer, 0.0) == want
