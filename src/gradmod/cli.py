@@ -418,11 +418,12 @@ def cmd_submodule(args, outdir):
 
     ortho_tol = max(tol, cfg.EXACT_TOL)
     scale = linear_scale(module)
+    invariance_tol = tol * scale
     orthonormality = sub.orthonormality_residual(residual_bound(ortho_tol, 1.0))
-    invariance = sub.invariance_residual(residual_bound(tol * scale, scale))
+    invariance = sub.invariance_residual(residual_bound(invariance_tol, scale))
     failures = []
     hard_check(failures, "level_basis_orthonormality", orthonormality, ortho_tol)
-    hard_check(failures, "coordinate_invariance", invariance, tol * scale)
+    hard_check(failures, "coordinate_invariance", invariance, invariance_tol)
 
     report = {
         "schema": 3,
@@ -452,12 +453,13 @@ def cmd_linearize(args, outdir):
     sub, _ = load_generators(args, module)
     tol = cfg.SPAN_TOL if args.tol is None else args.tol
     scale = linear_scale(module)
-    result = linearize_full(sub, residual_bound(tol * scale, scale),
+    coinvariance_tol = tol * scale
+    result = linearize_full(sub, residual_bound(coinvariance_tol, scale),
                             residual_bound(tol, 1.0))
 
     failures = []
     for i, resid in enumerate(result.coinvariance_residuals):
-        hard_check(failures, f"pullback_coinvariance_step_{i}", resid, tol * scale)
+        hard_check(failures, f"pullback_coinvariance_step_{i}", resid, coinvariance_tol)
     for i, resid in enumerate(result.kernel_residuals):
         hard_check(failures, f"kernel_containment_step_{i}", resid, tol)
 
@@ -493,15 +495,15 @@ def cmd_ev(args, outdir):
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
     tol = cfg.ROUNDTRIP_TOL if args.tol is None else args.tol
-    span_tol = cfg.SPAN_TOL if args.tol is None else args.tol
+    scale = linear_scale(module)
+    invariance_tol = (cfg.SPAN_TOL if args.tol is None else args.tol) * scale
     p_list = args.p
 
     bound = residual_bound(tol, 1.0)
-    scale = linear_scale(module)
-
     ev, sub = ev_space(module, v)
     ev_grad = ev_gradient_levels(module, v)
-    route_gap = max(linalg.subspace_distance(ev[n], ev_grad[n], bound) for n in ev)
+    route_gap = linalg.largest(
+        [linalg.subspace_distance(ev[n], ev_grad[n], bound) for n in ev], 0.0)
     deg = sub.degree_report()
     recovered = recover_subspace(sub)
     roundtrip = linalg.subspace_distance(v.basis, recovered.basis, bound)
@@ -515,8 +517,8 @@ def cmd_ev(args, outdir):
     hard_check(failures, "adjoint_vs_gradient_route", route_gap, tol)
     hard_check(failures, "level0_component", float(sub.dim(0)), 0.0)
     hard_check(failures, "invariance",
-               sub.invariance_residual(residual_bound(span_tol * scale, scale)),
-               span_tol * scale)
+               sub.invariance_residual(residual_bound(invariance_tol, scale)),
+               invariance_tol)
     if deg.determined and deg.degree > 1:
         failures.append({"check": "degree_at_most_1", "value": deg.degree,
                          "tolerance": 1})
@@ -549,6 +551,8 @@ def cmd_koszul(args, outdir):
     module = build_module(args)
     tol = cfg.IDENTITY_TOL if args.tol is None else args.tol
     scale = tuple_scale(module)
+    dirac_tol = tol * scale
+    bsquared_tol = max(tol, cfg.EXACT_TOL) * scale
     if args.gens is None:
         ops = module.coordinate_tuple()
         subject = "standard module"
@@ -561,18 +565,13 @@ def cmd_koszul(args, outdir):
         table = betti_table(complex_)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
-    interior_levels = [n for n in range(module.top_level)
-                       if complex_.interior(0, n)]
-    dirac_bound = residual_bound(tol * scale, scale)
-    dirac = {n: dirac_square_residual(complex_, n, dirac_bound)
-             for n in interior_levels}
-
-    bsquared_tol = max(tol, cfg.EXACT_TOL) * scale
+    dirac = {n: dirac_square_residual(complex_, n, residual_bound(dirac_tol, scale))
+             for n in range(module.top_level) if complex_.interior(0, n)}
     bsquared = complex_.bsquared_residual(residual_bound(bsquared_tol, scale))
     failures = []
     hard_check(failures, "boundary_squared", bsquared, bsquared_tol)
     for n, resid in dirac.items():
-        hard_check(failures, f"dirac_square_level_{n}", resid, tol * scale)
+        hard_check(failures, f"dirac_square_level_{n}", resid, dirac_tol)
 
     report = {
         "schema": 2,
@@ -591,9 +590,9 @@ def cmd_koszul(args, outdir):
 def cmd_identity(args, outdir):
     module = build_module(args)
     sub, _ = load_generators(args, module)
-    tol = cfg.IDENTITY_TOL if args.tol is None else args.tol
-    exact_tol = cfg.EXACT_TOL if args.tol is None else args.tol
     scale = tuple_scale(module)
+    comp_tol = (cfg.IDENTITY_TOL if args.tol is None else args.tol) * scale
+    exact_tol = (cfg.EXACT_TOL if args.tol is None else args.tol) * scale
     nodes = args.nodes
     if nodes <= 0:
         raise ParseFailure("identity needs --nodes >= 1")
@@ -602,22 +601,21 @@ def cmd_identity(args, outdir):
 
     # compression identities on all interior levels, all pairs at once
     comp = {}
-    comp_bound = residual_bound(tol * scale, scale)
     for n in range(1, min(sub.window, module.top_level)):
-        r1, r2 = compression_identity_residuals(ops, sub, n, comp_bound)
-        comp[str(n)] = float(max(r1.max(), r2.max()))
+        pairs = compression_identity_residuals(ops, sub, n, residual_bound(comp_tol, scale))
+        comp[str(n)] = linalg.largest(pairs, 0.0)
     hard_check(failures, "compression_identities",
-               max(comp.values(), default=0.0), tol * scale)
+               linalg.largest(list(comp.values()), 0.0), comp_tol)
 
     # ambient exact identities
-    exact_bound = residual_bound(exact_tol * scale, scale)
-    row_res = max(row_sum_residual(ops, module.rho, n, exact_bound)
-                  for n in range(module.top_level))
-    dec_res = float(max(
-        commutator_decomposition_residual(ops, fock_ops, module.rho, n, exact_bound).max()
-        for n in range(1, module.top_level)))
-    hard_check(failures, "row_sum_identity", row_res, exact_tol * scale)
-    hard_check(failures, "commutator_decomposition", dec_res, exact_tol * scale)
+    exact_bound = residual_bound(exact_tol, scale)
+    row_res = linalg.largest([row_sum_residual(ops, module.rho, n, exact_bound)
+                              for n in range(module.top_level)], 0.0)
+    dec_res = linalg.largest(
+        [commutator_decomposition_residual(ops, fock_ops, module.rho, n, exact_bound)
+         for n in range(1, module.top_level)], 0.0)
+    hard_check(failures, "row_sum_identity", row_res, exact_tol)
+    hard_check(failures, "commutator_decomposition", dec_res, exact_tol)
 
     # resolvent projection at a mid level
     level = min(2, module.top_level - 2)
@@ -630,7 +628,7 @@ def cmd_identity(args, outdir):
     if positive.size:
         gap = float(positive.min())
         up = ops[level + 1]
-        y_ops = np.swapaxes(up.conj(), 1, 2) @ up      # Y_k = Z_k* Z_k
+        y_ops = linalg.adjoint(up) @ up      # Y_k = Z_k* Z_k
         try:
             rep = resolvent_projection(b, gap, nodes=nodes, transforms=y_ops,
                                        p_values=[1.0])

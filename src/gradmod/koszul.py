@@ -250,10 +250,6 @@ def _level_blocks(blocks, steps, dom, cod):
     return np.concatenate([values, pad], axis=1)
 
 
-def _adjoint(stack):
-    return np.swapaxes(stack.conj(), -1, -2)
-
-
 @dataclass(frozen=True)
 class KoszulComplex:
     """The Koszul complex of a graded tuple, held on its gamma-blocks.
@@ -308,7 +304,7 @@ class KoszulComplex:
         class of (k + 1, n + 1) that both of them meet, one
         ``linalg.residual`` against ``bound``.
         """
-        worst = float(bound)
+        values = []
         for (k, n), lower in self.boundary.items():
             upper = self.boundary.get((k + 1, n + 1))
             if upper is None or not self.interior(k + 1, n + 1):
@@ -316,14 +312,14 @@ class KoszulComplex:
             _, at_lower, at_upper = np.intersect1d(
                 lower.row_class, upper.col_class, assume_unique=True,
                 return_indices=True)
-            worst = max(worst, linalg.residual(
+            values.append(linalg.residual(
                 upper.values[at_upper] @ lower.values[at_lower], bound))
-        return worst
+        return linalg.largest(values, bound)
 
     def tuple_norm(self):
         """max ||T_i(n)|| over the stored levels: the largest norm of a level-class block."""
-        return max((linalg.opnorm(stack[:, :-1])
-                    for stack in self.level_blocks.values()), default=0.0)
+        return linalg.largest([linalg.opnorm(stack[:, :-1])
+                               for stack in self.level_blocks.values()], 0.0)
 
     def commutation_residual(self, bound):
         """max || T_j(n+1) T_k(n) - T_k(n+1) T_j(n) || over j < k, and ``bound``: 0 if commuting.
@@ -333,7 +329,7 @@ class KoszulComplex:
         norm is the largest over those blocks (``linalg.residual``).
         """
         j, k = np.triu_indices(self.d, 1)
-        worst = float(bound)
+        values = []
         for n, low in self.level_blocks.items():
             high = self.level_blocks.get(n + 1)
             if high is None:
@@ -343,8 +339,8 @@ class KoszulComplex:
             low = low[:, :-1]
             delta = (high[j[:, None], target[k]] @ low[k]
                      - high[k[:, None], target[j]] @ low[j])
-            worst = max(worst, linalg.residual(delta, bound))
-        return worst
+            values.append(linalg.residual(delta, bound))
+        return linalg.largest(values, bound)
 
     def _level_terms(self, n):
         """F(n) and the starred commutators [T_k*, T_j](n), as one stack by level class.
@@ -361,13 +357,13 @@ class KoszulComplex:
         level = self.classes[(0, n)]
         up = self.level_blocks[n]
         across = _locate(level, level.ids + (self.steps - self.steps[:, None])[:, :, None])
-        comm = _adjoint(up[var[:, None, None], across]) @ up[None, :, :-1]
+        comm = linalg.adjoint(up[var[:, None, None], across]) @ up[None, :, :-1]
         f_level = np.zeros(comm.shape[2:], dtype=complex)
         if n >= 1:
             # [i, k, p] = T_i(n-1)[p - e_k]
             below = self.level_blocks[n - 1][
                 :, _locate(self.classes[(0, n - 1)], level.ids - self.steps[:, None])]
-            outer = below.swapaxes(0, 1) @ _adjoint(below[var, var])[:, None]
+            outer = below.swapaxes(0, 1) @ linalg.adjoint(below[var, var])[:, None]
             comm -= outer
             f_level = outer[var, var].sum(axis=0)
         return np.concatenate([f_level[None], comm.reshape(d * d, *comm.shape[2:])])
@@ -383,8 +379,8 @@ def build_koszul(ops):
     scale is ``tuple_norm`` and its commutators are checked block by block
     (``KoszulComplex.commutation_residual``).  Raises ValueError when the
     levels are not exactly 0..N-1, when two stacks disagree on the shape of
-    a level they share, or when the blocks fail to commute within EXACT_TOL
-    (relative to the largest block norm).
+    a level they share, when an entry is NaN or infinite, or when the blocks
+    fail to commute within EXACT_TOL (relative to the largest block norm).
     """
     if not ops:
         raise ValueError("need at least one level")
@@ -400,6 +396,8 @@ def build_koszul(ops):
             raise ValueError(
                 f"inconsistent stack shapes: level {n} is {stack.shape}, "
                 f"level {n + 1} has dimension {dims[n + 1]}")
+        if not np.isfinite(stack).all():
+            raise ValueError(f"non-finite entry in the level {n} blocks")
     top = max(dims)
     ids, steps = _class_ids(node_labels(ops), d, dims)
     classes = {space: GammaClasses.of(space_ids) for space, space_ids in ids.items()}
@@ -499,7 +497,7 @@ def dirac_square_residual(complex_, level, bound):
     offset = np.zeros((2, complex_.level_dims[n]), dtype=np.int64)
     offset[:, level[cls, slot]] = cls * width_n**2 + slot, slot * width_n
 
-    worst = float(bound)
+    values = []
     for k in range(d + 1):
         if not complex_.interior(k, n):
             continue
@@ -508,10 +506,10 @@ def dirac_square_residual(complex_, level, bound):
         lhs = np.zeros((members.shape[0], width, width), dtype=complex)
         if (k, n) in complex_.boundary:
             gamma = complex_.boundary[(k, n)]
-            lhs[gamma.col_class] += _adjoint(gamma.values) @ gamma.values
+            lhs[gamma.col_class] += linalg.adjoint(gamma.values) @ gamma.values
         if (k - 1, n - 1) in complex_.boundary:
             gamma = complex_.boundary[(k - 1, n - 1)]
-            lhs[gamma.row_class] += gamma.values @ _adjoint(gamma.values)
+            lhs[gamma.row_class] += gamma.values @ linalg.adjoint(gamma.values)
         vec, sub = np.divmod(members, comb(d, k))
         as_col, as_row = offset[:, vec]
         at = as_row[:, :, None] + as_col[:, None, :]
@@ -519,8 +517,8 @@ def dirac_square_residual(complex_, level, bound):
         rhs = (terms[index[:, None, None, None], at]
                * forms[:, sub[:, :, None], sub[:, None, :]]).sum(axis=0)
         rhs[(members[:, :, None] < 0) | (members[:, None, :] < 0)] = 0
-        worst = max(worst, linalg.residual(lhs - rhs, bound))
-    return worst
+        values.append(linalg.residual(lhs - rhs, bound))
+    return linalg.largest(values, bound)
 
 
 def solve_syzygy(ops, xi, level):

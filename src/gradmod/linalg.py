@@ -1,10 +1,10 @@
 """Dense rank-revealing helpers shared by all block computations.
 
-It owns the toolkit's one rank cut (``_kept``) and one spectral norm
+It owns the toolkit's one rank cut (``_kept``), one spectral norm
 (``opnorms``, with ``opnorm`` their largest), thin wrappers of numpy's SVD,
-and the one norm of the residual of an exact identity (``residuals``, with
+one norm of the residual of an exact identity (``residuals``, with
 ``residual`` their largest), which takes that spectral norm only when the
-Frobenius norm cannot settle it.
+Frobenius norm cannot settle it, and one NaN-keeping fold (``largest``).
 Subspaces are always represented by matrices whose columns are orthonormal;
 an empty subspace is a (dim, 0) array.
 
@@ -43,6 +43,21 @@ FROBENIUS_MIN_BOUND = 1e-150
 
 def _as_complex(a):
     return np.asarray(a, dtype=complex)
+
+
+def adjoint(stack):
+    """The blockwise adjoint of a matrix or (..., m, p) stack."""
+    return np.swapaxes(stack.conj(), -1, -2)
+
+
+def largest(values, floor):
+    """The largest of ``values`` and ``floor``; NaN when any value is NaN.
+
+    ``values`` holds floats or equally shaped arrays.  The builtin ``max``
+    would keep its running value past a NaN; on finite values ``np.max`` is
+    exact, so the result has the builtin's bits.
+    """
+    return float(np.max(np.asarray(values, dtype=float), initial=floor))
 
 
 def _kept(s, scale=0.0):
@@ -141,7 +156,7 @@ def opnorms(a):
 
 def opnorm(a):
     """Largest spectral norm of a matrix or a (..., m, p) stack; 0 when empty."""
-    return float(opnorms(a).max(initial=0.0))
+    return largest(opnorms(a), 0.0)
 
 
 def residuals(a, bound):
@@ -166,7 +181,7 @@ def residuals(a, bound):
 
 def residual(a, bound):
     """max(largest ||a_i||_2 over a matrix or (..., m, p) stack, bound); see ``residuals``."""
-    return float(residuals(a, bound).max(initial=bound))
+    return largest(residuals(a, bound), bound)
 
 
 def _outside(inner, outer):

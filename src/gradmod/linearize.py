@@ -130,13 +130,13 @@ def kernel_containment_residual(module, pulled, bound):
     is roundoff by construction (see the module docstring), so each level
     is a ``linalg.residual`` against ``bound``.
     """
-    worst = float(bound)
+    values = []
     for n in range(pulled.window + 1):
         inner = pulled.quotient_basis(n)
         rho = module.rho[n]
         back = module.row_adjoint(n, module.row(n, inner) / rho) / rho
-        worst = max(worst, linalg.residual(inner - back, bound))
-    return worst
+        values.append(linalg.residual(inner - back, bound))
+    return linalg.largest(values, bound)
 
 
 def shift_quotient(quotient):

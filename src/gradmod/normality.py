@@ -33,11 +33,6 @@ from .trends import classify_trend
 GL_ORDER = 16
 
 
-def _adjoint(stack):
-    """The blockwise adjoint of a stack of level blocks."""
-    return np.swapaxes(stack.conj(), -1, -2)
-
-
 def _level_commutators(ops, n):
     """The (d, d, h_n, h_n) stacks of [T_j*, T_k] and of its down term on level n.
 
@@ -46,11 +41,11 @@ def _level_commutators(ops, n):
     T_j(n)* T_k(n) minus it.
     """
     up = ops[n]
-    comm = _adjoint(up)[:, None] @ up[None, :]
+    comm = linalg.adjoint(up)[:, None] @ up[None, :]
     if n - 1 not in ops:
         return comm, None
     low = ops[n - 1]
-    down = low[None, :] @ _adjoint(low)[:, None]
+    down = low[None, :] @ linalg.adjoint(low)[:, None]
     return comm - down, down
 
 
@@ -139,7 +134,7 @@ def row_sum_residual(ops, rho, n, bound):
     On a module's ``coordinate_tuple`` and weights this is the defining
     identity of the weighted d-shift realization.
     """
-    acc = (ops[n] @ _adjoint(ops[n])).sum(axis=0)
+    acc = (ops[n] @ linalg.adjoint(ops[n])).sum(axis=0)
     return linalg.residual(acc - rho[n] ** 2 * np.eye(acc.shape[0]), bound)
 
 
@@ -183,7 +178,7 @@ def compression_identity_residuals(ops, submodule, level, bound):
     lo, hi = n - 1, n
     p = {m: submodule.projection_block(m) for m in (lo, hi, hi + 1)}
     pp = {m: np.eye(p[m].shape[0], dtype=complex) - p[m] for m in p}
-    t, t_adj = ops, {m: _adjoint(ops[m]) for m in (lo, hi)}
+    t, t_adj = ops, {m: linalg.adjoint(ops[m]) for m in (lo, hi)}
     e = {m: p[m + 1] @ t[m] - t[m] @ p[m] for m in (lo, hi)}
     c = {m: (pp[m + 1] @ t[m]) @ pp[m] for m in (lo, hi)}
 
@@ -191,10 +186,10 @@ def compression_identity_residuals(ops, submodule, level, bound):
     # rounding of the reported residuals; axis 0 is j and axis 1 is k
     lhs1 = (((t[lo] @ p[lo])[:, None] @ t_adj[lo][None, :]) @ p[hi]
             - ((p[hi] @ t_adj[hi])[None, :] @ t[hi][:, None]) @ p[hi])
-    rhs1 = -(e[lo][:, None] @ _adjoint(e[lo])[None, :]) + (p[hi] @ amb) @ p[hi]
-    lhs2 = (c[lo][:, None] @ _adjoint(c[lo])[None, :]
-            - _adjoint(c[hi])[None, :] @ c[hi][:, None]) @ pp[hi]
-    rhs2 = _adjoint(e[hi])[None, :] @ e[hi][:, None] + (pp[hi] @ amb) @ pp[hi]
+    rhs1 = -(e[lo][:, None] @ linalg.adjoint(e[lo])[None, :]) + (p[hi] @ amb) @ p[hi]
+    lhs2 = (c[lo][:, None] @ linalg.adjoint(c[lo])[None, :]
+            - linalg.adjoint(c[hi])[None, :] @ c[hi][:, None]) @ pp[hi]
+    rhs2 = linalg.adjoint(e[hi])[None, :] @ e[hi][:, None] + (pp[hi] @ amb) @ pp[hi]
     return linalg.residuals(lhs1 - rhs1, bound), linalg.residuals(lhs2 - rhs2, bound)
 
 
@@ -323,6 +318,8 @@ def resolvent_projection(b, gap, nodes=QUAD_DEFAULT_NODES, transforms=(),
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("B must be square")
+    if not np.isfinite(b).all():
+        raise ValueError("B has a non-finite entry")
     b_norm = linalg.opnorm(b)
     scale = max(b_norm, 1.0)
     if linalg.residual(b - b.conj().T, EXACT_TOL * scale) > EXACT_TOL * scale:
@@ -438,8 +435,7 @@ def similarity_counterexample(u, levels):
         raise ValueError("e^u, its square or the intertwiner overflows on the window")
     if lam.min() < np.finfo(float).tiny:
         raise ValueError("the intertwiner underflows on the window: L is not invertible")
-    resid = max(abs(lam[n + 1] * 1.0 - b_weights[n] * lam[n])
-                for n in range(n_levels))
+    resid = linalg.largest(np.abs(lam[1:] - b_weights * lam[:-1]), 0.0)
 
     # the self-commutators of the 1 x 1 weighted shifts, level by level:
     # [A*, A](n) = 1 - 1 for n >= 1, and [B*, B](n) = b_n^2 - b_{n-1}^2
@@ -449,5 +445,5 @@ def similarity_counterexample(u, levels):
     b_diag = b_square - np.concatenate(([0.0], b_square[:-1]))
     partial = np.cumsum(u)
     return CounterexampleReport(
-        u, lam, flagged, float(resid), rank_a, b_diag, ratio,
+        u, lam, flagged, resid, rank_a, b_diag, ratio,
         float(np.max(np.abs(partial))), (float(lam.min()), float(lam.max())))

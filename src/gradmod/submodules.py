@@ -338,8 +338,8 @@ class GradedSubmodule:
 
     def orthonormality_residual(self, bound):
         """max over n of ||Q_n* Q_n - I||, and ``bound`` (``linalg.residual``)."""
-        return max(linalg.orthonormality_residual(self.quotient_basis(n), bound)
-                   for n in range(self.window + 1))
+        return linalg.largest([linalg.orthonormality_residual(q, bound)
+                               for q in self.quotient_bases.values()], bound)
 
     def invariance_residual(self, bound):
         """max over k, n of ||(I - P_{Q_n}) Z_k* Q_{n+1}||, and ``bound``: 0 for a true submodule.
@@ -350,12 +350,11 @@ class GradedSubmodule:
         Z_k* Q_{n+1} (``adjoint_stack``), and one stacked residual per level,
         which takes no SVD when its Frobenius norm is at most ``bound``.
         """
-        worst = float(bound)
+        values = []
         for n in range(min(self.window, self.module.top_level - 1)):
             img = self.module.adjoint_stack(n, self.quotient_basis(n + 1))
-            worst = max(worst, linalg.containment_residual(
-                img, self.quotient_basis(n), bound))
-        return worst
+            values.append(linalg.containment_residual(img, self.quotient_basis(n), bound))
+        return linalg.largest(values, bound)
 
     def saturation_flags(self):
         """flags[k]: does sum_j Z_j M_k span all of M_{k+1}?
@@ -414,7 +413,6 @@ class QuotientModule:
         self.submodule = submodule
         self.module = submodule.module
         self.window = submodule.window
-        self._stacks = {}
 
     def basis(self, n):
         return self.submodule.quotient_basis(n)
@@ -425,20 +423,12 @@ class QuotientModule:
     def dims(self):
         return [self.dim(n) for n in range(self.window + 1)]
 
-    def _level_stack(self, n):
-        """The compressed blocks Q_{n+1}* Z_k(n) Q_n of every k, one complex stack.
-
-        Shape (d, dim Q_{n+1}, dim Q_n), entry [k-1] for Z_k; built once per
-        level.
-        """
-        stack = self._stacks.get(n)
-        if stack is None:
-            low, high = self.basis(n), self.basis(n + 1)
-            stack = self._stacks[n] = np.asarray(
-                [z.conj().T @ low for z in self.module.adjoint_stack(n, high)],
-                dtype=complex)
-        return stack
-
     def coordinate_tuple(self):
-        """The compressed tuple: one (d, dim Q_{n+1}, dim Q_n) stack per level n < window."""
-        return {n: self._level_stack(n) for n in range(self.window)}
+        """The compressed tuple: one (d, dim Q_{n+1}, dim Q_n) stack per level n < window.
+
+        Entry [k-1] of level n is Q_{n+1}* Z_k(n) Q_n, taken as the adjoint of
+        each Z_k* Q_{n+1} (``adjoint_stack``) times Q_n.
+        """
+        return {n: np.asarray([z.conj().T @ self.basis(n) for z in
+                               self.module.adjoint_stack(n, self.basis(n + 1))], dtype=complex)
+                for n in range(self.window)}

@@ -513,6 +513,23 @@ def test_tol_reaches_every_residual_check(tmp_path, capsys, argv, flag, text, ch
         == {check: 1e-300 for check in checks}
 
 
+def test_a_nan_row_sum_level_fails_identity(tmp_path, capsys, monkeypatch):
+    # the builtin max over levels kept its running value past a NaN, so one
+    # NaN level vanished from the row-sum residual and the check passed
+    real = cli.row_sum_residual
+    monkeypatch.setattr(cli, "row_sum_residual", lambda ops, rho, n, bound: (
+        float("nan") if n == 1 else real(ops, rho, n, bound)))
+    gens = tmp_path / "quadric.txt"
+    gens.write_text(README_QUADRIC)
+    argv = ["identity", "--d", "2", "--N", "7", "--nodes", "128", "--family", "hardy",
+            "--gens", str(gens), "--out", str(tmp_path)]
+    assert run_cli(argv) == cli.EXIT_TOLERANCE
+    assert "FAIL row_sum_identity: nan" in capsys.readouterr().err
+    report = json.loads((tmp_path / "identity.json").read_text())
+    assert report["row_sum_residual"] == "nan"
+    assert [f["check"] for f in report["hard_failures"]] == ["row_sum_identity"]
+
+
 def test_weights_tail_is_bounded_by_the_difference_count(tmp_path, capsys):
     argv = ["weights", "--d", "2", "--N", "10"]
     assert run_cli(argv + ["--tail", "9", "--out", str(tmp_path / "a")]) == cli.EXIT_OK

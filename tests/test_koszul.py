@@ -101,6 +101,17 @@ def test_noncommuting_input_rejected():
         build_koszul(ops)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_tuple_rejected(bad):
+    # an infinite T_1(2) built with RuntimeWarnings, passed its commutation
+    # check and read tuple_norm 1.0, then failed in bsquared_residual's SVD
+    ops = h2_module(2, n_levels=5).coordinate_tuple()
+    assert build_koszul(ops).tuple_norm() == 1.0
+    ops[2][0][ops[2][0] != 0] = bad
+    with pytest.raises(ValueError, match="non-finite entry in the level 2 blocks"):
+        build_koszul(ops)
+
+
 def test_inconsistent_stack_shapes_rejected():
     # level 1 maps into 3 rows, but level 2 takes 2 columns
     ops = h2_module(2).coordinate_tuple()

@@ -41,6 +41,34 @@ def test_opnorm_of_empty_blocks_is_zero(shape):
     assert norms.shape == shape[:-2] and not norms.any()
 
 
+# -- the fold of per-level values ------------------------------------------------
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_largest_keeps_a_nan_at_any_position(at):
+    values = [1e-13, 3e-13, 2e-13, 5e-14, 4e-13]
+    values[at] = float("nan")
+    assert np.isnan(linalg.largest(values, 1e-13))
+    blocks = np.zeros((5, 2, 2))
+    blocks[at, 1, 0] = np.nan
+    assert np.isnan(linalg.largest(list(blocks), 0.0))
+
+
+def test_largest_of_nothing_is_its_floor():
+    assert linalg.largest([], 1e-13) == 1e-13
+    assert linalg.largest(np.zeros((0, 3)), 0.0) == 0.0
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=12),
+       st.sampled_from([0.0, 1e-13, 1e-150, 0.5]))
+def test_largest_of_finite_values_is_the_builtin_max_bitwise(values, floor):
+    got = linalg.largest(values, floor)
+    assert type(got) is float
+    assert got.hex() == max(values + [floor]).hex()
+    assert linalg.largest(values[::-1], floor).hex() == got.hex()
+
+
 # -- the rank cut --------------------------------------------------------------
 
 

@@ -285,6 +285,18 @@ def test_resolvent_requires_gap_and_hermitian():
         gm.resolvent_projection(bad, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_resolvent_refuses_a_non_finite_b_before_lapack(bad, capfd):
+    # an infinite corner entry used to reach LAPACK, which printed
+    # "On entry to DLASCL parameter number 4 had an illegal value" to the
+    # terminal before an unrelated error from the panel count
+    b = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    b[0, 2] = bad
+    with pytest.raises(ValueError, match="B has a non-finite entry"):
+        gm.resolvent_projection(b, 1.0)
+    assert capfd.readouterr() == ("", "")
+
+
 def _rotated_diagonal(diagonal):
     rng = np.random.default_rng(3)
     dim = len(diagonal)

@@ -6,7 +6,9 @@ containment residuals.  The oracles below are the per-k and per-side forms
 they replace; the results must be ``==``, not close.  ``_triangle`` routes a
 stack through R only when every block is in range, so a stack in which one
 block is exactly zero takes the plain SVD for every block: that case is
-checked against blocks that do take the route on their own.
+checked against blocks that do take the route on their own.  The last
+section makes one level of each per-level residual NaN: the residual must
+read NaN.
 """
 
 import numpy as np
@@ -191,3 +193,55 @@ def test_stacked_containment_matches_per_block_around_the_route_gate(seed):
     stack[1] = outer @ (outer.conj().T @ stack[1])     # roundoff-sized residual
     want = max(containment_oracle(block, outer) for block in stack)
     assert linalg.containment_residual(stack, outer, 0.0) == want
+
+
+# -- a NaN at one level --------------------------------------------------------------
+
+
+def quadric_submodule():
+    mod = module("dshift", 2, 1)
+    g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((0, 2), 0, 1.0)))
+    return gm.GradedSubmodule.generate(mod, [g])
+
+
+def residual_sites():
+    """(the ``linalg`` call each residual folds over its levels, the residual)."""
+    sub = quadric_submodule()
+    pulled = gm.pullback(sub)
+    kz = gm.build_koszul(sub.module.coordinate_tuple())
+    return {
+        "orthonormality": ("orthonormality_residual",
+                           lambda: sub.orthonormality_residual(1e-13)),
+        "invariance": ("containment_residual", lambda: sub.invariance_residual(1e-13)),
+        "kernel-containment": ("residual", lambda: gm.kernel_containment_residual(
+            sub.module, pulled, 1e-13)),
+        "bsquared": ("residual", lambda: kz.bsquared_residual(1e-13)),
+        "tuple-norm": ("opnorm", kz.tuple_norm),
+        "commutation": ("residual", lambda: kz.commutation_residual(1e-13)),
+        "dirac-square": ("residual", lambda: gm.dirac_square_residual(kz, 2, 1e-13)),
+    }
+
+
+def nan_on_second_call(monkeypatch, name):
+    """Make ``linalg.<name>`` return NaN on its second call only; returns the call count."""
+    real = getattr(linalg, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(name)
+        return float("nan") if len(calls) == 2 else real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, name, patched)
+    return calls
+
+
+@pytest.mark.parametrize("site", ["orthonormality", "invariance", "kernel-containment",
+                                  "bsquared", "tuple-norm", "commutation", "dirac-square"])
+def test_a_nan_at_one_level_makes_the_residual_nan(site, monkeypatch):
+    # the builtin max(worst, value) kept ``worst`` past a NaN value, so a
+    # level that was not finite vanished from the reported residual
+    name, residual = residual_sites()[site]
+    assert np.isfinite(residual())
+    calls = nan_on_second_call(monkeypatch, name)
+    assert np.isnan(residual())
+    assert len(calls) >= 3
