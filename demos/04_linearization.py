@@ -37,17 +37,17 @@ print(f"  ker L against each pullback's quotient side, ||K* Q'||: "
 
 print("\nThe shifted quotient is carried levelwise by L: level n of the new")
 print("quotient matches level n+1 of the old one:")
-q = gm.QuotientModule(sub)
-shifted = gm.shift_quotient(q)
-print("  old dims: ", q.dims()[1:8])
-print("  new dims: ", shifted.dims()[:7])
-conds = gm.induced_map_report(q, shifted)
+pulled = gm.pullback(sub)
+print("  old dims: ", [sub.quotient_basis(n).shape[1] for n in range(1, 8)])
+print("  new dims: ", [pulled.quotient_basis(n).shape[1] for n in range(7)])
+conds = gm.induced_map_report(sub, pulled)
 print("  induced level maps full rank with condition numbers:",
       [f"{conds[n][0]:.2f}" for n in sorted(conds)[:5]])
 
 print("\nDegree-1 submodules <-> subspaces V of d.E (here d.E = C^2):")
 v = gm.SubspaceV.from_matrix(mod, np.array([[1.0], [0.0]]))
-ev, m = gm.ev_space(mod, v)
+m = gm.ev_space(mod, v)
+ev = m.quotient_bases
 print("  V = span{(1,0)}: E_V(n) is spanned by z_1^n, dims",
       [ev[n].shape[1] for n in range(8)])
 print("  orthocomplement degree:", m.degree_report().degree,
@@ -62,7 +62,7 @@ hardy = gm.StandardModule(gm.make_weights("hardy", 8, d=2), d=2, multiplicity=2)
 rng = np.random.default_rng(5)
 raw = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
 v = gm.SubspaceV.from_matrix(hardy, raw)
-ev_adj, _ = gm.ev_space(hardy, v)
+ev_adj = gm.ev_space(hardy, v).quotient_bases
 ev_grad = gm.ev_gradient_levels(hardy, v)
 gap = max(linalg.subspace_distance(ev_adj[n], ev_grad[n], 0.0) for n in ev_adj)
 print(f"  max subspace gap over levels: {gap:.2e}")

@@ -21,7 +21,7 @@ for d, r in ((2, 1), (2, 3), (3, 1)):
     complex_ = build_koszul(ops)
     print(f"standard module d = {d}, r = {r}: "
           f"B^2 residual {complex_.bsquared_residual(0.0):.2e}, "
-          f"Betti numbers {betti_numbers(complex_)}")
+          f"Betti numbers {betti_numbers(betti_table(complex_))}")
 
 print("\nThe free-module cohomology is concentrated at level 0: the full")
 print("(form degree, level) table of a standard module has a single entry.")
@@ -34,10 +34,9 @@ print("  nonzero entries:", nonzero)
 print("\nQuotients can break exactness in the middle. For S/[z1] the")
 print("compressed tuple is (0, shift) and middle cohomology appears:")
 sub = gm.GradedSubmodule.generate(mod, [gm.monomial_generator((1, 0))])
-q_ops = gm.QuotientModule(sub).coordinate_tuple()
-q_table = betti_table(build_koszul(q_ops))
+q_table = betti_table(build_koszul(sub.quotient_tuple()))
 print("  nonzero entries:", {k: v for k, v in sorted(q_table.items()) if v})
-print("  Betti numbers:", betti_numbers(build_koszul(q_ops)))
+print("  Betti numbers:", betti_numbers(q_table))
 
 print("\nDirac square identity D^2 = F (x) 1 + commutator corrections,")
 print("checked blockwise on the Hardy module:")

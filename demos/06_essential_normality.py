@@ -72,16 +72,15 @@ presets = {
         mod3, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])),
 }
 for name, v in presets.items():
-    q = gm.ev_quotient(mod3, v)
-    en = gm.quotient_en_report(q, [4.0, 5.0])
+    en = gm.schatten_report(gm.ev_space(mod3, v).quotient_tuple(), [4.0, 5.0])
     calls = ", ".join(f"p={p:.0f}: {en.trends[p].trend}" for p in (4.0, 5.0))
-    print(f"  {name}: {calls}   [{en.note}]")
+    print(f"  {name}: {calls}   [evidence, not proof]")
 
 mod22 = gm.StandardModule(gm.make_weights("dshift", 30), d=2, multiplicity=2)
 m1 = gm.submodules.embed_polynomials(mod22, [
     gm.VectorPolynomial(1, (((1, 0), 0, 1.0),)),
     gm.VectorPolynomial(1, (((0, 1), 1, 1.0),))])
 v_diag = gm.recover_subspace(gm.GradedSubmodule.from_level_seeds(mod22, {1: m1}))
-en = gm.quotient_en_report(gm.ev_quotient(mod22, v_diag), [3.0, 4.0])
+en = gm.schatten_report(gm.ev_space(mod22, v_diag).quotient_tuple(), [3.0, 4.0])
 calls = ", ".join(f"p={p:.0f}: {en.trends[p].trend}" for p in (3.0, 4.0))
-print(f"  (c) diagonal relations, d = 2, r = 2: {calls}   [{en.note}]")
+print(f"  (c) diagonal relations, d = 2, r = 2: {calls}   [evidence, not proof]")

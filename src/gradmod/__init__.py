@@ -31,7 +31,6 @@ from .linearize import (
     SubspaceV,
     WindowExhausted,
     ev_gradient_levels,
-    ev_quotient,
     ev_space,
     induced_map_report,
     kernel_containment_residual,
@@ -39,7 +38,6 @@ from .linearize import (
     linearize_full,
     pullback,
     recover_subspace,
-    shift_quotient,
 )
 from .monomials import (
     LevelBasis,
@@ -52,7 +50,6 @@ from .normality import (
     alternating_block_sequence,
     commutator_decomposition_residual,
     compression_identity_residuals,
-    quotient_en_report,
     resolvent_projection,
     resolvent_quadrature,
     row_sum_residual,
@@ -64,7 +61,6 @@ from .normality import (
 from .submodules import (
     DegreeReport,
     GradedSubmodule,
-    QuotientModule,
     VectorPolynomial,
     monomial_generator,
     parse_generator_line,

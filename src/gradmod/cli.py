@@ -41,10 +41,10 @@ from .linearize import (ev_gradient_levels, ev_space, linearize_full,
                         parse_subspace, pullback_quotient, recover_subspace)
 from .normality import (alternating_block_sequence,
                         commutator_decomposition_residual,
-                        compression_identity_residuals, quotient_en_report,
-                        resolvent_projection, row_sum_residual,
+                        compression_identity_residuals, resolvent_projection,
+                        row_sum_residual, schatten_report,
                         similarity_counterexample, spectral_projection_oracle)
-from .submodules import GradedSubmodule, QuotientModule, parse_generators
+from .submodules import GradedSubmodule, parse_generators
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -432,8 +432,7 @@ def cmd_submodule(args, outdir):
         "generator_count": len(gens),
         "ambient_dims": [module.level_dim(n) for n in range(module.top_level + 1)],
         "submodule_dims": sub.dims(),
-        "quotient_dims": [module.level_dim(n) - sub.dim(n)
-                          for n in range(sub.window + 1)],
+        "quotient_dims": [q.shape[1] for q in sub.quotient_bases.values()],
         "degree": _degree_payload(report_deg),
         "reducing": {"is_reducing": reducing,
                      "V_dim": None if v_basis is None else v_basis.shape[1]},
@@ -500,7 +499,8 @@ def cmd_ev(args, outdir):
     p_list = args.p
 
     bound = residual_bound(tol, 1.0)
-    ev, sub = ev_space(module, v)
+    sub = ev_space(module, v)
+    ev = sub.quotient_bases
     ev_grad = ev_gradient_levels(module, v)
     route_gap = linalg.largest(
         [linalg.subspace_distance(ev[n], ev_grad[n], bound) for n in ev], 0.0)
@@ -508,7 +508,7 @@ def cmd_ev(args, outdir):
     recovered = recover_subspace(sub)
     roundtrip = linalg.subspace_distance(v.basis, recovered.basis, bound)
     try:
-        en = quotient_en_report(QuotientModule(sub), p_list)
+        en = schatten_report(sub.quotient_tuple(), p_list)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
 
@@ -534,7 +534,7 @@ def cmd_ev(args, outdir):
         "roundtrip_V_distance": roundtrip,
         "adjoint_vs_gradient_route": route_gap,
         "quotient_commutators": {
-            "note": en.note,
+            "note": "evidence, not proof",
             "trends": {_fmt(p): {"trend": en.trends[p].trend,
                                  "ratio": en.trends[p].ratio,
                                  "cumulative": float(en.cumulative[p][-1])}
@@ -558,7 +558,7 @@ def cmd_koszul(args, outdir):
         subject = "standard module"
     else:
         sub, _ = load_generators(args, module)
-        ops = QuotientModule(sub).coordinate_tuple()
+        ops = sub.quotient_tuple()
         subject = "quotient module"
     try:
         complex_ = build_koszul(ops)
@@ -579,7 +579,7 @@ def cmd_koszul(args, outdir):
         "config": config_echo(args, gens=args.gens),
         "subject": subject,
         "bsquared_residual": bsquared,
-        "betti_numbers": list(betti_numbers(complex_)),
+        "betti_numbers": list(betti_numbers(table)),
         "betti_table": {f"{k},{n}": int(dim) for (k, n), dim in sorted(table.items())},
         "dirac_residuals": {str(n): resid for n, resid in dirac.items()},
         "hard_failures": failures,

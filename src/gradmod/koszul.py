@@ -373,7 +373,7 @@ def build_koszul(ops):
     """Assemble the Koszul complex of a commuting degree-1 tuple on its gamma-blocks.
 
     ``ops`` maps each level n to the (d, h_{n+1}, h_n) stack of the T_i(n)
-    (``StandardModule.coordinate_tuple``, ``QuotientModule.coordinate_tuple``).
+    (``StandardModule.coordinate_tuple``, ``GradedSubmodule.quotient_tuple``).
     The labels are read once (``node_labels``).  The T_i(n) are gathered
     onto the level classes, and the input checks run there: the tuple's
     scale is ``tuple_norm`` and its commutators are checked block by block
@@ -442,10 +442,13 @@ def betti_table(complex_):
     return table
 
 
-def betti_numbers(complex_):
-    """Aggregate Betti vector (beta_0, ..., beta_d) over the level window."""
-    table = betti_table(complex_)
-    beta = [0] * (complex_.d + 1)
+def betti_numbers(table):
+    """Aggregate Betti vector (beta_0, ..., beta_d) of a ``betti_table``.
+
+    A ``betti_table`` has an entry at every form degree 0..d, so d is its
+    largest form degree.
+    """
+    beta = [0] * (max(k for k, _ in table) + 1)
     for (k, _), dim in table.items():
         beta[k] += dim
     return tuple(beta)
@@ -533,7 +536,8 @@ def solve_syzygy(ops, xi, level):
     Returns (eta, residual): eta maps ordered pairs (j, k) to level n-1
     vectors with eta_{jk} = -eta_{kj} exactly by construction, and residual
     is the relative reconstruction error.  Degree-0 input must be zero and
-    yields the zero certificate.
+    yields the zero certificate.  A NaN or infinite entry of ``xi`` raises
+    ValueError.
     """
     n = int(level)
     if n not in ops:
@@ -545,9 +549,11 @@ def solve_syzygy(ops, xi, level):
         raise ValueError("need one component per operator")
     if any(x.size != h_n for x in xi):
         raise ValueError("components must live on the stated level")
+    if not all(np.isfinite(x).all() for x in xi):
+        raise ValueError("non-finite entry in xi")
     scale = max(max((float(np.linalg.norm(x)) for x in xi)), 1.0)
     in_kernel = sum(ops[n][k] @ xi[k] for k in range(d))
-    if float(np.linalg.norm(in_kernel)) > SPAN_TOL * scale:
+    if not float(np.linalg.norm(in_kernel)) <= SPAN_TOL * scale:
         raise ValueError("input is not in the kernel of the row map")
     pairs = [(j, k) for j in range(1, d + 1) for k in range(j + 1, d + 1)]
     if n == 0:

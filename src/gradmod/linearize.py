@@ -12,7 +12,8 @@ L_k L_k* = rho_k^2 I makes L_k*/rho_k an isometry, and every pullback level
 is that one map.  The pullback M'_k = {zeta : L zeta in M_{k+1}} is the
 kernel of Q_{k+1}* L_k, so its quotient side is Q'_k = L_k* Q_{k+1} / rho_k:
 orthonormal columns with no factorization, dim Q'_k = dim Q_{k+1}, and L
-induces rho_k times a unitary between the quotients.  Applied to the whole
+induces rho_k times a unitary between the quotients: (d.S) / M' is the left
+shift of S / M (``induced_map_report``).  Applied to the whole
 level S_{k+1}, the same map gives K_k^perp for the kernel K = ker L; applied
 at k = 0, where L_0/rho_0 is unitary from d.E onto S_1, it gives the
 subspace V of a degree-1 submodule.
@@ -35,7 +36,8 @@ V of d.E: M_V is the orthocomplement of the space E_V of polynomials whose
 gradient lies pointwise in V.  M_V is the submodule generated at level 1 by
 L_0 V^perp, the elements sum_k z_k zeta_k with zeta in V^perp, so ``ev_space``
 is one ``GradedSubmodule.from_level_seeds`` call: E_V is its quotient side,
-and its flags are those of the generation.  ``ev_gradient_levels`` computes
+the quotient H_V = S / M_V is read off it (``quotient_tuple``), and its flags
+are those of the generation.  ``ev_gradient_levels`` computes
 E_V independently, by an Euler recursion on the gradient: every partial
 derivative of f in E_V(n) lies in E_V(n-1), and f = (1/n) sum_j z_j d_j f, so
 E_V(n) lies in the span of the Z_j E_V(n-1); each level solves its
@@ -48,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .submodules import (GradedSubmodule, QuotientModule, cosaturation_flags,
-                         euler_candidates, parse_complex)
+from .submodules import (GradedSubmodule, cosaturation_flags, euler_candidates,
+                         parse_complex)
 
 
 # ``linearize_full`` stops before a pullback whose ambient d.S would hold more
@@ -139,27 +141,21 @@ def kernel_containment_residual(module, pulled, bound):
     return linalg.largest(values, bound)
 
 
-def shift_quotient(quotient):
-    """The left shift of a quotient module, realized as (d.S) / pullback(M).
+def induced_map_report(submodule, pulled):
+    """Condition numbers of the level maps L_n : (d.S)_n / M'_n -> S_{n+1} / M_{n+1}.
 
-    Level n of the result matches level n+1 of the input; the induced map
-    diagnostics certify the levelwise isomorphism.
+    ``pulled`` is ``pullback(submodule)``, so (d.S) / M' is the left shift
+    of S / M and every level map is rho_n times a unitary.  The map is
+    Q_{n+1}* L_n Q'_n, with Q_{n+1}* L_n read as (L_n* Q_{n+1})*, a gather:
+    no dense row block.
     """
-    pulled = pullback(quotient.submodule)
-    return QuotientModule(pulled)
-
-
-def induced_map_report(quotient, shifted):
-    """Condition numbers of the level maps induced by L between the two quotients.
-
-    Q_{n+1}* L_n is read as (L_n* Q_{n+1})*, a gather: no dense row block.
-    """
-    module = quotient.module
+    module = submodule.module
     out = {}
-    for n in range(shifted.window + 1):
-        if n + 1 > quotient.window:
+    for n in range(pulled.window + 1):
+        if n + 1 > submodule.window:
             break
-        mat = module.row_adjoint(n, quotient.basis(n + 1)).conj().T @ shifted.basis(n)
+        mat = (module.row_adjoint(n, submodule.quotient_basis(n + 1)).conj().T
+               @ pulled.quotient_basis(n))
         if mat.size == 0:
             out[n] = (0.0, True)
             continue
@@ -281,17 +277,17 @@ def parse_subspace(text, module):
 
 
 def ev_space(module, v):
-    """E_V and M = E_V^perp, the submodule generated by L_0 V^perp at level 1.
+    """M = E_V^perp, the submodule generated by L_0 V^perp at level 1.
 
-    Returns (dict level -> E_V basis, M), E_V being M's quotient bases.
-    L_0/rho_0 is unitary from d.E onto S_1, so M_1 = L_0 V^perp.  For n >= 2,
+    E_V is M's quotient side, ``M.quotient_bases``, and the quotient
+    H_V = S / M has the compressed tuple ``M.quotient_tuple()``.  L_0/rho_0
+    is unitary from d.E onto S_1, so M_1 = L_0 V^perp.  For n >= 2,
     if every d_k f lies in E_V(n-1) then grad(d_k f) = d_k grad f is
     V-valued for every k, and by Euler grad f = (n-1)^{-1} sum_k z_k d_k grad f
     is V-valued too.  So E_V(n) = {f : Z_k* f in E_V(n-1) for all k}, which
     is ``cosaturation``, and M carries the flags of its generation.
     """
-    sub = GradedSubmodule.from_level_seeds(module, {1: module.row(0, v.complement)})
-    return sub.quotient_bases, sub
+    return GradedSubmodule.from_level_seeds(module, {1: module.row(0, v.complement)})
 
 
 def ev_gradient_levels(module, v):
@@ -320,11 +316,6 @@ def ev_gradient_levels(module, v):
         level = ev[n] = cand @ linalg.nullspace(np.vstack(image),
                                                 scale=n / module.rho[n - 1])
     return ev
-
-
-def ev_quotient(module, v):
-    """The quotient H_V = S / E_V^perp, realized on the E_V level bases."""
-    return QuotientModule(ev_space(module, v)[1])
 
 
 def recover_subspace(submodule):

@@ -70,10 +70,9 @@ class SchattenReport:
     cumulative: dict          # p -> running partial sums
     trends: dict              # p -> TrendReport
     singular_values: dict = field(repr=False)   # (j, k) -> list of arrays
-    note: str = ""
 
 
-def schatten_report(ops, p_values, note=""):
+def schatten_report(ops, p_values):
     """Per-level singular values and cumulative p-sums of all self-commutators.
 
     The singular values of all d^2 blocks of a level come from one stacked
@@ -107,17 +106,7 @@ def schatten_report(ops, p_values, note=""):
         if not np.isfinite(cumulative[p]).all():
             raise ValueError(f"the p = {p:g} Schatten sums leave the float range")
         trends[p] = classify_trend(level_arr + 1.0, per_level)
-    return SchattenReport(tuple(pairs), level_arr, cumulative, trends, sigma, note)
-
-
-def quotient_en_report(quotient, p_values):
-    """Schatten trends for the compressed tuple of a quotient module.
-
-    Labeled as evidence: a converging trend at finite truncation does not
-    prove essential normality of the quotient.
-    """
-    return schatten_report(quotient.coordinate_tuple(), p_values,
-                           note="evidence, not proof")
+    return SchattenReport(tuple(pairs), level_arr, cumulative, trends, sigma)
 
 
 # -- exact identities on coordinate tuples ------------------------------------

@@ -17,8 +17,10 @@ generated too; a pullback its input's shifted; ker L one
 ``cosaturation_flags`` pass).  Z_k and Z_k* act through
 ``StandardModule.shift`` and ``adjoint_stack``, a scatter and a gather on
 the level's successor table, never through a dense block of the ambient
-module.  Degrees, residuals, quotients and projections read Q; a
-basis of M_n is the complement of Q_n, computed only on request.
+module.  Degrees, residuals and projections read Q, and so does the
+quotient S/M: it is realized on the Q_n, and ``GradedSubmodule.quotient_tuple``
+is its compressed coordinate tuple.  A basis of M_n is the complement of
+Q_n, computed only on request.
 
 Degree reporting is deliberately conservative: a degree is only declared when
 saturation is witnessed on at least two consecutive levels beyond both the
@@ -331,6 +333,17 @@ class GradedSubmodule:
     def dims(self):
         return [self.dim(n) for n in range(self.window + 1)]
 
+    def quotient_tuple(self):
+        """The compressed tuple of S/M: one (d, dim Q_{n+1}, dim Q_n) stack per level n < window.
+
+        Entry [k-1] of level n is Q_{n+1}* Z_k(n) Q_n, taken as the adjoint of
+        each Z_k* Q_{n+1} (``adjoint_stack``) times Q_n.
+        """
+        q = self.quotient_bases
+        return {n: np.asarray([z.conj().T @ q[n] for z in
+                               self.module.adjoint_stack(n, q[n + 1])], dtype=complex)
+                for n in range(self.window)}
+
     def projection_block(self, n):
         """Orthogonal projection onto M_n inside level n: I - Q_n Q_n*."""
         q = self.quotient_basis(n)
@@ -401,34 +414,3 @@ class GradedSubmodule:
                                         SPAN_TOL) > SPAN_TOL:
                 return False, None
         return True, self.basis(0)
-
-
-# -- quotients ---------------------------------------------------------------
-
-
-class QuotientModule:
-    """Quotient S/M realized on the submodule's quotient bases Q_n = M_n^perp."""
-
-    def __init__(self, submodule):
-        self.submodule = submodule
-        self.module = submodule.module
-        self.window = submodule.window
-
-    def basis(self, n):
-        return self.submodule.quotient_basis(n)
-
-    def dim(self, n):
-        return self.basis(n).shape[1]
-
-    def dims(self):
-        return [self.dim(n) for n in range(self.window + 1)]
-
-    def coordinate_tuple(self):
-        """The compressed tuple: one (d, dim Q_{n+1}, dim Q_n) stack per level n < window.
-
-        Entry [k-1] of level n is Q_{n+1}* Z_k(n) Q_n, taken as the adjoint of
-        each Z_k* Q_{n+1} (``adjoint_stack``) times Q_n.
-        """
-        return {n: np.asarray([z.conj().T @ self.basis(n) for z in
-                               self.module.adjoint_stack(n, self.basis(n + 1))], dtype=complex)
-                for n in range(self.window)}

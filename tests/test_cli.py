@@ -1006,6 +1006,9 @@ def test_identity_report_is_byte_identical_across_blas_threads(tmp_path):
        ["submodule.json"]) for seed in (7, 11)],
     *[(["linearize", "--d", "3", "--N", "11", "--gens", rank_forms(seed)[1]],
        ["linearize.json"]) for seed in (7, 11)],
+    # and its Koszul complex on the quotient tuple of two cubics
+    *[(["koszul", "--d", "3", "--N", "12", "--gens", rank_forms(seed)[0]],
+       ["koszul.json"]) for seed in (7, 11)],
 ])
 def test_reports_are_byte_identical_across_blas_threads(tmp_path, argv, files):
     if "--gens" in argv:

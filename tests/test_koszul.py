@@ -87,8 +87,8 @@ def test_bsquared_vanishes_on_drawn_tuples(case):
     # B^2 = 0 from [T_i, T_j] = 0 and C_i C_j = -C_j C_i, on the standard
     # tuple of drawn weights and on the quotient tuple of drawn generators
     mod, gens = case
-    quotient = gm.QuotientModule(gm.GradedSubmodule.generate(mod, gens))
-    for ops in (mod.coordinate_tuple(), quotient.coordinate_tuple()):
+    quotient = gm.GradedSubmodule.generate(mod, gens).quotient_tuple()
+    for ops in (mod.coordinate_tuple(), quotient):
         scale = sup_norm(ops)
         assert build_koszul(ops).bsquared_residual(0.0) <= 1e-12 * max(1.0, scale**2)
 
@@ -156,10 +156,8 @@ def test_labelled_noncommuting_input_rejected(d):
 @pytest.mark.parametrize("d,r", [(2, 1), (2, 3), (3, 1), (3, 3)])
 def test_standard_module_betti_type(d, r):
     mod = h2_module(d, r)
-    kz = build_koszul(mod.coordinate_tuple())
-    beta = betti_numbers(kz)
-    assert beta == (0,) * d + (r,)
-    table = betti_table(kz)
+    table = betti_table(build_koszul(mod.coordinate_tuple()))
+    assert betti_numbers(table) == (0,) * d + (r,)
     for (k, n), dim in table.items():
         assert dim == (r if (k, n) == (d, 0) else 0)
 
@@ -185,8 +183,9 @@ def test_betti_ranks_computed_once(monkeypatch):
         return rank(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "numerical_rank", counted)
-    assert sorted(betti_table(kz)) == interior
-    assert betti_numbers(kz) == (0, 0, 0, 1)
+    table = betti_table(kz)
+    assert sorted(table) == interior
+    assert betti_numbers(table) == (0, 0, 0, 1)
     assert 0 < len(calls) <= len(read)      # one batched SVD per boundary block read
     assert all(len(shape) == 3 for shape in calls)      # each on a stack of gamma-blocks
 
@@ -194,11 +193,10 @@ def test_betti_ranks_computed_once(monkeypatch):
 def test_quotient_by_z1_has_middle_cohomology():
     mod = h2_module(2)
     sub = gm.GradedSubmodule.generate(mod, [gm.monomial_generator((1, 0))])
-    kz = build_koszul(gm.QuotientModule(sub).coordinate_tuple())
-    table = betti_table(kz)
+    table = betti_table(build_koszul(sub.quotient_tuple()))
     assert table[(1, 0)] == 1           # exactness fails at form degree d-1
     assert table[(2, 0)] == 1
-    assert betti_numbers(kz) == (0, 1, 1)
+    assert betti_numbers(table) == (0, 1, 1)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -260,15 +258,14 @@ def test_gamma_blocks_match_the_dense_complex(family, d, r):
     assert_matches_dense(free)
     sub = gm.GradedSubmodule.generate(
         mod, [gm.monomial_generator((1,) + (0,) * (d - 1))])
-    assert_matches_dense(gm.QuotientModule(sub).coordinate_tuple())
+    assert_matches_dense(sub.quotient_tuple())
 
 
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
 @given(submodule_inputs())
 def test_gamma_blocks_match_the_dense_complex_on_drawn_quotients(case):
     mod, gens = case
-    quotient = gm.QuotientModule(gm.GradedSubmodule.generate(mod, gens))
-    assert_matches_dense(quotient.coordinate_tuple())
+    assert_matches_dense(gm.GradedSubmodule.generate(mod, gens).quotient_tuple())
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -282,7 +279,7 @@ def test_input_checks_on_level_classes_match_the_dense_norms(family, d, r):
     mod = gm.StandardModule(weights, d=d, multiplicity=r)
     sub = gm.GradedSubmodule.generate(
         mod, [gm.monomial_generator((1,) + (0,) * (d - 1))])
-    for ops in (mod.coordinate_tuple(), gm.QuotientModule(sub).coordinate_tuple()):
+    for ops in (mod.coordinate_tuple(), sub.quotient_tuple()):
         kz = build_koszul(ops)
         scale = sup_norm(ops)
         assert abs(kz.tuple_norm() - scale) <= 1e-15 * scale
@@ -295,7 +292,7 @@ def test_unlabelled_tuple_keeps_one_class_per_space():
     # one block of each B_k(n) is the dense block
     mod = h2_module(2)
     g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((1, 1), 0, 2.0), ((0, 2), 0, 1.0)))
-    ops = gm.QuotientModule(gm.GradedSubmodule.generate(mod, [g])).coordinate_tuple()
+    ops = gm.GradedSubmodule.generate(mod, [g]).quotient_tuple()
     assert node_labels(ops) is None
     kz = build_koszul(ops)
     assert all(classes.ids.size <= 1 for classes in kz.classes.values())
@@ -374,6 +371,20 @@ def test_syzygy_rejects_non_kernel_input():
     with pytest.raises(ValueError):
         solve_syzygy(ops, [np.array([1.0, 0.0], complex),
                            np.zeros(2, complex)], 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_syzygy_rejects_non_finite_input(bad):
+    # a NaN norm must not pass the kernel check, and an infinite entry must
+    # not reach the matmul, which warns on it
+    mod = gm.StandardModule(gm.make_weights("dshift", 6), d=2)
+    ops = mod.coordinate_tuple()
+    vec = linalg.nullspace(mod.row_block(2))[:, 0]
+    xi = [vec.reshape(-1, 2)[:, i].copy() for i in range(2)]
+    assert solve_syzygy(ops, xi, 2)[1] <= 1e-12
+    xi[0][0] = bad
+    with pytest.raises(ValueError, match="non-finite entry in xi"):
+        solve_syzygy(ops, xi, 2)
 
 
 @pytest.mark.parametrize("d,level", [(2, 3), (3, 2), (3, 3)])

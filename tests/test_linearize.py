@@ -150,14 +150,16 @@ def test_pullback_degree_preconditions(h2):
         gm.pullback(tall)                      # undetermined degree
 
 
-def test_shift_quotient_dims_and_induced_map(h2):
+def test_pullback_dims_and_induced_map(h2):
+    # (d.S) / pullback(M) is the left shift of S / M: level n of the one
+    # matches level n+1 of the other
     g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((0, 2), 0, 1.0)))
     sub = gm.GradedSubmodule.generate(h2, [g])
-    q = gm.QuotientModule(sub)
-    shifted = gm.shift_quotient(q)
-    for n in range(shifted.window + 1):
-        assert shifted.dim(n) == q.dim(n + 1)
-    report = gm.induced_map_report(q, shifted)
+    pulled = gm.pullback(sub)
+    for n in range(pulled.window + 1):
+        assert (pulled.quotient_basis(n).shape[1]
+                == sub.quotient_basis(n + 1).shape[1])
+    report = gm.induced_map_report(sub, pulled)
     for n, (cond, full_rank) in report.items():
         assert full_rank and np.isfinite(cond)
 
@@ -209,7 +211,8 @@ def test_linearize_budget_flag(h2, monkeypatch):
 
 def test_ev_axis_subspace(h2):
     v = gm.SubspaceV.from_matrix(h2, np.array([[1.0], [0.0]]))
-    ev, sub = gm.ev_space(h2, v)
+    sub = gm.ev_space(h2, v)
+    ev = sub.quotient_bases
     idx = [gm.monomial_basis(2, n).index((n, 0)) for n in range(11)]
     for n in range(11):
         assert ev[n].shape[1] == 1
@@ -221,13 +224,15 @@ def test_ev_axis_subspace(h2):
 
 def test_ev_extreme_subspaces(h2):
     full = gm.SubspaceV.from_matrix(h2, np.eye(2))
-    ev, sub = gm.ev_space(h2, full)
+    sub = gm.ev_space(h2, full)
+    ev = sub.quotient_bases
     assert all(ev[n].shape[1] == h2.level_dim(n) for n in range(11))
     assert sub.dims() == [0] * 11
     assert sub.degree_report().degree == 0
 
     none = gm.SubspaceV.from_matrix(h2, np.zeros((2, 0)))
-    ev, sub = gm.ev_space(h2, none)
+    sub = gm.ev_space(h2, none)
+    ev = sub.quotient_bases
     assert [ev[n].shape[1] for n in range(11)] == [1] + [0] * 10
     assert sub.dims() == [0] + [h2.level_dim(n) for n in range(1, 11)]
 
@@ -236,7 +241,7 @@ def test_ev_gradient_route_agrees(rng):
     mod = gm.StandardModule(gm.make_weights("bergman", 7, d=2), d=2, multiplicity=2)
     for dim in (1, 2, 3):
         v = random_subspace(rng, mod, dim)
-        ev_a, _ = gm.ev_space(mod, v)
+        ev_a = gm.ev_space(mod, v).quotient_bases
         ev_g = gm.ev_gradient_levels(mod, v)
         for n in ev_a:
             assert linalg.subspace_distance(ev_a[n], ev_g[n], 0.0) <= 1e-10
@@ -247,7 +252,7 @@ def test_ev_roundtrip_both_directions(rng):
     # V -> M -> V
     for dim in (1, 2, 3):
         v = random_subspace(rng, mod, dim)
-        _, sub = gm.ev_space(mod, v)
+        sub = gm.ev_space(mod, v)
         rec = gm.recover_subspace(sub)
         assert linalg.subspace_distance(v.basis, rec.basis, 0.0) <= 1e-9
     # M -> V -> M for a degree-1 submodule generated from random M_1
@@ -256,7 +261,7 @@ def test_ev_roundtrip_both_directions(rng):
     m1 = linalg.orthonormal_columns(raw)
     sub = gm.GradedSubmodule.from_level_seeds(mod, {1: m1})
     v = gm.recover_subspace(sub)
-    _, back = gm.ev_space(mod, v)
+    back = gm.ev_space(mod, v)
     for n in range(back.window + 1):
         assert linalg.subspace_distance(back.basis(n), sub.basis(n), 0.0) <= 1e-9
 
@@ -304,7 +309,7 @@ EV_FAMILIES = ("dshift", "hardy", "bergman", "sinsqrt")
 
 
 def adjoint_levels(module, v):
-    return gm.ev_space(module, v)[0]
+    return gm.ev_space(module, v).quotient_bases
 
 
 # the two routes to E_V, each returning dict level -> basis
@@ -368,7 +373,7 @@ def test_ev_matches_linear_form_products(rng, family, d, top):
     mod = ev_module(family, d, 1, top)
     for m in range(1, d + 1):
         v = random_subspace(rng, mod, m)
-        ev, _ = gm.ev_space(mod, v)
+        ev = gm.ev_space(mod, v).quotient_bases
         for n in range(top + 1):
             products = linear_form_products(mod, v.basis, n)
             assert ev[n].shape[1] == products.shape[1] == math.comb(n + m - 1, m - 1)
@@ -454,7 +459,8 @@ def ev_inputs(draw):
 @given(ev_inputs())
 def test_ev_roundtrip_and_derivative_containment(case):
     mod, v = case
-    ev, sub = gm.ev_space(mod, v)
+    sub = gm.ev_space(mod, v)
+    ev = sub.quotient_bases
     rec = gm.recover_subspace(sub)
     assert linalg.subspace_distance(v.basis, rec.basis, 0.0) <= 1e-9
     for n in range(1, mod.top_level + 1):
@@ -465,9 +471,9 @@ def test_ev_roundtrip_and_derivative_containment(case):
             assert linalg.opnorm(out) <= 1e-10 * max(1.0, linalg.opnorm(img))
 
 
-def test_ev_quotient_full_subspace_is_ambient(h2):
+def test_ev_space_quotient_tuple_of_full_subspace_is_ambient(h2):
     v = gm.SubspaceV.from_matrix(h2, np.eye(2))
-    compressed = gm.ev_quotient(h2, v).coordinate_tuple()
+    compressed = gm.ev_space(h2, v).quotient_tuple()
     ambient = h2.coordinate_tuple()
     for n in range(5):
         np.testing.assert_allclose(compressed[n], ambient[n], atol=1e-14)

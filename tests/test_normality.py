@@ -66,8 +66,7 @@ def test_schatten_singular_values_equal_per_block_svd(h2, rng):
     generic = gm.GradedSubmodule.generate(h2, random_generators(rng, 2, 1, 2, 1))
     assert linear.dims()[1:] == [h2.level_dim(n) for n in range(1, 11)]
     for ops in (h2.coordinate_tuple(),
-                gm.QuotientModule(linear).coordinate_tuple(),
-                gm.QuotientModule(generic).coordinate_tuple()):
+                linear.quotient_tuple(), generic.quotient_tuple()):
         rep = gm.schatten_report(ops, [2.0])
         comms = gm.self_commutators(ops)
         for j, k in rep.pairs:
@@ -82,29 +81,26 @@ def test_schatten_singular_values_equal_per_block_svd(h2, rng):
 
 def test_quotient_report_of_full_subspace_matches_ambient(h2):
     v = gm.SubspaceV.from_matrix(h2, np.eye(2))
-    q = gm.ev_quotient(h2, v)
     amb = gm.schatten_report(h2.coordinate_tuple(), [2.0])
-    quo = gm.quotient_en_report(q, [2.0])
+    quo = gm.schatten_report(gm.ev_space(h2, v).quotient_tuple(), [2.0])
     np.testing.assert_allclose(quo.cumulative[2.0], amb.cumulative[2.0], atol=1e-12)
-    assert quo.note == "evidence, not proof"
 
 
 def test_one_variable_restriction_trend(h2):
     # V = span{(1,0)}: the quotient is the 1-variable shift, whose
     # self-commutator is concentrated at level 0
     v = gm.SubspaceV.from_matrix(h2, np.array([[1.0], [0.0]]))
-    q = gm.ev_quotient(h2, v)
-    rep = gm.quotient_en_report(q, [1.5, 2.0, 3.0])
+    rep = gm.schatten_report(gm.ev_space(h2, v).quotient_tuple(), [1.5, 2.0, 3.0])
     for p in (1.5, 2.0, 3.0):
         assert rep.trends[p].trend == "converging"
 
 
 def test_linearized_quotient_presets_emit_labeled_evidence():
-    """The three special-case presets produce labeled trend reports.
+    """The three special-case presets produce trend reports.
 
     No pass/fail is attached to the trends themselves: whether every such
-    quotient is essentially normal is an open question, and these reports are
-    explicitly evidence only.
+    quotient is essentially normal is an open question, and the ``ev``
+    report labels them evidence only (its ``note``, checked in test_cli).
     """
     # (a) one-dimensional V at d = 3
     mod3 = gm.StandardModule(gm.make_weights("dshift", 8), d=3)
@@ -127,8 +123,7 @@ def test_linearized_quotient_presets_emit_labeled_evidence():
     v_c = gm.recover_subspace(gm.GradedSubmodule.from_level_seeds(mod22, {1: m1}))
 
     for mod, v in ((mod3, v_a), (mod3, v_b), (mod22, v_c)):
-        rep = gm.quotient_en_report(gm.ev_quotient(mod, v), [3.0, 4.0])
-        assert rep.note == "evidence, not proof"
+        rep = gm.schatten_report(gm.ev_space(mod, v).quotient_tuple(), [3.0, 4.0])
         for p in (3.0, 4.0):
             assert rep.trends[p].trend in ("converging", "diverging", "inconclusive")
 
@@ -143,8 +138,8 @@ def test_quotient_commutator_norms_eventually_nonincreasing(rng):
         random_generators(rng, 2, 1, 3, 1),
     ]
     for gens in gens_list:
-        q = gm.QuotientModule(gm.GradedSubmodule.generate(mod, gens))
-        comms = gm.self_commutators(q.coordinate_tuple())
+        comms = gm.self_commutators(
+            gm.GradedSubmodule.generate(mod, gens).quotient_tuple())
         norms = [max(np.linalg.norm(comms[n][j, k], 2) if comms[n].size else 0.0
                      for j in (0, 1) for k in (0, 1)) for n in range(20)]
         for n in range(10, 19):

@@ -13,6 +13,7 @@ identities the quotient side rests on, and work guards check that the
 command-line paths never build M and that the closed form takes no SVD.
 """
 
+import dataclasses
 import functools
 import inspect
 import json
@@ -211,7 +212,7 @@ def test_recover_subspace_matches_preimage_complement(family, d, r):
     for dim in range(d * r + 1):
         raw = rng.normal(size=(d * r, dim)) + 1j * rng.normal(size=(d * r, dim))
         v = gm.SubspaceV.from_matrix(mod, raw)
-        subs.append(gm.ev_space(mod, v)[1])
+        subs.append(gm.ev_space(mod, v))
     for sub in subs:
         want = linalg.complement_basis(
             oracle.preimage(mod.row_block(0), sub.basis(1)))
@@ -308,7 +309,7 @@ def test_ev_flags_match_cosaturation(family, d, r):
     mod = module(family, d, r)
     for dim in range(1, d + 1):
         raw = rng.normal(size=(d * r, dim)) + 1j * rng.normal(size=(d * r, dim))
-        sub = gm.ev_space(mod, gm.SubspaceV.from_matrix(mod, raw))[1]
+        sub = gm.ev_space(mod, gm.SubspaceV.from_matrix(mod, raw))
         assert_flags_match_cosaturation(sub)
         report = sub.degree_report()
         assert report.determined and report.degree <= 1
@@ -485,8 +486,7 @@ def test_generate_nullspaces_stay_on_the_candidate_span(monkeypatch, rng):
         for dim in range(d * r + 1):
             v = gm.SubspaceV.from_matrix(mod, rng.normal(size=(d * r, dim)))
             v.complement
-            (_, sub), solved = solved_by(gm.ev_space, mod, v)
-            built.append((sub, solved))
+            built.append(solved_by(gm.ev_space, mod, v))
         for sub, solved in built:
             assert solved
             for n, width in solved:
@@ -562,5 +562,13 @@ def test_package_has_one_pullback_path():
     # the M-side constructions live only in the test oracle
     assert not hasattr(gm, "pullback_span_residual")
     assert not hasattr(gm.GradedSubmodule, "_saturated_by_construction")
-    assert list(inspect.signature(gm.QuotientModule).parameters) == ["submodule"]
     assert not hasattr(linalg, "preimage")
+    # the quotient S/M is read off M's quotient bases (``quotient_tuple``),
+    # and E_V is read off ev_space's submodule: no second quotient object
+    for name in ("QuotientModule", "ev_quotient", "shift_quotient",
+                 "quotient_en_report"):
+        assert not hasattr(gm, name)
+    assert "note" not in {f.name for f in dataclasses.fields(gm.SchattenReport)}
+    mod = module("hardy", 2, 1)
+    v = gm.SubspaceV.from_matrix(mod, np.eye(2)[:, :1])
+    assert isinstance(gm.ev_space(mod, v), gm.GradedSubmodule)

@@ -270,10 +270,11 @@ def test_invariance_as_operator_identity(rng, h2):
 
 
 def test_quotient_of_zero_is_ambient(h2):
-    q = gm.QuotientModule(gm.GradedSubmodule.zero(h2))
-    assert q.dims() == [h2.level_dim(n) for n in range(11)]
+    sub = gm.GradedSubmodule.zero(h2)
+    assert ([q.shape[1] for q in sub.quotient_bases.values()]
+            == [h2.level_dim(n) for n in range(11)])
     # the complement basis of {0} is the identity, so blocks agree exactly
-    compressed, ambient = q.coordinate_tuple(), h2.coordinate_tuple()
+    compressed, ambient = sub.quotient_tuple(), h2.coordinate_tuple()
     for n in range(5):
         np.testing.assert_array_equal(compressed[n], ambient[n])
 
@@ -281,32 +282,32 @@ def test_quotient_of_zero_is_ambient(h2):
 def test_quotient_tuple_stacks_its_blocks(rng, h2):
     # one (d, dim Q_{n+1}, dim Q_n) stack per level, the same bits on every
     # call, whose slice k - 1 is Q_{n+1}* Z_k(n) Q_n
-    q = gm.QuotientModule(gm.GradedSubmodule.generate(h2, random_generators(rng, 2, 1, 2, 1)))
-    ops = q.coordinate_tuple()
-    assert sorted(ops) == list(range(q.window))
+    sub = gm.GradedSubmodule.generate(h2, random_generators(rng, 2, 1, 2, 1))
+    ops = sub.quotient_tuple()
+    assert sorted(ops) == list(range(sub.window))
     for n, stack in ops.items():
+        q, q_next = sub.quotient_basis(n), sub.quotient_basis(n + 1)
         assert stack.dtype == complex
-        assert stack.shape == (2, q.dim(n + 1), q.dim(n))
-        adjoints = h2.adjoint_stack(n, q.basis(n + 1))
+        assert stack.shape == (2, q_next.shape[1], q.shape[1])
+        adjoints = h2.adjoint_stack(n, q_next)
         for k in (1, 2):
-            np.testing.assert_array_equal(
-                stack[k - 1], adjoints[k - 1].conj().T @ q.basis(n))
-    again = q.coordinate_tuple()
+            np.testing.assert_array_equal(stack[k - 1], adjoints[k - 1].conj().T @ q)
+    again = sub.quotient_tuple()
     assert all(np.array_equal(again[n], ops[n]) for n in ops)
 
 
 def test_quotient_of_full_is_zero(h2):
-    q = gm.QuotientModule(gm.GradedSubmodule.full(h2))
-    assert q.dims() == [0] * 11
-    assert q.coordinate_tuple()[2].shape == (2, 0, 0)
+    sub = gm.GradedSubmodule.full(h2)
+    assert [q.shape[1] for q in sub.quotient_bases.values()] == [0] * 11
+    assert sub.quotient_tuple()[2].shape == (2, 0, 0)
 
 
 def test_dimension_count(rng, h2):
     gens = random_generators(rng, 2, 1, 2, 1)
     sub = gm.GradedSubmodule.generate(h2, gens)
-    q = gm.QuotientModule(sub)
     for n in range(11):
-        assert sub.dim(n) + q.dim(n) == h2.level_dim(n)
+        assert sub.dim(n) == sub.basis(n).shape[1]
+        assert sub.dim(n) + sub.quotient_basis(n).shape[1] == h2.level_dim(n)
 
 
 @pytest.mark.parametrize("family,d_arg", [("dshift", None), ("hardy", 2)])
@@ -314,13 +315,12 @@ def test_quotient_by_z2_is_weighted_one_variable_shift(family, d_arg):
     w = gm.make_weights(family, 9, d=d_arg)
     mod = gm.StandardModule(w, d=2)
     sub = gm.GradedSubmodule.generate(mod, [gm.monomial_generator((0, 1))])
-    q = gm.QuotientModule(sub)
-    assert q.dims() == [1] * 10
-    blocks = q.coordinate_tuple()
+    assert [q.shape[1] for q in sub.quotient_bases.values()] == [1] * 10
+    blocks = sub.quotient_tuple()
     z1_idx = [gm.monomial_basis(2, n).index((n, 0)) for n in range(10)]
     for n in range(9):
         # quotient level basis is the span of z_1^n
-        vec = q.basis(n)[:, 0]
+        vec = sub.quotient_basis(n)[:, 0]
         assert abs(abs(vec[z1_idx[n]]) - 1.0) <= 1e-12
         # compressed Z_2 vanishes, compressed Z_1 is the weighted shift rho_n
         assert linalg.opnorm(blocks[n][1]) <= 1e-13
