@@ -12,7 +12,6 @@ syzygy checks, and Schatten-class essential-normality diagnostics.
 from .completion import (
     StandardModule,
     WeightSequence,
-    fock_level_weights,
     make_weights,
     number_trace_report,
     oscillation_report,
@@ -39,11 +38,7 @@ from .linearize import (
     pullback,
     recover_subspace,
 )
-from .monomials import (
-    LevelBasis,
-    level_dimension,
-    monomial_basis,
-)
+from .monomials import monomial_basis
 from .normality import (
     CounterexampleReport,
     SchattenReport,
@@ -51,7 +46,6 @@ from .normality import (
     commutator_decomposition_residual,
     compression_identity_residuals,
     resolvent_projection,
-    resolvent_quadrature,
     row_sum_residual,
     schatten_report,
     self_commutators,
@@ -63,7 +57,6 @@ from .submodules import (
     GradedSubmodule,
     VectorPolynomial,
     monomial_generator,
-    parse_generator_line,
     parse_generators,
 )
 from .trends import classify_trend

@@ -6,13 +6,16 @@ the table ``weights.csv``): identical configurations produce byte-identical
 files.  Floats are rounded to 15 significant digits, keys are sorted, and no
 timestamps or machine data are embedded.  The residual of an exact identity
 prints as max(||X||_2, bound) with bound = min(RESIDUAL_FLOOR * scale,
-tolerance) (``residual_bound``), so roundoff below the bound prints as the
-bound whatever the BLAS thread count.
+tolerance) (``limits``), so roundoff below the bound prints as the bound
+whatever the BLAS thread count.
 
-Exit codes: 0 all hard identity residuals within tolerance; 1 a tolerance
-failed; 2 configuration or input-file parse error, including a flag or
-config key the command does not read; 3 truncation window exhausted and
-no tolerance failed (partial report written).
+Each command returns its report, its list of ``Check`` records and the
+reason its truncation window ran out (None if it did not).  ``main`` alone
+turns the failed checks into the report's ``hard_failures`` and the ``FAIL``
+lines, and picks the exit code: 0 all hard identity residuals within
+tolerance; 1 a tolerance failed; 2 configuration or input-file parse error,
+including a flag or config key the command does not read; 3 truncation
+window exhausted and no tolerance failed (partial report written).
 
 Each flag is declared once in ``FLAGS``, and ``COMMAND_FLAGS`` lists the
 flags each command reads; a command accepts only those, plus ``--config``
@@ -29,6 +32,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,15 +55,19 @@ EXIT_TOLERANCE = 1
 EXIT_PARSE = 2
 EXIT_WINDOW = 3
 
+UNDETERMINED = "degree not determinable at this truncation"
+
 
 class ParseFailure(Exception):
     pass
 
 
-class WindowFailure(Exception):
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
+class Check(NamedTuple):
+    """One hard check of a report; a failed one sets the exit code to 1."""
+    name: str
+    value: float
+    tolerance: float
+    passed: bool
 
 
 # -- deterministic serialization -----------------------------------------
@@ -269,22 +277,23 @@ def config_echo(args, **extra):
     return echo
 
 
-def hard_check(failures, name, value, tol):
-    """Record a failure unless value <= tol; a NaN or infinite value never passes."""
-    if not (math.isfinite(value) and value <= tol):
-        failures.append({"check": name, "value": value, "tolerance": tol})
+def within(name, value, tol):
+    """The check value <= tol; a NaN or infinite value never passes."""
+    return Check(name, value, tol, math.isfinite(value) and value <= tol)
 
 
-def residual_bound(tol, scale):
-    """min(RESIDUAL_FLOOR * scale, tol): the bound of a residual check with tolerance ``tol``.
+def limits(args, default, scale=1.0, floor=0.0):
+    """(tol, bound) of a residual check: its scaled tolerance and printed bound.
 
-    ``scale`` is the one the tolerance was scaled by (1, ``linear_scale`` or
-    ``tuple_scale``).  The report prints max(||X||_2, bound)
+    tol = max(--tol or else ``default``, ``floor``) * ``scale``, where
+    ``scale`` is 1, ``linear_scale`` or ``tuple_scale``, and bound =
+    min(RESIDUAL_FLOOR * scale, tol).  The report prints max(||X||_2, bound)
     (``linalg.residual``), and since bound <= tol that value passes ``tol``
     exactly when ||X||_2 does: the verdict is the raw one, and a failing
     residual prints its exact 2-norm.
     """
-    return min(cfg.RESIDUAL_FLOOR * scale, tol)
+    tol = max(args.tol if args.tol is not None else default, floor) * scale
+    return tol, min(cfg.RESIDUAL_FLOOR * scale, tol)
 
 
 def linear_scale(module):
@@ -381,7 +390,6 @@ def cmd_weights(args, outdir):
                 "ratio": rep.trend.ratio,
             } for p, rep in trace.items()
         },
-        "hard_failures": [],
     }
 
     # one column at a time: the cells are the strings _fmt gives, and a psum
@@ -394,7 +402,7 @@ def cmd_weights(args, outdir):
     rows = ["k,rho,diff," + ",".join(f"psum_p{_fmt(p)}" for p in p_list)]
     rows += map(",".join, zip(*columns))
     write_output(outdir / "weights.csv", "\n".join(rows) + "\n")
-    return report
+    return report, [], None
 
 
 def _degree_payload(report):
@@ -412,18 +420,15 @@ def _degree_payload(report):
 def cmd_submodule(args, outdir):
     module = build_module(args)
     sub, gens = load_generators(args, module)
-    tol = cfg.SPAN_TOL if args.tol is None else args.tol
     report_deg = sub.degree_report()
     reducing, v_basis = sub.is_reducing()
 
-    ortho_tol = max(tol, cfg.EXACT_TOL)
-    scale = linear_scale(module)
-    invariance_tol = tol * scale
-    orthonormality = sub.orthonormality_residual(residual_bound(ortho_tol, 1.0))
-    invariance = sub.invariance_residual(residual_bound(invariance_tol, scale))
-    failures = []
-    hard_check(failures, "level_basis_orthonormality", orthonormality, ortho_tol)
-    hard_check(failures, "coordinate_invariance", invariance, invariance_tol)
+    ortho_tol, ortho_bound = limits(args, cfg.SPAN_TOL, floor=cfg.EXACT_TOL)
+    invariance_tol, invariance_bound = limits(args, cfg.SPAN_TOL, linear_scale(module))
+    orthonormality = sub.orthonormality_residual(ortho_bound)
+    invariance = sub.invariance_residual(invariance_bound)
+    checks = [within("level_basis_orthonormality", orthonormality, ortho_tol),
+              within("coordinate_invariance", invariance, invariance_tol)]
 
     report = {
         "schema": 3,
@@ -440,27 +445,21 @@ def cmd_submodule(args, outdir):
             "orthonormality": orthonormality,
             "invariance": invariance,
         },
-        "hard_failures": failures,
     }
-    if not report_deg.determined:
-        raise WindowFailure("degree not determinable at this truncation", report)
-    return report
+    return report, checks, None if report_deg.determined else UNDETERMINED
 
 
 def cmd_linearize(args, outdir):
     module = build_module(args)
     sub, _ = load_generators(args, module)
-    tol = cfg.SPAN_TOL if args.tol is None else args.tol
-    scale = linear_scale(module)
-    coinvariance_tol = tol * scale
-    result = linearize_full(sub, residual_bound(coinvariance_tol, scale),
-                            residual_bound(tol, 1.0))
+    coinvariance_tol, coinvariance_bound = limits(args, cfg.SPAN_TOL, linear_scale(module))
+    kernel_tol, kernel_bound = limits(args, cfg.SPAN_TOL)
+    result = linearize_full(sub, coinvariance_bound, kernel_bound)
 
-    failures = []
-    for i, resid in enumerate(result.coinvariance_residuals):
-        hard_check(failures, f"pullback_coinvariance_step_{i}", resid, coinvariance_tol)
-    for i, resid in enumerate(result.kernel_residuals):
-        hard_check(failures, f"kernel_containment_step_{i}", resid, tol)
+    checks = [within(f"pullback_coinvariance_step_{i}", resid, coinvariance_tol)
+              for i, resid in enumerate(result.coinvariance_residuals)]
+    checks += [within(f"kernel_containment_step_{i}", resid, kernel_tol)
+               for i, resid in enumerate(result.kernel_residuals)]
 
     report = {
         "schema": 3,
@@ -478,11 +477,8 @@ def cmd_linearize(args, outdir):
         "kernel_containment_residuals": list(result.kernel_residuals),
         "final_degree": result.steps[-1].degree if result.steps else None,
         "final_multiplicity": result.final.module.multiplicity,
-        "hard_failures": failures,
     }
-    if not result.complete:
-        raise WindowFailure(result.reason, report)
-    return report
+    return report, checks, None if result.complete else result.reason
 
 
 def cmd_ev(args, outdir):
@@ -493,12 +489,10 @@ def cmd_ev(args, outdir):
         v = parse_subspace(read_text_file(args.V, "subspace"), module)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
-    tol = cfg.ROUNDTRIP_TOL if args.tol is None else args.tol
-    scale = linear_scale(module)
-    invariance_tol = (cfg.SPAN_TOL if args.tol is None else args.tol) * scale
+    tol, bound = limits(args, cfg.ROUNDTRIP_TOL)
+    invariance_tol, invariance_bound = limits(args, cfg.SPAN_TOL, linear_scale(module))
     p_list = args.p
 
-    bound = residual_bound(tol, 1.0)
     sub = ev_space(module, v)
     ev = sub.quotient_bases
     ev_grad = ev_gradient_levels(module, v)
@@ -512,16 +506,13 @@ def cmd_ev(args, outdir):
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
 
-    failures = []
-    hard_check(failures, "roundtrip_V_distance", roundtrip, tol)
-    hard_check(failures, "adjoint_vs_gradient_route", route_gap, tol)
-    hard_check(failures, "level0_component", float(sub.dim(0)), 0.0)
-    hard_check(failures, "invariance",
-               sub.invariance_residual(residual_bound(invariance_tol, scale)),
-               invariance_tol)
-    if deg.determined and deg.degree > 1:
-        failures.append({"check": "degree_at_most_1", "value": deg.degree,
-                         "tolerance": 1})
+    checks = [within("roundtrip_V_distance", roundtrip, tol),
+              within("adjoint_vs_gradient_route", route_gap, tol),
+              within("level0_component", float(sub.dim(0)), 0.0),
+              within("invariance", sub.invariance_residual(invariance_bound),
+                     invariance_tol)]
+    if deg.determined:
+        checks.append(within("degree_at_most_1", deg.degree, 1))
 
     report = {
         "schema": 3,
@@ -540,19 +531,15 @@ def cmd_ev(args, outdir):
                                  "cumulative": float(en.cumulative[p][-1])}
                        for p in p_list},
         },
-        "hard_failures": failures,
     }
-    if not deg.determined:
-        raise WindowFailure("degree not determinable at this truncation", report)
-    return report
+    return report, checks, None if deg.determined else UNDETERMINED
 
 
 def cmd_koszul(args, outdir):
     module = build_module(args)
-    tol = cfg.IDENTITY_TOL if args.tol is None else args.tol
     scale = tuple_scale(module)
-    dirac_tol = tol * scale
-    bsquared_tol = max(tol, cfg.EXACT_TOL) * scale
+    dirac_tol, dirac_bound = limits(args, cfg.IDENTITY_TOL, scale)
+    bsquared_tol, bsquared_bound = limits(args, cfg.IDENTITY_TOL, scale, cfg.EXACT_TOL)
     if args.gens is None:
         ops = module.coordinate_tuple()
         subject = "standard module"
@@ -565,13 +552,12 @@ def cmd_koszul(args, outdir):
         table = betti_table(complex_)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
-    dirac = {n: dirac_square_residual(complex_, n, residual_bound(dirac_tol, scale))
+    dirac = {n: dirac_square_residual(complex_, n, dirac_bound)
              for n in range(module.top_level) if complex_.interior(0, n)}
-    bsquared = complex_.bsquared_residual(residual_bound(bsquared_tol, scale))
-    failures = []
-    hard_check(failures, "boundary_squared", bsquared, bsquared_tol)
-    for n, resid in dirac.items():
-        hard_check(failures, f"dirac_square_level_{n}", resid, dirac_tol)
+    bsquared = complex_.bsquared_residual(bsquared_bound)
+    checks = [within("boundary_squared", bsquared, bsquared_tol)]
+    checks += [within(f"dirac_square_level_{n}", resid, dirac_tol)
+               for n, resid in dirac.items()]
 
     report = {
         "schema": 2,
@@ -582,40 +568,37 @@ def cmd_koszul(args, outdir):
         "betti_numbers": list(betti_numbers(table)),
         "betti_table": {f"{k},{n}": int(dim) for (k, n), dim in sorted(table.items())},
         "dirac_residuals": {str(n): resid for n, resid in dirac.items()},
-        "hard_failures": failures,
     }
-    return report
+    return report, checks, None
 
 
 def cmd_identity(args, outdir):
     module = build_module(args)
     sub, _ = load_generators(args, module)
     scale = tuple_scale(module)
-    comp_tol = (cfg.IDENTITY_TOL if args.tol is None else args.tol) * scale
-    exact_tol = (cfg.EXACT_TOL if args.tol is None else args.tol) * scale
+    comp_tol, comp_bound = limits(args, cfg.IDENTITY_TOL, scale)
+    exact_tol, exact_bound = limits(args, cfg.EXACT_TOL, scale)
     nodes = args.nodes
     if nodes <= 0:
         raise ParseFailure("identity needs --nodes >= 1")
-    failures = []
     ops, fock_ops = module.coordinate_tuple(), module.fock_tuple()
 
     # compression identities on all interior levels, all pairs at once
     comp = {}
     for n in range(1, min(sub.window, module.top_level)):
-        pairs = compression_identity_residuals(ops, sub, n, residual_bound(comp_tol, scale))
+        pairs = compression_identity_residuals(ops, sub, n, comp_bound)
         comp[str(n)] = linalg.largest(pairs, 0.0)
-    hard_check(failures, "compression_identities",
-               linalg.largest(list(comp.values()), 0.0), comp_tol)
 
     # ambient exact identities
-    exact_bound = residual_bound(exact_tol, scale)
     row_res = linalg.largest([row_sum_residual(ops, module.rho, n, exact_bound)
                               for n in range(module.top_level)], 0.0)
     dec_res = linalg.largest(
         [commutator_decomposition_residual(ops, fock_ops, module.rho, n, exact_bound)
          for n in range(1, module.top_level)], 0.0)
-    hard_check(failures, "row_sum_identity", row_res, exact_tol)
-    hard_check(failures, "commutator_decomposition", dec_res, exact_tol)
+    checks = [within("compression_identities",
+                     linalg.largest(list(comp.values()), 0.0), comp_tol),
+              within("row_sum_identity", row_res, exact_tol),
+              within("commutator_decomposition", dec_res, exact_tol)]
 
     # resolvent projection at a mid level
     level = min(2, module.top_level - 2)
@@ -636,13 +619,11 @@ def cmd_identity(args, outdir):
             raise ParseFailure(f"identity: {exc}") from exc
         oracle = spectral_projection_oracle(b, gap)
         distance = linalg.opnorm(rep.projection - oracle)
-        if not rep.converged:
-            failures.append({"check": "resolvent_converged",
-                             "value": rep.successive_difference,
-                             "tolerance": cfg.QUAD_REFINE_FLOOR})
-        hard_check(failures, "resolvent_vs_eigendecomposition", distance, 1e-8)
-        for i, check in enumerate(rep.bound_checks):
-            hard_check(failures, f"commutator_bound_{i}", -check.slack, 0.0)
+        checks += [Check("resolvent_converged", rep.successive_difference,
+                         cfg.QUAD_REFINE_FLOOR, rep.converged),
+                   within("resolvent_vs_eigendecomposition", distance, 1e-8)]
+        checks += [within(f"commutator_bound_{i}", -c.slack, 0.0)
+                   for i, c in enumerate(rep.bound_checks)]
         quad_report = {
             "level": level,
             "gap": gap,
@@ -664,9 +645,8 @@ def cmd_identity(args, outdir):
         "row_sum_residual": row_res,
         "commutator_decomposition_residual": dec_res,
         "resolvent": quad_report,
-        "hard_failures": failures,
     }
-    return report
+    return report, checks, None
 
 
 def cmd_counterexample(args, outdir):
@@ -689,11 +669,9 @@ def cmd_counterexample(args, outdir):
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
 
-    failures = []
-    hard_check(failures, "intertwining_LA_equals_BL", rep.intertwining_residual, 0.0)
-    if rep.a_commutator_rank != 1:
-        failures.append({"check": "a_self_commutator_rank",
-                         "value": rep.a_commutator_rank, "tolerance": 1})
+    checks = [within("intertwining_LA_equals_BL", rep.intertwining_residual, 0.0),
+              Check("a_self_commutator_rank", rep.a_commutator_rank, 1,
+                    rep.a_commutator_rank == 1)]
 
     report = {
         "schema": 1,
@@ -709,9 +687,8 @@ def cmd_counterexample(args, outdir):
         "max_partial_sum": rep.max_partial_sum,
         "intertwiner_extremes": list(rep.intertwiner_extremes),
         "b_weights": np.exp(rep.u[1:]),
-        "hard_failures": failures,
     }
-    return report
+    return report, checks, None
 
 
 COMMANDS = {
@@ -726,7 +703,6 @@ COMMANDS = {
 
 
 def main(argv=None):
-    window = None
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
         outdir = Path(args.out)
@@ -734,20 +710,19 @@ def main(argv=None):
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ParseFailure(f"cannot create output directory: {exc}") from exc
-        report = COMMANDS[args.command](args, outdir)
+        report, checks, window = COMMANDS[args.command](args, outdir)
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except WindowFailure as exc:
-        report, window = exc.report, exc
 
+    failures = [c for c in checks if not c.passed]
+    report["hard_failures"] = [{"check": c.name, "value": c.value, "tolerance": c.tolerance}
+                               for c in failures]
     write_output(outdir / f"{args.command}.json", report_json(report))
     if window is not None:
         print(f"window exhausted: {window}", file=sys.stderr)
-    failures = report["hard_failures"]
-    for f in failures:
-        print(f"FAIL {f['check']}: {f['value']} > {f['tolerance']}",
-              file=sys.stderr)
+    for c in failures:
+        print(f"FAIL {c.name}: {c.value} > {c.tolerance}", file=sys.stderr)
     if failures:
         return EXIT_TOLERANCE
     return EXIT_OK if window is None else EXIT_WINDOW

@@ -24,8 +24,8 @@ the coordinate tuple (invariance, co-invariance) by max(max rho, 1)
 (``cli.linear_scale``), and of those quadratic in it by max(max rho^2, 1)
 (``cli.tuple_scale``).  Each such residual is printed as
 max(||X||_2, bound) with bound = min(RESIDUAL_FLOOR * scale, tolerance)
-(``cli.residual_bound``); one whose Frobenius norm is at most the bound
-reads as the bound and takes no SVD (``linalg.residual``).
+(``cli.limits``); one whose Frobenius norm is at most the bound reads as
+the bound and takes no SVD (``linalg.residual``).
 """
 
 # Rank decisions (``linalg._kept``) and eigenvalue zero cuts: values at most

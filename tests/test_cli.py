@@ -7,15 +7,18 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gradmod import cli, normality
+from gradmod.config import EXACT_TOL
 from gradmod.completion import StandardModule, make_weights, summability_report
-from gradmod.submodules import format_generator
+from gradmod.submodules import GradedSubmodule, format_generator
 from conftest import random_generators
 
 
@@ -217,12 +220,10 @@ def test_tolerance_failure_exit_code(tmp_path):
     assert report["hard_failures"]
 
 
-def test_hard_check_fails_values_that_are_not_finite():
-    failures = []
-    cli.hard_check(failures, "ok", 1e-16, 1e-12)
-    cli.hard_check(failures, "nan", float("nan"), 1e-12)
-    cli.hard_check(failures, "inf", float("inf"), 1e-12)
-    assert [f["check"] for f in failures] == ["nan", "inf"]
+def test_within_fails_values_that_are_not_finite():
+    checks = [cli.within("ok", 1e-16, 1e-12), cli.within("nan", float("nan"), 1e-12),
+              cli.within("inf", float("inf"), 1e-12)]
+    assert [c.name for c in checks if not c.passed] == ["nan", "inf"]
 
 
 def test_overflowing_counterexample_exits_2(tmp_path, capsys):
@@ -465,21 +466,21 @@ def test_roundoff_residuals_take_no_svd_below_their_floor(tmp_path, capsys, monk
     assert "FAIL coordinate_invariance" in capsys.readouterr().err
 
 
-def test_residual_bound_never_exceeds_the_tolerance():
-    assert cli.residual_bound(1e-10, 1.0) == 1e-13
-    assert cli.residual_bound(1e-10 * 1e6, 1e6) == 1e-13 * 1e6
-    assert cli.residual_bound(1e-14, 1.0) == 1e-14
-    assert cli.residual_bound(0.0, 4.0) == 0.0
+def test_limits_bound_never_exceeds_the_tolerance():
+    def limits(tol, default, scale=1.0, floor=0.0):
+        return cli.limits(SimpleNamespace(tol=tol), default, scale, floor)
+    assert limits(None, 1e-10) == (1e-10, 1e-13)
+    assert limits(None, 1e-10, 1e6) == (1e-10 * 1e6, 1e-13 * 1e6)
+    assert limits(1e-14, 1e-10) == (1e-14, 1e-14)
+    assert limits(0.0, 1e-10, 4.0) == (0.0, 0.0)
+    # the floor keeps EXACT_TOL under --tol 0, as orthonormality and B^2 = 0 do
+    assert limits(0.0, 1e-10, floor=EXACT_TOL) == (EXACT_TOL, 1e-13)
 
 
-def test_hard_check_fails_non_finite_residuals():
+def test_within_fails_non_finite_residuals():
     for value in (float("nan"), float("inf")):
-        failures = []
-        cli.hard_check(failures, "x", value, float("inf"))
-        assert len(failures) == 1
-    failures = []
-    cli.hard_check(failures, "x", 1e300, float("inf"))
-    assert failures == []
+        assert not cli.within("x", value, float("inf")).passed
+    assert cli.within("x", 1e300, float("inf")).passed
 
 
 def test_tuple_scale_is_one_for_weights_at_most_one():
@@ -965,6 +966,29 @@ def test_identity_unconverged_quadrature_fails(tmp_path, monkeypatch):
     assert report["resolvent"]["converged"] is False
     assert report["resolvent"]["nodes"] == 128
     assert [f["check"] for f in report["hard_failures"]] == ["resolvent_converged"]
+
+
+@pytest.mark.parametrize("argv,check,target,name,patch", [
+    (["ev", "--d", "2", "--N", "8", "--V", "{V}"], "degree_at_most_1",
+     GradedSubmodule, "degree_report",
+     lambda real: lambda self: replace(real(self), degree=2)),
+    (["counterexample", "--N", "12"], "a_self_commutator_rank",
+     cli, "similarity_counterexample",
+     lambda real: lambda u, n: replace(real(u, n), a_commutator_rank=2)),
+], ids=["ev", "counterexample"])
+def test_flag_checks_fail_with_int_entries(tmp_path, capsys, monkeypatch,
+                                           argv, check, target, name, patch):
+    # ev's degree_at_most_1 and counterexample's a_self_commutator_rank are
+    # not residuals: each fires on a degree or a rank of 2, printed as ints
+    monkeypatch.setattr(target, name, patch(getattr(target, name)))
+    vfile = tmp_path / "V.txt"
+    vfile.write_text(DESK_V)
+    argv = [tok.format(V=vfile) for tok in argv]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_TOLERANCE
+    assert capsys.readouterr().err.splitlines() == [f"FAIL {check}: 2 > 1"]
+    [entry] = json.loads((tmp_path / f"{argv[0]}.json").read_text())["hard_failures"]
+    assert entry == {"check": check, "value": 2, "tolerance": 1}
+    assert type(entry["value"]) is type(entry["tolerance"]) is int
 
 
 def reports_under_blas_threads(tmp_path, argv, files):

@@ -11,7 +11,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from gradmod import level_dimension, monomial_basis, monomials
+from gradmod import monomial_basis, monomials
+from gradmod.monomials import level_dimension
 from structure_oracle import derivative_structure_map, mult_structure_map
 
 

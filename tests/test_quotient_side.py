@@ -22,7 +22,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import gradmod as gm
 import mside_oracle as oracle
@@ -315,6 +315,29 @@ def test_ev_flags_match_cosaturation(family, d, r):
         assert report.determined and report.degree <= 1
 
 
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(1, 3), st.data())
+def test_ev_schatten_sums_match_the_m_variable_module(family, d, data):
+    # the weights depend only on the level, so E_{UV} = E_V U* for unitary U:
+    # H_V = S/E_V^perp is H_{V'} of a coordinate V' up to the tuple change
+    # T'_j = sum_l u_jl T_l, and for a coordinate V' it is the m-variable
+    # module on the same weights.  The p = 2 pair sum, a Hilbert-Schmidt
+    # norm, survives the change; the other p hold for a coordinate V alone.
+    m = data.draw(st.integers(1, d), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    mod = module(family, d, 1)
+    p_values = [1.0, 2.0, 3.0, 4.5]
+    want = gm.schatten_report(gm.StandardModule(mod.weights, m).coordinate_tuple(), p_values)
+    random_v = rng.normal(size=(d, m)) + 1j * rng.normal(size=(d, m))
+    coordinate_v = np.eye(d)[:, rng.permutation(d)[:m]]
+    for raw, checked in ((random_v, [2.0]), (coordinate_v, p_values)):
+        sub = gm.ev_space(mod, gm.SubspaceV.from_matrix(mod, raw))
+        got = gm.schatten_report(sub.quotient_tuple(), checked)
+        for p in checked:
+            np.testing.assert_allclose(got.cumulative[p], want.cumulative[p],
+                                       rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("d,r", [(2, 1), (2, 3), (3, 2), (4, 1)])
 def test_zero_full_and_kernel_flags_match_cosaturation(family, d, r):
@@ -567,6 +590,10 @@ def test_package_has_one_pullback_path():
     # and E_V is read off ev_space's submodule: no second quotient object
     for name in ("QuotientModule", "ev_quotient", "shift_quotient",
                  "quotient_en_report"):
+        assert not hasattr(gm, name)
+    # names only the tests reach stay in their modules, not the package
+    for name in ("resolvent_quadrature", "parse_generator_line", "fock_level_weights",
+                 "LevelBasis", "level_dimension"):
         assert not hasattr(gm, name)
     assert "note" not in {f.name for f in dataclasses.fields(gm.SchattenReport)}
     mod = module("hardy", 2, 1)
