@@ -585,7 +585,7 @@ def cmd_identity(args, outdir):
 
     # compression identities on all interior levels, all pairs at once
     comp = {}
-    for n in range(1, min(sub.window, module.top_level)):
+    for n in range(1, module.top_level):
         pairs = compression_identity_residuals(ops, sub, n, comp_bound)
         comp[str(n)] = linalg.largest(pairs, 0.0)
 

@@ -283,12 +283,18 @@ class StandardModule:
 
     @cached_property
     def row_domain(self):
-        """d.S: the standard module of multiplicity d*r over the same completion.
+        """d.S over rho_0..rho_{N-2}: levels 0..N-1, all that L maps into the window.
 
-        Its d.E coordinates are ordered copy-major ((zeta_1, ..., zeta_d) with
-        zeta_i in E).
+        The standard module of multiplicity d*r over the same completion, one
+        level shorter than S, so every level n of it has its block L_n into
+        S_{n+1}.  Its d.E coordinates are ordered copy-major
+        ((zeta_1, ..., zeta_d) with zeta_i in E).  Raises ValueError when
+        N < 2, since a standard module needs at least one weight.
         """
-        return StandardModule(self.weights, self.d, self.multiplicity * self.d)
+        if self.top_level < 2:
+            raise ValueError("the row domain d.S needs N >= 2")
+        return StandardModule(WeightSequence(self.rho[:-1]), self.d,
+                              self.multiplicity * self.d)
 
     # -- dense blocks, built on every call and never cached -------------------
 

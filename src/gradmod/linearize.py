@@ -1,7 +1,8 @@
 """Row operator, pullbacks, iterated linearization, and degree-1 structure.
 
 The row operator L sends (xi_1, ..., xi_d) in d.S to Z_1 xi_1 + ... + Z_d xi_d
-(``StandardModule.row`` and ``row_adjoint``, domain ``StandardModule.row_domain``).
+(``StandardModule.row`` and ``row_adjoint``, domain ``StandardModule.row_domain``,
+levels 0..N-1: the levels that L maps into the window 0..N of S).
 Its kernel is a degree-1 submodule; pulling a degree-n submodule M back
 through L drops the degree by one, and iterating reduces any determinable
 degree >= 2 to a degree-1 submodule in a higher-multiplicity ambient module.
@@ -18,9 +19,10 @@ level S_{k+1}, the same map gives K_k^perp for the kernel K = ker L; applied
 at k = 0, where L_0/rho_0 is unitary from d.E onto S_1, it gives the
 subspace V of a degree-1 submodule.
 
-Pullbacks carry their saturation flags: ker L is generated at level 1 by the
-Koszul syzygies z_i e_j - z_j e_i, so the flag of M' at level k >= 1 is the
-flag of M at level k+1, and only level 0 takes a nullspace (``pullback``).
+Pullbacks and ker L carry their saturation flags without a nullspace: ker L
+is generated at level 1 by the Koszul syzygies z_i e_j - z_j e_i, so the
+flag of M' at level k >= 1 is the flag of M at level k+1, and level 0 is a
+count of dimensions (``pullback``, ``kernel_levels``).
 The co-invariant recursion and the co-invariance check apply Z_k of d.S
 as a scatter on the successor table (``StandardModule.shift``), and
 pullbacks and the ker L residual apply L_k and L_k* the same way
@@ -50,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .submodules import (GradedSubmodule, cosaturation_flags, euler_candidates,
-                         parse_complex)
+from .submodules import GradedSubmodule, euler_candidates, parse_complex
 
 
 # ``linearize_full`` stops before a pullback whose ambient d.S would hold more
@@ -69,16 +70,17 @@ def kernel_levels(module):
     Its quotient side is ``pullback_quotient`` applied to the whole level:
     L_n*/rho_n, a gather applied to the identity of S_{n+1}, is an
     orthonormal basis of ran(L_n*) = K_n^perp.  K_n itself is the
-    complement, computed on request.
+    complement, computed on request.  The flags are closed form: L_0 is
+    injective, so K_0 = 0, and K_1 = 0 only when d = 1; the Koszul syzygies
+    generate K at level 1, so every flag from level 1 on holds.  Raises
+    ValueError when N < 2 (``StandardModule.row_domain``).
     """
-    window = module.top_level - 1
-    if window < 1:
-        raise ValueError("the kernel needs N >= 2")
+    domain = module.row_domain
     quotient = {n: pullback_quotient(module, np.eye(module.level_dim(n + 1),
                                                     dtype=complex), n)
-                for n in range(window + 1)}
-    return GradedSubmodule(module.row_domain, quotient, cosaturation_flags(
-        module.row_domain, quotient, window), window=window)
+                for n in range(domain.top_level + 1)}
+    return GradedSubmodule(domain, quotient, {k: k >= 1 or module.d == 1
+                                              for k in range(domain.top_level)})
 
 
 def pullback_quotient(module, quotient_next, k):
@@ -95,8 +97,9 @@ def pullback_quotient(module, quotient_next, k):
 def pullback(submodule):
     """M' = {zeta in d.S : L zeta in M}, levelwise, for deg M >= 2.
 
-    Level k is ``pullback_quotient`` of Q_{k+1}.  M' contains K = ker L and
-    satisfies L(M'_k) = M_{k+1}.  The stored window shrinks by one level.
+    Level k is ``pullback_quotient`` of Q_{k+1}, for every level
+    k = 0..N-1 of d.S (``StandardModule.row_domain``).  M' contains K = ker L
+    and satisfies L(M'_k) = M_{k+1}.
 
     The saturation flags of M' are those of M shifted down by one degree,
     except at level 0.  L is a module map and L_k is onto, so
@@ -106,7 +109,8 @@ def pullback(submodule):
     whole preimage L^{-1}(sum_j Z_j M_{k+1}).  It equals
     M'_{k+1} = L^{-1}(M_{k+2}) exactly when sum_j Z_j M_{k+1} = M_{k+2}:
     flag'[k] = flag[k+1].  At k = 0 the span of Z_j M'_0 need not contain
-    K_1, so that one flag is solved (``cosaturation`` at level 1 of d.S).
+    K_1, but it is A_1 (x) M'_0, of dimension d dim M'_0, and it lies in
+    M'_1: flag'[0] is (dim Q'_1 == d dim Q'_0), a count of dimensions.
     """
     report = submodule.degree_report()
     if not report.determined:
@@ -115,12 +119,12 @@ def pullback(submodule):
     if report.degree < 2:
         raise ValueError("pullback reduction applies to submodules of degree >= 2")
     module = submodule.module
-    window = min(submodule.window - 1, module.top_level - 1)
+    domain = module.row_domain
     quotient = {k: pullback_quotient(module, submodule.quotient_basis(k + 1), k)
-                for k in range(window + 1)}
-    flags = cosaturation_flags(module.row_domain, quotient, 1)
-    flags.update((k, report.flags[k + 1]) for k in range(1, window))
-    return GradedSubmodule(module.row_domain, quotient, flags, window=window)
+                for k in range(domain.top_level + 1)}
+    flags = {0: quotient[1].shape[1] == module.d * quotient[0].shape[1]}
+    flags.update((k, report.flags[k + 1]) for k in range(1, domain.top_level))
+    return GradedSubmodule(domain, quotient, flags)
 
 
 def kernel_containment_residual(module, pulled, bound):
@@ -133,7 +137,7 @@ def kernel_containment_residual(module, pulled, bound):
     is a ``linalg.residual`` against ``bound``.
     """
     values = []
-    for n in range(pulled.window + 1):
+    for n in range(pulled.module.top_level + 1):
         inner = pulled.quotient_basis(n)
         rho = module.rho[n]
         back = module.row_adjoint(n, module.row(n, inner) / rho) / rho
@@ -151,9 +155,7 @@ def induced_map_report(submodule, pulled):
     """
     module = submodule.module
     out = {}
-    for n in range(pulled.window + 1):
-        if n + 1 > submodule.window:
-            break
+    for n in range(pulled.module.top_level + 1):
         mat = (module.row_adjoint(n, submodule.quotient_basis(n + 1)).conj().T
                @ pulled.quotient_basis(n))
         if mat.size == 0:
@@ -192,9 +194,9 @@ def linearize_full(submodule, coinvariance_bound, kernel_bound):
     of the truncation window.  Returns a partial result (``complete=False``)
     when the window is exhausted before the degree drops to 1, or when the
     ambient dimension would exceed ``MAX_AMBIENT_DIM``.  Every pulled module
-    is a d.S over the input's weights, so one bound per residual serves every
-    step: ``coinvariance_bound`` for ``invariance_residual`` of the pullback,
-    ``kernel_bound`` for ``kernel_containment_residual``.
+    is a d.S over a prefix of the input's weights, so one bound per residual
+    serves every step: ``coinvariance_bound`` for ``invariance_residual`` of
+    the pullback, ``kernel_bound`` for ``kernel_containment_residual``.
     """
     current = submodule
     steps = []
@@ -203,7 +205,7 @@ def linearize_full(submodule, coinvariance_bound, kernel_bound):
 
     def record(sub, deg):
         steps.append(LinearizationStep(
-            sub.module.multiplicity, deg, sub.window, tuple(sub.dims())))
+            sub.module.multiplicity, deg, sub.module.top_level, tuple(sub.dims())))
 
     def result(complete, reason):
         return LinearizationResult(tuple(steps), current, complete, reason,
@@ -219,7 +221,7 @@ def linearize_full(submodule, coinvariance_bound, kernel_bound):
             return result(True, "degree 1 reached" if report.degree == 1
                           else "degree 0 input")
         next_dim = sum(current.module.level_dim(n) * current.module.d
-                       for n in range(current.window))
+                       for n in range(current.module.top_level))
         if next_dim > MAX_AMBIENT_DIM:
             return result(False, "ambient dimension budget exceeded")
         pulled = pullback(current)

@@ -161,7 +161,7 @@ def compression_identity_residuals(ops, submodule, level, bound):
     level's commutator stack; every other term is one broadcast product.
     """
     n = int(level)
-    if n - 1 not in ops or n not in ops or n >= submodule.window:
+    if n - 1 not in ops or n not in ops or n >= submodule.module.top_level:
         raise ValueError(f"level {n} is not interior")
     amb = -np.swapaxes(_level_commutators(ops, n)[0], 0, 1)
     lo, hi = n - 1, n

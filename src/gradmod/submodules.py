@@ -13,8 +13,10 @@ the row-sum identity puts Q_n inside the span of the Z_k Q_{n-1}; each level
 solves one small nullspace problem on that span (``cosaturation``).  Every
 submodule carries the saturation flags of the construction that built it
 (generation their recursion's, and E_V^perp of ``linearize.ev_space`` is
-generated too; a pullback its input's shifted; ker L one
-``cosaturation_flags`` pass).  Z_k and Z_k* act through
+generated too; a pullback its input's shifted, with one dimension count at
+level 0; ker L the closed form of its Koszul generation).  Every submodule
+spans all levels 0..N of its module: the module alone owns the truncation
+window.  Z_k and Z_k* act through
 ``StandardModule.shift`` and ``adjoint_stack``, a scatter and a gather on
 the level's successor table, never through a dense block of the ambient
 module.  Degrees, residuals and projections read Q, and so does the
@@ -220,12 +222,6 @@ def cosaturation(module, quotient_prev, n):
                                    scale=module.rho[n - 1])
 
 
-def cosaturation_flags(module, quotient_bases, window):
-    """flags[k] = (dim Q_{k+1} == dim R_{k+1}), one ``cosaturation`` per level."""
-    return {k: cosaturation(module, quotient_bases[k], k + 1).shape[1]
-            == quotient_bases[k + 1].shape[1] for k in range(window)}
-
-
 # -- graded submodules -----------------------------------------------------
 
 
@@ -233,20 +229,16 @@ class GradedSubmodule:
     """A graded submodule M of a standard module, held by its quotient side.
 
     ``quotient_bases[n]`` is an orthonormal basis Q_n of M_n^perp for every
-    level n of the window.  ``flags`` (level k -> M_{k+1} == sum_j Z_j M_k,
-    one per level below the window) come from the construction that built M
+    level n = 0..N of the module.  ``flags`` (level k -> M_{k+1} == sum_j Z_j M_k,
+    one per level k < N) come from the construction that built M
     (see the module docstring).  M_n is the complement of Q_n, computed once
     on request.
     """
 
-    def __init__(self, module, quotient_bases, flags, window=None,
-                 max_generator_degree=None):
+    def __init__(self, module, quotient_bases, flags, max_generator_degree=None):
         self.module = module
-        self.window = module.top_level if window is None else int(window)
-        if not 0 <= self.window <= module.top_level:
-            raise ValueError("window exceeds the ambient module")
         self.quotient_bases = {}
-        for n in range(self.window + 1):
+        for n in range(module.top_level + 1):
             q = np.asarray(quotient_bases[n], dtype=complex)
             if q.ndim != 2 or q.shape[0] != module.level_dim(n):
                 raise ValueError(f"level {n} quotient basis has wrong ambient dimension")
@@ -300,16 +292,6 @@ class GradedSubmodule:
         return cls(module, quotient, flags,
                    max_generator_degree=max(seeds, default=0))
 
-    @classmethod
-    def zero(cls, module):
-        """The submodule generated by nothing: no factorization at any level."""
-        return cls.from_level_seeds(module, {})
-
-    @classmethod
-    def full(cls, module):
-        """The submodule generated by E at level 0."""
-        return cls.from_level_seeds(module, {0: np.eye(module.level_dim(0))})
-
     # queries --------------------------------------------------------------
 
     def quotient_basis(self, n):
@@ -331,10 +313,10 @@ class GradedSubmodule:
         return q.shape[0] - q.shape[1]
 
     def dims(self):
-        return [self.dim(n) for n in range(self.window + 1)]
+        return [self.dim(n) for n in range(self.module.top_level + 1)]
 
     def quotient_tuple(self):
-        """The compressed tuple of S/M: one (d, dim Q_{n+1}, dim Q_n) stack per level n < window.
+        """The compressed tuple of S/M: one (d, dim Q_{n+1}, dim Q_n) stack per level n < N.
 
         Entry [k-1] of level n is Q_{n+1}* Z_k(n) Q_n, taken as the adjoint of
         each Z_k* Q_{n+1} (``adjoint_stack``) times Q_n.
@@ -342,7 +324,7 @@ class GradedSubmodule:
         q = self.quotient_bases
         return {n: np.asarray([z.conj().T @ q[n] for z in
                                self.module.adjoint_stack(n, q[n + 1])], dtype=complex)
-                for n in range(self.window)}
+                for n in range(self.module.top_level)}
 
     def projection_block(self, n):
         """Orthogonal projection onto M_n inside level n: I - Q_n Q_n*."""
@@ -355,16 +337,17 @@ class GradedSubmodule:
                                for q in self.quotient_bases.values()], bound)
 
     def invariance_residual(self, bound):
-        """max over k, n of ||(I - P_{Q_n}) Z_k* Q_{n+1}||, and ``bound``: 0 for a true submodule.
+        """max over k and n < N of ||(I - P_{Q_n}) Z_k* Q_{n+1}||, and ``bound``: 0 for a true submodule.
 
-        This is the adjoint of ||(I - P_{M_{n+1}}) Z_k P_{M_n}||: Z_k M_n lies
-        in M_{n+1} exactly when Z_k* maps M_{n+1}^perp into M_n^perp.  Each
+        Every stored level is checked, the top one Q_N included.  This is
+        the adjoint of ||(I - P_{M_{n+1}}) Z_k P_{M_n}||: Z_k M_n lies in
+        M_{n+1} exactly when Z_k* maps M_{n+1}^perp into M_n^perp.  Each
         level takes one gather, the (d, h_n r, q_{n+1}) stack of the
         Z_k* Q_{n+1} (``adjoint_stack``), and one stacked residual per level,
         which takes no SVD when its Frobenius norm is at most ``bound``.
         """
         values = []
-        for n in range(min(self.window, self.module.top_level - 1)):
+        for n in range(self.module.top_level):
             img = self.module.adjoint_stack(n, self.quotient_basis(n + 1))
             values.append(linalg.containment_residual(img, self.quotient_basis(n), bound))
         return linalg.largest(values, bound)
@@ -380,18 +363,19 @@ class GradedSubmodule:
     def degree_report(self):
         """Degree per the smallest-saturation-level definition, with honesty flags."""
         flags = self.saturation_flags()
-        degenerate = all(self.dim(n) == 0 for n in range(self.window + 1))
+        window = self.module.top_level
+        degenerate = all(self.dim(n) == 0 for n in range(window + 1))
         false_levels = [k for k, ok in flags.items() if not ok]
         candidate = (max(false_levels) + 1) if false_levels else 0
         g = self.max_generator_degree
         threshold = candidate if g is None else max(candidate, g)
-        witnessed = self.window - threshold  # saturated levels threshold..window-1
+        witnessed = window - threshold  # saturated levels threshold..window-1
         determined = degenerate or witnessed >= 2
         return DegreeReport(
             degree=candidate if determined else None,
             determined=determined,
             flags=flags,
-            window=self.window,
+            window=window,
             max_generator_degree=g,
             degenerate_zero=degenerate,
             witnessed_levels=max(witnessed, 0),
@@ -407,7 +391,7 @@ class GradedSubmodule:
         if not report.determined or report.degree != 0:
             return False, None
         v_perp = self.quotient_basis(0)  # level 0 of S is E itself
-        for n in range(self.window + 1):
+        for n in range(self.module.top_level + 1):
             expected = np.kron(
                 np.eye(monomials.level_dimension(self.module.d, n)), v_perp)
             if linalg.subspace_distance(expected, self.quotient_basis(n),

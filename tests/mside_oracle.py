@@ -120,7 +120,7 @@ def linearize_steps(module, bases, window, max_generator_degree,
 def pullback_span_residual(submodule, pulled):
     """max_k principal-angle distance between L(M'_k) and M_{k+1} (should be 0)."""
     worst = 0.0
-    for k in range(pulled.window + 1):
+    for k in range(pulled.module.top_level + 1):
         block = submodule.module.row_block(k)
         u, s, _ = np.linalg.svd(block @ pulled.basis(k), full_matrices=False)
         # absolute floor: kernel directions map to roundoff junk, not rank

@@ -40,7 +40,7 @@ def test_criterion_1_kernel_degree_one():
             kernel = gm.kernel_levels(mod)
             assert kernel.dim(0) == 0
             dom = mod.row_domain
-            for n in range(1, kernel.window):
+            for n in range(1, kernel.module.top_level):
                 image = linalg.orthonormal_columns(np.hstack([
                     coordinate_block(dom, k, n) @ kernel.basis(n)
                     for k in range(1, d + 1)]))
@@ -125,7 +125,7 @@ def test_criterion_3_ev_bijection():
                 v.basis, recovered.basis, 0.0))
             # reverse direction: degree-1 submodule -> V -> same submodule
             back = gm.ev_space(mod, recovered)
-            for n in range(back.window + 1):
+            for n in range(back.module.top_level + 1):
                 worst_round = max(worst_round, linalg.subspace_distance(
                     back.basis(n), sub.basis(n), 0.0))
             count += 1

@@ -254,8 +254,9 @@ def test_underflowing_counterexample_exits_2(tmp_path, capsys):
     assert not (tmp_path / "counterexample.json").exists()
 
 
-# a V whose E_V degree N = 2 cannot determine, and whose roundtrip and route
-# residuals are roundoff, so --tol 0 fails them
+# a V whose E_V degree N = 2 cannot determine, and whose roundtrip, route and
+# invariance residuals are roundoff (invariance at the top level, Z_k*(1) Q_2),
+# so --tol 0 fails them
 WINDOW_AND_TOL_V = "1 0.3+0.2i\n0.5-1i 0.1\n0.2 1+1i\n"
 
 
@@ -268,7 +269,7 @@ def test_failed_hard_check_exits_1_when_the_window_runs_out(tmp_path, capsys):
     report = json.loads((tmp_path / "ev.json").read_text())
     assert report["degree"]["determined"] is False
     checks = [f["check"] for f in report["hard_failures"]]
-    assert checks == ["roundtrip_V_distance", "adjoint_vs_gradient_route"]
+    assert checks == ["roundtrip_V_distance", "adjoint_vs_gradient_route", "invariance"]
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("window exhausted:")
     assert [line.split(":")[0] for line in err[1:]] == [f"FAIL {c}" for c in checks]
@@ -342,7 +343,7 @@ def test_level_dimensions_past_the_float_range_exit_2(tmp_path, capsys):
     (["identity", "--d", "2", "--N", "6", "--r1", "1e-300", "--r2", "1e300"],
      "--gens", "2 1+0i (2 0)@e1 + 1+0i (0 2)@e1\n"),
     (["koszul", "--d", "2", "--N", "3", "--r1", "1e-300", "--r2", "1e300"], None, None),
-])
+], ids=["ev-underflow", "identity-overflow", "koszul-overflow"])
 def test_monomial_norms_outside_the_float_range_exit_2(tmp_path, capsys, argv, flag, text):
     # c_n nu_alpha underflows (the first) or overflows (the others) on the
     # window: the module is refused instead of a LinAlgError, an
@@ -380,7 +381,8 @@ def tolerance_power(check):
     (["submodule", "--d", "2", "--N", "10"], "1e12", README_QUADRIC),
     (["linearize", "--d", "2", "--N", "10"], "1e12", README_QUADRIC),
     (["ev", "--d", "2", "--N", "8"], "1e12", DESK_V),
-])
+], ids=["koszul-1e8", "identity-1e4", "submodule-1e10", "submodule-1e12",
+        "linearize-1e12", "ev-1e12"])
 def test_identity_tolerances_scale_with_the_weights(tmp_path, capsys, argv, r2, gens):
     # the roundoff of an exact identity grows with max rho (invariance and
     # co-invariance apply one block of the tuple) or max rho^2 (the identities
@@ -496,7 +498,7 @@ def test_tuple_scale_is_one_for_weights_at_most_one():
     (["ev", "--d", "2", "--N", "8"], "--V", DESK_V, ["invariance"]),
     (["identity", "--d", "2", "--N", "7", "--nodes", "128"], "--gens", README_QUADRIC,
      ["row_sum_identity", "commutator_decomposition"]),
-])
+], ids=["ev", "identity"])
 def test_tol_reaches_every_residual_check(tmp_path, capsys, argv, flag, text, checks):
     # without --tol each check keeps its default; --tol replaces it, times
     # the check's scale, which is 1 for the Hardy weights (at most 1; and

@@ -61,6 +61,17 @@ def test_row_domain_cached_on_module(h2):
     assert h2.row_domain.multiplicity == 2 * h2.multiplicity
 
 
+def test_row_domain_is_one_level_shorter_with_the_same_bits(h2):
+    # d.S keeps levels 0..N-1, each with its block L_n into S_{n+1}; its
+    # weights and monomial norms are a prefix of S's, bit for bit
+    dom = h2.row_domain
+    assert dom.top_level == h2.top_level - 1
+    np.testing.assert_array_equal(dom.rho, h2.rho[:-1])
+    for n in range(dom.top_level + 1):
+        np.testing.assert_array_equal(dom.monomial_norms(n), h2.monomial_norms(n))
+        assert h2.row_block(n).shape[1] == dom.level_dim(n)
+
+
 def test_kernel_level_one_explicit(h2):
     K = gm.kernel_levels(h2)
     assert K.dim(0) == 0
@@ -78,7 +89,7 @@ def test_kernel_level_one_explicit(h2):
 def test_kernel_dims_by_rank_nullity(d, r):
     mod = gm.StandardModule(gm.make_weights("hardy", 8, d=d), d=d, multiplicity=r)
     K = gm.kernel_levels(mod)
-    for n in range(K.window + 1):
+    for n in range(K.module.top_level + 1):
         expected = d * mod.level_dim(n) - mod.level_dim(n + 1)
         assert K.dim(n) == expected
 
@@ -89,7 +100,7 @@ def test_kernel_degree_one(h2):
     assert rep.degree == 1 and rep.determined
     # span equality K_{n+1} = sum Z_k K_n, checked directly
     dom = h2.row_domain
-    for n in range(1, K.window):
+    for n in range(1, K.module.top_level):
         image = linalg.orthonormal_columns(np.hstack([
             oracle.coordinate_block(dom, k, n) @ K.basis(n) for k in (1, 2)]))
         assert linalg.subspace_distance(image, K.basis(n + 1), 0.0) <= 1e-10
@@ -113,7 +124,7 @@ def test_pullback_matches_bruteforce_preimage(h2):
     sub = gm.GradedSubmodule.generate(h2, [g])
     pulled = gm.pullback(sub)
     assert pulled.dim(1) == 2    # nullity 1 + preimage dim 1
-    for k in range(pulled.window + 1):
+    for k in range(pulled.module.top_level + 1):
         oracle = bruteforce_preimage(h2.row_block(k), sub.basis(k + 1))
         assert linalg.subspace_distance(pulled.basis(k), oracle, 0.0) <= 1e-10
 
@@ -142,7 +153,7 @@ def test_pullback_degree_preconditions(h2):
     low = gm.GradedSubmodule.generate(h2, [gm.monomial_generator((1, 0))])
     with pytest.raises(ValueError):
         gm.pullback(low)                       # degree 1
-    full = gm.GradedSubmodule.full(h2)
+    full = gm.GradedSubmodule.from_level_seeds(h2, {0: np.eye(h2.level_dim(0))})
     with pytest.raises(ValueError):
         gm.pullback(full)                      # reducing, degree 0
     tall = gm.GradedSubmodule.generate(h2, [gm.monomial_generator((9, 0))])
@@ -156,7 +167,7 @@ def test_pullback_dims_and_induced_map(h2):
     g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((0, 2), 0, 1.0)))
     sub = gm.GradedSubmodule.generate(h2, [g])
     pulled = gm.pullback(sub)
-    for n in range(pulled.window + 1):
+    for n in range(pulled.module.top_level + 1):
         assert (pulled.quotient_basis(n).shape[1]
                 == sub.quotient_basis(n + 1).shape[1])
     report = gm.induced_map_report(sub, pulled)
@@ -262,7 +273,7 @@ def test_ev_roundtrip_both_directions(rng):
     sub = gm.GradedSubmodule.from_level_seeds(mod, {1: m1})
     v = gm.recover_subspace(sub)
     back = gm.ev_space(mod, v)
-    for n in range(back.window + 1):
+    for n in range(back.module.top_level + 1):
         assert linalg.subspace_distance(back.basis(n), sub.basis(n), 0.0) <= 1e-9
 
 
@@ -432,7 +443,7 @@ def test_generate_ranks_only_seeded_levels(monkeypatch, rng):
     flags = sub.degree_report().flags
     # the flags came out of the recursion: the report decides no rank at all
     assert shapes == [] and solved == []
-    for k in range(sub.window):
+    for k in range(sub.module.top_level):
         if sub.dim(k) == 0:
             assert flags[k] == (sub.dim(k + 1) == 0)
             continue

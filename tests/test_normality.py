@@ -150,8 +150,8 @@ def test_quotient_commutator_norms_eventually_nonincreasing(rng):
 
 
 def test_identities_for_trivial_submodules(h2):
-    full = gm.GradedSubmodule.full(h2)
-    zero = gm.GradedSubmodule.zero(h2)
+    full = gm.GradedSubmodule.from_level_seeds(h2, {0: np.eye(h2.level_dim(0))})
+    zero = gm.GradedSubmodule.from_level_seeds(h2, {})
     ops = h2.coordinate_tuple()
     for level in (1, 4, 8):
         r1, r2 = gm.compression_identity_residuals(ops, full, level, 0.0)
@@ -179,14 +179,14 @@ def test_identities_on_drawn_submodules(case):
     # the identities are quartic in the T_i, whose norms are the weights
     tol = 1e-11 * max(1.0, float(np.max(mod.rho))) ** 4
     ops = mod.coordinate_tuple()
-    for level in range(1, sub.window):
+    for level in range(1, sub.module.top_level):
         r1, r2 = gm.compression_identity_residuals(ops, sub, level, 0.0)
         assert r1.shape == r2.shape == (mod.d, mod.d)
         assert max(r1.max(), r2.max()) <= tol
 
 
 def test_identities_reject_boundary_level(h2):
-    sub = gm.GradedSubmodule.full(h2)
+    sub = gm.GradedSubmodule.from_level_seeds(h2, {0: np.eye(h2.level_dim(0))})
     ops = h2.coordinate_tuple()
     with pytest.raises(ValueError):
         gm.compression_identity_residuals(ops, sub, 0, 0.0)
@@ -213,7 +213,7 @@ def test_identities_match_dense_oracle_on_generated_submodules(case):
     sub = gm.GradedSubmodule.generate(mod, gens)
     tol = 1e-11 * max(1.0, float(np.max(mod.rho))) ** 4
     ops = mod.coordinate_tuple()
-    for level in range(1, sub.window):
+    for level in range(1, sub.module.top_level):
         got = gm.compression_identity_residuals(ops, sub, level, 0.0)
         for g, want in zip(got, _oracle_residuals(mod, sub, level)):
             assert g.max() <= tol and want.max() <= tol

@@ -7,7 +7,8 @@ on dimensions, saturation flags, degree reports and linearization steps, and
 Q_n must be the complement of the oracle's M_n.  The closed-form pullback is
 also checked against orth(L_k* Q_{k+1}) by SVD, and the saturation flags
 every construction carries (a pullback's are its input's, shifted down one
-degree; E_V^perp's come from its generation by L_0 V^perp) against the flags
+degree, with a dimension count at level 0; E_V^perp's come from its
+generation by L_0 V^perp; ker L's are closed form) against the flags
 ``cosaturation`` solves on the same quotient bases.  Property tests check the
 identities the quotient side rests on, and work guards check that the
 command-line paths never build M and that the closed form takes no SVD.
@@ -30,7 +31,7 @@ import structure_oracle as structure
 from gradmod import cli, linalg
 from gradmod.linearize import pullback_quotient
 from gradmod.config import RANK_TOL_FACTOR
-from gradmod.submodules import cosaturation_flags, embed_polynomials
+from gradmod.submodules import cosaturation, embed_polynomials
 from conftest import FAMILIES, random_generators, submodule_inputs
 
 TOP = {1: 8, 2: 8, 3: 6, 4: 5}
@@ -149,7 +150,7 @@ def test_linearize_matches_mside_oracle(family, d, r, top):
         if sub.degree_report().degree >= 2:
             pulled = gm.pullback(sub)
             pre, window = oracle.pullback(mod, bases, mod.top_level)
-            assert pulled.window == window
+            assert pulled.module.top_level == window
             for k in range(window + 1):
                 assert linalg.subspace_distance(
                     pulled.quotient_basis(k), linalg.complement_basis(pre[k]), 0.0) <= 1e-10
@@ -163,7 +164,7 @@ def test_kernel_quotient_side_matches_dense_kernel(family, d, r):
     mod = module(family, d, r)
     kernel = gm.kernel_levels(mod)
     assert kernel.orthonormality_residual(0.0) <= 1e-12
-    for n in range(kernel.window + 1):
+    for n in range(kernel.module.top_level + 1):
         dense = linalg.nullspace(mod.row_block(n))
         assert kernel.dim(n) == dense.shape[1]
         assert linalg.subspace_distance(
@@ -248,7 +249,7 @@ def test_pullback_drops_degree_and_shifts_the_quotient(case):
     pulled_report = pulled.degree_report()
     assert pulled_report.determined
     assert pulled_report.degree == report.degree - 1
-    for k in range(pulled.window + 1):
+    for k in range(pulled.module.top_level + 1):
         assert pulled.quotient_basis(k).shape[1] == sub.quotient_basis(k + 1).shape[1]
         # L_k* is rho_k times an isometry, so the induced map is rho_k times
         # a unitary: invertible, with every singular value rho_k
@@ -273,9 +274,12 @@ def pulled_chain(sub):
 
 
 def assert_flags_match_cosaturation(sub):
-    # the flags the construction carries, against cosaturation on every level
-    assert sub.saturation_flags() == cosaturation_flags(
-        sub.module, sub.quotient_bases, sub.window)
+    # the flags the construction carries, against cosaturation solved on
+    # every level: flags[k] holds exactly when dim Q_{k+1} = dim R_{k+1}
+    q = sub.quotient_bases
+    assert sub.saturation_flags() == {
+        k: cosaturation(sub.module, q[k], k + 1).shape[1] == q[k + 1].shape[1]
+        for k in range(sub.module.top_level)}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -288,6 +292,21 @@ def test_pulled_flags_match_cosaturation(family, d, r):
             assert_flags_match_cosaturation(step)
             pulled += 1
     assert pulled >= 2
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d,r", [(1, 1), (1, 2), (2, 1), (3, 2)])
+def test_pulled_level_zero_flag_is_a_dimension_count(family, d, r):
+    # M generated at degree 3 has flag[1] True.  At d = 1, L is injective and
+    # the first pullback's flag'[0] is flag[1], True; at d >= 2 it is False,
+    # since K_1 lies in A_1 (x) M'_0 only when M'_0 is all of d.E
+    mod = module(family, d, r)
+    sub = gm.GradedSubmodule.generate(mod, [gm.monomial_generator((3,) + (0,) * (d - 1))])
+    assert sub.saturation_flags()[1]
+    chain = pulled_chain(sub)
+    assert chain[0].saturation_flags()[0] == (d == 1)
+    for step in chain:
+        assert_flags_match_cosaturation(step)
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -342,12 +361,35 @@ def test_ev_schatten_sums_match_the_m_variable_module(family, d, data):
 @pytest.mark.parametrize("d,r", [(2, 1), (2, 3), (3, 2), (4, 1)])
 def test_zero_full_and_kernel_flags_match_cosaturation(family, d, r):
     mod = module(family, d, r)
-    zero, full = gm.GradedSubmodule.zero(mod), gm.GradedSubmodule.full(mod)
+    zero = gm.GradedSubmodule.from_level_seeds(mod, {})
+    full = gm.GradedSubmodule.from_level_seeds(mod, {0: np.eye(mod.level_dim(0))})
     assert zero.dims() == [0] * (mod.top_level + 1)
     assert full.dims() == [mod.level_dim(n) for n in range(mod.top_level + 1)]
     for sub, degree in ((zero, 0), (full, 0), (gm.kernel_levels(mod), 1)):
         assert_flags_match_cosaturation(sub)
         assert sub.degree_report().degree == degree
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kernel_flags_match_cosaturation(family, d, r):
+    # K_0 = 0, K_1 = 0 only when d = 1, and the Koszul syzygies generate K
+    # at level 1: the closed-form flags must be the ones cosaturation solves
+    kernel = gm.kernel_levels(module(family, d, r))
+    assert_flags_match_cosaturation(kernel)
+    flags = kernel.saturation_flags()
+    assert flags[0] == (d == 1)
+    assert all(flags[k] for k in range(1, len(flags)))
+
+
+def test_a_one_weight_module_has_no_row_domain_and_no_kernel():
+    # the row domain d.S holds levels 0..N-1 and needs one weight itself
+    mod = gm.StandardModule(gm.make_weights("hardy", 1, d=2), d=2)
+    with pytest.raises(ValueError, match="N >= 2"):
+        mod.row_domain
+    with pytest.raises(ValueError, match="N >= 2"):
+        gm.kernel_levels(mod)
 
 
 def test_every_construction_supplies_its_flags():

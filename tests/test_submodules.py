@@ -173,14 +173,15 @@ def test_degree_values(h2):
 
 
 def test_degree_of_zero_module_is_degenerate(h2):
-    rep = gm.GradedSubmodule.zero(h2).degree_report()
+    rep = gm.GradedSubmodule.from_level_seeds(h2, {}).degree_report()
     assert rep.degree == 0 and rep.determined and rep.degenerate_zero
 
 
 def test_generating_from_nothing_is_the_zero_submodule(h2):
     # the same construction: equal quotient bases, flags and degree report,
     # with 0 as the largest generator degree
-    empty, zero = gm.GradedSubmodule.generate(h2, []), gm.GradedSubmodule.zero(h2)
+    empty = gm.GradedSubmodule.generate(h2, [])
+    zero = gm.GradedSubmodule.from_level_seeds(h2, {})
     assert sorted(empty.quotient_bases) == sorted(zero.quotient_bases)
     for n, q in zero.quotient_bases.items():
         assert np.array_equal(empty.quotient_bases[n], q)
@@ -225,7 +226,7 @@ def test_nonreducing(h2):
 
 
 def test_zero_module_reduces(h2):
-    flag, v = gm.GradedSubmodule.zero(h2).is_reducing()
+    flag, v = gm.GradedSubmodule.from_level_seeds(h2, {}).is_reducing()
     assert flag and v.shape == (1, 0)
 
 
@@ -233,8 +234,8 @@ def test_zero_module_reduces(h2):
 
 
 def test_projection_extremes(h2):
-    full = gm.GradedSubmodule.full(h2)
-    zero = gm.GradedSubmodule.zero(h2)
+    full = gm.GradedSubmodule.from_level_seeds(h2, {0: np.eye(h2.level_dim(0))})
+    zero = gm.GradedSubmodule.from_level_seeds(h2, {})
     for n in (0, 2, 5):
         np.testing.assert_allclose(full.projection_block(n),
                                    np.eye(h2.level_dim(n)), atol=1e-14)
@@ -266,11 +267,27 @@ def test_invariance_as_operator_identity(rng, h2):
             assert linalg.opnorm(lhs - rhs) <= 1e-10
 
 
+def test_invariance_residual_checks_the_top_level(h2):
+    # rotate Q_N partly into Z_1 M_{N-1}, which lies outside R_N: only the
+    # pair Z_k*(N-1), Q_N sees it, so the residual must reach the top level
+    g = gm.VectorPolynomial(2, (((2, 0), 0, 1.0), ((0, 2), 0, 1.0)))
+    sub = gm.GradedSubmodule.generate(h2, [g])
+    top = h2.top_level
+    w = h2.shift(1, top - 1, sub.basis(top - 1)[:, :1])
+    bases = dict(sub.quotient_bases)
+    bases[top] = bases[top].copy()
+    bases[top][:, :1] = (bases[top][:, :1] + w / np.linalg.norm(w)) / np.sqrt(2.0)
+    rotated = gm.GradedSubmodule(h2, bases, sub.saturation_flags())
+    assert rotated.orthonormality_residual(0.0) <= 1e-12
+    assert sub.invariance_residual(0.0) <= 1e-12
+    assert rotated.invariance_residual(0.0) > 0.1
+
+
 # -- quotients -----------------------------------------------------------------
 
 
 def test_quotient_of_zero_is_ambient(h2):
-    sub = gm.GradedSubmodule.zero(h2)
+    sub = gm.GradedSubmodule.from_level_seeds(h2, {})
     assert ([q.shape[1] for q in sub.quotient_bases.values()]
             == [h2.level_dim(n) for n in range(11)])
     # the complement basis of {0} is the identity, so blocks agree exactly
@@ -284,7 +301,7 @@ def test_quotient_tuple_stacks_its_blocks(rng, h2):
     # call, whose slice k - 1 is Q_{n+1}* Z_k(n) Q_n
     sub = gm.GradedSubmodule.generate(h2, random_generators(rng, 2, 1, 2, 1))
     ops = sub.quotient_tuple()
-    assert sorted(ops) == list(range(sub.window))
+    assert sorted(ops) == list(range(sub.module.top_level))
     for n, stack in ops.items():
         q, q_next = sub.quotient_basis(n), sub.quotient_basis(n + 1)
         assert stack.dtype == complex
@@ -297,7 +314,7 @@ def test_quotient_tuple_stacks_its_blocks(rng, h2):
 
 
 def test_quotient_of_full_is_zero(h2):
-    sub = gm.GradedSubmodule.full(h2)
+    sub = gm.GradedSubmodule.from_level_seeds(h2, {0: np.eye(h2.level_dim(0))})
     assert [q.shape[1] for q in sub.quotient_bases.values()] == [0] * 11
     assert sub.quotient_tuple()[2].shape == (2, 0, 0)
 
