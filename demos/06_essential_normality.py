@@ -23,8 +23,8 @@ print("Ambient Schatten trends for the d-shift module at d = 2:")
 mod = gm.StandardModule(gm.make_weights("dshift", 120), d=2)
 rep = gm.schatten_report(mod.coordinate_tuple(), [2.0, 3.0])
 for p in (2.0, 3.0):
-    t = rep.trends[p]
-    print(f"  p = {p}: cumulative {rep.cumulative[p][-1]:10.4f}  "
+    t = rep[p].trend
+    print(f"  p = {p}: cumulative {rep[p].partial_sums[-1]:10.4f}  "
           f"trend {t.trend:12s} (ratio {t.ratio:.3f})   [threshold: p > d]")
 
 print("\nResolvent-integral projection: B = L P L* at one level, rectangle")
@@ -73,7 +73,7 @@ presets = {
 }
 for name, v in presets.items():
     en = gm.schatten_report(gm.ev_space(mod3, v).quotient_tuple(), [4.0, 5.0])
-    calls = ", ".join(f"p={p:.0f}: {en.trends[p].trend}" for p in (4.0, 5.0))
+    calls = ", ".join(f"p={p:.0f}: {en[p].trend.trend}" for p in (4.0, 5.0))
     print(f"  {name}: {calls}   [evidence, not proof]")
 
 mod22 = gm.StandardModule(gm.make_weights("dshift", 30), d=2, multiplicity=2)
@@ -82,5 +82,5 @@ m1 = gm.submodules.embed_polynomials(mod22, [
     gm.VectorPolynomial(1, (((0, 1), 1, 1.0),))])
 v_diag = gm.recover_subspace(gm.GradedSubmodule.from_level_seeds(mod22, {1: m1}))
 en = gm.schatten_report(gm.ev_space(mod22, v_diag).quotient_tuple(), [3.0, 4.0])
-calls = ", ".join(f"p={p:.0f}: {en.trends[p].trend}" for p in (3.0, 4.0))
+calls = ", ".join(f"p={p:.0f}: {en[p].trend.trend}" for p in (3.0, 4.0))
 print(f"  (c) diagonal relations, d = 2, r = 2: {calls}   [evidence, not proof]")

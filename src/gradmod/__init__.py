@@ -41,7 +41,6 @@ from .linearize import (
 from .monomials import monomial_basis
 from .normality import (
     CounterexampleReport,
-    SchattenReport,
     alternating_block_sequence,
     commutator_decomposition_residual,
     compression_identity_residuals,

@@ -246,6 +246,19 @@ def parse_args(argv):
                               *argv[1:]])
 
 
+def window_exceeds_budget(d, top, r):
+    """C(top+d, d) r > MAX_AMBIENT_DIM, stopping at the first C(top+i, i) r past it.
+
+    A d or r below 1 counts as 1, so a huge window is refused whatever else is wrong.
+    """
+    count = max(r, 1)
+    for i in range(1, max(d, 1) + 1):
+        count = count * (top + i) // i
+        if count > cfg.MAX_AMBIENT_DIM:
+            return True
+    return False
+
+
 def build_module(args):
     if args.d is None:
         raise ParseFailure("missing dimension --d")
@@ -253,6 +266,9 @@ def build_module(args):
         raise ParseFailure("missing truncation --N")
     if args.N < 2:
         raise ParseFailure("need N >= 2")
+    if window_exceeds_budget(args.d, args.N, args.r):
+        raise ParseFailure(f"d = {args.d}, N = {args.N}, r = {args.r} has more than MAX_AMBIENT_DIM"
+                           f" = {cfg.MAX_AMBIENT_DIM} coordinates C(N+d, d) r over the window")
     try:
         weights = make_weights(args.family, args.N, d=args.d, r1=args.r1, r2=args.r2)
         return StandardModule(weights, d=args.d, multiplicity=args.r)
@@ -337,6 +353,13 @@ def load_generators(args, module):
         raise ParseFailure(str(exc)) from exc
 
 
+def _series(reports, total):
+    """The payload of ``{p: trends.SummabilityReport}``: the last partial sum as ``total``."""
+    return {_fmt(p): {total: float(rep.partial_sums[-1]),
+                      "trend": rep.trend.trend,
+                      "ratio": rep.trend.ratio} for p, rep in reports.items()}
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -376,20 +399,8 @@ def cmd_weights(args, outdir):
             "slope": osc.slope,
             "tail_window": osc.tail_window,
         },
-        "summability": {
-            _fmt(p): {
-                "final_partial_sum": float(rep.partial_sums[-1]),
-                "trend": rep.trend.trend,
-                "ratio": rep.trend.ratio,
-            } for p, rep in reports.items()
-        },
-        "number_operator_trace": {
-            _fmt(p): {
-                "final_partial_sum": float(rep.partial_sums[-1]),
-                "trend": rep.trend.trend,
-                "ratio": rep.trend.ratio,
-            } for p, rep in trace.items()
-        },
+        "summability": _series(reports, "final_partial_sum"),
+        "number_operator_trace": _series(trace, "final_partial_sum"),
     }
 
     # one column at a time: the cells are the strings _fmt gives, and a psum
@@ -526,10 +537,7 @@ def cmd_ev(args, outdir):
         "adjoint_vs_gradient_route": route_gap,
         "quotient_commutators": {
             "note": "evidence, not proof",
-            "trends": {_fmt(p): {"trend": en.trends[p].trend,
-                                 "ratio": en.trends[p].ratio,
-                                 "cumulative": float(en.cumulative[p][-1])}
-                       for p in p_list},
+            "trends": _series(en, "cumulative"),
         },
     }
     return report, checks, None if deg.determined else UNDETERMINED

@@ -18,6 +18,8 @@ diagonal rescale z^alpha / ||z^alpha||.  The Fock weights nu_alpha are NOT
 hard-coded as alpha!/|alpha|!; they are produced by the defining projection
 identity sum_k S_k S_k* = I - E_0, solved level by level (the closed form is
 only a cross-check in the test suite).
+The weight diagnostics form their series' summands here and sum them by
+``trends.partial_sums``.
 """
 
 import math
@@ -27,7 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import monomials
-from .trends import TrendReport, classify_trend, loglog_slope
+from .trends import loglog_slope, partial_sums
 
 
 @dataclass(frozen=True)
@@ -361,19 +363,11 @@ def oscillation_report(weights, tail_window):
     return OscillationReport(float(np.max(np.abs(tail))), slope, int(tail_window))
 
 
-@dataclass(frozen=True)
-class SummabilityReport:
-    """Partial sums of sum_k k^{d-1} |rho_{k+1} - rho_k|^p with a trend call."""
-
-    partial_sums: np.ndarray
-    trend: TrendReport
-
-
 def summability_report(weights, d, p):
-    """Schatten-membership evidence for the weight sequence at exponent p >= 1.
+    """Partial sums of sum_k k^{d-1} |rho_{k+1} - rho_k|^p with a trend call.
 
-    Raises ValueError when a partial sum is not a finite float: a trend call
-    on an overflowed sum says nothing.
+    Schatten-membership evidence for the weight sequence at exponent p >= 1;
+    a partial sum that is not a finite float raises ValueError.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -385,10 +379,7 @@ def summability_report(weights, d, p):
     # an exactly constant step adds 0 even where k^(d-1) overflows
     with np.errstate(over="ignore", invalid="ignore"):
         summands = np.where(diffs > 0, k ** (d - 1) * diffs ** p, 0.0)
-        sums = np.cumsum(summands)
-    if not np.isfinite(sums).all():
-        raise ValueError(f"the p = {p:g} summability sums leave the float range")
-    return SummabilityReport(sums, classify_trend(k, summands))
+    return partial_sums(k, summands, f"p = {p:g} summability")
 
 
 def number_trace_report(d, p, top_level):
@@ -411,7 +402,4 @@ def number_trace_report(d, p, top_level):
                          "leave the float range") from None
     with np.errstate(over="ignore"):
         summands = (n + 1.0) ** (-float(p)) * dims
-        sums = np.cumsum(summands)
-    if not np.isfinite(sums).all():
-        raise ValueError(f"the p = {p:g} number-operator trace sums leave the float range")
-    return SummabilityReport(sums, classify_trend(n + 1.0, summands))
+    return partial_sums(n + 1.0, summands, f"p = {p:g} number-operator trace")

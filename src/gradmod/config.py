@@ -15,9 +15,7 @@ to the one piece of code that reads them are:
 - ``trends.NOISE_FLOOR`` and ``trends.SLOPE_BINS``: the trend noise floor
   and the bin count of the decay-slope fit;
 - the 1e-8 tolerance of ``cli.cmd_identity``'s resolvent-vs-eigendecomposition
-  check;
-- ``linearize.MAX_AMBIENT_DIM``: the ambient-dimension budget 200_000 of
-  ``linearize.linearize_full``.
+  check.
 
 ``cli`` scales the tolerances of the exact identities that are linear in
 the coordinate tuple (invariance, co-invariance) by max(max rho, 1)
@@ -63,3 +61,7 @@ TREND_BURN_IN = 8
 QUAD_DEFAULT_NODES = 512
 QUAD_REFINE_FLOOR = 1e-10
 QUAD_MAX_NODES = 1 << 17
+
+# Coordinates over a window: the command line refuses more (C(N+d, d) r), and
+# ``linearize.linearize_full`` stops before a pullback to a larger d.S.
+MAX_AMBIENT_DIM = 200_000

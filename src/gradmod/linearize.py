@@ -52,12 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .config import MAX_AMBIENT_DIM
 from .submodules import GradedSubmodule, euler_candidates, parse_complex
-
-
-# ``linearize_full`` stops before a pullback whose ambient d.S would hold more
-# coordinates than this over the window.
-MAX_AMBIENT_DIM = 200_000
 
 
 class WindowExhausted(RuntimeError):
@@ -193,8 +189,8 @@ def linearize_full(submodule, coinvariance_bound, kernel_bound):
     Each step multiplies the ambient multiplicity by d and consumes one level
     of the truncation window.  Returns a partial result (``complete=False``)
     when the window is exhausted before the degree drops to 1, or when the
-    ambient dimension would exceed ``MAX_AMBIENT_DIM``.  Every pulled module
-    is a d.S over a prefix of the input's weights, so one bound per residual
+    ambient coordinates would exceed ``config.MAX_AMBIENT_DIM``.  Every pulled
+    module is a d.S over a prefix of the input's weights, so one bound per residual
     serves every step: ``coinvariance_bound`` for ``invariance_residual`` of
     the pullback, ``kernel_bound`` for ``kernel_containment_residual``.
     """

@@ -5,9 +5,9 @@ Its self-commutators are degree-0, so they decompose exactly into level
 blocks: one (d, d, h_n, h_n) stack per level, formed by two batched
 products; their singular values therefore give exact per-level Schatten
 contributions, and only the top truncation level (whose commutator would
-touch level N+1) is ever excluded.  Each level takes one stacked SVD.  Cumulative
-p-sums are reported with a trend classification, never with a convergence
-verdict.
+touch level N+1) is ever excluded.  Each level takes one stacked SVD.  The
+cumulative p-sums are one ``trends.partial_sums`` series per p, with a trend
+classification, never with a convergence verdict.
 
 Also here: the exact identities on a module's tuples (row sums, the
 appendix commutator decomposition, the compression identities), one level
@@ -20,14 +20,14 @@ similarity pair showing that graded isomorphism does not preserve essential
 normality, whose 1 x 1 blocks give its self-commutator diagonals in closed form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .config import (EXACT_TOL, QUAD_DEFAULT_NODES, QUAD_MAX_NODES,
                      QUAD_REFINE_FLOOR, RANK_TOL_FACTOR)
-from .trends import classify_trend
+from .trends import partial_sums
 
 # Points per Gauss-Legendre panel of the contour rule.
 GL_ORDER = 16
@@ -61,52 +61,34 @@ def self_commutators(ops):
     return {n: _level_commutators(ops, n)[0] for n in sorted(ops)}
 
 
-@dataclass(frozen=True)
-class SchattenReport:
-    """Exact per-level Schatten data for the self-commutators of a tuple."""
-
-    pairs: tuple
-    levels: np.ndarray
-    cumulative: dict          # p -> running partial sums
-    trends: dict              # p -> TrendReport
-    singular_values: dict = field(repr=False)   # (j, k) -> list of arrays
-
-
 def schatten_report(ops, p_values):
-    """Per-level singular values and cumulative p-sums of all self-commutators.
+    """``{p: trends.SummabilityReport}``: cumulative Schatten p-sums of all self-commutators.
 
-    The singular values of all d^2 blocks of a level come from one stacked
-    ``np.linalg.svd`` call on that level's ``self_commutators`` stack; a
-    level of dimension 0 has none.  Raises ValueError when a cumulative sum
-    is not a finite float.
+    Level n's summand adds sigma^p over every pair's singular values, pairs in
+    order (1, 1), (1, 2), ..., from one stacked ``np.linalg.svd`` call on the
+    level's ``self_commutators`` stack.  Raises ValueError on an empty tuple,
+    an exponent below 1, or a partial sum that is not a finite float.
     """
-    d = ops[min(ops)].shape[0]
+    if not ops:
+        raise ValueError("the tuple has no levels")
     p_values = [float(p) for p in p_values]
     if any(p < 1 for p in p_values):
         raise ValueError("Schatten exponents must be at least 1")
-    pairs = [(j, k) for j in range(1, d + 1) for k in range(1, d + 1)]
-    levels = []
-    sigma = {pair: [] for pair in pairs}
-    for n in sorted(ops):
+    levels = sorted(ops)
+    sigma = []
+    for n in levels:
         comm, _ = _level_commutators(ops, n)
-        levels.append(n)
-        stack = comm.reshape(len(pairs), *comm.shape[2:])
-        values = (np.linalg.svd(stack, compute_uv=False) if stack.size
-                  else np.zeros((len(pairs), 0)))
-        for pair, sv in zip(pairs, values):
-            sigma[pair].append(sv)
-    level_arr = np.asarray(levels, dtype=float)
-    cumulative, trends = {}, {}
+        stack = comm.reshape(comm.shape[0] * comm.shape[1], *comm.shape[2:])
+        sigma.append(np.linalg.svd(stack, compute_uv=False) if stack.size
+                     else np.zeros((len(stack), 0)))
+    indices = np.asarray(levels, dtype=float) + 1.0
+    reports = {}
     for p in p_values:
+        # each pair's sum is numpy's pairwise sum of its row; pairs add in order
         with np.errstate(over="ignore"):
-            per_level = np.array([
-                sum(float(np.sum(sigma[pair][i] ** p)) for pair in pairs)
-                for i in range(len(levels))])
-            cumulative[p] = np.cumsum(per_level)
-        if not np.isfinite(cumulative[p]).all():
-            raise ValueError(f"the p = {p:g} Schatten sums leave the float range")
-        trends[p] = classify_trend(level_arr + 1.0, per_level)
-    return SchattenReport(tuple(pairs), level_arr, cumulative, trends, sigma)
+            summands = np.array([sum(np.sum(s ** p, axis=1).tolist()) for s in sigma])
+        reports[p] = partial_sums(indices, summands, f"p = {p:g} Schatten")
+    return reports
 
 
 # -- exact identities on coordinate tuples ------------------------------------

@@ -53,7 +53,9 @@ class VectorPolynomial:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("a generator needs at least one term")
-        for alpha, comp, _ in self.terms:
+        for alpha, comp, coeff in self.terms:
+            if min(alpha, default=0) < 0:
+                raise ValueError(f"negative exponent in term {format_term(alpha, comp, coeff)}")
             if sum(alpha) != self.degree:
                 raise ValueError(
                     f"inhomogeneous generator: term {alpha} in a degree-"
@@ -134,10 +136,13 @@ def parse_generators(text, d):
     return gens
 
 
+def format_term(alpha, comp, coeff):
+    """One term as a generators file writes it: ``c (a_1 .. a_d)@e_i``."""
+    return f"{format_complex(complex(coeff))} ({' '.join(str(a) for a in alpha)})@e{comp + 1}"
+
+
 def format_generator(poly):
-    parts = [f"{format_complex(complex(c))} ({' '.join(str(a) for a in alpha)})@e{comp + 1}"
-             for alpha, comp, c in poly.terms]
-    return f"{poly.degree} " + " + ".join(parts)
+    return f"{poly.degree} " + " + ".join(format_term(*term) for term in poly.terms)
 
 
 def embed_polynomials(module, polys):

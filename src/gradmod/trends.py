@@ -1,4 +1,5 @@
-"""Convergence-trend heuristics for truncated series.
+"""Truncated series: every reported one (weight summability, number-operator
+trace, Schatten p-sums) is summed, refused on overflow and called by ``partial_sums``.
 
 A finite truncation can never decide whether a series converges, so reports
 never return a bare boolean.  The classifier splits the summation range into
@@ -25,6 +26,23 @@ class TrendReport:
 
     trend: str              # "converging" | "diverging" | "inconclusive"
     ratio: float            # last-quarter mass / first-quarter mass
+
+
+@dataclass(frozen=True)
+class SummabilityReport:
+    """Partial sums of a truncated series with a trend call."""
+
+    partial_sums: np.ndarray
+    trend: TrendReport
+
+
+def partial_sums(indices, summands, what):
+    """Cumulative sums and trend call; ValueError naming ``what`` on a non-finite sum."""
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(summands)
+    if not np.isfinite(sums).all():
+        raise ValueError(f"the {what} sums leave the float range")
+    return SummabilityReport(sums, classify_trend(indices, summands))
 
 
 def classify_trend(indices, summands):

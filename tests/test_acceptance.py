@@ -186,8 +186,8 @@ def test_criterion_5_summability_thresholds():
 
     mod = h2(2, 1, 200)
     rep = gm.schatten_report(mod.coordinate_tuple(), [2.0, 3.0])
-    c2 = rep.trends[2.0].trend
-    c3 = rep.trends[3.0].trend
+    c2 = rep[2.0].trend.trend
+    c3 = rep[3.0].trend.trend
     ok &= c2 == "diverging" and c3 == "converging"
     details.append(f"H2 commutators p=2:{c2[:4]} p=3:{c3[:4]}")
 

@@ -1,7 +1,9 @@
 """Command-line front end: determinism, exit codes, config handling."""
 
 import json
+import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -16,9 +18,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gradmod import cli, normality
-from gradmod.config import EXACT_TOL
+from gradmod.config import EXACT_TOL, MAX_AMBIENT_DIM
 from gradmod.completion import StandardModule, make_weights, summability_report
-from gradmod.submodules import GradedSubmodule, format_generator
+from gradmod.submodules import GradedSubmodule, VectorPolynomial, format_generator
 from conftest import random_generators
 
 
@@ -124,6 +126,19 @@ def test_parse_error_exit_codes(tmp_path, capsys):
     assert run_cli(["identity", "--d", "2", "--N", "6", "--gens", quadric,
                     "--nodes", "100000", "--out", str(tmp_path)]) == cli.EXIT_PARSE
     assert "QUAD_MAX_NODES" in capsys.readouterr().err
+
+
+def test_negative_exponent_exits_2_naming_the_term(tmp_path, capsys):
+    # such a term used to reach the monomial index and end there, with
+    # "tuple.index(x): x not in tuple"
+    gens = tmp_path / "negative.txt"
+    gens.write_text("2 1+0i (3 -1)@e1\n")
+    assert run_cli(["submodule", "--d", "2", "--N", "6", "--gens", str(gens),
+                    "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: negative exponent in term 1+0i (3 -1)@e1"]
+    with pytest.raises(ValueError, match=r"negative exponent in term 2-1i \(-1 0\)@e2"):
+        VectorPolynomial(-1, (((-1, 0), 1, 2 - 1j),))
 
 
 UNREAD_FLAG_CASES = [
@@ -578,9 +593,9 @@ def v_grid(kind, d):
 def generator_file(kind, d):
     """--gens text: constant, linear, a quadric, a component out of range, zero,
     inhomogeneous (terms of degrees 2 and 1 in one line), two degrees (a linear
-    form and a quadric), or empty."""
-    def term(first, component, coeff="1+0i"):
-        exponents = " ".join([str(first)] + ["0"] * (d - 1))
+    form and a quadric), a negative exponent, or empty."""
+    def term(first, component, coeff="1+0i", second=0):
+        exponents = " ".join(str(a) for a in ([first, second] + [0] * (d - 2))[:max(d, 1)])
         return f"{coeff} ({exponents})@e{component}"
 
     def line(degree, first, component, coeff="1+0i"):
@@ -590,6 +605,7 @@ def generator_file(kind, d):
             "zero": line(2, 2, 1, "0+0i"),
             "inhomogeneous": f"2 {term(2, 1)} + {term(1, 1)}\n",
             "two-degrees": line(1, 1, 1) + line(2, 2, 1),
+            "negative": f"2 {term(-1, 1, second=3)}\n",
             "empty": ""}[kind]
 
 
@@ -657,7 +673,7 @@ def invocations(draw):
         files["--V"] = v_grid(kind, d)
         return argv, files
     kind = draw(st.sampled_from(["constant", "linear", "quadric", "out-of-range", "zero",
-                                 "inhomogeneous", "two-degrees", "empty"]
+                                 "inhomogeneous", "two-degrees", "negative", "empty"]
                                 + (["none"] if command == "koszul" else [])))
     if kind != "none":
         files["--gens"] = generator_file(kind, d)
@@ -1055,3 +1071,48 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert (tmp_path / "counterexample.json").exists()
+
+
+def capped_run(argv, cwd, cap=1 << 30):
+    """One CLI run in a subprocess under a ``cap``-byte address space and a timeout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gradmod.cli", *argv, "--out", str(cwd / "out")],
+        capture_output=True, text=True, timeout=120, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
+@pytest.mark.parametrize("argv", [
+    # level 6 alone has 82.5M monomials: this run used to end in a
+    # MemoryError traceback from the monomial tables and exit 1
+    ["submodule", "--d", "60", "--N", "6", "--gens", "{gens}"],
+    ["linearize", "--d", "1", "--N", "1000000000000", "--gens", "{gens}"],
+    ["ev", "--d", "2", "--N", "6", "--r", "20000", "--V", "{V}"],
+    ["koszul", "--d", "12", "--N", "12"],
+    ["identity", "--d", "3", "--N", "200", "--gens", "{gens}"],
+], ids=["submodule-d60", "linearize-N1e12", "ev-r20000", "koszul-d12", "identity-N200"])
+def test_oversize_configurations_exit_2(tmp_path, argv):
+    gens, v = tmp_path / "gens.txt", tmp_path / "V.txt"
+    gens.write_text(README_QUADRIC)
+    v.write_text("1\n0\n")
+    proc = capped_run([tok.format(gens=gens, V=v) for tok in argv], tmp_path)
+    assert proc.returncode == cli.EXIT_PARSE, proc.stderr[-2000:]
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and "MAX_AMBIENT_DIM = 200000" in line
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_the_coordinate_budget_is_C_N_plus_d_choose_d_times_r():
+    budget = MAX_AMBIENT_DIM
+    assert not cli.window_exceeds_budget(1, budget - 1, 1)     # C(N+1, 1) = N+1
+    assert cli.window_exceeds_budget(1, budget, 1)
+    assert not cli.window_exceeds_budget(2, 6, budget // 28)   # C(8, 2) = 28
+    assert cli.window_exceeds_budget(2, 6, budget // 28 + 1)
+    assert cli.window_exceeds_budget(60, 6, 1)
+    # the stretch tier stays well inside: d = 3, N = 24 has 2,925 coordinates
+    # and d = 4, N = 22 has 14,950
+    for d, top, count in ((3, 24, 2925), (4, 22, 14950)):
+        assert math.comb(top + d, d) == count
+        assert not cli.window_exceeds_budget(d, top, 1)

@@ -51,39 +51,47 @@ def test_h2_commutator_norm_decay(h2):
 
 def test_schatten_report_structure(h2):
     rep = gm.schatten_report(h2.coordinate_tuple(), [2.0])
-    assert rep.pairs == ((1, 1), (1, 2), (2, 1), (2, 2))
-    assert rep.levels.size == 10
-    assert np.all(np.diff(rep.cumulative[2.0]) >= 0)
+    assert list(rep) == [2.0]
+    assert rep[2.0].partial_sums.size == 10
+    assert np.all(np.diff(rep[2.0].partial_sums) >= 0)
     with pytest.raises(ValueError):
         gm.schatten_report(h2.coordinate_tuple(), [0.5])
+    with pytest.raises(ValueError, match="no levels"):
+        gm.schatten_report({}, [2.0])
 
 
 def test_schatten_singular_values_equal_per_block_svd(h2, rng):
     # one stacked SVD per level gives each block's singular values bit for
-    # bit; the quotient by (z_1, z_2) has dim Q_n = 0 on every level n >= 1
+    # bit, so each level's summand is, bit for bit, the sum of sigma^p over
+    # per-block SVDs added in pair order; the quotient by (z_1, z_2) has
+    # dim Q_n = 0 on every level n >= 1
     linear = gm.GradedSubmodule.generate(
         h2, [gm.monomial_generator((1, 0)), gm.monomial_generator((0, 1))])
     generic = gm.GradedSubmodule.generate(h2, random_generators(rng, 2, 1, 2, 1))
     assert linear.dims()[1:] == [h2.level_dim(n) for n in range(1, 11)]
+    p_values = [1.0, 2.0, 3.5]
     for ops in (h2.coordinate_tuple(),
                 linear.quotient_tuple(), generic.quotient_tuple()):
-        rep = gm.schatten_report(ops, [2.0])
+        rep = gm.schatten_report(ops, p_values)
         comms = gm.self_commutators(ops)
-        for j, k in rep.pairs:
-            for n, got in zip(rep.levels.astype(int), rep.singular_values[(j, k)],
-                              strict=True):
-                block = comms[n][j - 1, k - 1]
-                want = (np.linalg.svd(block, compute_uv=False)
-                        if block.size else np.zeros(0))
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)
+        for p in p_values:
+            summands = []
+            for n in sorted(comms):
+                total = 0
+                for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                    block = comms[n][j - 1, k - 1]
+                    sigma = (np.linalg.svd(block, compute_uv=False)
+                             if block.size else np.zeros(0))
+                    total += float(np.sum(sigma ** p))
+                summands.append(total)
+            np.testing.assert_array_equal(rep[p].partial_sums, np.cumsum(summands))
 
 
 def test_quotient_report_of_full_subspace_matches_ambient(h2):
     v = gm.SubspaceV.from_matrix(h2, np.eye(2))
     amb = gm.schatten_report(h2.coordinate_tuple(), [2.0])
     quo = gm.schatten_report(gm.ev_space(h2, v).quotient_tuple(), [2.0])
-    np.testing.assert_allclose(quo.cumulative[2.0], amb.cumulative[2.0], atol=1e-12)
+    np.testing.assert_allclose(quo[2.0].partial_sums, amb[2.0].partial_sums, atol=1e-12)
 
 
 def test_one_variable_restriction_trend(h2):
@@ -92,7 +100,7 @@ def test_one_variable_restriction_trend(h2):
     v = gm.SubspaceV.from_matrix(h2, np.array([[1.0], [0.0]]))
     rep = gm.schatten_report(gm.ev_space(h2, v).quotient_tuple(), [1.5, 2.0, 3.0])
     for p in (1.5, 2.0, 3.0):
-        assert rep.trends[p].trend == "converging"
+        assert rep[p].trend.trend == "converging"
 
 
 def test_linearized_quotient_presets_emit_labeled_evidence():
@@ -125,7 +133,7 @@ def test_linearized_quotient_presets_emit_labeled_evidence():
     for mod, v in ((mod3, v_a), (mod3, v_b), (mod22, v_c)):
         rep = gm.schatten_report(gm.ev_space(mod, v).quotient_tuple(), [3.0, 4.0])
         for p in (3.0, 4.0):
-            assert rep.trends[p].trend in ("converging", "diverging", "inconclusive")
+            assert rep[p].trend.trend in ("converging", "diverging", "inconclusive")
 
 
 def test_quotient_commutator_norms_eventually_nonincreasing(rng):
