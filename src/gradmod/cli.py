@@ -371,6 +371,8 @@ def cmd_weights(args, outdir):
         raise ParseFailure("weights needs --d >= 1")
     if n_weights is None or n_weights < 3:
         raise ParseFailure("weights needs --N >= 3")
+    if n_weights > cfg.MAX_AMBIENT_DIM:
+        raise ParseFailure(f"weights needs --N <= MAX_AMBIENT_DIM = {cfg.MAX_AMBIENT_DIM}")
     try:
         weights = make_weights(args.family, n_weights, d=d, r1=args.r1, r2=args.r2)
     except ValueError as exc:
@@ -549,7 +551,7 @@ def cmd_koszul(args, outdir):
     dirac_tol, dirac_bound = limits(args, cfg.IDENTITY_TOL, scale)
     bsquared_tol, bsquared_bound = limits(args, cfg.IDENTITY_TOL, scale, cfg.EXACT_TOL)
     if args.gens is None:
-        ops = module.coordinate_tuple()
+        ops = module.coordinate_entries()
         subject = "standard module"
     else:
         sub, _ = load_generators(args, module)
@@ -661,6 +663,9 @@ def cmd_counterexample(args, outdir):
     n_levels, u_path = args.N, args.u
     if n_levels is None or n_levels < 5:
         raise ParseFailure("counterexample needs --N >= 5")
+    if n_levels > cfg.MAX_AMBIENT_DIM:
+        raise ParseFailure("counterexample needs --N <= MAX_AMBIENT_DIM = "
+                           f"{cfg.MAX_AMBIENT_DIM}")
     if u_path is None:
         u = alternating_block_sequence(n_levels + 1)
     else:

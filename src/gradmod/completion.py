@@ -10,7 +10,9 @@ one table of weights, and applies Z_k, Z_k*, the row operator L, L* and
 d/dz_k as gathers and scatters on that table.  The coordinate and Fock
 tuples, one (d, h_{n+1}, h_n) stack per level, are filled straight from the
 tables on each call, and are what the exact identities of ``normality``
-read; no dense block is cached.
+read; no dense block is cached.  The Koszul complex reads the coordinate
+tuple's nonzero entries instead (``coordinate_entries``), also filled from
+the tables, one per column of each Z_k(n).
 
 Level bases are orthonormalized monomials: for a maximally symmetric inner
 product the monomials are already orthogonal, so orthonormalization is the
@@ -29,6 +31,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import monomials
+from .operators import LevelEntries
 from .trends import loglog_slope, partial_sums
 
 
@@ -114,6 +117,25 @@ def _fock_range(d, top_level):
     """Per-level min and max of nu_alpha (fl(c nu) is monotone, so they bound c_n nu)."""
     nu = fock_level_weights(d, top_level)
     return np.array([x.min() for x in nu]), np.array([x.max() for x in nu])
+
+
+@lru_cache(maxsize=None)
+def _entry_index(d, n, r):
+    """Flat indices of the nonzero entries of a (d, h_{n+1} r, h_n r) coordinate stack.
+
+    Entry [k, r succ[alpha, k] + c, r alpha + c] for k, alpha and the
+    component c, in that order, which is ascending: the monomial order is
+    translation invariant, so succ[:, k] increases with alpha.  Read-only,
+    cached per (d, n, r).
+    """
+    succ = monomials.successors(d, n)
+    comp = np.arange(r)
+    rows = (r * succ.T)[:, :, None] + comp
+    cols = r * np.arange(succ.shape[0])[:, None] + comp
+    flat = ((np.arange(d)[:, None, None] * monomials.level_dimension(d, n + 1) * r + rows)
+            * succ.shape[0] * r + cols).reshape(-1)
+    flat.setflags(write=False)
+    return flat
 
 
 class StandardModule:
@@ -297,6 +319,19 @@ class StandardModule:
             raise ValueError("the row domain d.S needs N >= 2")
         return StandardModule(WeightSequence(self.rho[:-1]), self.d,
                               self.multiplicity * self.d)
+
+    def coordinate_entries(self):
+        """Z_1, ..., Z_d as the nonzero entries of each level n < N (``LevelEntries``).
+
+        The entries of ``coordinate_tuple``, read straight off ``_tables``
+        (Z_k(n) has one nonzero per column, the Z weight at its successor),
+        so no dense stack is built.
+        """
+        r = self.multiplicity
+        return {n: LevelEntries((self.d, self.level_dim(n + 1), self.level_dim(n)),
+                                _entry_index(self.d, n, r),
+                                np.repeat(self._tables(n)[1].T, r).astype(complex))
+                for n in range(self.top_level)}
 
     # -- dense blocks, built on every call and never cached -------------------
 

@@ -64,4 +64,5 @@ QUAD_MAX_NODES = 1 << 17
 
 # Coordinates over a window: the command line refuses more (C(N+d, d) r), and
 # ``linearize.linearize_full`` stops before a pullback to a larger d.S.
+# ``weights`` and ``counterexample`` allocate N floats and refuse a larger --N.
 MAX_AMBIENT_DIM = 200_000

@@ -3,20 +3,25 @@
 For a commuting degree-1 tuple T_1, ..., T_d the boundary operator is
 B = T_1 (x) C_1 + ... + T_d (x) C_d on H (x) Lambda E, where the C_i are
 creation operators on the exterior algebra of a d-dimensional space.  The
-tuple is a dict holding, for each level n, one (d, h_{n+1}, h_n) array whose
-entry [i-1] is T_i(n), as ``coordinate_tuple`` returns it.  Form
-degree k at level n is the space H_n (x) Lambda^k E, with its flat basis
-ordered (level vector) major, (sorted k-subset) minor; the creation sign
-convention is (-1)^(number of subset members below the new index).
+tuple is a dict holding, for each level n, the nonzero entries of the
+(d, h_{n+1}, h_n) stack whose entry [i-1] is T_i(n): their flat indices in
+C order and their values (``operators.LevelEntries``, as
+``StandardModule.coordinate_entries`` fills them from its index tables).  A
+dense stack, as ``coordinate_tuple`` or ``quotient_tuple`` returns it, is
+read into its entries once, when the complex is built; no code after that
+sees a dense stack.  Form degree k at level n is the space
+H_n (x) Lambda^k E, with its flat basis ordered (level vector) major,
+(sorted k-subset) minor; the creation sign convention is
+(-1)^(number of subset members below the new index).
 
 The complex is stored on its gamma-blocks, never as dense boundary blocks.
 A standard tuple commutes with the torus action: Z_i sends z^beta to a
 multiple of z^(beta + e_i), so B sends z^beta (x) e_S into
 z^(beta + e_i) (x) e_(S + i) and keeps gamma = beta - 1_S fixed.  Every basis
 vector of H_n (x) Lambda^k gets the class (root, gamma), where the label
-(root, beta) of its level vector is read off the exact zero pattern of the
-T blocks (``node_labels``): the labels hold when every nonzero entry of
-every T_i(n) sends (root, beta) to (root, beta + e_i).  B_k(n), B^2 and
+(root, beta) of its level vector is read off the positions of the entries
+(``node_labels``): the labels hold when every nonzero entry of every T_i(n)
+sends (root, beta) to (root, beta + e_i).  B_k(n), B^2 and
 D^2 = (B + B*)^2 then join only basis vectors of one class, so each splits
 into blocks of at most C(d, k+1) x C(d, k) where each label names one basis
 vector, as on a standard module.  A tuple the labels do not fit, such as a
@@ -29,16 +34,21 @@ stacks.  A rank counts the singular values of B_k(n) above RANK_TOL_FACTOR
 times the largest over all of its blocks, so it is the rank of the assembled
 block.  ``boundary_block`` assembles a dense B_k(n) only on request.
 
-The input checks and the right-hand side of D^2 run on the same labels.  The
-classes of form degree 0 are the level classes, and each T_i(n) is held as
-the zero-padded stack of its blocks from level class L to L + e_i
+The gamma-blocks and the level blocks below are filled by looking their
+entries up among the stored ones (``LevelEntries.read``): each is one
+stored value or 0, the bits of the dense entry (an exact zero reads as +0).  The input checks and the
+right-hand side of D^2 run on the same labels.  The classes of form degree
+0 are the level classes, and each T_i(n) is held as the zero-padded stack
+of its blocks from level class L to L + e_i
 (``KoszulComplex.level_blocks``), 1 x 1 on a standard module.  Where the
 labels hold, that stack is T_i(n) with its rows and columns permuted and
 zeros added.  So the tuple's scale is the largest block norm, each
 commutator T_j T_k - T_k T_j is checked block by block, and the entries of
 F and of [T_k*, T_j] that D^2 reads are formed only between level classes
 L and L + e_j - e_k.  A tuple without labels has one class per level, and
-the same code runs on its dense blocks.
+the same code runs on its dense blocks.  The right-hand side of D^2 reads,
+for each pair of Lambda^k subsets, only the at most 1 + d - k level terms
+whose form factor is nonzero there (``_form_links``).
 
 Every reported quantity is restricted to interior (level, form-degree) pairs
 with n + k <= N - 1, so no block ever touches truncated data.
@@ -53,6 +63,7 @@ import numpy as np
 
 from . import linalg
 from .config import EXACT_TOL, SPAN_TOL
+from .operators import LevelEntries
 
 
 def form_subsets(d, k):
@@ -100,17 +111,25 @@ def _creation_links(d, k):
     return sign, var
 
 
-def node_labels(ops):
-    """Torus labels of the level basis vectors, read off the exact zero pattern.
+def _as_entries(ops):
+    """{n: LevelEntries} of a tuple: each dense stack read once, entries kept as they are."""
+    return {n: level if isinstance(level, LevelEntries) else LevelEntries.of(level)
+            for n, level in ops.items()}
 
-    ``ops`` maps each level n to the (d, h_{n+1}, h_n) stack of the T_i(n).
-    Returns ``{n: (root, weight)}``: an (h_n,) int array naming the piece
-    each basis vector hangs from and an (h_n, d) int array of weights, such
-    that every nonzero entry of every T_i(n) sends (root, w) to
-    (root, w + e_i).  Levels are labelled upwards: a basis vector that no
-    nonzero entry reaches starts a new root at weight 0, any other takes the
-    label its entries give it.  Returns None when two entries disagree.
+
+def node_labels(ops):
+    """Torus labels of the level basis vectors, read off the nonzero entries.
+
+    ``ops`` maps each level n to the entries of the T_i(n) (``LevelEntries``)
+    or to their dense (d, h_{n+1}, h_n) stack.  Returns
+    ``{n: (root, weight)}``: an (h_n,) int array naming the piece each basis
+    vector hangs from and an (h_n, d) int array of weights, such that every
+    nonzero entry of every T_i(n) sends (root, w) to (root, w + e_i).
+    Levels are labelled upwards: a basis vector that no nonzero entry
+    reaches starts a new root at weight 0, any other takes the label its
+    entries give it.  Returns None when two entries disagree.
     """
+    ops = _as_entries(ops)
     d = ops[min(ops)].shape[0]
     labels = {}
     roots = 0
@@ -120,7 +139,7 @@ def node_labels(ops):
         weight = np.zeros((size, d), dtype=np.int64)
         if n - 1 in ops:
             below_root, below_weight = labels[n - 1]
-            var, rows, cols = np.nonzero(ops[n - 1])
+            var, rows, cols = np.unravel_index(ops[n - 1].flat, ops[n - 1].shape)
             got_root = below_root[cols]
             got_weight = below_weight[cols]
             got_weight[np.arange(var.size), var] += 1
@@ -194,15 +213,14 @@ class GammaBlocks:
     values: np.ndarray      # (c, codomain width, domain width)
 
 
-def _gamma_blocks(blocks, k, dom, cod):
+def _gamma_blocks(entries, k, dom, cod):
     """B_k(n) = sum_i T_i(n) (x) C_i between the common classes of ``dom`` and ``cod``.
 
-    ``blocks`` is the (d, h_{n+1}, h_n) stack of the T_i(n).  Each entry is
-    gathered as sign * T_i(n)[a, b], with i the one variable (if any) whose
-    creation matrix links the two subsets, so it equals the Kronecker entry
-    exactly.
+    ``entries`` holds the T_i(n) (``LevelEntries``).  Each entry is read as
+    sign * T_i(n)[a, b], with i the one variable (if any) whose creation
+    matrix links the two subsets, so it equals the Kronecker entry exactly.
     """
-    sign, var = _creation_links(blocks.shape[0], k)
+    sign, var = _creation_links(entries.shape[0], k)
     lam_hi, lam_lo = sign.shape
     _, at_cod, at_dom = np.intersect1d(cod.ids, dom.ids, assume_unique=True,
                                        return_indices=True)
@@ -210,7 +228,7 @@ def _gamma_blocks(blocks, k, dom, cod):
     cols = dom.members[at_dom][:, None, :]
     a, s_hi = np.divmod(rows, lam_hi)
     b, s_lo = np.divmod(cols, lam_lo)
-    values = sign[s_hi, s_lo] * blocks[var[s_hi, s_lo], a, b]
+    values = sign[s_hi, s_lo] * entries.read(var[s_hi, s_lo], a, b)
     return GammaBlocks(at_cod, at_dom, np.where((rows >= 0) & (cols >= 0), values, 0))
 
 
@@ -227,10 +245,10 @@ def _locate(classes, ids):
     return np.where(known[at] == ids, at, -1)
 
 
-def _level_blocks(blocks, steps, dom, cod):
+def _level_blocks(entries, steps, dom, cod):
     """The T_i(n) between level classes, as one zero-padded (d, u + 1, w', w) stack.
 
-    ``blocks`` is the (d, h_{n+1}, h_n) stack of the T_i(n), ``dom`` and
+    ``entries`` holds the T_i(n) (``LevelEntries``), ``dom`` and
     ``cod`` are the level classes of n and n + 1 (the classes of form
     degree 0).  Entry [i, p] is the block of T_i(n) from class p to class
     p + e_i, rows and columns following the padded member tables; it is zero
@@ -239,13 +257,13 @@ def _level_blocks(blocks, steps, dom, cod):
     every nonzero entry of T_i(n) lies in one of its blocks, so they form a
     permutation of T_i(n) padded with zeros: the same norms and products.
     """
-    d = blocks.shape[0]
+    d = entries.shape[0]
     target = _locate(cod, dom.ids + steps[:, None])
     members = np.vstack([cod.members, np.full((1, cod.members.shape[1]), -1)])
     rows = members[target][:, :, :, None]
     cols = dom.members[None, :, None, :]
     values = np.where((rows >= 0) & (cols >= 0),
-                      blocks[np.arange(d)[:, None, None, None], rows, cols], 0)
+                      entries.read(np.arange(d)[:, None, None, None], rows, cols), 0)
     pad = np.zeros((d, 1) + values.shape[2:], dtype=values.dtype)
     return np.concatenate([values, pad], axis=1)
 
@@ -372,13 +390,16 @@ class KoszulComplex:
 def build_koszul(ops):
     """Assemble the Koszul complex of a commuting degree-1 tuple on its gamma-blocks.
 
-    ``ops`` maps each level n to the (d, h_{n+1}, h_n) stack of the T_i(n)
-    (``StandardModule.coordinate_tuple``, ``GradedSubmodule.quotient_tuple``).
-    The labels are read once (``node_labels``).  The T_i(n) are gathered
-    onto the level classes, and the input checks run there: the tuple's
-    scale is ``tuple_norm`` and its commutators are checked block by block
+    ``ops`` maps each level n to the nonzero entries of the T_i(n)
+    (``LevelEntries``, as ``StandardModule.coordinate_entries`` gives them)
+    or to their dense (d, h_{n+1}, h_n) stack (``coordinate_tuple``,
+    ``GradedSubmodule.quotient_tuple``), which is read into its entries here
+    once; nothing below sees a dense stack.  The labels are read once
+    (``node_labels``).  The T_i(n) are gathered onto the level classes, and
+    the input checks run there: the tuple's scale is ``tuple_norm`` and its
+    commutators are checked block by block
     (``KoszulComplex.commutation_residual``).  Raises ValueError when the
-    levels are not exactly 0..N-1, when two stacks disagree on the shape of
+    levels are not exactly 0..N-1, when two levels disagree on the shape of
     a level they share, when an entry is NaN or infinite, or when the blocks
     fail to commute within EXACT_TOL (relative to the largest block norm).
     """
@@ -386,17 +407,18 @@ def build_koszul(ops):
         raise ValueError("need at least one level")
     if sorted(ops) != list(range(len(ops))):
         raise ValueError(f"levels must be 0..{len(ops) - 1}, got {sorted(ops)}")
+    ops = _as_entries(ops)
     d = ops[0].shape[0]
     if d < 1:
         raise ValueError("need at least one operator")
-    dims = {n: stack.shape[2] for n, stack in ops.items()}
-    for n, stack in ops.items():
-        rows = dims.setdefault(n + 1, stack.shape[1])
-        if stack.shape[0] != d or stack.shape[1] != rows:
+    dims = {n: level.shape[2] for n, level in ops.items()}
+    for n, level in ops.items():
+        rows = dims.setdefault(n + 1, level.shape[1])
+        if level.shape[0] != d or level.shape[1] != rows:
             raise ValueError(
-                f"inconsistent stack shapes: level {n} is {stack.shape}, "
+                f"inconsistent stack shapes: level {n} is {level.shape}, "
                 f"level {n + 1} has dimension {dims[n + 1]}")
-        if not np.isfinite(stack).all():
+        if not np.isfinite(level.values).all():
             raise ValueError(f"non-finite entry in the level {n} blocks")
     top = max(dims)
     ids, steps = _class_ids(node_labels(ops), d, dims)
@@ -472,24 +494,45 @@ def _form_terms(d, k):
     return index, forms
 
 
-def dirac_square_residual(complex_, level, bound):
-    """Residual of D^2 = F (x) 1 + sum_{k,j} [T_k*, T_j] (x) C_k* C_j at one level.
+@lru_cache(maxsize=None)
+def _form_links(d, k):
+    """The level terms whose form factor on Lambda^k is nonzero, per pair of subsets.
 
-    D = B + B* preserves (form degree, level) and the classes, so at every
-    interior form degree of the given level both sides are compared on each
-    class: B*B + BB* from the gamma-blocks of the two boundary maps that
-    meet there, the right-hand side gathered by index arrays from the level
-    terms (``KoszulComplex._level_terms``, formed block by level class) and
-    the form terms.  A member (v, S) of class gamma has v in the level class
+    Returns (terms, factors), two (1 + d - k, C(d, k)^2) arrays that hold at
+    [:, S' C(d, k) + S] the indices of the level terms whose factor
+    (``_form_terms``) is nonzero at (S', S), in ascending order, and those
+    factors, each +-1.  The diagonal links F and the d - k terms C_j* C_j
+    with j not in S; an off-diagonal pair links at most the one C_k* C_j
+    with S' = S + j - k.  Shorter lists are padded with term 0 and factor 0.
+    """
+    index, forms = _form_terms(d, k)
+    forms = forms.reshape(len(forms), -1)
+    linked = forms != 0
+    slot = np.cumsum(linked, axis=0) - 1
+    at, pair = np.nonzero(linked)
+    terms = np.zeros((1 + d - k, forms.shape[1]), dtype=np.int64)
+    factors = np.zeros(terms.shape)
+    terms[slot[at, pair], pair] = index[at]
+    factors[slot[at, pair], pair] = forms[at, pair]
+    terms.setflags(write=False)
+    factors.setflags(write=False)
+    return terms, factors
+
+
+def _dirac_right_sides(complex_, n):
+    """The right-hand side of D^2 on the classes of each interior form degree at level n.
+
+    Returns {k: (classes, width, width) stack}, rows and columns following
+    the padded member tables of the classes of (k, n), padding zero.  Each
+    entry is gathered by index arrays from the level terms
+    (``KoszulComplex._level_terms``, formed block by level class) whose form
+    factor links the two subsets (``_form_links``), summed in ascending term
+    order; a term with a zero form factor would add an exact zero, so it is
+    not read.  A member (v, S) of class gamma has v in the level class
     gamma + 1_S, so the entries read join level classes p and
-    p + e_j - e_k, the blocks the level terms hold.  The worst
-    spectral-norm deviation is returned, as a ``linalg.residual`` against
-    ``bound``.  F is T_1 T_1* + ... + T_d T_d*.
+    p + e_j - e_k, the blocks the level terms hold.
     """
     d = complex_.d
-    n = int(level)
-    if n not in complex_.level_dims or not complex_.interior(0, n):
-        raise ValueError(f"level {n} is not interior to the stored window")
     terms = complex_._level_terms(n)
     terms = terms.reshape(terms.shape[0], -1)
     # where each level-n basis vector sits in a flat (level class, row slot,
@@ -500,26 +543,49 @@ def dirac_square_residual(complex_, level, bound):
     offset = np.zeros((2, complex_.level_dims[n]), dtype=np.int64)
     offset[:, level[cls, slot]] = cls * width_n**2 + slot, slot * width_n
 
-    values = []
+    sides = {}
     for k in range(d + 1):
         if not complex_.interior(k, n):
             continue
         members = complex_.classes[(k, n)].members
-        width = members.shape[1]
-        lhs = np.zeros((members.shape[0], width, width), dtype=complex)
+        vec, sub = np.divmod(members, comb(d, k))
+        as_col, as_row = offset[:, vec]
+        at = as_row[:, :, None] + as_col[:, None, :]
+        # (links, classes, width, width), C-contiguous, so the sum adds the
+        # links one after the other; an index mixing a slice with arrays
+        # would put the links innermost, and numpy would sum them pairwise
+        links, factors = _form_links(d, k)
+        pair = sub[:, :, None] * comb(d, k) + sub[:, None, :]
+        rhs = (terms[np.take(links, pair, axis=1), at]
+               * np.take(factors, pair, axis=1)).sum(axis=0)
+        rhs[(members[:, :, None] < 0) | (members[:, None, :] < 0)] = 0
+        sides[k] = rhs
+    return sides
+
+
+def dirac_square_residual(complex_, level, bound):
+    """Residual of D^2 = F (x) 1 + sum_{k,j} [T_k*, T_j] (x) C_k* C_j at one level.
+
+    D = B + B* preserves (form degree, level) and the classes, so at every
+    interior form degree of the given level both sides are compared on each
+    class: B*B + BB* from the gamma-blocks of the two boundary maps that
+    meet there, the right-hand side gathered from the level terms
+    (``_dirac_right_sides``).  The worst spectral-norm deviation is
+    returned, as a ``linalg.residual`` against ``bound``.  F is
+    T_1 T_1* + ... + T_d T_d*.
+    """
+    n = int(level)
+    if n not in complex_.level_dims or not complex_.interior(0, n):
+        raise ValueError(f"level {n} is not interior to the stored window")
+    values = []
+    for k, rhs in _dirac_right_sides(complex_, n).items():
+        lhs = np.zeros(rhs.shape, dtype=complex)
         if (k, n) in complex_.boundary:
             gamma = complex_.boundary[(k, n)]
             lhs[gamma.col_class] += linalg.adjoint(gamma.values) @ gamma.values
         if (k - 1, n - 1) in complex_.boundary:
             gamma = complex_.boundary[(k - 1, n - 1)]
             lhs[gamma.row_class] += gamma.values @ linalg.adjoint(gamma.values)
-        vec, sub = np.divmod(members, comb(d, k))
-        as_col, as_row = offset[:, vec]
-        at = as_row[:, :, None] + as_col[:, None, :]
-        index, forms = _form_terms(d, k)
-        rhs = (terms[index[:, None, None, None], at]
-               * forms[:, sub[:, :, None], sub[:, None, :]]).sum(axis=0)
-        rhs[(members[:, :, None] < 0) | (members[:, None, :] < 0)] = 0
         values.append(linalg.residual(lhs - rhs, bound))
     return linalg.largest(values, bound)
 

@@ -8,6 +8,12 @@ dense level terms (``level_terms``), and checks that the tuple commutes
 with whole-block products (``commutation_residual``).  It shares only the
 tuple's blocks, ``creation_matrix`` and ``linalg.numerical_rank`` with the
 package.  A tuple is a dict {n: (d, h_{n+1}, h_n) stack of the T_i(n)}.
+
+``gathered_right_sides`` is the oracle of ``koszul._dirac_right_sides``.
+It reads the same level terms and classes of a built complex, but gathers
+every level term whose form factor is nonzero anywhere on Lambda^k, exact
+zero products included, where the package reads only the terms linked to
+each pair of subsets.
 """
 
 from math import comb
@@ -15,7 +21,7 @@ from math import comb
 import numpy as np
 
 from gradmod import linalg
-from gradmod.koszul import creation_matrix
+from gradmod.koszul import _form_terms, creation_matrix
 
 
 def commutation_residual(ops):
@@ -132,3 +138,29 @@ class DenseKoszul:
             if lhs.size:
                 worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
         return worst
+
+
+def gathered_right_sides(complex_, n):
+    """{k: right-hand side of D^2 on the classes of (k, n)}, a (terms, classes, W, W) gather per k."""
+    d = complex_.d
+    terms = complex_._level_terms(n)
+    terms = terms.reshape(terms.shape[0], -1)
+    level = complex_.classes[(0, n)].members
+    width_n = level.shape[1]
+    cls, slot = np.nonzero(level >= 0)
+    offset = np.zeros((2, complex_.level_dims[n]), dtype=np.int64)
+    offset[:, level[cls, slot]] = cls * width_n**2 + slot, slot * width_n
+    sides = {}
+    for k in range(d + 1):
+        if not complex_.interior(k, n):
+            continue
+        members = complex_.classes[(k, n)].members
+        vec, sub = np.divmod(members, comb(d, k))
+        as_col, as_row = offset[:, vec]
+        at = as_row[:, :, None] + as_col[:, None, :]
+        index, forms = _form_terms(d, k)
+        rhs = (terms[index[:, None, None, None], at]
+               * forms[:, sub[:, :, None], sub[:, None, :]]).sum(axis=0)
+        rhs[(members[:, :, None] < 0) | (members[:, None, :] < 0)] = 0
+        sides[k] = rhs
+    return sides

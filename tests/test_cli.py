@@ -256,6 +256,28 @@ def test_overflowing_counterexample_exits_2(tmp_path, capsys):
     assert not (tmp_path / "counterexample.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["weights", "--d", "2", "--N", "1000000000000"],
+                                  ["weights", "--d", "2", "--N", str(MAX_AMBIENT_DIM + 1)],
+                                  ["counterexample", "--N", "1000000000000"],
+                                  ["counterexample", "--N", str(MAX_AMBIENT_DIM + 1)]])
+def test_a_huge_N_is_refused_before_anything_is_allocated(tmp_path, capsys, monkeypatch,
+                                                          argv):
+    # both commands allocate N floats at once; at --N 1e12 that ended in a
+    # numpy allocation traceback and exit 1
+    def allocator_called(*args, **kwargs):
+        raise AssertionError("allocator called")
+    monkeypatch.setattr(cli, "make_weights", allocator_called)
+    monkeypatch.setattr(cli, "alternating_block_sequence", allocator_called)
+    assert run_cli(argv + ["--out", str(tmp_path)]) == cli.EXIT_PARSE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and f"MAX_AMBIENT_DIM = {MAX_AMBIENT_DIM}" in line
+    assert not any(tmp_path.iterdir())
+    # at the bound itself the command goes on to allocate
+    argv = argv[:-1] + [str(MAX_AMBIENT_DIM)]
+    with pytest.raises(AssertionError, match="allocator called"):
+        run_cli(argv + ["--out", str(tmp_path)])
+
+
 def test_underflowing_counterexample_exits_2(tmp_path, capsys):
     # lambda_n = e^(u_0 + ... + u_n) drifts to e^-798 and underflows to 0, so
     # L is not invertible on the window and the pair is not shown similar
@@ -759,6 +781,8 @@ def printed_verdicts(obj):
 @example((["weights", "--d", "2", "--N", "10", "--tail", "10"], {}, False))
 @example((["koszul", "--d", "2", "--N", "5", "--family", "sinsqrt", "--r1", "1",
            "--r2", "1e8"], {}, False))
+@example((["weights", "--d", "2", "--N", "1000000000000"], {}, False))
+@example((["counterexample", "--N", "1000000000000"], {}, False))
 def test_exit_code_contract_holds_on_drawn_invocations(tmp_path, capsys, call):
     argv, files, exact = call
     workdir = Path(tempfile.mkdtemp(dir=tmp_path))
@@ -1048,6 +1072,8 @@ def test_identity_report_is_byte_identical_across_blas_threads(tmp_path):
        ["submodule.json"]) for seed in (7, 11)],
     *[(["linearize", "--d", "3", "--N", "11", "--gens", rank_forms(seed)[1]],
        ["linearize.json"]) for seed in (7, 11)],
+    # the Koszul complex of the free module, read from its level entries
+    (["koszul", "--d", "4", "--N", "9"], ["koszul.json"]),
     # and its Koszul complex on the quotient tuple of two cubics
     *[(["koszul", "--d", "3", "--N", "12", "--gens", rank_forms(seed)[0]],
        ["koszul.json"]) for seed in (7, 11)],

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +13,13 @@ from hypothesis import given, settings
 
 import gradmod as gm
 from gradmod import cli, linalg
-from gradmod.koszul import (betti_numbers, betti_table, build_koszul,
-                            creation_matrix, dirac_square_residual, form_subsets,
-                            node_labels, solve_syzygy)
+from gradmod.koszul import (_dirac_right_sides, _form_links, _form_terms, betti_numbers,
+                            betti_table, build_koszul, creation_matrix,
+                            dirac_square_residual, form_subsets, node_labels,
+                            solve_syzygy)
+from gradmod.operators import LevelEntries
 from conftest import FAMILIES, submodule_inputs
-from koszul_oracle import DenseKoszul, commutation_residual
+from koszul_oracle import DenseKoszul, commutation_residual, gathered_right_sides
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -339,6 +343,135 @@ def test_koszul_report_is_byte_identical_across_blas_threads(argv, tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.append((out / "koszul.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+# -- level entries and the Dirac gather against their dense forms --------------------
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_level_entries_are_the_nonzero_entries_of_the_level_stack(family, d, r):
+    weights = gm.make_weights(family, {1: 8, 2: 7, 3: 6, 4: 5}[d], d=d, r1=1.0, r2=4.0)
+    mod = gm.StandardModule(weights, d=d, multiplicity=r)
+    entries = mod.coordinate_entries()
+    assert sorted(entries) == list(range(mod.top_level))
+    for n, level in entries.items():
+        stack = mod._level_stack(n)
+        flat = np.ravel_multi_index(np.nonzero(stack), stack.shape)
+        assert level.shape == stack.shape
+        assert np.array_equal(level.flat, flat)
+        assert level.values.dtype == stack.dtype
+        assert level.values.tobytes() == stack[np.nonzero(stack)].tobytes()
+        read = LevelEntries.of(stack)
+        assert np.array_equal(read.flat, flat)
+        assert read.values.tobytes() == level.values.tobytes()
+
+
+def test_level_entries_read_the_dense_entries_bit_for_bit(rng):
+    # one stored value or 0 per index, negative indices counting from the
+    # end; on a quotient stack, a stack with exact zeros and an all-zero one
+    mod = h2_module(2, r=2, n_levels=6)
+    sub = gm.GradedSubmodule.generate(mod, [gm.monomial_generator((1, 1))])
+    stacks = [sub.quotient_tuple()[3], mod._level_stack(2),
+              np.zeros((2, 3, 4), dtype=complex)]
+    for stack in stacks:
+        entries = LevelEntries.of(stack)
+        var = rng.integers(-stack.shape[0], stack.shape[0], size=(50, 1, 1))
+        rows = rng.integers(-stack.shape[1], stack.shape[1], size=(1, 50, 1))
+        cols = rng.integers(-stack.shape[2], stack.shape[2], size=(1, 1, 50))
+        got = entries.read(var, rows, cols)
+        assert got.dtype == stack.dtype
+        assert got.tobytes() == stack[var, rows, cols].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_form_links_rebuild_the_form_terms(d):
+    for k in range(d + 1):
+        index, forms = _form_terms(d, k)
+        links, factors = _form_links(d, k)
+        pairs = comb(d, k) ** 2
+        assert links.shape == factors.shape == (1 + d - k, pairs)
+        live = factors != 0
+        assert set(np.unique(factors[live])) <= {-1.0, 1.0}
+        assert not links[~live].any()                    # padding is term 0
+        assert np.array_equal(np.sort(live, axis=0)[::-1], live)   # padding last
+        assert live.sum(axis=0).max() == 1 + d - k
+        rebuilt = np.zeros((1 + d * d, pairs))
+        for col in range(pairs):
+            terms = links[live[:, col], col]
+            assert np.all(np.diff(terms) > 0)            # ascending term order
+            rebuilt[terms, col] = factors[live[:, col], col]
+        assert np.array_equal(rebuilt[index], forms.reshape(len(index), -1))
+        assert not np.delete(rebuilt, index, axis=0).any()
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(submodule_inputs())
+def test_dirac_right_sides_equal_the_dense_gather(case):
+    # the links skip only terms whose form factor is an exact zero, on the
+    # free complex (labelled), a monomial quotient and a drawn quotient
+    mod, gens = case
+    monomial = gm.monomial_generator((1,) + (0,) * (mod.d - 1))
+    tuples = [mod.coordinate_entries(),
+              gm.GradedSubmodule.generate(mod, [monomial]).quotient_tuple(),
+              gm.GradedSubmodule.generate(mod, gens).quotient_tuple()]
+    assert node_labels(tuples[0]) is not None
+    for ops in tuples:
+        kz = build_koszul(ops)
+        for n in range(kz.top_level):
+            if not kz.interior(0, n):
+                continue
+            new, old = _dirac_right_sides(kz, n), gathered_right_sides(kz, n)
+            assert new.keys() == old.keys()
+            for k in new:
+                assert np.array_equal(new[k], old[k])
+
+
+def test_unlabelled_quotient_right_sides_equal_the_dense_gather():
+    # a generic quotient has one class per space, so every level term meets
+    # every pair of subsets on the same dense block
+    mod = h2_module(3, n_levels=6)
+    g = gm.VectorPolynomial(2, (((2, 0, 0), 0, 1.0), ((1, 1, 0), 0, 2.0),
+                                ((0, 1, 1), 0, -1.0 + 1j), ((0, 0, 2), 0, 1.0)))
+    ops = gm.GradedSubmodule.generate(mod, [g]).quotient_tuple()
+    assert node_labels(ops) is None
+    kz = build_koszul(ops)
+    for n in range(kz.top_level):
+        if kz.interior(0, n):
+            new, old = _dirac_right_sides(kz, n), gathered_right_sides(kz, n)
+            assert all(np.array_equal(new[k], old[k]) for k in old) and new.keys() == old.keys()
+
+
+@pytest.mark.parametrize("argv", [["--d", "4", "--N", "9"],
+                                  ["--d", "2", "--r", "3", "--N", "7"]])
+def test_cli_koszul_builds_no_dense_stack(argv, monkeypatch, tmp_path):
+    # the standard module's complex is read from its level entries
+    built = []
+    level_stack = gm.StandardModule._level_stack
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        return level_stack(self, *args, **kwargs)
+    monkeypatch.setattr(gm.StandardModule, "_level_stack", counted)
+    assert cli.main(["koszul", *argv, "--out", str(tmp_path)]) == 0
+    assert built == []
+
+
+def test_cli_koszul_peak_memory_stays_small(tmp_path):
+    # the dense (d, h_{n+1}, h_n) tuple alone took about 30 MB here
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["koszul", "--d", "4", "--N", "12", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 10e6
 
 
 # -- syzygies -------------------------------------------------------------------
