@@ -417,6 +417,23 @@ def summability_report(weights, d, p):
     return partial_sums(k, summands, f"p = {p:g} summability")
 
 
+@lru_cache(maxsize=None)
+def _level_dimensions(d, top_level):
+    """The level dimensions C(m+d-1, d-1) for m = 0..top_level, as floats.
+
+    As ``monomials.level_dimension`` gives them; read-only, cached per
+    (d, top_level).  Raises ValueError when one leaves the float range.
+    """
+    try:
+        dims = np.array([math.comb(m + d - 1, d - 1) for m in range(top_level + 1)],
+                        dtype=float)
+    except OverflowError:
+        raise ValueError(f"the level dimensions at d = {d}, N = {top_level} "
+                         "leave the float range") from None
+    dims.flags.writeable = False
+    return dims
+
+
 def number_trace_report(d, p, top_level):
     """Partial sums of trace (N+1)^{-p} = sum_n (n+1)^{-p} dim A_n with a trend call.
 
@@ -428,13 +445,6 @@ def number_trace_report(d, p, top_level):
     if d < 1:
         raise ValueError("need at least one variable")
     n = np.arange(top_level + 1)
-    # the level dimensions C(m+d-1, d-1), as monomials.level_dimension gives them
-    try:
-        dims = np.array([math.comb(m + d - 1, d - 1) for m in range(top_level + 1)],
-                        dtype=float)
-    except OverflowError:
-        raise ValueError(f"the level dimensions at d = {d}, N = {top_level} "
-                         "leave the float range") from None
     with np.errstate(over="ignore"):
-        summands = (n + 1.0) ** (-float(p)) * dims
+        summands = (n + 1.0) ** (-float(p)) * _level_dimensions(d, top_level)
     return partial_sums(n + 1.0, summands, f"p = {p:g} number-operator trace")

@@ -5,7 +5,8 @@ edit retunes the whole toolkit consistently.  The constants that live next
 to the one piece of code that reads them are:
 
 - ``linalg.TRIANGLE_MIN_WORK`` and ``linalg.TRIANGLE_RANGE``: when a tall
-  operand's SVD goes through its QR triangle;
+  operand's SVD goes through its QR triangle, and when
+  ``orthonormal_columns`` takes its basis from a reduced QR;
 - ``linalg.FROBENIUS_MIN_BOUND``: the smallest bound a Frobenius norm may
   certify a residual against (below it squares may underflow);
 - ``normality.GL_ORDER``: points per Gauss-Legendre panel of the contour;

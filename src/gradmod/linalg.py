@@ -17,8 +17,14 @@ Q and of Q U_R.  It is taken for blocks with M >= 2 N whose size M N^2 is at
 least ``TRIANGLE_MIN_WORK`` (below that the extra QR call costs more than it
 saves), and only while every block's max|a| lies in ``TRIANGLE_RANGE``:
 outside about [6.7e-139, 1e138] gesdd rescales the operand first, and its
-bits then differ from those of the route.  ``orthonormal_columns`` needs U
-and keeps the plain SVD.
+bits then differ from those of the route (``_routed``).
+
+``orthonormal_columns`` takes the same gate to a reduced a = QR, whose R has
+the singular values of ``a`` and so the same cut.  A full-rank operand's Q
+is already an orthonormal basis of its span, and no U is formed; a
+deficient one returns Q U_R from the SVD of R.  A pivot |r_ii| at or below
+RANK_TOL_FACTOR max|r_jj| proves the drop (sigma_min <= min|r_ii| and
+max|r_jj| <= sigma_max), so such an operand skips the values-only SVD.
 """
 
 import numpy as np
@@ -66,21 +72,27 @@ def _kept(s, scale=0.0):
     return int(np.count_nonzero(s > RANK_TOL_FACTOR * top))
 
 
+def _routed(a):
+    """Whether a matrix or stack of (M, N) blocks goes through its QR triangle.
+
+    True when M >= 2 N, M N^2 >= TRIANGLE_MIN_WORK and every block has
+    max|a| in TRIANGLE_RANGE (module docstring).
+    """
+    m, n = a.shape[-2:]
+    if m < 2 * n or m * n * n < TRIANGLE_MIN_WORK:
+        return False
+    top = np.abs(a).max(axis=(-2, -1))
+    low, high = TRIANGLE_RANGE
+    return bool(np.all((top >= low) & (top <= high)))
+
+
 def _triangle(a):
     """The R of a = QR for a matrix or stack of (M, N) blocks that gains from it; else ``a``.
 
     Its SVD gives the same singular values and right singular vectors, bit
-    for bit (module docstring).  Taken when M >= 2 N, M N^2 >=
-    TRIANGLE_MIN_WORK and every block has max|a| in TRIANGLE_RANGE.
+    for bit (module docstring).
     """
-    m, n = a.shape[-2:]
-    if m < 2 * n or m * n * n < TRIANGLE_MIN_WORK:
-        return a
-    top = np.abs(a).max(axis=(-2, -1))
-    low, high = TRIANGLE_RANGE
-    if not np.all((top >= low) & (top <= high)):
-        return a
-    return np.linalg.qr(a, mode="r")
+    return np.linalg.qr(a, mode="r") if _routed(a) else a
 
 
 def numerical_rank(a):
@@ -100,15 +112,27 @@ def orthonormal_columns(a):
     """Orthonormal basis for the column span of ``a``.
 
     Returns a (rows, rank) matrix with orthonormal columns.  The zero matrix
-    (or a matrix with no columns) yields a (rows, 0) result.
+    (or a matrix with no columns) yields a (rows, 0) result.  A routed
+    operand (``_routed``) is factored a = QR: at full rank the result is Q,
+    else Q U_R from the SVD of R (module docstring); any other operand keeps
+    the plain SVD.
     """
     a = _as_complex(a)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     if a.shape[1] == 0 or a.shape[0] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, :_kept(s)]
+    if not _routed(a):
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        return u[:, :_kept(s)]
+    q, r = np.linalg.qr(a)
+    pivots = np.abs(np.diagonal(r))
+    # a small pivot proves a drop; else the values alone decide whether Q is the basis
+    if (pivots.min() > RANK_TOL_FACTOR * pivots.max()
+            and _kept(np.linalg.svd(r, compute_uv=False)) == a.shape[1]):
+        return q
+    u, s, _ = np.linalg.svd(r)
+    return q @ u[:, :_kept(s)]
 
 
 def nullspace(a, scale=0.0):

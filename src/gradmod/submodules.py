@@ -10,19 +10,23 @@ Generation is the co-invariant Euler recursion.  With G_n the degree-n
 generators, Q_n = {f perp G_n : Z_k* f in Q_{n-1} for every k}.  Every
 standard module is maximally symmetric, so Z_k* is a multiple of d/dz_k and
 the row-sum identity puts Q_n inside the span of the Z_k Q_{n-1}; each level
-solves one small nullspace problem on that span (``cosaturation``).  Every
-submodule carries the saturation flags of the construction that built it
-(generation their recursion's, and E_V^perp of ``linearize.ev_space`` is
+solves one small nullspace problem on that span (``cosaturation``).  Any
+orthonormal superspace of the span gives the same answer with the same cut,
+so where the d dim Q_{n-1} candidates could fill the level the problem is
+solved on the whole level and the candidate block is never factored
+(``euler_candidates``).
+
+Every submodule carries the saturation flags of the construction that built
+it (generation their recursion's, and E_V^perp of ``linearize.ev_space`` is
 generated too; a pullback its input's shifted, with one dimension count at
 level 0; ker L the closed form of its Koszul generation).  Every submodule
 spans all levels 0..N of its module: the module alone owns the truncation
-window.  Z_k and Z_k* act through
-``StandardModule.shift`` and ``adjoint_stack``, a scatter and a gather on
-the level's successor table, never through a dense block of the ambient
-module.  Degrees, residuals and projections read Q, and so does the
-quotient S/M: it is realized on the Q_n, and ``GradedSubmodule.quotient_tuple``
-is its compressed coordinate tuple.  A basis of M_n is the complement of
-Q_n, computed only on request.
+window.  Z_k and Z_k* act through ``StandardModule.shift`` and
+``adjoint_stack``, a scatter and a gather on the level's successor table,
+never through a dense block of the ambient module.  Degrees, residuals and
+projections read Q, and so does the quotient S/M: it is realized on the Q_n,
+and ``GradedSubmodule.quotient_tuple`` is its compressed coordinate tuple.
+A basis of M_n is the complement of Q_n, computed only on request.
 
 Degree reporting is deliberately conservative: a degree is only declared when
 saturation is witnessed on at least two consecutive levels beyond both the
@@ -190,16 +194,20 @@ class DegreeReport:
 
 
 def euler_candidates(module, prev, n):
-    """Orthonormal basis of C_n = sum_k Z_k span(prev) inside level n.
+    """Orthonormal basis of a space inside level n that contains C_n = sum_k Z_k span(prev).
 
-    ``prev`` has orthonormal columns in level n-1.  When C_n fills the level
-    the identity is returned, so that a whole level keeps its own basis.
+    ``prev`` has orthonormal columns in level n-1.  Its callers solve a
+    nullspace problem whose answer lies in C_n and is the same on any
+    orthonormal superspace of it (``cosaturation``), so a block of
+    d dim(prev) >= dim(level n) columns, which C_n may fill, is never
+    formed: the identity of the level is returned.  A narrower block is
+    orthonormalized to C_n itself (``linalg.orthonormal_columns``).
     """
-    cand = linalg.orthonormal_columns(np.hstack(
+    dim = module.level_dim(n)
+    if module.d * prev.shape[1] >= dim:
+        return np.eye(dim, dtype=complex)
+    return linalg.orthonormal_columns(np.hstack(
         [module.shift(k, n - 1, prev) for k in range(1, module.d + 1)]))
-    if cand.shape[1] == module.level_dim(n):
-        return np.eye(module.level_dim(n), dtype=complex)
-    return cand
 
 
 def cosaturation(module, quotient_prev, n):
@@ -212,7 +220,11 @@ def cosaturation(module, quotient_prev, n):
     nullspace of the stacked rows (I - P_{Q_{n-1}}) Z_k* is solved on C_n:
     at most d dim Q_{n-1} columns.  The stacked rows are a compression of
     L_{n-1}*, whose norm is rho_{n-1} exactly, so the rank cut is taken
-    relative to rho_{n-1}.
+    relative to rho_{n-1}.  Solving on a superspace of C_n (the whole level,
+    for a wide candidate block: ``euler_candidates``) gives the same answer
+    with the same cut: for f perpendicular to C_n, Q_{n-1}* Z_k* f = 0 for
+    every k, so the rows act on f as L_{n-1}* does, and by the row-sum
+    identity f is a right singular vector with singular value rho_{n-1}.
     """
     dim_prev = quotient_prev.shape[1]
     if dim_prev == 0:

@@ -13,6 +13,7 @@ import pytest
 
 import gradmod as gm
 import structure_oracle as oracle
+from gradmod import completion
 from koszul_oracle import commutation_residual
 from gradmod.completion import fock_level_weights
 from gradmod.config import RESIDUAL_FLOOR
@@ -434,3 +435,22 @@ def test_number_trace_threshold():
     for d in (1, 2, 3):
         assert gm.number_trace_report(d, d + 1, 500).trend.trend == "converging"
         assert gm.number_trace_report(d, d, 500).trend.trend == "diverging"
+
+
+def test_number_trace_level_dimensions_are_built_once_per_window(monkeypatch):
+    # one weights run calls number_trace_report once per exponent
+    built = []
+    comb = completion.math.comb
+
+    def counting(*args):
+        built.append(args)
+        return comb(*args)
+
+    completion._level_dimensions.cache_clear()
+    monkeypatch.setattr(completion.math, "comb", counting)
+    reports = [gm.number_trace_report(2, p, 2000) for p in (3, 5, 3)]
+    assert len(built) == 2001
+    assert reports[0].partial_sums.tobytes() == reports[2].partial_sums.tobytes()
+    dims = completion._level_dimensions(2, 2000)
+    assert not dims.flags.writeable
+    assert dims.tolist() == list(range(1, 2002))   # C(n + 1, 1)
