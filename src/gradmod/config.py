@@ -6,10 +6,13 @@ to the one piece of code that reads them are:
 
 - ``linalg.TRIANGLE_MIN_WORK`` and ``linalg.TRIANGLE_RANGE``: when a tall
   operand's SVD goes through its QR triangle, and when
-  ``orthonormal_columns`` takes its basis from a reduced QR;
+  ``submodules.euler_candidates`` takes its candidate basis from a reduced
+  QR;
 - ``linalg.FROBENIUS_MIN_BOUND``: the smallest bound a Frobenius norm may
   certify a residual against (below it squares may underflow);
-- ``normality.GL_ORDER``: points per Gauss-Legendre panel of the contour;
+- ``normality.GL_ORDER``: points per Gauss-Legendre panel of the contour,
+  and ``normality.CHUNK_ENTRIES``: the most complex entries of one stacked
+  resolvent temporary (never less than one panel);
 - the spectral-gap margin 1e-9 of ``normality.resolvent_projection``
   (an eigenvalue from ``gap * (1 - 1e-9)`` up lies on the far side of the
   gap);

@@ -51,7 +51,10 @@ for each pair of Lambda^k subsets, only the at most 1 + d - k level terms
 whose form factor is nonzero there (``_form_links``).
 
 Every reported quantity is restricted to interior (level, form-degree) pairs
-with n + k <= N - 1, so no block ever touches truncated data.
+with n + k <= N - 1, so no block ever touches truncated data, and only the
+boundary maps those pairs read are built: B_k(n) for k < d and
+n + k <= N - 1, about half of the domain of the whole truncated boundary at
+d = 4.  ``boundary_rank`` and ``boundary_block`` refuse any other nonzero map.
 """
 
 from dataclasses import dataclass, field
@@ -155,15 +158,14 @@ def node_labels(ops):
     return labels
 
 
-def _class_ids(labels, d, dims):
-    """Class id of every flat basis index of every space (k, n), one id space.
+def _class_ids(labels, d, dims, spaces):
+    """Class id of every flat basis index of each of ``spaces`` (k, n), one id space.
 
     The id of (root, gamma) is a number in base ``radix`` with one digit
     gamma_i + 1 per variable, so adding e_i to gamma adds ``steps[i]`` to the
     id.  A tuple without labels, or one with too many classes to number in
     62 bits, gets id 0 everywhere and steps 0.  Returns (ids, steps).
     """
-    spaces = [(k, n) for n in sorted(dims) for k in range(d + 1)]
     if labels is not None:
         # weights are >= 0, so each entry of gamma + 1 is a digit in base ``radix``
         radix = 2 + max(int(weight.max(initial=0)) for _, weight in labels.values())
@@ -272,13 +274,16 @@ def _level_blocks(entries, steps, dom, cod):
 class KoszulComplex:
     """The Koszul complex of a graded tuple, held on its gamma-blocks.
 
-    ``classes[(k, n)]`` partitions the flat basis of H_n (x) Lambda^k into
-    classes, and ``boundary[(k, n)]`` holds B_k(n) as the stack of its blocks
-    between equal classes of (k, n) and (k + 1, n + 1); every entry outside
-    those blocks is exactly zero.  A class present on one side only is a run
-    of zero rows or columns and has no block.  The classes of form degree 0
-    are the level classes, and ``level_blocks[n]`` holds every T_i(n) on
-    them (``_level_blocks``); ``steps[i]`` is the id shift of e_i.
+    ``boundary[(k, n)]`` holds B_k(n) as the stack of its blocks between
+    equal classes of (k, n) and (k + 1, n + 1), for the pairs the reports
+    read: 0 <= k < d and n + k <= N - 1 (``build_koszul``).  Every entry
+    outside those blocks is exactly zero.  ``classes[(k, n)]`` partitions
+    the flat basis of H_n (x) Lambda^k into classes, for the spaces the
+    stored blocks touch, every interior space and every level.  A class
+    present on one side only is a run of zero rows or columns and has no
+    block.  The classes of form degree 0 are the level classes, and
+    ``level_blocks[n]`` holds every T_i(n) on them (``_level_blocks``);
+    ``steps[i]`` is the id shift of e_i.
     """
 
     d: int
@@ -290,27 +295,46 @@ class KoszulComplex:
     steps: np.ndarray    # (d,) class id shift of e_i; 0 for a tuple without labels
     _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def _stored(self, k, n):
+        """The gamma-blocks of B_k(n); None for the zero maps at k < 0, n < 0 and k = d.
+
+        Raises ValueError for a nonzero map the complex does not store.
+        """
+        if k < 0 or n < 0 or k == self.d:
+            return None
+        if (k, n) not in self.boundary:
+            raise ValueError(f"B_{k}({n}) is not stored: only 0 <= k < {self.d} "
+                             f"with n + k <= {self.top_level - 1} are")
+        return self.boundary[(k, n)]
+
     def boundary_block(self, k, n):
-        """B_k(n) as a dense matrix, assembled from its gamma-blocks."""
-        gamma = self.boundary[(k, n)]
+        """B_k(n) as a dense matrix, assembled from its gamma-blocks (``_stored``)."""
+        gamma = self._stored(k, n)
+        out = np.zeros((self.form_dim(k + 1, n + 1), self.form_dim(k, n)),
+                       dtype=complex)
+        if gamma is None:
+            return out
         rows = self.classes[(k + 1, n + 1)].members[gamma.row_class][:, :, None]
         cols = self.classes[(k, n)].members[gamma.col_class][:, None, :]
         rows, cols = np.broadcast_arrays(rows, cols)
         keep = (rows >= 0) & (cols >= 0)
-        out = np.zeros((self.form_dim(k + 1, n + 1), self.form_dim(k, n)),
-                       dtype=complex)
         out[rows[keep], cols[keep]] = gamma.values[keep]
         return out
 
     def boundary_rank(self, k, n):
-        """Numerical rank of B_k(n), computed once; 0 where no block is stored."""
+        """Numerical rank of B_k(n), computed once.
+
+        0 for the zero maps at k < 0, n < 0 and k = d; ValueError for a
+        nonzero map the complex does not store (``_stored``).
+        """
         if (k, n) not in self._ranks:
-            gamma = self.boundary.get((k, n))
+            gamma = self._stored(k, n)
             self._ranks[(k, n)] = 0 if gamma is None else linalg.numerical_rank(gamma.values)
         return self._ranks[(k, n)]
 
     def form_dim(self, k, n):
-        return self.level_dims[n] * comb(self.d, k)
+        """dim H_n (x) Lambda^k: 0 outside form degrees 0..d and the stored levels."""
+        return self.level_dims.get(n, 0) * comb(self.d, k) if 0 <= k <= self.d else 0
 
     def interior(self, k, n):
         return 0 <= n and n + k <= self.top_level - 1
@@ -398,10 +422,15 @@ def build_koszul(ops):
     (``node_labels``).  The T_i(n) are gathered onto the level classes, and
     the input checks run there: the tuple's scale is ``tuple_norm`` and its
     commutators are checked block by block
-    (``KoszulComplex.commutation_residual``).  Raises ValueError when the
-    levels are not exactly 0..N-1, when two levels disagree on the shape of
-    a level they share, when an entry is NaN or infinite, or when the blocks
-    fail to commute within EXACT_TOL (relative to the largest block norm).
+    (``KoszulComplex.commutation_residual``).  Gamma-blocks are built only
+    for the pairs the reports read, 0 <= k < d with n + k <= N - 1
+    (``betti_table``, ``dirac_square_residual``, ``bsquared_residual``), and
+    class tables only for the spaces those blocks touch, every interior
+    space (the D^2 right-hand sides) and every level (the input checks).
+    Raises ValueError when the levels are not exactly 0..N-1, when two
+    levels disagree on the shape of a level they share, when an entry is NaN
+    or infinite, or when the blocks fail to commute within EXACT_TOL
+    (relative to the largest block norm).
     """
     if not ops:
         raise ValueError("need at least one level")
@@ -421,15 +450,16 @@ def build_koszul(ops):
         if not np.isfinite(level.values).all():
             raise ValueError(f"non-finite entry in the level {n} blocks")
     top = max(dims)
-    ids, steps = _class_ids(node_labels(ops), d, dims)
+    interior = [(k, n) for n in sorted(ops) for k in range(d + 1) if n + k <= top - 1]
+    stored = [(k, n) for k, n in interior if k < d]
+    spaces = ({(0, n) for n in dims} | set(interior)
+              | {(k + 1, n + 1) for k, n in stored})
+    ids, steps = _class_ids(node_labels(ops), d, dims, sorted(spaces))
     classes = {space: GammaClasses.of(space_ids) for space, space_ids in ids.items()}
-    level_blocks, boundary = {}, {}
-    for n in sorted(ops):
-        level_blocks[n] = _level_blocks(ops[n], steps, classes[(0, n)],
-                                        classes[(0, n + 1)])
-        for k in range(d):
-            boundary[(k, n)] = _gamma_blocks(ops[n], k, classes[(k, n)],
-                                             classes[(k + 1, n + 1)])
+    level_blocks = {n: _level_blocks(ops[n], steps, classes[(0, n)], classes[(0, n + 1)])
+                    for n in sorted(ops)}
+    boundary = {(k, n): _gamma_blocks(ops[n], k, classes[(k, n)], classes[(k + 1, n + 1)])
+                for k, n in stored}
     complex_ = KoszulComplex(d, dims, boundary, top, classes, level_blocks, steps)
     scale = complex_.tuple_norm() or 1.0
     tol = EXACT_TOL * max(scale**2, 1.0)
@@ -445,8 +475,9 @@ def betti_table(complex_):
 
     Entry (k, n) is dim ker B_k(n) - rank B_{k-1}(n-1); the boundary maps
     below level 0, below form degree 0 and from form degree d are zero
-    (``boundary_rank`` reads 0 where no block is stored).  Raises when
-    the window leaves no interior pair for some form degree.
+    (``boundary_rank`` reads 0 there), and every other map it reads is
+    stored.  Raises when the window leaves no interior pair for some form
+    degree.
     """
     levels = range(complex_.top_level)
     for k in range(complex_.d + 1):

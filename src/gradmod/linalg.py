@@ -19,12 +19,10 @@ saves), and only while every block's max|a| lies in ``TRIANGLE_RANGE``:
 outside about [6.7e-139, 1e138] gesdd rescales the operand first, and its
 bits then differ from those of the route (``_routed``).
 
-``orthonormal_columns`` takes the same gate to a reduced a = QR, whose R has
-the singular values of ``a`` and so the same cut.  A full-rank operand's Q
-is already an orthonormal basis of its span, and no U is formed; a
-deficient one returns Q U_R from the SVD of R.  A pivot |r_ii| at or below
-RANK_TOL_FACTOR max|r_jj| proves the drop (sigma_min <= min|r_ii| and
-max|r_jj| <= sigma_max), so such an operand skips the values-only SVD.
+``orthonormal_columns`` reads U, so it always takes one plain SVD.  The
+Euler candidate blocks, which need only an orthonormal superspace of their
+span, take the same gate to a reduced QR of their own
+(``submodules.euler_candidates``).
 """
 
 import numpy as np
@@ -111,28 +109,17 @@ def numerical_rank(a):
 def orthonormal_columns(a):
     """Orthonormal basis for the column span of ``a``.
 
-    Returns a (rows, rank) matrix with orthonormal columns.  The zero matrix
-    (or a matrix with no columns) yields a (rows, 0) result.  A routed
-    operand (``_routed``) is factored a = QR: at full rank the result is Q,
-    else Q U_R from the SVD of R (module docstring); any other operand keeps
-    the plain SVD.
+    Returns a (rows, rank) matrix with orthonormal columns: the leading
+    columns of U from one plain SVD, cut by ``_kept``.  The zero matrix (or
+    a matrix with no columns) yields a (rows, 0) result.
     """
     a = _as_complex(a)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     if a.shape[1] == 0 or a.shape[0] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    if not _routed(a):
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        return u[:, :_kept(s)]
-    q, r = np.linalg.qr(a)
-    pivots = np.abs(np.diagonal(r))
-    # a small pivot proves a drop; else the values alone decide whether Q is the basis
-    if (pivots.min() > RANK_TOL_FACTOR * pivots.max()
-            and _kept(np.linalg.svd(r, compute_uv=False)) == a.shape[1]):
-        return q
-    u, s, _ = np.linalg.svd(r)
-    return q @ u[:, :_kept(s)]
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, :_kept(s)]
 
 
 def nullspace(a, scale=0.0):

@@ -43,8 +43,10 @@ are those of the generation.  ``ev_gradient_levels`` computes
 E_V independently, by an Euler recursion on the gradient: every partial
 derivative of f in E_V(n) lies in E_V(n-1), and f = (1/n) sum_j z_j d_j f, so
 E_V(n) lies in the span of the Z_j E_V(n-1); each level solves its
-nullspace problem on that small span, or on the whole level where the
-d dim E_V(n-1) candidates could fill it (``submodules.euler_candidates``).
+nullspace problem on an orthonormal superspace of that small span
+(``submodules.euler_candidates``): the span itself, the whole level where
+the d dim E_V(n-1) candidates could fill it, or the Q of a large candidate
+block whose QR shows no small pivot.
 """
 
 import functools
@@ -298,10 +300,11 @@ def ev_gradient_levels(module, v):
     whole level: if f lies in E_V(n), each d_j f lies in E_V(n-1), since
     mixed partials commute and V is linear, and f = (1/n) sum_j z_j d_j f.
     So E_V(n) lies in C_n = span_j Z_j E_V(n-1), of dimension at most
-    d dim E_V(n-1).  Where d dim E_V(n-1) >= dim(level n) the candidates
-    are the whole level (``euler_candidates``): E_V(n) is by definition the
-    nullspace there, and the gradient's norm bounds the operand on the
-    whole level as on C_n.  1 (x) B* is a coisometry, so the rank cut is
+    d dim E_V(n-1).  The candidates may span more than C_n: the whole
+    level where d dim E_V(n-1) >= dim(level n), or the Q of a large block
+    (``euler_candidates``).  E_V(n) is by definition the nullspace on the
+    whole level, so it is the nullspace on any subspace holding it, and the
+    gradient's norm bounds the operand there as on C_n.  1 (x) B* is a coisometry, so the rank cut is
     relative to the gradient's closed-form norm rho_{n-1} / u(n) =
     n / rho_{n-1}; for V = d.E the operand has no rows.  The two routes
     agree for maximally symmetric completions, where the adjoints are

@@ -15,12 +15,14 @@ at a time, all d^2 pairs read off the same commutator stacks; the
 rectangular-contour resolvent integral for the range projection of a gapped
 positive matrix, with its commutator transform and norm bound, by composite
 Gauss-Legendre panels (geometric convergence: the integrand is analytic
-along each side), one stacked solve per panel; and the weighted-shift
-similarity pair showing that graded isomorphism does not preserve essential
-normality, whose 1 x 1 blocks give its self-commutator diagonals in closed form.
+along each side), one stacked solve per chunk of whole panels
+(``CHUNK_ENTRIES``); and the weighted-shift similarity pair showing that
+graded isomorphism does not preserve essential normality, whose 1 x 1
+blocks give its self-commutator diagonals in closed form.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +33,10 @@ from .trends import partial_sums
 
 # Points per Gauss-Legendre panel of the contour rule.
 GL_ORDER = 16
+# The most complex entries of one (chunk, dim, dim) stack of resolvents: the
+# contour rule solves as many whole panels at once as fit, and never fewer
+# than one, so a small B takes few LAPACK calls and a stack stays at 64 KiB.
+CHUNK_ENTRIES = 1 << 12
 
 
 def _level_commutators(ops, n):
@@ -199,6 +205,15 @@ def _side_panels(b_norm, gap, nodes):
             for length in lengths]
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre():
+    """The GL_ORDER-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _contour_nodes(b_norm, gap, nodes, doublings=0):
     """Composite Gauss-Legendre rule on the rectangle around sigma(B) \\ {0}.
 
@@ -211,7 +226,7 @@ def _contour_nodes(b_norm, gap, nodes, doublings=0):
     """
     a, b, h = gap / 2.0, b_norm + gap / 2.0, gap / 2.0
     corners = [a - 1j * h, b - 1j * h, b + 1j * h, a + 1j * h]
-    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
+    x, w = _gauss_legendre()
     nodes_out, weights_out = [], []
     for i, panels in enumerate(_side_panels(b_norm, gap, nodes)):
         start, end = corners[i], corners[(i + 1) % 4]
@@ -226,7 +241,7 @@ def _contour_nodes(b_norm, gap, nodes, doublings=0):
 def _ordered_sum(running, weights, stack):
     """running + w_0 stack_0 + w_1 stack_1 + ..., added in that order.
 
-    ``add.accumulate`` adds strictly in node order, so a panel at a time sums
+    ``add.accumulate`` adds strictly in node order, so a chunk at a time sums
     exactly as one node at a time does.
     """
     return np.add.accumulate(np.concatenate([running[None], weights * stack]),
@@ -236,18 +251,23 @@ def _ordered_sum(running, weights, stack):
 def _contour_rule(b, b_norm, comms, gap, nodes, doublings):
     """``resolvent_quadrature`` on a complex B with ||B|| and each [Y, B] in hand.
 
-    One Gauss-Legendre panel at a time: the GL_ORDER resolvents of a panel
-    are one stacked solve, and each [Y, B] is sandwiched between them on the
-    stack, so no temporary exceeds (GL_ORDER + 1) dim^2 entries (the panel's
-    terms and the running sum) per transform, whatever the rule's size.
+    One chunk of whole Gauss-Legendre panels at a time, as many as keep a
+    (chunk, dim, dim) stack within CHUNK_ENTRIES, and at least one: the
+    chunk's resolvents are one stacked solve, and each [Y, B] is sandwiched
+    between them on the stack, so no temporary exceeds one chunk's terms and
+    the running sum per transform, whatever the rule's size.  Each matrix of
+    a stack is solved and multiplied on its own, and ``_ordered_sum`` adds
+    in node order, so the chunking leaves every bit as a node loop gives it.
     """
     pts, weights = _contour_nodes(b_norm, gap, nodes, doublings)
-    eye = np.eye(b.shape[0], dtype=complex)
+    dim = b.shape[0]
+    chunk = GL_ORDER * max(1, CHUNK_ENTRIES // (GL_ORDER * dim * dim))
+    eye = np.eye(dim, dtype=complex)
     proj = np.zeros_like(b)
     transformed = [np.zeros_like(b) for _ in comms]
-    for start in range(0, len(pts), GL_ORDER):
-        lam = pts[start:start + GL_ORDER, None, None]
-        w = weights[start:start + GL_ORDER, None, None]
+    for start in range(0, len(pts), chunk):
+        lam = pts[start:start + chunk, None, None]
+        w = weights[start:start + chunk, None, None]
         res = np.linalg.solve(lam * eye - b, eye)
         proj = _ordered_sum(proj, w, res)
         transformed = [_ordered_sum(out, w, res @ c @ res)
@@ -262,7 +282,7 @@ def resolvent_quadrature(b, gap, nodes, transforms=(), doublings=0):
     The rule is ``_contour_nodes(||B||, gap, nodes, doublings)``.
     ``transforms`` are matrices Y; for each one the same quadrature is applied
     to R_lambda [Y, B] R_lambda, the contour-integral form of [Y, P].  Each
-    panel's resolvents come from one stacked solve, and the weighted terms
+    chunk's resolvents come from one stacked solve, and the weighted terms
     are added in node order, so the sums are those of a node-by-node loop.
     """
     b = np.asarray(b, dtype=complex)

@@ -12,9 +12,11 @@ standard module is maximally symmetric, so Z_k* is a multiple of d/dz_k and
 the row-sum identity puts Q_n inside the span of the Z_k Q_{n-1}; each level
 solves one small nullspace problem on that span (``cosaturation``).  Any
 orthonormal superspace of the span gives the same answer with the same cut,
-so where the d dim Q_{n-1} candidates could fill the level the problem is
-solved on the whole level and the candidate block is never factored
-(``euler_candidates``).
+so the candidates are only as exact as the cost needs
+(``euler_candidates``): where the d dim Q_{n-1} candidates could fill the
+level the problem is solved on the whole level and the candidate block is
+never factored, and a large block whose QR shows no small pivot stands in by
+its Q, with no SVD.
 
 Every submodule carries the saturation flags of the construction that built
 it (generation their recursion's, and E_V^perp of ``linearize.ev_space`` is
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, monomials
-from .config import SPAN_TOL
+from .config import RANK_TOL_FACTOR, SPAN_TOL
 
 
 # -- vector polynomials and their text format ----------------------------
@@ -198,16 +200,31 @@ def euler_candidates(module, prev, n):
 
     ``prev`` has orthonormal columns in level n-1.  Its callers solve a
     nullspace problem whose answer lies in C_n and is the same on any
-    orthonormal superspace of it (``cosaturation``), so a block of
-    d dim(prev) >= dim(level n) columns, which C_n may fill, is never
-    formed: the identity of the level is returned.  A narrower block is
-    orthonormalized to C_n itself (``linalg.orthonormal_columns``).
+    orthonormal superspace of it (``cosaturation``), so the basis need not
+    be of C_n itself:
+
+    - a block of d dim(prev) >= dim(level n) columns, which C_n may fill, is
+      never formed: the identity of the level is returned;
+    - a block the triangle route takes (``linalg._routed``) gets one reduced
+      QR.  Unless a pivot |r_ii| <= RANK_TOL_FACTOR max|r_jj| proves a drop
+      (sigma_min <= min|r_ii| and max|r_jj| <= sigma_max), the result is Q,
+      which spans the block's columns and so contains C_n, with no SVD;
+      after a proved drop it is Q U_R, with U_R = ``orthonormal_columns(R)``
+      cut at R's singular values, which are the block's;
+    - any other block is orthonormalized to C_n by one plain SVD
+      (``linalg.orthonormal_columns``).
     """
     dim = module.level_dim(n)
     if module.d * prev.shape[1] >= dim:
         return np.eye(dim, dtype=complex)
-    return linalg.orthonormal_columns(np.hstack(
-        [module.shift(k, n - 1, prev) for k in range(1, module.d + 1)]))
+    block = np.hstack([module.shift(k, n - 1, prev) for k in range(1, module.d + 1)])
+    if not linalg._routed(block):
+        return linalg.orthonormal_columns(block)
+    q, r = np.linalg.qr(block)
+    pivots = np.abs(np.diagonal(r))
+    if pivots.min() > RANK_TOL_FACTOR * pivots.max():
+        return q
+    return q @ linalg.orthonormal_columns(r)
 
 
 def cosaturation(module, quotient_prev, n):
@@ -220,11 +237,12 @@ def cosaturation(module, quotient_prev, n):
     nullspace of the stacked rows (I - P_{Q_{n-1}}) Z_k* is solved on C_n:
     at most d dim Q_{n-1} columns.  The stacked rows are a compression of
     L_{n-1}*, whose norm is rho_{n-1} exactly, so the rank cut is taken
-    relative to rho_{n-1}.  Solving on a superspace of C_n (the whole level,
-    for a wide candidate block: ``euler_candidates``) gives the same answer
-    with the same cut: for f perpendicular to C_n, Q_{n-1}* Z_k* f = 0 for
-    every k, so the rows act on f as L_{n-1}* does, and by the row-sum
-    identity f is a right singular vector with singular value rho_{n-1}.
+    relative to rho_{n-1}.  Solving on any orthonormal superspace of C_n
+    (the whole level for a wide candidate block, the Q of a routed block's
+    QR: ``euler_candidates``) gives the same answer with the same cut: for
+    f perpendicular to C_n, Q_{n-1}* Z_k* f = 0 for every k, so the rows act
+    on f as L_{n-1}* does, and by the row-sum identity f is a right singular
+    vector with singular value rho_{n-1}, its image orthogonal to that of C_n.
     """
     dim_prev = quotient_prev.shape[1]
     if dim_prev == 0:

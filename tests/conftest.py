@@ -6,10 +6,36 @@ import gradmod as gm
 
 FAMILIES = ("dshift", "hardy", "bergman", "sinsqrt")
 
+# (rows, cols) of operands met in the benchmark's workloads: the largest
+# nullspace operand of a ``rank`` pass and of a ``desk`` pass
+RANK_SIZED = (828, 27)
+DESK_SIZED = (20, 4)
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def complex_gaussian(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def counted_lapack(monkeypatch):
+    """Record every np.linalg qr and svd call as ("qr", mode) or ("svd", with_u)."""
+    calls = []
+    qr, svd = np.linalg.qr, np.linalg.svd
+
+    def counting_qr(a, mode="reduced"):
+        calls.append(("qr", mode))
+        return qr(a, mode)
+
+    def counting_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append(("svd", compute_uv))
+        return svd(a, full_matrices, compute_uv, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
 
 
 def random_generators(rng, d, r, degree, count):

@@ -1,8 +1,8 @@
 """Node-by-node contour quadrature: the test oracle for the panel-stacked rule.
 
-``normality.resolvent_quadrature`` solves the GL_ORDER resolvents of a
-Gauss-Legendre panel in one stacked call and adds the weighted terms a panel
-at a time.  This module evaluates the same rule the plain way: one
+``normality.resolvent_quadrature`` solves the resolvents of a chunk of
+Gauss-Legendre panels in one stacked call and adds the weighted terms a
+chunk at a time.  This module evaluates the same rule the plain way: one
 ``np.linalg.solve`` per contour node, each weighted term added in place as
 soon as it is formed.  It shares only the rule itself
 (``normality._contour_nodes``) with the package.

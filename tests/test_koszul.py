@@ -246,9 +246,11 @@ def assert_matches_dense(ops):
         if kz.interior(0, n):
             assert abs(dirac_square_residual(kz, n, 0.0)
                        - dense.dirac_square_residual(n)) <= 1e-13
-    assert sorted(kz.boundary) == sorted(dense.boundary)
-    for (k, n), block in dense.boundary.items():
-        assert np.array_equal(kz.boundary_block(k, n), block)
+    # only the pairs the reports read are stored: k < d and n + k <= N - 1
+    assert sorted(kz.boundary) == sorted((k, n) for k, n in dense.boundary
+                                         if n + k <= kz.top_level - 1)
+    for k, n in kz.boundary:
+        assert np.array_equal(kz.boundary_block(k, n), dense.boundary[(k, n)])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -263,6 +265,30 @@ def test_gamma_blocks_match_the_dense_complex(family, d, r):
     sub = gm.GradedSubmodule.generate(
         mod, [gm.monomial_generator((1,) + (0,) * (d - 1))])
     assert_matches_dense(sub.quotient_tuple())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_unstored_boundary_maps_are_refused_and_zero_maps_read_zero(d):
+    mod = h2_module(d, n_levels={1: 8, 2: 7, 3: 6, 4: 5}[d])
+    sub = gm.GradedSubmodule.generate(mod, [gm.monomial_generator((1,) + (0,) * (d - 1))])
+    for ops in (mod.coordinate_tuple(), sub.quotient_tuple()):
+        kz = build_koszul(ops)
+        top = kz.top_level
+        for k in range(d):
+            for n in range(top - k, top + 1):
+                assert (k, n) not in kz.boundary
+                with pytest.raises(ValueError, match="not stored"):
+                    kz.boundary_rank(k, n)
+                with pytest.raises(ValueError, match="not stored"):
+                    kz.boundary_block(k, n)
+        for n in range(top + 1):
+            for zero in ((-1, n), (d, n)):
+                assert kz.boundary_rank(*zero) == 0
+            assert kz.boundary_block(-1, n).shape == (kz.form_dim(0, n + 1), 0)
+            assert kz.boundary_block(d, n).shape == (0, kz.form_dim(d, n))
+        for k in range(-1, d + 1):
+            assert kz.boundary_rank(k, -1) == 0
+            assert kz.boundary_block(k, -1).shape == (kz.form_dim(k + 1, 0), 0)
 
 
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)

@@ -6,10 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gradmod import linalg
 from gradmod.config import RANK_TOL_FACTOR
-
-
-def complex_gaussian(rng, *shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+from conftest import DESK_SIZED, RANK_SIZED, complex_gaussian, counted_lapack
 
 
 def with_singular_values(rng, rows, cols, sigma):
@@ -110,11 +107,6 @@ def test_rank_helpers_agree_on_one_cut(case):
 
 # -- the triangle route --------------------------------------------------------
 
-# (rows, cols) of operands met in the benchmark's workloads: the largest
-# nullspace operand of a ``rank`` pass and of a ``desk`` pass
-RANK_SIZED = (828, 27)
-DESK_SIZED = (20, 4)
-
 
 def reference_nullspace(a, scale=0.0):
     """``nullspace`` by numpy's SVD of the whole operand."""
@@ -212,7 +204,7 @@ def test_desk_sized_wide_and_out_of_range_operands_do_not(rng, monkeypatch):
     assert calls == []
 
 
-# -- orthonormal columns through the triangle ------------------------------------
+# -- orthonormal columns by one plain SVD ------------------------------------------
 
 
 def plain_orthonormal_columns(a):
@@ -226,72 +218,10 @@ def plain_orthonormal_columns(a):
 @example(np.full(RANK_SIZED, 1e-200 + 0j))
 @example(np.full(RANK_SIZED, 1e200 + 0j))
 def test_orthonormal_columns_span_what_the_plain_svd_spans(a):
+    # every operand, routed or not, takes the plain SVD: the same bits
     for block in a.reshape(-1, *a.shape[-2:]):
-        want = plain_orthonormal_columns(block)
-        got = linalg.orthonormal_columns(block)
-        assert got.shape == want.shape
-        assert linalg.subspace_distance(got, want, 0.0) <= 1e-12
-        assert linalg.orthonormality_residual(got, 0.0) <= 1e-12
-
-
-def counted_lapack(monkeypatch):
-    """Record every np.linalg qr and svd call as ("qr", mode) or ("svd", with_u)."""
-    calls = []
-    qr, svd = np.linalg.qr, np.linalg.svd
-
-    def counting_qr(a, mode="reduced"):
-        calls.append(("qr", mode))
-        return qr(a, mode)
-
-    def counting_svd(a, full_matrices=True, compute_uv=True, **kwargs):
-        calls.append(("svd", compute_uv))
-        return svd(a, full_matrices, compute_uv, **kwargs)
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    return calls
-
-
-def kahan(n, sine):
-    """Kahan's triangle: pivots sine^i, no small one, yet sigma_min far below them."""
-    cosine = np.sqrt(1.0 - sine**2)
-    return np.diag(sine ** np.arange(n)) @ (np.eye(n) - cosine * np.triu(np.ones((n, n)), 1))
-
-
-def test_a_full_rank_rank_sized_operand_is_its_q(rng, monkeypatch):
-    a = complex_gaussian(rng, *RANK_SIZED)
-    q = np.linalg.qr(a)[0]
-    calls = counted_lapack(monkeypatch)
-    got = linalg.orthonormal_columns(a)
-    assert calls == [("qr", "reduced"), ("svd", False)]
-    assert np.array_equal(got, q)
-
-
-def test_a_pivot_under_the_cut_goes_straight_to_the_svd_of_r(rng, monkeypatch):
-    a = complex_gaussian(rng, *RANK_SIZED)
-    a[:, 5] = a[:, 0] - 2j * a[:, 3]
-    want = plain_orthonormal_columns(a)
-    calls = counted_lapack(monkeypatch)
-    got = linalg.orthonormal_columns(a)
-    assert calls == [("qr", "reduced"), ("svd", True)]
-    assert got.shape == want.shape == (RANK_SIZED[0], RANK_SIZED[1] - 1)
-    assert linalg.subspace_distance(got, want, 0.0) <= 1e-12
-
-
-def test_a_kahan_operand_loses_rank_with_no_small_pivot(rng, monkeypatch):
-    n = RANK_SIZED[1]
-    triangle = kahan(n, 0.6)
-    pivots = np.abs(np.diagonal(triangle))
-    values = np.linalg.svd(triangle, compute_uv=False)
-    assert pivots.min() > 1e3 * RANK_TOL_FACTOR * pivots.max()
-    assert values[-1] < 1e-2 * RANK_TOL_FACTOR * values[0] < values[-2]
-    basis = np.linalg.qr(complex_gaussian(rng, *RANK_SIZED))[0]
-    a = basis @ triangle
-    want = plain_orthonormal_columns(a)
-    calls = counted_lapack(monkeypatch)
-    got = linalg.orthonormal_columns(a)
-    assert calls == [("qr", "reduced"), ("svd", False), ("svd", True)]
-    assert got.shape == want.shape and got.shape[1] < n
-    assert linalg.subspace_distance(got, want, 0.0) <= 1e-12
+        assert np.array_equal(linalg.orthonormal_columns(block),
+                              plain_orthonormal_columns(block))
 
 
 def test_a_desk_sized_operand_keeps_the_plain_svd(rng, monkeypatch):

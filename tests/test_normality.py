@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import gradmod as gm
 from gradmod import linalg
 from gradmod.config import RESIDUAL_FLOOR
-from gradmod.normality import (GL_ORDER, _side_panels,
+from gradmod.normality import (CHUNK_ENTRIES, GL_ORDER, _side_panels,
                                alternating_block_sequence,
                                resolvent_quadrature, similarity_counterexample,
                                spectral_projection_oracle)
@@ -361,19 +361,59 @@ def _gapped_case(dim):
     return b, gap, ys, (dim // 4) % 4
 
 
+def several_chunks(b, gap):
+    """A node count whose undoubled rule spans three or more chunks and ends in a partial one.
+
+    Opposite sides have equal panel counts, so a rule has an even number of
+    panels, and chunks of one or two panels leave no partial chunk; for
+    them it is enough that there are three or more.
+    """
+    dim = b.shape[0]
+    chunk = max(1, CHUNK_ENTRIES // (GL_ORDER * dim * dim))
+    b_norm = float(np.linalg.norm(b, 2))
+    nodes = GL_ORDER
+    while True:
+        panels = sum(_side_panels(b_norm, gap, nodes))
+        if panels > 2 * chunk and (chunk <= 2 or panels % chunk):
+            return nodes
+        nodes += GL_ORDER
+
+
 @pytest.mark.parametrize("dim", range(1, 17))
 def test_panel_quadrature_equals_node_loop_bitwise(dim):
-    # one stacked solve per panel, summed in node order: the same bits as one
-    # solve per node; nodes = 1 gives one panel per side
+    # one stacked solve per chunk of panels, summed in node order: the same
+    # bits as one solve per node; nodes = 1 gives one panel per side, and
+    # the last rule spans several chunks and ends in a partial one
     b, gap, ys, doublings = _gapped_case(dim)
-    for nodes in (1, 100):
-        proj, transformed = resolvent_quadrature(b, gap, nodes, ys, doublings)
-        want_proj, want_transformed = node_by_node_quadrature(b, gap, nodes, ys,
-                                                              doublings)
+    for nodes, doubled in ((1, doublings), (100, doublings), (several_chunks(b, gap), 0)):
+        proj, transformed = resolvent_quadrature(b, gap, nodes, ys, doubled)
+        want_proj, want_transformed = node_by_node_quadrature(b, gap, nodes, ys, doubled)
         assert np.array_equal(proj, want_proj)
         assert len(transformed) == len(ys)
         for got, want in zip(transformed, want_transformed):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 5, 11, 16])
+def test_a_chunk_is_whole_panels_within_the_entry_limit(dim, monkeypatch):
+    # as many whole panels per stacked solve as fit in CHUNK_ENTRIES (one
+    # panel at dim 16), at least one; only the last chunk may be shorter
+    b, gap, _, _ = _gapped_case(dim)
+    nodes = several_chunks(b, gap)
+    panels = sum(_side_panels(linalg.opnorm(b), gap, nodes))
+    chunk = max(1, CHUNK_ENTRIES // (GL_ORDER * dim * dim))
+    sizes = []
+    solve = np.linalg.solve
+
+    def counting(a, *args):
+        sizes.append(a.shape[0])
+        return solve(a, *args)
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    resolvent_quadrature(b, gap, nodes)
+    assert len(sizes) == -(-panels // chunk) >= 3
+    assert sizes[:-1] == [chunk * GL_ORDER] * (len(sizes) - 1)
+    assert sum(sizes) == panels * GL_ORDER
+    assert chunk * GL_ORDER * dim * dim <= max(CHUNK_ENTRIES, GL_ORDER * dim * dim)
 
 
 @pytest.mark.parametrize("dim", [1, 4, 7])

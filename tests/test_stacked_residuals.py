@@ -17,7 +17,7 @@ import pytest
 import gradmod as gm
 from gradmod import linalg
 from gradmod.config import RESIDUAL_FLOOR
-from conftest import FAMILIES, random_generators
+from conftest import FAMILIES, complex_gaussian, random_generators
 
 TOP = {1: 8, 2: 8, 3: 6, 4: 5}
 
@@ -26,10 +26,6 @@ def module(family, d, r, top=None):
     top = TOP[d] if top is None else top
     return gm.StandardModule(gm.make_weights(family, top, d=d, r1=1.0, r2=4.0),
                              d=d, multiplicity=r)
-
-
-def complex_gaussian(rng, *shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def orthonormal(rng, rows, cols):
