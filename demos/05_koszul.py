@@ -13,7 +13,7 @@ import numpy as np
 import gradmod as gm
 from gradmod import linalg
 from gradmod.koszul import (betti_numbers, betti_table, build_koszul,
-                            dirac_square_residual, solve_syzygy)
+                            dirac_square_residuals, solve_syzygy)
 
 for d, r in ((2, 1), (2, 3), (3, 1)):
     mod = gm.StandardModule(gm.make_weights("dshift", 8), d=d, multiplicity=r)
@@ -42,9 +42,9 @@ print("\nDirac square identity D^2 = F (x) 1 + commutator corrections,")
 print("checked blockwise on the Hardy module:")
 hardy = gm.StandardModule(gm.make_weights("hardy", 8, d=2), d=2)
 h_ops = hardy.coordinate_tuple()
-h_complex = build_koszul(h_ops)
+h_dirac = dirac_square_residuals(build_koszul(h_ops), 0.0)
 for n in range(1, 6):
-    print(f"  level {n}: residual {dirac_square_residual(h_complex, n, 0.0):.2e}")
+    print(f"  level {n}: residual {h_dirac[n]:.2e}")
 
 print("\nSyzygies: any homogeneous relation sum_k Z_k xi_k = 0 is generated")
 print("by the trivial antisymmetric ones, one degree down.")

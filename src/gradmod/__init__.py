@@ -22,7 +22,7 @@ from .koszul import (
     betti_numbers,
     betti_table,
     build_koszul,
-    dirac_square_residual,
+    dirac_square_residuals,
     solve_syzygy,
 )
 from .linearize import (

@@ -40,7 +40,7 @@ from . import config as cfg
 from . import linalg
 from .completion import (StandardModule, make_weights, number_trace_report,
                          oscillation_report, summability_report)
-from .koszul import betti_numbers, betti_table, build_koszul, dirac_square_residual
+from .koszul import betti_numbers, betti_table, build_koszul, dirac_square_residuals
 from .linearize import (ev_gradient_levels, ev_space, linearize_full,
                         parse_subspace, pullback_quotient, recover_subspace)
 from .normality import (alternating_block_sequence,
@@ -562,8 +562,7 @@ def cmd_koszul(args, outdir):
         table = betti_table(complex_)
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
-    dirac = {n: dirac_square_residual(complex_, n, dirac_bound)
-             for n in range(module.top_level) if complex_.interior(0, n)}
+    dirac = dirac_square_residuals(complex_, dirac_bound)
     bsquared = complex_.bsquared_residual(bsquared_bound)
     checks = [within("boundary_squared", bsquared, bsquared_tol)]
     checks += [within(f"dirac_square_level_{n}", resid, dirac_tol)

@@ -28,27 +28,42 @@ vector, as on a standard module.  A tuple the labels do not fit, such as a
 quotient by generic generators, puts each space in one class; its one
 gamma-block per boundary block is the dense block.
 
-The blocks of each B_k(n) are zero-padded to one shape and stacked, and
-ranks, B^2 and D^2 residuals are taken by batched products and SVDs over the
-stacks.  A rank counts the singular values of B_k(n) above RANK_TOL_FACTOR
-times the largest over all of its blocks, so it is the rank of the assembled
-block.  ``boundary_block`` assembles a dense B_k(n) only on request.
+The classes of every space are rows of one table ordered by key
+(``_class_table``).  The blocks of each B_k(n) are zero-padded to one
+shape, the largest class of each side, and the maps whose blocks have one
+shape share one stack over all levels (``KoszulComplex.blocks``).  Ranks,
+B^2 and D^2 residuals are taken by batched products and SVDs, one pass per
+stack or per group of equally shaped blocks, never per (k, n).  Blocks of
+different shapes never share a stack, and padding is never added to fit
+one: a zero-padded SVD, product or sum can differ in its last bits, so
+every block keeps the shape, values and bits it has on its own.  For the
+same reason a level or space of one 1 x 1 class is never stacked with
+others: numpy adds the terms of a lone entry pairwise, and those of several
+entries one after the other.  A rank
+counts the singular values of B_k(n) above RANK_TOL_FACTOR times the
+largest over all of its blocks, so it is the rank of the assembled block;
+the cut and the triangle route (``linalg.numerical_rank``) are still taken
+per map, as is each residual's Frobenius certificate (``linalg.residual``).
+``boundary_block`` assembles a dense B_k(n) only on request.  A pass takes
+at most CHUNK_ENTRIES entries at once, so its temporaries stay near those
+of one level on large inputs.
 
 The gamma-blocks and the level blocks below are filled by looking their
-entries up among the stored ones (``LevelEntries.read``): each is one
-stored value or 0, the bits of the dense entry (an exact zero reads as +0).  The input checks and the
-right-hand side of D^2 run on the same labels.  The classes of form degree
-0 are the level classes, and each T_i(n) is held as the zero-padded stack
-of its blocks from level class L to L + e_i
-(``KoszulComplex.level_blocks``), 1 x 1 on a standard module.  Where the
-labels hold, that stack is T_i(n) with its rows and columns permuted and
-zeros added.  So the tuple's scale is the largest block norm, each
-commutator T_j T_k - T_k T_j is checked block by block, and the entries of
-F and of [T_k*, T_j] that D^2 reads are formed only between level classes
-L and L + e_j - e_k.  A tuple without labels has one class per level, and
-the same code runs on its dense blocks.  The right-hand side of D^2 reads,
-for each pair of Lambda^k subsets, only the at most 1 + d - k level terms
-whose form factor is nonzero there (``_form_links``).
+entries up among the stored ones of all levels at once
+(``LevelEntries.join``, ``LevelEntries.read``): each is one stored value or
+0, the bits of the dense entry (an exact zero reads as +0), and the padding
+is not looked up.  The input checks and the right-hand side of D^2 run on
+the same labels.  The classes of form degree 0 are the level classes, and
+each T_i(n) is held as the zero-padded stack of its blocks from level class
+L to L + e_i (``KoszulComplex.level_blocks``), 1 x 1 on a standard module.
+Where the labels hold, that stack is T_i(n) with its rows and columns
+permuted and zeros added.  So the tuple's scale is the largest block norm,
+each commutator T_j T_k - T_k T_j is checked block by block, and the
+entries of F and of [T_k*, T_j] that D^2 reads are formed only between
+level classes L and L + e_j - e_k.  A tuple without labels has one class
+per level, and the same code runs on its dense blocks.  The right-hand side
+of D^2 reads, for each pair of Lambda^k subsets, only the at most 1 + d - k
+level terms whose form factor is nonzero there (``_form_links``).
 
 Every reported quantity is restricted to interior (level, form-degree) pairs
 with n + k <= N - 1, so no block ever touches truncated data, and only the
@@ -67,6 +82,13 @@ import numpy as np
 from . import linalg
 from .config import EXACT_TOL, SPAN_TOL
 from .operators import LevelEntries
+
+# A grouped pass takes as many whole maps, levels or spaces at once as keep
+# its stack within this many entries, and one at least.  At 2^16 the stacks
+# of ``koszul --d 4 --N 12`` and of a d = 3 quotient at N = 16 take one pass
+# each, and the traced peak of ``koszul --d 4 --N 18`` stays within 2% of
+# that of one pass per (k, n).
+CHUNK_ENTRIES = 1 << 16
 
 
 def form_subsets(d, k):
@@ -114,6 +136,22 @@ def _creation_links(d, k):
     return sign, var
 
 
+@lru_cache(maxsize=None)
+def _link_table(d):
+    """``_creation_links`` of every form degree k < d, flattened end to end.
+
+    Returns (start, sign, var): the link of form degree k between subsets
+    S' and S sits at start[k] + S' C(d, k) + S.
+    """
+    links = [_creation_links(d, k) for k in range(d)]
+    start = np.cumsum([0] + [sign.size for sign, _ in links[:-1]])
+    sign = np.concatenate([sign.ravel() for sign, _ in links])
+    var = np.concatenate([var.ravel() for _, var in links])
+    for table in (start, sign, var):
+        table.setflags(write=False)
+    return start, sign, var
+
+
 def _as_entries(ops):
     """{n: LevelEntries} of a tuple: each dense stack read once, entries kept as they are."""
     return {n: level if isinstance(level, LevelEntries) else LevelEntries.of(level)
@@ -158,141 +196,318 @@ def node_labels(ops):
     return labels
 
 
-def _class_ids(labels, d, dims, spaces):
-    """Class id of every flat basis index of each of ``spaces`` (k, n), one id space.
+def _starts(runs):
+    """Position of the first entry of each run of ``runs`` consecutive entries."""
+    return np.cumsum(runs) - runs
 
-    The id of (root, gamma) is a number in base ``radix`` with one digit
-    gamma_i + 1 per variable, so adding e_i to gamma adds ``steps[i]`` to the
-    id.  A tuple without labels, or one with too many classes to number in
-    62 bits, gets id 0 everywhere and steps 0.  Returns (ids, steps).
+
+def _ranges(starts, counts):
+    """The ranges starts[i], ..., starts[i] + counts[i] - 1, end to end."""
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.repeat(starts - _starts(counts), counts) + np.arange(counts.sum())
+
+
+def _chunks(runs, size):
+    """Consecutive runs, as many at a time as hold at most CHUNK_ENTRIES entries, one at least.
+
+    ``runs`` counts the blocks of each run and ``size`` the entries of one
+    block.  Returns a list of (runs slice, blocks slice).
     """
-    if labels is not None:
-        # weights are >= 0, so each entry of gamma + 1 is a digit in base ``radix``
-        radix = 2 + max(int(weight.max(initial=0)) for _, weight in labels.values())
-        roots = 1 + max(int(root.max(initial=0)) for root, _ in labels.values())
-    if labels is None or roots * radix**d >= 2**62:
-        return ({(k, n): np.zeros(dims[n] * comb(d, k), dtype=np.int64)
-                 for k, n in spaces}, np.zeros(d, dtype=np.int64))
-    steps = radix ** np.arange(d, dtype=np.int64)
-    ids = {}
-    for k, n in spaces:
-        root, weight = labels[n]
-        digits = weight[:, None, :] - _subset_rows(d, k)[None, :, :] + 1
-        ids[(k, n)] = (root[:, None] * radix**d + digits @ steps).reshape(-1)
-    return ids, steps
+    edges = [0] + np.cumsum(runs, dtype=np.int64).tolist()
+    cuts = [0]
+    for i in range(1, len(edges) - 1):
+        if (edges[i + 1] - edges[cuts[-1]]) * size > CHUNK_ENTRIES:
+            cuts.append(i)
+    cuts.append(len(edges) - 1)
+    return [(slice(lo, hi), slice(edges[lo], edges[hi]))
+            for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
 @dataclass(frozen=True)
 class GammaClasses:
-    """The classes of one space H_n (x) Lambda^k, as a padded member table."""
+    """The classes of one space H_n (x) Lambda^k: rows start, start + 1, ... of the class table."""
 
-    ids: np.ndarray       # (u,) class ids, ascending
+    start: int            # position of its first class in the table
+    ids: np.ndarray       # (u,) class keys, ascending
     members: np.ndarray   # (u, width) flat indices of each class, ascending, -1 padded
 
-    @classmethod
-    def of(cls, class_id):
-        order = np.argsort(class_id, kind="stable")
-        ids, starts, sizes = np.unique(class_id[order], return_index=True,
-                                       return_counts=True)
-        pos = np.arange(sizes.max(initial=0))
-        inside = pos < sizes[:, None]
-        members = np.where(inside, order[starts[:, None] + np.where(inside, pos, 0)], -1)
-        return cls(ids, members)
+
+def _class_table(labels, d, dims, spaces):
+    """Every class of every space of ``spaces`` (sorted), in one table of ascending keys.
+
+    Space (k, n) owns the keys from (k (N + 2) + n) span on, N the top
+    level.  A basis vector's key adds the id of its class (root, gamma):
+    root radix^d plus one digit gamma_i + 1 in base ``radix`` per variable.
+    So an id is below span = roots radix^d, adding e_i to gamma adds
+    steps[i] = radix^i, the class of the same id one level up is span
+    further, and the class B_k(n) maps it into is (N + 3) span further.  A
+    tuple without labels, or one with too many classes to number in 62
+    bits, gets one class per space: span 1 and steps 0.  The keys of each
+    chunk of spaces are sorted at once, stably, so a class lists its
+    members in ascending order.
+
+    Returns (keys, members, classes, steps, span): keys (C,) ascending;
+    members (C + 1, width) the flat indices of each class in its space, -1
+    padded to the widest class, and a last row of -1 that no class owns;
+    classes {space: GammaClasses}.
+    """
+    top = max(dims)
+    steps, span = np.zeros(d, dtype=np.int64), 1
+    if labels is not None:
+        # weights are >= 0, so each entry of gamma + 1 is a digit in base ``radix``
+        radix = 2 + max(int(weight.max(initial=0)) for _, weight in labels.values())
+        roots = 1 + max(int(root.max(initial=0)) for root, _ in labels.values())
+        if (d + 1) * (top + 2) * roots * radix**d < 2**62:
+            steps, span = radix ** np.arange(d, dtype=np.int64), roots * radix**d
+        else:
+            labels = None
+    lam = np.array([comb(d, k) for k in range(d + 1)], dtype=np.int64)
+    first_vec = _starts([dims[n] for n in range(top + 1)])
+    first_sub = _starts(lam)
+    if labels is None:
+        vec_id = np.zeros(sum(dims.values()), dtype=np.int64)
+        sub_id = np.zeros(lam.sum(), dtype=np.int64)
+    else:
+        # the id of (root, beta - 1_S) is that of (root, beta) less that of 1_S
+        vec_id = np.concatenate([labels[n][0] * radix**d + (labels[n][1] + 1) @ steps
+                                 for n in range(top + 1)])
+        sub_id = np.concatenate([_subset_rows(d, k) @ steps for k in range(d + 1)])
+    space_k, space_n = np.array(spaces, dtype=np.int64).reshape(-1, 2).T
+    sizes = np.array([dims[n] for n in space_n.tolist()], dtype=np.int64) * lam[space_k]
+    base = (space_k * (top + 2) + space_n) * span
+    keys, counts, members = [], [], []
+    for part, _ in _chunks(sizes, 1):
+        if not sizes[part].any():
+            continue
+        space = np.repeat(np.arange(part.start, part.stop), sizes[part])
+        flat = np.arange(space.size) - np.repeat(_starts(sizes[part]), sizes[part])
+        vec, sub = np.divmod(flat, lam[space_k[space]])
+        key = (base[space] + vec_id[first_vec[space_n[space]] + vec]
+               - sub_id[first_sub[space_k[space]] + sub])
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        head = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        count = np.diff(np.append(head, key.size))
+        pos = np.arange(count.max())
+        inside = pos < count[:, None]
+        keys.append(key[head])
+        counts.append(count)
+        members.append(np.where(inside, flat[order][head[:, None] + np.where(inside, pos, 0)],
+                                -1).astype(np.int32))
+    width = max((table.shape[1] for table in members), default=0)
+    members = np.concatenate(
+        [np.pad(table, ((0, 0), (0, width - table.shape[1])), constant_values=-1)
+         for table in members] + [np.full((1, width), -1, dtype=np.int32)])
+    keys = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+    counts = np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64)
+    start, stop = np.searchsorted(keys, np.stack([base, base + span]))
+    widths = np.zeros(len(spaces), dtype=np.int64)
+    filled = stop > start
+    if filled.any():
+        widths[filled] = np.maximum.reduceat(counts, start[filled])
+    classes = {space: GammaClasses(lo, keys[lo:hi], members[lo:hi, :w])
+               for space, lo, hi, w in zip(spaces, start.tolist(), stop.tolist(),
+                                           widths.tolist())}
+    return keys, members, classes, steps, span
+
+
+def _take(stack, at):
+    """stack[at] for ascending positions ``at``: a view when they are consecutive."""
+    if at.size and at[-1] - at[0] == at.size - 1:
+        return stack[at[0]:at[-1] + 1]
+    return stack[at]
+
+
+def _filled(rows, cols):
+    """Where blocks with the member lists ``rows`` and ``cols`` have entries.
+
+    A boolean mask of their broadcast shape, or ``...`` (every position)
+    when no member is padding; the padding reads zero.
+    """
+    filled = (rows >= 0) & (cols >= 0)
+    return Ellipsis if filled.all() else filled
+
+
+def _locate(keys, query):
+    """Position of each of ``query`` among the class keys; -1 where no class has it.
+
+    Every digit of a level class's id is at least 1, so a key shifted by a
+    step off the range of weights has a digit 0 and matches no level class.
+    """
+    if keys.size == 0:
+        return np.full(np.shape(query), -1)
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return np.where(keys[at] == query, at, -1)
+
+
+@dataclass(frozen=True)
+class BlockGroup:
+    """Equally shaped blocks of several maps, in one stack.
+
+    Map maps[i] holds the next runs[i] blocks.  ``cols`` names the class (a
+    row of the class table) whose members index each block's columns and,
+    for a boundary group, ``rows`` the class of its rows.
+    """
+
+    values: np.ndarray
+    maps: tuple
+    runs: np.ndarray
+    cols: np.ndarray
+    rows: np.ndarray = None
+
+
+def _stack_of(groups):
+    """{map: index of the stack of ``groups`` that holds it}."""
+    return {key: i for i, group in enumerate(groups) for key in group.maps}
 
 
 @dataclass(frozen=True)
 class GammaBlocks:
-    """B_k(n) on the classes its domain and codomain share, as one stack.
+    """B_k(n) on the classes its domain and codomain share: views into its ``BlockGroup``.
 
     Block j maps class ``col_class[j]`` of (k, n) to class ``row_class[j]``
-    of (k + 1, n + 1); its rows and columns follow the padded member tables
-    of those classes, and the padding rows and columns are zero, which
-    leaves every rank, product and norm of the block as it is.
+    of (k + 1, n + 1), both rows of the class table; its rows and columns
+    follow the padded member tables of those classes, and the padding rows
+    and columns are zero, which leaves every rank, product and norm of the
+    block as it is.
     """
 
-    row_class: np.ndarray   # (c,) positions in the codomain's GammaClasses
-    col_class: np.ndarray   # (c,) positions in the domain's GammaClasses
+    row_class: np.ndarray   # (c,) codomain classes
+    col_class: np.ndarray   # (c,) domain classes
     values: np.ndarray      # (c, codomain width, domain width)
 
 
-def _gamma_blocks(entries, k, dom, cod):
-    """B_k(n) = sum_i T_i(n) (x) C_i between the common classes of ``dom`` and ``cod``.
+def _level_blocks(entries, offsets, dims, keys, members, classes, steps, span):
+    """The T_i(n) between level classes, one zero-padded stack per block shape.
 
-    ``entries`` holds the T_i(n) (``LevelEntries``).  Each entry is read as
+    ``entries`` holds every level's T_i(n) end to end, level n from
+    offsets[n] on, and ``dims`` the level dimensions.  The level classes are
+    the classes of form degree 0.  The block of T_i(n) from class p to
+    class p + e_i (key span + steps[i] further), rows and columns following
+    the member tables, is zero where level n + 1 has no class p + e_i.  The
+    levels whose blocks have one shape (w_{n+1}, w_n) share one
+    (d, classes + 1, w_{n+1}, w_n) stack, their classes in level order; its
+    last block is zero, so the position past the classes reads zeros.
+    Where the labels hold, every nonzero entry of T_i(n) lies in one of its
+    blocks, so they form a permutation of T_i(n) padded with zeros: the
+    same norms and products.
+
+    Returns (groups, at): the BlockGroups, and at[g] the position of level
+    class g in its group's stack.
+    """
+    d = steps.size
+    shapes = {}
+    for n in range(len(offsets)):
+        shape = (classes[(0, n + 1)].members.shape[1], classes[(0, n)].members.shape[1])
+        shapes.setdefault(shape, []).append(n)
+    top = classes[(0, len(offsets))]
+    at = np.zeros(top.start + top.ids.size, dtype=np.int64)
+    var = np.arange(d)[:, None, None, None]
+    groups = []
+    for (w_up, w), levels in shapes.items():
+        runs = np.array([classes[(0, n)].ids.size for n in levels], dtype=np.int64)
+        cols = _ranges([classes[(0, n)].start for n in levels], runs)
+        level = np.repeat(levels, runs)
+        at[cols] = np.arange(cols.size)
+        values = np.zeros((d, cols.size + 1, w_up, w), dtype=entries.values.dtype)
+        for _, part in _chunks(runs, d * w_up * w):
+            target = _locate(keys, keys[cols[part]] + span + steps[:, None])
+            rows = members[target, :w_up][:, :, :, None]
+            col = members[cols[part], :w][None, :, None, :]
+            n = level[part][None, :, None, None]
+            key = offsets[n] + (var * dims[n + 1] + rows) * dims[n] + col
+            filled = _filled(rows, col)
+            values[:, part][filled] = entries.read(key[filled])
+        groups.append(BlockGroup(values, tuple(levels), runs, cols))
+    return tuple(groups), at
+
+
+def _gamma_blocks(entries, offsets, dims, keys, members, classes, stored, shift, d):
+    """B_k(n) = sum_i T_i(n) (x) C_i for every (k, n) of ``stored``, one stack per block shape.
+
+    ``entries``, ``offsets`` and ``dims`` are as in ``_level_blocks``.  A
+    class of (k, n) meets the class of (k + 1, n + 1) whose key is ``shift``
+    further, if there is one, and B_k(n) has one block per such pair, in
+    the order of its domain classes.  Each entry is read as
     sign * T_i(n)[a, b], with i the one variable (if any) whose creation
     matrix links the two subsets, so it equals the Kronecker entry exactly.
+    The maps whose blocks have one shape share one stack, in the order of
+    ``stored``.
+
+    Returns (groups, boundary): the BlockGroups, and {(k, n): GammaBlocks}
+    in the order of ``stored``, views into them.
     """
-    sign, var = _creation_links(entries.shape[0], k)
-    lam_hi, lam_lo = sign.shape
-    _, at_cod, at_dom = np.intersect1d(cod.ids, dom.ids, assume_unique=True,
-                                       return_indices=True)
-    rows = cod.members[at_cod][:, :, None]
-    cols = dom.members[at_dom][:, None, :]
-    a, s_hi = np.divmod(rows, lam_hi)
-    b, s_lo = np.divmod(cols, lam_lo)
-    values = sign[s_hi, s_lo] * entries.read(var[s_hi, s_lo], a, b)
-    return GammaBlocks(at_cod, at_dom, np.where((rows >= 0) & (cols >= 0), values, 0))
-
-
-def _locate(classes, ids):
-    """Position of each of ``ids`` among the classes; -1 where no class has it.
-
-    Every digit of a level class's id is at least 1, so an id shifted by a
-    step off the range of weights has a digit 0 and matches no level class.
-    """
-    known = classes.ids
-    if known.size == 0:
-        return np.full(np.shape(ids), -1)
-    at = np.minimum(np.searchsorted(known, ids), known.size - 1)
-    return np.where(known[at] == ids, at, -1)
-
-
-def _level_blocks(entries, steps, dom, cod):
-    """The T_i(n) between level classes, as one zero-padded (d, u + 1, w', w) stack.
-
-    ``entries`` holds the T_i(n) (``LevelEntries``), ``dom`` and
-    ``cod`` are the level classes of n and n + 1 (the classes of form
-    degree 0).  Entry [i, p] is the block of T_i(n) from class p to class
-    p + e_i, rows and columns following the padded member tables; it is zero
-    where level n + 1 has no class p + e_i.  The extra last block is zero,
-    so position -1, an absent class, reads zeros.  Where the labels hold,
-    every nonzero entry of T_i(n) lies in one of its blocks, so they form a
-    permutation of T_i(n) padded with zeros: the same norms and products.
-    """
-    d = entries.shape[0]
-    target = _locate(cod, dom.ids + steps[:, None])
-    members = np.vstack([cod.members, np.full((1, cod.members.shape[1]), -1)])
-    rows = members[target][:, :, :, None]
-    cols = dom.members[None, :, None, :]
-    values = np.where((rows >= 0) & (cols >= 0),
-                      entries.read(np.arange(d)[:, None, None, None], rows, cols), 0)
-    pad = np.zeros((d, 1) + values.shape[2:], dtype=values.dtype)
-    return np.concatenate([values, pad], axis=1)
+    link_start, link_sign, link_var = _link_table(d)
+    lam = np.array([comb(d, k) for k in range(d + 1)], dtype=np.int64)
+    degree, level = np.array(stored, dtype=np.int64).reshape(-1, 2).T
+    count = np.array([classes[space].ids.size for space in stored], dtype=np.int64)
+    dom = _ranges([classes[space].start for space in stored], count)
+    cod = _locate(keys, keys[dom] + shift)
+    matched = cod >= 0
+    owner = np.repeat(np.arange(len(stored)), count)[matched]
+    dom, cod = dom[matched], cod[matched]
+    runs = np.bincount(owner, minlength=len(stored))
+    shapes = {}
+    for i, (k, n) in enumerate(stored):
+        shape = (classes[(k + 1, n + 1)].members.shape[1], classes[(k, n)].members.shape[1])
+        shapes.setdefault(shape, []).append(i)
+    groups, boundary = [], {}
+    for (w_up, w), maps in shapes.items():
+        blocks = _ranges(_starts(runs)[maps], runs[maps])
+        rows, cols = cod[blocks], dom[blocks]
+        values = np.zeros((blocks.size, w_up, w),
+                          dtype=np.result_type(link_sign, entries.values))
+        for _, part in _chunks(runs[maps], w_up * w):
+            row = members[rows[part], :w_up][:, :, None]
+            col = members[cols[part], :w][:, None, :]
+            k = degree[owner[blocks[part]]][:, None, None]
+            n = level[owner[blocks[part]]][:, None, None]
+            a, s_hi = np.divmod(row, lam[k + 1])
+            b, s_lo = np.divmod(col, lam[k])
+            link = link_start[k] + s_hi * lam[k] + s_lo
+            key = offsets[n] + (link_var[link] * dims[n + 1] + a) * dims[n] + b
+            filled = _filled(row, col)
+            link, key = link[filled], key[filled]
+            values[part][filled] = link_sign[link] * entries.read(key)
+        group = BlockGroup(values, tuple(stored[i] for i in maps), runs[maps], cols, rows)
+        groups.append(group)
+        for space, lo, hi in zip(group.maps, _starts(group.runs).tolist(),
+                                 np.cumsum(group.runs).tolist()):
+            boundary[space] = GammaBlocks(rows[lo:hi], cols[lo:hi], values[lo:hi])
+    return tuple(groups), {space: boundary[space] for space in stored}
 
 
 @dataclass(frozen=True)
 class KoszulComplex:
     """The Koszul complex of a graded tuple, held on its gamma-blocks.
 
-    ``boundary[(k, n)]`` holds B_k(n) as the stack of its blocks between
-    equal classes of (k, n) and (k + 1, n + 1), for the pairs the reports
-    read: 0 <= k < d and n + k <= N - 1 (``build_koszul``).  Every entry
-    outside those blocks is exactly zero.  ``classes[(k, n)]`` partitions
-    the flat basis of H_n (x) Lambda^k into classes, for the spaces the
-    stored blocks touch, every interior space and every level.  A class
-    present on one side only is a run of zero rows or columns and has no
-    block.  The classes of form degree 0 are the level classes, and
-    ``level_blocks[n]`` holds every T_i(n) on them (``_level_blocks``);
-    ``steps[i]`` is the id shift of e_i.
+    The classes of every space the complex touches are rows of one table
+    (``_class_table``): ``keys`` ascending, ``members`` their member lists,
+    ``classes[(k, n)]`` the slice of H_n (x) Lambda^k, for the spaces the
+    stored blocks touch, every interior space and every level.
+    ``boundary[(k, n)]`` holds B_k(n) as its blocks between equal classes of
+    (k, n) and (k + 1, n + 1), for the pairs the reports read: 0 <= k < d
+    and n + k <= N - 1 (``build_koszul``); every entry outside those blocks
+    is exactly zero.  A class present on one side only is a run of zero
+    rows or columns and has no block.  The blocks of all maps of one shape
+    are one stack of ``blocks``, and the T_i(n) between level classes, the
+    classes of form degree 0, are the stacks of ``level_blocks``
+    (``_level_blocks``).
     """
 
     d: int
     level_dims: dict
-    boundary: dict       # (form degree k, level n) -> GammaBlocks of B_k(n)
     top_level: int
-    classes: dict        # (form degree k, level n) -> GammaClasses
-    level_blocks: dict   # level n -> (d, u_n + 1, w_{n+1}, w_n) stack of the T_i(n)
-    steps: np.ndarray    # (d,) class id shift of e_i; 0 for a tuple without labels
+    keys: np.ndarray         # (C,) class keys, ascending
+    members: np.ndarray      # (C + 1, width) member lists; the last row, all -1, is no class
+    classes: dict            # (form degree k, level n) -> GammaClasses
+    steps: np.ndarray        # (d,) key shift of e_i; 0 for a tuple without labels
+    span: int                # key shift from a class to the class one level up
+    blocks: tuple            # BlockGroup of the stored B_k(n), one per block shape
+    boundary: dict           # (k, n) -> GammaBlocks of B_k(n), views into ``blocks``
+    level_blocks: tuple      # BlockGroup of the T_i(n), one per block shape
+    level_at: np.ndarray     # position of each level class in its ``level_blocks`` stack
     _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _stored(self, k, n):
@@ -314,22 +529,27 @@ class KoszulComplex:
                        dtype=complex)
         if gamma is None:
             return out
-        rows = self.classes[(k + 1, n + 1)].members[gamma.row_class][:, :, None]
-        cols = self.classes[(k, n)].members[gamma.col_class][:, None, :]
+        rows = self.members[gamma.row_class, :gamma.values.shape[1]][:, :, None]
+        cols = self.members[gamma.col_class, :gamma.values.shape[2]][:, None, :]
         rows, cols = np.broadcast_arrays(rows, cols)
         keep = (rows >= 0) & (cols >= 0)
         out[rows[keep], cols[keep]] = gamma.values[keep]
         return out
 
     def boundary_rank(self, k, n):
-        """Numerical rank of B_k(n), computed once.
+        """Numerical rank of B_k(n).
 
         0 for the zero maps at k < 0, n < 0 and k = d; ValueError for a
-        nonzero map the complex does not store (``_stored``).
+        nonzero map the complex does not store (``_stored``).  The first
+        call ranks every stored map, one ``linalg.numerical_rank`` per stack
+        of ``blocks``, each map cut at its own largest singular value.
         """
-        if (k, n) not in self._ranks:
-            gamma = self._stored(k, n)
-            self._ranks[(k, n)] = 0 if gamma is None else linalg.numerical_rank(gamma.values)
+        if self._stored(k, n) is None:
+            return 0
+        if not self._ranks:
+            for group in self.blocks:
+                ranks = linalg.numerical_rank(group.values, group.runs)
+                self._ranks.update(zip(group.maps, ranks.tolist()))
         return self._ranks[(k, n)]
 
     def form_dim(self, k, n):
@@ -339,76 +559,81 @@ class KoszulComplex:
     def interior(self, k, n):
         return 0 <= n and n + k <= self.top_level - 1
 
+    def _ranged(self, spaces):
+        """The classes of ``spaces``, end to end, and how many each space has."""
+        counts = np.array([self.classes[space].ids.size for space in spaces], dtype=np.int64)
+        return _ranges([self.classes[space].start for space in spaces], counts), counts
+
+    def _blocks_at(self, side):
+        """(stack, position) of the block whose ``side`` ("rows" or "cols") follows each class.
+
+        -1 where no stored block does.
+        """
+        stack = np.full(self.keys.size, -1, dtype=np.int32)
+        at = np.full(self.keys.size, -1, dtype=np.int32)
+        for i, group in enumerate(self.blocks):
+            classes = getattr(group, side)
+            stack[classes] = i
+            at[classes] = np.arange(classes.size)
+        return stack, at
+
     def bsquared_residual(self, bound):
         """max || B_{k+1}(n+1) B_k(n) || over interior pairs, and ``bound``; 0 by anticommutation.
 
-        The product is the stack of products of the two maps' blocks on each
-        class of (k + 1, n + 1) that both of them meet, one
-        ``linalg.residual`` against ``bound``.
+        A stored B_{k+1}(n+1) is interior.  On each class of (k + 1, n + 1)
+        that both maps meet, the product is the upper block times the lower
+        one.  The products of every pair of stacks are one stack, and each
+        pair of maps is one run of its ``linalg.residual``.
         """
+        stack_of, at = self._blocks_at("cols")
+        stacks = _stack_of(self.blocks)
         values = []
-        for (k, n), lower in self.boundary.items():
-            upper = self.boundary.get((k + 1, n + 1))
-            if upper is None or not self.interior(k + 1, n + 1):
-                continue
-            _, at_lower, at_upper = np.intersect1d(
-                lower.row_class, upper.col_class, assume_unique=True,
-                return_indices=True)
-            values.append(linalg.residual(
-                upper.values[at_upper] @ lower.values[at_lower], bound))
-        return linalg.largest(values, bound)
+        for lower in self.blocks:
+            upper_stack = stack_of[lower.rows]
+            owner = np.repeat(np.arange(len(lower.maps)), lower.runs)
+            for i in sorted({stacks[(k + 1, n + 1)] for k, n in lower.maps
+                             if (k + 1, n + 1) in stacks}):
+                upper = self.blocks[i].values
+                pick = np.flatnonzero(upper_stack == i)
+                runs = np.bincount(owner[pick], minlength=len(lower.maps))
+                for part, blocks in _chunks(runs, upper.shape[1] * lower.values.shape[2]):
+                    prod = upper[at[lower.rows[pick[blocks]]]] @ lower.values[pick[blocks]]
+                    values.append(linalg.residual(prod, bound, runs[part]))
+        return linalg.largest(np.concatenate(values) if values else [], bound)
 
     def tuple_norm(self):
         """max ||T_i(n)|| over the stored levels: the largest norm of a level-class block."""
-        return linalg.largest([linalg.opnorm(stack[:, :-1])
-                               for stack in self.level_blocks.values()], 0.0)
+        return linalg.largest([linalg.opnorm(group.values[:, :-1].swapaxes(0, 1), group.runs)
+                               for group in self.level_blocks], 0.0)
 
     def commutation_residual(self, bound):
         """max || T_j(n+1) T_k(n) - T_k(n+1) T_j(n) || over j < k, and ``bound``: 0 if commuting.
 
         The commutator sends level class p to p + e_j + e_k through
         T_j(n+1)[p + e_k] T_k(n)[p] - T_k(n+1)[p + e_j] T_j(n)[p], so its
-        norm is the largest over those blocks (``linalg.residual``).
+        norm is the largest over those blocks.  The levels whose blocks and
+        those one level up share their stacks are one stack of commutator
+        blocks, each level one run of its ``linalg.residual``.
         """
         j, k = np.triu_indices(self.d, 1)
+        stack_of = _stack_of(self.level_blocks)
+        pairs = {}
+        for n in sorted(stack_of):
+            if n + 1 in stack_of:
+                pairs.setdefault((stack_of[n], stack_of[n + 1]), []).append(n)
         values = []
-        for n, low in self.level_blocks.items():
-            high = self.level_blocks.get(n + 1)
-            if high is None:
-                continue
-            target = _locate(self.classes[(0, n + 1)],
-                             self.classes[(0, n)].ids + self.steps[:, None])
-            low = low[:, :-1]
-            delta = (high[j[:, None], target[k]] @ low[k]
-                     - high[k[:, None], target[j]] @ low[j])
-            values.append(linalg.residual(delta, bound))
-        return linalg.largest(values, bound)
-
-    def _level_terms(self, n):
-        """F(n) and the starred commutators [T_k*, T_j](n), as one stack by level class.
-
-        Entry 0 is F = T_1 T_1* + ... + T_d T_d* (taken on level n - 1
-        blocks), entry 1 + (k - 1) d + (j - 1) is [T_k*, T_j].  Each is
-        indexed by the level class p of its columns.  F(n)[p] is its block
-        on class p, and the commutator holds at p the block from class p to
-        class p + e_j - e_k,
-        T_k(n)[p + e_j - e_k]* T_j(n)[p] - T_j(n-1)[p - e_k] T_k(n-1)[p - e_k]*;
-        it has no other nonzero blocks, and none are formed.
-        """
-        d, var = self.d, np.arange(self.d)
-        level = self.classes[(0, n)]
-        up = self.level_blocks[n]
-        across = _locate(level, level.ids + (self.steps - self.steps[:, None])[:, :, None])
-        comm = linalg.adjoint(up[var[:, None, None], across]) @ up[None, :, :-1]
-        f_level = np.zeros(comm.shape[2:], dtype=complex)
-        if n >= 1:
-            # [i, k, p] = T_i(n-1)[p - e_k]
-            below = self.level_blocks[n - 1][
-                :, _locate(self.classes[(0, n - 1)], level.ids - self.steps[:, None])]
-            outer = below.swapaxes(0, 1) @ linalg.adjoint(below[var, var])[:, None]
-            comm -= outer
-            f_level = outer[var, var].sum(axis=0)
-        return np.concatenate([f_level[None], comm.reshape(d * d, *comm.shape[2:])])
+        for (lo, hi), levels in pairs.items():
+            low, high = self.level_blocks[lo].values, self.level_blocks[hi].values
+            level, runs = self._ranged([(0, n) for n in levels])
+            for part, blocks in _chunks(runs, j.size * high.shape[2] * low.shape[3]):
+                cls = level[blocks]
+                target = _locate(self.keys, self.keys[cls] + self.span + self.steps[:, None])
+                target = np.where(target >= 0, self.level_at[target], high.shape[1] - 1).T
+                at = self.level_at[cls][:, None]
+                delta = (high[j, target[:, k]] @ low[k, at]
+                         - high[k, target[:, j]] @ low[j, at])
+                values.append(linalg.residual(delta, bound, runs[part]))
+        return linalg.largest(np.concatenate(values) if values else [], bound)
 
 
 def build_koszul(ops):
@@ -419,13 +644,14 @@ def build_koszul(ops):
     or to their dense (d, h_{n+1}, h_n) stack (``coordinate_tuple``,
     ``GradedSubmodule.quotient_tuple``), which is read into its entries here
     once; nothing below sees a dense stack.  The labels are read once
-    (``node_labels``).  The T_i(n) are gathered onto the level classes, and
+    (``node_labels``) and the classes of every space sorted into one table
+    (``_class_table``).  The T_i(n) are gathered onto the level classes, and
     the input checks run there: the tuple's scale is ``tuple_norm`` and its
     commutators are checked block by block
     (``KoszulComplex.commutation_residual``).  Gamma-blocks are built only
     for the pairs the reports read, 0 <= k < d with n + k <= N - 1
-    (``betti_table``, ``dirac_square_residual``, ``bsquared_residual``), and
-    class tables only for the spaces those blocks touch, every interior
+    (``betti_table``, ``dirac_square_residuals``, ``bsquared_residual``),
+    and class tables only for the spaces those blocks touch, every interior
     space (the D^2 right-hand sides) and every level (the input checks).
     Raises ValueError when the levels are not exactly 0..N-1, when two
     levels disagree on the shape of a level they share, when an entry is NaN
@@ -452,15 +678,18 @@ def build_koszul(ops):
     top = max(dims)
     interior = [(k, n) for n in sorted(ops) for k in range(d + 1) if n + k <= top - 1]
     stored = [(k, n) for k, n in interior if k < d]
-    spaces = ({(0, n) for n in dims} | set(interior)
-              | {(k + 1, n + 1) for k, n in stored})
-    ids, steps = _class_ids(node_labels(ops), d, dims, sorted(spaces))
-    classes = {space: GammaClasses.of(space_ids) for space, space_ids in ids.items()}
-    level_blocks = {n: _level_blocks(ops[n], steps, classes[(0, n)], classes[(0, n + 1)])
-                    for n in sorted(ops)}
-    boundary = {(k, n): _gamma_blocks(ops[n], k, classes[(k, n)], classes[(k + 1, n + 1)])
-                for k, n in stored}
-    complex_ = KoszulComplex(d, dims, boundary, top, classes, level_blocks, steps)
+    spaces = sorted({(0, n) for n in dims} | set(interior)
+                    | {(k + 1, n + 1) for k, n in stored})
+    keys, members, classes, steps, span = _class_table(node_labels(ops), d, dims, spaces)
+    # popped, so that the levels' own entries are let go once joined
+    entries, offsets = LevelEntries.join([ops.pop(n) for n in range(len(ops))])
+    level_dims = np.array([dims[n] for n in range(top + 1)], dtype=np.int64)
+    level_blocks, level_at = _level_blocks(entries, offsets, level_dims, keys, members,
+                                           classes, steps, span)
+    blocks, boundary = _gamma_blocks(entries, offsets, level_dims, keys, members, classes,
+                                     stored, (top + 3) * span, d)
+    complex_ = KoszulComplex(d, dims, top, keys, members, classes, steps, span, blocks,
+                             boundary, level_blocks, level_at)
     scale = complex_.tuple_norm() or 1.0
     tol = EXACT_TOL * max(scale**2, 1.0)
     resid = complex_.commutation_residual(tol)
@@ -550,75 +779,170 @@ def _form_links(d, k):
     return terms, factors
 
 
-def _dirac_right_sides(complex_, n):
-    """The right-hand side of D^2 on the classes of each interior form degree at level n.
+def _level_terms(complex_, levels):
+    """F(n) and the starred commutators [T_k*, T_j](n) of ``levels``, block by level class.
 
-    Returns {k: (classes, width, width) stack}, rows and columns following
-    the padded member tables of the classes of (k, n), padding zero.  Each
-    entry is gathered by index arrays from the level terms
-    (``KoszulComplex._level_terms``, formed block by level class) whose form
-    factor links the two subsets (``_form_links``), summed in ascending term
-    order; a term with a zero form factor would add an exact zero, so it is
-    not read.  A member (v, S) of class gamma has v in the level class
-    gamma + 1_S, so the entries read join level classes p and
-    p + e_j - e_k, the blocks the level terms hold.
+    Entry 0 is F = T_1 T_1* + ... + T_d T_d* (taken on level n - 1
+    blocks), entry 1 + (k - 1) d + (j - 1) is [T_k*, T_j].  Each is indexed
+    by the level class p of its columns.  F(n)[p] is its block on class p,
+    and the commutator holds at p the block from class p to class
+    p + e_j - e_k,
+    T_k(n)[p + e_j - e_k]* T_j(n)[p] - T_j(n-1)[p - e_k] T_k(n-1)[p - e_k]*;
+    it has no other nonzero blocks, and none are formed.  The levels whose
+    blocks, and blocks one level down, share their stacks are formed as one
+    stack.
+
+    Returns (terms, offset, first): terms (1 + d^2, entries) holds every
+    block flattened, class after class; a basis vector v of level n is
+    vector first[n] + v of offset (2, vectors), and entry (a, b) of a term
+    on the class of b sits at offset[0, b] + offset[1, a].
+    """
+    d, var = complex_.d, np.arange(complex_.d)
+    keys, at, span, steps = complex_.keys, complex_.level_at, complex_.span, complex_.steps
+    stack_of = _stack_of(complex_.level_blocks)
+    kinds = {}
+    for n in levels:
+        # a level of one 1 x 1 class is formed alone: numpy sums the d terms of
+        # F pairwise for a lone entry, and one after the other for several
+        level = complex_.classes[(0, n)]
+        lone = level.ids.size * level.members.shape[1] ** 2 == 1
+        kinds.setdefault((stack_of[n], stack_of[n - 1] if n else None, n if lone else None),
+                         []).append(n)
+    first = np.zeros(complex_.top_level + 1, dtype=np.int64)
+    first[levels] = _starts([complex_.level_dims[n] for n in levels])
+    offset = np.zeros((2, sum(complex_.level_dims[n] for n in levels)), dtype=np.int64)
+    terms, filled = [], 0
+    for (here, down, _), group in kinds.items():
+        up = complex_.level_blocks[here].values
+        cls, counts = complex_._ranged([(0, n) for n in group])
+        # [k, j, p]: the class p + e_j - e_k
+        across = _locate(keys, keys[cls] + (steps - steps[:, None])[:, :, None])
+        across = np.where(across >= 0, at[across], up.shape[1] - 1)
+        comm = linalg.adjoint(up[var[:, None, None], across]) @ up[:, at[cls]][None]
+        if down is None:
+            f_level = np.zeros(comm.shape[2:], dtype=complex)
+        else:
+            below = complex_.level_blocks[down].values
+            # [i, k, p] = T_i(n-1)[p - e_k]
+            below_at = _locate(keys, keys[cls] - span - steps[:, None])
+            below = below[:, np.where(below_at >= 0, at[below_at], below.shape[1] - 1)]
+            outer = below.swapaxes(0, 1) @ linalg.adjoint(below[var, var])[:, None]
+            comm -= outer
+            f_level = outer[var, var].sum(axis=0)
+        block = np.concatenate([f_level[None], comm.reshape(d * d, *comm.shape[2:])])
+        terms.append(block.reshape(len(block), -1))
+        # where each basis vector sits in the flat blocks: as a column, at its
+        # class's block plus its slot; as a row, at its slot times the width
+        width = up.shape[3]
+        row, slot = np.nonzero(complex_.members[cls, :width] >= 0)
+        vec = (first[np.repeat(group, counts)[row]]
+               + complex_.members[cls[row], slot])
+        offset[:, vec] = filled + row * width**2 + slot, slot * width
+        filled += terms[-1].shape[1]
+    return (terms[0] if len(terms) == 1 else np.concatenate(terms, axis=1)), offset, first
+
+
+def _right_side(terms, offset, first, members, d, k):
+    """The right-hand side of D^2 on classes of form degree k with member lists ``members``.
+
+    ``terms`` and ``offset`` are as ``_level_terms`` returns them, and
+    first[c] is where the basis vectors of the level of class c begin in
+    ``offset``.  Each entry is gathered by index arrays from the level terms
+    whose form factor links the two subsets (``_form_links``), summed in
+    ascending term order; a term with a zero form factor would add an exact
+    zero, so it is not read.  Returns a (classes, width, width) stack, rows
+    and columns following the member lists, padding zero.
+    """
+    vec, sub = np.divmod(members, comb(d, k))
+    as_col, as_row = offset[:, first[:, None] + vec]
+    filled = _filled(members[:, :, None], members[:, None, :])
+    at = (as_row[:, :, None] + as_col[:, None, :])[filled]
+    pair = (sub[:, :, None] * comb(d, k) + sub[:, None, :])[filled]
+    links, factors = _form_links(d, k)
+    # (links, entries), C-contiguous, so the sum adds the links one after the
+    # other, as on the whole blocks of one space; an index mixing a slice with
+    # arrays would put the links innermost, and numpy would sum them pairwise,
+    # as it does for a lone entry
+    rhs = (terms[np.take(links, pair, axis=1), at]
+           * np.take(factors, pair, axis=1)).sum(axis=0)
+    if filled is Ellipsis:
+        return rhs
+    out = np.zeros(filled.shape, dtype=rhs.dtype)
+    out[filled] = rhs
+    return out
+
+
+def _dirac_sides(complex_):
+    """Both sides of D^2 on the classes of every interior space, one pair of stacks per group.
+
+    D = B + B* preserves (form degree, level) and the classes.  The left
+    side on a class is B*B + BB* from the blocks of the two boundary maps
+    that meet there, each product taken on a stack of ``blocks`` at once;
+    the right side is gathered from the level terms (``_right_side``).  A
+    member (v, S) of class gamma has v in the level class gamma + 1_S, so
+    the entries read join level classes p and p + e_j - e_k, the blocks the
+    level terms hold.  The levels are taken in chunks whose two sides hold
+    at most CHUNK_ENTRIES entries, and the spaces of one chunk with one form
+    degree and class width are one group.
+
+    Yields (spaces, lhs, rhs): the group's spaces (k, n), and two
+    (classes, width, width) stacks over their classes, space after space,
+    rows and columns following the member lists, padding zero.
     """
     d = complex_.d
-    terms = complex_._level_terms(n)
-    terms = terms.reshape(terms.shape[0], -1)
-    # where each level-n basis vector sits in a flat (level class, row slot,
-    # column slot) stack of the level terms: as a column and as a row
-    level = complex_.classes[(0, n)].members
-    width_n = level.shape[1]
-    cls, slot = np.nonzero(level >= 0)
-    offset = np.zeros((2, complex_.level_dims[n]), dtype=np.int64)
-    offset[:, level[cls, slot]] = cls * width_n**2 + slot, slot * width_n
+    levels = [n for n in range(complex_.top_level) if complex_.interior(0, n)]
+    spaces = {n: [(k, n) for k in range(d + 1) if complex_.interior(k, n)] for n in levels}
+    width = {space: complex_.classes[space].members.shape[1]
+             for n in levels for space in spaces[n]}
+    # the entries of both sides of each level's spaces
+    sizes = [sum(2 * complex_.classes[space].ids.size * width[space] ** 2 for space in spaces[n])
+             for n in levels]
+    stacks = _stack_of(complex_.blocks)
+    # B*B on the classes B_k(n) leaves, then BB* on those B_{k-1}(n-1)
+    # enters: in this order, 0 + B*B + BB* has the per-level bits
+    sides = ((0, lambda x: linalg.adjoint(x) @ x, complex_._blocks_at("cols")),
+             (1, lambda x: x @ linalg.adjoint(x), complex_._blocks_at("rows")))
+    for part, _ in _chunks(sizes, 1):
+        terms, offset, first = _level_terms(complex_, levels[part])
+        groups = {}
+        for n in levels[part]:
+            for k, _ in spaces[n]:
+                # a space of one 1 x 1 class is a group of its own: numpy sums
+                # the terms of a lone entry pairwise, of several one by one
+                w = width[(k, n)]
+                lone = complex_.classes[(k, n)].ids.size * w * w == 1
+                groups.setdefault((k, w, n if lone else None), []).append((k, n))
+        for (k, w, _), group in groups.items():
+            cls, counts = complex_._ranged(group)
+            rhs = _right_side(terms, offset, first[np.repeat([n for _, n in group], counts)],
+                              complex_.members[cls, :w], d, k)
+            lhs = np.zeros(rhs.shape, dtype=complex)
+            for down, square, (stack_of, block_at) in sides:
+                maps = [(k - down, n - down) for _, n in group]
+                stack = stack_of[cls]
+                for i in sorted({stacks[space] for space in maps if space in stacks}):
+                    pick = np.flatnonzero(stack == i)
+                    lhs[pick] += square(_take(complex_.blocks[i].values, block_at[cls[pick]]))
+            yield group, lhs, rhs
 
-    sides = {}
-    for k in range(d + 1):
-        if not complex_.interior(k, n):
-            continue
-        members = complex_.classes[(k, n)].members
-        vec, sub = np.divmod(members, comb(d, k))
-        as_col, as_row = offset[:, vec]
-        at = as_row[:, :, None] + as_col[:, None, :]
-        # (links, classes, width, width), C-contiguous, so the sum adds the
-        # links one after the other; an index mixing a slice with arrays
-        # would put the links innermost, and numpy would sum them pairwise
-        links, factors = _form_links(d, k)
-        pair = sub[:, :, None] * comb(d, k) + sub[:, None, :]
-        rhs = (terms[np.take(links, pair, axis=1), at]
-               * np.take(factors, pair, axis=1)).sum(axis=0)
-        rhs[(members[:, :, None] < 0) | (members[:, None, :] < 0)] = 0
-        sides[k] = rhs
-    return sides
 
+def dirac_square_residuals(complex_, bound):
+    """Residual of D^2 = F (x) 1 + sum_{k,j} [T_k*, T_j] (x) C_k* C_j at every interior level.
 
-def dirac_square_residual(complex_, level, bound):
-    """Residual of D^2 = F (x) 1 + sum_{k,j} [T_k*, T_j] (x) C_k* C_j at one level.
-
-    D = B + B* preserves (form degree, level) and the classes, so at every
-    interior form degree of the given level both sides are compared on each
-    class: B*B + BB* from the gamma-blocks of the two boundary maps that
-    meet there, the right-hand side gathered from the level terms
-    (``_dirac_right_sides``).  The worst spectral-norm deviation is
-    returned, as a ``linalg.residual`` against ``bound``.  F is
-    T_1 T_1* + ... + T_d T_d*.
+    Both sides are compared on every class of every interior space
+    (``_dirac_sides``), and the worst spectral-norm deviation over the
+    form degrees of a level is its residual, as a ``linalg.residual``
+    against ``bound``: each space is one run of its group's residual.  F is
+    T_1 T_1* + ... + T_d T_d*.  Returns {n: residual} over the levels n
+    with (0, n) interior, ascending.
     """
-    n = int(level)
-    if n not in complex_.level_dims or not complex_.interior(0, n):
-        raise ValueError(f"level {n} is not interior to the stored window")
-    values = []
-    for k, rhs in _dirac_right_sides(complex_, n).items():
-        lhs = np.zeros(rhs.shape, dtype=complex)
-        if (k, n) in complex_.boundary:
-            gamma = complex_.boundary[(k, n)]
-            lhs[gamma.col_class] += linalg.adjoint(gamma.values) @ gamma.values
-        if (k - 1, n - 1) in complex_.boundary:
-            gamma = complex_.boundary[(k - 1, n - 1)]
-            lhs[gamma.row_class] += gamma.values @ linalg.adjoint(gamma.values)
-        values.append(linalg.residual(lhs - rhs, bound))
-    return linalg.largest(values, bound)
+    levels, values = [], []
+    for spaces, lhs, rhs in _dirac_sides(complex_):
+        runs = [complex_.classes[space].ids.size for space in spaces]
+        levels += [n for _, n in spaces]
+        values.append(linalg.residual(np.subtract(lhs, rhs, out=lhs), bound, runs))
+    levels, values = np.array(levels), np.concatenate(values)
+    return {n: linalg.largest(values[levels == n], bound) for n in sorted(set(levels.tolist()))}
 
 
 def solve_syzygy(ops, xi, level):

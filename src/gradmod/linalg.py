@@ -84,6 +84,30 @@ def _routed(a):
     return bool(np.all((top >= low) & (top <= high)))
 
 
+def _starts(runs):
+    """First position of each run of ``runs`` consecutive entries."""
+    return np.cumsum(runs) - runs
+
+
+def _singular_values(a, runs):
+    """Singular values of every block of a stack, each run of its first axis routed on its own.
+
+    Run i holds the next runs[i] entries of the first axis, and takes the
+    triangle route exactly when ``_routed`` sends it there as a stack of its
+    own, so each block has the bits that stack gives it.
+    """
+    routed = np.repeat([_routed(a[start:start + run])
+                        for start, run in zip(_starts(runs), runs)], runs)
+    if not routed.any():
+        return np.linalg.svd(a, compute_uv=False)
+    if routed.all():
+        return np.linalg.svd(np.linalg.qr(a, mode="r"), compute_uv=False)
+    s = np.empty(a.shape[:-2] + a.shape[-1:])
+    s[routed] = np.linalg.svd(np.linalg.qr(a[routed], mode="r"), compute_uv=False)
+    s[~routed] = np.linalg.svd(a[~routed], compute_uv=False)
+    return s
+
+
 def _triangle(a):
     """The R of a = QR for a matrix or stack of (M, N) blocks that gains from it; else ``a``.
 
@@ -93,17 +117,25 @@ def _triangle(a):
     return np.linalg.qr(a, mode="r") if _routed(a) else a
 
 
-def numerical_rank(a):
+def numerical_rank(a, runs=None):
     """Rank of a matrix, or of the block-diagonal matrix a (count, m, p) stack holds.
 
     The cut (``_kept``) is relative to the largest singular value over every
     block of a stack.  Zero padding of stacked blocks adds only zero
-    singular values.
+    singular values.  With ``runs``, the stack holds one block-diagonal
+    matrix per run of runs[i] consecutive blocks, and the result is their
+    ranks, each cut and routed as a stack of its own (``_singular_values``).
     """
     a = _as_complex(a)
+    if runs is None:
+        if a.size == 0:
+            return 0
+        return _kept(np.linalg.svd(_triangle(a), compute_uv=False))
     if a.size == 0:
-        return 0
-    return _kept(np.linalg.svd(_triangle(a), compute_uv=False))
+        return np.zeros(len(runs), dtype=int)
+    s = _singular_values(a, runs)
+    return np.array([_kept(s[start:start + run]) for start, run in zip(_starts(runs), runs)],
+                    dtype=int)
 
 
 def orthonormal_columns(a):
@@ -157,17 +189,29 @@ def projector(basis):
     return basis @ basis.conj().T
 
 
-def opnorms(a):
-    """Spectral norm of every matrix of a (..., m, p) stack; 0 for empty matrices."""
+def opnorms(a, runs=None):
+    """Spectral norm of every matrix of a (..., m, p) stack; 0 for empty matrices.
+
+    A matrix with a NaN or infinite entry reads NaN, and no SVD takes it.
+    With ``runs``, each run of runs[i] consecutive entries of the first axis
+    is routed as a stack of its own (``_singular_values``).
+    """
     a = _as_complex(a)
     if a.size == 0:
         return np.zeros(a.shape[:-2])
-    return np.linalg.svd(_triangle(a), compute_uv=False)[..., 0]
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        norms = np.full(a.shape[:-2], np.nan)
+        norms[finite] = opnorms(a[finite])
+        return norms
+    if runs is None:
+        return np.linalg.svd(_triangle(a), compute_uv=False)[..., 0]
+    return _singular_values(a, runs)[..., 0]
 
 
-def opnorm(a):
-    """Largest spectral norm of a matrix or a (..., m, p) stack; 0 when empty."""
-    return largest(opnorms(a), 0.0)
+def opnorm(a, runs=None):
+    """Largest spectral norm of a matrix or a (..., m, p) stack; 0 when empty (``opnorms``)."""
+    return largest(opnorms(a, runs), 0.0)
 
 
 def residuals(a, bound):
@@ -180,7 +224,7 @@ def residuals(a, bound):
     max(``opnorms``, ``bound``), the spectral norm's own bits.  A bound of 0
     (or one under ``FROBENIUS_MIN_BOUND``) certifies nothing, so the result
     is then the exact spectral norm; a NaN or infinite entry is never
-    certified either.
+    certified either, and reads NaN.
     """
     a = _as_complex(a)
     if bound >= FROBENIUS_MIN_BOUND:
@@ -190,9 +234,34 @@ def residuals(a, bound):
     return np.maximum(opnorms(a), bound)
 
 
-def residual(a, bound):
-    """max(largest ||a_i||_2 over a matrix or (..., m, p) stack, bound); see ``residuals``."""
-    return largest(residuals(a, bound), bound)
+def residual(a, bound, runs=None):
+    """max(largest ||a_i||_2 over a matrix or (..., m, p) stack, bound); see ``residuals``.
+
+    With ``runs``, one such value per run of runs[i] consecutive entries of
+    the first axis, each certified, routed and measured as a ``residual`` of
+    that run alone would be, with its bits; a run of no entries reads
+    ``bound``.
+    """
+    if runs is None:
+        return largest(residuals(a, bound), bound)
+    a = _as_complex(a)
+    runs = np.asarray(runs, dtype=np.int64)
+    out = np.full(runs.size, float(bound))
+    live = runs > 0
+    if a.size == 0 or not live.any():
+        return out
+    starts = _starts(runs)[live]
+    if bound >= FROBENIUS_MIN_BOUND:
+        squares = (a.real**2 + a.imag**2).sum(axis=(-2, -1))
+        certified = (np.sqrt(squares) <= bound).reshape(len(a), -1).all(axis=1)
+        live[live] = ~np.logical_and.reduceat(certified, starts)
+        if not live.any():
+            return out
+    picked = np.repeat(live, runs)
+    norms = opnorms(a if picked.all() else a[picked], runs[live])
+    norms = np.maximum(norms, bound).reshape(len(norms), -1).max(axis=1)
+    out[live] = np.maximum.reduceat(norms, _starts(runs[live]))
+    return out
 
 
 def _outside(inner, outer):

@@ -40,16 +40,29 @@ class LevelEntries:
         flat = np.flatnonzero(stack)
         return cls(stack.shape, flat, stack.reshape(-1)[flat])
 
-    def read(self, var, rows, cols):
-        """Entries [var, rows, cols] of the stack, broadcast; 0 where none is stored.
+    def read(self, *index):
+        """Entries at the index arrays ``index``, one per axis, broadcast; 0 where none is stored.
 
         A negative index counts from the end, as in numpy indexing.  Each
         result is one stored value or 0, so it has the dense entry's bits
         (an exact zero reads as +0).
         """
-        key = np.ravel_multi_index((var, rows, cols), self.shape, mode="wrap")
+        key = np.ravel_multi_index(index, self.shape, mode="wrap")
         if self.flat.size == 0:
             return np.zeros(key.shape, dtype=self.values.dtype)
         at = np.searchsorted(self.flat, key)
         return np.where(self.flat.take(at, mode="clip") == key,
                         self.values.take(at, mode="clip"), 0)
+
+    @classmethod
+    def join(cls, levels):
+        """The entries of several stacks as one flat stack, laid end to end.
+
+        Returns (entries, offsets): ``entries`` has shape (total size,), and
+        the entry at flat index f of ``levels[i]`` sits at offsets[i] + f.
+        """
+        sizes = [int(np.prod(level.shape)) for level in levels]
+        offsets = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+        flat = np.concatenate([level.flat + offset for level, offset in zip(levels, offsets)])
+        values = np.concatenate([level.values for level in levels])
+        return cls((sum(sizes),), flat, values), offsets

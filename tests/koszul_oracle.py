@@ -9,7 +9,8 @@ with whole-block products (``commutation_residual``).  It shares only the
 tuple's blocks, ``creation_matrix`` and ``linalg.numerical_rank`` with the
 package.  A tuple is a dict {n: (d, h_{n+1}, h_n) stack of the T_i(n)}.
 
-``gathered_right_sides`` is the oracle of ``koszul._dirac_right_sides``.
+``gathered_right_sides`` is the oracle of the right-hand sides of
+``koszul._dirac_sides``.
 It reads the same level terms and classes of a built complex, but gathers
 every level term whose form factor is nonzero anywhere on Lambda^k, exact
 zero products included, where the package reads only the terms linked to
@@ -21,7 +22,7 @@ from math import comb
 import numpy as np
 
 from gradmod import linalg
-from gradmod.koszul import _form_terms, creation_matrix
+from gradmod.koszul import _form_terms, _level_terms, creation_matrix
 
 
 def commutation_residual(ops):
@@ -143,8 +144,7 @@ class DenseKoszul:
 def gathered_right_sides(complex_, n):
     """{k: right-hand side of D^2 on the classes of (k, n)}, a (terms, classes, W, W) gather per k."""
     d = complex_.d
-    terms = complex_._level_terms(n)
-    terms = terms.reshape(terms.shape[0], -1)
+    terms = _level_terms(complex_, [n])[0]
     level = complex_.classes[(0, n)].members
     width_n = level.shape[1]
     cls, slot = np.nonzero(level >= 0)

@@ -10,7 +10,7 @@ import numpy as np
 import gradmod as gm
 from gradmod import cli, linalg
 from gradmod.koszul import (betti_numbers, betti_table, build_koszul,
-                            dirac_square_residual, solve_syzygy)
+                            dirac_square_residuals, solve_syzygy)
 from gradmod.normality import (alternating_block_sequence, resolvent_quadrature,
                                similarity_counterexample, spectral_projection_oracle)
 from mside_oracle import pullback_span_residual
@@ -208,9 +208,9 @@ def test_criterion_6_koszul():
             ops = mod.coordinate_tuple()
             complex_ = build_koszul(ops)
             worst_b2 = max(worst_b2, complex_.bsquared_residual(0.0))
+            residuals = dirac_square_residuals(complex_, 0.0)
             for n in range(0, complex_.top_level - d):
-                worst_dirac = max(worst_dirac,
-                                  dirac_square_residual(complex_, n, 0.0))
+                worst_dirac = max(worst_dirac, residuals[n])
             betti_ok &= betti_numbers(betti_table(complex_)) == (0,) * d + (r,)
 
     worst_syz = 0.0

@@ -1077,6 +1077,9 @@ def test_identity_report_is_byte_identical_across_blas_threads(tmp_path):
     # and its Koszul complex on the quotient tuple of two cubics
     *[(["koszul", "--d", "3", "--N", "12", "--gens", rank_forms(seed)[0]],
        ["koszul.json"]) for seed in (7, 11)],
+    # the Koszul complex of a free module with three torus roots, one per
+    # multiplicity component
+    (["koszul", "--d", "2", "--r", "3", "--N", "7"], ["koszul.json"]),
 ])
 def test_reports_are_byte_identical_across_blas_threads(tmp_path, argv, files):
     if "--gens" in argv:

@@ -13,12 +13,12 @@ from hypothesis import given, settings
 
 import gradmod as gm
 from gradmod import cli, linalg
-from gradmod.koszul import (_dirac_right_sides, _form_links, _form_terms, betti_numbers,
-                            betti_table, build_koszul, creation_matrix,
-                            dirac_square_residual, form_subsets, node_labels,
+from gradmod.koszul import (_dirac_sides, _form_links, _form_terms, _level_terms,
+                            betti_numbers, betti_table, build_koszul, creation_matrix,
+                            dirac_square_residuals, form_subsets, node_labels,
                             solve_syzygy)
 from gradmod.operators import LevelEntries
-from conftest import FAMILIES, submodule_inputs
+from conftest import FAMILIES, complex_gaussian, random_generators, submodule_inputs
 from koszul_oracle import DenseKoszul, commutation_residual, gathered_right_sides
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -133,14 +133,14 @@ def test_inconsistent_stack_shapes_rejected():
 @pytest.mark.parametrize("levels", [(2, 3, 4, 5), (0, 1, 3), (1, 2)])
 def test_levels_other_than_zero_to_n_rejected(levels):
     # a shifted or gapped window would build, then fail with KeyError in
-    # betti_table or dirac_square_residual; its prefix 0..3 builds
+    # betti_table or dirac_square_residuals; its prefix 0..3 builds
     ops = h2_module(2).coordinate_tuple()
     with pytest.raises(ValueError, match="levels must be 0.."):
         build_koszul({n: ops[n] for n in levels})
     prefix = {n: ops[n] for n in range(4)}
     kz = build_koszul(prefix)
     assert betti_table(kz) == DenseKoszul(prefix).betti_table()
-    assert dirac_square_residual(kz, 2, 0.0) <= 1e-12
+    assert dirac_square_residuals(kz, 0.0)[2] <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -208,18 +208,19 @@ def test_dirac_square_identity(d):
     mod = h2_module(d)
     ops = mod.coordinate_tuple()
     kz = build_koszul(ops)
+    residuals = dirac_square_residuals(kz, 0.0)
     for n in range(0, kz.top_level - d):
-        assert dirac_square_residual(kz, n, 0.0) <= 1e-11
+        assert residuals[n] <= 1e-11
 
 
 def test_dirac_square_on_hardy_levels():
     mod = gm.StandardModule(gm.make_weights("hardy", 8, d=2), d=2)
     ops = mod.coordinate_tuple()
-    kz = build_koszul(ops)
+    residuals = dirac_square_residuals(build_koszul(ops), 0.0)
     for n in range(1, 7):
-        assert dirac_square_residual(kz, n, 0.0) <= 1e-11
-    with pytest.raises(ValueError):
-        dirac_square_residual(kz, 99, 0.0)
+        assert residuals[n] <= 1e-11
+    with pytest.raises(KeyError):
+        residuals[99]
 
 
 def test_dirac_square_normal_tuple():
@@ -227,11 +228,11 @@ def test_dirac_square_normal_tuple():
     diag1 = np.diag([1.0, 2.0]).astype(complex)
     diag2 = np.diag([3.0, -1.0]).astype(complex)
     ops = {n: np.stack([diag1, diag2]) for n in range(5)}
-    kz = build_koszul(ops)
+    residuals = dirac_square_residuals(build_koszul(ops), 0.0)
     comms = gm.self_commutators(ops)
     for n in range(1, 4):
         assert np.linalg.norm(comms[n][0, 1]) <= 1e-14
-        assert dirac_square_residual(kz, n, 0.0) <= 1e-12
+        assert residuals[n] <= 1e-12
 
 
 # -- gamma-blocks against the dense complex ---------------------------------------
@@ -242,10 +243,10 @@ def assert_matches_dense(ops):
     dense = DenseKoszul(ops)
     assert betti_table(kz) == dense.betti_table()
     assert abs(kz.bsquared_residual(0.0) - dense.bsquared_residual()) <= 1e-13
-    for n in range(kz.top_level):
-        if kz.interior(0, n):
-            assert abs(dirac_square_residual(kz, n, 0.0)
-                       - dense.dirac_square_residual(n)) <= 1e-13
+    residuals = dirac_square_residuals(kz, 0.0)
+    assert sorted(residuals) == [n for n in range(kz.top_level) if kz.interior(0, n)]
+    for n, value in residuals.items():
+        assert abs(value - dense.dirac_square_residual(n)) <= 1e-13
     # only the pairs the reports read are stored: k < d and n + k <= N - 1
     assert sorted(kz.boundary) == sorted((k, n) for k, n in dense.boundary
                                          if n + k <= kz.top_level - 1)
@@ -354,6 +355,66 @@ def test_koszul_command_takes_only_gamma_sized_svds(monkeypatch, tmp_path):
     assert max(shape[-1] for shape in shapes["direct"] + shapes["norm"]) <= 2**4
 
 
+def koszul_passes(ops, monkeypatch):
+    """np.linalg.svd and LevelEntries.read calls of build_koszul, betti_table and D^2."""
+    calls = {"svd": 0, "read": 0}
+    svd, read = np.linalg.svd, LevelEntries.read
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_read(self, *index):
+        calls["read"] += 1
+        return read(self, *index)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted_svd)
+        patch.setattr(LevelEntries, "read", counted_read)
+        kz = build_koszul(ops)
+        betti_table(kz)
+        dirac_square_residuals(kz, 1e-13)
+    return calls
+
+
+def test_koszul_passes_do_not_grow_with_the_window(monkeypatch):
+    # one pass per stack of equally shaped blocks over all levels: once the
+    # block shapes repeat, a larger window adds blocks to the stacks, not
+    # passes; the per-(k, n) passes grew with every level
+    def free(top):
+        return gm.StandardModule(gm.make_weights("dshift", top, d=4), d=4).coordinate_entries()
+
+    gens = random_generators(np.random.default_rng(7), 3, 1, 3, 2)
+
+    def quotient(top):
+        mod = gm.StandardModule(gm.make_weights("dshift", top, d=3), d=3)
+        return gm.GradedSubmodule.generate(mod, gens).quotient_tuple()
+
+    small, large = koszul_passes(free(9), monkeypatch), koszul_passes(free(12), monkeypatch)
+    assert small == large and small["svd"] > 0 and small["read"] > 0
+    assert koszul_passes(quotient(12), monkeypatch) == koszul_passes(quotient(16), monkeypatch)
+
+
+def test_a_lone_entry_is_summed_as_on_its_own_level():
+    # numpy sums the terms of a lone 1 x 1 entry pairwise and those of
+    # several entries one after the other, so a level or space of one 1 x 1
+    # class is never stacked with others: its sides keep their per-level bits
+    rng = np.random.default_rng(0)
+    for d in (3, 4):
+        scale, step = complex_gaussian(rng, d), complex_gaussian(rng, 7)
+        ops = {n: (scale * step[n]).reshape(d, 1, 1) for n in range(7)}
+        assert node_labels(ops) is None         # one 1 x 1 class per level
+        kz = build_koszul(ops)
+        levels = [n for n in range(kz.top_level) if kz.interior(0, n)]
+        together = _level_terms(kz, levels)[0]
+        apart = np.concatenate([_level_terms(kz, [n])[0] for n in levels], axis=1)
+        assert together.tobytes() == apart.tobytes()
+        new = grouped_right_sides(kz)
+        for n in levels:
+            for k, old in gathered_right_sides(kz, n).items():
+                assert new[(k, n)].tobytes() == old.tobytes()
+
+
 @pytest.mark.parametrize("argv", [["--d", "4", "--N", "9"],
                                   ["--d", "2", "--r", "3", "--N", "7"]])
 def test_koszul_report_is_byte_identical_across_blas_threads(argv, tmp_path):
@@ -432,6 +493,15 @@ def test_form_links_rebuild_the_form_terms(d):
         assert not np.delete(rebuilt, index, axis=0).any()
 
 
+def grouped_right_sides(kz):
+    """{(k, n): right-hand side of D^2 on the classes of (k, n)}, cut out of the grouped stacks."""
+    sides = {}
+    for spaces, _, rhs in _dirac_sides(kz):
+        counts = [kz.classes[space].ids.size for space in spaces]
+        sides.update(zip(spaces, np.split(rhs, np.cumsum(counts)[:-1])))
+    return sides
+
+
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
 @given(submodule_inputs())
 def test_dirac_right_sides_equal_the_dense_gather(case):
@@ -445,13 +515,14 @@ def test_dirac_right_sides_equal_the_dense_gather(case):
     assert node_labels(tuples[0]) is not None
     for ops in tuples:
         kz = build_koszul(ops)
+        new = grouped_right_sides(kz)
         for n in range(kz.top_level):
             if not kz.interior(0, n):
                 continue
-            new, old = _dirac_right_sides(kz, n), gathered_right_sides(kz, n)
-            assert new.keys() == old.keys()
-            for k in new:
-                assert np.array_equal(new[k], old[k])
+            old = gathered_right_sides(kz, n)
+            assert sorted(k for k, m in new if m == n) == sorted(old)
+            for k in old:
+                assert np.array_equal(new[(k, n)], old[k])
 
 
 def test_unlabelled_quotient_right_sides_equal_the_dense_gather():
@@ -463,10 +534,12 @@ def test_unlabelled_quotient_right_sides_equal_the_dense_gather():
     ops = gm.GradedSubmodule.generate(mod, [g]).quotient_tuple()
     assert node_labels(ops) is None
     kz = build_koszul(ops)
+    new = grouped_right_sides(kz)
     for n in range(kz.top_level):
         if kz.interior(0, n):
-            new, old = _dirac_right_sides(kz, n), gathered_right_sides(kz, n)
-            assert all(np.array_equal(new[k], old[k]) for k in old) and new.keys() == old.keys()
+            old = gathered_right_sides(kz, n)
+            assert sorted(k for k, m in new if m == n) == sorted(old)
+            assert all(np.array_equal(new[(k, n)], old[k]) for k in old)
 
 
 @pytest.mark.parametrize("argv", [["--d", "4", "--N", "9"],
