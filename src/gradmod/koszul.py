@@ -81,6 +81,7 @@ import numpy as np
 
 from . import linalg
 from .config import EXACT_TOL, SPAN_TOL
+from .linalg import _starts
 from .operators import LevelEntries
 
 # A grouped pass takes as many whole maps, levels or spaces at once as keep
@@ -194,11 +195,6 @@ def node_labels(ops):
         roots += fresh.size
         labels[n] = (root, weight)
     return labels
-
-
-def _starts(runs):
-    """Position of the first entry of each run of ``runs`` consecutive entries."""
-    return np.cumsum(runs) - runs
 
 
 def _ranges(starts, counts):

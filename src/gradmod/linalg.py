@@ -9,15 +9,16 @@ Subspaces are always represented by matrices whose columns are orthonormal;
 an empty subspace is a (dim, 0) array.
 
 ``nullspace``, ``numerical_rank`` and ``opnorms`` never read U, so a tall
-operand goes through its triangle first (``_triangle``): R of a = QR has the
-singular values and right singular vectors of ``a``.  They are the same bits,
-not just the same numbers: for M >= int(17 N / 9) LAPACK's gesdd itself
-factors A = QR and bidiagonalizes R, and the route skips only the forming of
-Q and of Q U_R.  It is taken for blocks with M >= 2 N whose size M N^2 is at
-least ``TRIANGLE_MIN_WORK`` (below that the extra QR call costs more than it
-saves), and only while every block's max|a| lies in ``TRIANGLE_RANGE``:
-outside about [6.7e-139, 1e138] gesdd rescales the operand first, and its
-bits then differ from those of the route (``_routed``).
+operand goes through its triangle first (``_triangle``, ``_singular_values``):
+R of a = QR has the singular values and right singular vectors of ``a``.
+They are the same bits, not just the same numbers: for M >= int(17 N / 9)
+LAPACK's gesdd itself factors A = QR and bidiagonalizes R, and the route
+skips only the forming of Q and of Q U_R.  It is taken for blocks with
+M >= 2 N whose size M N^2 is at least ``TRIANGLE_MIN_WORK`` (below that the
+extra QR call costs more than it saves), and only while every block's max|a|
+lies in ``TRIANGLE_RANGE``: outside about [6.7e-139, 1e138] gesdd rescales
+the operand first, and its bits then differ from those of the route
+(``_routed``).
 
 ``orthonormal_columns`` reads U, so it always takes one plain SVD.  The
 Euler candidate blocks, which need only an orthonormal superspace of their
@@ -85,27 +86,20 @@ def _routed(a):
 
 
 def _starts(runs):
-    """First position of each run of ``runs`` consecutive entries."""
+    """Position of the first entry of each run of ``runs`` consecutive entries."""
     return np.cumsum(runs) - runs
 
 
-def _singular_values(a, runs):
-    """Singular values of every block of a stack, each run of its first axis routed on its own.
+def _by_entry(x):
+    """``x`` with one row per entry of its first axis."""
+    return x.reshape(len(x), int(np.prod(x.shape[1:])))
 
-    Run i holds the next runs[i] entries of the first axis, and takes the
-    triangle route exactly when ``_routed`` sends it there as a stack of its
-    own, so each block has the bits that stack gives it.
-    """
-    routed = np.repeat([_routed(a[start:start + run])
-                        for start, run in zip(_starts(runs), runs)], runs)
-    if not routed.any():
-        return np.linalg.svd(a, compute_uv=False)
-    if routed.all():
-        return np.linalg.svd(np.linalg.qr(a, mode="r"), compute_uv=False)
-    s = np.empty(a.shape[:-2] + a.shape[-1:])
-    s[routed] = np.linalg.svd(np.linalg.qr(a[routed], mode="r"), compute_uv=False)
-    s[~routed] = np.linalg.svd(a[~routed], compute_uv=False)
-    return s
+
+def _run_sums(values, runs):
+    """The sum of ``values`` over each run of ``runs`` consecutive entries (0 for an empty run)."""
+    ends = np.cumsum(runs)
+    sums = np.concatenate([[0], np.cumsum(values)])
+    return sums[ends] - sums[ends - runs]
 
 
 def _triangle(a):
@@ -115,6 +109,29 @@ def _triangle(a):
     for bit (module docstring).
     """
     return np.linalg.qr(a, mode="r") if _routed(a) else a
+
+
+def _singular_values(a, runs=None):
+    """Singular values of a matrix or of every block of a (..., m, p) stack.
+
+    The whole operand is one run unless ``runs`` says otherwise: run i then
+    holds the next runs[i] entries of the first axis.  A run takes the
+    triangle route exactly when ``_routed`` sends it there as a stack of its
+    own, so each block has the bits that stack gives it.
+    """
+    if runs is None:
+        routed = np.array([_routed(a)])
+    else:
+        routed = np.repeat([_routed(a[start:start + run])
+                            for start, run in zip(_starts(runs), runs)], runs)
+    if not routed.any():
+        return np.linalg.svd(a, compute_uv=False)
+    if routed.all():
+        return np.linalg.svd(np.linalg.qr(a, mode="r"), compute_uv=False)
+    s = np.empty(a.shape[:-2] + a.shape[-1:])
+    s[routed] = np.linalg.svd(np.linalg.qr(a[routed], mode="r"), compute_uv=False)
+    s[~routed] = np.linalg.svd(a[~routed], compute_uv=False)
+    return s
 
 
 def numerical_rank(a, runs=None):
@@ -127,13 +144,11 @@ def numerical_rank(a, runs=None):
     ranks, each cut and routed as a stack of its own (``_singular_values``).
     """
     a = _as_complex(a)
-    if runs is None:
-        if a.size == 0:
-            return 0
-        return _kept(np.linalg.svd(_triangle(a), compute_uv=False))
     if a.size == 0:
-        return np.zeros(len(runs), dtype=int)
+        return 0 if runs is None else np.zeros(len(runs), dtype=int)
     s = _singular_values(a, runs)
+    if runs is None:
+        return _kept(s)
     return np.array([_kept(s[start:start + run]) for start, run in zip(_starts(runs), runs)],
                     dtype=int)
 
@@ -192,9 +207,10 @@ def projector(basis):
 def opnorms(a, runs=None):
     """Spectral norm of every matrix of a (..., m, p) stack; 0 for empty matrices.
 
-    A matrix with a NaN or infinite entry reads NaN, and no SVD takes it.
-    With ``runs``, each run of runs[i] consecutive entries of the first axis
-    is routed as a stack of its own (``_singular_values``).
+    A matrix with a NaN or infinite entry reads NaN, and no SVD takes it;
+    the others are measured as if it were not there.  With ``runs``, each
+    run of runs[i] consecutive entries of the first axis is routed as a
+    stack of its own (``_singular_values``).
     """
     a = _as_complex(a)
     if a.size == 0:
@@ -202,10 +218,10 @@ def opnorms(a, runs=None):
     finite = np.isfinite(a).all(axis=(-2, -1))
     if not finite.all():
         norms = np.full(a.shape[:-2], np.nan)
-        norms[finite] = opnorms(a[finite])
+        if runs is not None:
+            runs = _run_sums(_by_entry(finite).sum(axis=1), runs)
+        norms[finite] = opnorms(a[finite], runs)
         return norms
-    if runs is None:
-        return np.linalg.svd(_triangle(a), compute_uv=False)[..., 0]
     return _singular_values(a, runs)[..., 0]
 
 
@@ -214,7 +230,7 @@ def opnorm(a, runs=None):
     return largest(opnorms(a, runs), 0.0)
 
 
-def residuals(a, bound):
+def residuals(a, bound, runs=None):
     """max(||a_i||_2, bound) for every matrix of a (..., m, p) stack (a 0-d array for one).
 
     The residual of an exact identity is roundoff, and its caller needs to
@@ -224,43 +240,44 @@ def residuals(a, bound):
     max(``opnorms``, ``bound``), the spectral norm's own bits.  A bound of 0
     (or one under ``FROBENIUS_MIN_BOUND``) certifies nothing, so the result
     is then the exact spectral norm; a NaN or infinite entry is never
-    certified either, and reads NaN.
+    certified either, and reads NaN.  With ``runs``, each run of runs[i]
+    consecutive entries of the first axis is certified, routed and measured
+    as a stack of its own.
     """
     a = _as_complex(a)
-    if bound >= FROBENIUS_MIN_BOUND:
-        squares = (a.real**2 + a.imag**2).sum(axis=(-2, -1))
-        if np.all(np.sqrt(squares) <= bound):
-            return np.full(a.shape[:-2], float(bound))
-    return np.maximum(opnorms(a), bound)
+    if bound < FROBENIUS_MIN_BOUND:
+        return np.maximum(opnorms(a, runs), bound)
+    certified = np.sqrt((a.real**2 + a.imag**2).sum(axis=(-2, -1))) <= bound
+    if runs is None:
+        doubtful = np.array([not certified.all()])
+    else:
+        runs = np.asarray(runs, dtype=np.int64)
+        doubtful = _run_sums(~_by_entry(certified).all(axis=1), runs) > 0
+    if doubtful.all():
+        return np.maximum(opnorms(a, runs), bound)
+    out = np.full(a.shape[:-2], float(bound))
+    if doubtful.any():
+        picked = np.repeat(doubtful, runs)
+        out[picked] = np.maximum(opnorms(a[picked], runs[doubtful]), bound)
+    return out
 
 
 def residual(a, bound, runs=None):
     """max(largest ||a_i||_2 over a matrix or (..., m, p) stack, bound); see ``residuals``.
 
     With ``runs``, one such value per run of runs[i] consecutive entries of
-    the first axis, each certified, routed and measured as a ``residual`` of
-    that run alone would be, with its bits; a run of no entries reads
-    ``bound``.
+    the first axis, each with the bits of a ``residual`` of that run alone;
+    a run of no entries reads ``bound``.
     """
+    values = residuals(a, bound, runs)
     if runs is None:
-        return largest(residuals(a, bound), bound)
-    a = _as_complex(a)
+        return largest(values, bound)
     runs = np.asarray(runs, dtype=np.int64)
     out = np.full(runs.size, float(bound))
     live = runs > 0
-    if a.size == 0 or not live.any():
-        return out
-    starts = _starts(runs)[live]
-    if bound >= FROBENIUS_MIN_BOUND:
-        squares = (a.real**2 + a.imag**2).sum(axis=(-2, -1))
-        certified = (np.sqrt(squares) <= bound).reshape(len(a), -1).all(axis=1)
-        live[live] = ~np.logical_and.reduceat(certified, starts)
-        if not live.any():
-            return out
-    picked = np.repeat(live, runs)
-    norms = opnorms(a if picked.all() else a[picked], runs[live])
-    norms = np.maximum(norms, bound).reshape(len(norms), -1).max(axis=1)
-    out[live] = np.maximum.reduceat(norms, _starts(runs[live]))
+    if live.any():
+        values = _by_entry(values).max(axis=1, initial=bound)
+        out[live] = np.maximum.reduceat(values, _starts(runs)[live])
     return out
 
 

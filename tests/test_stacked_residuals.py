@@ -216,6 +216,17 @@ def test_runs_of_a_stack_are_measured_as_each_run_alone(rows, cols):
         got = linalg.residual(stack, bound, runs)
         assert got.tobytes() == np.array([linalg.residual(run, bound)
                                           for run in alone]).tobytes()
+    # a NaN block reads NaN, and the finite blocks of every run keep the
+    # route of their own run, not that of all finite blocks at once
+    stack[1, 0, 0] = np.nan
+    alone = np.split(stack, np.cumsum(runs)[:-1])
+    assert linalg.opnorms(stack, runs).tobytes() == np.concatenate(
+        [linalg.opnorms(run) for run in alone]).tobytes()
+    for bound in (0.0, RESIDUAL_FLOOR, 1e3):
+        got = linalg.residual(stack, bound, runs)
+        assert np.isnan(got[0])
+        assert got.tobytes() == np.array([linalg.residual(run, bound)
+                                          for run in alone]).tobytes()
 
 
 # -- a NaN at one level --------------------------------------------------------------
